@@ -146,47 +146,46 @@ pub(crate) fn bind_query(source: &dyn BlockSource, query: &AggQuery) -> EngineRe
     })
 }
 
-/// The enumerated group universe: view keys in first-appearance order plus
-/// the code-tuple → view-id lookup.
-type GroupUniverse = (Vec<GroupKey>, HashMap<Vec<u32>, usize>);
-
 /// Enumerates the group universe: the distinct code combinations of the
 /// GROUP BY columns that occur in the table, assigned view ids in
-/// first-appearance order over the permuted rows
-/// ([`BlockSource::distinct_group_tuples`] walks blocks `0..n` in storage
-/// order, so an in-memory scramble and the segment it was saved to
-/// enumerate identical universes — a requirement for bit-identical
-/// results). Not counted against the blocks-fetched metric. For lazy
-/// sources the first grouped query pays one full decode pass; the segment
-/// reader memoizes the tuples so later grouped queries do not re-decode the
-/// file.
-fn enumerate_groups(source: &dyn BlockSource, group_cols: &[usize]) -> EngineResult<GroupUniverse> {
+/// first-appearance order over the permuted rows. The tuples come from
+/// [`BlockSource::distinct_group_tuples`], whose order is the same on every
+/// backing (a requirement for bit-identical results) and which both the
+/// in-memory scramble and the segment reader memoize per column tuple, so
+/// only a table's first grouped query over a column tuple pays for the
+/// (bitmap-derived or early-exiting) cold build. Not counted against the
+/// blocks-fetched metric.
+///
+/// Returns the view keys and the row → view lookup built from the shared
+/// tuples.
+fn enumerate_groups(
+    source: &dyn BlockSource,
+    group_cols: &[usize],
+) -> EngineResult<(Vec<GroupKey>, GroupLookup)> {
     if group_cols.is_empty() {
-        let key = GroupKey::global();
-        let mut lookup = HashMap::new();
-        lookup.insert(Vec::new(), 0);
-        return Ok((vec![key], lookup));
+        return Ok((vec![GroupKey::global()], GroupLookup::Global));
     }
 
     let schema = source.schema();
-    let mut lookup: HashMap<Vec<u32>, usize> = HashMap::new();
-    let mut keys: Vec<GroupKey> = Vec::new();
-    for codes in source.distinct_group_tuples(group_cols)? {
-        let labels = group_cols
-            .iter()
-            .zip(&codes)
-            .map(|(&ci, &code)| {
-                schema
-                    .column_at(ci)
-                    .dictionary()
-                    .and_then(|d| d.get(code as usize).cloned())
-                    .unwrap_or_else(|| format!("#{code}"))
-            })
-            .collect();
-        lookup.insert(codes.clone(), keys.len());
-        keys.push(GroupKey { codes, labels });
-    }
-    Ok((keys, lookup))
+    let tuples = source.distinct_group_tuples(group_cols)?;
+    let keys = tuples
+        .iter()
+        .map(|codes| GroupKey {
+            codes: codes.clone(),
+            labels: group_cols
+                .iter()
+                .zip(codes)
+                .map(|(&ci, &code)| {
+                    schema
+                        .column_at(ci)
+                        .dictionary()
+                        .and_then(|d| d.get(code as usize).cloned())
+                        .unwrap_or_else(|| format!("#{code}"))
+                })
+                .collect(),
+        })
+        .collect();
+    Ok((keys, GroupLookup::build(group_cols, schema, &tuples)))
 }
 
 /// Maps a row's group-by dictionary codes to its aggregate-view id without
@@ -213,20 +212,18 @@ pub(crate) enum GroupLookup {
 }
 
 impl GroupLookup {
-    fn build(group_cols: &[usize], table: &Table, lookup: HashMap<Vec<u32>, usize>) -> Self {
+    /// The lookup for a non-empty GROUP BY whose view `i` is `tuples[i]`.
+    fn build(group_cols: &[usize], table: &Table, tuples: &[Vec<u32>]) -> Self {
         match group_cols {
-            [] => GroupLookup::Global,
             [column] => {
                 let cardinality = table
                     .column_at(*column)
                     .cardinality()
-                    .unwrap_or(lookup.len());
+                    .unwrap_or(tuples.len());
                 let mut views_by_code = vec![u32::MAX; cardinality];
-                for (codes, &view) in &lookup {
-                    if let Some(&code) = codes.first() {
-                        if (code as usize) < views_by_code.len() {
-                            views_by_code[code as usize] = view as u32;
-                        }
+                for (view, codes) in tuples.iter().enumerate() {
+                    if let Some(slot) = views_by_code.get_mut(codes[0] as usize) {
+                        *slot = view as u32;
                     }
                 }
                 GroupLookup::SingleColumn {
@@ -236,7 +233,11 @@ impl GroupLookup {
             }
             _ => GroupLookup::Multi {
                 columns: group_cols.to_vec(),
-                lookup,
+                lookup: tuples
+                    .iter()
+                    .enumerate()
+                    .map(|(view, codes)| (codes.clone(), view))
+                    .collect(),
             },
         }
     }
@@ -405,7 +406,6 @@ fn run_progressive(
 ) -> EngineResult<ProgressiveResult> {
     let start_time = Instant::now();
     let bound = bind_query(source, query)?;
-    let schema = source.schema();
     let scramble_rows = source.num_rows() as u64;
 
     // δ budgeting: split across aggregate views (union bound, §4.1).
@@ -413,8 +413,7 @@ fn run_progressive(
         DeltaBudget::new(DeltaBudget::new(config.delta)?.split_even(bound.view_parts))?;
 
     // Group universe and per-group views.
-    let (keys, view_lookup) = enumerate_groups(source, &bound.group_cols)?;
-    let lookup = GroupLookup::build(&bound.group_cols, schema, view_lookup);
+    let (keys, lookup) = enumerate_groups(source, &bound.group_cols)?;
     let views: Vec<AggregateView> = keys
         .into_iter()
         .enumerate()

@@ -52,6 +52,16 @@ impl BitSet {
         self.bits[i / 64] & (1u64 << (i % 64)) != 0
     }
 
+    /// Index of the lowest set bit, if any.
+    pub fn first_set(&self) -> Option<usize> {
+        self.bits
+            .iter()
+            .enumerate()
+            .find(|(_, &w)| w != 0)
+            .map(|(i, w)| i * 64 + w.trailing_zeros() as usize)
+            .filter(|&i| i < self.len)
+    }
+
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
@@ -221,6 +231,20 @@ mod tests {
         assert!(bs.any_in_range(0, 10));
         assert!(!bs.any_in_range(1, 64));
         assert!(bs.any_in_range(100, 1000));
+    }
+
+    #[test]
+    fn bitset_first_set() {
+        let mut bs = BitSet::new(130);
+        assert_eq!(bs.first_set(), None);
+        bs.set(129);
+        assert_eq!(bs.first_set(), Some(129));
+        bs.set(64);
+        assert_eq!(bs.first_set(), Some(64));
+        bs.set(3);
+        assert_eq!(bs.first_set(), Some(3));
+        // Stray bits past the length (e.g. from `from_words`) do not count.
+        assert_eq!(BitSet::from_words(vec![1 << 5], 4).first_set(), None);
     }
 
     #[test]

@@ -17,14 +17,14 @@
 use std::collections::HashMap;
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::bitmap::{BitSet, BlockBitmapIndex};
 use crate::block::{BlockId, BlockLayout};
 use crate::catalog::{Catalog, ColumnStats};
 use crate::column::{Column, DataType};
 use crate::scramble::Scramble;
-use crate::source::{BlockRef, BlockSource};
+use crate::source::{BlockRef, BlockSource, GroupUniverseCache};
 use crate::table::{StoreError, StoreResult, Table};
 use crate::zone::ZoneMap;
 
@@ -32,10 +32,6 @@ use super::format::{
     crc32, decode_chunk, Cursor, ENC_CODES_FOR, FOOTER_LEN, HEADER_LEN, MAGIC, NO_CARDINALITY,
     TYPE_CAT, TYPE_FLOAT, TYPE_INT, VERSION,
 };
-
-/// Memoized group-universe cache: queried column-index tuple → distinct
-/// code tuples in first-appearance order.
-type GroupTupleCache = Arc<Mutex<HashMap<Vec<usize>, Arc<Vec<Vec<u32>>>>>>;
 
 /// One entry of the in-memory chunk directory.
 #[derive(Debug, Clone, Copy)]
@@ -68,10 +64,9 @@ pub struct SegmentReader {
     directory: Vec<ChunkEntry>,
     /// Per-column dictionaries (None for numeric columns), for chunk decode.
     dictionaries: Vec<Option<Arc<Vec<String>>>>,
-    /// Memoized group universes keyed by the queried column-index tuple:
-    /// the first grouped query pays the full decode pass, later ones reuse
-    /// it. Shared across clones (the underlying file is the same).
-    group_cache: GroupTupleCache,
+    /// Memoized group universes, shared across clones (the underlying file
+    /// is the same).
+    universes: GroupUniverseCache,
 }
 
 impl SegmentReader {
@@ -279,7 +274,7 @@ impl SegmentReader {
             zones,
             directory,
             dictionaries,
-            group_cache: Arc::new(Mutex::new(HashMap::new())),
+            universes: GroupUniverseCache::new(),
         })
     }
 
@@ -419,48 +414,9 @@ impl BlockSource for SegmentReader {
         )?))
     }
 
-    fn distinct_group_tuples(&self, columns: &[usize]) -> StoreResult<Vec<Vec<u32>>> {
-        if let Some(cached) = self
-            .group_cache
-            .lock()
-            .expect("group cache lock")
-            .get(columns)
-        {
-            return Ok(cached.as_ref().clone());
-        }
-        // Full decode pass (the default implementation), paid once per
-        // column tuple; the result is a pure function of the file contents.
-        let tuples = source_default_distinct(self, columns)?;
-        self.group_cache
-            .lock()
-            .expect("group cache lock")
-            .insert(columns.to_vec(), Arc::new(tuples.clone()));
-        Ok(tuples)
+    fn group_universe_cache(&self) -> Option<&GroupUniverseCache> {
+        Some(&self.universes)
     }
-}
-
-/// Invokes the trait's default block-scanning enumeration (callable helper,
-/// since a trait method cannot call its own default impl once overridden).
-fn source_default_distinct(
-    reader: &SegmentReader,
-    columns: &[usize],
-) -> StoreResult<Vec<Vec<u32>>> {
-    let mut seen: std::collections::HashSet<Vec<u32>> = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for block in 0..reader.layout.num_blocks() {
-        let block_ref = BlockSource::read_block_projected(reader, BlockId(block), Some(columns))?;
-        let table = block_ref.table();
-        for row in block_ref.rows() {
-            let codes: Vec<u32> = columns
-                .iter()
-                .map(|&ci| table.column_at(ci).category_code(row).unwrap_or(u32::MAX))
-                .collect();
-            if seen.insert(codes.clone()) {
-                out.push(codes);
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// Positioned read of exactly `len` bytes at `offset`.

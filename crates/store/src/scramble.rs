@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use crate::bitmap::BlockBitmapIndex;
 use crate::block::{BlockId, BlockLayout, DEFAULT_BLOCK_SIZE};
 use crate::catalog::Catalog;
-use crate::source::{BlockRef, BlockSource};
+use crate::source::{BlockRef, BlockSource, GroupUniverseCache};
 use crate::table::{StoreResult, Table};
 use crate::zone::ZoneMap;
 
@@ -34,6 +34,9 @@ pub struct Scramble {
     indexes: HashMap<String, BlockBitmapIndex>,
     zones: HashMap<String, ZoneMap>,
     seed: u64,
+    /// Memoized group universes, filled by the first grouped query over
+    /// each column tuple and shared with clones (they hold the same data).
+    universes: GroupUniverseCache,
 }
 
 impl Scramble {
@@ -76,6 +79,7 @@ impl Scramble {
             indexes,
             zones,
             seed,
+            universes: GroupUniverseCache::new(),
         })
     }
 
@@ -99,6 +103,7 @@ impl Scramble {
             indexes,
             zones,
             seed,
+            universes: GroupUniverseCache::new(),
         }
     }
 
@@ -189,6 +194,10 @@ impl BlockSource for Scramble {
 
     fn read_block(&self, block: BlockId) -> StoreResult<BlockRef<'_>> {
         Ok(BlockRef::borrowed(&self.table, self.layout.rows_of(block)))
+    }
+
+    fn group_universe_cache(&self) -> Option<&GroupUniverseCache> {
+        Some(&self.universes)
     }
 }
 

@@ -16,9 +16,11 @@
 //! the planner makes identical skip decisions and the executor produces
 //! bit-identical results whichever backing the table has.
 
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::bitmap::BlockBitmapIndex;
+use crate::bitmap::{BitSet, BlockBitmapIndex};
 use crate::block::{BlockId, BlockLayout};
 use crate::catalog::Catalog;
 use crate::table::{StoreResult, Table};
@@ -169,36 +171,198 @@ pub trait BlockSource: Sync {
         self.layout().rows_of(block)
     }
 
-    /// The distinct dictionary-code tuples of the given columns, in
-    /// **first-appearance order** over storage (block 0, row 0 onward).
-    /// Non-categorical columns contribute `u32::MAX`. The engine derives
-    /// its per-group aggregate views from this, so the order is part of the
-    /// bit-identical-results contract between backings.
+    /// This source's group-universe memo, if it keeps one. Sources that
+    /// return one get [`Self::distinct_group_tuples`] memoized per column
+    /// tuple; the default keeps none, so every call recomputes.
+    fn group_universe_cache(&self) -> Option<&GroupUniverseCache> {
+        None
+    }
+
+    /// The group universe of the given columns: their distinct
+    /// dictionary-code tuples, in **first-appearance order** over storage
+    /// (block 0, row 0 onward). Non-categorical columns contribute
+    /// `u32::MAX`. The engine derives its per-group aggregate views from
+    /// this, so the order is part of the bit-identical-results contract
+    /// between backings.
     ///
-    /// The default implementation scans every block; because the result is
-    /// a pure function of the stored data, lazy sources may memoize it
-    /// (see [`crate::persist::SegmentReader`]) so repeated grouped queries
-    /// do not re-decode the whole file.
-    fn distinct_group_tuples(&self, columns: &[usize]) -> StoreResult<Vec<Vec<u32>>> {
-        let mut seen: std::collections::HashSet<Vec<u32>> = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for block in 0..self.num_blocks() {
-            // Only the group-by columns are read, so lazy sources decode
-            // just those chunks.
-            let block_ref = self.read_block_projected(BlockId(block), Some(columns))?;
-            let table = block_ref.table();
-            for row in block_ref.rows() {
-                let codes: Vec<u32> = columns
+    /// The result is a pure function of the stored data. Sources with a
+    /// [`Self::group_universe_cache`] (both [`Scramble`](crate::scramble::Scramble)
+    /// and [`SegmentReader`](crate::persist::SegmentReader)) compute it once
+    /// per column tuple, on first use, and later calls share it; see
+    /// [`build_group_universe`] for how the cold build avoids a full scan.
+    ///
+    /// # Errors
+    ///
+    /// Errors of the block reads the cold build makes.
+    fn distinct_group_tuples(&self, columns: &[usize]) -> StoreResult<GroupUniverse> {
+        match self.group_universe_cache() {
+            Some(cache) => cache.get_or_build(columns, || build_group_universe(self, columns)),
+            None => build_group_universe(self, columns).map(Into::into),
+        }
+    }
+}
+
+/// A group universe: distinct code tuples in first-appearance order (see
+/// [`BlockSource::distinct_group_tuples`]). Shared, so a memo hit is a
+/// reference-count bump.
+pub type GroupUniverse = Arc<[Vec<u32>]>;
+
+/// A memo of group universes keyed by the GROUP BY column-index tuple.
+///
+/// The cache belongs to one source's immutable data. Clones share it, which
+/// is sound because a cloned source holds the same data; a source built
+/// from new data starts with an empty cache.
+#[derive(Debug, Clone, Default)]
+pub struct GroupUniverseCache {
+    universes: Arc<Mutex<HashMap<Vec<usize>, GroupUniverse>>>,
+}
+
+impl GroupUniverseCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The memoized universe of `columns`, computing it with `build` on a
+    /// miss. The lock is not held while building; if two threads race on
+    /// the same miss, both build the same universe and the first insert
+    /// wins.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `build` returns; failures are not memoized.
+    pub fn get_or_build(
+        &self,
+        columns: &[usize],
+        build: impl FnOnce() -> StoreResult<Vec<Vec<u32>>>,
+    ) -> StoreResult<GroupUniverse> {
+        if let Some(hit) = self.lock().get(columns) {
+            return Ok(Arc::clone(hit));
+        }
+        let built: GroupUniverse = build()?.into();
+        Ok(Arc::clone(
+            self.lock().entry(columns.to_vec()).or_insert(built),
+        ))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<Vec<usize>, GroupUniverse>> {
+        // Every critical section is a single map operation, so a poisoned
+        // map is still consistent.
+        self.universes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Computes a group universe cold, reading as few blocks as it can. The
+/// result is exactly what a row-by-row first-appearance scan of every block
+/// would produce.
+///
+/// * **One categorical column with a bitmap index:** the universe is the
+///   set of codes whose block bitmap is non-empty. Each code's first block
+///   is its bitmap's lowest set bit, so only those (at most cardinality)
+///   blocks are read, to order codes that first appear in the same block by
+///   their first row.
+/// * **Otherwise:** one block-ordered pass that probes a hash set of tuples
+///   with one reused buffer, allocating only for new tuples. The pass stops
+///   once it has found the product of the columns' present-code counts,
+///   since no new tuple can appear after that.
+///
+/// # Errors
+///
+/// Errors of the block reads.
+pub fn build_group_universe<S: BlockSource + ?Sized>(
+    source: &S,
+    columns: &[usize],
+) -> StoreResult<Vec<Vec<u32>>> {
+    let schema = source.schema();
+    let index_of = |ci: usize| source.bitmap_index(schema.column_at(ci).name());
+    if let &[column] = columns {
+        if let Some(index) = index_of(column) {
+            return indexed_universe(source, column, index);
+        }
+    }
+
+    // Upper bound on the number of distinct tuples: the product of each
+    // column's present-code count (its dictionary size when unindexed, and
+    // 1 for a non-categorical column, whose only value is `u32::MAX`).
+    let mut bound = Some(1usize);
+    for &ci in columns {
+        let present = match schema.column_at(ci).dictionary() {
+            Some(dictionary) => index_of(ci).map_or(dictionary.len(), |index| {
+                index
+                    .value_bitmaps()
                     .iter()
-                    .map(|&ci| table.column_at(ci).category_code(row).unwrap_or(u32::MAX))
-                    .collect();
-                if seen.insert(codes.clone()) {
-                    out.push(codes);
+                    .filter(|bits| bits.first_set().is_some())
+                    .count()
+            }),
+            None => 1,
+        };
+        bound = bound.and_then(|b| b.checked_mul(present));
+    }
+    let mut seen: HashSet<Vec<u32>> = HashSet::new();
+
+    let mut out = Vec::new();
+    let mut tuple = Vec::with_capacity(columns.len());
+    'blocks: for block in 0..source.num_blocks() {
+        // Only the group-by columns are read, so lazy sources decode just
+        // those chunks.
+        let block_ref = source.read_block_projected(BlockId(block), Some(columns))?;
+        let table = block_ref.table();
+        for row in block_ref.rows() {
+            tuple.clear();
+            tuple.extend(
+                columns
+                    .iter()
+                    .map(|&ci| table.column_at(ci).category_code(row).unwrap_or(u32::MAX)),
+            );
+            // Probing with the reused buffer keeps seen rows allocation-free.
+            if !seen.contains(&tuple) {
+                seen.insert(tuple.clone());
+                out.push(tuple.clone());
+                if Some(out.len()) == bound {
+                    break 'blocks;
                 }
             }
         }
-        Ok(out)
     }
+    Ok(out)
+}
+
+/// The single-column universe read off a bitmap index (see
+/// [`build_group_universe`]).
+fn indexed_universe<S: BlockSource + ?Sized>(
+    source: &S,
+    column: usize,
+    index: &BlockBitmapIndex,
+) -> StoreResult<Vec<Vec<u32>>> {
+    let first_block: Vec<Option<usize>> = index
+        .value_bitmaps()
+        .iter()
+        .map(BitSet::first_set)
+        .collect();
+    let mut blocks: Vec<usize> = first_block.iter().flatten().copied().collect();
+    blocks.sort_unstable();
+    blocks.dedup();
+
+    let mut emitted = vec![false; first_block.len()];
+    let mut out = Vec::new();
+    for block in blocks {
+        let block_ref = source.read_block_projected(BlockId(block), Some(&[column]))?;
+        let codes = block_ref
+            .table()
+            .column_at(column)
+            .category_codes()
+            .unwrap_or_default();
+        for &code in &codes[block_ref.rows()] {
+            let c = code as usize;
+            if first_block.get(c) == Some(&Some(block)) && !emitted[c] {
+                emitted[c] = true;
+                out.push(vec![code]);
+            }
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
