@@ -207,8 +207,9 @@ pub trait ErrorBounder {
     /// The contract is strict: the resulting state must be **bit-for-bit
     /// identical** to calling [`Self::update_state`] once per element in the
     /// same order. Batch execution is a dispatch/loop-overhead optimization,
-    /// never a numerical one — the engine's vectorized pipeline relies on
-    /// this to stay bitwise interchangeable with the scalar oracle path.
+    /// never a numerical one — the engine's scan relies on this so that a
+    /// view's state does not depend on how its values were split into
+    /// batches.
     fn update_batch(&self, state: &mut Self::State, values: &[f64]) {
         for &v in values {
             self.update_state(state, v);
@@ -618,9 +619,8 @@ mod tests {
 
     /// The batch entry points are dispatch optimizations, not numerical
     /// ones: feeding a state one batch must leave it bit-for-bit identical
-    /// to the scalar update loop, for every bounder kind and any batch
-    /// split. The engine's vectorized-vs-scalar determinism guarantee rests
-    /// on this.
+    /// to the per-value update loop, for every bounder kind and any batch
+    /// split. The engine's determinism guarantee rests on this.
     #[test]
     fn observe_batch_is_bitwise_identical_to_scalar_updates() {
         let values: Vec<f64> = (0..257)

@@ -1,5 +1,6 @@
-//! The approximate query executor: OptStop rounds over a scramble scan with
-//! per-view error bounders and active scanning.
+//! The query executor: OptStop rounds over a scramble scan with per-view
+//! error bounders and active scanning, and the Exact baseline as one full
+//! pass of the same scan.
 //!
 //! High-level flow (§4):
 //!
@@ -19,7 +20,8 @@
 //!    evaluate the query's stopping condition; stop as soon as it is
 //!    satisfied.
 //! 5. **Finalize**: produce per-group results, apply HAVING / ORDER BY-LIMIT
-//!    selection, and report metrics (wall time, blocks fetched, rounds).
+//!    selection, and report metrics (wall time, blocks fetched, rounds). A
+//!    run that scanned every block without stopping reports exact results.
 //!
 //! Execution is *progressive*: [`execute_progressive`] emits a [`Snapshot`]
 //! of every group's running interval after each round, honours the
@@ -44,19 +46,25 @@
 //! (before any worker sees them), so `max_rows` is never exceeded under
 //! concurrency.
 //!
-//! Within each partition, blocks execute **batch-at-a-time** by default
-//! ([`EngineConfig::vectorize`]): the predicate runs as a columnar filter
-//! kernel emitting a selection vector, only the columns the query
-//! references are decoded (projection pushdown on lazy sources), selected
-//! rows are partitioned by group id once, and each aggregate view receives
-//! one contiguous batch of values per block. The scalar row-at-a-time loop
-//! is retained as a differential-testing oracle; both paths feed every view
-//! its values in ascending row order and therefore produce bit-identical
-//! estimates, CI bounds and scan counters (see `crate::parallel`).
+//! Within each partition, blocks execute **batch-at-a-time**: the predicate
+//! runs as a columnar filter kernel emitting a selection vector, only the
+//! columns the query references are decoded (projection pushdown on lazy
+//! sources), selected rows are partitioned by group id once, and each
+//! aggregate view receives one contiguous batch of values per block (see
+//! `crate::parallel`).
+//!
+//! The `Exact` baseline ([`PreparedQuery::execute_exact`]) is a mode of the
+//! same loop, not a second one: a planner that grants every block, a single
+//! round that never fills (so no interval is computed mid-scan), and the
+//! full-pass finalize. Approximate and exact answers therefore come from the
+//! same kernels, merges and finalize.
+//!
+//! [`PreparedQuery::execute_exact`]: crate::session::PreparedQuery::execute_exact
 
 use std::collections::HashMap;
 use std::time::Instant;
 
+use fastframe_core::bounder::BounderKind;
 use fastframe_core::delta::DeltaBudget;
 use fastframe_core::stopping::GroupSnapshot;
 use fastframe_store::block::BlockId;
@@ -266,12 +274,10 @@ impl GroupLookup {
                 scratch.clear();
                 for &ci in columns {
                     // A column with no code at this row (it is not
-                    // categorical) means the row belongs to no group — made
-                    // explicit here rather than smuggled through a
-                    // `u32::MAX` sentinel key, so the scalar and batch
-                    // paths agree by construction. (Binding rejects
-                    // non-categorical GROUP BY columns, so this is a
-                    // defensive invariant, not a reachable fallback.)
+                    // categorical) means the row belongs to no group.
+                    // (Binding rejects non-categorical GROUP BY columns, so
+                    // this is a defensive invariant, not a reachable
+                    // fallback.)
                     match table.column_at(ci).category_code(row) {
                         Some(code) => scratch.push(code),
                         None => return None,
@@ -375,7 +381,8 @@ pub fn execute_budgeted(
     config: &EngineConfig,
     budget: &Budget,
 ) -> EngineResult<QueryResult> {
-    run_progressive(source, query, config, budget, None).map(ProgressiveResult::into_result)
+    run_progressive(source, query, config, budget, None, Pass::Approximate)
+        .map(ProgressiveResult::into_result)
 }
 
 /// Executes an approximate query over a block source progressively: after
@@ -391,18 +398,72 @@ pub fn execute_progressive(
     budget: &Budget,
     observer: &mut RoundObserver<'_>,
 ) -> EngineResult<ProgressiveResult> {
-    run_progressive(source, query, config, budget, Some(observer))
+    run_progressive(
+        source,
+        query,
+        config,
+        budget,
+        Some(observer),
+        Pass::Approximate,
+    )
 }
 
-/// Shared implementation of the blocking and progressive execution modes:
-/// `observer` being `None` selects blocking mode, which skips snapshot
-/// materialization entirely.
+/// Executes `query` exactly: the `Exact` baseline of §5.2, run as one full
+/// pass of the same pipeline. Every block is fetched (so its block count is
+/// comparable with an approximate run's) and the views are finalized as a
+/// full pass, so each result is marked exact with the interval
+/// `estimate ± 1e-9·(|estimate| + 1)`. GROUP BY groups without a matching
+/// row are omitted; an ungrouped query always answers its global group.
+///
+/// Of `config` only an explicit thread count applies: Exact ignores the
+/// strategy, start block, δ and any [`Budget`]. Left on auto (`0`), it scans
+/// on one thread, as the paper's baseline does, so its timings stay
+/// comparable with single-threaded approximate runs and it holds one
+/// partial at a time.
+pub(crate) fn execute_exact(
+    source: &dyn BlockSource,
+    query: &AggQuery,
+    config: &EngineConfig,
+) -> EngineResult<QueryResult> {
+    // Hoeffding's estimator keeps only (count, mean), the least state that
+    // yields the mean; its interval is never reported.
+    let config = EngineConfig {
+        bounder: BounderKind::Hoeffding,
+        start_block: Some(0),
+        threads: config.threads.max(1),
+        ..EngineConfig::default()
+    };
+    run_progressive(
+        source,
+        query,
+        &config,
+        &Budget::unlimited(),
+        None,
+        Pass::Exact,
+    )
+    .map(ProgressiveResult::into_result)
+}
+
+/// What a run scans and how it finishes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// OptStop rounds over the blocks the sampling strategy grants, until
+    /// the stopping condition holds.
+    Approximate,
+    /// Every block in a single round, with no interval work before the
+    /// full-pass finalize.
+    Exact,
+}
+
+/// Shared implementation of every execution mode: `observer` being `None`
+/// selects blocking mode, which skips snapshot materialization entirely.
 fn run_progressive(
     source: &dyn BlockSource,
     query: &AggQuery,
     config: &EngineConfig,
     budget: &Budget,
     observer: Option<&mut RoundObserver<'_>>,
+    pass: Pass,
 ) -> EngineResult<ProgressiveResult> {
     let start_time = Instant::now();
     let bound = bind_query(source, query)?;
@@ -432,10 +493,15 @@ fn run_progressive(
             .rotate_left(17) as usize)
             % num_blocks.max(1)
     });
-    let blocks: Vec<BlockId> = source.layout().blocks_from(start_block).collect();
 
-    let block_size = source.layout().block_size().max(1);
-    let round_blocks = ((config.round_rows as usize).div_ceil(block_size)).max(1);
+    // Exact's single round never fills, so the loop's tail merge scans it.
+    let round_blocks = match pass {
+        Pass::Approximate => {
+            let block_size = source.layout().block_size().max(1);
+            ((config.round_rows as usize).div_ceil(block_size)).max(1)
+        }
+        Pass::Exact => usize::MAX,
+    };
     let batch_size = config.lookahead_batch.max(1);
 
     let all_view_ids: Vec<usize> = (0..views.len()).collect();
@@ -466,25 +532,20 @@ fn run_progressive(
     // to the per-round partition cap), so metrics report reality.
     let threads = crate::parallel::effective_pool_size(config.effective_threads());
     // The columns the query actually reads (target ∪ predicate ∪ group-by),
-    // in ascending order: the batch path pushes this projection down to the
-    // block source so lazy backings decode only referenced chunks. The
-    // scalar oracle path reads full blocks, exactly as it always has.
-    let vectorize = config.effective_vectorize();
-    let projection = vectorize.then(|| {
-        let mut cols = bound.target.referenced_columns();
-        for c in bound
-            .predicate
-            .referenced_columns()
-            .into_iter()
-            .chain(bound.group_cols.iter().copied())
-        {
-            if !cols.contains(&c) {
-                cols.push(c);
-            }
+    // in ascending order, pushed down to the block source so lazy backings
+    // decode only referenced chunks.
+    let mut projection = bound.target.referenced_columns();
+    for c in bound
+        .predicate
+        .referenced_columns()
+        .into_iter()
+        .chain(bound.group_cols.iter().copied())
+    {
+        if !projection.contains(&c) {
+            projection.push(c);
         }
-        cols.sort_unstable();
-        cols
-    });
+    }
+    projection.sort_unstable();
     let scan_ctx = ScanContext {
         source,
         bound: &bound,
@@ -492,86 +553,70 @@ fn run_progressive(
         bounder: config.bounder,
         lookup: &lookup,
         num_views,
-        vectorize,
         projection,
     };
 
+    // Runs the scan loop under a batch planner.
+    let mut scan = |planner: &mut BatchPlannerFn<'_>| {
+        with_round_executor(&scan_ctx, threads, |rexec| {
+            run_scan_loop(
+                source,
+                query,
+                config,
+                &view_budget,
+                scramble_rows,
+                start_block,
+                round_blocks,
+                batch_size,
+                rexec,
+                &mut state,
+                &mut sink,
+                planner,
+            )
+        })
+    };
     // Numeric range conjuncts feed zone-map block skipping (all strategies).
     let range_filters = query.filter.range_filters();
-
-    // Run the scan loop with the strategy-appropriate batch planner.
-    match config.strategy {
-        SamplingStrategy::Scan | SamplingStrategy::ActiveSync => {
-            let ctx = PlanContext::new(
-                source,
-                &query.group_by,
-                bound.predicate_eq.clone(),
-                &range_filters,
-                config.strategy,
-            );
-            let mut planner = |chunk: &[BlockId], _next: Option<&[BlockId]>, active: &ActiveSet| {
-                plan_batch(&ctx, chunk, active)
-            };
-            with_round_executor(&scan_ctx, threads, |rexec| {
-                run_scan_loop(
-                    source,
-                    query,
-                    config,
-                    &view_budget,
-                    scramble_rows,
-                    &blocks,
-                    round_blocks,
-                    batch_size,
-                    rexec,
-                    &mut state,
-                    &mut sink,
-                    &mut planner,
-                )
-            })?;
+    let plan_context = || {
+        PlanContext::new(
+            source,
+            &query.group_by,
+            bound.predicate_eq.clone(),
+            &range_filters,
+            config.strategy,
+        )
+    };
+    match (pass, config.strategy) {
+        (Pass::Exact, _) => {
+            scan(
+                &mut |chunk: &[BlockId], _: Option<&[BlockId]>, _: &ActiveSet| {
+                    (vec![true; chunk.len()], 0)
+                },
+            )?;
         }
-        SamplingStrategy::ActivePeek => {
-            let worker_ctx = PlanContext::new(
-                source,
-                &query.group_by,
-                bound.predicate_eq.clone(),
-                &range_filters,
-                config.strategy,
-            );
-            let fallback_ctx = PlanContext::new(
-                source,
-                &query.group_by,
-                bound.predicate_eq.clone(),
-                &range_filters,
-                config.strategy,
-            );
-            let (mut peek, worker) = PeekPlanner::new(worker_ctx);
+        (Pass::Approximate, SamplingStrategy::Scan | SamplingStrategy::ActiveSync) => {
+            let ctx = plan_context();
+            scan(
+                &mut |chunk: &[BlockId], _: Option<&[BlockId]>, active: &ActiveSet| {
+                    plan_batch(&ctx, chunk, active)
+                },
+            )?;
+        }
+        (Pass::Approximate, SamplingStrategy::ActivePeek) => {
+            let fallback_ctx = plan_context();
+            let (mut peek, worker) = PeekPlanner::new(plan_context());
             std::thread::scope(|scope| -> EngineResult<()> {
                 scope.spawn(worker);
-                let mut planner =
-                    |chunk: &[BlockId], next: Option<&[BlockId]>, active: &ActiveSet| {
-                        let current = peek
-                            .collect()
-                            .unwrap_or_else(|| plan_batch(&fallback_ctx, chunk, active));
-                        if let Some(next) = next {
-                            peek.prefetch(next, active);
-                        }
-                        current
-                    };
-                let out = with_round_executor(&scan_ctx, threads, |rexec| {
-                    run_scan_loop(
-                        source,
-                        query,
-                        config,
-                        &view_budget,
-                        scramble_rows,
-                        &blocks,
-                        round_blocks,
-                        batch_size,
-                        rexec,
-                        &mut state,
-                        &mut sink,
-                        &mut planner,
-                    )
+                let out = scan(&mut |chunk: &[BlockId],
+                                     next: Option<&[BlockId]>,
+                                     active: &ActiveSet| {
+                    let current = peek
+                        .collect()
+                        .unwrap_or_else(|| plan_batch(&fallback_ctx, chunk, active));
+                    if let Some(next) = next {
+                        peek.prefetch(next, active);
+                    }
+                    current
                 });
                 // `peek` is dropped before the scope ends, closing the
                 // request channel so the worker thread exits before the scope
@@ -600,6 +645,11 @@ fn run_progressive(
             exact,
         )?);
     }
+    // Exact omits the groups of a GROUP BY that no row matched; the implicit
+    // global group of an ungrouped query is always answered.
+    if pass == Pass::Exact && !query.group_by.is_empty() {
+        groups.retain(|g| g.samples > 0);
+    }
 
     let selected = select_groups(query, &groups);
     let metrics = QueryMetrics {
@@ -618,7 +668,8 @@ fn run_progressive(
             query_name: query.name.clone(),
             groups,
             selected,
-            converged: state.converged,
+            // Exact has nothing left to converge: its answer is final.
+            converged: state.converged || pass == Pass::Exact,
             metrics,
         },
         cancellation: sink.cancellation,
@@ -637,7 +688,7 @@ fn run_scan_loop(
     config: &EngineConfig,
     view_budget: &DeltaBudget,
     scramble_rows: u64,
-    blocks: &[BlockId],
+    start_block: usize,
     round_blocks: usize,
     batch_size: usize,
     rexec: &RoundExecutor<'_>,
@@ -645,9 +696,11 @@ fn run_scan_loop(
     sink: &mut ProgressiveSink<'_, '_>,
     planner: &mut BatchPlannerFn<'_>,
 ) -> EngineResult<()> {
-    let num_batches = blocks.len().div_ceil(batch_size);
+    // Scan order: every block once, from `start_block` on, wrapping around
+    // (§5.2), taken one planner batch at a time.
+    let mut order = source.layout().blocks_from(start_block);
     // Blocks granted to the current round but not yet scanned.
-    let mut pending: Vec<BlockId> = Vec::with_capacity(round_blocks);
+    let mut pending: Vec<BlockId> = Vec::with_capacity(round_blocks.min(source.num_blocks()));
     // Rows granted so far: rows already scanned plus the rows of `pending`.
     // The row cap is enforced here, at grant time, before a worker ever sees
     // the block — so `max_rows` cannot be exceeded however many threads scan.
@@ -658,23 +711,18 @@ fn run_scan_loop(
         return Ok(());
     }
 
-    'batches: for batch_idx in 0..num_batches {
+    let mut next: Vec<BlockId> = order.by_ref().take(batch_size).collect();
+    'batches: while !next.is_empty() {
         if sink.check_deadline() {
             // Pending blocks are dropped unscanned: the deadline wants the
             // fastest possible valid answer, and unscanned grants are simply
             // rows the estimate never saw.
             break 'batches;
         }
-        let start = batch_idx * batch_size;
-        let end = (start + batch_size).min(blocks.len());
-        let chunk = &blocks[start..end];
-        let next = if end < blocks.len() {
-            Some(&blocks[end..(end + batch_size).min(blocks.len())])
-        } else {
-            None
-        };
+        let chunk = std::mem::replace(&mut next, order.by_ref().take(batch_size).collect());
+        let lookahead = (!next.is_empty()).then_some(next.as_slice());
 
-        let (decisions, checks) = planner(chunk, next, &state.active);
+        let (decisions, checks) = planner(&chunk, lookahead, &state.active);
         state.stats.record_index_checks(checks);
 
         for (offset, &block) in chunk.iter().enumerate() {
@@ -759,22 +807,14 @@ fn merge_pending(
     if pending.is_empty() {
         return Ok(());
     }
-    // The round is executed before any counter moves: a block-read failure
-    // (storage rot caught mid-scan) fails the query without half-recorded
-    // fetch statistics.
-    let partials = rexec.execute_round(pending)?;
-    for &block in pending.iter() {
-        let rows = source.block_rows(block);
-        let block_rows = (rows.end - rows.start) as u64;
-        state.stats.record_fetch(block_rows);
-        state.rows_scanned += block_rows;
-    }
-    for partial in partials {
+    // A block-read failure (storage rot caught mid-scan) fails the query;
+    // the partly merged state is dropped with it.
+    rexec.execute_round(pending, |partial| {
         state.exec.merge(&partial.exec);
         // Selection-funnel counter: how many decoded rows survived the
         // predicate. Worker-reported (the coordinator cannot know it), so
         // it is single-sourced — unlike the two-sided fetch accounting
-        // above.
+        // below.
         state.stats.record_selected(partial.exec.rows_selected);
         for vp in partial.views {
             // `ScanStats::rows_matched` is rebuilt from the per-view deltas
@@ -784,6 +824,12 @@ fn merge_pending(
             state.stats.record_matches(vp.matched);
             state.views[vp.view].absorb_partial(vp.matched, vp.estimator.as_ref());
         }
+    })?;
+    for &block in pending.iter() {
+        let rows = source.block_rows(block);
+        let block_rows = (rows.end - rows.start) as u64;
+        state.stats.record_fetch(block_rows);
+        state.rows_scanned += block_rows;
     }
     pending.clear();
     Ok(())
@@ -863,7 +909,6 @@ fn evaluate_round(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastframe_core::bounder::BounderKind;
     use fastframe_store::column::Column;
     use fastframe_store::expr::Expr;
     use fastframe_store::predicate::Predicate;
@@ -1326,5 +1371,149 @@ mod tests {
         let b = execute_approx(&s, &q, &cfg).unwrap();
         assert_eq!(a.global().unwrap().estimate, b.global().unwrap().estimate);
         assert_eq!(a.metrics.blocks_fetched(), b.metrics.blocks_fetched());
+    }
+
+    /// 1 000 rows, three airlines with constant delays 0 / 10 / 20.
+    fn exact_scramble() -> Scramble {
+        let n = 1_000usize;
+        let delays: Vec<f64> = (0..n).map(|i| (i % 3) as f64 * 10.0).collect();
+        let airlines: Vec<String> = (0..n).map(|i| format!("A{}", i % 3)).collect();
+        let t = Table::new(vec![
+            Column::float("delay", delays),
+            Column::categorical("airline", &airlines),
+        ])
+        .unwrap();
+        Scramble::build_with(&t, 1, 25, 0.0).unwrap()
+    }
+
+    #[test]
+    fn exact_group_means() {
+        let s = exact_scramble();
+        let q = AggQuery::avg("exact", Expr::col("delay"))
+            .group_by("airline")
+            .build();
+        let r = execute_exact(&s, &q, &EngineConfig::default()).unwrap();
+        assert_eq!(r.groups.len(), 3);
+        for g in &r.groups {
+            assert!(g.exact);
+            let (expected_mean, expected_count) = match g.key.display().as_str() {
+                "A0" => (0.0, 334),
+                "A1" => (10.0, 333),
+                "A2" => (20.0, 333),
+                other => panic!("unexpected group {other}"),
+            };
+            assert_eq!(g.estimate, Some(expected_mean));
+            assert_eq!(g.samples, expected_count);
+            let slack = 1e-9 * (expected_mean + 1.0);
+            assert_eq!(g.ci.lo, expected_mean - slack);
+            assert_eq!(g.ci.hi, expected_mean + slack);
+        }
+        assert_eq!(r.metrics.rows_sampled, 1_000);
+        // Exact fetches every block, and never stops early.
+        assert_eq!(r.metrics.blocks_fetched(), s.num_blocks() as u64);
+        assert_eq!(r.metrics.exec.blocks_fetched, s.num_blocks() as u64);
+        assert!(r.converged);
+        assert!(!r.metrics.stopped_early);
+    }
+
+    #[test]
+    fn exact_count_and_sum() {
+        let s = exact_scramble();
+        let config = EngineConfig::default();
+        let count_q = AggQuery::count("c")
+            .filter(Predicate::cat_eq("airline", "A1"))
+            .build();
+        let r = execute_exact(&s, &count_q, &config).unwrap();
+        assert_eq!(r.global().unwrap().estimate, Some(333.0));
+        assert_eq!(r.global().unwrap().samples, 333);
+
+        let sum_q = AggQuery::sum("s", Expr::col("delay"))
+            .filter(Predicate::cat_eq("airline", "A2"))
+            .build();
+        let r = execute_exact(&s, &sum_q, &config).unwrap();
+        assert_eq!(r.global().unwrap().estimate, Some(20.0 * 333.0));
+        assert_eq!(r.metrics.blocks_fetched(), s.num_blocks() as u64);
+    }
+
+    #[test]
+    fn exact_having_selection() {
+        let s = exact_scramble();
+        let q = AggQuery::avg("h", Expr::col("delay"))
+            .group_by("airline")
+            .having_gt(5.0)
+            .build();
+        let r = execute_exact(&s, &q, &EngineConfig::default()).unwrap();
+        let mut labels = r.selected_labels();
+        labels.sort();
+        assert_eq!(labels, vec!["A1".to_string(), "A2".to_string()]);
+    }
+
+    #[test]
+    fn exact_omits_groups_without_matching_rows() {
+        let s = exact_scramble();
+        let q = AggQuery::count("c")
+            .filter(Predicate::cat_eq("airline", "A1"))
+            .group_by("airline")
+            .build();
+        let r = execute_exact(&s, &q, &EngineConfig::default()).unwrap();
+        assert_eq!(r.groups.len(), 1);
+        assert_eq!(r.groups[0].key.display(), "A1");
+        assert_eq!(r.groups[0].estimate, Some(333.0));
+    }
+
+    #[test]
+    fn exact_ungrouped_query_keeps_its_global_group() {
+        let s = exact_scramble();
+        let config = EngineConfig::default();
+        let none = Predicate::num_gt("delay", 1e9);
+        let q = AggQuery::count("c").filter(none.clone()).build();
+        let r = execute_exact(&s, &q, &config).unwrap();
+        let global = r.global().unwrap();
+        assert_eq!(global.estimate, Some(0.0));
+        assert_eq!(global.samples, 0);
+
+        let q = AggQuery::avg("a", Expr::col("delay")).filter(none).build();
+        let r = execute_exact(&s, &q, &config).unwrap();
+        assert_eq!(r.global().unwrap().estimate, None);
+    }
+
+    /// A single +∞ makes the catalog range of its column non-finite, which
+    /// the bounders reject; Exact computes no interval, so it still answers
+    /// queries whose matching rows are finite.
+    #[test]
+    fn exact_answers_despite_a_non_finite_catalog_range() {
+        let n = 100usize;
+        let mut values: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        values[7] = f64::INFINITY;
+        let t = Table::new(vec![Column::float("x", values)]).unwrap();
+        let s = Scramble::build_with(&t, 1, 25, 0.0).unwrap();
+        let finite = Predicate::num_lt("x", 1e9);
+        let expected_sum = (0..n).filter(|&i| i != 7).sum::<usize>() as f64;
+
+        let q = AggQuery::sum("s", Expr::col("x")).filter(finite).build();
+        let r = execute_exact(&s, &q, &EngineConfig::default()).unwrap();
+        let global = r.global().unwrap();
+        assert_eq!(global.estimate, Some(expected_sum));
+        assert_eq!(global.samples, n as u64 - 1);
+    }
+
+    #[test]
+    fn exact_rejects_empty_and_bad_group_by() {
+        let t = Table::new(vec![Column::float("x", vec![])]).unwrap();
+        let s = Scramble::build(&t, 1).unwrap();
+        let q = AggQuery::avg("q", Expr::col("x")).build();
+        assert!(matches!(
+            execute_exact(&s, &q, &EngineConfig::default()),
+            Err(EngineError::EmptyScramble)
+        ));
+
+        let s = exact_scramble();
+        let q = AggQuery::avg("q", Expr::col("delay"))
+            .group_by("delay")
+            .build();
+        assert!(matches!(
+            execute_exact(&s, &q, &EngineConfig::default()),
+            Err(EngineError::InvalidGroupBy { .. })
+        ));
     }
 }

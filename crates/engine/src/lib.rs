@@ -15,11 +15,12 @@
 //!   rules of §4.3,
 //! * the three sampling strategies evaluated in §5 (`Scan`, `ActiveSync`,
 //!   `ActivePeek` with asynchronous lookahead), and
-//! * the `Exact` baseline executor.
+//! * the `Exact` baseline, run as one full pass of the same scan pipeline.
 //!
 //! ## Entry point
 //!
-//! The public API is built around three pieces:
+//! There is one public path, `Session → QueryBuilder → PreparedQuery`,
+//! built around three pieces:
 //!
 //! 1. [`Session`] — a named catalog of scrambled tables (register/drop, per
 //!    table block size & seed) plus shared [`EngineConfig`] defaults;
@@ -67,9 +68,11 @@
 //! assert!(!progressive.converged());   // a valid, merely unconverged answer
 //! ```
 //!
-//! Exact and approximate executors are interchangeable behind the
-//! [`Execute`] trait. The previous single-table entry point, [`FastFrame`],
-//! remains as a deprecated shim over a one-table session for one release.
+//! [`PreparedQuery::execute_exact`] runs the `Exact` baseline of §5.2
+//! through the same batch scan pipeline as approximate execution: one round
+//! over every block, finalized as a full pass. Rows are scanned in exactly
+//! one place, so approximate and exact answers see the same rows through
+//! the same kernels.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -77,10 +80,7 @@
 
 pub mod config;
 pub mod error;
-pub mod exact;
-pub mod execute;
 pub mod executor;
-pub mod frame;
 pub mod metrics;
 pub(crate) mod parallel;
 pub mod progressive;
@@ -92,9 +92,6 @@ pub mod view;
 
 pub use config::{EngineConfig, EngineConfigBuilder, SamplingStrategy};
 pub use error::{EngineError, EngineResult};
-pub use execute::{ApproxExecutor, ExactExecutor, Execute};
-#[allow(deprecated)]
-pub use frame::FastFrame;
 pub use metrics::{ExecMetrics, QueryMetrics};
 pub use progressive::{
     Budget, CancellationReason, GroupProgress, ProgressiveResult, RoundControl, Snapshot,
@@ -107,9 +104,6 @@ pub use session::{PreparedQuery, QueryBuilder, Session, TableOptions};
 pub mod prelude {
     pub use crate::config::{EngineConfig, EngineConfigBuilder, SamplingStrategy};
     pub use crate::error::{EngineError, EngineResult};
-    pub use crate::execute::{ApproxExecutor, ExactExecutor, Execute};
-    #[allow(deprecated)]
-    pub use crate::frame::FastFrame;
     pub use crate::metrics::{ExecMetrics, QueryMetrics};
     pub use crate::progressive::{
         Budget, CancellationReason, GroupProgress, ProgressiveResult, RoundControl, Snapshot,

@@ -10,8 +10,10 @@
 //! partitions off a shared job queue, scan each partition's blocks in block
 //! order into a fresh [`PartitionPartial`] (per-view estimator partials plus
 //! a private [`ExecMetrics`] counter block, so no counter is shared between
-//! threads), and send the partial back. The coordinator then merges the
-//! partials **in partition order** into the master views.
+//! threads), and send the partial back. The coordinator merges the
+//! partials **in partition order** into the master views, each as soon as
+//! it and every earlier partition are done, so only partials that overtook
+//! a slower predecessor are ever held (inline, exactly one).
 //!
 //! Because the partition layout and the merge order are pure functions of
 //! the planned block list, the merged estimator states — and every
@@ -23,38 +25,23 @@
 //! `crossbeam::thread::scope` and fed rounds through channels), so per-round
 //! overhead is a handful of channel operations, not thread spawns.
 //!
-//! ## Batch (vectorized) execution
+//! ## Batch execution
 //!
-//! Within a partition, each block is processed by one of two interchangeable
-//! inner loops, selected by [`EngineConfig::vectorize`]:
+//! Within a partition, each block goes through one batch loop: the block is
+//! read through projection pushdown ([`BlockSource::read_block_projected`]
+//! decodes only the columns the query references), the predicate runs as a
+//! columnar filter kernel producing a [`SelectionVector`], the selected rows
+//! are partitioned by group id once, and every touched aggregate view gets
+//! one contiguous batch of target values per block
+//! ([`MeanEstimator::observe_batch`], a single virtual dispatch per
+//! (block, view) pair). Each view receives its values in ascending row
+//! order.
 //!
-//! * the **batch path** (default) reads the block through projection
-//!   pushdown ([`BlockSource::read_block_projected`] decodes only the
-//!   columns the query references), evaluates the predicate as a columnar
-//!   filter kernel producing a [`SelectionVector`], partitions the selected
-//!   rows by group id once, and feeds every touched aggregate view one
-//!   contiguous batch of target values per block
-//!   ([`MeanEstimator::observe_batch`] — a single virtual dispatch per
-//!   (block, view) pair);
-//! * the **scalar path** walks rows one at a time — predicate tree walk,
-//!   per-row group lookup, one `observe` per value — exactly as the
-//!   pre-vectorization engine did, and is kept as a differential-testing
-//!   oracle.
+//! This is the only code that scans rows. Approximate OptStop rounds and the
+//! Exact baseline (one round over every block) both run through it;
+//! `tests/reference.rs` checks both against a naive row-at-a-time
+//! evaluator.
 //!
-//! Both paths feed each view its values in ascending row order, so the
-//! accumulated estimator states — and every estimate and CI bound derived
-//! from them — are **bit-for-bit identical** between the two, on either
-//! backing, at any thread count. `tests/vectorized.rs` asserts this
-//! property over random queries.
-//!
-//! One deliberate carve-out on the *error* path: projection pushdown means
-//! a segment-backed batch scan never reads — and therefore never
-//! CRC-checks — chunks of columns the query does not reference, so
-//! corruption confined to an unreferenced column fails the query only on
-//! the scalar (full-decode) path. Results of *successful* queries are
-//! unaffected.
-//!
-//! [`EngineConfig::vectorize`]: crate::config::EngineConfig::vectorize
 //! [`MeanEstimator::observe_batch`]:
 //!     fastframe_core::bounder::MeanEstimator::observe_batch
 //! [`BlockSource::read_block_projected`]:
@@ -109,14 +96,9 @@ pub(crate) struct ScanContext<'a> {
     pub lookup: &'a GroupLookup,
     /// Total number of aggregate views.
     pub num_views: usize,
-    /// Whether partitions scan with the vectorized batch kernels or the
-    /// scalar row-at-a-time oracle loop. Never changes results, only the
-    /// execution strategy.
-    pub vectorize: bool,
     /// Column indexes the query references (ascending), pushed down to the
-    /// block source so lazy backings decode only those chunks. `Some` only
-    /// on the batch path; the scalar oracle reads full blocks.
-    pub projection: Option<Vec<usize>>,
+    /// block source so lazy backings decode only those chunks.
+    pub projection: Vec<usize>,
 }
 
 /// One aggregate view's accumulation over one partition.
@@ -197,89 +179,20 @@ impl PartialViews {
     }
 }
 
-/// Scans one partition's blocks in block order, producing its partial.
+/// Scans one partition's blocks in block order, producing its partial:
+/// projected block reads, columnar predicate kernels into a
+/// [`SelectionVector`], one group-routing pass over the selected rows, and
+/// one `observe_batch` per (block, view) pair, each view's values in
+/// ascending row order.
 ///
-/// Dispatches to the vectorized batch loop or the scalar oracle loop per
-/// [`ScanContext::vectorize`]; the two produce bit-identical partials.
-///
-/// Blocks are obtained through the [`BlockSource`] read methods: a zero-copy
-/// view for in-memory scrambles, an on-demand (possibly projected) decode
-/// for segment readers. A read failure mid-scan (file truncated or rotted
-/// *after* open-time validation passed) stops the partition and is carried
-/// back in the partial; the coordinator fails the whole query with it, so
-/// callers get an `EngineResult::Err` instead of a crash.
+/// Blocks are obtained through [`BlockSource::read_block_projected`]: a
+/// zero-copy view for in-memory scrambles, an on-demand decode of the
+/// referenced chunks for segment readers. A read failure mid-scan (file
+/// truncated or rotted *after* open-time validation passed) stops the
+/// partition and is carried back in the partial; the coordinator fails the
+/// whole query with it, so callers get an `EngineResult::Err` instead of a
+/// crash.
 pub(crate) fn scan_partition(
-    ctx: &ScanContext<'_>,
-    index: usize,
-    blocks: &[BlockId],
-) -> PartitionPartial {
-    if ctx.vectorize {
-        scan_partition_batch(ctx, index, blocks)
-    } else {
-        scan_partition_scalar(ctx, index, blocks)
-    }
-}
-
-/// The row-at-a-time scan loop: predicate tree walk, group lookup and one
-/// estimator `observe` per row. Kept verbatim as the differential-testing
-/// oracle for the batch path.
-fn scan_partition_scalar(
-    ctx: &ScanContext<'_>,
-    index: usize,
-    blocks: &[BlockId],
-) -> PartitionPartial {
-    let mut views = PartialViews::new(ctx.num_views);
-    let mut scratch: Vec<u32> = Vec::with_capacity(4);
-    let mut exec = ExecMetrics::default();
-    let mut error = None;
-
-    for &block in blocks {
-        let block_ref = match ctx.source.read_block(block) {
-            Ok(b) => b,
-            Err(e) => {
-                error = Some(e);
-                break;
-            }
-        };
-        let table = block_ref.table();
-        exec.record_block(block_ref.len() as u64);
-        for row in block_ref.rows() {
-            if !ctx.bound.predicate.matches(table, row) {
-                continue;
-            }
-            exec.record_selected(1);
-            let value = match ctx.aggregate {
-                AggregateFunction::Count => 1.0,
-                _ => match ctx.bound.target.evaluate(table, row) {
-                    Some(v) => v,
-                    None => continue,
-                },
-            };
-            if let Some(view_id) = ctx.lookup.view_of(table, row, &mut scratch) {
-                let (matched, estimator) = views.slot(view_id, ctx.bounder);
-                estimator.observe(value);
-                *matched += 1;
-                exec.record_matches(1);
-            }
-        }
-    }
-    exec.partitions = 1;
-
-    PartitionPartial {
-        index,
-        exec,
-        views: views.into_sorted(),
-        error,
-        panic: None,
-    }
-}
-
-/// The batch scan loop: projected block reads, columnar predicate kernels
-/// into a [`SelectionVector`], one group-routing pass over the selected
-/// rows, and one `observe_batch` per (block, view) pair — each view's
-/// values in ascending row order, so the accumulated state is bit-identical
-/// to the scalar loop's.
-fn scan_partition_batch(
     ctx: &ScanContext<'_>,
     index: usize,
     blocks: &[BlockId],
@@ -299,7 +212,7 @@ fn scan_partition_batch(
     for &block in blocks {
         let block_ref = match ctx
             .source
-            .read_block_projected(block, ctx.projection.as_deref())
+            .read_block_projected(block, Some(&ctx.projection))
         {
             Ok(b) => b,
             Err(e) => {
@@ -344,9 +257,8 @@ fn scan_partition_batch(
 /// Per-block gather strategy for the target expression's value of one
 /// selected row. Resolved once per block so the common cases — COUNT and a
 /// plain column target — read raw storage instead of re-walking the
-/// expression per row. Every variant returns exactly the value the scalar
-/// path's `BoundExpr::evaluate` would (integers widened to `f64` the same
-/// way), preserving bit-identity.
+/// expression per row. Every variant returns exactly the value
+/// `BoundExpr::evaluate` would (integers widened to `f64` the same way).
 enum ValueKernel<'a> {
     /// COUNT aggregates observe the constant 1 per matching row.
     One,
@@ -354,8 +266,7 @@ enum ValueKernel<'a> {
     Floats(&'a [f64]),
     /// Target is a raw `Int64` column, widened per value.
     Ints(&'a [i64]),
-    /// Composite expression: evaluated per selected row (same arithmetic,
-    /// same order as the scalar path).
+    /// Composite expression: evaluated per selected row.
     Expr(&'a BoundExpr),
 }
 
@@ -377,7 +288,7 @@ impl<'a> ValueKernel<'a> {
     }
 
     /// The target value of `row`, or `None` when the expression has no
-    /// value there (the scalar path skips such rows before routing).
+    /// value there (such rows are skipped before routing).
     #[inline]
     fn value(&self, table: &Table, row: usize) -> Option<f64> {
         match self {
@@ -397,7 +308,7 @@ impl<'a> ValueKernel<'a> {
 /// (view id indexes straight into a slot, allocated once per partition and
 /// reused across blocks). Above the limit the per-block dense sweep would
 /// dominate, so rows fall back to immediate per-row observation — identical
-/// results, same shape as the scalar loop.
+/// results, since each view still sees its values in row order.
 struct BatchRouter {
     /// Per-view value buffers for the block being routed (dense mode).
     buffers: Vec<Vec<f64>>,
@@ -430,7 +341,7 @@ impl BatchRouter {
         exec: &mut ExecMetrics,
     ) {
         if self.buffers.is_empty() {
-            // Sparse universe: observe per row, exactly like the scalar loop.
+            // Sparse universe: observe per row.
             for &r in sel.rows() {
                 let row = r as usize;
                 let Some(value) = kernel.value(table, row) else {
@@ -464,7 +375,7 @@ impl BatchRouter {
             } => {
                 // One columnar pass over the group column's codes; a code
                 // that maps to no view (or a non-categorical column, which
-                // the scalar path treats as "no group") routes nowhere.
+                // has no group) routes nowhere.
                 if let Some(codes) = table.column_at(*column).category_codes() {
                     for &r in sel.rows() {
                         let row = r as usize;
@@ -540,69 +451,70 @@ pub(crate) struct RoundExecutor<'a> {
 }
 
 impl RoundExecutor<'_> {
-    /// Scans every partition of `blocks` and returns the partials in
-    /// partition (block-id) order, ready for an in-order merge.
+    /// Scans every partition of `blocks` and hands each partial to `merge`
+    /// in partition (block-id) order, as soon as it and every earlier
+    /// partition are done. Only partials that finished ahead of an earlier,
+    /// slower one are held back, so a round's memory stays bounded however
+    /// many blocks it covers.
     ///
     /// # Errors
     ///
-    /// The first block-read failure any partition hit (storage rot detected
-    /// after open-time validation); no partial state is merged in that case.
+    /// The first block-read failure in partition order (storage rot detected
+    /// after open-time validation). The caller must then discard the state
+    /// it merged into: later partitions are not merged.
     pub fn execute_round(
         &self,
         blocks: &[BlockId],
-    ) -> Result<Vec<PartitionPartial>, fastframe_store::table::StoreError> {
+        mut merge: impl FnMut(PartitionPartial),
+    ) -> Result<(), fastframe_store::table::StoreError> {
         if blocks.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
-        let psize = partition_size(blocks.len());
-        let chunks: Vec<&[BlockId]> = blocks.chunks(psize).collect();
-        let partials = match &self.pool {
-            None => chunks
-                .iter()
-                .enumerate()
-                .map(|(i, chunk)| scan_partition(self.ctx, i, chunk))
-                .collect(),
-            Some(pool) => {
-                for (i, chunk) in chunks.iter().enumerate() {
-                    pool.jobs
-                        .send(Job {
-                            index: i,
-                            blocks: chunk.to_vec(),
-                        })
-                        .expect("scan workers exited before the round ended");
+        let chunks = blocks.chunks(partition_size(blocks.len()));
+        let mut accept = |mut partial: PartitionPartial| {
+            if let Some(payload) = partial.panic.take() {
+                // Re-raise with the original payload so the message and any
+                // context it carries survive the thread hop.
+                std::panic::resume_unwind(payload);
+            }
+            match partial.error.take() {
+                Some(error) => Err(error),
+                None => {
+                    merge(partial);
+                    Ok(())
                 }
-                let mut slots: Vec<Option<PartitionPartial>> =
-                    (0..chunks.len()).map(|_| None).collect();
-                for _ in 0..chunks.len() {
-                    let partial = pool
-                        .results
-                        .recv()
-                        .expect("scan workers exited before the round ended");
-                    let index = partial.index;
-                    slots[index] = Some(partial);
-                }
-                slots
-                    .into_iter()
-                    .map(|slot| slot.expect("every partition reports exactly once"))
-                    .collect::<Vec<_>>()
             }
         };
-        if partials.iter().any(|p| p.panic.is_some()) {
-            let payload = partials
-                .into_iter()
-                .find_map(|p| p.panic)
-                .expect("a panicked partial was just observed");
-            // Re-raise with the original payload so the message and any
-            // context it carries survive the thread hop.
-            std::panic::resume_unwind(payload);
+        let Some(pool) = &self.pool else {
+            for (i, chunk) in chunks.enumerate() {
+                accept(scan_partition(self.ctx, i, chunk))?;
+            }
+            return Ok(());
+        };
+        let total = chunks.len();
+        for (i, chunk) in chunks.enumerate() {
+            pool.jobs
+                .send(Job {
+                    index: i,
+                    blocks: chunk.to_vec(),
+                })
+                .expect("scan workers exited before the round ended");
         }
-        // Fail the round on the first partition error, in partition order so
-        // the reported block is deterministic.
-        let mut partials = partials;
-        if let Some(error) = partials.iter_mut().find_map(|p| p.error.take()) {
-            return Err(error);
+        let mut waiting: Vec<Option<PartitionPartial>> = (0..total).map(|_| None).collect();
+        let mut next = 0;
+        while next < total {
+            let partial = pool
+                .results
+                .recv()
+                .expect("scan workers exited before the round ended");
+            let index = partial.index;
+            waiting[index] = Some(partial);
+            while let Some(partial) = waiting.get_mut(next).and_then(Option::take) {
+                accept(partial)?;
+                next += 1;
+            }
         }
-        Ok(partials)
+        Ok(())
     }
 }
 

@@ -50,9 +50,7 @@ use fastframe_store::table::Table;
 
 use crate::config::EngineConfig;
 use crate::error::{EngineError, EngineResult};
-use crate::exact::execute_exact;
-use crate::execute::Execute;
-use crate::executor::{execute_budgeted, execute_progressive, RoundObserver};
+use crate::executor::{execute_budgeted, execute_exact, execute_progressive, RoundObserver};
 use crate::progressive::{Budget, ProgressiveResult, RoundControl, Snapshot};
 use crate::query::{AggQuery, AggQueryBuilder, AggregateFunction};
 use crate::result::QueryResult;
@@ -468,14 +466,6 @@ impl<'s> QueryBuilder<'s> {
         self.tune(|c| c.threads(threads))
     }
 
-    /// Pins batch (vectorized) execution on or off for this query (see
-    /// [`EngineConfig::effective_vectorize`]). Like the thread count, the
-    /// execution mode never changes results — the scalar path is the
-    /// bit-identical differential-testing oracle of the batch kernels.
-    pub fn vectorize(self, vectorize: bool) -> Self {
-        self.tune(|c| c.vectorize(vectorize))
-    }
-
     /// Tweaks the effective configuration through a builder seeded with the
     /// current one (the session defaults unless [`Self::config`] was called):
     /// `…​.tune(|c| c.delta(0.05).round_rows(10_000))`.
@@ -602,9 +592,13 @@ impl PreparedQuery<'_> {
         execute_budgeted(self.source, &self.query, &self.config, &self.budget)
     }
 
-    /// Executes the `Exact` baseline (full scan, degenerate intervals).
+    /// Executes the `Exact` baseline: one full pass of the scan pipeline
+    /// over every block, with intervals collapsed onto the estimates and
+    /// GROUP BY groups without a matching row omitted. Only an explicit
+    /// thread count applies (auto scans on one thread); the budget is
+    /// ignored.
     pub fn execute_exact(&self) -> EngineResult<QueryResult> {
-        execute_exact(self.source, &self.query)
+        execute_exact(self.source, &self.query, &self.config)
     }
 
     /// Executes progressively, collecting every round's [`Snapshot`] into
@@ -629,29 +623,11 @@ impl PreparedQuery<'_> {
             observer,
         )
     }
-
-    /// Runs the query through an arbitrary [`Execute`] implementation,
-    /// making exact and approximate executors interchangeable.
-    ///
-    /// The executor is self-contained: it runs with *its own*
-    /// configuration and budget (e.g. those of an
-    /// [`crate::execute::ApproxExecutor`]), not the ones attached to this
-    /// prepared query — use [`Self::execute`] for those.
-    pub fn execute_with(&self, executor: &dyn Execute) -> EngineResult<QueryResult> {
-        executor.execute(self.source, &self.query)
-    }
 }
-
-// Compatibility re-export: `FastFrame` lived in this module before the
-// session redesign; keep its old import path working for the same one
-// release as the shim itself.
-#[allow(deprecated)]
-pub use crate::frame::FastFrame;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execute::{ApproxExecutor, ExactExecutor};
     use fastframe_core::bounder::BounderKind;
     use fastframe_store::column::Column;
 
@@ -817,27 +793,6 @@ mod tests {
             s.prepare("nope", &good),
             Err(EngineError::UnknownTable { .. })
         ));
-    }
-
-    #[test]
-    fn execute_with_makes_executors_interchangeable() {
-        let s = session();
-        let prepared = s
-            .query("flights")
-            .avg(Expr::col("delay"))
-            .group_by("airline")
-            .having_gt(5.0)
-            .build()
-            .unwrap();
-        let approx = prepared
-            .execute_with(&ApproxExecutor::new(s.defaults().clone()))
-            .unwrap();
-        let exact = prepared.execute_with(&ExactExecutor).unwrap();
-        let mut a = approx.selected_labels();
-        let mut e = exact.selected_labels();
-        a.sort();
-        e.sort();
-        assert_eq!(a, e);
     }
 
     #[test]

@@ -244,7 +244,11 @@ impl AggregateView {
         scramble_rows: u64,
     ) -> Option<f64> {
         let accounted = self.rows_accounted(rows_scanned, scramble_rows);
-        let count_estimate = if accounted == 0 {
+        // Once every row's membership is known the count is exact; skip the
+        // scale-up, whose rounding would otherwise perturb it.
+        let count_estimate = if accounted == scramble_rows {
+            self.matched as f64
+        } else if accounted == 0 {
             0.0
         } else {
             self.matched as f64 / accounted as f64 * scramble_rows as f64
@@ -270,8 +274,6 @@ impl AggregateView {
         alpha: f64,
         exact: bool,
     ) -> CoreResult<GroupResult> {
-        let snapshot =
-            self.round_update(aggregate, rows_scanned, scramble_rows, round_delta, alpha)?;
         let estimate = self.aggregate_estimate(aggregate, rows_scanned, scramble_rows);
         // Exact results collapse the interval onto the estimate, widened by a
         // relative 1e-9 so that downstream comparisons against independently
@@ -281,20 +283,24 @@ impl AggregateView {
             let slack = 1e-9 * (e.abs() + 1.0);
             Ci::new(e - slack, e + slack)
         };
-        let ci = if exact {
-            match estimate {
-                Some(e) => exact_ci(e),
-                None => snapshot.ci,
+        let (ci, count_ci) = match (exact, estimate) {
+            // No bounder work: the answer is known, and a non-finite catalog
+            // range (which the bounders reject) cannot fail it.
+            (true, Some(e)) => (exact_ci(e), exact_ci(self.matched as f64)),
+            // Without an estimate no row matched, so the AVG interval is the
+            // trivial full range and no bounder context is built either.
+            _ => {
+                let snapshot =
+                    self.round_update(aggregate, rows_scanned, scramble_rows, round_delta, alpha)?;
+                let count_ci = if exact {
+                    exact_ci(self.matched as f64)
+                } else {
+                    self.running_count
+                        .current()
+                        .unwrap_or_else(|| Ci::new(0.0, scramble_rows as f64))
+                };
+                (snapshot.ci, count_ci)
             }
-        } else {
-            snapshot.ci
-        };
-        let count_ci = if exact {
-            exact_ci(self.matched as f64)
-        } else {
-            self.running_count
-                .current()
-                .unwrap_or_else(|| Ci::new(0.0, scramble_rows as f64))
         };
         Ok(GroupResult {
             key: self.key.clone(),

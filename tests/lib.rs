@@ -4,15 +4,16 @@
 //! directory with its test files next to this stub rather than under a
 //! `tests/` subdirectory, so `Cargo.toml` declares every target explicitly:
 //!
-//! * nine `[[test]]` targets — `ci_correctness`, `count_sum`, `end_to_end`,
-//!   `frame_compat`, `progressive`, `property_bounders`,
-//!   `sampling_strategies`, `stopping_conditions`, and `workspace_smoke` —
-//!   exercising the workspace crates end-to-end through the `Session` /
-//!   `QueryBuilder` / `ProgressiveResult` API (plus the deprecated
-//!   `FastFrame` shim, covered by `frame_compat`);
-//! * five `[[example]]` targets pointing at the repository-root `examples/`
-//!   directory (`quickstart`, `progressive`, `expression_bounds`,
-//!   `flights_having`, `top_airlines`), runnable via
+//! * twelve `[[test]]` targets — `ci_correctness`, `concurrency`,
+//!   `count_sum`, `end_to_end`, `group_universe`, `persistence`,
+//!   `progressive`, `property_bounders`, `reference`, `sampling_strategies`,
+//!   `stopping_conditions`, and `workspace_smoke` — exercising the
+//!   workspace crates end-to-end through the `Session` / `QueryBuilder` /
+//!   `PreparedQuery` API (`reference` checks the scan pipeline against a
+//!   naive row-at-a-time evaluator);
+//! * six `[[example]]` targets pointing at the repository-root `examples/`
+//!   directory (`quickstart`, `persistence`, `progressive`,
+//!   `expression_bounds`, `flights_having`, `top_airlines`), runnable via
 //!   `cargo run --release -p fastframe-tests --example <name>`.
 //!
 //! This library target exists only so the package has a primary target; all
