@@ -12,6 +12,12 @@
 //! cost of reading blocks: zero-copy views in memory against projected
 //! chunk decodes on the segment.
 //!
+//! A second table isolates the block-read layer itself: nanoseconds per
+//! block to read every block with the query's projection, either one
+//! `read_block_projected` call per block or one `scan_blocks` call over the
+//! whole list (the scan path, which the segment serves in runs of
+//! consecutive blocks).
+//!
 //! Results land in `EXPERIMENTS.md`.
 //!
 //! Run with `cargo bench -p fastframe-bench --bench scan_throughput`.
@@ -21,6 +27,7 @@
 //! runs), `FASTFRAME_THREADS` (pool size, default 1 so the comparison
 //! isolates the inner loop).
 
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 use fastframe_bench::{env_or, print_header, print_row};
@@ -28,9 +35,13 @@ use fastframe_core::bounder::BounderKind;
 use fastframe_engine::config::{EngineConfig, SamplingStrategy};
 use fastframe_engine::session::Session;
 use fastframe_engine::QueryResult;
-use fastframe_store::column::Column;
+use fastframe_store::block::BlockId;
+use fastframe_store::column::{Column, ColumnData};
 use fastframe_store::expr::Expr;
+use fastframe_store::persist::format::{crc32, decode_chunk, encode_chunk, HEADER_LEN};
 use fastframe_store::predicate::Predicate;
+use fastframe_store::scramble::Scramble;
+use fastframe_store::source::BlockSource;
 use fastframe_store::table::Table;
 
 const MEM: &str = "mem";
@@ -111,6 +122,102 @@ fn assert_identical(a: &QueryResult, b: &QueryResult, what: &str) {
     assert_eq!(a.metrics.scan, b.metrics.scan, "{what}: ScanStats");
 }
 
+/// Median nanoseconds per block of the three steps of a segment block read,
+/// timed apart over the query's projection: I/O (the whole data section in
+/// 256 KiB positioned reads, as the reader's runs fetch it), CRC-32 over the
+/// referenced chunks, and decoding them into reused column buffers. The
+/// chunks are re-encoded from the in-memory scramble, which yields the
+/// segment's exact bytes.
+fn read_split_ns(
+    scramble: &Scramble,
+    path: &std::path::Path,
+    projection: &[usize],
+    runs: usize,
+) -> [f64; 3] {
+    use std::os::unix::fs::FileExt;
+    let table = scramble.table();
+    let num_blocks = scramble.num_blocks();
+    let mut chunks = Vec::new();
+    let mut data_bytes = HEADER_LEN;
+    for block in 0..num_blocks {
+        let rows = scramble.block_rows(BlockId(block));
+        for (ci, column) in table.columns().iter().enumerate() {
+            let mut bytes = Vec::new();
+            let encoding = encode_chunk(column, rows.clone(), &mut bytes);
+            data_bytes += bytes.len() as u64;
+            if projection.contains(&ci) {
+                chunks.push((ci, encoding, rows.len(), bytes));
+            }
+        }
+    }
+    let file = std::fs::File::open(path).unwrap();
+    let mut decoded: Vec<ColumnData> = table.columns().iter().map(|c| c.data().clone()).collect();
+    let median_ns = |mut f: Box<dyn FnMut() + '_>| {
+        let mut walls: Vec<Duration> = (0..runs)
+            .map(|_| {
+                let start = Instant::now();
+                f();
+                start.elapsed()
+            })
+            .collect();
+        walls.sort();
+        walls[runs / 2].as_nanos() as f64 / num_blocks as f64
+    };
+    let io = median_ns(Box::new(|| {
+        let mut buf = vec![0u8; 256 * 1024];
+        let mut offset = HEADER_LEN;
+        while offset < data_bytes {
+            let len = (data_bytes - offset).min(buf.len() as u64) as usize;
+            file.read_exact_at(&mut buf[..len], offset).unwrap();
+            offset += len as u64;
+        }
+    }));
+    let crc = median_ns(Box::new(|| {
+        let sum = chunks.iter().fold(0u32, |acc, c| acc ^ crc32(&c.3));
+        std::hint::black_box(sum);
+    }));
+    let path = std::path::PathBuf::new();
+    let unpack = median_ns(Box::new(|| {
+        for (ci, encoding, rows, bytes) in &chunks {
+            let name = table.column_at(*ci).name();
+            decode_chunk(*encoding, bytes, *rows, name, &mut decoded[*ci], &path).unwrap();
+        }
+    }));
+    [io, crc, unpack]
+}
+
+/// Median nanoseconds per block to read every block of `source` with
+/// `projection`: one `read_block_projected` per block, or one `scan_blocks`
+/// over the whole list. Each block's row count is summed so the reads
+/// cannot be optimized away.
+fn block_read_ns(source: &dyn BlockSource, projection: &[usize], runs: usize, scan: bool) -> f64 {
+    let blocks: Vec<BlockId> = (0..source.num_blocks()).map(BlockId).collect();
+    let mut walls = Vec::with_capacity(runs);
+    for _ in 0..runs {
+        let mut rows = 0;
+        let start = Instant::now();
+        if scan {
+            source
+                .scan_blocks(&blocks, Some(projection), &mut |_, block| {
+                    rows += block.len();
+                    ControlFlow::Continue(())
+                })
+                .expect("scan_blocks");
+        } else {
+            for &block in &blocks {
+                rows += source
+                    .read_block_projected(block, Some(projection))
+                    .expect("read_block_projected")
+                    .len();
+            }
+        }
+        walls.push(start.elapsed());
+        assert_eq!(rows, source.num_rows(), "every row read");
+    }
+    walls.sort();
+    walls[runs / 2].as_nanos() as f64 / blocks.len() as f64
+}
+
 fn main() {
     let rows = env_or("FASTFRAME_ROWS", 1_000_000usize);
     let seed = env_or("FASTFRAME_SEED", 0x5eedu64);
@@ -162,5 +269,29 @@ fn main() {
             memory = Some((result, wall));
         }
     }
+
+    println!();
+    println!("## block reads — every block, query projection (v, time, flag), median of {runs}");
+    print_header(&["backing", "read path", "ns/block"]);
+    for backing in [MEM, DISK] {
+        let source = session.source(backing).unwrap();
+        for (label, scan) in [("read_block_projected", false), ("scan_blocks", true)] {
+            print_row(&[
+                backing.to_string(),
+                label.to_string(),
+                format!("{:.0}", block_read_ns(source, &[0, 1, 2], runs, scan)),
+            ]);
+        }
+    }
+    let scramble = session.scramble(MEM).unwrap();
+    let [io, crc, unpack] = read_split_ns(scramble, &path, &[0, 1, 2], runs);
+    println!();
+    println!("## segment block read, split by step (ns/block)");
+    print_header(&["I/O", "CRC-32", "unpack"]);
+    print_row(&[
+        format!("{io:.0}"),
+        format!("{crc:.0}"),
+        format!("{unpack:.0}"),
+    ]);
     std::fs::remove_file(&path).ok();
 }

@@ -27,9 +27,11 @@
 //!
 //! ## Batch execution
 //!
-//! Within a partition, each block goes through one batch loop: the block is
-//! read through projection pushdown ([`BlockSource::read_block_projected`]
-//! decodes only the columns the query references), the predicate runs as a
+//! Within a partition, each block goes through one batch loop: the
+//! partition's blocks are read through projection pushdown
+//! ([`BlockSource::scan_blocks`] decodes only the columns the query
+//! references, and the segment backing fetches runs of consecutive blocks
+//! with one read), the predicate runs as a
 //! columnar filter kernel producing a [`SelectionVector`], the selected rows
 //! are partitioned by group id once, and every touched aggregate view gets
 //! one contiguous batch of target values per block
@@ -44,8 +46,10 @@
 //!
 //! [`MeanEstimator::observe_batch`]:
 //!     fastframe_core::bounder::MeanEstimator::observe_batch
-//! [`BlockSource::read_block_projected`]:
-//!     fastframe_store::source::BlockSource::read_block_projected
+//! [`BlockSource::scan_blocks`]:
+//!     fastframe_store::source::BlockSource::scan_blocks
+
+use std::ops::ControlFlow;
 
 use fastframe_core::bounder::{BounderKind, BoxedEstimator};
 
@@ -185,13 +189,13 @@ impl PartialViews {
 /// one `observe_batch` per (block, view) pair, each view's values in
 /// ascending row order.
 ///
-/// Blocks are obtained through [`BlockSource::read_block_projected`]: a
-/// zero-copy view for in-memory scrambles, an on-demand decode of the
-/// referenced chunks for segment readers. A read failure mid-scan (file
-/// truncated or rotted *after* open-time validation passed) stops the
-/// partition and is carried back in the partial; the coordinator fails the
-/// whole query with it, so callers get an `EngineResult::Err` instead of a
-/// crash.
+/// Blocks are obtained through one [`BlockSource::scan_blocks`] call: a
+/// zero-copy view per block for in-memory scrambles, run reads decoding
+/// the referenced chunks into reused buffers for segment readers. A read
+/// failure mid-scan (file truncated or rotted *after* open-time validation
+/// passed) stops the partition and is carried back in the partial; the
+/// coordinator fails the whole query with it, so callers get an
+/// `EngineResult::Err` instead of a crash.
 pub(crate) fn scan_partition(
     ctx: &ScanContext<'_>,
     index: usize,
@@ -200,7 +204,6 @@ pub(crate) fn scan_partition(
     let mut views = PartialViews::new(ctx.num_views);
     let mut scratch: Vec<u32> = Vec::with_capacity(4);
     let mut exec = ExecMetrics::default();
-    let mut error = None;
     let mut router = BatchRouter::new(ctx.num_views);
     // One selection (plus a scratch pool for Or/Not temporaries) reused
     // across all of the partition's blocks: blocks are small (25 rows by
@@ -209,47 +212,40 @@ pub(crate) fn scan_partition(
     let mut sel = SelectionVector::empty();
     let mut filter_scratch = SelectionScratch::new();
 
-    for &block in blocks {
-        let block_ref = match ctx
-            .source
-            .read_block_projected(block, Some(&ctx.projection))
-        {
-            Ok(b) => b,
-            Err(e) => {
-                error = Some(e);
-                break;
+    let projection = Some(ctx.projection.as_slice());
+    let scanned = ctx
+        .source
+        .scan_blocks(blocks, projection, &mut |_, block_ref| {
+            let table = block_ref.table();
+            exec.record_block(block_ref.len() as u64);
+            ctx.bound.predicate.filter_block_scratch(
+                table,
+                block_ref.rows(),
+                &mut sel,
+                &mut filter_scratch,
+            );
+            exec.record_selected(sel.len() as u64);
+            if !sel.is_empty() {
+                let kernel = ValueKernel::for_block(ctx, table);
+                router.route_block(
+                    ctx,
+                    table,
+                    &sel,
+                    &kernel,
+                    &mut views,
+                    &mut scratch,
+                    &mut exec,
+                );
             }
-        };
-        let table = block_ref.table();
-        exec.record_block(block_ref.len() as u64);
-        ctx.bound.predicate.filter_block_scratch(
-            table,
-            block_ref.rows(),
-            &mut sel,
-            &mut filter_scratch,
-        );
-        exec.record_selected(sel.len() as u64);
-        if sel.is_empty() {
-            continue;
-        }
-        let kernel = ValueKernel::for_block(ctx, table);
-        router.route_block(
-            ctx,
-            table,
-            &sel,
-            &kernel,
-            &mut views,
-            &mut scratch,
-            &mut exec,
-        );
-    }
+            ControlFlow::Continue(())
+        });
     exec.partitions = 1;
 
     PartitionPartial {
         index,
         exec,
         views: views.into_sorted(),
-        error,
+        error: scanned.err(),
         panic: None,
     }
 }

@@ -39,6 +39,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use fastframe_core::delta::DeltaBudget;
 use fastframe_core::stopping::StoppingCondition;
 use fastframe_store::block::DEFAULT_BLOCK_SIZE;
 use fastframe_store::expr::Expr;
@@ -313,6 +314,7 @@ impl Session {
     pub fn prepare(&self, table: &str, query: &AggQuery) -> EngineResult<PreparedQuery<'_>> {
         let source = self.source(table)?;
         validate(source, query)?;
+        validate_config(&self.defaults)?;
         Ok(PreparedQuery {
             source,
             query: query.clone(),
@@ -320,6 +322,13 @@ impl Session {
             budget: Budget::unlimited(),
         })
     }
+}
+
+/// Rejects a config the executor would refuse, so the error surfaces when
+/// the query is built rather than when it runs: δ must lie in (0, 1).
+fn validate_config(config: &EngineConfig) -> EngineResult<()> {
+    DeltaBudget::new(config.delta)?;
+    Ok(())
 }
 
 /// Type-checks `query` against the source's schema by running the
@@ -499,10 +508,12 @@ impl<'s> QueryBuilder<'s> {
             .name
             .unwrap_or_else(|| format!("{}.{}", self.table, aggregate.to_string().to_lowercase()));
         validate(source, &query)?;
+        let config = self.config.unwrap_or_else(|| self.session.defaults.clone());
+        validate_config(&config)?;
         Ok(PreparedQuery {
             source,
             query,
-            config: self.config.unwrap_or_else(|| self.session.defaults.clone()),
+            config,
             budget: self.budget,
         })
     }
@@ -629,6 +640,7 @@ impl PreparedQuery<'_> {
 mod tests {
     use super::*;
     use fastframe_core::bounder::BounderKind;
+    use fastframe_core::error::CoreError;
     use fastframe_store::column::Column;
 
     fn table() -> Table {
@@ -655,6 +667,45 @@ mod tests {
         s.register_with("flights", &table(), TableOptions::default().seed(99))
             .unwrap();
         s
+    }
+
+    #[test]
+    fn a_bad_delta_is_rejected_when_the_query_is_built() {
+        let build = |s: &Session, config: Option<EngineConfig>| {
+            let q = s.query("flights").avg(Expr::col("delay"));
+            match config {
+                Some(config) => q.config(config).build().map(|_| ()),
+                None => q.build().map(|_| ()),
+            }
+        };
+        for delta in [0.0, 1.0, 2.0, -0.1, f64::NAN] {
+            let config = session().defaults().to_builder().delta(delta).build();
+            let mut from_defaults = session();
+            from_defaults.set_defaults(config.clone());
+            for (how, result) in [
+                ("session defaults", build(&from_defaults, None)),
+                ("per-query config", build(&session(), Some(config.clone()))),
+            ] {
+                match result {
+                    Err(EngineError::Core(CoreError::InvalidDelta { delta: got })) => {
+                        assert_eq!(got.to_bits(), delta.to_bits(), "{how}")
+                    }
+                    other => panic!("δ = {delta} from {how}: expected InvalidDelta, got {other:?}"),
+                }
+            }
+            let query = AggQuery::avg("q", Expr::col("delay")).build();
+            assert!(matches!(
+                from_defaults.prepare("flights", &query),
+                Err(EngineError::Core(CoreError::InvalidDelta { .. }))
+            ));
+        }
+        for delta in [1e-15, 0.05] {
+            let config = session().defaults().to_builder().delta(delta).build();
+            let mut from_defaults = session();
+            from_defaults.set_defaults(config.clone());
+            build(&from_defaults, None).unwrap();
+            build(&session(), Some(config)).unwrap();
+        }
     }
 
     #[test]

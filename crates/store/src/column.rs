@@ -179,6 +179,12 @@ impl Column {
         &self.data
     }
 
+    /// Mutable physical data, for in-crate decoders that refill a reused
+    /// column in place. The column's type and dictionary must not change.
+    pub(crate) fn data_mut(&mut self) -> &mut ColumnData {
+        &mut self.data
+    }
+
     /// Whether the column holds numeric (aggregatable) values.
     pub fn is_numeric(&self) -> bool {
         !matches!(self.data, ColumnData::Categorical { .. })

@@ -6,7 +6,6 @@
 
 use std::ops::Range;
 use std::path::Path;
-use std::sync::Arc;
 
 use crate::column::{Column, ColumnData};
 use crate::table::{StoreError, StoreResult};
@@ -43,10 +42,13 @@ pub const TYPE_CAT: u8 = 2;
 /// Sentinel for "no cardinality recorded" in serialized column stats.
 pub const NO_CARDINALITY: u64 = u64::MAX;
 
-const CRC_TABLE: [u32; 256] = make_crc_table();
+/// Slicing-by-8 lookup tables: `CRC_TABLES[0]` is the classic bytewise
+/// table, and `CRC_TABLES[k][i]` is the CRC of byte `i` followed by `k` zero
+/// bytes, so eight table lookups advance the CRC by eight input bytes.
+const CRC_TABLES: [[u32; 256]; 8] = make_crc_tables();
 
-const fn make_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn make_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -59,17 +61,42 @@ const fn make_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-/// CRC-32 (ISO-HDLC polynomial, the zlib/PNG variant) of `bytes`.
+/// CRC-32 (ISO-HDLC polynomial, the zlib/PNG variant) of `bytes`, eight
+/// bytes per step (slicing-by-8) with a bytewise tail.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = c ^ u32::from_le_bytes(word[..4].try_into().expect("4 bytes"));
+        let hi = u32::from_le_bytes(word[4..].try_into().expect("4 bytes"));
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -189,35 +216,59 @@ pub fn pack_bits(values: impl Iterator<Item = u64>, width: u8, out: &mut Vec<u8>
 }
 
 /// Unpacks `count` `width`-bit values from a stream produced by
-/// [`pack_bits`]. Returns `None` if `bytes` is too short.
-pub fn unpack_bits(bytes: &[u8], width: u8, count: usize) -> Option<Vec<u64>> {
-    if width == 0 {
-        return Some(vec![0u64; count]);
-    }
-    let needed = (count * width as usize).div_ceil(8);
-    if bytes.len() < needed {
+/// [`pack_bits`], handing each to `emit` in order. Returns `None` (having
+/// emitted nothing) if `bytes` is too short.
+///
+/// Up to 56 bits wide, each value is one shifted 8-byte little-endian load
+/// at its first byte (7 bits of shift plus 56 of width fit). Values whose
+/// load would run past the end of the stream read a zero-padded copy of
+/// its last 8 bytes instead. Wider values are streamed a byte at a time.
+pub fn unpack_bits(bytes: &[u8], width: u8, count: usize, mut emit: impl FnMut(u64)) -> Option<()> {
+    let width = usize::from(width);
+    if bytes.len() < (count * width).div_ceil(8) {
         return None;
     }
-    let mut out = Vec::with_capacity(count);
-    let mut acc: u128 = 0;
-    let mut nbits: u32 = 0;
-    let mut next = 0usize;
-    let mask: u128 = if width == 64 {
-        u64::MAX as u128
-    } else {
-        (1u128 << width) - 1
-    };
-    for _ in 0..count {
-        while nbits < width as u32 {
-            acc |= (bytes[next] as u128) << nbits;
-            next += 1;
-            nbits += 8;
-        }
-        out.push((acc & mask) as u64);
-        acc >>= width;
-        nbits -= width as u32;
+    if width == 0 {
+        (0..count).for_each(|_| emit(0));
+        return Some(());
     }
-    Some(out)
+    if width > 56 {
+        let mut acc: u128 = 0;
+        let mut nbits = 0;
+        let mut next = 0;
+        for _ in 0..count {
+            while nbits < width {
+                acc |= u128::from(bytes[next]) << nbits;
+                next += 1;
+                nbits += 8;
+            }
+            emit(acc as u64 & (u64::MAX >> (64 - width)));
+            acc >>= width;
+            nbits -= width;
+        }
+        return Some(());
+    }
+    let mask = (1u64 << width) - 1;
+    let load =
+        |src: &[u8], at: usize| u64::from_le_bytes(src[at..at + 8].try_into().expect("8 bytes"));
+    // Value `i` loads in place while its first byte, `i * width / 8`, is at
+    // most `len - 8`.
+    let direct = match bytes.len().checked_sub(8) {
+        Some(last) => ((last * 8 + 7) / width + 1).min(count),
+        None => 0,
+    };
+    for i in 0..direct {
+        let bit = i * width;
+        emit((load(bytes, bit / 8) >> (bit % 8)) & mask);
+    }
+    let tail_start = bytes.len().saturating_sub(8);
+    let mut tail = [0u8; 16];
+    tail[..bytes.len() - tail_start].copy_from_slice(&bytes[tail_start..]);
+    for i in direct..count {
+        let bit = i * width;
+        emit((load(&tail, bit / 8 - tail_start) >> (bit % 8)) & mask);
+    }
+    Some(())
 }
 
 /// Minimal bit width able to represent `max_delta`.
@@ -265,21 +316,24 @@ pub fn encode_chunk(column: &Column, rows: Range<usize>, out: &mut Vec<u8>) -> u
     }
 }
 
-/// Decodes one chunk back into a [`Column`] of `rows` rows.
+/// Decodes one chunk of `rows` rows into `out`, replacing its contents.
 ///
-/// `dictionary` must be supplied for categorical chunks (it is stored once
-/// in the segment metadata, not per chunk).
+/// `out` is the destination column's storage and fixes the expected type:
+/// the chunk's encoding must match it, and categorical codes are checked
+/// against its dictionary (which the segment stores once in its metadata,
+/// not per chunk). Its buffer is reused, so decoding a run of blocks into
+/// one `ColumnData` allocates only while the buffer grows.
 pub fn decode_chunk(
     encoding: u8,
     bytes: &[u8],
     rows: usize,
     name: &str,
-    dictionary: Option<&Arc<Vec<String>>>,
+    out: &mut ColumnData,
     path: &Path,
-) -> StoreResult<Column> {
+) -> StoreResult<()> {
     let corrupt = |detail: String| StoreError::corrupt(path, detail);
-    match encoding {
-        ENC_FLOAT_RAW => {
+    match (encoding, out) {
+        (ENC_FLOAT_RAW, ColumnData::Float64(values)) => {
             if bytes.len() != rows * 8 {
                 return Err(corrupt(format!(
                     "float chunk for `{name}`: {} bytes, expected {}",
@@ -287,13 +341,15 @@ pub fn decode_chunk(
                     rows * 8
                 )));
             }
-            let values = bytes
-                .chunks_exact(8)
-                .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
-                .collect();
-            Ok(Column::float(name, values))
+            values.clear();
+            values.extend(
+                bytes
+                    .chunks_exact(8)
+                    .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes")))),
+            );
+            Ok(())
         }
-        ENC_INT_FOR => {
+        (ENC_INT_FOR, ColumnData::Int64(values)) => {
             if bytes.len() < 9 {
                 return Err(corrupt(format!("int chunk for `{name}` truncated")));
             }
@@ -304,20 +360,13 @@ pub fn decode_chunk(
                     "int chunk for `{name}`: impossible bit width {width}"
                 )));
             }
-            let deltas = unpack_bits(&bytes[9..], width, rows)
-                .ok_or_else(|| corrupt(format!("int chunk for `{name}` truncated")))?;
-            let values = deltas
-                .into_iter()
-                .map(|d| min.wrapping_add(d as i64))
-                .collect();
-            Ok(Column::int(name, values))
+            values.clear();
+            unpack_bits(&bytes[9..], width, rows, |d| {
+                values.push(min.wrapping_add(d as i64));
+            })
+            .ok_or_else(|| corrupt(format!("int chunk for `{name}` truncated")))
         }
-        ENC_CODES_FOR => {
-            let dictionary = dictionary.ok_or_else(|| {
-                corrupt(format!(
-                    "categorical chunk for `{name}` without a dictionary"
-                ))
-            })?;
+        (ENC_CODES_FOR, ColumnData::Categorical { dictionary, codes }) => {
             if bytes.len() < 5 {
                 return Err(corrupt(format!("code chunk for `{name}` truncated")));
             }
@@ -328,32 +377,33 @@ pub fn decode_chunk(
                     "code chunk for `{name}`: impossible bit width {width}"
                 )));
             }
-            let deltas = unpack_bits(&bytes[5..], width, rows)
-                .ok_or_else(|| corrupt(format!("code chunk for `{name}` truncated")))?;
-            let mut codes = Vec::with_capacity(rows);
-            for d in deltas {
-                let code = min
-                    .checked_add(u32::try_from(d).map_err(|_| {
-                        corrupt(format!("code chunk for `{name}`: delta overflows u32"))
-                    })?)
-                    .ok_or_else(|| {
-                        corrupt(format!("code chunk for `{name}`: code overflows u32"))
-                    })?;
-                if (code as usize) >= dictionary.len() {
-                    return Err(corrupt(format!(
-                        "code chunk for `{name}`: code {code} outside dictionary of {}",
-                        dictionary.len()
-                    )));
-                }
-                codes.push(code);
+            // A width of at most 32 keeps every delta below 2^32, so `min +
+            // delta` fits a u64; the largest one decides both checks.
+            let mut max_code = 0u64;
+            codes.clear();
+            unpack_bits(&bytes[5..], width, rows, |d| {
+                let code = u64::from(min) + d;
+                max_code = max_code.max(code);
+                codes.push(code as u32);
+            })
+            .ok_or_else(|| corrupt(format!("code chunk for `{name}` truncated")))?;
+            if max_code > u64::from(u32::MAX) {
+                return Err(corrupt(format!(
+                    "code chunk for `{name}`: code overflows u32"
+                )));
             }
-            Ok(Column::categorical_from_codes(
-                name,
-                Arc::clone(dictionary),
-                codes,
-            ))
+            if rows > 0 && max_code >= dictionary.len() as u64 {
+                return Err(corrupt(format!(
+                    "code chunk for `{name}`: code {max_code} outside dictionary of {}",
+                    dictionary.len()
+                )));
+            }
+            Ok(())
         }
-        other => Err(corrupt(format!("unknown chunk encoding tag {other}"))),
+        (ENC_FLOAT_RAW | ENC_INT_FOR | ENC_CODES_FOR, _) => Err(corrupt(format!(
+            "chunk encoding tag {encoding} does not match the type of column `{name}`"
+        ))),
+        (other, _) => Err(corrupt(format!("unknown chunk encoding tag {other}"))),
     }
 }
 
@@ -361,6 +411,47 @@ pub fn decode_chunk(
 mod tests {
     use super::*;
     use std::path::PathBuf;
+    use std::sync::Arc;
+
+    /// The bytewise table-driven CRC the sliced one must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Collects [`super::unpack_bits`]'s values.
+    fn unpack_bits(bytes: &[u8], width: u8, count: usize) -> Option<Vec<u64>> {
+        let mut out = Vec::new();
+        super::unpack_bits(bytes, width, count, |v| out.push(v))?;
+        Some(out)
+    }
+
+    /// Decodes into a fresh column of the encoding's type, as a reader's
+    /// reused buffer would be filled.
+    fn decode_chunk(
+        encoding: u8,
+        bytes: &[u8],
+        rows: usize,
+        name: &str,
+        dictionary: Option<&Arc<Vec<String>>>,
+        path: &Path,
+    ) -> StoreResult<Column> {
+        let mut column = match (encoding, dictionary) {
+            (ENC_INT_FOR, _) => Column::int(name, Vec::new()),
+            (ENC_CODES_FOR, Some(d)) => {
+                Column::categorical_from_codes(name, Arc::clone(d), Vec::new())
+            }
+            (ENC_CODES_FOR, None) => {
+                return Err(StoreError::corrupt(path, "code chunk without a dictionary"))
+            }
+            _ => Column::float(name, Vec::new()),
+        };
+        super::decode_chunk(encoding, bytes, rows, name, column.data_mut(), path)?;
+        Ok(column)
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -453,5 +544,63 @@ mod tests {
         assert_eq!(c.string().unwrap(), "origin");
         assert_eq!(c.remaining(), 0);
         assert!(matches!(c.u8(), Err(StoreError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_reference() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..1031 + 8)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect();
+        // Every length, at every alignment of the 8-byte steps.
+        for offset in 0..8 {
+            for len in 0..=1031 {
+                let slice = &bytes[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "offset {offset}, len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bit_packing_round_trips_every_bit_of_wide_values() {
+        // Top bits of a multiplicative hash, so every bit position of the
+        // width is exercised, around the 56-bit switch between word loads
+        // and byte streaming.
+        for width in [1u8, 4, 11, 31, 32, 33, 55, 56, 57, 63, 64] {
+            for count in [0usize, 1, 7, 25, 100] {
+                let values: Vec<u64> = (0..count as u64)
+                    .map(|i| (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - width))
+                    .collect();
+                let mut packed = Vec::new();
+                pack_bits(values.iter().copied(), width, &mut packed);
+                let unpacked = unpack_bits(&packed, width, count).unwrap();
+                assert_eq!(values, unpacked, "width {width}, count {count}");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_rejects_mismatched_types_and_overflowing_codes() {
+        let path = PathBuf::from("<test>");
+        // An encoding that does not match the destination column's type.
+        let mut ints = ColumnData::Int64(Vec::new());
+        assert!(super::decode_chunk(ENC_FLOAT_RAW, &[0u8; 8], 1, "x", &mut ints, &path).is_err());
+        // A code past u32::MAX.
+        let mut codes = ColumnData::Categorical {
+            dictionary: Arc::new(vec!["a".to_string()]),
+            codes: Vec::new(),
+        };
+        let mut buf = u32::MAX.to_le_bytes().to_vec();
+        buf.extend_from_slice(&[1, 0b10]); // width 1, deltas 0 then 1
+        assert!(super::decode_chunk(ENC_CODES_FOR, &buf, 2, "g", &mut codes, &path).is_err());
     }
 }

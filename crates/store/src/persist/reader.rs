@@ -4,25 +4,35 @@
 //! Opening a segment reads only the footer and metadata section (schema,
 //! dictionaries, catalog, zone maps, bitmap indexes, chunk directory) — a
 //! few KB plus the dictionaries, independent of the data size. Row data
-//! stays on disk until [`SegmentReader::read_block`] decodes a block, so
-//! working sets larger than memory can be scanned block-by-block through the
-//! [`BlockSource`] interface.
+//! stays on disk until a scan decodes it, so working sets larger than memory
+//! can be scanned block-by-block through the [`BlockSource`] interface.
+//!
+//! Every block read goes through one path, [`BlockSource::scan_blocks`]:
+//! the block list is split into runs of consecutive block ids, and since
+//! the data section is block-major, each run's referenced chunks lie in one
+//! byte range, fetched with one positioned read into a buffer reused across
+//! runs. Each block is then decoded into column buffers reused across the
+//! scan. [`SegmentReader::read_block`], `read_block_projected` and
+//! [`SegmentReader::materialize`] are runs of the same code.
 //!
 //! Integrity is checked at two levels: the footer carries a CRC-32 over the
 //! metadata section (validated at open, so truncated or corrupt files fail
-//! loudly before any query runs), and every chunk's CRC-32 from the
-//! directory is validated when the chunk is decoded (so data corruption is
-//! caught on first touch, with the offending block in the error).
+//! loudly before any query runs), and every referenced chunk's CRC-32 from
+//! the directory is validated when the chunk is decoded (so data corruption
+//! is caught on first touch, with the offending block and column in the
+//! error). Bytes of unreferenced chunks inside a run's range are read but
+//! not checked.
 
 use std::collections::HashMap;
 use std::fs::File;
+use std::ops::{ControlFlow, Range};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::bitmap::{BitSet, BlockBitmapIndex};
 use crate::block::{BlockId, BlockLayout};
 use crate::catalog::{Catalog, ColumnStats};
-use crate::column::{Column, DataType};
+use crate::column::{Column, ColumnData, DataType};
 use crate::scramble::Scramble;
 use crate::source::{BlockRef, BlockSource, GroupUniverseCache};
 use crate::table::{StoreError, StoreResult, Table};
@@ -32,6 +42,12 @@ use super::format::{
     crc32, decode_chunk, Cursor, ENC_CODES_FOR, FOOTER_LEN, HEADER_LEN, MAGIC, NO_CARDINALITY,
     TYPE_CAT, TYPE_FLOAT, TYPE_INT, VERSION,
 };
+
+/// Upper bound on the bytes one positioned read fetches for a run of
+/// consecutive blocks: it bounds each scan's read buffer. A run ends before
+/// the block that would push its byte range past this; a single block is
+/// always read whole.
+const RUN_BYTES: u64 = 256 * 1024;
 
 /// One entry of the in-memory chunk directory.
 #[derive(Debug, Clone, Copy)]
@@ -62,8 +78,6 @@ pub struct SegmentReader {
     indexes: HashMap<String, BlockBitmapIndex>,
     zones: HashMap<String, ZoneMap>,
     directory: Vec<ChunkEntry>,
-    /// Per-column dictionaries (None for numeric columns), for chunk decode.
-    dictionaries: Vec<Option<Arc<Vec<String>>>>,
     /// Memoized group universes, shared across clones (the underlying file
     /// is the same).
     universes: GroupUniverseCache,
@@ -72,7 +86,7 @@ pub struct SegmentReader {
 impl SegmentReader {
     /// Opens a segment file, validating the footer magic/version and the
     /// metadata checksum. Row data is *not* read or validated here; each
-    /// chunk's CRC is checked when [`Self::read_block`] first decodes it.
+    /// referenced chunk's CRC is checked each time a block read decodes it.
     ///
     /// # Errors
     ///
@@ -91,13 +105,15 @@ impl SegmentReader {
         }
 
         // Header.
-        let header = read_at(&file, &path, 0, HEADER_LEN as usize)?;
+        let mut header = [0u8; HEADER_LEN as usize];
+        read_at(&file, &path, 0, &mut header)?;
         if header[..8] != MAGIC {
             return Err(StoreError::corrupt(&path, "bad header magic"));
         }
 
         // Footer.
-        let footer = read_at(&file, &path, file_len - FOOTER_LEN, FOOTER_LEN as usize)?;
+        let mut footer = [0u8; FOOTER_LEN as usize];
+        read_at(&file, &path, file_len - FOOTER_LEN, &mut footer)?;
         if footer[24..32] != MAGIC {
             return Err(StoreError::corrupt(&path, "bad footer magic"));
         }
@@ -123,7 +139,8 @@ impl SegmentReader {
         }
 
         // Metadata.
-        let meta = read_at(&file, &path, meta_offset, meta_len as usize)?;
+        let mut meta = vec![0u8; meta_len as usize];
+        read_at(&file, &path, meta_offset, &mut meta)?;
         let actual_crc = crc32(&meta);
         if actual_crc != meta_crc {
             return Err(StoreError::corrupt(
@@ -145,7 +162,6 @@ impl SegmentReader {
 
         let mut columns = Vec::with_capacity(num_columns);
         let mut stats = Vec::with_capacity(num_columns);
-        let mut dictionaries = Vec::with_capacity(num_columns);
         for _ in 0..num_columns {
             let name = c.string()?;
             let type_tag = c.u8()?;
@@ -177,7 +193,6 @@ impl SegmentReader {
                     ))
                 }
             };
-            dictionaries.push(column.dictionary().map(Arc::clone));
             stats.push(ColumnStats {
                 name,
                 data_type,
@@ -273,7 +288,6 @@ impl SegmentReader {
             indexes,
             zones,
             directory,
-            dictionaries,
             universes: GroupUniverseCache::new(),
         })
     }
@@ -287,19 +301,14 @@ impl SegmentReader {
     /// [`Scramble`] — the opposite trade to lazy scanning, for workloads
     /// that will hammer a table small enough to keep resident.
     pub fn materialize(&self) -> StoreResult<Scramble> {
-        let num_columns = self.schema.num_columns();
-        let mut per_column: Vec<Vec<Column>> = (0..num_columns).map(|_| Vec::new()).collect();
-        for block in 0..self.layout.num_blocks() {
-            let decoded = self.decode_block_cols(BlockId(block), None)?;
-            for (ci, col) in decoded.into_iter().enumerate() {
-                per_column[ci].push(col);
+        let mut columns = self.schema.columns().to_vec();
+        let blocks: Vec<BlockId> = (0..self.layout.num_blocks()).map(BlockId).collect();
+        self.scan_into(&blocks, None, &mut self.schema.clone(), &mut |_, block| {
+            for (column, part) in columns.iter_mut().zip(block.columns()) {
+                append(column.data_mut(), part.data());
             }
-        }
-        let columns = per_column
-            .into_iter()
-            .enumerate()
-            .map(|(ci, parts)| concat_columns(self.schema.column_at(ci), parts))
-            .collect();
+            ControlFlow::Continue(())
+        })?;
         Ok(Scramble::from_parts(
             Table::new(columns)?,
             self.layout,
@@ -310,54 +319,104 @@ impl SegmentReader {
         ))
     }
 
-    /// Decodes the columns of one block. With a projection, only the listed
-    /// columns' chunks are read (and CRC-checked); the rest are zero-row
-    /// placeholders cloned from the schema, keeping their position, name,
-    /// type and dictionary.
-    fn decode_block_cols(
+    /// Reads and decodes `blocks` in list order into `decoded`, a clone of
+    /// the schema, handing it to `visit` after each block until `visit`
+    /// breaks. Only the `projection` columns' chunks are decoded and
+    /// CRC-checked (all of them for `None`); the other columns stay zero-row
+    /// placeholders keeping their position, name, type and dictionary.
+    ///
+    /// Blocks are fetched in runs (see [`Self::next_run`]), one positioned
+    /// read per run, and each block is decoded into the column buffers of
+    /// `decoded`, which are reused from block to block.
+    fn scan_into(
         &self,
-        block: BlockId,
+        blocks: &[BlockId],
         projection: Option<&[usize]>,
-    ) -> StoreResult<Vec<Column>> {
-        if block.index() >= self.layout.num_blocks() {
-            return Err(StoreError::corrupt(
-                &self.path,
-                format!("{block} out of range ({} blocks)", self.layout.num_blocks()),
-            ));
-        }
-        let num_columns = self.schema.num_columns();
-        let rows = self.layout.rows_of(block);
-        let row_count = rows.end - rows.start;
-        let mut columns = Vec::with_capacity(num_columns);
-        for ci in 0..num_columns {
-            if let Some(wanted) = projection {
-                if !wanted.contains(&ci) {
-                    columns.push(self.schema.column_at(ci).clone());
-                    continue;
+        decoded: &mut Table,
+        visit: &mut dyn FnMut(BlockId, &Table) -> ControlFlow<()>,
+    ) -> StoreResult<()> {
+        let columns: Vec<usize> = (0..self.schema.num_columns())
+            .filter(|ci| projection.map_or(true, |wanted| wanted.contains(ci)))
+            .collect();
+        let mut bytes = Vec::new();
+        let mut rest = blocks;
+        while !rest.is_empty() {
+            let (len, span) = self.next_run(rest, &columns)?;
+            let (run, tail) = rest.split_at(len);
+            rest = tail;
+            bytes.resize((span.end - span.start) as usize, 0);
+            read_at(&self.file, &self.path, span.start, &mut bytes)?;
+            for &block in run {
+                let rows = self.layout.rows_of(block).len();
+                let table_columns = decoded.refill(rows);
+                for &ci in &columns {
+                    let entry = self.entry(block, ci);
+                    let start = (entry.offset - span.start) as usize;
+                    let chunk = &bytes[start..start + entry.len as usize];
+                    let name = self.schema.column_at(ci).name();
+                    let actual = crc32(chunk);
+                    if actual != entry.crc {
+                        return Err(StoreError::corrupt(
+                            &self.path,
+                            format!(
+                                "chunk checksum mismatch for {block} column {ci} (`{name}`): stored {:#010x}, computed {actual:#010x}",
+                                entry.crc
+                            ),
+                        ));
+                    }
+                    let out = table_columns[ci].data_mut();
+                    decode_chunk(entry.encoding, chunk, rows, name, out, &self.path)?;
+                }
+                if visit(block, decoded).is_break() {
+                    return Ok(());
                 }
             }
-            let entry = self.directory[block.index() * num_columns + ci];
-            let bytes = read_at(&self.file, &self.path, entry.offset, entry.len as usize)?;
-            let actual = crc32(&bytes);
-            if actual != entry.crc {
+        }
+        Ok(())
+    }
+
+    /// The run at the head of `blocks`: how many of its leading blocks have
+    /// consecutive ids and fit, together, in [`RUN_BYTES`], and the byte
+    /// range covering their `columns` chunks (empty when `columns` is).
+    /// The data section is block-major, so the range holds the run's other
+    /// chunks too; those bytes are read but never decoded or checked.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] for a block id past the end of the segment.
+    fn next_run(&self, blocks: &[BlockId], columns: &[usize]) -> StoreResult<(usize, Range<u64>)> {
+        let mut span: Option<Range<u64>> = None;
+        let mut len = 0;
+        for (i, &block) in blocks.iter().enumerate() {
+            if i > 0 && block.index() != blocks[i - 1].index() + 1 {
+                break;
+            }
+            if block.index() >= self.layout.num_blocks() {
                 return Err(StoreError::corrupt(
                     &self.path,
-                    format!(
-                        "chunk checksum mismatch for {block} column {ci}: stored {:#010x}, computed {actual:#010x}",
-                        entry.crc
-                    ),
+                    format!("{block} out of range ({} blocks)", self.layout.num_blocks()),
                 ));
             }
-            columns.push(decode_chunk(
-                entry.encoding,
-                &bytes,
-                row_count,
-                self.schema.column_at(ci).name(),
-                self.dictionaries[ci].as_ref(),
-                &self.path,
-            )?);
+            let grown = columns
+                .iter()
+                .map(|&ci| {
+                    let entry = self.entry(block, ci);
+                    entry.offset..entry.offset + u64::from(entry.len)
+                })
+                .chain(span.clone())
+                .reduce(|a, b| a.start.min(b.start)..a.end.max(b.end));
+            if i > 0 && grown.as_ref().map_or(0, |r| r.end - r.start) > RUN_BYTES {
+                break;
+            }
+            span = grown;
+            len += 1;
         }
-        Ok(columns)
+        Ok((len, span.unwrap_or(0..0)))
+    }
+
+    /// The directory entry of `block`'s chunk of column `ci`.
+    fn entry(&self, block: BlockId, ci: usize) -> ChunkEntry {
+        self.directory[block.index() * self.schema.num_columns() + ci]
     }
 }
 
@@ -391,9 +450,7 @@ impl BlockSource for SegmentReader {
     }
 
     fn read_block(&self, block: BlockId) -> StoreResult<BlockRef<'_>> {
-        Ok(BlockRef::owned(Table::new(
-            self.decode_block_cols(block, None)?,
-        )?))
+        self.read_block_projected(block, None)
     }
 
     fn read_block_projected(
@@ -401,17 +458,25 @@ impl BlockSource for SegmentReader {
         block: BlockId,
         projection: Option<&[usize]>,
     ) -> StoreResult<BlockRef<'_>> {
-        let Some(wanted) = projection else {
-            return self.read_block(block);
-        };
-        let rows = self.layout.rows_of(block);
-        let columns = self.decode_block_cols(block, Some(wanted))?;
-        // Placeholder columns are zero-row, so the row count is declared
-        // rather than derived.
-        Ok(BlockRef::owned(Table::with_placeholders(
-            columns,
-            rows.end - rows.start,
-        )?))
+        let mut decoded = self.schema.clone();
+        self.scan_into(&[block], projection, &mut decoded, &mut |_, _| {
+            ControlFlow::Continue(())
+        })?;
+        Ok(BlockRef::owned(decoded))
+    }
+
+    fn scan_blocks(
+        &self,
+        blocks: &[BlockId],
+        projection: Option<&[usize]>,
+        visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
+    ) -> StoreResult<()> {
+        self.scan_into(
+            blocks,
+            projection,
+            &mut self.schema.clone(),
+            &mut |block, table| visit(block, BlockRef::borrowed(table, 0..table.num_rows())),
+        )
     }
 
     fn group_universe_cache(&self) -> Option<&GroupUniverseCache> {
@@ -419,29 +484,24 @@ impl BlockSource for SegmentReader {
     }
 }
 
-/// Positioned read of exactly `len` bytes at `offset`.
+/// Positioned read filling `buf` from `offset`.
 #[cfg(unix)]
-fn read_at(file: &File, path: &Path, offset: u64, len: usize) -> StoreResult<Vec<u8>> {
+fn read_at(file: &File, path: &Path, offset: u64, buf: &mut [u8]) -> StoreResult<()> {
     use std::os::unix::fs::FileExt;
-    let mut buf = vec![0u8; len];
-    file.read_exact_at(&mut buf, offset)
-        .map_err(|e| StoreError::io(path, e))?;
-    Ok(buf)
+    file.read_exact_at(buf, offset)
+        .map_err(|e| StoreError::io(path, e))
 }
 
 /// Portable fallback: re-open the file and seek (positioned shared reads are
 /// not in the portable std API).
 #[cfg(not(unix))]
-fn read_at(file: &File, path: &Path, offset: u64, len: usize) -> StoreResult<Vec<u8>> {
+fn read_at(file: &File, path: &Path, offset: u64, buf: &mut [u8]) -> StoreResult<()> {
     use std::io::{Read, Seek, SeekFrom};
     let _ = file;
     let mut f = File::open(path).map_err(|e| StoreError::io(path, e))?;
     f.seek(SeekFrom::Start(offset))
         .map_err(|e| StoreError::io(path, e))?;
-    let mut buf = vec![0u8; len];
-    f.read_exact(&mut buf)
-        .map_err(|e| StoreError::io(path, e))?;
-    Ok(buf)
+    f.read_exact(buf).map_err(|e| StoreError::io(path, e))
 }
 
 fn column_name(schema: &Table, index: usize, path: &Path) -> StoreResult<String> {
@@ -454,37 +514,78 @@ fn column_name(schema: &Table, index: usize, path: &Path) -> StoreResult<String>
     Ok(schema.column_at(index).name().to_string())
 }
 
-/// Concatenates per-block decoded pieces of one column back into a full
-/// column (used by [`SegmentReader::materialize`]).
-fn concat_columns(schema_column: &Column, parts: Vec<Column>) -> Column {
-    use crate::column::ColumnData;
-    match schema_column.data() {
-        ColumnData::Float64(_) => {
-            let mut values = Vec::new();
-            for p in parts {
-                if let ColumnData::Float64(v) = p.data() {
-                    values.extend_from_slice(v);
-                }
-            }
-            Column::float(schema_column.name(), values)
+/// Appends one decoded block's values of a column to the whole column
+/// (used by [`SegmentReader::materialize`]). Both sides come from the same
+/// schema column, so their types agree.
+fn append(column: &mut ColumnData, part: &ColumnData) {
+    match (column, part) {
+        (ColumnData::Float64(all), ColumnData::Float64(part)) => all.extend_from_slice(part),
+        (ColumnData::Int64(all), ColumnData::Int64(part)) => all.extend_from_slice(part),
+        (
+            ColumnData::Categorical { codes: all, .. },
+            ColumnData::Categorical { codes: part, .. },
+        ) => all.extend_from_slice(part),
+        _ => unreachable!("decoded blocks keep the schema's column types"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::persist::write_segment;
+
+    /// Splits `blocks` into runs the way a scan does.
+    fn runs(
+        reader: &SegmentReader,
+        blocks: &[BlockId],
+        columns: &[usize],
+    ) -> Vec<(usize, Range<u64>)> {
+        let mut out = Vec::new();
+        let mut rest = blocks;
+        while !rest.is_empty() {
+            let run = reader.next_run(rest, columns).unwrap();
+            rest = &rest[run.0..];
+            out.push(run);
         }
-        ColumnData::Int64(_) => {
-            let mut values = Vec::new();
-            for p in parts {
-                if let ColumnData::Int64(v) = p.data() {
-                    values.extend_from_slice(v);
-                }
-            }
-            Column::int(schema_column.name(), values)
-        }
-        ColumnData::Categorical { dictionary, .. } => {
-            let mut codes = Vec::new();
-            for p in parts {
-                if let ColumnData::Categorical { codes: c, .. } = p.data() {
-                    codes.extend_from_slice(c);
-                }
-            }
-            Column::categorical_from_codes(schema_column.name(), Arc::clone(dictionary), codes)
-        }
+        out
+    }
+
+    #[test]
+    fn runs_are_consecutive_and_capped() {
+        let n = 20_000usize;
+        let column = |name: &str| Column::float(name, (0..n).map(|i| i as f64).collect());
+        let table = Table::new(vec![column("a"), column("b"), column("c")]).unwrap();
+        let scramble = Scramble::build_with(&table, 1, 25, 0.0).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "fastframe_reader_runs_{}.ffseg",
+            std::process::id()
+        ));
+        write_segment(&scramble, &path).unwrap();
+        let reader = SegmentReader::open(&path).unwrap();
+        let num_blocks = reader.layout.num_blocks();
+        let every: Vec<BlockId> = (0..num_blocks).map(BlockId).collect();
+
+        // 800 blocks of 600 bytes: several capped runs tiling the data.
+        let all = runs(&reader, &every, &[0, 1, 2]);
+        assert!(all.len() > 1);
+        assert!(all
+            .iter()
+            .all(|(_, span)| span.end - span.start <= RUN_BYTES));
+        assert_eq!(all.iter().map(|(len, _)| len).sum::<usize>(), num_blocks);
+        assert!(all.windows(2).all(|w| w[0].1.end == w[1].1.start));
+
+        // One column's span starts at its first chunk and ends at its last.
+        let (len, span) = reader.next_run(&every[3..5], &[1]).unwrap();
+        assert_eq!(len, 2);
+        let first = reader.entry(BlockId(3), 1);
+        let last = reader.entry(BlockId(4), 1);
+        assert_eq!(span, first.offset..last.offset + u64::from(last.len));
+
+        // A gap or a wrap ends a run; an empty projection reads nothing.
+        let gapped = [BlockId(0), BlockId(1), BlockId(5), BlockId(6), BlockId(0)];
+        let lens: Vec<usize> = runs(&reader, &gapped, &[0]).iter().map(|r| r.0).collect();
+        assert_eq!(lens, [2, 2, 1]);
+        assert_eq!(runs(&reader, &every, &[]), [(num_blocks, 0..0)]);
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -17,7 +17,7 @@
 //! bit-identical results whichever backing the table has.
 
 use std::collections::{HashMap, HashSet};
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::bitmap::{BitSet, BlockBitmapIndex};
@@ -89,8 +89,9 @@ impl<'a> BlockRef<'a> {
 /// A source of scramble blocks: the engine's entire view of a table.
 ///
 /// Implementations must be cheap to query for metadata (layout, catalog,
-/// indexes — all resident) and may be lazy about the data itself:
-/// [`Self::read_block`] is the only operation that touches row storage.
+/// indexes — all resident) and may be lazy about the data itself: the block
+/// reads ([`Self::read_block`], [`Self::read_block_projected`],
+/// [`Self::scan_blocks`]) are the only operations that touch row storage.
 ///
 /// `Sync` is required because the partitioned scan pipeline shares one
 /// source across its worker threads.
@@ -159,6 +160,36 @@ pub trait BlockSource: Sync {
     ) -> StoreResult<BlockRef<'_>> {
         let _ = projection;
         self.read_block(block)
+    }
+
+    /// Reads `blocks` in list order with [`Self::read_block_projected`]'s
+    /// projection semantics, handing each block to `visit` until it breaks.
+    /// This is the scan path: the engine's partition scans and the
+    /// group-universe build read through it.
+    ///
+    /// The default reads each block with [`Self::read_block_projected`], so
+    /// in-memory blocks stay zero-copy views and a source that overrides
+    /// only that method still sees every block. Lazy sources override it to
+    /// fetch runs of consecutive blocks at once and decode them into reused
+    /// buffers (see [`SegmentReader`](crate::persist::SegmentReader)); the
+    /// blocks `visit` sees are the same either way.
+    ///
+    /// # Errors
+    ///
+    /// The first failing read, after which no further block is visited.
+    /// Blocks before it may have been visited.
+    fn scan_blocks(
+        &self,
+        blocks: &[BlockId],
+        projection: Option<&[usize]>,
+        visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
+    ) -> StoreResult<()> {
+        for &block in blocks {
+            if visit(block, self.read_block_projected(block, projection)?).is_break() {
+                break;
+            }
+        }
+        Ok(())
     }
 
     /// Total number of blocks.
@@ -304,10 +335,10 @@ pub fn build_group_universe<S: BlockSource + ?Sized>(
 
     let mut out = Vec::new();
     let mut tuple = Vec::with_capacity(columns.len());
-    'blocks: for block in 0..source.num_blocks() {
-        // Only the group-by columns are read, so lazy sources decode just
-        // those chunks.
-        let block_ref = source.read_block_projected(BlockId(block), Some(columns))?;
+    let blocks: Vec<BlockId> = (0..source.num_blocks()).map(BlockId).collect();
+    // Only the group-by columns are read, so lazy sources decode just those
+    // chunks.
+    source.scan_blocks(&blocks, Some(columns), &mut |_, block_ref| {
         let table = block_ref.table();
         for row in block_ref.rows() {
             tuple.clear();
@@ -321,11 +352,12 @@ pub fn build_group_universe<S: BlockSource + ?Sized>(
                 seen.insert(tuple.clone());
                 out.push(tuple.clone());
                 if Some(out.len()) == bound {
-                    break 'blocks;
+                    return ControlFlow::Break(());
                 }
             }
         }
-    }
+        ControlFlow::Continue(())
+    })?;
     Ok(out)
 }
 
@@ -341,14 +373,13 @@ fn indexed_universe<S: BlockSource + ?Sized>(
         .iter()
         .map(BitSet::first_set)
         .collect();
-    let mut blocks: Vec<usize> = first_block.iter().flatten().copied().collect();
+    let mut blocks: Vec<BlockId> = first_block.iter().flatten().map(|&b| BlockId(b)).collect();
     blocks.sort_unstable();
     blocks.dedup();
 
     let mut emitted = vec![false; first_block.len()];
     let mut out = Vec::new();
-    for block in blocks {
-        let block_ref = source.read_block_projected(BlockId(block), Some(&[column]))?;
+    source.scan_blocks(&blocks, Some(&[column]), &mut |block, block_ref| {
         let codes = block_ref
             .table()
             .column_at(column)
@@ -356,12 +387,13 @@ fn indexed_universe<S: BlockSource + ?Sized>(
             .unwrap_or_default();
         for &code in &codes[block_ref.rows()] {
             let c = code as usize;
-            if first_block.get(c) == Some(&Some(block)) && !emitted[c] {
+            if first_block.get(c) == Some(&Some(block.index())) && !emitted[c] {
                 emitted[c] = true;
                 out.push(vec![code]);
             }
         }
-    }
+        ControlFlow::Continue(())
+    })?;
     Ok(out)
 }
 

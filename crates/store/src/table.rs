@@ -215,12 +215,10 @@ impl Table {
         Ok(Self { columns, num_rows })
     }
 
-    /// Assembles a table whose row count is declared rather than derived
-    /// from the first column — the projected-block case, where columns
-    /// outside the projection are zero-row placeholders that keep their
-    /// schema *position* (so indexes bound against the schema stay valid)
-    /// without carrying data. Every column must either match `num_rows` or
-    /// be empty.
+    /// Assembles a projected-block table directly, for tests of the kernels
+    /// over placeholder columns (see [`Self::refill`]). Every column must
+    /// either match `num_rows` or be empty.
+    #[cfg(test)]
     pub(crate) fn with_placeholders(columns: Vec<Column>, num_rows: usize) -> StoreResult<Self> {
         for c in &columns {
             if c.len() != num_rows && !c.is_empty() {
@@ -232,6 +230,16 @@ impl Table {
             }
         }
         Ok(Self { columns, num_rows })
+    }
+
+    /// The columns of a reused decode buffer, for refilling in place with a
+    /// block of `num_rows` rows. This is the projected-block case: the
+    /// caller must leave every column either `num_rows` long or empty, a
+    /// zero-row placeholder that keeps its schema *position* (so indexes
+    /// bound against the schema stay valid) without carrying data.
+    pub(crate) fn refill(&mut self, num_rows: usize) -> &mut [Column] {
+        self.num_rows = num_rows;
+        &mut self.columns
     }
 
     /// Number of rows.

@@ -22,6 +22,7 @@ use fastframe_engine::session::Session;
 use fastframe_engine::QueryResult;
 use fastframe_store::block::BlockId;
 use fastframe_store::column::Column;
+use fastframe_store::persist::format::{encode_chunk, HEADER_LEN};
 use fastframe_store::persist::{write_segment, SegmentReader};
 use fastframe_store::predicate::Predicate;
 use fastframe_store::scramble::Scramble;
@@ -434,4 +435,206 @@ fn session_backing_rules_are_enforced() {
     session.drop_table("t_disk").unwrap();
     assert!(!session.contains("t_disk"));
     std::fs::remove_file(&path).ok();
+}
+
+/// Byte range of `block`'s chunk of column `column` in a segment written
+/// from `scramble`, laid out as the writer does: block-major chunks right
+/// after the header.
+fn chunk_range(scramble: &Scramble, block: usize, column: usize) -> std::ops::Range<usize> {
+    let mut offset = HEADER_LEN as usize;
+    let mut chunk = Vec::new();
+    for b in 0..=block {
+        let rows = scramble.layout().rows_of(BlockId(b));
+        for (ci, c) in scramble.table().columns().iter().enumerate() {
+            chunk.clear();
+            encode_chunk(c, rows.clone(), &mut chunk);
+            if (b, ci) == (block, column) {
+                return offset..offset + chunk.len();
+            }
+            offset += chunk.len();
+        }
+    }
+    unreachable!("block {block} column {column} is in the segment")
+}
+
+/// Writes `scramble` with one byte flipped in the middle of `block`'s chunk
+/// of `column`, and opens it in a session as `"t"`.
+fn session_with_flipped_chunk(
+    tag: &str,
+    scramble: &Scramble,
+    block: usize,
+    column: usize,
+) -> (Session, std::path::PathBuf) {
+    let path = temp_path(tag);
+    write_segment(scramble, &path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let range = chunk_range(scramble, block, column);
+    bytes[(range.start + range.end) / 2] ^= 0x10;
+    std::fs::write(&path, &bytes).unwrap();
+    let mut session = Session::new();
+    session.open_table("t", &path).unwrap();
+    (session, path)
+}
+
+#[test]
+fn corruption_of_a_referenced_chunk_mid_run_names_block_and_column() {
+    // 160 blocks: the full pass below splits into partitions of three
+    // consecutive blocks, and block 37 sits in the middle of one.
+    let table = acceptance_table(4_000);
+    let scramble = Scramble::build_with(&table, 9, 25, 0.0).unwrap();
+    let (session, path) = session_with_flipped_chunk("midrun", &scramble, 37, 0);
+    let expect_named = |result: Result<QueryResult, EngineError>, what: &str| match result {
+        Err(EngineError::Store(StoreError::Corrupt { detail, .. })) => assert!(
+            detail.contains(&format!("{} column 0 (`v`)", BlockId(37))),
+            "{what}: error must name the block and column: {detail}"
+        ),
+        other => panic!("{what}: expected Corrupt error, got {other:?}"),
+    };
+    for threads in [1usize, 4] {
+        let approximate = session
+            .query("t")
+            .avg(Expr::col("v"))
+            .absolute_width(0.0)
+            .tune(|c| c.threads(threads).start_block(0).round_rows(4_000))
+            .execute();
+        expect_named(approximate, &format!("approximate, threads={threads}"));
+        let exact = session
+            .query("t")
+            .avg(Expr::col("v"))
+            .threads(threads)
+            .execute_exact();
+        expect_named(exact, &format!("exact, threads={threads}"));
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn corruption_of_an_unreferenced_chunk_inside_a_run_is_not_checked() {
+    // Block 37's `time` chunk lies between its `v` chunk and block 38's, so
+    // a run reading `v` fetches its bytes; only referenced chunks are
+    // checked, so a query on `v` alone answers as on the pristine data.
+    let table = acceptance_table(4_000);
+    let scramble = Scramble::build_with(&table, 9, 25, 0.0).unwrap();
+    let (mut session, path) = session_with_flipped_chunk("unreferenced", &scramble, 37, 1);
+    let pristine = temp_path("unreferenced_pristine");
+    write_segment(&scramble, &pristine).unwrap();
+    session.open_table("pristine", &pristine).unwrap();
+    for threads in [1usize, 4] {
+        let run = |name: &str| {
+            session
+                .query(name)
+                .avg(Expr::col("v"))
+                .absolute_width(0.0)
+                .tune(|c| c.threads(threads).start_block(0).round_rows(4_000))
+                .execute()
+                .unwrap()
+        };
+        assert_bit_identical(&run("pristine"), &run("t"));
+    }
+    // A query referencing `time` does check the chunk.
+    let filtered = session
+        .query("t")
+        .avg(Expr::col("v"))
+        .filter(Predicate::num_gt("time", 0.0))
+        .execute_exact();
+    assert!(matches!(
+        filtered,
+        Err(EngineError::Store(StoreError::Corrupt { .. }))
+    ));
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&pristine).ok();
+}
+
+#[test]
+fn truncated_data_section_mid_scan_is_an_error_not_a_panic() {
+    // Open validates the footer; truncating the file afterwards leaves the
+    // reader's run reads short.
+    let table = acceptance_table(4_000);
+    let path = temp_path("truncated_data");
+    let mut session = Session::new();
+    session.register("mem", &table).unwrap();
+    session.save_table("mem", &path).unwrap();
+    session.open_table("t", &path).unwrap();
+    let len = std::fs::metadata(&path).unwrap().len();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_len(len / 3)
+        .unwrap();
+    for threads in [1usize, 4] {
+        let result = session
+            .query("t")
+            .avg(Expr::col("v"))
+            .absolute_width(0.0)
+            .tune(|c| c.threads(threads).start_block(0).round_rows(4_000))
+            .execute();
+        assert!(
+            matches!(result, Err(EngineError::Store(_))),
+            "threads={threads}: expected a store error, got {result:?}"
+        );
+        let exact = session
+            .query("t")
+            .avg(Expr::col("v"))
+            .threads(threads)
+            .execute_exact();
+        assert!(matches!(exact, Err(EngineError::Store(_))));
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// FNV-1a 64 of a byte string: a digest independent of the segment's own
+/// CRC-32, so the golden-file check does not trust the code under test.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// A fixed tiny scramble: every column type, NaN and signed extremes, and
+/// a ragged last block (60 rows in blocks of 25).
+fn golden_scramble() -> Scramble {
+    let n = 60usize;
+    let table = Table::new(vec![
+        Column::float(
+            "x",
+            (0..n)
+                .map(|i| match i {
+                    3 => f64::NAN,
+                    5 => -0.0,
+                    _ => i as f64 * 1.25 - 20.0,
+                })
+                .collect(),
+        ),
+        Column::int(
+            "t",
+            (0..n)
+                .map(|i| match i {
+                    7 => i64::MIN,
+                    11 => i64::MAX,
+                    _ => 600 + (i as i64 * 37) % 900,
+                })
+                .collect(),
+        ),
+        Column::categorical(
+            "g",
+            &(0..n).map(|i| format!("k{}", i % 6)).collect::<Vec<_>>(),
+        ),
+    ])
+    .unwrap();
+    Scramble::build_with(&table, 7, 25, 0.0).unwrap()
+}
+
+#[test]
+fn segment_bytes_match_the_golden_file() {
+    // Recorded from the writer before the CRC moved to slicing-by-8: the
+    // format (and every checksum in it) must not change.
+    const GOLDEN_LEN: usize = 1482;
+    const GOLDEN_FNV1A64: u64 = 0x3533_0daa_bd32_09bc;
+    let path = temp_path("golden");
+    write_segment(&golden_scramble(), &path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(bytes.len(), GOLDEN_LEN);
+    assert_eq!(fnv1a64(&bytes), GOLDEN_FNV1A64);
 }
