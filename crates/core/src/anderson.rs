@@ -148,7 +148,7 @@ impl ErrorBounder for AndersonDkw {
             return ctx.a;
         }
         let mut sorted = state.sample.clone();
-        sorted.sort_by(|x, y| x.partial_cmp(y).expect("sample values must not be NaN"));
+        sorted.sort_by(f64::total_cmp);
         Self::lbound_sorted(&sorted, ctx.a, ctx.delta).max(ctx.a)
     }
 
@@ -157,7 +157,7 @@ impl ErrorBounder for AndersonDkw {
             return ctx.b;
         }
         let mut sorted = state.sample.clone();
-        sorted.sort_by(|x, y| x.partial_cmp(y).expect("sample values must not be NaN"));
+        sorted.sort_by(f64::total_cmp);
         Self::rbound_sorted(&sorted, ctx.b, ctx.delta).min(ctx.b)
     }
 
@@ -206,6 +206,18 @@ mod tests {
         let eps = AndersonDkw::band_epsilon(200, 0.05);
         assert!((eps - ((1.0f64 / 0.05).ln() / 400.0).sqrt()).abs() < 1e-12);
         assert!(AndersonDkw::band_epsilon(0, 0.05).is_infinite());
+    }
+
+    /// A NaN in the retained sample sorts by `total_cmp` instead of
+    /// panicking; the bounds stay inside the declared range.
+    #[test]
+    fn a_nan_sample_value_does_not_panic_the_sort() {
+        let b = AndersonDkw::new();
+        let st = feed(&[0.2, f64::NAN, 0.4, 0.6]);
+        let c = BoundContext::new(0.0, 1.0, 100, 0.05).unwrap();
+        let (lo, hi) = (b.lbound(&st, &c), b.rbound(&st, &c));
+        assert!((0.0..=1.0).contains(&lo), "lbound {lo}");
+        assert!((0.0..=1.0).contains(&hi), "rbound {hi}");
     }
 
     #[test]

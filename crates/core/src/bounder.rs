@@ -9,15 +9,19 @@
 //!
 //! [`ErrorBounder`] mirrors this interface with an associated `State` type so
 //! that concrete bounders (and the [`RangeTrim`]
-//! wrapper) compose with static dispatch. For the query engine, which selects
-//! the bounder at runtime, [`BounderKind`] provides a factory producing a
+//! wrapper) compose with static dispatch. For callers that select the
+//! bounder at runtime, [`BounderKind`] provides a factory producing a
 //! [`BoxedEstimator`] — an object-safe, self-contained estimator owning both
-//! the bounder and its state.
+//! the bounder and its state. The query engine uses it only for
+//! Anderson/DKW; every other kind accumulates a plain
+//! [`FlatRecord`](crate::partial::FlatRecord) through
+//! [`BounderKind::flat`], with the same update and bound code.
 
 use crate::anderson::AndersonDkw;
 use crate::bernstein::EmpiricalBernsteinSerfling;
 use crate::error::{CoreError, CoreResult};
 use crate::hoeffding::HoeffdingSerfling;
+use crate::partial::FlatBounder;
 use crate::range_trim::RangeTrim;
 
 /// A closed confidence interval `[lo, hi]`.
@@ -252,22 +256,22 @@ pub trait ErrorBounder {
     fn name(&self) -> &'static str;
 }
 
-/// Object-safe estimator: a bounder bundled with its own state, suitable for
-/// per-aggregate-view storage inside the query engine.
+/// Object-safe estimator: a bounder bundled with its own state, for callers
+/// that pick the bounder at runtime (the query engine does so for
+/// Anderson/DKW, whose state is an O(m) sample).
 ///
 /// The `Any` supertrait exists so that two boxed estimators of the *same*
 /// concrete kind can be merged through the object-safe interface
 /// ([`Self::merge_from`]): the engine's parallel scan accumulates one
-/// estimator per aggregate view per partition and folds them back into the
-/// master view in deterministic partition order.
+/// Anderson/DKW estimator per touched aggregate view per partition and folds
+/// them back into the master view in deterministic partition order.
 pub trait MeanEstimator: Send + std::any::Any {
     /// Observes a value that contributes to this aggregate.
     fn observe(&mut self, v: f64);
 
     /// Observes a batch of values in slice order — bit-identical to calling
     /// [`Self::observe`] once per element, but with a single virtual
-    /// dispatch for the whole batch. The engine's vectorized scan calls this
-    /// once per (block, view) pair instead of once per row.
+    /// dispatch for the whole batch.
     fn observe_batch(&mut self, values: &[f64]) {
         for &v in values {
             self.observe(v);
@@ -439,6 +443,18 @@ impl BounderKind {
             BounderKind::AndersonDkwRangeTrim => {
                 Box::new(Estimator::new(RangeTrim::new(AndersonDkw::new())))
             }
+        }
+    }
+
+    /// The flat-record form of this kind, or `None` for Anderson/DKW (±RT),
+    /// whose state is an O(m) sample (see [`crate::partial`]).
+    pub fn flat(&self) -> Option<FlatBounder> {
+        match self {
+            BounderKind::Hoeffding => Some(FlatBounder::Hoeffding),
+            BounderKind::HoeffdingRangeTrim => Some(FlatBounder::HoeffdingRangeTrim),
+            BounderKind::Bernstein => Some(FlatBounder::Bernstein),
+            BounderKind::BernsteinRangeTrim => Some(FlatBounder::BernsteinRangeTrim),
+            BounderKind::AndersonDkw | BounderKind::AndersonDkwRangeTrim => None,
         }
     }
 

@@ -17,47 +17,14 @@
 //! §2.3.3 and Table 2.
 
 use crate::bounder::{BoundContext, ErrorBounder};
+use crate::variance::RunningMoments;
 
 /// Streaming state for [`HoeffdingSerfling`]: the sample size and running
-/// mean (O(1) memory).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct HoeffdingState {
-    /// Number of samples folded in (`m`).
-    pub m: u64,
-    /// Running mean (`ĝ`).
-    pub mean: f64,
-}
-
-impl HoeffdingState {
-    /// Folds a batch of values in slice order — bit-identical to the scalar
-    /// update of [`HoeffdingSerfling::update_state`] applied per element.
-    #[inline]
-    pub fn push_batch(&mut self, values: &[f64]) {
-        for &v in values {
-            self.m += 1;
-            self.mean += (v - self.mean) / self.m as f64;
-        }
-    }
-
-    /// Merges another partial state into this one: the sample sizes add and
-    /// the means combine count-weighted. Deterministic for a fixed merge
-    /// order, which the engine's partitioned scan guarantees.
-    pub fn merge(&mut self, other: &HoeffdingState) {
-        if other.m == 0 {
-            return;
-        }
-        let n1 = self.m as f64;
-        let n2 = other.m as f64;
-        self.mean += (other.mean - self.mean) * n2 / (n1 + n2);
-        self.m += other.m;
-    }
-}
-
-impl crate::partial::PartialState for HoeffdingState {
-    fn merge(&mut self, other: &Self) {
-        HoeffdingState::merge(self, other);
-    }
-}
+/// mean, kept as [`RunningMoments`] (O(1) memory). Hoeffding's bound reads
+/// only the count and the mean; sharing the state type with
+/// Bernstein–Serfling gives every range-based bounder one flat record (see
+/// [`crate::partial`]).
+pub type HoeffdingState = RunningMoments;
 
 /// The Hoeffding–Serfling error bounder (Algorithm 1 in the paper).
 #[derive(Debug, Clone, Copy, Default)]
@@ -94,13 +61,12 @@ impl ErrorBounder for HoeffdingSerfling {
     type State = HoeffdingState;
 
     fn init_state(&self) -> Self::State {
-        HoeffdingState::default()
+        RunningMoments::new()
     }
 
     #[inline]
     fn update_state(&self, state: &mut Self::State, v: f64) {
-        state.m += 1;
-        state.mean += (v - state.mean) / state.m as f64;
+        state.push(v);
     }
 
     fn update_batch(&self, state: &mut Self::State, values: &[f64]) {
@@ -108,30 +74,30 @@ impl ErrorBounder for HoeffdingSerfling {
     }
 
     fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        if state.m == 0 {
+        if state.count() == 0 {
             return ctx.a;
         }
-        let eps = Self::epsilon(state.m, ctx.n, ctx.range_width(), ctx.delta);
-        (state.mean - eps).max(ctx.a)
+        let eps = Self::epsilon(state.count(), ctx.n, ctx.range_width(), ctx.delta);
+        (state.mean() - eps).max(ctx.a)
     }
 
     fn rbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        if state.m == 0 {
+        if state.count() == 0 {
             return ctx.b;
         }
         // Algorithm 1 implements Rbound by reflecting the state through
         // (a + b) and reusing Lbound; since the Hoeffding-Serfling half-width
         // is symmetric this is equivalent to mean + ε.
-        let eps = Self::epsilon(state.m, ctx.n, ctx.range_width(), ctx.delta);
-        (state.mean + eps).min(ctx.b)
+        let eps = Self::epsilon(state.count(), ctx.n, ctx.range_width(), ctx.delta);
+        (state.mean() + eps).min(ctx.b)
     }
 
     fn observed(&self, state: &Self::State) -> u64 {
-        state.m
+        state.count()
     }
 
     fn estimate(&self, state: &Self::State) -> Option<f64> {
-        (state.m > 0).then_some(state.mean)
+        (state.count() > 0).then_some(state.mean())
     }
 
     fn name(&self) -> &'static str {

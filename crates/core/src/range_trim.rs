@@ -31,62 +31,85 @@
 //! reported for `Bernstein+RT` and `Hoeffding+RT` in §5.4.
 
 use crate::bounder::{BoundContext, ErrorBounder};
+use crate::variance::RunningMoments;
 
-/// Streaming state for [`RangeTrim`]: two inner states plus the running
-/// minimum/maximum and an (untrimmed) running mean for point estimates.
-#[derive(Debug, Clone)]
+/// Streaming state for [`RangeTrim`]: two inner states plus the moments of
+/// every observed value, which carry the running minimum/maximum and the
+/// untrimmed mean reported as the point estimate.
+///
+/// With `S = RunningMoments` (Hoeffding and Bernstein inner bounders) the
+/// state is a plain `Copy` record, the flat partial of
+/// [`crate::partial::FlatRecord`].
+#[derive(Debug, Clone, Copy)]
 pub struct RangeTrimState<S> {
     /// Inner state fed `min(v, b′)` — used for the confidence lower bound.
     pub left: S,
     /// Inner state fed `max(v, a′)` — used for the confidence upper bound.
     pub right: S,
+    /// Every observed value, unclipped (including the first, which is not
+    /// fed to the inner states): the count, the untrimmed mean `ĝ`, the sum
+    /// and the running extremes `a′`/`b′`.
+    pub all: RunningMoments,
+}
+
+impl<S> RangeTrimState<S> {
     /// Running minimum `a′` of all observed values (`None` until the first
     /// observation).
-    pub observed_min: Option<f64>,
+    pub fn observed_min(&self) -> Option<f64> {
+        self.all.min()
+    }
+
     /// Running maximum `b′` of all observed values.
-    pub observed_max: Option<f64>,
-    /// Total number of observed values (including the first, which is not fed
-    /// to the inner states).
-    count: u64,
-    /// Untrimmed running mean of all observed values — the point estimate
-    /// `ĝ` reported alongside the interval.
-    mean: f64,
+    pub fn observed_max(&self) -> Option<f64> {
+        self.all.max()
+    }
 }
 
 impl<S: crate::partial::PartialState> RangeTrimState<S> {
     /// Merges a later partition's partial state into this one.
     ///
-    /// The inner states merge recursively and the running extremes, count and
-    /// untrimmed mean combine exactly. Each partition clipped its inner-state
-    /// feeds against *partition-local* prefix extremes (at most as extreme as
-    /// the global ones a sequential scan would have used) and withheld its
-    /// own first observation — both effects only widen the derived interval,
-    /// so merged bounds stay valid (conservative); see
-    /// [`crate::partial`] for the full argument.
+    /// The inner states and the all-values moments merge independently.
+    /// Each partition clipped its inner-state feeds against
+    /// *partition-local* prefix extremes (at most as extreme as the global
+    /// ones a sequential scan would have used) and withheld its own first
+    /// observation — both effects only widen the derived interval, so merged
+    /// bounds stay valid (conservative); see [`crate::partial`] for the full
+    /// argument.
     pub fn merge(&mut self, other: &RangeTrimState<S>) {
-        if other.count == 0 {
+        if other.all.count() == 0 {
             return;
         }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        self.mean += (other.mean - self.mean) * n2 / (n1 + n2);
-        self.count += other.count;
+        self.all.merge(&other.all);
         self.left.merge(&other.left);
         self.right.merge(&other.right);
-        self.observed_min = match (self.observed_min, other.observed_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.observed_max = match (self.observed_max, other.observed_max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
     }
 }
 
 impl<S: crate::partial::PartialState> crate::partial::PartialState for RangeTrimState<S> {
     fn merge(&mut self, other: &Self) {
         RangeTrimState::merge(self, other);
+    }
+}
+
+/// `min(v, b′)` as one compare-and-select: unlike `f64::min` it needs no
+/// NaN fix-up, which keeps the batch loop short. A NaN `v` yields `b′`, as
+/// `f64::min` would.
+#[inline]
+fn clip_above(v: f64, b_prime: f64) -> f64 {
+    if v < b_prime {
+        v
+    } else {
+        b_prime
+    }
+}
+
+/// `max(v, a′)` as one compare-and-select (see [`clip_above`]).
+#[inline]
+fn clip_below(v: f64, a_prime: f64) -> f64 {
+    if v > a_prime {
+        v
+    } else {
+        a_prime
     }
 }
 
@@ -116,68 +139,52 @@ impl<B: ErrorBounder> ErrorBounder for RangeTrim<B> {
         RangeTrimState {
             left: self.inner.init_state(),
             right: self.inner.init_state(),
-            observed_min: None,
-            observed_max: None,
-            count: 0,
-            mean: 0.0,
+            all: RunningMoments::new(),
         }
     }
 
+    #[inline]
     fn update_state(&self, state: &mut Self::State, v: f64) {
-        state.count += 1;
-        state.mean += (v - state.mean) / state.count as f64;
-        match (state.observed_min, state.observed_max) {
-            (None, _) | (_, None) => {
-                // First observation: it only initializes a′ and b′ (Algorithm
-                // 6, lines 9–13); the inner states stay untouched so that the
-                // conditional-sample argument of Lemma 4 applies.
-                state.observed_min = Some(v);
-                state.observed_max = Some(v);
-            }
-            (Some(a_prime), Some(b_prime)) => {
-                self.inner.update_state(&mut state.left, v.min(b_prime));
-                self.inner.update_state(&mut state.right, v.max(a_prime));
-                state.observed_min = Some(a_prime.min(v));
-                state.observed_max = Some(b_prime.max(v));
-            }
+        // The first observation only initializes a′ and b′ (Algorithm 6,
+        // lines 9–13); the inner states stay untouched so that the
+        // conditional-sample argument of Lemma 4 applies. Every later value
+        // is clipped against the extremes *before* it.
+        if let (Some(a_prime), Some(b_prime)) = (state.all.min(), state.all.max()) {
+            self.inner
+                .update_state(&mut state.left, clip_above(v, b_prime));
+            self.inner
+                .update_state(&mut state.right, clip_below(v, a_prime));
         }
+        state.all.push(v);
     }
 
     fn update_batch(&self, state: &mut Self::State, values: &[f64]) {
         // Bit-identical to per-element `update_state` calls: the first-ever
-        // observation still only initializes the extremes, every later value
-        // is clipped against the extremes *before* it, and the running mean
-        // accumulates in slice order. Hoisting the Option match and extreme
-        // tracking out of the inner-state updates is the whole point of the
-        // batch entry: the per-value loop below is branch-free on the hot
-        // path.
-        let mut values = values;
-        if state.observed_min.is_none() {
-            let Some((&first, rest)) = values.split_first() else {
-                return;
-            };
-            state.count += 1;
-            state.mean += (first - state.mean) / state.count as f64;
-            state.observed_min = Some(first);
-            state.observed_max = Some(first);
-            values = rest;
+        // observation still only initializes the extremes, and every later
+        // value is clipped against the extremes *before* it. Hoisting the
+        // first-observation check out of the loop lets the compiler keep all
+        // three states in registers across the batch.
+        let Some((&first, rest)) = values.split_first() else {
+            return;
+        };
+        let clipped = if state.all.count() == 0 {
+            state.all.push(first);
+            rest
+        } else {
+            values
+        };
+        for &v in clipped {
+            let (a_prime, b_prime) = state.all.extremes();
+            self.inner
+                .update_state(&mut state.left, clip_above(v, b_prime));
+            self.inner
+                .update_state(&mut state.right, clip_below(v, a_prime));
+            state.all.push(v);
         }
-        let mut a_prime = state.observed_min.expect("initialized above");
-        let mut b_prime = state.observed_max.expect("initialized above");
-        for &v in values {
-            state.count += 1;
-            state.mean += (v - state.mean) / state.count as f64;
-            self.inner.update_state(&mut state.left, v.min(b_prime));
-            self.inner.update_state(&mut state.right, v.max(a_prime));
-            a_prime = a_prime.min(v);
-            b_prime = b_prime.max(v);
-        }
-        state.observed_min = Some(a_prime);
-        state.observed_max = Some(b_prime);
     }
 
     fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        match state.observed_max {
+        match state.observed_max() {
             None => ctx.a,
             Some(b_prime) => {
                 // Lbound(S_l, a, b′, N − 1, δ); clamp the trimmed upper range
@@ -193,7 +200,7 @@ impl<B: ErrorBounder> ErrorBounder for RangeTrim<B> {
     }
 
     fn rbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        match state.observed_min {
+        match state.observed_min() {
             None => ctx.b,
             Some(a_prime) => {
                 let trimmed_a = a_prime.min(ctx.b);
@@ -206,11 +213,11 @@ impl<B: ErrorBounder> ErrorBounder for RangeTrim<B> {
     }
 
     fn observed(&self, state: &Self::State) -> u64 {
-        state.count
+        state.all.count()
     }
 
     fn estimate(&self, state: &Self::State) -> Option<f64> {
-        (state.count > 0).then_some(state.mean)
+        (state.all.count() > 0).then_some(state.all.mean())
     }
 
     fn name(&self) -> &'static str {
@@ -258,12 +265,12 @@ mod tests {
         let rt = RangeTrim::new(HoeffdingSerfling::new());
         let mut st = rt.init_state();
         rt.update_state(&mut st, 42.0);
-        assert_eq!(st.observed_min, Some(42.0));
-        assert_eq!(st.observed_max, Some(42.0));
+        assert_eq!(st.observed_min(), Some(42.0));
+        assert_eq!(st.observed_max(), Some(42.0));
         assert_eq!(rt.observed(&st), 1);
         // The inner states have not seen any value yet.
-        assert_eq!(st.left.m, 0);
-        assert_eq!(st.right.m, 0);
+        assert_eq!(st.left.count(), 0);
+        assert_eq!(st.right.count(), 0);
         assert_eq!(rt.estimate(&st), Some(42.0));
     }
 
@@ -274,12 +281,12 @@ mod tests {
         rt.update_state(&mut st, 10.0); // initializes a' = b' = 10
         rt.update_state(&mut st, 50.0); // left sees min(50, 10) = 10, right sees max(50, 10) = 50
         rt.update_state(&mut st, 5.0); // left sees min(5, 50) = 5, right sees max(5, 10) = 10
-        assert_eq!(st.left.m, 2);
-        assert_eq!(st.right.m, 2);
-        assert!((st.left.mean - 7.5).abs() < 1e-12); // (10 + 5) / 2
-        assert!((st.right.mean - 30.0).abs() < 1e-12); // (50 + 10) / 2
-        assert_eq!(st.observed_min, Some(5.0));
-        assert_eq!(st.observed_max, Some(50.0));
+        assert_eq!(st.left.count(), 2);
+        assert_eq!(st.right.count(), 2);
+        assert!((st.left.mean() - 7.5).abs() < 1e-12); // (10 + 5) / 2
+        assert!((st.right.mean() - 30.0).abs() < 1e-12); // (50 + 10) / 2
+        assert_eq!(st.observed_min(), Some(5.0));
+        assert_eq!(st.observed_max(), Some(50.0));
     }
 
     #[test]

@@ -169,17 +169,9 @@ fn top_k_group_is_active(
     // Sort descending by estimate for top-K, ascending for bottom-K, so the
     // "selected" set is always the first k entries.
     if largest {
-        sorted.sort_by(|x, y| {
-            y.estimate
-                .partial_cmp(&x.estimate)
-                .expect("estimates are not NaN")
-        });
+        sorted.sort_by(|x, y| y.estimate.total_cmp(&x.estimate));
     } else {
-        sorted.sort_by(|x, y| {
-            x.estimate
-                .partial_cmp(&y.estimate)
-                .expect("estimates are not NaN")
-        });
+        sorted.sort_by(|x, y| x.estimate.total_cmp(&y.estimate));
     }
     let selected_boundary = sorted[k - 1].estimate;
     let rest_boundary = sorted[k].estimate;
@@ -211,17 +203,9 @@ fn top_k_active_groups(all: &[GroupSnapshot], k: usize, largest: bool) -> Vec<us
     }
     let mut sorted: Vec<&GroupSnapshot> = all.iter().collect();
     if largest {
-        sorted.sort_by(|x, y| {
-            y.estimate
-                .partial_cmp(&x.estimate)
-                .expect("estimates are not NaN")
-        });
+        sorted.sort_by(|x, y| y.estimate.total_cmp(&x.estimate));
     } else {
-        sorted.sort_by(|x, y| {
-            x.estimate
-                .partial_cmp(&y.estimate)
-                .expect("estimates are not NaN")
-        });
+        sorted.sort_by(|x, y| x.estimate.total_cmp(&y.estimate));
     }
     let midpoint = 0.5 * (sorted[k - 1].estimate + sorted[k].estimate);
     let mut active = Vec::new();
@@ -254,7 +238,7 @@ fn groups_ordered_active_groups(all: &[GroupSnapshot]) -> Vec<usize> {
         return Vec::new();
     }
     let mut sorted: Vec<&GroupSnapshot> = all.iter().collect();
-    sorted.sort_by(|x, y| x.ci.lo.partial_cmp(&y.ci.lo).expect("bounds are not NaN"));
+    sorted.sort_by(|x, y| x.ci.lo.total_cmp(&y.ci.lo));
     let mut active = Vec::new();
     let mut prefix_max_hi = f64::NEG_INFINITY;
     for (pos, g) in sorted.iter().enumerate() {
@@ -491,5 +475,40 @@ mod tests {
                 assert_eq!(fast, pairwise, "mismatch for {cond:?} on trial {trial}");
             }
         }
+    }
+
+    /// A NaN estimate or bound orders by `total_cmp` instead of panicking
+    /// inside the sort; the finite groups keep their order.
+    #[test]
+    fn nan_estimates_and_bounds_do_not_panic_the_sorts() {
+        let nan = GroupSnapshot {
+            group: 3,
+            estimate: f64::NAN,
+            ci: Ci {
+                lo: f64::NAN,
+                hi: f64::NAN,
+            },
+            samples: 10,
+        };
+        let groups = vec![
+            snap(0, 10.0, 9.0, 11.0, 100),
+            snap(1, 50.0, 49.0, 51.0, 100),
+            snap(2, 30.0, 29.0, 31.0, 100),
+            nan,
+        ];
+        for largest in [true, false] {
+            let cond = StoppingCondition::TopKSeparated { k: 1, largest };
+            let _ = cond.is_satisfied(&groups);
+            let _ = cond.group_is_active(&groups[0], &groups);
+        }
+        let _ = StoppingCondition::GroupsOrdered.active_groups(&groups);
+        // Among finite groups the separation is still decided correctly.
+        let finite = &groups[..3];
+        let top = StoppingCondition::TopKSeparated {
+            k: 1,
+            largest: true,
+        };
+        assert!(top.is_satisfied(finite));
+        assert!(StoppingCondition::GroupsOrdered.is_satisfied(finite));
     }
 }

@@ -1,24 +1,54 @@
-//! One-pass, numerically stable running moments (Welford's algorithm).
+//! One-pass, numerically stable running moments in shifted-sum form.
 //!
 //! Algorithm 2 in the paper presents the empirical Bernstein–Serfling bounder
 //! in terms of the raw second moment `M2 = Σ v²` "for the sake of exposition",
 //! noting that "a real implementation might use a more numerically stable
 //! one-pass algorithm for the variance" (Welford 1962, Chan et al. 1983).
-//! This module is that real implementation: it maintains the count, running
-//! mean, sum of squared deviations from the mean, and the observed minimum and
-//! maximum, all in a single pass and O(1) memory.
+//! This module is that implementation. It keeps the count, the raw sum, the
+//! sums `Σ (v − K)` and `Σ (v − K)²` of the values shifted by `K` (the first
+//! value observed), and the observed minimum and maximum.
+//!
+//! * **Division-free updates.** Observing a value is a handful of additions
+//!   and one multiplication with no dependency through a division, unlike
+//!   Welford's update of a running mean. Each field is a plain running sum,
+//!   so a batch loop and per-value calls perform the same operations in the
+//!   same order and agree bit for bit.
+//! * **Stability.** Shifting by a value of the data removes the catastrophic
+//!   cancellation of the naive `Σ v²` method: for values like
+//!   `1e9 + noise`, the shifted sums hold only the noise.
+//! * **Pairwise merge.** [`RunningMoments::merge`] combines two accumulators
+//!   with Chan et al.'s pairwise formulas ("Updating formulae and a pairwise
+//!   algorithm for computing sample variances", 1979) on their centred
+//!   moments, and re-centres the result: the merged shift is the combined
+//!   mean and the shifted sum restarts at zero. Later observations are then
+//!   shifted by a value inside the data again.
+//! * **A real sum.** [`RunningMoments::sum`] is the running sum of the raw
+//!   values, not `count × mean`, so a sum of integer-valued data stays
+//!   exactly integral (below 2⁵³) whatever the merge layout.
 
-/// Streaming count / mean / variance / min / max accumulator.
+/// Streaming count / sum / mean / variance / min / max accumulator.
 ///
 /// The population variance returned by [`RunningMoments::variance`] is the
 /// *biased* (divide-by-`m`) estimator `σ̂² = (1/m) Σ (xᵢ − x̄)²`, which is the
 /// quantity that appears in the empirical Bernstein–Serfling inequality.
+///
+/// The struct is a plain `Copy` record (seven words), so the engine's scan
+/// keeps one per touched aggregate view in a flat slab.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunningMoments {
     count: u64,
-    mean: f64,
-    m2: f64,
+    /// The shift `K`: the first value observed, or the mean as of the last
+    /// merge.
+    shift: f64,
+    /// `Σ (v − K)`.
+    s1: f64,
+    /// `Σ (v − K)²`.
+    s2: f64,
     min: f64,
+    /// `Σ v`. (Kept between `min` and `max`: with the extremes adjacent,
+    /// LLVM packs their two compare-and-select chains into one slower
+    /// vector blend chain.)
+    sum: f64,
     max: f64,
 }
 
@@ -30,12 +60,14 @@ impl Default for RunningMoments {
 
 impl RunningMoments {
     /// Creates an empty accumulator.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Self {
             count: 0,
-            mean: 0.0,
-            m2: 0.0,
+            shift: 0.0,
+            s1: 0.0,
+            s2: 0.0,
             min: f64::INFINITY,
+            sum: 0.0,
             max: f64::NEG_INFINITY,
         }
     }
@@ -43,32 +75,49 @@ impl RunningMoments {
     /// Observes a new value.
     #[inline]
     pub fn push(&mut self, v: f64) {
+        if self.count == 0 {
+            self.shift = v;
+        }
+        let d = v - self.shift;
         self.count += 1;
-        let delta = v - self.mean;
-        self.mean += delta / self.count as f64;
-        let delta2 = v - self.mean;
-        self.m2 += delta * delta2;
-        if v < self.min {
-            self.min = v;
-        }
-        if v > self.max {
-            self.max = v;
-        }
+        self.s1 += d;
+        self.s2 += d * d;
+        self.sum += v;
+        self.min = if v < self.min { v } else { self.min };
+        self.max = if v > self.max { v } else { self.max };
     }
 
     /// Observes a batch of values in slice order.
     ///
-    /// Bit-identical to calling [`Self::push`] once per element: the batch
-    /// entry point exists so the vectorized scan pipeline can amortize call
-    /// overhead per block, never to change the arithmetic.
+    /// Bit-identical to calling [`Self::push`] once per element: every field
+    /// is a running sum or extreme, updated by the same operations in the
+    /// same order. The batch form only keeps the fields in registers.
     #[inline]
     pub fn push_batch(&mut self, values: &[f64]) {
-        for &v in values {
-            self.push(v);
+        let Some(&first) = values.first() else {
+            return;
+        };
+        if self.count == 0 {
+            self.shift = first;
         }
+        let shift = self.shift;
+        let (mut s1, mut s2, mut sum) = (self.s1, self.s2, self.sum);
+        let (mut min, mut max) = (self.min, self.max);
+        for &v in values {
+            let d = v - shift;
+            s1 += d;
+            s2 += d * d;
+            sum += v;
+            min = if v < min { v } else { min };
+            max = if v > max { v } else { max };
+        }
+        self.count += values.len() as u64;
+        (self.s1, self.s2, self.sum) = (s1, s2, sum);
+        (self.min, self.max) = (min, max);
     }
 
-    /// Merges another accumulator into this one (parallel Welford / Chan et al.).
+    /// Merges another accumulator into this one with Chan et al.'s pairwise
+    /// formulas, then re-centres the shifted sums on the combined mean.
     pub fn merge(&mut self, other: &RunningMoments) {
         if other.count == 0 {
             return;
@@ -79,11 +128,15 @@ impl RunningMoments {
         }
         let n1 = self.count as f64;
         let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
         let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
+        let mean1 = self.mean();
+        let delta = other.mean() - mean1;
+        let m2 = self.m2() + other.m2() + delta * delta * n1 * n2 / total;
         self.count += other.count;
+        self.shift = mean1 + delta * n2 / total;
+        self.s1 = 0.0;
+        self.s2 = m2;
+        self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -97,7 +150,22 @@ impl RunningMoments {
     /// Running mean, or `0.0` if no values have been observed.
     #[inline]
     pub fn mean(&self) -> f64 {
-        self.mean
+        if self.count == 0 {
+            0.0
+        } else {
+            self.shift + self.s1 / self.count as f64
+        }
+    }
+
+    /// Sum of squared deviations from the mean, `Σ (v − v̄)²`, clamped at
+    /// zero against rounding.
+    #[inline]
+    fn m2(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            (self.s2 - self.s1 * self.s1 / self.count as f64).max(0.0)
+        }
     }
 
     /// Biased (population-style) sample variance `σ̂² = M2 / m`.
@@ -108,8 +176,7 @@ impl RunningMoments {
         if self.count < 2 {
             0.0
         } else {
-            // Guard against tiny negative values caused by rounding.
-            (self.m2 / self.count as f64).max(0.0)
+            self.m2() / self.count as f64
         }
     }
 
@@ -119,10 +186,11 @@ impl RunningMoments {
         self.variance().sqrt()
     }
 
-    /// Sum of the observed values (`count * mean`).
+    /// Sum of the observed values, accumulated value by value (and added
+    /// exactly across merges), not derived from the mean.
     #[inline]
     pub fn sum(&self) -> f64 {
-        self.mean * self.count as f64
+        self.sum
     }
 
     /// Smallest value observed so far, or `None` for an empty accumulator.
@@ -135,6 +203,12 @@ impl RunningMoments {
     #[inline]
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
+    }
+
+    /// `(min, max)` as stored: `(+∞, −∞)` for an empty accumulator.
+    #[inline]
+    pub(crate) fn extremes(&self) -> (f64, f64) {
+        (self.min, self.max)
     }
 
     /// Resets the accumulator to its empty state.

@@ -36,6 +36,16 @@ pub enum EngineError {
     /// The query builder was finalized without an aggregate (`avg` / `sum` /
     /// `count`).
     MissingAggregate,
+    /// An `EngineConfig` setting is out of range; rejected when the query is
+    /// built. (An invalid δ is reported as `Core(InvalidDelta)`.)
+    InvalidConfig {
+        /// The offending `EngineConfig` field.
+        field: &'static str,
+        /// The rejected value, as written.
+        value: String,
+        /// The accepted range.
+        expected: &'static str,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -62,6 +72,14 @@ impl std::fmt::Display for EngineError {
             EngineError::MissingAggregate => {
                 write!(f, "query built without an aggregate (avg / sum / count)")
             }
+            EngineError::InvalidConfig {
+                field,
+                value,
+                expected,
+            } => write!(
+                f,
+                "invalid config: `{field}` = {value}, expected {expected}"
+            ),
         }
     }
 }
@@ -125,6 +143,15 @@ mod tests {
         assert!(EngineError::MissingAggregate
             .to_string()
             .contains("aggregate"));
+        let e = EngineError::InvalidConfig {
+            field: "alpha",
+            value: "1.5".into(),
+            expected: "a value in (0, 1)",
+        };
+        assert_eq!(
+            e.to_string(),
+            "invalid config: `alpha` = 1.5, expected a value in (0, 1)"
+        );
     }
 
     #[test]

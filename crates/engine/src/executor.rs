@@ -425,8 +425,8 @@ pub(crate) fn execute_exact(
     query: &AggQuery,
     config: &EngineConfig,
 ) -> EngineResult<QueryResult> {
-    // Hoeffding's estimator keeps only (count, mean), the least state that
-    // yields the mean; its interval is never reported.
+    // Hoeffding's flat record is the least state that yields the mean and
+    // the sum; its interval is never reported.
     let config = EngineConfig {
         bounder: BounderKind::Hoeffding,
         start_block: Some(0),
@@ -691,7 +691,7 @@ fn run_scan_loop(
     start_block: usize,
     round_blocks: usize,
     batch_size: usize,
-    rexec: &RoundExecutor<'_>,
+    rexec: &mut RoundExecutor<'_>,
     state: &mut ScanState,
     sink: &mut ProgressiveSink<'_, '_>,
     planner: &mut BatchPlannerFn<'_>,
@@ -800,7 +800,7 @@ fn run_scan_loop(
 /// divergence between the two — the invariant the end-to-end tests assert.
 fn merge_pending(
     source: &dyn BlockSource,
-    rexec: &RoundExecutor<'_>,
+    rexec: &mut RoundExecutor<'_>,
     pending: &mut Vec<BlockId>,
     state: &mut ScanState,
 ) -> EngineResult<()> {
@@ -816,13 +816,13 @@ fn merge_pending(
         // it is single-sourced — unlike the two-sided fetch accounting
         // below.
         state.stats.record_selected(partial.exec.rows_selected);
-        for vp in partial.views {
-            // `ScanStats::rows_matched` is rebuilt from the per-view deltas
+        for (view, view_partial) in &partial.views {
+            // `ScanStats::rows_matched` is rebuilt from the per-view partials
             // being merged, a different worker-side structure than the
             // `ExecMetrics` counter it is asserted against — a dropped or
             // double-merged view partial diverges the two.
-            state.stats.record_matches(vp.matched);
-            state.views[vp.view].absorb_partial(vp.matched, vp.estimator.as_ref());
+            state.stats.record_matches(view_partial.count());
+            state.views[*view as usize].absorb_partial(view_partial);
         }
     })?;
     for &block in pending.iter() {
@@ -1495,6 +1495,25 @@ mod tests {
         let global = r.global().unwrap();
         assert_eq!(global.estimate, Some(expected_sum));
         assert_eq!(global.samples, n as u64 - 1);
+    }
+
+    /// An integer-valued Exact SUM is exactly integral under any partition
+    /// layout: the sum is accumulated value by value and added across
+    /// partitions, not rebuilt as mean × count.
+    #[test]
+    fn exact_integer_sum_is_integral_at_any_partition_count() {
+        for (rows, partitions) in [(199usize, 1u64), (1_700, 7), (16_385, 64)] {
+            let values: Vec<f64> = (0..rows).map(|i| ((i * 7_919) % 1_013) as f64).collect();
+            let expected = (0..rows).map(|i| (i * 7_919) % 1_013).sum::<usize>() as f64;
+            let t = Table::new(vec![Column::float("x", values)]).unwrap();
+            // One-row blocks: the Exact round has `rows` blocks.
+            let s = Scramble::build_with(&t, 3, 1, 0.0).unwrap();
+            let q = AggQuery::sum("s", Expr::col("x")).build();
+            let r = execute_exact(&s, &q, &EngineConfig::default()).unwrap();
+            assert_eq!(r.metrics.exec.partitions, partitions, "{rows} blocks");
+            let sum = r.global().unwrap().estimate.unwrap();
+            assert_eq!(sum, expected, "{partitions} partitions");
+        }
     }
 
     #[test]

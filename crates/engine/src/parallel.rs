@@ -2,24 +2,55 @@
 //! that evaluates predicates and accumulates per-partition partial aggregate
 //! state, merged back deterministically in block-id order.
 //!
-//! ## Design
+//! ## Partition layout
 //!
 //! Each OptStop round plans a list of blocks to fetch. That list is split
-//! into contiguous **partitions** whose boundaries depend only on the list
-//! length (see [`partition_size`]) — never on the thread count. Workers pull
-//! partitions off a shared job queue, scan each partition's blocks in block
-//! order into a fresh [`PartitionPartial`] (per-view estimator partials plus
-//! a private [`ExecMetrics`] counter block, so no counter is shared between
-//! threads), and send the partial back. The coordinator merges the
-//! partials **in partition order** into the master views, each as soon as
-//! it and every earlier partition are done, so only partials that overtook
-//! a slower predecessor are ever held (inline, exactly one).
+//! into contiguous **partitions** of a fixed block count, as morsel-driven
+//! engines size their work units (Leis et al., "Morsel-Driven Parallelism",
+//! SIGMOD 2014): [`partition_size`] is `max(⌈n/64⌉, 256)` blocks for a round
+//! of `n` blocks. A round therefore has at most 64 partitions, and a
+//! partition has at least 256 blocks unless the round is smaller. The layout
+//! depends only on the list length, never on the thread count.
+//!
+//! The price is parallelism inside small rounds. A default round of 40 000
+//! rows (1 600 blocks of 25 rows) has 7 partitions, so at most 7 workers
+//! scan it at once; a round of 256 blocks or fewer runs on one worker. In
+//! exchange a round costs what it scans: per-partition work (a partial per
+//! touched view, its merge, RangeTrim's withheld first observation) is paid
+//! 7 times per default round instead of 64 times.
+//!
+//! ## Accumulation and merge
+//!
+//! Workers pull partitions off a shared job queue and scan each partition's
+//! blocks in block order. Every worker owns a `WorkerScratch`, allocated
+//! once per worker per query: a dense slab with one slot per aggregate view,
+//! the router's per-view value buffers, and the selection vectors. A
+//! partition fills slots and records them in a touched list; at its end
+//! the filled slots are moved into the `PartitionPartial`, leaving them
+//! empty, in O(touched views). Nothing in a partition allocates in
+//! proportion to the number of views.
+//!
+//! For Hoeffding and Bernstein (±RT) a slot holds a plain `Copy`
+//! [`FlatRecord`]: count, sum, shifted sums, extremes and, for RangeTrim,
+//! the clipped left/right moments (see [`fastframe_core::partial`]).
+//! Anderson/DKW (±RT) keeps a boxed estimator per touched view.
+//!
+//! The coordinator folds the partials into the master views **in partition
+//! order**, each as soon as it and every earlier partition are done, with
+//! Chan et al.'s pairwise formulas. Only partials that overtook a slower
+//! predecessor are ever held.
 //!
 //! Because the partition layout and the merge order are pure functions of
-//! the planned block list, the merged estimator states — and every
-//! estimate, variance and CI bound derived from them — are bit-for-bit
-//! identical at any thread count, including `threads = 1`, which runs the
-//! exact same partition/merge code inline without spawning.
+//! the planned block list, the merged states — and every estimate, variance
+//! and CI bound derived from them — are a pure function of (data, plan):
+//! bit-for-bit identical at any thread count, including `threads = 1`, which
+//! runs the same partition/merge code inline without spawning, and on any
+//! backing.
+//!
+//! RangeTrim partials clip against partition-local prefix extremes and
+//! withhold one first observation per partition. That is conservative: it
+//! only widens the interval (the argument is in
+//! [`fastframe_core::partial`]).
 //!
 //! The pool lives for the whole query (workers are spawned once inside a
 //! `crossbeam::thread::scope` and fed rounds through channels), so per-round
@@ -31,27 +62,23 @@
 //! partition's blocks are read through projection pushdown
 //! ([`BlockSource::scan_blocks`] decodes only the columns the query
 //! references, and the segment backing fetches runs of consecutive blocks
-//! with one read), the predicate runs as a
-//! columnar filter kernel producing a [`SelectionVector`], the selected rows
-//! are partitioned by group id once, and every touched aggregate view gets
-//! one contiguous batch of target values per block
-//! ([`MeanEstimator::observe_batch`], a single virtual dispatch per
-//! (block, view) pair). Each view receives its values in ascending row
-//! order.
+//! with one read), the predicate runs as a columnar filter kernel producing
+//! a [`SelectionVector`], the selected rows are partitioned by group id
+//! once, and every touched view's slot gets one contiguous batch of target
+//! values per block. Each view receives its values in ascending row order.
 //!
 //! This is the only code that scans rows. Approximate OptStop rounds and the
 //! Exact baseline (one round over every block) both run through it;
 //! `tests/reference.rs` checks both against a naive row-at-a-time
 //! evaluator.
 //!
-//! [`MeanEstimator::observe_batch`]:
-//!     fastframe_core::bounder::MeanEstimator::observe_batch
 //! [`BlockSource::scan_blocks`]:
 //!     fastframe_store::source::BlockSource::scan_blocks
+//! [`FlatRecord`]: fastframe_core::partial::FlatRecord
 
 use std::ops::ControlFlow;
 
-use fastframe_core::bounder::{BounderKind, BoxedEstimator};
+use fastframe_core::bounder::BounderKind;
 
 use fastframe_store::block::BlockId;
 use fastframe_store::expr::BoundExpr;
@@ -62,27 +89,31 @@ use fastframe_store::table::Table;
 use crate::executor::{BoundQuery, GroupLookup};
 use crate::metrics::ExecMetrics;
 use crate::query::AggregateFunction;
+use crate::view::Accumulator;
 
 /// Upper bound on the number of partitions a round is split into. The
 /// partition layout must be independent of the thread count (determinism),
-/// so this is a constant rather than a multiple of the pool size; 64 keeps
-/// partitions comfortably ahead of any realistic core count while keeping
-/// the per-round merge cost trivial.
-pub(crate) const TARGET_PARTITIONS: usize = 64;
+/// so this is a constant rather than a multiple of the pool size.
+pub(crate) const MAX_PARTITIONS: usize = 64;
+
+/// Smallest partition, in blocks, unless the whole round is smaller: large
+/// enough that per-partition costs (one partial per touched view and its
+/// merge) stay small next to the rows scanned.
+const MIN_PARTITION_BLOCKS: usize = 256;
 
 /// Number of blocks per partition for a round of `total` planned blocks —
 /// a pure function of `total`, never of the thread count.
 pub(crate) fn partition_size(total: usize) -> usize {
-    total.div_ceil(TARGET_PARTITIONS).max(1)
+    total.div_ceil(MAX_PARTITIONS).max(MIN_PARTITION_BLOCKS)
 }
 
 /// The pool size actually used for a requested thread count: at least 1,
-/// and clamped to [`TARGET_PARTITIONS`] — a round never has more jobs, so
+/// and clamped to [`MAX_PARTITIONS`] — a round never has more jobs, so
 /// extra workers could only idle, and the clamp keeps an absurd setting
 /// (or `FASTFRAME_THREADS` value) from exhausting OS thread limits. This is
 /// also the value reported in `QueryMetrics::threads`.
 pub(crate) fn effective_pool_size(threads: usize) -> usize {
-    threads.clamp(1, TARGET_PARTITIONS)
+    threads.clamp(1, MAX_PARTITIONS)
 }
 
 /// Everything a scan worker needs to process a partition: shared, read-only
@@ -94,7 +125,7 @@ pub(crate) struct ScanContext<'a> {
     pub bound: &'a BoundQuery,
     /// The query's aggregate function.
     pub aggregate: AggregateFunction,
-    /// Bounder kind used to create per-partition estimator partials.
+    /// Bounder kind of the views, and so of their partials.
     pub bounder: BounderKind,
     /// Row → aggregate-view routing.
     pub lookup: &'a GroupLookup,
@@ -105,24 +136,15 @@ pub(crate) struct ScanContext<'a> {
     pub projection: Vec<usize>,
 }
 
-/// One aggregate view's accumulation over one partition.
-pub(crate) struct ViewPartial {
-    /// View id (index into the executor's view list).
-    pub view: usize,
-    /// Rows routed to the view in this partition.
-    pub matched: u64,
-    /// Estimator partial of the view's bounder kind.
-    pub estimator: BoxedEstimator,
-}
-
 /// The result of scanning one partition.
 pub(crate) struct PartitionPartial {
     /// Partition index within the round (merge key).
     pub index: usize,
     /// Worker-private counters for this partition.
     pub exec: ExecMetrics,
-    /// Touched views in ascending view-id order.
-    pub views: Vec<ViewPartial>,
+    /// Touched views' partials, in first-touch order (views are
+    /// independent, so the order only has to be deterministic).
+    pub views: Vec<(u32, Accumulator)>,
     /// A block read failure (I/O error or chunk corruption detected mid
     /// scan); the coordinator fails the query with it instead of merging.
     pub error: Option<fastframe_store::table::StoreError>,
@@ -131,54 +153,71 @@ pub(crate) struct PartitionPartial {
     pub panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
-/// Above this many aggregate views, partitions accumulate into a sorted map
-/// instead of a dense per-view slot vector: a dense vector would cost
-/// O(partitions × num_views) initialization and sweep per round even when
-/// each partition touches a handful of groups.
-const DENSE_VIEW_LIMIT: usize = 4096;
-
-/// Per-partition view accumulator: dense slots for small group universes
-/// (index = one array access on the row hot path), a sorted map for large
-/// ones. Both emit touched views in ascending view-id order.
-enum PartialViews {
-    Dense(Vec<Option<(u64, BoxedEstimator)>>),
-    Sparse(std::collections::BTreeMap<usize, (u64, BoxedEstimator)>),
+/// One slot per aggregate view, holding the view's partial for the
+/// partition being scanned; `None` until the view is touched.
+struct Slab {
+    kind: BounderKind,
+    slots: Vec<Option<Accumulator>>,
+    /// Views with a filled slot, in first-touch order.
+    touched: Vec<u32>,
 }
 
-impl PartialViews {
-    fn new(num_views: usize) -> Self {
-        if num_views <= DENSE_VIEW_LIMIT {
-            PartialViews::Dense((0..num_views).map(|_| None).collect())
-        } else {
-            PartialViews::Sparse(std::collections::BTreeMap::new())
+impl Slab {
+    fn new(kind: BounderKind, num_views: usize) -> Self {
+        Self {
+            kind,
+            slots: (0..num_views).map(|_| None).collect(),
+            touched: Vec::new(),
         }
     }
 
+    /// Folds a batch of `view`'s values into its slot.
     #[inline]
-    fn slot(&mut self, view_id: usize, bounder: BounderKind) -> &mut (u64, BoxedEstimator) {
-        match self {
-            PartialViews::Dense(slots) => {
-                slots[view_id].get_or_insert_with(|| (0, bounder.make_estimator()))
-            }
-            PartialViews::Sparse(map) => map
-                .entry(view_id)
-                .or_insert_with(|| (0, bounder.make_estimator())),
+    fn observe(&mut self, view: u32, values: &[f64]) {
+        let slot = &mut self.slots[view as usize];
+        if slot.is_none() {
+            self.touched.push(view);
         }
+        slot.get_or_insert_with(|| Accumulator::new(self.kind))
+            .observe_batch(values);
     }
 
-    fn into_sorted(self) -> Vec<ViewPartial> {
-        let emit = |(view, (matched, estimator)): (usize, (u64, BoxedEstimator))| ViewPartial {
-            view,
-            matched,
-            estimator,
-        };
-        match self {
-            PartialViews::Dense(slots) => slots
-                .into_iter()
-                .enumerate()
-                .filter_map(|(view, slot)| slot.map(|s| emit((view, s))))
-                .collect(),
-            PartialViews::Sparse(map) => map.into_iter().map(emit).collect(),
+    /// Moves the touched slots out as partials, leaving every slot empty,
+    /// in O(touched).
+    fn take(&mut self) -> Vec<(u32, Accumulator)> {
+        let slots = &mut self.slots;
+        self.touched
+            .drain(..)
+            .map(|view| {
+                let partial = slots[view as usize].take();
+                (view, partial.expect("a touched slot is filled"))
+            })
+            .collect()
+    }
+}
+
+/// A scan worker's reusable state: allocated once per worker per query,
+/// reset after every partition in O(touched views).
+struct WorkerScratch {
+    slab: Slab,
+    router: BatchRouter,
+    /// One selection (plus a scratch pool for Or/Not temporaries) reused
+    /// across blocks: blocks are small (25 rows by default), so per-block
+    /// allocation would dominate the kernels themselves.
+    sel: SelectionVector,
+    filter_scratch: SelectionScratch,
+    /// Group-code scratch for multi-column lookups.
+    codes: Vec<u32>,
+}
+
+impl WorkerScratch {
+    fn new(ctx: &ScanContext<'_>) -> Self {
+        Self {
+            slab: Slab::new(ctx.bounder, ctx.num_views),
+            router: BatchRouter::new(ctx.num_views),
+            sel: SelectionVector::empty(),
+            filter_scratch: SelectionScratch::new(),
+            codes: Vec::with_capacity(4),
         }
     }
 }
@@ -186,8 +225,8 @@ impl PartialViews {
 /// Scans one partition's blocks in block order, producing its partial:
 /// projected block reads, columnar predicate kernels into a
 /// [`SelectionVector`], one group-routing pass over the selected rows, and
-/// one `observe_batch` per (block, view) pair, each view's values in
-/// ascending row order.
+/// one batch update per (block, view) pair, each view's values in ascending
+/// row order.
 ///
 /// Blocks are obtained through one [`BlockSource::scan_blocks`] call: a
 /// zero-copy view per block for in-memory scrambles, run reads decoding
@@ -196,46 +235,37 @@ impl PartialViews {
 /// passed) stops the partition and is carried back in the partial; the
 /// coordinator fails the whole query with it, so callers get an
 /// `EngineResult::Err` instead of a crash.
-pub(crate) fn scan_partition(
+fn scan_partition(
     ctx: &ScanContext<'_>,
+    scratch: &mut WorkerScratch,
     index: usize,
     blocks: &[BlockId],
 ) -> PartitionPartial {
-    let mut views = PartialViews::new(ctx.num_views);
-    let mut scratch: Vec<u32> = Vec::with_capacity(4);
+    let WorkerScratch {
+        slab,
+        router,
+        sel,
+        filter_scratch,
+        codes,
+    } = scratch;
     let mut exec = ExecMetrics::default();
-    let mut router = BatchRouter::new(ctx.num_views);
-    // One selection (plus a scratch pool for Or/Not temporaries) reused
-    // across all of the partition's blocks: blocks are small (25 rows by
-    // default), so per-block allocation would dominate the kernels
-    // themselves.
-    let mut sel = SelectionVector::empty();
-    let mut filter_scratch = SelectionScratch::new();
-
     let projection = Some(ctx.projection.as_slice());
     let scanned = ctx
         .source
         .scan_blocks(blocks, projection, &mut |_, block_ref| {
             let table = block_ref.table();
             exec.record_block(block_ref.len() as u64);
-            ctx.bound.predicate.filter_block_scratch(
-                table,
-                block_ref.rows(),
-                &mut sel,
-                &mut filter_scratch,
-            );
+            ctx.bound
+                .predicate
+                .filter_block_scratch(table, block_ref.rows(), sel, filter_scratch);
             exec.record_selected(sel.len() as u64);
             if !sel.is_empty() {
                 let kernel = ValueKernel::for_block(ctx, table);
-                router.route_block(
-                    ctx,
-                    table,
-                    &sel,
-                    &kernel,
-                    &mut views,
-                    &mut scratch,
-                    &mut exec,
-                );
+                let matched =
+                    router.route_block(ctx.lookup, table, sel, &kernel, codes, |view, values| {
+                        slab.observe(view, values)
+                    });
+                exec.record_matches(matched);
             }
             ControlFlow::Continue(())
         });
@@ -244,7 +274,7 @@ pub(crate) fn scan_partition(
     PartitionPartial {
         index,
         exec,
-        views: views.into_sorted(),
+        views: slab.take(),
         error: scanned.err(),
         panic: None,
     }
@@ -297,16 +327,12 @@ impl<'a> ValueKernel<'a> {
 }
 
 /// Partitions a block's selected rows by aggregate-view id, buffering each
-/// view's target values in ascending row order, then flushes every touched
-/// view with a single `observe_batch`.
-///
-/// For group universes up to [`DENSE_VIEW_LIMIT`] the buffers are dense
-/// (view id indexes straight into a slot, allocated once per partition and
-/// reused across blocks). Above the limit the per-block dense sweep would
-/// dominate, so rows fall back to immediate per-row observation — identical
-/// results, since each view still sees its values in row order.
+/// view's target values in ascending row order, then hands every touched
+/// view's buffer to a flush callback once. The buffers are dense (view id
+/// indexes straight into a slot), allocated once per worker and reused
+/// across blocks.
 struct BatchRouter {
-    /// Per-view value buffers for the block being routed (dense mode).
+    /// Per-view value buffers for the block being routed.
     buffers: Vec<Vec<f64>>,
     /// View ids with a non-empty buffer, in first-touch order.
     touched: Vec<u32>,
@@ -314,46 +340,25 @@ struct BatchRouter {
 
 impl BatchRouter {
     fn new(num_views: usize) -> Self {
-        let dense = num_views <= DENSE_VIEW_LIMIT;
         Self {
-            buffers: if dense {
-                (0..num_views).map(|_| Vec::new()).collect()
-            } else {
-                Vec::new()
-            },
+            buffers: (0..num_views).map(|_| Vec::new()).collect(),
             touched: Vec::new(),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Routes the block's selected rows and flushes each touched view's
+    /// values with `flush(view, values)`. Returns the number of values
+    /// routed.
     fn route_block(
         &mut self,
-        ctx: &ScanContext<'_>,
+        lookup: &GroupLookup,
         table: &Table,
         sel: &SelectionVector,
         kernel: &ValueKernel<'_>,
-        views: &mut PartialViews,
-        scratch: &mut Vec<u32>,
-        exec: &mut ExecMetrics,
-    ) {
-        if self.buffers.is_empty() {
-            // Sparse universe: observe per row.
-            for &r in sel.rows() {
-                let row = r as usize;
-                let Some(value) = kernel.value(table, row) else {
-                    continue;
-                };
-                if let Some(view_id) = ctx.lookup.view_of(table, row, scratch) {
-                    let (matched, estimator) = views.slot(view_id, ctx.bounder);
-                    estimator.observe(value);
-                    *matched += 1;
-                    exec.record_matches(1);
-                }
-            }
-            return;
-        }
-
-        match ctx.lookup {
+        codes: &mut Vec<u32>,
+        mut flush: impl FnMut(u32, &[f64]),
+    ) -> u64 {
+        match lookup {
             GroupLookup::Global => {
                 let buffer = &mut self.buffers[0];
                 for &r in sel.rows() {
@@ -372,10 +377,10 @@ impl BatchRouter {
                 // One columnar pass over the group column's codes; a code
                 // that maps to no view (or a non-categorical column, which
                 // has no group) routes nowhere.
-                if let Some(codes) = table.column_at(*column).category_codes() {
+                if let Some(group_codes) = table.column_at(*column).category_codes() {
                     for &r in sel.rows() {
                         let row = r as usize;
-                        let Some(&view) = views_by_code.get(codes[row] as usize) else {
+                        let Some(&view) = views_by_code.get(group_codes[row] as usize) else {
                             continue;
                         };
                         if view == u32::MAX {
@@ -398,7 +403,7 @@ impl BatchRouter {
                     let Some(value) = kernel.value(table, row) else {
                         continue;
                     };
-                    let Some(view_id) = ctx.lookup.view_of(table, row, scratch) else {
+                    let Some(view_id) = lookup.view_of(table, row, codes) else {
                         continue;
                     };
                     let buffer = &mut self.buffers[view_id];
@@ -410,19 +415,19 @@ impl BatchRouter {
             }
         }
 
-        // Flush: one observe_batch per touched view, values in ascending
-        // row order. Flush order across views is irrelevant to results
-        // (views are independent) but deterministic anyway (first-touch
-        // order is a pure function of the block's data).
+        // Flush: one batch per touched view, values in ascending row order.
+        // Flush order across views is irrelevant to results (views are
+        // independent) but deterministic anyway (first-touch order is a pure
+        // function of the block's data).
+        let mut routed = 0;
         for &view in &self.touched {
             let buffer = &mut self.buffers[view as usize];
-            let (matched, estimator) = views.slot(view as usize, ctx.bounder);
-            estimator.observe_batch(buffer);
-            *matched += buffer.len() as u64;
-            exec.record_matches(buffer.len() as u64);
+            flush(view, buffer);
+            routed += buffer.len() as u64;
             buffer.clear();
         }
         self.touched.clear();
+        routed
     }
 }
 
@@ -439,11 +444,19 @@ struct Pool {
     results: crossbeam::channel::Receiver<PartitionPartial>,
 }
 
+/// Where a round's partitions are scanned.
+enum Mode {
+    /// `threads == 1`: on the coordinator, with its own scratch.
+    Inline(Box<WorkerScratch>),
+    /// On a worker pool; each worker owns its scratch.
+    Pool(Pool),
+}
+
 /// Executes rounds of planned blocks, either inline (`threads == 1`) or on a
 /// scoped worker pool — with identical results either way.
 pub(crate) struct RoundExecutor<'a> {
     ctx: &'a ScanContext<'a>,
-    pool: Option<Pool>,
+    mode: Mode,
 }
 
 impl RoundExecutor<'_> {
@@ -459,7 +472,7 @@ impl RoundExecutor<'_> {
     /// after open-time validation). The caller must then discard the state
     /// it merged into: later partitions are not merged.
     pub fn execute_round(
-        &self,
+        &mut self,
         blocks: &[BlockId],
         mut merge: impl FnMut(PartitionPartial),
     ) -> Result<(), fastframe_store::table::StoreError> {
@@ -481,11 +494,14 @@ impl RoundExecutor<'_> {
                 }
             }
         };
-        let Some(pool) = &self.pool else {
-            for (i, chunk) in chunks.enumerate() {
-                accept(scan_partition(self.ctx, i, chunk))?;
+        let pool = match &mut self.mode {
+            Mode::Inline(scratch) => {
+                for (i, chunk) in chunks.enumerate() {
+                    accept(scan_partition(self.ctx, scratch, i, chunk))?;
+                }
+                return Ok(());
             }
-            return Ok(());
+            Mode::Pool(pool) => pool,
         };
         let total = chunks.len();
         for (i, chunk) in chunks.enumerate() {
@@ -520,11 +536,14 @@ impl RoundExecutor<'_> {
 pub(crate) fn with_round_executor<R>(
     ctx: &ScanContext<'_>,
     threads: usize,
-    f: impl FnOnce(&RoundExecutor<'_>) -> R,
+    f: impl FnOnce(&mut RoundExecutor<'_>) -> R,
 ) -> R {
     let threads = effective_pool_size(threads);
     if threads <= 1 {
-        return f(&RoundExecutor { ctx, pool: None });
+        return f(&mut RoundExecutor {
+            ctx,
+            mode: Mode::Inline(Box::new(WorkerScratch::new(ctx))),
+        });
     }
     crossbeam::thread::scope(|scope| {
         let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job>();
@@ -533,19 +552,25 @@ pub(crate) fn with_round_executor<R>(
             let jobs = job_rx.clone();
             let results = result_tx.clone();
             scope.spawn(move || {
+                let mut scratch = WorkerScratch::new(ctx);
                 while let Ok(job) = jobs.recv() {
                     // Catch panics so the coordinator (blocked on the result
                     // channel) is never deadlocked by a dying worker; the
                     // poisoned marker re-raises the panic on the coordinator.
                     let partial = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        scan_partition(ctx, job.index, &job.blocks)
+                        scan_partition(ctx, &mut scratch, job.index, &job.blocks)
                     }))
-                    .unwrap_or_else(|payload| PartitionPartial {
-                        index: job.index,
-                        exec: ExecMetrics::default(),
-                        views: Vec::new(),
-                        error: None,
-                        panic: Some(payload),
+                    .unwrap_or_else(|payload| {
+                        // The interrupted partition may have left slots
+                        // filled; start over from clean buffers.
+                        scratch = WorkerScratch::new(ctx);
+                        PartitionPartial {
+                            index: job.index,
+                            exec: ExecMetrics::default(),
+                            views: Vec::new(),
+                            error: None,
+                            panic: Some(payload),
+                        }
                     });
                     if results.send(partial).is_err() {
                         break;
@@ -557,9 +582,9 @@ pub(crate) fn with_round_executor<R>(
         // when `f` returns and the job sender goes out of scope.
         drop(job_rx);
         drop(result_tx);
-        f(&RoundExecutor {
+        f(&mut RoundExecutor {
             ctx,
-            pool: Some(Pool {
+            mode: Mode::Pool(Pool {
                 jobs: job_tx,
                 results: result_rx,
             }),
@@ -574,14 +599,42 @@ mod tests {
 
     #[test]
     fn partition_size_is_thread_count_independent() {
-        assert_eq!(partition_size(0), 1);
-        assert_eq!(partition_size(1), 1);
-        assert_eq!(partition_size(TARGET_PARTITIONS), 1);
-        assert_eq!(partition_size(TARGET_PARTITIONS + 1), 2);
-        assert_eq!(partition_size(1600), 25);
-        // Every round of `n` blocks yields at most TARGET_PARTITIONS chunks.
-        for n in [1usize, 7, 63, 64, 65, 1000, 4096] {
-            assert!(n.div_ceil(partition_size(n)) <= TARGET_PARTITIONS, "n={n}");
+        // A pure function of the round length: no thread count appears.
+        assert_eq!(partition_size(0), MIN_PARTITION_BLOCKS);
+        assert_eq!(partition_size(1), 256);
+        assert_eq!(partition_size(255), 256);
+        assert_eq!(partition_size(256), 256);
+        assert_eq!(partition_size(257), 256);
+        assert_eq!(partition_size(1600), 256);
+        assert_eq!(partition_size(16_384), 256);
+        assert_eq!(partition_size(16_385), 257);
+        assert_eq!(partition_size(40_000), 625);
+        // Partition counts at the edges: one partition up to 256 blocks,
+        // 7 for a default 1 600-block round, exactly 64 at 16 384.
+        let partitions = |n: usize| n.div_ceil(partition_size(n));
+        assert_eq!(partitions(255), 1);
+        assert_eq!(partitions(256), 1);
+        assert_eq!(partitions(257), 2);
+        assert_eq!(partitions(1600), 7);
+        assert_eq!(partitions(16_384), 64);
+        // Every round of `n` blocks yields at most MAX_PARTITIONS chunks.
+        for n in [
+            1usize,
+            7,
+            63,
+            64,
+            65,
+            255,
+            256,
+            257,
+            1000,
+            1600,
+            4096,
+            16_384,
+            16_385,
+            1 << 20,
+        ] {
+            assert!(partitions(n) <= MAX_PARTITIONS, "n={n}");
         }
     }
 }

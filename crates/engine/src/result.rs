@@ -118,9 +118,9 @@ pub fn select_groups(query: &AggQuery, groups: &[GroupResult]) -> Vec<usize> {
             let ex = groups[x].estimate.expect("filtered to Some above");
             let ey = groups[y].estimate.expect("filtered to Some above");
             if order.descending {
-                ey.partial_cmp(&ex).expect("estimates are not NaN")
+                ey.total_cmp(&ex)
             } else {
-                ex.partial_cmp(&ey).expect("estimates are not NaN")
+                ex.total_cmp(&ey)
             }
         });
         indices.truncate(order.limit);
@@ -194,6 +194,31 @@ mod tests {
             .order_asc_limit(2)
             .build();
         assert_eq!(select_groups(&q, &groups), vec![0, 2]);
+    }
+
+    /// A NaN estimate sorts by `total_cmp` (above +∞) instead of panicking
+    /// in ORDER BY; the finite groups keep their relative order.
+    #[test]
+    fn order_limit_with_a_nan_estimate_does_not_panic() {
+        let nan = GroupResult {
+            estimate: Some(f64::NAN),
+            ci: Ci {
+                lo: f64::NAN,
+                hi: f64::NAN,
+            },
+            ..group("nan", 0.0)
+        };
+        let groups = vec![group("a", 3.0), nan, group("b", 7.0)];
+        let desc = AggQuery::avg("q", Expr::col("x"))
+            .group_by("g")
+            .order_desc_limit(3)
+            .build();
+        assert_eq!(select_groups(&desc, &groups), vec![1, 2, 0]);
+        let asc = AggQuery::avg("q", Expr::col("x"))
+            .group_by("g")
+            .order_asc_limit(2)
+            .build();
+        assert_eq!(select_groups(&asc, &groups), vec![0, 2]);
     }
 
     #[test]

@@ -324,10 +324,28 @@ impl Session {
     }
 }
 
-/// Rejects a config the executor would refuse, so the error surfaces when
-/// the query is built rather than when it runs: δ must lie in (0, 1).
+/// Rejects a config the executor would refuse or silently reinterpret, so
+/// the error surfaces when the query is built rather than when it runs: δ
+/// and α must lie in (0, 1), and rounds and lookahead batches must hold at
+/// least one row and one block.
 fn validate_config(config: &EngineConfig) -> EngineResult<()> {
     DeltaBudget::new(config.delta)?;
+    let invalid = |field, value: String, expected| {
+        Err(EngineError::InvalidConfig {
+            field,
+            value,
+            expected,
+        })
+    };
+    if !(config.alpha > 0.0 && config.alpha < 1.0) {
+        return invalid("alpha", config.alpha.to_string(), "a value in (0, 1)");
+    }
+    if config.round_rows == 0 {
+        return invalid("round_rows", "0".into(), "at least 1 row");
+    }
+    if config.lookahead_batch == 0 {
+        return invalid("lookahead_batch", "0".into(), "at least 1 block");
+    }
     Ok(())
 }
 
@@ -667,6 +685,56 @@ mod tests {
         s.register_with("flights", &table(), TableOptions::default().seed(99))
             .unwrap();
         s
+    }
+
+    #[test]
+    fn a_bad_alpha_round_or_batch_is_rejected_when_the_query_is_built() {
+        let base = || session().defaults().to_builder();
+        let cases = [
+            ("alpha", base().alpha(0.0).build()),
+            ("alpha", base().alpha(1.0).build()),
+            ("alpha", base().alpha(-0.5).build()),
+            ("alpha", base().alpha(f64::NAN).build()),
+            ("round_rows", base().round_rows(0).build()),
+            ("lookahead_batch", base().lookahead_batch(0).build()),
+        ];
+        for (field, config) in cases {
+            let mut from_defaults = session();
+            from_defaults.set_defaults(config.clone());
+            let per_query = session()
+                .query("flights")
+                .avg(Expr::col("delay"))
+                .config(config)
+                .build()
+                .map(|_| ());
+            let defaults = from_defaults
+                .query("flights")
+                .avg(Expr::col("delay"))
+                .build()
+                .map(|_| ());
+            let query = AggQuery::avg("q", Expr::col("delay")).build();
+            let prepared = from_defaults.prepare("flights", &query).map(|_| ());
+            for (how, result) in [
+                ("per-query config", per_query),
+                ("session defaults", defaults),
+                ("prepare", prepared),
+            ] {
+                match result {
+                    Err(EngineError::InvalidConfig { field: got, .. }) => {
+                        assert_eq!(got, field, "{how}")
+                    }
+                    other => panic!("{field} from {how}: expected InvalidConfig, got {other:?}"),
+                }
+            }
+        }
+        // The edges of the accepted ranges build.
+        let config = base().alpha(0.5).round_rows(1).lookahead_batch(1).build();
+        assert!(session()
+            .query("flights")
+            .avg(Expr::col("delay"))
+            .config(config)
+            .build()
+            .is_ok());
     }
 
     #[test]

@@ -5,22 +5,103 @@
 //!
 //! * a streaming mean estimator (one of the bounders of `fastframe-core`,
 //!   selected by [`BounderKind`]) fed the target-expression values of
-//!   matching rows;
+//!   matching rows: a flat record for Hoeffding and Bernstein (±RT), a boxed
+//!   estimator for Anderson/DKW;
 //! * the count of matching rows seen, which — combined with the total number
 //!   of scanned rows and the scramble size — yields the selectivity bounds of
 //!   Lemma 5 and the dataset-size upper bound `N⁺` of Theorem 3;
 //! * running (monotonically shrinking) intervals across OptStop rounds for
 //!   both the aggregate and the COUNT.
 
-use fastframe_core::bounder::{BoundContext, BounderKind, BoxedEstimator, Ci, MeanEstimator};
+use fastframe_core::bounder::{BoundContext, BounderKind, BoxedEstimator, Ci};
 use fastframe_core::count::SelectivityTracker;
 use fastframe_core::error::CoreResult;
 use fastframe_core::optstop::RunningInterval;
+use fastframe_core::partial::{FlatBounder, FlatRecord};
 use fastframe_core::stopping::GroupSnapshot;
 use fastframe_core::sum::sum_interval;
 
 use crate::query::AggregateFunction;
 use crate::result::{GroupKey, GroupResult};
+
+/// A view's estimator state, and the partial a scan partition accumulates
+/// for one view: the master state and its partials share this type.
+pub(crate) enum Accumulator {
+    /// Hoeffding and Bernstein (±RT): one plain record, no allocation and no
+    /// virtual call.
+    Flat(FlatBounder, FlatRecord),
+    /// Anderson/DKW (±RT), whose state is an O(m) sample.
+    Boxed(BoxedEstimator),
+}
+
+impl Accumulator {
+    /// An empty accumulator of `kind`.
+    pub(crate) fn new(kind: BounderKind) -> Self {
+        match kind.flat() {
+            Some(flat) => Accumulator::Flat(flat, FlatRecord::EMPTY),
+            None => Accumulator::Boxed(kind.make_estimator()),
+        }
+    }
+
+    /// Observes a batch of values in slice order.
+    pub(crate) fn observe_batch(&mut self, values: &[f64]) {
+        match self {
+            Accumulator::Flat(kind, record) => kind.observe_batch(record, values),
+            Accumulator::Boxed(estimator) => estimator.observe_batch(values),
+        }
+    }
+
+    /// Folds `later`, accumulated over a later partition, into `self`.
+    fn merge(&mut self, later: &Accumulator) {
+        match (self, later) {
+            (Accumulator::Flat(_, record), Accumulator::Flat(_, other)) => record.merge(other),
+            (Accumulator::Boxed(estimator), Accumulator::Boxed(other)) => {
+                let merged = estimator.merge_from(other.as_ref());
+                debug_assert!(merged, "partition estimator kind differs from the view's");
+            }
+            _ => unreachable!("a view and its partials share one bounder kind"),
+        }
+    }
+
+    /// Number of values observed.
+    pub(crate) fn count(&self) -> u64 {
+        match self {
+            Accumulator::Flat(_, record) => record.all.count(),
+            Accumulator::Boxed(estimator) => estimator.count(),
+        }
+    }
+
+    fn estimate(&self) -> Option<f64> {
+        match self {
+            Accumulator::Flat(kind, record) => kind.estimate(record),
+            Accumulator::Boxed(estimator) => estimator.estimate(),
+        }
+    }
+
+    /// The accumulated sum of the values, where the state keeps one.
+    fn sum(&self) -> Option<f64> {
+        match self {
+            Accumulator::Flat(_, record) => (record.all.count() > 0).then(|| record.all.sum()),
+            Accumulator::Boxed(_) => None,
+        }
+    }
+
+    fn interval(&self, ctx: &BoundContext) -> Ci {
+        match self {
+            Accumulator::Flat(kind, record) => kind.interval(record, ctx),
+            Accumulator::Boxed(estimator) => estimator.interval(ctx),
+        }
+    }
+}
+
+impl std::fmt::Debug for Accumulator {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Accumulator::Flat(kind, _) => write!(f, "Flat({kind:?})"),
+            Accumulator::Boxed(estimator) => write!(f, "Boxed({})", estimator.bounder_name()),
+        }
+    }
+}
 
 /// Per-group approximation state.
 pub struct AggregateView {
@@ -28,7 +109,7 @@ pub struct AggregateView {
     pub id: usize,
     /// Group identity.
     pub key: GroupKey,
-    estimator: BoxedEstimator,
+    estimator: Accumulator,
     /// Derived range bounds `[a, b]` of the target expression.
     range: (f64, f64),
     /// Rows matched by this view so far.
@@ -56,7 +137,7 @@ impl std::fmt::Debug for AggregateView {
         f.debug_struct("AggregateView")
             .field("id", &self.id)
             .field("key", &self.key)
-            .field("bounder", &self.estimator.bounder_name())
+            .field("estimator", &self.estimator)
             .field("range", &self.range)
             .field("matched", &self.matched)
             .finish()
@@ -69,7 +150,7 @@ impl AggregateView {
         Self {
             id,
             key,
-            estimator: bounder.make_estimator(),
+            estimator: Accumulator::new(bounder),
             range,
             matched: 0,
             known_absent: 0,
@@ -83,24 +164,19 @@ impl AggregateView {
     #[inline]
     pub fn observe(&mut self, value: f64) {
         self.matched += 1;
-        self.estimator.observe(value);
+        self.estimator.observe_batch(&[value]);
     }
 
-    /// Folds a scan partition's partial accumulation for this view into the
-    /// master state: `matched` rows observed on a worker, whose estimator
-    /// (of the same [`BounderKind`]) is merged deterministically.
+    /// Folds a scan partition's partial accumulation for this view (of the
+    /// same [`BounderKind`]) into the master state, in partition order.
     ///
     /// The running intervals are *not* touched here — they only advance at
     /// round boundaries via [`Self::round_update`], after every partition of
     /// the round has been merged, which is what keeps round evaluation
     /// identical at any thread count.
-    pub fn absorb_partial(&mut self, matched: u64, estimator: &dyn MeanEstimator) {
-        self.matched += matched;
-        let merged = self.estimator.merge_from(estimator);
-        debug_assert!(
-            merged,
-            "partition estimator kind differs from the view's bounder"
-        );
+    pub(crate) fn absorb_partial(&mut self, partial: &Accumulator) {
+        self.matched += partial.count();
+        self.estimator.merge(partial);
     }
 
     /// Records that `rows` rows were skipped in blocks provably containing no
@@ -256,6 +332,12 @@ impl AggregateView {
         match aggregate {
             AggregateFunction::Avg => self.estimator.estimate(),
             AggregateFunction::Count => Some(count_estimate),
+            // After a full pass the sum of the matching rows is known: read
+            // it as accumulated instead of rebuilding it from the mean.
+            AggregateFunction::Sum if accounted == scramble_rows => self
+                .estimator
+                .sum()
+                .or_else(|| self.estimator.estimate().map(|m| m * count_estimate)),
             AggregateFunction::Sum => self.estimator.estimate().map(|m| m * count_estimate),
         }
     }
@@ -348,19 +430,19 @@ mod tests {
         // that observed the same values partition-by-partition.
         let mut direct = view(BounderKind::BernsteinRangeTrim);
         let mut merged = view(BounderKind::BernsteinRangeTrim);
-        let mut partial_a = BounderKind::BernsteinRangeTrim.make_estimator();
-        let mut partial_b = BounderKind::BernsteinRangeTrim.make_estimator();
+        let mut partial_a = Accumulator::new(BounderKind::BernsteinRangeTrim);
+        let mut partial_b = Accumulator::new(BounderKind::BernsteinRangeTrim);
         for i in 0..300u64 {
             let v = 10.0 + (i % 17) as f64;
             direct.observe(v);
             if i < 200 {
-                partial_a.observe(v);
+                partial_a.observe_batch(&[v]);
             } else {
-                partial_b.observe(v);
+                partial_b.observe_batch(&[v]);
             }
         }
-        merged.absorb_partial(200, partial_a.as_ref());
-        merged.absorb_partial(100, partial_b.as_ref());
+        merged.absorb_partial(&partial_a);
+        merged.absorb_partial(&partial_b);
         assert_eq!(merged.matched(), direct.matched());
         let m = merged.mean_estimate().unwrap();
         let d = direct.mean_estimate().unwrap();

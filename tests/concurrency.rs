@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use fastframe_core::bounder::BounderKind;
 use fastframe_engine::config::{EngineConfig, SamplingStrategy};
 use fastframe_engine::progressive::{Budget, CancellationReason, RoundControl};
-use fastframe_engine::session::Session;
+use fastframe_engine::session::{Session, TableOptions};
 use fastframe_engine::{ProgressiveResult, QueryResult};
 use fastframe_store::column::Column;
 use fastframe_store::expr::Expr;
@@ -399,4 +399,66 @@ fn exec_metrics_partitions_reflect_the_pipeline() {
     assert!(r.metrics.exec.partitions > 0);
     assert_eq!(r.metrics.threads, 4);
     assert_exec_consistent(&r);
+}
+
+/// Rounds of exactly 255, 256, 257 and 16 384 blocks sit on the edges of the
+/// partition layout: one partition, one full partition, two, and exactly
+/// the cap of 64. Results must still be bitwise equal at 1 and 8 threads.
+#[test]
+fn partition_layout_edges_are_thread_count_independent() {
+    let t = table(20_000);
+    let (values, groups) = (t.column("v").unwrap(), t.column("g").unwrap());
+    let labels = groups.dictionary().unwrap();
+    let mut sums = std::collections::HashMap::<String, (f64, f64)>::new();
+    for row in 0..t.num_rows() {
+        let label = &labels[groups.category_code(row).unwrap() as usize];
+        let entry = sums.entry(label.clone()).or_default();
+        entry.0 += values.float_values().unwrap()[row];
+        entry.1 += 1.0;
+    }
+    let truths: std::collections::HashMap<String, f64> =
+        sums.into_iter().map(|(g, (sum, n))| (g, sum / n)).collect();
+    let mut s = Session::new();
+    s.register_with(TABLE, &t, TableOptions::default().block_size(1))
+        .unwrap();
+    for round_blocks in [255u64, 256, 257, 16_384] {
+        let run = |threads: usize| {
+            let config = EngineConfig::builder()
+                .bounder(BounderKind::BernsteinRangeTrim)
+                .strategy(SamplingStrategy::Scan)
+                .delta(1e-9)
+                .round_rows(round_blocks)
+                .seed(4)
+                .threads(threads)
+                .build();
+            s.query(TABLE)
+                .avg(Expr::col("v"))
+                .group_by("g")
+                .absolute_width(0.0)
+                .config(config)
+                .execute()
+                .unwrap()
+        };
+        let (one, eight) = (run(1), run(8));
+        assert_identical(&one, &eight);
+        assert_exec_consistent(&eight);
+        // A full pass: the partials merged across partitions give the true
+        // group means.
+        for g in &one.groups {
+            let truth = truths[&g.key.display()];
+            let estimate = g.estimate.unwrap();
+            assert!(
+                (estimate - truth).abs() <= 1e-9 * truth.abs(),
+                "{}: {estimate} vs {truth}",
+                g.key.display()
+            );
+        }
+        // The full pass scans ⌊20 000 / n⌋ whole rounds and one remainder;
+        // a round of `b` blocks has ⌈b / max(⌈b/64⌉, 256)⌉ partitions.
+        let parts = |b: u64| b.div_ceil(b.div_ceil(64).max(256));
+        let rounds = 20_000 / round_blocks;
+        let expected = rounds * parts(round_blocks) + parts(20_000 % round_blocks);
+        assert_eq!(one.metrics.exec.partitions, expected, "n={round_blocks}");
+        assert_eq!(eight.metrics.exec.partitions, expected, "n={round_blocks}");
+    }
 }
