@@ -19,9 +19,9 @@ pub enum SamplingStrategy {
     /// performed inline (incurring the index-lookup latency on the critical
     /// path).
     ActiveSync,
-    /// Active scanning with asynchronous lookahead: a separate worker marks
-    /// batches of blocks for processing or skipping using the bitmap index,
-    /// off the critical path (§4.3).
+    /// Active scanning with lookahead (§4.3): `ActiveSync`'s bitmap checks,
+    /// but each batch of blocks is decided against the active set of one
+    /// batch earlier. Those decisions define it; planning runs inline.
     ActivePeek,
 }
 
@@ -73,7 +73,8 @@ pub struct EngineConfig {
     /// 40 000). CIs are recomputed after roughly this many rows have been
     /// read from fetched blocks.
     pub round_rows: u64,
-    /// Lookahead batch size in blocks for `ActivePeek` (paper: 1024).
+    /// Planner batch size in blocks (paper: 1024), the unit by which
+    /// `ActivePeek`'s decisions lag the active set.
     pub lookahead_batch: usize,
     /// Starting block of the scan. `None` picks a pseudo-random start from
     /// `seed` ("each approximate query was started from a random position in
@@ -257,7 +258,7 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Sets the `ActivePeek` lookahead batch size in blocks.
+    /// Sets the planner batch size in blocks (`ActivePeek`'s staleness).
     pub fn lookahead_batch(mut self, blocks: usize) -> Self {
         self.config.lookahead_batch = blocks;
         self

@@ -15,6 +15,8 @@
 //! 3. **Scan** blocks of the scramble starting from a random position,
 //!    skipping blocks according to the sampling strategy (predicate bitmap
 //!    for all strategies, active-group bitmaps for ActiveSync/ActivePeek).
+//!    One inline [`BlockPlanner`] decides a batch of blocks at a time on the
+//!    coordinating thread, for every strategy and pass.
 //! 4. After every `round_rows` rows worth of fetched blocks, recompute every
 //!    view's confidence intervals, fold them into the running intervals, and
 //!    evaluate the query's stopping condition; stop as soon as it is
@@ -83,18 +85,12 @@ use crate::progressive::{
 };
 use crate::query::{AggQuery, AggregateFunction};
 use crate::result::{select_groups, GroupKey, QueryResult};
-use crate::sampling::{plan_batch, ActiveSet, PeekPlanner, PlanContext};
+use crate::sampling::{ActiveSet, BlockPlanner};
 use crate::view::AggregateView;
 
 /// A per-round observer: receives each round's [`Snapshot`] and decides
 /// whether the scan continues.
 pub type RoundObserver<'a> = dyn FnMut(&Snapshot) -> RoundControl + 'a;
-
-/// A batch planner: maps a batch of blocks (plus the following batch, for
-/// lookahead prefetching) and the current active set to fetch/skip decisions
-/// and the number of bitmap probes performed.
-type BatchPlannerFn<'a> =
-    dyn FnMut(&[BlockId], Option<&[BlockId]>, &ActiveSet) -> (Vec<bool>, u64) + 'a;
 
 /// A query bound against a particular scramble. Shared read-only with the
 /// scan workers of `crate::parallel`.
@@ -295,8 +291,6 @@ impl GroupLookup {
 struct ScanState {
     views: Vec<AggregateView>,
     ever_inactive: Vec<bool>,
-    /// View ids in the current active set (all views before the first round).
-    active_view_ids: Vec<usize>,
     rows_scanned: u64,
     stats: ScanStats,
     /// Worker-side counters, merged per round in partition order.
@@ -308,25 +302,17 @@ struct ScanState {
 }
 
 impl ScanState {
-    /// Accounts for a skipped block: rows of the block are provably absent
-    /// from every *active* view (and, before the first round, from every
-    /// view, since the only skips possible then are predicate-level ones);
+    /// Accounts for a skipped block decided against the active set `planned`,
+    /// which lags the current set under ActivePeek or when a round ends
+    /// mid-batch (a group can re-enter the set in between). Its rows are
+    /// recorded absent for the views active both in `planned` and now (all
+    /// views before the first round, when only predicate-level skips occur);
     /// every other view's selectivity denominator is marked unclean.
-    fn record_skipped_block(&mut self, rows: u64) {
+    fn record_skipped_block(&mut self, rows: u64, planned: &ActiveSet) {
         self.stats.record_skip();
-        if !self.active.initialized {
-            for view in &mut self.views {
-                view.record_absent(rows);
-            }
-            return;
-        }
-        self.any_active_skip = true;
-        let mut is_active = vec![false; self.views.len()];
-        for &id in &self.active_view_ids {
-            is_active[id] = true;
-        }
-        for (view, active) in self.views.iter_mut().zip(is_active) {
-            if active {
+        self.any_active_skip |= self.active.initialized;
+        for (id, view) in self.views.iter_mut().enumerate() {
+            if planned.contains(id) && self.active.contains(id) {
                 view.record_absent(rows);
             } else {
                 view.mark_denominator_unclean();
@@ -502,14 +488,11 @@ fn run_progressive(
         }
         Pass::Exact => usize::MAX,
     };
-    let batch_size = config.lookahead_batch.max(1);
 
-    let all_view_ids: Vec<usize> = (0..views.len()).collect();
     let num_views = views.len();
     let mut state = ScanState {
         views,
         ever_inactive,
-        active_view_ids: all_view_ids,
         rows_scanned: 0,
         stats: ScanStats::new(),
         exec: ExecMetrics::default(),
@@ -556,76 +539,33 @@ fn run_progressive(
         projection,
     };
 
-    // Runs the scan loop under a batch planner.
-    let mut scan = |planner: &mut BatchPlannerFn<'_>| {
-        with_round_executor(&scan_ctx, threads, |rexec| {
-            run_scan_loop(
-                source,
-                query,
-                config,
-                &view_budget,
-                scramble_rows,
-                start_block,
-                round_blocks,
-                batch_size,
-                rexec,
-                &mut state,
-                &mut sink,
-                planner,
-            )
-        })
-    };
     // Numeric range conjuncts feed zone-map block skipping (all strategies).
-    let range_filters = query.filter.range_filters();
-    let plan_context = || {
-        PlanContext::new(
+    // Exact has nothing to probe, so its planner fetches every block.
+    let mut planner = match pass {
+        Pass::Approximate => BlockPlanner::new(
             source,
             &query.group_by,
             bound.predicate_eq.clone(),
-            &range_filters,
+            &query.filter.range_filters(),
             config.strategy,
-        )
+        ),
+        Pass::Exact => BlockPlanner::new(source, &[], None, &[], SamplingStrategy::Scan),
     };
-    match (pass, config.strategy) {
-        (Pass::Exact, _) => {
-            scan(
-                &mut |chunk: &[BlockId], _: Option<&[BlockId]>, _: &ActiveSet| {
-                    (vec![true; chunk.len()], 0)
-                },
-            )?;
-        }
-        (Pass::Approximate, SamplingStrategy::Scan | SamplingStrategy::ActiveSync) => {
-            let ctx = plan_context();
-            scan(
-                &mut |chunk: &[BlockId], _: Option<&[BlockId]>, active: &ActiveSet| {
-                    plan_batch(&ctx, chunk, active)
-                },
-            )?;
-        }
-        (Pass::Approximate, SamplingStrategy::ActivePeek) => {
-            let fallback_ctx = plan_context();
-            let (mut peek, worker) = PeekPlanner::new(plan_context());
-            std::thread::scope(|scope| -> EngineResult<()> {
-                scope.spawn(worker);
-                let out = scan(&mut |chunk: &[BlockId],
-                                     next: Option<&[BlockId]>,
-                                     active: &ActiveSet| {
-                    let current = peek
-                        .collect()
-                        .unwrap_or_else(|| plan_batch(&fallback_ctx, chunk, active));
-                    if let Some(next) = next {
-                        peek.prefetch(next, active);
-                    }
-                    current
-                });
-                // `peek` is dropped before the scope ends, closing the
-                // request channel so the worker thread exits before the scope
-                // joins it.
-                drop(peek);
-                out
-            })?;
-        }
-    }
+    with_round_executor(&scan_ctx, threads, |rexec| {
+        run_scan_loop(
+            source,
+            query,
+            config,
+            &view_budget,
+            scramble_rows,
+            start_block,
+            round_blocks,
+            rexec,
+            &mut state,
+            &mut sink,
+            &mut planner,
+        )
+    })?;
 
     // Final round so that views updated since the last round evaluation have
     // fresh intervals, then finalize. A cancelled scan is a partial pass, so
@@ -676,11 +616,10 @@ fn run_progressive(
     })
 }
 
-/// The block-scan loop shared by all strategies. `planner` maps a batch of
-/// blocks (plus the following batch, for lookahead prefetching) to fetch/skip
-/// decisions; fetch-granted blocks accumulate into the current round's
-/// pending list and are scanned by the partitioned pipeline (`rexec`) when
-/// the round fills up.
+/// The block-scan loop shared by all strategies and passes. `planner`
+/// decides one batch of `config.lookahead_batch` blocks at a time;
+/// fetch-granted blocks accumulate into the current round's pending list and
+/// are scanned by the partitioned pipeline (`rexec`) when the round fills up.
 #[allow(clippy::too_many_arguments)]
 fn run_scan_loop(
     source: &dyn BlockSource,
@@ -690,11 +629,10 @@ fn run_scan_loop(
     scramble_rows: u64,
     start_block: usize,
     round_blocks: usize,
-    batch_size: usize,
     rexec: &mut RoundExecutor<'_>,
     state: &mut ScanState,
     sink: &mut ProgressiveSink<'_, '_>,
-    planner: &mut BatchPlannerFn<'_>,
+    planner: &mut BlockPlanner<'_>,
 ) -> EngineResult<()> {
     // Scan order: every block once, from `start_block` on, wrapping around
     // (§5.2), taken one planner batch at a time.
@@ -711,26 +649,26 @@ fn run_scan_loop(
         return Ok(());
     }
 
-    let mut next: Vec<BlockId> = order.by_ref().take(batch_size).collect();
-    'batches: while !next.is_empty() {
-        if sink.check_deadline() {
-            // Pending blocks are dropped unscanned: the deadline wants the
-            // fastest possible valid answer, and unscanned grants are simply
-            // rows the estimate never saw.
-            break 'batches;
+    let batch_size = config.lookahead_batch.max(1);
+    let mut batch = Vec::new();
+    'batches: loop {
+        batch.clear();
+        batch.extend(order.by_ref().take(batch_size));
+        // On a deadline, pending blocks are dropped unscanned: the deadline
+        // wants the fastest possible valid answer, and unscanned grants are
+        // simply rows the estimate never saw.
+        if batch.is_empty() || sink.check_deadline() {
+            break;
         }
-        let chunk = std::mem::replace(&mut next, order.by_ref().take(batch_size).collect());
-        let lookahead = (!next.is_empty()).then_some(next.as_slice());
 
-        let (decisions, checks) = planner(&chunk, lookahead, &state.active);
+        let (decisions, checks) = planner.plan(&batch, &state.active);
         state.stats.record_index_checks(checks);
 
-        for (offset, &block) in chunk.iter().enumerate() {
-            let fetch = decisions.get(offset).copied().unwrap_or(true);
+        for (&block, fetch) in batch.iter().zip(decisions) {
             let rows = source.block_rows(block);
             let block_rows = (rows.end - rows.start) as u64;
             if !fetch {
-                state.record_skipped_block(block_rows);
+                state.record_skipped_block(block_rows, planner.planned_with());
                 continue;
             }
             if let Some(cap) = sink.budget.max_rows {
@@ -889,19 +827,14 @@ fn evaluate_round(
     let satisfied = query.stopping.is_satisfied(&snapshots);
     if !satisfied {
         let active_ids = query.stopping.active_groups(&snapshots);
-        let active_lookup: std::collections::HashSet<usize> = active_ids.iter().copied().collect();
-        for (i, flag) in state.ever_inactive.iter_mut().enumerate() {
-            if !active_lookup.contains(&i) {
-                *flag = true;
-            }
-        }
         state.active = ActiveSet::of(
             active_ids
-                .iter()
-                .map(|&id| state.views[id].key.codes.clone())
-                .collect(),
+                .into_iter()
+                .map(|id| (id, state.views[id].key.codes.clone())),
         );
-        state.active_view_ids = active_ids;
+        for (id, flag) in state.ever_inactive.iter_mut().enumerate() {
+            *flag |= !state.active.contains(id);
+        }
     }
     Ok((satisfied, snapshots))
 }
@@ -1534,5 +1467,42 @@ mod tests {
             execute_exact(&s, &q, &EngineConfig::default()),
             Err(EngineError::InvalidGroupBy { .. })
         ));
+    }
+
+    #[test]
+    fn skipped_rows_are_absent_only_from_views_active_at_planning_and_now() {
+        // View 0 is active in the set the block was planned with and now;
+        // view 1 re-entered the active set after planning; view 2 left it.
+        let views = (0..3)
+            .map(|id| {
+                let key = GroupKey {
+                    codes: vec![id as u32],
+                    labels: vec![format!("g{id}")],
+                };
+                AggregateView::new(id, key, BounderKind::Hoeffding, (0.0, 1.0))
+            })
+            .collect();
+        let mut state = ScanState {
+            views,
+            ever_inactive: vec![true; 3],
+            rows_scanned: 0,
+            stats: ScanStats::new(),
+            exec: ExecMetrics::default(),
+            rounds: 2,
+            active: ActiveSet::of([(0, vec![0]), (1, vec![1])]),
+            any_active_skip: false,
+            converged: false,
+        };
+        let planned = ActiveSet::of([(0, vec![0]), (2, vec![2])]);
+        state.record_skipped_block(25, &planned);
+
+        assert_eq!(state.views[0].known_absent(), 25);
+        assert!(state.views[0].denominator_clean());
+        for view in &state.views[1..] {
+            assert_eq!(view.known_absent(), 0, "view {}", view.id);
+            assert!(!view.denominator_clean(), "view {}", view.id);
+        }
+        assert!(state.any_active_skip);
+        assert_eq!(state.stats.blocks_skipped, 1);
     }
 }

@@ -14,7 +14,7 @@
 //! * the stopping conditions Ê–Ï of §4.2 and the matching active-group
 //!   rules of §4.3,
 //! * the three sampling strategies evaluated in §5 (`Scan`, `ActiveSync`,
-//!   `ActivePeek` with asynchronous lookahead), and
+//!   `ActivePeek` with one-batch-stale lookahead), and
 //! * the `Exact` baseline, run as one full pass of the same scan pipeline.
 //!
 //! ## Entry point

@@ -7,14 +7,17 @@
 //! * [`SamplingStrategy::Scan`] skips only blocks that cannot satisfy a fixed
 //!   categorical equality predicate (when one exists and is indexed);
 //! * [`SamplingStrategy::ActiveSync`] additionally skips blocks containing no
-//!   rows of any *active* group, checking the bitmap index synchronously for
-//!   every block;
-//! * [`SamplingStrategy::ActivePeek`] makes the same decisions but computes
-//!   them on a lookahead worker one batch (1024 blocks) ahead of the scan, so
-//!   the index probes overlap with block processing (§4.3's async lookahead).
+//!   rows of any *active* group, deciding each batch against the active set
+//!   current when the batch is planned;
+//! * [`SamplingStrategy::ActivePeek`] makes the same probes, but decides each
+//!   batch (1024 blocks) against the active set of one batch earlier, as the
+//!   paper's lookahead does (§4.3). It is defined by those one-batch-stale
+//!   decisions: a group that became inactive in the meantime only causes
+//!   extra fetches, never missed ones.
 //!
-//! [`plan_batch`] contains the shared decision logic; [`PeekPlanner`] adds the
-//! double-buffered worker pipeline used by `ActivePeek`.
+//! [`BlockPlanner`] makes every decision, inline on the coordinating thread,
+//! for every strategy and for the Exact pass (a planner with nothing to
+//! probe).
 //!
 //! Independently of the strategy, two predicate-level pruning mechanisms
 //! apply to every block: the categorical equality bitmap (as before) and
@@ -24,13 +27,11 @@
 //! scrambles and on-disk segments plan identically.
 //!
 //! Planning composes with the partitioned scan pipeline of
-//! `crate::parallel`: the planner (inline or lookahead) decides *which*
-//! blocks a round fetches, and the worker pool then scans the granted
-//! blocks. Decisions depend only on the active set at plan time — never on
-//! worker scheduling — so the planned block sequence, and with it every
-//! result, is independent of the scan thread count.
-
-use crossbeam::channel::{bounded, Receiver, Sender};
+//! `crate::parallel`: the planner decides *which* blocks a round fetches,
+//! and the worker pool then scans the granted blocks. Decisions depend only
+//! on the active sets handed to the planner — never on worker scheduling —
+//! so the planned block sequence, and with it every result, is independent
+//! of the scan thread count.
 
 use fastframe_store::bitmap::BlockBitmapIndex;
 use fastframe_store::block::BlockId;
@@ -39,8 +40,9 @@ use fastframe_store::zone::{RangeFilter, ZoneMap};
 
 pub use crate::config::SamplingStrategy;
 
-/// The set of groups still requiring samples, expressed as dictionary-code
-/// tuples over the query's GROUP BY columns.
+/// The set of groups still requiring samples. Each group is known by its id
+/// (the executor's view id) and by its dictionary-code tuple over the
+/// query's GROUP BY columns, which is what the planner probes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActiveSet {
     /// `false` until the first OptStop round has produced group snapshots; a
@@ -48,7 +50,10 @@ pub struct ActiveSet {
     pub initialized: bool,
     /// One entry per active group: the group's dictionary codes, one per
     /// GROUP BY column (in query order).
-    pub tuples: Vec<Vec<u32>>,
+    tuples: Vec<Vec<u32>>,
+    /// `members[id]` is whether group `id` is active (ids past the end are
+    /// not).
+    members: Vec<bool>,
 }
 
 impl ActiveSet {
@@ -56,15 +61,21 @@ impl ActiveSet {
     pub fn all_active() -> Self {
         Self {
             initialized: false,
-            tuples: Vec::new(),
+            ..Self::of([])
         }
     }
 
-    /// An initialized active set with the given group code tuples.
-    pub fn of(tuples: Vec<Vec<u32>>) -> Self {
+    /// An initialized active set of `(group id, dictionary codes)` pairs.
+    pub fn of(groups: impl IntoIterator<Item = (usize, Vec<u32>)>) -> Self {
+        let (ids, tuples): (Vec<usize>, _) = groups.into_iter().unzip();
+        let mut members = vec![false; ids.iter().max().map_or(0, |&id| id + 1)];
+        for id in ids {
+            members[id] = true;
+        }
         Self {
             initialized: true,
             tuples,
+            members,
         }
     }
 
@@ -72,27 +83,42 @@ impl ActiveSet {
     pub fn is_empty(&self) -> bool {
         self.initialized && self.tuples.is_empty()
     }
+
+    /// Whether group `id` is active (every group is before initialization).
+    pub fn contains(&self, id: usize) -> bool {
+        !self.initialized || self.members.get(id).copied().unwrap_or(false)
+    }
 }
 
-/// Immutable per-query context needed to make block decisions.
-pub struct PlanContext<'a> {
+/// The per-query block planner: decides, one batch of blocks at a time,
+/// which blocks to fetch.
+pub struct BlockPlanner<'a> {
     /// Bitmap indexes of the GROUP BY columns, in query order (only columns
     /// that have an index; columns without one are treated as "always
     /// present", which is conservative).
-    pub group_indexes: Vec<Option<&'a BlockBitmapIndex>>,
+    group_indexes: Vec<Option<&'a BlockBitmapIndex>>,
     /// Bitmap index and code for a categorical equality predicate, if the
     /// query has one on an indexed column.
-    pub predicate_index: Option<(&'a BlockBitmapIndex, u32)>,
+    predicate_index: Option<(&'a BlockBitmapIndex, u32)>,
     /// Zone maps and range filters for the query's numeric range conjuncts,
     /// in predicate extraction order (only conjuncts whose column has a zone
     /// map; the rest cannot rule blocks out).
-    pub zone_filters: Vec<(&'a ZoneMap, RangeFilter)>,
+    zone_filters: Vec<(&'a ZoneMap, RangeFilter)>,
     /// Whether group-level (active-scanning) skipping is enabled.
-    pub use_active_skipping: bool,
+    use_active_skipping: bool,
+    /// Whether a batch is decided against the active set handed in with the
+    /// previous batch (ActivePeek) rather than its own.
+    one_batch_stale: bool,
+    /// The active set handed in with the previous batch (ActivePeek only).
+    previous: Option<ActiveSet>,
+    /// The active set the latest batch was decided against.
+    planned_with: ActiveSet,
 }
 
-impl<'a> PlanContext<'a> {
-    /// Builds the planning context for a query over `source`.
+impl<'a> BlockPlanner<'a> {
+    /// Builds the planner of a query over `source`. Exact's planner has
+    /// nothing to probe (no columns, no predicate, `Scan`), so it fetches
+    /// every block with zero index checks.
     ///
     /// `group_columns` are the GROUP BY column names; `predicate_eq` is the
     /// `(column, code)` of a categorical equality predicate if one exists;
@@ -120,17 +146,47 @@ impl<'a> PlanContext<'a> {
             group_indexes,
             predicate_index,
             zone_filters,
-            use_active_skipping: matches!(
-                strategy,
-                SamplingStrategy::ActiveSync | SamplingStrategy::ActivePeek
-            ),
+            use_active_skipping: strategy != SamplingStrategy::Scan,
+            one_batch_stale: strategy == SamplingStrategy::ActivePeek,
+            previous: None,
+            planned_with: ActiveSet::all_active(),
         }
     }
 
-    /// Decides whether `block` must be fetched given the current active set.
-    /// Also returns the number of index probes performed (bitmap lookups and
-    /// zone-map overlap tests alike).
-    pub fn block_decision(&self, block: BlockId, active: &ActiveSet) -> (bool, u64) {
+    /// Decides the next batch of `blocks` given the caller's current
+    /// `active` set: returns a fetch/skip decision per block plus the number
+    /// of index probes performed (bitmap lookups and zone-map overlap tests
+    /// alike). ActivePeek decides against the set handed in with the
+    /// previous batch (its first batch against its own); the other
+    /// strategies against `active`.
+    pub fn plan(&mut self, blocks: &[BlockId], active: &ActiveSet) -> (Vec<bool>, u64) {
+        let previous = if self.one_batch_stale {
+            self.previous.replace(active.clone())
+        } else {
+            None
+        };
+        self.planned_with = previous.unwrap_or_else(|| active.clone());
+        let mut checks = 0u64;
+        let decisions = blocks
+            .iter()
+            .map(|&block| {
+                let (fetch, c) = self.block_decision(block);
+                checks += c;
+                fetch
+            })
+            .collect();
+        (decisions, checks)
+    }
+
+    /// The active set the latest [`plan`](Self::plan) call decided its batch
+    /// against.
+    pub fn planned_with(&self) -> &ActiveSet {
+        &self.planned_with
+    }
+
+    /// Decides whether `block` must be fetched given `planned_with`, and
+    /// counts the index probes performed.
+    fn block_decision(&self, block: BlockId) -> (bool, u64) {
         let mut checks = 0u64;
 
         // Predicate-level skipping applies to every strategy.
@@ -151,6 +207,7 @@ impl<'a> PlanContext<'a> {
             }
         }
 
+        let active = &self.planned_with;
         if !self.use_active_skipping || !active.initialized {
             return (true, checks);
         }
@@ -177,107 +234,6 @@ impl<'a> PlanContext<'a> {
             }
         }
         (false, checks)
-    }
-}
-
-/// Plans a batch of blocks: returns a fetch/skip decision per block plus the
-/// total number of bitmap probes performed.
-pub fn plan_batch(
-    ctx: &PlanContext<'_>,
-    blocks: &[BlockId],
-    active: &ActiveSet,
-) -> (Vec<bool>, u64) {
-    let mut decisions = Vec::with_capacity(blocks.len());
-    let mut checks = 0u64;
-    for &b in blocks {
-        let (fetch, c) = ctx.block_decision(b, active);
-        decisions.push(fetch);
-        checks += c;
-    }
-    (decisions, checks)
-}
-
-/// Request sent to the lookahead worker: a batch of blocks plus the active
-/// set current at request time.
-struct PeekRequest {
-    blocks: Vec<BlockId>,
-    active: ActiveSet,
-}
-
-/// Response from the lookahead worker.
-struct PeekResponse {
-    decisions: Vec<bool>,
-    checks: u64,
-}
-
-/// Double-buffered lookahead planner for `ActivePeek`.
-///
-/// The planner issues the bitmap probes for the *next* batch on a worker
-/// thread while the executor processes the current batch, mirroring the async
-/// lookahead design of §4.3. Decisions for a batch are therefore based on the
-/// active set as of one batch earlier, which is conservative: a group that
-/// became inactive in the meantime only causes extra fetches, never missed
-/// ones.
-pub struct PeekPlanner {
-    request_tx: Sender<PeekRequest>,
-    response_rx: Receiver<PeekResponse>,
-    pending: bool,
-}
-
-impl PeekPlanner {
-    /// Creates the planner and hands back the worker closure that must be run
-    /// on a (scoped) thread. Splitting construction this way lets the caller
-    /// own the thread scope while the planner stays a plain value.
-    pub fn new(ctx: PlanContext<'_>) -> (Self, impl FnOnce() + Send + '_) {
-        let (request_tx, request_rx) = bounded::<PeekRequest>(2);
-        let (response_tx, response_rx) = bounded::<PeekResponse>(2);
-        let worker = move || {
-            while let Ok(req) = request_rx.recv() {
-                let (decisions, checks) = plan_batch(&ctx, &req.blocks, &req.active);
-                if response_tx
-                    .send(PeekResponse { decisions, checks })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-        };
-        (
-            Self {
-                request_tx,
-                response_rx,
-                pending: false,
-            },
-            worker,
-        )
-    }
-
-    /// Requests planning of the next batch with the current active set.
-    pub fn prefetch(&mut self, blocks: &[BlockId], active: &ActiveSet) {
-        if blocks.is_empty() {
-            return;
-        }
-        let req = PeekRequest {
-            blocks: blocks.to_vec(),
-            active: active.clone(),
-        };
-        if self.request_tx.send(req).is_ok() {
-            self.pending = true;
-        }
-    }
-
-    /// Retrieves the decisions for the batch most recently prefetched.
-    /// Returns `None` if no prefetch is outstanding (caller should plan
-    /// synchronously).
-    pub fn collect(&mut self) -> Option<(Vec<bool>, u64)> {
-        if !self.pending {
-            return None;
-        }
-        self.pending = false;
-        self.response_rx
-            .recv()
-            .ok()
-            .map(|resp| (resp.decisions, resp.checks))
     }
 }
 
@@ -324,12 +280,13 @@ mod tests {
     fn scan_strategy_only_uses_predicate_index() {
         let s = scramble();
         let g_code = s.table().column("g").unwrap().code_of("hot").unwrap();
-        let ctx = PlanContext::new(&s, &["g".to_string()], None, &[], SamplingStrategy::Scan);
+        let mut planner =
+            BlockPlanner::new(&s, &["g".to_string()], None, &[], SamplingStrategy::Scan);
         // Even with an "initialized" active set that excludes everything,
         // Scan fetches every block.
-        let active = ActiveSet::of(vec![]);
+        let active = ActiveSet::of([]);
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let (decisions, _) = plan_batch(&ctx, &blocks, &active);
+        let (decisions, _) = planner.plan(&blocks, &active);
         assert!(decisions.iter().all(|&d| d));
         // Unused but exercised: the group bitmap exists.
         assert!(s.bitmap_index("g").unwrap().num_values() > 0);
@@ -341,9 +298,10 @@ mod tests {
         let s = scramble();
         let p_code = s.table().column("p").unwrap().code_of("yes").unwrap();
         for strategy in SamplingStrategy::ALL {
-            let ctx = PlanContext::new(&s, &[], Some(("p".to_string(), p_code)), &[], strategy);
+            let mut planner =
+                BlockPlanner::new(&s, &[], Some(("p".to_string(), p_code)), &[], strategy);
             let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-            let (decisions, checks) = plan_batch(&ctx, &blocks, &ActiveSet::all_active());
+            let (decisions, checks) = planner.plan(&blocks, &ActiveSet::all_active());
             // "yes" appears in every block with overwhelming probability
             // (100 rows spread over 8 blocks); verify agreement with the
             // index rather than assuming.
@@ -359,16 +317,16 @@ mod tests {
     fn active_skipping_matches_bitmap_membership() {
         let s = scramble();
         let hot = s.table().column("g").unwrap().code_of("hot").unwrap();
-        let ctx = PlanContext::new(
+        let mut planner = BlockPlanner::new(
             &s,
             &["g".to_string()],
             None,
             &[],
             SamplingStrategy::ActiveSync,
         );
-        let active = ActiveSet::of(vec![vec![hot]]);
+        let active = ActiveSet::of([(0, vec![hot])]);
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let (decisions, _) = plan_batch(&ctx, &blocks, &active);
+        let (decisions, _) = planner.plan(&blocks, &active);
         let idx = s.bitmap_index("g").unwrap();
         for (i, d) in decisions.iter().enumerate() {
             assert_eq!(*d, idx.block_contains(hot, BlockId(i)));
@@ -391,10 +349,10 @@ mod tests {
             "x".to_string(),
             fastframe_store::zone::RangeFilter::Gt(150.0),
         )];
-        let ctx = PlanContext::new(&s, &[], None, &filters, SamplingStrategy::Scan);
-        assert_eq!(ctx.zone_filters.len(), 1);
+        let mut planner = BlockPlanner::new(&s, &[], None, &filters, SamplingStrategy::Scan);
+        assert_eq!(planner.zone_filters.len(), 1);
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let (decisions, checks) = plan_batch(&ctx, &blocks, &ActiveSet::all_active());
+        let (decisions, checks) = planner.plan(&blocks, &ActiveSet::all_active());
         let zone = s.zone_map("x").unwrap();
         for (i, d) in decisions.iter().enumerate() {
             let (_, max) = zone.block_range(BlockId(i)).unwrap();
@@ -404,23 +362,23 @@ mod tests {
         // A filter nothing satisfies skips every block; an unknown column
         // has no zone map and cannot skip anything.
         let filters = vec![("x".to_string(), fastframe_store::zone::RangeFilter::Gt(1e9))];
-        let ctx = PlanContext::new(&s, &[], None, &filters, SamplingStrategy::Scan);
-        let (decisions, _) = plan_batch(&ctx, &blocks, &ActiveSet::all_active());
+        let mut planner = BlockPlanner::new(&s, &[], None, &filters, SamplingStrategy::Scan);
+        let (decisions, _) = planner.plan(&blocks, &ActiveSet::all_active());
         assert!(decisions.iter().all(|&d| !d));
         let filters = vec![(
             "missing".to_string(),
             fastframe_store::zone::RangeFilter::Gt(1e9),
         )];
-        let ctx = PlanContext::new(&s, &[], None, &filters, SamplingStrategy::Scan);
-        assert!(ctx.zone_filters.is_empty());
-        let (decisions, _) = plan_batch(&ctx, &blocks, &ActiveSet::all_active());
+        let mut planner = BlockPlanner::new(&s, &[], None, &filters, SamplingStrategy::Scan);
+        assert!(planner.zone_filters.is_empty());
+        let (decisions, _) = planner.plan(&blocks, &ActiveSet::all_active());
         assert!(decisions.iter().all(|&d| d));
     }
 
     #[test]
     fn uninitialized_active_set_fetches_everything() {
         let s = scramble();
-        let ctx = PlanContext::new(
+        let mut planner = BlockPlanner::new(
             &s,
             &["g".to_string()],
             None,
@@ -428,14 +386,14 @@ mod tests {
             SamplingStrategy::ActivePeek,
         );
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let (decisions, _) = plan_batch(&ctx, &blocks, &ActiveSet::all_active());
+        let (decisions, _) = planner.plan(&blocks, &ActiveSet::all_active());
         assert!(decisions.iter().all(|&d| d));
     }
 
     #[test]
     fn empty_active_set_skips_everything() {
         let s = scramble();
-        let ctx = PlanContext::new(
+        let mut planner = BlockPlanner::new(
             &s,
             &["g".to_string()],
             None,
@@ -443,9 +401,9 @@ mod tests {
             SamplingStrategy::ActiveSync,
         );
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let (decisions, _) = plan_batch(&ctx, &blocks, &ActiveSet::of(vec![]));
+        let (decisions, _) = planner.plan(&blocks, &ActiveSet::of([]));
         assert!(decisions.iter().all(|&d| !d));
-        assert!(ActiveSet::of(vec![]).is_empty());
+        assert!(ActiveSet::of([]).is_empty());
         assert!(!ActiveSet::all_active().is_empty());
     }
 
@@ -465,7 +423,7 @@ mod tests {
         let s = Scramble::build_with(&t, 5, 10, 0.0).unwrap();
         let code_a0 = s.table().column("c1").unwrap().code_of("a0").unwrap();
         let code_b3 = s.table().column("c2").unwrap().code_of("b3").unwrap();
-        let ctx = PlanContext::new(
+        let mut planner = BlockPlanner::new(
             &s,
             &["c1".to_string(), "c2".to_string()],
             None,
@@ -475,9 +433,9 @@ mod tests {
         // Group (a0, b3) does not exist in the data (a0 covers rows 0..50,
         // b3 covers rows 75..100), but the planner only knows per-column
         // membership; a block is fetched only if both codes appear in it.
-        let active = ActiveSet::of(vec![vec![code_a0, code_b3]]);
+        let active = ActiveSet::of([(0, vec![code_a0, code_b3])]);
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let (decisions, _) = plan_batch(&ctx, &blocks, &active);
+        let (decisions, _) = planner.plan(&blocks, &active);
         let idx1 = s.bitmap_index("c1").unwrap();
         let idx2 = s.bitmap_index("c2").unwrap();
         for (i, d) in decisions.iter().enumerate() {
@@ -488,38 +446,45 @@ mod tests {
     }
 
     #[test]
-    fn peek_planner_produces_same_decisions_as_sync() {
+    fn active_peek_decides_each_batch_against_the_previous_batch_set() {
         let s = scramble();
         let hot = s.table().column("g").unwrap().code_of("hot").unwrap();
+        let group_by = ["g".to_string()];
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let active = ActiveSet::of(vec![vec![hot]]);
+        let batches: Vec<&[BlockId]> = blocks.chunks(2).collect();
+        // The active set handed in with each batch, changing every batch.
+        let sets = [
+            ActiveSet::of([]),
+            ActiveSet::of([(0, vec![hot])]),
+            ActiveSet::of([]),
+            ActiveSet::of([(0, vec![hot])]),
+        ];
+        assert_eq!(batches.len(), sets.len());
+        let sync = |batch: &[BlockId], set: &ActiveSet| {
+            BlockPlanner::new(&s, &group_by, None, &[], SamplingStrategy::ActiveSync)
+                .plan(batch, set)
+        };
 
-        let sync_ctx = PlanContext::new(
-            &s,
-            &["g".to_string()],
-            None,
-            &[],
-            SamplingStrategy::ActiveSync,
-        );
-        let (expected, _) = plan_batch(&sync_ctx, &blocks, &active);
+        let mut peek = BlockPlanner::new(&s, &group_by, None, &[], SamplingStrategy::ActivePeek);
+        let mut stale_differs = false;
+        for (k, (batch, set)) in batches.iter().zip(&sets).enumerate() {
+            // Batch 0 is decided against its own set, batch k against the
+            // set handed in at k - 1 — decisions and index checks alike.
+            let decided_against = &sets[k.saturating_sub(1)];
+            let decisions = peek.plan(batch, set);
+            assert_eq!(decisions, sync(batch, decided_against), "batch {k}");
+            assert_eq!(peek.planned_with(), decided_against, "batch {k}");
+            stale_differs |= decisions.0 != sync(batch, set).0;
+        }
+        // The sets differ enough that planning against the fresh set would
+        // have decided differently.
+        assert!(stale_differs);
 
-        let peek_ctx = PlanContext::new(
-            &s,
-            &["g".to_string()],
-            None,
-            &[],
-            SamplingStrategy::ActivePeek,
-        );
-        let (mut planner, worker) = PeekPlanner::new(peek_ctx);
-        std::thread::scope(|scope| {
-            scope.spawn(worker);
-            planner.prefetch(&blocks, &active);
-            let (decisions, checks) = planner.collect().expect("prefetch was issued");
-            assert_eq!(decisions, expected);
-            assert!(checks > 0);
-            // No outstanding prefetch → None.
-            assert!(planner.collect().is_none());
-            drop(planner);
-        });
+        // Exact has nothing to probe: every block, zero checks, whatever the
+        // active set.
+        let mut exact = BlockPlanner::new(&s, &[], None, &[], SamplingStrategy::Scan);
+        for (batch, set) in batches.iter().zip(&sets) {
+            assert_eq!(exact.plan(batch, set), (vec![true; batch.len()], 0));
+        }
     }
 }

@@ -192,6 +192,12 @@ impl AggregateView {
         self.denominator_clean = false;
     }
 
+    /// Whether no block with unknown membership for this view has been
+    /// skipped (see [`Self::mark_denominator_unclean`]).
+    pub fn denominator_clean(&self) -> bool {
+        self.denominator_clean
+    }
+
     /// Number of rows that matched this view.
     pub fn matched(&self) -> u64 {
         self.matched

@@ -75,12 +75,6 @@ impl BitSet {
         }
     }
 
-    /// Whether any bit in `range` is set (used for batch lookahead checks).
-    pub fn any_in_range(&self, start: usize, end: usize) -> bool {
-        let end = end.min(self.len);
-        (start..end).any(|i| self.get(i))
-    }
-
     /// The backing `u64` words (for serialization). Bit `i` lives at
     /// `words()[i / 64]`, position `i % 64`.
     pub fn words(&self) -> &[u64] {
@@ -228,9 +222,6 @@ mod tests {
         assert!(bs.get(0) && bs.get(64) && bs.get(129));
         assert!(!bs.get(1));
         assert_eq!(bs.count_ones(), 3);
-        assert!(bs.any_in_range(0, 10));
-        assert!(!bs.any_in_range(1, 64));
-        assert!(bs.any_in_range(100, 1000));
     }
 
     #[test]

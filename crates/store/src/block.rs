@@ -11,8 +11,9 @@ use std::ops::Range;
 /// (§4.3: "we set the block size to 25 rows").
 pub const DEFAULT_BLOCK_SIZE: usize = 25;
 
-/// The lookahead batch size in blocks (§4.3: "a separate lookahead thread
-/// iterates over a batch of 1024 blocks").
+/// The planner batch size in blocks, the unit by which `ActivePeek`'s
+/// decisions lag the active set (§4.3 plans lookahead over "a batch of 1024
+/// blocks").
 pub const DEFAULT_LOOKAHEAD_BATCH: usize = 1024;
 
 /// Identifier of a block within a scramble (0-based).
