@@ -6,8 +6,8 @@
 //! filter in front of a single-column aggregate, the shape every OptStop
 //! round pays on the paper's critical path. Both backings scan exactly the
 //! same rows through the same kernels (columnar filter into a selection
-//! vector, projection pushdown, group-partitioned `observe_batch` per
-//! block), and the harness asserts their estimates and scan counters are
+//! vector, projection pushdown, per-row update of each row's view record),
+//! and the harness asserts their estimates and scan counters are
 //! bit-for-bit identical before reporting, so the rate ratio isolates the
 //! cost of reading blocks: zero-copy views in memory against projected
 //! chunk decodes on the segment.

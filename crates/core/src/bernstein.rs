@@ -124,10 +124,6 @@ impl ErrorBounder for BernsteinSerfling {
         state.push(v);
     }
 
-    fn update_batch(&self, state: &mut Self::State, values: &[f64]) {
-        state.push_batch(values);
-    }
-
     fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
         if state.count() == 0 {
             return ctx.a;
@@ -179,10 +175,6 @@ impl ErrorBounder for EmpiricalBernsteinSerfling {
     #[inline]
     fn update_state(&self, state: &mut Self::State, v: f64) {
         state.push(v);
-    }
-
-    fn update_batch(&self, state: &mut Self::State, values: &[f64]) {
-        state.push_batch(values);
     }
 
     fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {

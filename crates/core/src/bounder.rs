@@ -18,10 +18,8 @@
 //! [`BounderKind::flat`], with the same update and bound code.
 
 use crate::anderson::AndersonDkw;
-use crate::bernstein::EmpiricalBernsteinSerfling;
 use crate::error::{CoreError, CoreResult};
-use crate::hoeffding::HoeffdingSerfling;
-use crate::partial::FlatBounder;
+use crate::partial::{FlatBounder, FlatEstimator};
 use crate::range_trim::RangeTrim;
 
 /// A closed confidence interval `[lo, hi]`.
@@ -82,6 +80,14 @@ impl Ci {
             let mid = 0.5 * (lo + hi);
             Ci { lo: mid, hi: mid }
         }
+    }
+
+    /// The two-sided `(1 − ctx.delta)` interval from one-sided bounds that
+    /// spend `ctx.delta / 2` each (union bound), clamped to the declared
+    /// range. `bounds` returns `(lbound, rbound)` under the halved context.
+    pub fn two_sided(ctx: &BoundContext, bounds: impl FnOnce(&BoundContext) -> (f64, f64)) -> Ci {
+        let (lo, hi) = bounds(&ctx.with_delta(ctx.delta * 0.5));
+        Ci::new(lo.min(hi), hi.max(lo)).clamp_to(ctx.a, ctx.b)
     }
 
     /// Clamps the interval to the enclosing data range `[a, b]`.
@@ -211,9 +217,8 @@ pub trait ErrorBounder {
     /// The contract is strict: the resulting state must be **bit-for-bit
     /// identical** to calling [`Self::update_state`] once per element in the
     /// same order. Batch execution is a dispatch/loop-overhead optimization,
-    /// never a numerical one — the engine's scan relies on this so that a
-    /// view's state does not depend on how its values were split into
-    /// batches.
+    /// never a numerical one, so a state does not depend on how its values
+    /// were split into batches.
     fn update_batch(&self, state: &mut Self::State, values: &[f64]) {
         for &v in values {
             self.update_state(state, v);
@@ -246,10 +251,9 @@ pub trait ErrorBounder {
     /// by spending `ctx.delta / 2` on each side (union bound) and clamping to
     /// the declared range.
     fn interval(&self, state: &Self::State, ctx: &BoundContext) -> Ci {
-        let half = ctx.with_delta(ctx.delta * 0.5);
-        let lo = self.lbound(state, &half);
-        let hi = self.rbound(state, &half);
-        Ci::new(lo.min(hi), hi.max(lo)).clamp_to(ctx.a, ctx.b)
+        Ci::two_sided(ctx, |half| {
+            (self.lbound(state, half), self.rbound(state, half))
+        })
     }
 
     /// Human-readable name used by the benchmark harness.
@@ -428,21 +432,16 @@ impl BounderKind {
         BounderKind::BernsteinRangeTrim,
     ];
 
-    /// Creates a fresh boxed estimator of this kind.
+    /// Creates a fresh boxed estimator of this kind. Hoeffding and
+    /// Bernstein (±RT) run the engine's one flat-record update
+    /// ([`FlatEstimator`]); Anderson/DKW (±RT) the generic bounder state.
     pub fn make_estimator(&self) -> BoxedEstimator {
-        match self {
-            BounderKind::Hoeffding => Box::new(Estimator::new(HoeffdingSerfling::new())),
-            BounderKind::HoeffdingRangeTrim => {
-                Box::new(Estimator::new(RangeTrim::new(HoeffdingSerfling::new())))
-            }
-            BounderKind::Bernstein => Box::new(Estimator::new(EmpiricalBernsteinSerfling::new())),
-            BounderKind::BernsteinRangeTrim => Box::new(Estimator::new(RangeTrim::new(
-                EmpiricalBernsteinSerfling::new(),
-            ))),
-            BounderKind::AndersonDkw => Box::new(Estimator::new(AndersonDkw::new())),
-            BounderKind::AndersonDkwRangeTrim => {
+        match (self, self.flat()) {
+            (_, Some(flat)) => Box::new(FlatEstimator::new(flat)),
+            (BounderKind::AndersonDkwRangeTrim, None) => {
                 Box::new(Estimator::new(RangeTrim::new(AndersonDkw::new())))
             }
+            (_, None) => Box::new(Estimator::new(AndersonDkw::new())),
         }
     }
 
@@ -603,19 +602,51 @@ mod tests {
         assert_eq!(est.count(), 0);
     }
 
+    /// Every kind's estimator, and the generic [`Estimator`] over each
+    /// bounder the flat kinds stand for (their reference, see
+    /// `crate::partial`), as labelled factories.
+    fn every_estimator() -> Vec<(String, Box<dyn Fn() -> BoxedEstimator>)> {
+        use crate::bernstein::EmpiricalBernsteinSerfling;
+        use crate::hoeffding::HoeffdingSerfling;
+        let mut all: Vec<(String, Box<dyn Fn() -> BoxedEstimator>)> = BounderKind::ALL
+            .iter()
+            .map(|&kind| {
+                let make: Box<dyn Fn() -> BoxedEstimator> = Box::new(move || kind.make_estimator());
+                (kind.to_string(), make)
+            })
+            .collect();
+        all.push((
+            "generic Hoeffding".into(),
+            Box::new(|| Box::new(Estimator::new(HoeffdingSerfling))),
+        ));
+        all.push((
+            "generic Bernstein".into(),
+            Box::new(|| Box::new(Estimator::new(EmpiricalBernsteinSerfling))),
+        ));
+        all.push((
+            "generic Hoeffding+RT".into(),
+            Box::new(|| Box::new(Estimator::new(RangeTrim::new(HoeffdingSerfling)))),
+        ));
+        all.push((
+            "generic Bernstein+RT".into(),
+            Box::new(|| Box::new(Estimator::new(RangeTrim::new(EmpiricalBernsteinSerfling)))),
+        ));
+        all
+    }
+
     #[test]
     fn boxed_estimators_of_same_kind_merge() {
-        for kind in BounderKind::ALL {
+        for (kind, make_estimator) in every_estimator() {
             // Sequential feed vs. two partials merged in order: counts and
             // estimates must agree (up to float merge order, which is exact
             // for these values).
             let values: Vec<f64> = (0..200).map(|i| (i % 13) as f64).collect();
-            let mut whole = kind.make_estimator();
+            let mut whole = make_estimator();
             for &v in &values {
                 whole.observe(v);
             }
-            let mut left = kind.make_estimator();
-            let mut right = kind.make_estimator();
+            let mut left = make_estimator();
+            let mut right = make_estimator();
             for &v in &values[..120] {
                 left.observe(v);
             }
@@ -642,13 +673,13 @@ mod tests {
         let values: Vec<f64> = (0..257)
             .map(|i| ((i * 37) % 113) as f64 / 7.0 - 3.0)
             .collect();
-        for kind in BounderKind::ALL {
-            let mut scalar = kind.make_estimator();
+        for (kind, make_estimator) in every_estimator() {
+            let mut scalar = make_estimator();
             for &v in &values {
                 scalar.observe(v);
             }
             // Batch the same values in uneven chunks, including an empty one.
-            let mut batched = kind.make_estimator();
+            let mut batched = make_estimator();
             batched.observe_batch(&[]);
             for chunk in values.chunks(61) {
                 batched.observe_batch(chunk);

@@ -69,10 +69,6 @@ impl ErrorBounder for HoeffdingSerfling {
         state.push(v);
     }
 
-    fn update_batch(&self, state: &mut Self::State, values: &[f64]) {
-        state.push_batch(values);
-    }
-
     fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
         if state.count() == 0 {
             return ctx.a;

@@ -21,21 +21,69 @@
 //!
 //! ## Flat records
 //!
-//! Hoeffding, Bernstein and their RangeTrim variants all accumulate one
-//! plain `Copy` [`FlatRecord`] per view: no allocation, no virtual call.
+//! Hoeffding, Bernstein and their RangeTrim variants all scan into one
+//! plain `Copy` [`FlatRecord`] per view and partition: no allocation, no
+//! virtual call, and one update per value whatever the kind.
 //!
 //! * The `all` moments ([`RunningMoments`]) see every value: count, sum, the
-//!   sum and sum of squares shifted by the view's first value in the
-//!   partition, and the minimum and maximum. Updates are division-free.
-//! * RangeTrim kinds also feed the `left` and `right` moments with values
-//!   clipped against the partition-prefix extremes (Algorithm 6).
-//! * Records merge with Chan et al.'s pairwise formulas
-//!   ([`RunningMoments::merge`]); the raw sums add exactly, so an Exact SUM
-//!   of integers is exactly integral under any layout.
+//!   sum and sum of squares shifted by the record's first value `K`, and
+//!   the minimum and maximum. Updates are division-free.
+//! * Four correction sums carry what RangeTrim's clipped states see
+//!   differently (derivation below). They change only when a value is a new
+//!   extreme, in one rarely taken branch.
+//! * At partition end, [`FlatRecord::finish`] materialises the three-moment
+//!   [`FlatMoments`] of Algorithm 6: `all` plus the clipped `left` and
+//!   `right` moments. That is a view's master state. Partials fold into it
+//!   with Chan et al.'s pairwise formulas ([`RunningMoments::merge`]); the
+//!   raw sums add exactly, so an Exact SUM of integers is exactly integral
+//!   under any layout.
 //!
-//! [`FlatBounder`] computes a record's estimate and interval with the
-//! bounder it stands for. Anderson/DKW keeps its O(m) sample, so its
-//! partials stay boxed [`MeanEstimator`](crate::bounder::MeanEstimator)s.
+//! [`FlatBounder`] computes, from finished moments, the estimate and
+//! interval of the bounder a kind stands for: plain kinds read `all`,
+//! RangeTrim kinds `left` and `right`. [`FlatEstimator`] is the boxed
+//! [`MeanEstimator`] that
+//! [`BounderKind::make_estimator`](crate::bounder::BounderKind::make_estimator)
+//! returns for these four kinds: merged moments plus an open record, so it
+//! runs the same update. Anderson/DKW keeps its O(m) sample, so its
+//! partials stay boxed generic estimators, and Anderson+RT runs the
+//! three-state [`RangeTrim`] wrapper, which also stays the Algorithm 6
+//! reference the one record is tested against.
+//!
+//! ### RangeTrim in one record
+//!
+//! Algorithm 6 withholds the first value and feeds every later value `v` to
+//! the left state as `min(v, b′)` and to the right state as `max(v, a′)`,
+//! where `a′`/`b′` are the extremes *before* `v`. The left feed differs
+//! from `v` only at a **max-event**, `v > b′`, where it is `b′`; the right
+//! feed differs only at a min-event, `v < a′`. A record therefore keeps
+//!
+//! ```text
+//! L₁ = Σ_{v > b′} (v − b′)      L₂ = Σ_{v > b′} ((v − K)² − (b′ − K)²)
+//! R₁ = Σ_{v < a′} (v − a′)      R₂ = Σ_{v < a′} ((v − K)² − (a′ − K)²)
+//! ```
+//!
+//! The withheld first value is the shift `K` itself, so it adds 0 to the
+//! shifted sums of `all`. The left state's moments, shifted by `K`, are
+//! then count `n − 1`, `Σ (x − K) = all.s₁ − L₁` and
+//! `Σ (x − K)² = all.s₂ − L₂`; the right state's use `R₁`, `R₂`. New
+//! extremes are rare in a sample: among `m` values in random order the
+//! expected number of running maxima is the harmonic number `H_m ≈ ln m`.
+//!
+//! The materialised left and right states hold the *same multisets* as
+//! Algorithm 6's three-state fold, so count, mean and variance (all the
+//! inner bounders read) agree up to floating-point rounding, and the
+//! validity argument below is unchanged. Their stored extremes are those of
+//! `all`, an outer bound of theirs (every clipped value lies between the
+//! observed extremes); no bounder reads a clipped state's extremes.
+//!
+//! **NaN values** are the exception. A NaN is never a new extreme, so it
+//! enters `all` as it does in Algorithm 6, and the estimate (the mean of
+//! `all`) is NaN under either. Algorithm 6 clips a NaN to `b′`/`a′`, so its
+//! left and right states stay finite; here the clipped states are derived
+//! from `all` and take the NaN too, so a RangeTrim interval of a view that
+//! observed a NaN falls back to the declared range `[a, b]`. That is wider,
+//! hence still valid. NaN reaches a scan only from malformed input (the CSV
+//! loader stores an unparsable float as NaN).
 //!
 //! [`PartialState`] is the merge contract every accumulator implements: a
 //! state that can be sent to a worker (`Send`) and folded back
@@ -64,7 +112,7 @@
 //! 64.
 
 use crate::bernstein::EmpiricalBernsteinSerfling;
-use crate::bounder::{BoundContext, Ci, ErrorBounder};
+use crate::bounder::{BoundContext, Ci, ErrorBounder, MeanEstimator};
 use crate::hoeffding::HoeffdingSerfling;
 use crate::range_trim::{RangeTrim, RangeTrimState};
 use crate::variance::RunningMoments;
@@ -88,18 +136,108 @@ pub trait PartialState: Send {
     fn merge(&mut self, other: &Self);
 }
 
-/// One view's flat accumulation: the moments of every value plus, for the
-/// RangeTrim kinds, the left and right clipped moments. The same type is
-/// the master state of a view and its per-partition partial.
-pub type FlatRecord = RangeTrimState<RunningMoments>;
+/// Algorithm 6's three moments: every value (`all`) and the clipped `left`
+/// and `right` states. A view's master state, built by merging finished
+/// [`FlatRecord`]s in partition order.
+pub type FlatMoments = RangeTrimState<RunningMoments>;
 
-impl FlatRecord {
-    /// The empty record.
-    pub const EMPTY: FlatRecord = RangeTrimState {
+impl FlatMoments {
+    /// The empty state.
+    pub const EMPTY: FlatMoments = RangeTrimState {
         left: RunningMoments::new(),
         right: RunningMoments::new(),
         all: RunningMoments::new(),
     };
+}
+
+/// One view's scan record for one partition: the moments of every value
+/// plus RangeTrim's four correction sums (see the module docs). The same
+/// update serves every flat kind.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FlatRecord {
+    /// Every observed value, unclipped, shifted by the first.
+    pub all: RunningMoments,
+    /// `(L₁, L₂)`: what the left state sees less than `all` at max-events.
+    above: (f64, f64),
+    /// `(R₁, R₂)`: the same for the right state at min-events.
+    below: (f64, f64),
+}
+
+impl FlatRecord {
+    /// The empty record.
+    pub const EMPTY: FlatRecord = FlatRecord {
+        all: RunningMoments::new(),
+        above: (0.0, 0.0),
+        below: (0.0, 0.0),
+    };
+
+    /// Whether no value has been observed.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.all.count() == 0
+    }
+
+    /// Observes one value.
+    #[inline]
+    pub fn observe(&mut self, v: f64) {
+        let (a_prime, b_prime) = self.all.extremes();
+        if v > b_prime || v < a_prime {
+            self.new_extreme(v, a_prime, b_prime);
+        }
+        self.all.push_within(v);
+    }
+
+    /// The rare branch of [`Self::observe`]: `v` is the first value or a new
+    /// extreme. Adds the event's corrections and widens the extremes.
+    #[cold]
+    fn new_extreme(&mut self, v: f64, a_prime: f64, b_prime: f64) {
+        if !self.is_empty() {
+            let (k, _, _) = self.all.shifted();
+            let dv = v - k;
+            let (clip, sums) = if v > b_prime {
+                (b_prime, &mut self.above)
+            } else {
+                (a_prime, &mut self.below)
+            };
+            let dc = clip - k;
+            sums.0 += v - clip;
+            sums.1 += dv * dv - dc * dc;
+        }
+        self.all.widen(v);
+    }
+
+    /// Observes a batch of values in slice order, bit-identical to one
+    /// [`Self::observe`] per value.
+    #[inline]
+    pub fn observe_batch(&mut self, values: &[f64]) {
+        // A local copy keeps the record in registers across the batch.
+        let mut record = *self;
+        for &v in values {
+            record.observe(v);
+        }
+        *self = record;
+    }
+
+    /// Materialises Algorithm 6's three moments: `all`, and the left and
+    /// right states as `all` less the withheld first value and the event
+    /// corrections.
+    pub fn finish(&self) -> FlatMoments {
+        let (k, s1, s2) = self.all.shifted();
+        let clipped = |(c1, c2): (f64, f64)| {
+            RunningMoments::from_shifted(
+                self.all.count().saturating_sub(1),
+                k,
+                s1 - c1,
+                s2 - c2,
+                self.all.extremes(),
+            )
+        };
+        RangeTrimState {
+            left: clipped(self.above),
+            right: clipped(self.below),
+            all: self.all,
+        }
+    }
 }
 
 /// The bounder kinds that accumulate a [`FlatRecord`]: everything but
@@ -118,38 +256,126 @@ pub enum FlatBounder {
 }
 
 impl FlatBounder {
-    /// Folds a batch of values into `record` in slice order. RangeTrim kinds
-    /// feed the clipped values to `left` and `right` as well (Algorithm 6);
-    /// the others feed `all` only. Bit-identical to feeding the values one
-    /// at a time, in any batch split.
-    pub fn observe_batch(self, record: &mut FlatRecord, values: &[f64]) {
-        match self {
-            FlatBounder::Hoeffding | FlatBounder::Bernstein => record.all.push_batch(values),
-            // Hoeffding and Bernstein inner states are both `RunningMoments`,
-            // so either inner bounder performs the same update.
-            FlatBounder::HoeffdingRangeTrim | FlatBounder::BernsteinRangeTrim => {
-                RangeTrim::new(HoeffdingSerfling).update_batch(record, values)
-            }
-        }
-    }
-
     /// The point estimate (the untrimmed mean), or `None` when empty.
-    pub fn estimate(self, record: &FlatRecord) -> Option<f64> {
-        (record.all.count() > 0).then(|| record.all.mean())
+    pub fn estimate(self, moments: &FlatMoments) -> Option<f64> {
+        (moments.all.count() > 0).then(|| moments.all.mean())
     }
 
-    /// The two-sided interval of the bounder this kind stands for.
-    pub fn interval(self, record: &FlatRecord, ctx: &BoundContext) -> Ci {
+    /// `(lbound, rbound)` of the bounder this kind stands for: plain kinds
+    /// read `all`, RangeTrim kinds `left` and `right`.
+    pub fn bounds(self, moments: &FlatMoments, ctx: &BoundContext) -> (f64, f64) {
+        fn both<B: ErrorBounder>(bounder: B, state: &B::State, ctx: &BoundContext) -> (f64, f64) {
+            (bounder.lbound(state, ctx), bounder.rbound(state, ctx))
+        }
         match self {
-            FlatBounder::Hoeffding => HoeffdingSerfling.interval(&record.all, ctx),
-            FlatBounder::Bernstein => EmpiricalBernsteinSerfling.interval(&record.all, ctx),
+            FlatBounder::Hoeffding => both(HoeffdingSerfling, &moments.all, ctx),
+            FlatBounder::Bernstein => both(EmpiricalBernsteinSerfling, &moments.all, ctx),
             FlatBounder::HoeffdingRangeTrim => {
-                RangeTrim::new(HoeffdingSerfling).interval(record, ctx)
+                both(RangeTrim::new(HoeffdingSerfling), moments, ctx)
             }
             FlatBounder::BernsteinRangeTrim => {
-                RangeTrim::new(EmpiricalBernsteinSerfling).interval(record, ctx)
+                both(RangeTrim::new(EmpiricalBernsteinSerfling), moments, ctx)
             }
         }
+    }
+
+    /// The two-sided interval of the bounder this kind stands for, as its
+    /// [`ErrorBounder::interval`] computes it.
+    pub fn interval(self, moments: &FlatMoments, ctx: &BoundContext) -> Ci {
+        Ci::two_sided(ctx, |half| self.bounds(moments, half))
+    }
+
+    /// The name of the bounder this kind stands for.
+    pub fn name(self) -> &'static str {
+        match self {
+            FlatBounder::Hoeffding => HoeffdingSerfling.name(),
+            FlatBounder::Bernstein => EmpiricalBernsteinSerfling.name(),
+            FlatBounder::HoeffdingRangeTrim => RangeTrim::new(HoeffdingSerfling).name(),
+            FlatBounder::BernsteinRangeTrim => RangeTrim::new(EmpiricalBernsteinSerfling).name(),
+        }
+    }
+}
+
+/// The boxed [`MeanEstimator`] of the four flat kinds, which
+/// [`BounderKind::make_estimator`](crate::bounder::BounderKind::make_estimator)
+/// returns: the merged moments of earlier partitions plus the record of the
+/// values observed since, so it runs the engine's one [`FlatRecord`] update.
+#[derive(Debug, Clone, Copy)]
+pub struct FlatEstimator {
+    kind: FlatBounder,
+    merged: FlatMoments,
+    open: FlatRecord,
+}
+
+impl FlatEstimator {
+    /// An empty estimator of `kind`.
+    pub fn new(kind: FlatBounder) -> Self {
+        Self {
+            kind,
+            merged: FlatMoments::EMPTY,
+            open: FlatRecord::EMPTY,
+        }
+    }
+
+    /// The three moments of everything observed and merged.
+    fn moments(&self) -> FlatMoments {
+        let mut moments = self.merged;
+        moments.merge(&self.open.finish());
+        moments
+    }
+}
+
+impl MeanEstimator for FlatEstimator {
+    fn observe(&mut self, v: f64) {
+        self.open.observe(v);
+    }
+
+    fn observe_batch(&mut self, values: &[f64]) {
+        self.open.observe_batch(values);
+    }
+
+    fn merge_from(&mut self, other: &dyn MeanEstimator) -> bool {
+        match other.as_any().downcast_ref::<FlatEstimator>() {
+            Some(other) if other.kind == self.kind => {
+                self.merged = self.moments();
+                self.merged.merge(&other.moments());
+                self.open = FlatRecord::EMPTY;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn count(&self) -> u64 {
+        self.merged.all.count() + self.open.all.count()
+    }
+
+    fn estimate(&self) -> Option<f64> {
+        self.kind.estimate(&self.moments())
+    }
+
+    fn interval(&self, ctx: &BoundContext) -> Ci {
+        self.kind.interval(&self.moments(), ctx)
+    }
+
+    fn lbound(&self, ctx: &BoundContext) -> f64 {
+        self.kind.bounds(&self.moments(), ctx).0
+    }
+
+    fn rbound(&self, ctx: &BoundContext) -> f64 {
+        self.kind.bounds(&self.moments(), ctx).1
+    }
+
+    fn reset(&mut self) {
+        *self = Self::new(self.kind);
+    }
+
+    fn bounder_name(&self) -> &'static str {
+        self.kind.name()
     }
 }
 
@@ -157,6 +383,7 @@ impl FlatBounder {
 mod tests {
     use super::*;
     use crate::anderson::AndersonState;
+    use crate::bounder::ErrorBounder;
     use crate::hoeffding::HoeffdingState;
     use crate::variance::RunningMoments;
 
@@ -218,7 +445,9 @@ mod tests {
     #[test]
     fn merging_empty_is_identity() {
         let mut a = HoeffdingState::default();
-        a.push_batch(&[1.0, 2.0, 3.0, 4.0]);
+        for v in [1.0, 2.0, 3.0, 4.0] {
+            a.push(v);
+        }
         let before = a;
         PartialState::merge(&mut a, &HoeffdingState::default());
         assert_eq!(a, before);
@@ -265,19 +494,118 @@ mod tests {
         assert_eq!(build(), build());
     }
 
-    /// `1e9 + noise` cut into `parts` partitions: each folded into its own
-    /// flat record, merged in order.
-    fn merged_over(kind: FlatBounder, values: &[f64], parts: usize) -> FlatRecord {
-        let mut master = FlatRecord::EMPTY;
+    /// `values` cut into `parts` partitions: each folded into its own flat
+    /// record, finished and merged in order.
+    fn merged_over(values: &[f64], parts: usize) -> FlatMoments {
+        let mut master = FlatMoments::EMPTY;
         for chunk in values.chunks(values.len().div_ceil(parts)) {
             let mut partial = FlatRecord::EMPTY;
             // Uneven batches inside the partition, as blocks would give.
             for batch in chunk.chunks(37) {
-                kind.observe_batch(&mut partial, batch);
+                partial.observe_batch(batch);
+            }
+            master.merge(&partial.finish());
+        }
+        master
+    }
+
+    /// Algorithm 6's three-state fold over the same partitions.
+    fn three_state_over(values: &[f64], parts: usize) -> FlatMoments {
+        let rt = RangeTrim::new(HoeffdingSerfling);
+        let mut master = rt.init_state();
+        for chunk in values.chunks(values.len().div_ceil(parts)) {
+            let mut partial = rt.init_state();
+            for &v in chunk {
+                rt.update_state(&mut partial, v);
             }
             master.merge(&partial);
         }
         master
+    }
+
+    fn assert_close(what: &str, got: f64, want: f64) {
+        let rel = (got - want).abs() / want.abs().max(f64::MIN_POSITIVE);
+        assert!(
+            got == want || rel < 1e-12,
+            "{what}: {got} vs {want} ({rel:e} relative)"
+        );
+    }
+
+    /// The one-record RangeTrim against Algorithm 6's three-state fold:
+    /// equal counts, and left/right means and variances within 1e-12
+    /// relative, for single records and merged over 1, 7 and 64
+    /// partitions, on data with no, few, and all-row extreme events.
+    #[test]
+    fn one_record_range_trim_matches_the_three_state_fold() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let random: Vec<f64> = (0..6_400)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 11) as f64 / (1u64 << 53) as f64 * 200.0 - 50.0
+            })
+            .collect();
+        let ascending: Vec<f64> = (0..6_400).map(|i| i as f64 * 0.25 - 300.0).collect();
+        let descending: Vec<f64> = ascending.iter().rev().copied().collect();
+        let constant = vec![42.5; 6_400];
+        let offset: Vec<f64> = (0..22_400u64)
+            .map(|i| 1e9 + ((i * 7_919) % 1_000) as f64 * 0.1 + (i % 3) as f64 * 1e-3)
+            .collect();
+        for (name, values) in [
+            ("random", &random),
+            ("ascending", &ascending),
+            ("descending", &descending),
+            ("constant", &constant),
+            ("offset", &offset),
+        ] {
+            for parts in [1, 7, 64] {
+                let one = merged_over(values, parts);
+                let three = three_state_over(values, parts);
+                for (side, got, want) in [
+                    ("left", one.left, three.left),
+                    ("right", one.right, three.right),
+                    ("all", one.all, three.all),
+                ] {
+                    let what = format!("{name} x{parts} {side}");
+                    assert_eq!(got.count(), want.count(), "{what}: count");
+                    assert_close(&format!("{what} mean"), got.mean(), want.mean());
+                    assert_close(&format!("{what} variance"), got.variance(), want.variance());
+                }
+            }
+        }
+    }
+
+    /// A NaN value is where the one record and Algorithm 6 part ways (see
+    /// the module docs). Both report a NaN estimate; Algorithm 6 clips the
+    /// NaN to the running extremes and keeps a finite interval, while the
+    /// record's clipped states take the NaN, so a RangeTrim interval falls
+    /// back to the declared range.
+    #[test]
+    fn a_nan_value_poisons_the_estimate_and_widens_range_trim_to_the_range() {
+        let mut values: Vec<f64> = (0..500).map(|i| 10.0 + (i % 17) as f64).collect();
+        values[250] = f64::NAN;
+        let ctx = BoundContext::new(0.0, 100.0, 100_000, 1e-6).unwrap();
+        let one = merged_over(&values, 1);
+        let three = three_state_over(&values, 1);
+        assert_eq!(one.all.count(), three.all.count());
+        for kind in [
+            FlatBounder::HoeffdingRangeTrim,
+            FlatBounder::BernsteinRangeTrim,
+        ] {
+            assert!(kind.estimate(&one).unwrap().is_nan(), "{kind:?}");
+            assert!(kind.estimate(&three).unwrap().is_nan(), "{kind:?}");
+            assert_eq!(
+                kind.interval(&one, &ctx),
+                Ci::full_range(0.0, 100.0),
+                "{kind:?}"
+            );
+            let reference = kind.interval(&three, &ctx);
+            assert!(
+                reference.lo > 0.0 && reference.hi < 100.0,
+                "{kind:?}: {reference:?}"
+            );
+        }
     }
 
     /// Flat records merged over 1, 7 and 64 partitions agree with a per-row
@@ -296,18 +624,13 @@ mod tests {
             m2 += delta * (v - mean);
         }
         let variance = m2 / n;
-        for kind in [FlatBounder::Bernstein, FlatBounder::BernsteinRangeTrim] {
-            for parts in [1, 7, 64] {
-                let record = merged_over(kind, &values, parts);
-                assert_eq!(record.all.count(), values.len() as u64);
-                let rel_mean = (record.all.mean() - mean).abs() / mean;
-                let rel_var = (record.all.variance() - variance).abs() / variance;
-                assert!(rel_mean < 1e-9, "{kind:?} x{parts}: mean off by {rel_mean}");
-                assert!(
-                    rel_var < 1e-9,
-                    "{kind:?} x{parts}: variance off by {rel_var}"
-                );
-            }
+        for parts in [1, 7, 64] {
+            let moments = merged_over(&values, parts);
+            assert_eq!(moments.all.count(), values.len() as u64);
+            let rel_mean = (moments.all.mean() - mean).abs() / mean;
+            let rel_var = (moments.all.variance() - variance).abs() / variance;
+            assert!(rel_mean < 1e-9, "x{parts}: mean off by {rel_mean}");
+            assert!(rel_var < 1e-9, "x{parts}: variance off by {rel_var}");
         }
     }
 
@@ -318,38 +641,83 @@ mod tests {
         let values: Vec<f64> = (0..10_000u64).map(|i| ((i * 31) % 997) as f64).collect();
         let exact: u64 = (0..10_000u64).map(|i| (i * 31) % 997).sum();
         for parts in [1, 7, 64, 1_000] {
-            let record = merged_over(FlatBounder::Hoeffding, &values, parts);
-            assert_eq!(record.all.sum(), exact as f64, "{parts} partitions");
+            let moments = merged_over(&values, parts);
+            assert_eq!(moments.all.sum(), exact as f64, "{parts} partitions");
         }
     }
 
-    /// A flat record and the boxed estimator of the same kind run the same
-    /// update and bound code: estimates and intervals agree bit for bit.
+    /// Each flat kind's boxed estimator, which runs the one-record update,
+    /// against the generic estimator over the bounder it stands for, fed
+    /// value by value and merged over the same two partitions. The plain
+    /// kinds agree bit for bit (`widen` then `push_within` is `push`); the
+    /// RangeTrim kinds hold the same multisets in their clipped states, so
+    /// they agree within 1e-12 relative.
     #[test]
     fn flat_records_match_their_boxed_estimator_bitwise() {
+        use crate::bernstein::EmpiricalBernsteinSerfling;
+        use crate::bounder::{BounderKind, BoxedEstimator, Estimator};
+
         let values: Vec<f64> = (0..1_000).map(|i| ((i * 37) % 113) as f64 / 7.0).collect();
         let ctx = BoundContext::new(-5.0, 20.0, 100_000, 1e-9).unwrap();
-        for kind in crate::bounder::BounderKind::ALL {
+        for kind in BounderKind::ALL {
             let Some(flat) = kind.flat() else {
                 continue;
             };
-            let mut record = FlatRecord::EMPTY;
-            for batch in values.chunks(61) {
-                flat.observe_batch(&mut record, batch);
+            let reference = || -> BoxedEstimator {
+                match flat {
+                    FlatBounder::Hoeffding => Box::new(Estimator::new(HoeffdingSerfling)),
+                    FlatBounder::Bernstein => Box::new(Estimator::new(EmpiricalBernsteinSerfling)),
+                    FlatBounder::HoeffdingRangeTrim => {
+                        Box::new(Estimator::new(RangeTrim::new(HoeffdingSerfling)))
+                    }
+                    FlatBounder::BernsteinRangeTrim => {
+                        Box::new(Estimator::new(RangeTrim::new(EmpiricalBernsteinSerfling)))
+                    }
+                }
+            };
+            let (mut flat_est, mut flat_later) = (kind.make_estimator(), kind.make_estimator());
+            let (mut want, mut want_later) = (reference(), reference());
+            let (early, late) = values.split_at(613);
+            for batch in early.chunks(61) {
+                flat_est.observe_batch(batch);
             }
-            let mut boxed = kind.make_estimator();
-            for &v in &values {
-                boxed.observe(v);
+            for batch in late.chunks(61) {
+                flat_later.observe_batch(batch);
             }
-            assert_eq!(
-                flat.estimate(&record).map(f64::to_bits),
-                boxed.estimate().map(f64::to_bits),
-                "{kind}"
-            );
-            let (fi, bi) = (flat.interval(&record, &ctx), boxed.interval(&ctx));
-            assert_eq!(fi.lo.to_bits(), bi.lo.to_bits(), "{kind}: lbound bits");
-            assert_eq!(fi.hi.to_bits(), bi.hi.to_bits(), "{kind}: rbound bits");
+            for &v in early {
+                want.observe(v);
+            }
+            for &v in late {
+                want_later.observe(v);
+            }
+            for merged in [false, true] {
+                if merged {
+                    assert!(flat_est.merge_from(flat_later.as_ref()), "{kind}");
+                    assert!(want.merge_from(want_later.as_ref()), "{kind}");
+                }
+                let what = format!("{kind}, merged: {merged}");
+                assert_eq!(flat_est.count(), want.count(), "{what}");
+                assert_eq!(flat_est.bounder_name(), want.bounder_name(), "{what}");
+                assert_eq!(
+                    flat_est.estimate().map(f64::to_bits),
+                    want.estimate().map(f64::to_bits),
+                    "{what}: estimate"
+                );
+                let (got, exp) = (flat_est.interval(&ctx), want.interval(&ctx));
+                for (side, g, w) in [
+                    ("interval lo", got.lo, exp.lo),
+                    ("interval hi", got.hi, exp.hi),
+                    ("lbound", flat_est.lbound(&ctx), want.lbound(&ctx)),
+                    ("rbound", flat_est.rbound(&ctx), want.rbound(&ctx)),
+                ] {
+                    if kind.uses_range_trim() {
+                        assert_close(&format!("{what}: {side}"), g, w);
+                    } else {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{what}: {side} bits");
+                    }
+                }
+            }
         }
-        assert!(crate::bounder::BounderKind::AndersonDkw.flat().is_none());
+        assert!(BounderKind::AndersonDkw.flat().is_none());
     }
 }

@@ -38,8 +38,9 @@ use crate::variance::RunningMoments;
 /// untrimmed mean reported as the point estimate.
 ///
 /// With `S = RunningMoments` (Hoeffding and Bernstein inner bounders) the
-/// state is a plain `Copy` record, the flat partial of
-/// [`crate::partial::FlatRecord`].
+/// state is a plain `Copy` record, [`crate::partial::FlatMoments`]: the
+/// master state the engine's one-record scan
+/// ([`crate::partial::FlatRecord`]) finishes into.
 #[derive(Debug, Clone, Copy)]
 pub struct RangeTrimState<S> {
     /// Inner state fed `min(v, b′)` — used for the confidence lower bound.
@@ -92,7 +93,7 @@ impl<S: crate::partial::PartialState> crate::partial::PartialState for RangeTrim
 }
 
 /// `min(v, b′)` as one compare-and-select: unlike `f64::min` it needs no
-/// NaN fix-up, which keeps the batch loop short. A NaN `v` yields `b′`, as
+/// NaN fix-up, which keeps the update short. A NaN `v` yields `b′`, as
 /// `f64::min` would.
 #[inline]
 fn clip_above(v: f64, b_prime: f64) -> f64 {
@@ -156,31 +157,6 @@ impl<B: ErrorBounder> ErrorBounder for RangeTrim<B> {
                 .update_state(&mut state.right, clip_below(v, a_prime));
         }
         state.all.push(v);
-    }
-
-    fn update_batch(&self, state: &mut Self::State, values: &[f64]) {
-        // Bit-identical to per-element `update_state` calls: the first-ever
-        // observation still only initializes the extremes, and every later
-        // value is clipped against the extremes *before* it. Hoisting the
-        // first-observation check out of the loop lets the compiler keep all
-        // three states in registers across the batch.
-        let Some((&first, rest)) = values.split_first() else {
-            return;
-        };
-        let clipped = if state.all.count() == 0 {
-            state.all.push(first);
-            rest
-        } else {
-            values
-        };
-        for &v in clipped {
-            let (a_prime, b_prime) = state.all.extremes();
-            self.inner
-                .update_state(&mut state.left, clip_above(v, b_prime));
-            self.inner
-                .update_state(&mut state.right, clip_below(v, a_prime));
-            state.all.push(v);
-        }
     }
 
     fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {

@@ -10,9 +10,9 @@
 //!
 //! * **Division-free updates.** Observing a value is a handful of additions
 //!   and one multiplication with no dependency through a division, unlike
-//!   Welford's update of a running mean. Each field is a plain running sum,
-//!   so a batch loop and per-value calls perform the same operations in the
-//!   same order and agree bit for bit.
+//!   Welford's update of a running mean. Each field is a plain running sum
+//!   or extreme, so however the values are split into batches, the same
+//!   operations run in the same order and agree bit for bit.
 //! * **Stability.** Shifting by a value of the data removes the catastrophic
 //!   cancellation of the naive `Σ v²` method: for values like
 //!   `1e9 + noise`, the shifted sums hold only the noise.
@@ -87,33 +87,59 @@ impl RunningMoments {
         self.max = if v > self.max { v } else { self.max };
     }
 
-    /// Observes a batch of values in slice order.
-    ///
-    /// Bit-identical to calling [`Self::push`] once per element: every field
-    /// is a running sum or extreme, updated by the same operations in the
-    /// same order. The batch form only keeps the fields in registers.
+    /// Observes `v` without touching the extremes: the update of
+    /// [`Self::push`] for a value known to lie within `[min, max]` of a
+    /// non-empty accumulator. [`Self::widen`] followed by this equals
+    /// [`Self::push`] bit for bit, for any value.
     #[inline]
-    pub fn push_batch(&mut self, values: &[f64]) {
-        let Some(&first) = values.first() else {
-            return;
-        };
+    pub(crate) fn push_within(&mut self, v: f64) {
+        let d = v - self.shift;
+        self.count += 1;
+        self.s1 += d;
+        self.s2 += d * d;
+        self.sum += v;
+    }
+
+    /// Extends the extremes to cover `v`; the first value also becomes the
+    /// shift. The rest of [`Self::push`] is [`Self::push_within`].
+    #[inline]
+    pub(crate) fn widen(&mut self, v: f64) {
         if self.count == 0 {
-            self.shift = first;
+            self.shift = v;
         }
-        let shift = self.shift;
-        let (mut s1, mut s2, mut sum) = (self.s1, self.s2, self.sum);
-        let (mut min, mut max) = (self.min, self.max);
-        for &v in values {
-            let d = v - shift;
-            s1 += d;
-            s2 += d * d;
-            sum += v;
-            min = if v < min { v } else { min };
-            max = if v > max { v } else { max };
+        self.min = if v < self.min { v } else { self.min };
+        self.max = if v > self.max { v } else { self.max };
+    }
+
+    /// Rebuilds an accumulator from its shifted-sum form: `count` values
+    /// with `Σ (v − shift) = s1` and `Σ (v − shift)² = s2`. `extremes` is
+    /// stored as the `(min, max)` pair, and the raw sum is derived as
+    /// `count · shift + s1`. Empty for `count == 0`.
+    pub(crate) fn from_shifted(
+        count: u64,
+        shift: f64,
+        s1: f64,
+        s2: f64,
+        (min, max): (f64, f64),
+    ) -> Self {
+        if count == 0 {
+            return Self::new();
         }
-        self.count += values.len() as u64;
-        (self.s1, self.s2, self.sum) = (s1, s2, sum);
-        (self.min, self.max) = (min, max);
+        Self {
+            count,
+            shift,
+            s1,
+            s2,
+            min,
+            sum: shift * count as f64 + s1,
+            max,
+        }
+    }
+
+    /// The shifted-sum form `(K, Σ (v − K), Σ (v − K)²)`.
+    #[inline]
+    pub(crate) fn shifted(&self) -> (f64, f64, f64) {
+        (self.shift, self.s1, self.s2)
     }
 
     /// Merges another accumulator into this one with Chan et al.'s pairwise

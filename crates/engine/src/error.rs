@@ -15,6 +15,23 @@ pub enum EngineError {
         /// The offending column.
         column: String,
     },
+    /// The group universe holds a code outside its column's dictionary.
+    /// Packed into a group key it would alias another group, so the query
+    /// is refused instead.
+    GroupCodeOutOfRange {
+        /// The GROUP BY column.
+        column: String,
+        /// The offending code.
+        code: u32,
+        /// The size of the column's dictionary.
+        cardinality: usize,
+    },
+    /// The GROUP BY columns' cardinalities multiply past 2⁶⁴, so a row's
+    /// group key does not fit one packed 64-bit integer.
+    GroupKeySpaceTooLarge {
+        /// The GROUP BY columns.
+        columns: Vec<String>,
+    },
     /// The scramble holds no rows.
     EmptyScramble,
     /// The query references a table that is not registered in the session.
@@ -56,6 +73,19 @@ impl std::fmt::Display for EngineError {
             EngineError::InvalidGroupBy { column } => {
                 write!(f, "GROUP BY column `{column}` must be categorical")
             }
+            EngineError::GroupCodeOutOfRange {
+                column,
+                code,
+                cardinality,
+            } => write!(
+                f,
+                "group universe holds code {code} of GROUP BY column `{column}`, \
+                 whose dictionary has {cardinality} entries"
+            ),
+            EngineError::GroupKeySpaceTooLarge { columns } => write!(
+                f,
+                "GROUP BY columns {columns:?} have more than 2^64 code combinations"
+            ),
             EngineError::EmptyScramble => write!(f, "cannot query an empty scramble"),
             EngineError::UnknownTable { name } => {
                 write!(f, "no table named `{name}` is registered in the session")

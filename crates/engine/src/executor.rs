@@ -51,9 +51,8 @@
 //! Within each partition, blocks execute **batch-at-a-time**: the predicate
 //! runs as a columnar filter kernel emitting a selection vector, only the
 //! columns the query references are decoded (projection pushdown on lazy
-//! sources), selected rows are partitioned by group id once, and each
-//! aggregate view receives one contiguous batch of values per block (see
-//! `crate::parallel`).
+//! sources), one dense group table maps the selected rows to view ids, and
+//! each row updates its view's record in place (see `crate::parallel`).
 //!
 //! The `Exact` baseline ([`PreparedQuery::execute_exact`]) is a mode of the
 //! same loop, not a second one: a planner that grants every block, a single
@@ -158,7 +157,7 @@ pub(crate) fn bind_query(source: &dyn BlockSource, query: &AggQuery) -> EngineRe
 /// in-memory scramble and the segment reader memoize per column tuple, so
 /// only a table's first grouped query over a column tuple pays for the
 /// (bitmap-derived or early-exiting) cold build. Not counted against the
-/// blocks-fetched metric.
+/// blocks-fetched metric. An ungrouped query has one view, the empty tuple.
 ///
 /// Returns the view keys and the row → view lookup built from the shared
 /// tuples.
@@ -166,11 +165,12 @@ fn enumerate_groups(
     source: &dyn BlockSource,
     group_cols: &[usize],
 ) -> EngineResult<(Vec<GroupKey>, GroupLookup)> {
+    let schema = source.schema();
     if group_cols.is_empty() {
-        return Ok((vec![GroupKey::global()], GroupLookup::Global));
+        let lookup = GroupLookup::build(&[], schema, &[Vec::new()])?;
+        return Ok((vec![GroupKey::global()], lookup));
     }
 
-    let schema = source.schema();
     let tuples = source.distinct_group_tuples(group_cols)?;
     let keys = tuples
         .iter()
@@ -189,97 +189,125 @@ fn enumerate_groups(
                 .collect(),
         })
         .collect();
-    Ok((keys, GroupLookup::build(group_cols, schema, &tuples)))
+    Ok((keys, GroupLookup::build(group_cols, schema, &tuples)?))
 }
 
-/// Maps a row's group-by dictionary codes to its aggregate-view id without
-/// any per-row heap allocation (the per-row cost of this lookup is on the
-/// critical path of every fetched block). Shared read-only with the scan
-/// workers of `crate::parallel`; the per-worker scratch key is passed in
-/// by the caller.
-pub(crate) enum GroupLookup {
-    /// Ungrouped query: everything routes to the single global view.
-    Global,
-    /// Single GROUP BY column: a dense code → view-id table.
-    SingleColumn {
-        /// Index of the group-by column.
-        column: usize,
-        /// `views_by_code[code]` is the view id, or `u32::MAX` if the code
-        /// never occurs (impossible for codes produced by the column itself).
-        views_by_code: Vec<u32>,
-    },
-    /// Multiple GROUP BY columns: hash lookup with a reusable scratch key.
-    Multi {
-        columns: Vec<usize>,
-        lookup: HashMap<Vec<u32>, usize>,
-    },
+/// `GroupLookup::view_ids` output for a row that belongs to no view.
+pub(crate) const NO_VIEW: u64 = u32::MAX as u64;
+
+/// Key spaces up to this many entries get a dense table: 256 KiB of `u32`
+/// view ids at most, built once per query. A key space no larger than one
+/// GROUP BY column's dictionary is dense too, so a single-column GROUP BY
+/// always indexes its table, whatever the dictionary size.
+const DENSE_KEYS: u64 = 1 << 16;
+
+/// Maps a row's GROUP BY codes to its aggregate-view id through one packed
+/// mixed-radix key, `key = Σ codeᵢ · strideᵢ`, where `strideᵢ` is the
+/// product of the earlier columns' dictionary sizes. An ungrouped query is
+/// the zero-column case: every row has key 0. Shared read-only with the
+/// scan workers of `crate::parallel`.
+pub(crate) struct GroupLookup {
+    /// `(column index, stride)` per GROUP BY column.
+    columns: Vec<(usize, u64)>,
+    views: KeyTable,
+}
+
+/// Where a key's view id is stored: one storage choice behind the one key
+/// computation, fixed by the size of the key space.
+enum KeyTable {
+    /// `table[key]` is the view id, or `u32::MAX` for a key in no view.
+    Dense(Vec<u32>),
+    /// Key spaces larger than both [`DENSE_KEYS`] and every GROUP BY
+    /// column's dictionary: the keys of the universe.
+    Sparse(HashMap<u64, u32>),
 }
 
 impl GroupLookup {
-    /// The lookup for a non-empty GROUP BY whose view `i` is `tuples[i]`.
-    fn build(group_cols: &[usize], table: &Table, tuples: &[Vec<u32>]) -> Self {
-        match group_cols {
-            [column] => {
-                let cardinality = table
-                    .column_at(*column)
-                    .cardinality()
-                    .unwrap_or(tuples.len());
-                let mut views_by_code = vec![u32::MAX; cardinality];
-                for (view, codes) in tuples.iter().enumerate() {
-                    if let Some(slot) = views_by_code.get_mut(codes[0] as usize) {
-                        *slot = view as u32;
-                    }
+    /// The lookup whose view `i` is `tuples[i]`, the codes of `group_cols`.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::GroupCodeOutOfRange`] when a tuple holds a code outside
+    /// its column's dictionary (its key would alias another group's), and
+    /// [`EngineError::GroupKeySpaceTooLarge`] when the key does not fit 64
+    /// bits.
+    pub(crate) fn build(
+        group_cols: &[usize],
+        table: &Table,
+        tuples: &[Vec<u32>],
+    ) -> EngineResult<Self> {
+        let cardinality = |ci: usize| table.column_at(ci).cardinality().unwrap_or(0);
+        let mut columns = Vec::with_capacity(group_cols.len());
+        let mut space = 1u64;
+        let mut dense_cap = DENSE_KEYS;
+        for &ci in group_cols {
+            columns.push((ci, space));
+            dense_cap = dense_cap.max(cardinality(ci) as u64);
+            space = space.checked_mul(cardinality(ci) as u64).ok_or_else(|| {
+                EngineError::GroupKeySpaceTooLarge {
+                    columns: group_cols
+                        .iter()
+                        .map(|&c| table.column_at(c).name().to_string())
+                        .collect(),
                 }
-                GroupLookup::SingleColumn {
-                    column: *column,
-                    views_by_code,
+            })?;
+        }
+        let mut views = if space <= dense_cap {
+            KeyTable::Dense(vec![u32::MAX; space as usize])
+        } else {
+            KeyTable::Sparse(HashMap::with_capacity(tuples.len()))
+        };
+        for (view, codes) in tuples.iter().enumerate() {
+            debug_assert_eq!(codes.len(), columns.len());
+            let mut key = 0;
+            for (&(ci, stride), &code) in columns.iter().zip(codes) {
+                if code as usize >= cardinality(ci) {
+                    return Err(EngineError::GroupCodeOutOfRange {
+                        column: table.column_at(ci).name().to_string(),
+                        code,
+                        cardinality: cardinality(ci),
+                    });
+                }
+                key += u64::from(code) * stride;
+            }
+            match &mut views {
+                KeyTable::Dense(table) => table[key as usize] = view as u32,
+                KeyTable::Sparse(map) => {
+                    map.insert(key, view as u32);
                 }
             }
-            _ => GroupLookup::Multi {
-                columns: group_cols.to_vec(),
-                lookup: tuples
-                    .iter()
-                    .enumerate()
-                    .map(|(view, codes)| (codes.clone(), view))
-                    .collect(),
-            },
         }
+        Ok(Self { columns, views })
     }
 
-    /// The view id for `row`, if its group exists.
-    #[inline]
-    pub(crate) fn view_of(
-        &self,
-        table: &Table,
-        row: usize,
-        scratch: &mut Vec<u32>,
-    ) -> Option<usize> {
-        match self {
-            GroupLookup::Global => Some(0),
-            GroupLookup::SingleColumn {
-                column,
-                views_by_code,
-            } => {
-                let code = table.column_at(*column).category_code(row)? as usize;
-                match views_by_code.get(code) {
-                    Some(&v) if v != u32::MAX => Some(v as usize),
-                    _ => None,
+    /// Writes the view id of each of `rows` of a block's `table` to `out`
+    /// (resized to `rows.len()`), or [`NO_VIEW`] for a row in no view. One
+    /// columnar pass per GROUP BY column builds the keys, one more maps them
+    /// to view ids in place.
+    pub(crate) fn view_ids(&self, table: &Table, rows: &[u32], out: &mut Vec<u64>) {
+        out.clear();
+        out.resize(rows.len(), 0);
+        for &(ci, stride) in &self.columns {
+            // Binding rejects non-categorical GROUP BY columns, so a column
+            // without codes is a defensive invariant: its rows join no view.
+            let Some(codes) = table.column_at(ci).category_codes() else {
+                out.fill(NO_VIEW);
+                return;
+            };
+            for (key, &row) in out.iter_mut().zip(rows) {
+                *key += u64::from(codes[row as usize]) * stride;
+            }
+        }
+        match &self.views {
+            KeyTable::Dense(views) => {
+                for key in out.iter_mut() {
+                    *key = views.get(*key as usize).map_or(NO_VIEW, |&v| u64::from(v));
                 }
             }
-            GroupLookup::Multi { columns, lookup } => {
-                scratch.clear();
-                for &ci in columns {
-                    // A column with no code at this row (it is not
-                    // categorical) means the row belongs to no group.
-                    // (Binding rejects non-categorical GROUP BY columns, so
-                    // this is a defensive invariant, not a reachable
-                    // fallback.)
-                    match table.column_at(ci).category_code(row) {
-                        Some(code) => scratch.push(code),
-                        None => return None,
-                    }
+            KeyTable::Sparse(views) => {
+                for key in out.iter_mut() {
+                    *key = views.get(key).map_or(NO_VIEW, |&v| u64::from(v));
                 }
-                lookup.get(scratch).copied()
             }
         }
     }
@@ -1428,6 +1456,36 @@ mod tests {
         let global = r.global().unwrap();
         assert_eq!(global.estimate, Some(expected_sum));
         assert_eq!(global.samples, n as u64 - 1);
+    }
+
+    /// A universe code outside its column's dictionary would alias another
+    /// group's packed key, so building the group table refuses it.
+    #[test]
+    fn a_universe_code_outside_its_dictionary_is_a_typed_error() {
+        let t = Table::new(vec![
+            Column::categorical("g", &["x", "y", "z"]),
+            Column::categorical("h", &["p", "q", "p"]),
+        ])
+        .unwrap();
+        // Code 3 of `g` (three entries) packs to key 3, which is (x, q).
+        let err = GroupLookup::build(&[0, 1], &t, &[vec![0, 1], vec![3, 0]])
+            .err()
+            .expect("an out-of-dictionary code is rejected");
+        assert!(
+            matches!(
+                &err,
+                EngineError::GroupCodeOutOfRange { column, code: 3, cardinality: 3 }
+                    if column == "g"
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("`g`"), "{err}");
+
+        // In range, rows route to their tuple's view or to none.
+        let lookup = GroupLookup::build(&[0, 1], &t, &[vec![2, 1], vec![0, 0]]).unwrap();
+        let mut views = Vec::new();
+        lookup.view_ids(&t, &[0, 1, 2], &mut views);
+        assert_eq!(views, vec![1, NO_VIEW, NO_VIEW]);
     }
 
     /// An integer-valued Exact SUM is exactly integral under any partition

@@ -24,16 +24,18 @@
 //! Workers pull partitions off a shared job queue and scan each partition's
 //! blocks in block order. Every worker owns a `WorkerScratch`, allocated
 //! once per worker per query: a dense slab with one slot per aggregate view,
-//! the router's per-view value buffers, and the selection vectors. A
-//! partition fills slots and records them in a touched list; at its end
+//! a view-id buffer for a block's selected rows, and the selection vectors.
+//! A partition fills slots and records them in a touched list; at its end
 //! the filled slots are moved into the `PartitionPartial`, leaving them
 //! empty, in O(touched views). Nothing in a partition allocates in
 //! proportion to the number of views.
 //!
-//! For Hoeffding and Bernstein (±RT) a slot holds a plain `Copy`
-//! [`FlatRecord`]: count, sum, shifted sums, extremes and, for RangeTrim,
-//! the clipped left/right moments (see [`fastframe_core::partial`]).
-//! Anderson/DKW (±RT) keeps a boxed estimator per touched view.
+//! For Hoeffding and Bernstein (±RT) the slab is a dense `Vec` of plain
+//! `Copy` [`FlatRecord`]s: count, sum, shifted sums, extremes and
+//! RangeTrim's four correction sums, one update per value (see
+//! [`fastframe_core::partial`]). The coordinator finishes each into the
+//! three-moment state it merges. Anderson/DKW (±RT) keeps a boxed
+//! estimator per touched view.
 //!
 //! The coordinator folds the partials into the master views **in partition
 //! order**, each as soon as it and every earlier partition are done, with
@@ -58,14 +60,25 @@
 //!
 //! ## Batch execution
 //!
-//! Within a partition, each block goes through one batch loop: the
-//! partition's blocks are read through projection pushdown
-//! ([`BlockSource::scan_blocks`] decodes only the columns the query
-//! references, and the segment backing fetches runs of consecutive blocks
-//! with one read), the predicate runs as a columnar filter kernel producing
-//! a [`SelectionVector`], the selected rows are partitioned by group id
-//! once, and every touched view's slot gets one contiguous batch of target
-//! values per block. Each view receives its values in ascending row order.
+//! Within a partition, each block goes through one loop:
+//!
+//! 1. The partition's blocks are read through projection pushdown
+//!    ([`BlockSource::scan_blocks`] decodes only the columns the query
+//!    references, and the segment backing fetches runs of consecutive
+//!    blocks with one read).
+//! 2. The predicate runs as a columnar filter kernel producing a
+//!    [`SelectionVector`].
+//! 3. The group table gives every selected row its view id: one columnar
+//!    pass per GROUP BY column packs the codes into a key, one more looks
+//!    the keys up (`GroupLookup::view_ids`).
+//! 4. The target-value kernel is resolved once per block, and one loop
+//!    over the selected rows, specialised to it, updates each row's view
+//!    slot in place.
+//!
+//! Rows are never copied into per-view buffers. Each view still sees its
+//! values in ascending row order, so a partition's records, and with them
+//! the thread and backing bit-identity above, are unchanged by the
+//! interleaving of views within a block.
 //!
 //! This is the only code that scans rows. Approximate OptStop rounds and the
 //! Exact baseline (one round over every block) both run through it;
@@ -78,7 +91,8 @@
 
 use std::ops::ControlFlow;
 
-use fastframe_core::bounder::BounderKind;
+use fastframe_core::bounder::{BounderKind, BoxedEstimator};
+use fastframe_core::partial::FlatRecord;
 
 use fastframe_store::block::BlockId;
 use fastframe_store::expr::BoundExpr;
@@ -86,10 +100,10 @@ use fastframe_store::selection::{SelectionScratch, SelectionVector};
 use fastframe_store::source::BlockSource;
 use fastframe_store::table::Table;
 
-use crate::executor::{BoundQuery, GroupLookup};
+use crate::executor::{BoundQuery, GroupLookup, NO_VIEW};
 use crate::metrics::ExecMetrics;
 use crate::query::AggregateFunction;
-use crate::view::Accumulator;
+use crate::view::Partial;
 
 /// Upper bound on the number of partitions a round is split into. The
 /// partition layout must be independent of the thread count (determinism),
@@ -144,7 +158,7 @@ pub(crate) struct PartitionPartial {
     pub exec: ExecMetrics,
     /// Touched views' partials, in first-touch order (views are
     /// independent, so the order only has to be deterministic).
-    pub views: Vec<(u32, Accumulator)>,
+    pub views: Vec<(u32, Partial)>,
     /// A block read failure (I/O error or chunk corruption detected mid
     /// scan); the coordinator fails the query with it instead of merging.
     pub error: Option<fastframe_store::table::StoreError>,
@@ -154,43 +168,102 @@ pub(crate) struct PartitionPartial {
 }
 
 /// One slot per aggregate view, holding the view's partial for the
-/// partition being scanned; `None` until the view is touched.
+/// partition being scanned, and the views touched so far.
 struct Slab {
-    kind: BounderKind,
-    slots: Vec<Option<Accumulator>>,
+    slots: Slots,
     /// Views with a filled slot, in first-touch order.
     touched: Vec<u32>,
 }
 
+enum Slots {
+    /// Hoeffding and Bernstein (±RT): a dense record per view; an empty
+    /// record is an untouched slot.
+    Flat(Vec<FlatRecord>),
+    /// Anderson/DKW (±RT): a boxed estimator per touched view.
+    Boxed(BounderKind, Vec<Option<BoxedEstimator>>),
+}
+
 impl Slab {
     fn new(kind: BounderKind, num_views: usize) -> Self {
+        let slots = match kind.flat() {
+            Some(_) => Slots::Flat(vec![FlatRecord::EMPTY; num_views]),
+            None => Slots::Boxed(kind, (0..num_views).map(|_| None).collect()),
+        };
         Self {
-            kind,
-            slots: (0..num_views).map(|_| None).collect(),
+            slots,
             touched: Vec::new(),
         }
     }
 
-    /// Folds a batch of `view`'s values into its slot.
+    /// Folds a block's selected `rows` into their views' slots in row order:
+    /// `views[i]` is the view of `rows[i]` (or [`NO_VIEW`]) and `value` its
+    /// target value. Returns the number of values folded.
     #[inline]
-    fn observe(&mut self, view: u32, values: &[f64]) {
-        let slot = &mut self.slots[view as usize];
-        if slot.is_none() {
-            self.touched.push(view);
+    fn fold_rows(
+        &mut self,
+        rows: &[u32],
+        views: &[u64],
+        value: impl Fn(usize) -> Option<f64>,
+    ) -> u64 {
+        let touched = &mut self.touched;
+        let mut folded = 0;
+        match &mut self.slots {
+            Slots::Flat(records) => {
+                for (&row, &view) in rows.iter().zip(views) {
+                    if view == NO_VIEW {
+                        continue;
+                    }
+                    let Some(v) = value(row as usize) else {
+                        continue;
+                    };
+                    let record = &mut records[view as usize];
+                    if record.is_empty() {
+                        touched.push(view as u32);
+                    }
+                    record.observe(v);
+                    folded += 1;
+                }
+            }
+            Slots::Boxed(kind, slots) => {
+                for (&row, &view) in rows.iter().zip(views) {
+                    if view == NO_VIEW {
+                        continue;
+                    }
+                    let Some(v) = value(row as usize) else {
+                        continue;
+                    };
+                    slots[view as usize]
+                        .get_or_insert_with(|| {
+                            touched.push(view as u32);
+                            kind.make_estimator()
+                        })
+                        .observe(v);
+                    folded += 1;
+                }
+            }
         }
-        slot.get_or_insert_with(|| Accumulator::new(self.kind))
-            .observe_batch(values);
+        folded
     }
 
     /// Moves the touched slots out as partials, leaving every slot empty,
     /// in O(touched).
-    fn take(&mut self) -> Vec<(u32, Accumulator)> {
+    fn take(&mut self) -> Vec<(u32, Partial)> {
         let slots = &mut self.slots;
         self.touched
             .drain(..)
             .map(|view| {
-                let partial = slots[view as usize].take();
-                (view, partial.expect("a touched slot is filled"))
+                let partial = match slots {
+                    Slots::Flat(records) => Partial::Flat(std::mem::replace(
+                        &mut records[view as usize],
+                        FlatRecord::EMPTY,
+                    )),
+                    Slots::Boxed(_, slots) => Partial::Boxed(
+                        slots[view as usize]
+                            .take()
+                            .expect("a touched slot is filled"),
+                    ),
+                };
+                (view, partial)
             })
             .collect()
     }
@@ -200,33 +273,31 @@ impl Slab {
 /// reset after every partition in O(touched views).
 struct WorkerScratch {
     slab: Slab,
-    router: BatchRouter,
     /// One selection (plus a scratch pool for Or/Not temporaries) reused
     /// across blocks: blocks are small (25 rows by default), so per-block
     /// allocation would dominate the kernels themselves.
     sel: SelectionVector,
     filter_scratch: SelectionScratch,
-    /// Group-code scratch for multi-column lookups.
-    codes: Vec<u32>,
+    /// The view id of each selected row of the block being scanned.
+    views: Vec<u64>,
 }
 
 impl WorkerScratch {
     fn new(ctx: &ScanContext<'_>) -> Self {
         Self {
             slab: Slab::new(ctx.bounder, ctx.num_views),
-            router: BatchRouter::new(ctx.num_views),
             sel: SelectionVector::empty(),
             filter_scratch: SelectionScratch::new(),
-            codes: Vec::with_capacity(4),
+            views: Vec::new(),
         }
     }
 }
 
 /// Scans one partition's blocks in block order, producing its partial:
 /// projected block reads, columnar predicate kernels into a
-/// [`SelectionVector`], one group-routing pass over the selected rows, and
-/// one batch update per (block, view) pair, each view's values in ascending
-/// row order.
+/// [`SelectionVector`], the selected rows' view ids from the group table,
+/// and one in-place update of its view's slot per selected row, each view's
+/// values in ascending row order.
 ///
 /// Blocks are obtained through one [`BlockSource::scan_blocks`] call: a
 /// zero-copy view per block for in-memory scrambles, run reads decoding
@@ -243,10 +314,9 @@ fn scan_partition(
 ) -> PartitionPartial {
     let WorkerScratch {
         slab,
-        router,
         sel,
         filter_scratch,
-        codes,
+        views,
     } = scratch;
     let mut exec = ExecMetrics::default();
     let projection = Some(ctx.projection.as_slice());
@@ -260,12 +330,10 @@ fn scan_partition(
                 .filter_block_scratch(table, block_ref.rows(), sel, filter_scratch);
             exec.record_selected(sel.len() as u64);
             if !sel.is_empty() {
-                let kernel = ValueKernel::for_block(ctx, table);
-                let matched =
-                    router.route_block(ctx.lookup, table, sel, &kernel, codes, |view, values| {
-                        slab.observe(view, values)
-                    });
-                exec.record_matches(matched);
+                ctx.lookup.view_ids(table, sel.rows(), views);
+                let folded =
+                    ValueKernel::for_block(ctx, table).fold(table, slab, sel.rows(), views);
+                exec.record_matches(folded);
             }
             ControlFlow::Continue(())
         });
@@ -313,121 +381,20 @@ impl<'a> ValueKernel<'a> {
         ValueKernel::Expr(&ctx.bound.target)
     }
 
-    /// The target value of `row`, or `None` when the expression has no
-    /// value there (such rows are skipped before routing).
-    #[inline]
-    fn value(&self, table: &Table, row: usize) -> Option<f64> {
-        match self {
-            ValueKernel::One => Some(1.0),
-            ValueKernel::Floats(values) => values.get(row).copied(),
-            ValueKernel::Ints(values) => values.get(row).map(|&v| v as f64),
-            ValueKernel::Expr(expr) => expr.evaluate(table, row),
-        }
-    }
-}
-
-/// Partitions a block's selected rows by aggregate-view id, buffering each
-/// view's target values in ascending row order, then hands every touched
-/// view's buffer to a flush callback once. The buffers are dense (view id
-/// indexes straight into a slot), allocated once per worker and reused
-/// across blocks.
-struct BatchRouter {
-    /// Per-view value buffers for the block being routed.
-    buffers: Vec<Vec<f64>>,
-    /// View ids with a non-empty buffer, in first-touch order.
-    touched: Vec<u32>,
-}
-
-impl BatchRouter {
-    fn new(num_views: usize) -> Self {
-        Self {
-            buffers: (0..num_views).map(|_| Vec::new()).collect(),
-            touched: Vec::new(),
-        }
-    }
-
-    /// Routes the block's selected rows and flushes each touched view's
-    /// values with `flush(view, values)`. Returns the number of values
-    /// routed.
-    fn route_block(
-        &mut self,
-        lookup: &GroupLookup,
-        table: &Table,
-        sel: &SelectionVector,
-        kernel: &ValueKernel<'_>,
-        codes: &mut Vec<u32>,
-        mut flush: impl FnMut(u32, &[f64]),
-    ) -> u64 {
-        match lookup {
-            GroupLookup::Global => {
-                let buffer = &mut self.buffers[0];
-                for &r in sel.rows() {
-                    if let Some(value) = kernel.value(table, r as usize) {
-                        buffer.push(value);
-                    }
-                }
-                if !buffer.is_empty() {
-                    self.touched.push(0);
-                }
+    /// Folds the selected `rows` of `table` into `slab` (see
+    /// [`Slab::fold_rows`]), with the row loop specialised to this kernel.
+    /// A row where the expression has no value is skipped.
+    fn fold(&self, table: &Table, slab: &mut Slab, rows: &[u32], views: &[u64]) -> u64 {
+        match *self {
+            ValueKernel::One => slab.fold_rows(rows, views, |_| Some(1.0)),
+            ValueKernel::Floats(values) => {
+                slab.fold_rows(rows, views, |row| values.get(row).copied())
             }
-            GroupLookup::SingleColumn {
-                column,
-                views_by_code,
-            } => {
-                // One columnar pass over the group column's codes; a code
-                // that maps to no view (or a non-categorical column, which
-                // has no group) routes nowhere.
-                if let Some(group_codes) = table.column_at(*column).category_codes() {
-                    for &r in sel.rows() {
-                        let row = r as usize;
-                        let Some(&view) = views_by_code.get(group_codes[row] as usize) else {
-                            continue;
-                        };
-                        if view == u32::MAX {
-                            continue;
-                        }
-                        let Some(value) = kernel.value(table, row) else {
-                            continue;
-                        };
-                        let buffer = &mut self.buffers[view as usize];
-                        if buffer.is_empty() {
-                            self.touched.push(view);
-                        }
-                        buffer.push(value);
-                    }
-                }
+            ValueKernel::Ints(values) => {
+                slab.fold_rows(rows, views, |row| values.get(row).map(|&v| v as f64))
             }
-            GroupLookup::Multi { .. } => {
-                for &r in sel.rows() {
-                    let row = r as usize;
-                    let Some(value) = kernel.value(table, row) else {
-                        continue;
-                    };
-                    let Some(view_id) = lookup.view_of(table, row, codes) else {
-                        continue;
-                    };
-                    let buffer = &mut self.buffers[view_id];
-                    if buffer.is_empty() {
-                        self.touched.push(view_id as u32);
-                    }
-                    buffer.push(value);
-                }
-            }
+            ValueKernel::Expr(expr) => slab.fold_rows(rows, views, |row| expr.evaluate(table, row)),
         }
-
-        // Flush: one batch per touched view, values in ascending row order.
-        // Flush order across views is irrelevant to results (views are
-        // independent) but deterministic anyway (first-touch order is a pure
-        // function of the block's data).
-        let mut routed = 0;
-        for &view in &self.touched {
-            let buffer = &mut self.buffers[view as usize];
-            flush(view, buffer);
-            routed += buffer.len() as u64;
-            buffer.clear();
-        }
-        self.touched.clear();
-        routed
     }
 }
 

@@ -5,57 +5,82 @@
 //!
 //! * a streaming mean estimator (one of the bounders of `fastframe-core`,
 //!   selected by [`BounderKind`]) fed the target-expression values of
-//!   matching rows: a flat record for Hoeffding and Bernstein (±RT), a boxed
-//!   estimator for Anderson/DKW;
+//!   matching rows: merged flat moments for Hoeffding and Bernstein (±RT),
+//!   a boxed estimator for Anderson/DKW;
 //! * the count of matching rows seen, which — combined with the total number
 //!   of scanned rows and the scramble size — yields the selectivity bounds of
 //!   Lemma 5 and the dataset-size upper bound `N⁺` of Theorem 3;
 //! * running (monotonically shrinking) intervals across OptStop rounds for
 //!   both the aggregate and the COUNT.
 
-use fastframe_core::bounder::{BoundContext, BounderKind, BoxedEstimator, Ci};
+use fastframe_core::bounder::{BoundContext, BounderKind, BoxedEstimator, Ci, ErrorBounder};
 use fastframe_core::count::SelectivityTracker;
 use fastframe_core::error::CoreResult;
+use fastframe_core::hoeffding::HoeffdingSerfling;
 use fastframe_core::optstop::RunningInterval;
-use fastframe_core::partial::{FlatBounder, FlatRecord};
+use fastframe_core::partial::{FlatBounder, FlatMoments, FlatRecord};
+use fastframe_core::range_trim::RangeTrim;
 use fastframe_core::stopping::GroupSnapshot;
 use fastframe_core::sum::sum_interval;
 
 use crate::query::AggregateFunction;
 use crate::result::{GroupKey, GroupResult};
 
-/// A view's estimator state, and the partial a scan partition accumulates
-/// for one view: the master state and its partials share this type.
+/// A view's estimator state.
 pub(crate) enum Accumulator {
-    /// Hoeffding and Bernstein (±RT): one plain record, no allocation and no
-    /// virtual call.
-    Flat(FlatBounder, FlatRecord),
+    /// Hoeffding and Bernstein (±RT): the three moments finished partition
+    /// records merge into, with no allocation and no virtual call.
+    Flat(FlatBounder, FlatMoments),
     /// Anderson/DKW (±RT), whose state is an O(m) sample.
     Boxed(BoxedEstimator),
+}
+
+/// What a scan partition accumulated for one view.
+pub(crate) enum Partial {
+    /// The view's flat record for the partition.
+    Flat(FlatRecord),
+    /// The view's boxed estimator for the partition.
+    Boxed(BoxedEstimator),
+}
+
+impl Partial {
+    /// Number of values observed.
+    pub(crate) fn count(&self) -> u64 {
+        match self {
+            Partial::Flat(record) => record.all.count(),
+            Partial::Boxed(estimator) => estimator.count(),
+        }
+    }
 }
 
 impl Accumulator {
     /// An empty accumulator of `kind`.
     pub(crate) fn new(kind: BounderKind) -> Self {
         match kind.flat() {
-            Some(flat) => Accumulator::Flat(flat, FlatRecord::EMPTY),
+            Some(flat) => Accumulator::Flat(flat, FlatMoments::EMPTY),
             None => Accumulator::Boxed(kind.make_estimator()),
         }
     }
 
-    /// Observes a batch of values in slice order.
-    pub(crate) fn observe_batch(&mut self, values: &[f64]) {
+    /// Observes one value directly into the state. For the flat kinds this
+    /// is Algorithm 6's three-moment update, the sequential fold a finished
+    /// record reproduces; the scan itself absorbs partition records.
+    fn observe(&mut self, value: f64) {
         match self {
-            Accumulator::Flat(kind, record) => kind.observe_batch(record, values),
-            Accumulator::Boxed(estimator) => estimator.observe_batch(values),
+            Accumulator::Flat(_, moments) => {
+                RangeTrim::new(HoeffdingSerfling).update_state(moments, value)
+            }
+            Accumulator::Boxed(estimator) => estimator.observe(value),
         }
     }
 
     /// Folds `later`, accumulated over a later partition, into `self`.
-    fn merge(&mut self, later: &Accumulator) {
+    fn absorb(&mut self, later: &Partial) {
         match (self, later) {
-            (Accumulator::Flat(_, record), Accumulator::Flat(_, other)) => record.merge(other),
-            (Accumulator::Boxed(estimator), Accumulator::Boxed(other)) => {
+            (Accumulator::Flat(_, moments), Partial::Flat(record)) => {
+                moments.merge(&record.finish())
+            }
+            (Accumulator::Boxed(estimator), Partial::Boxed(other)) => {
                 let merged = estimator.merge_from(other.as_ref());
                 debug_assert!(merged, "partition estimator kind differs from the view's");
             }
@@ -63,17 +88,9 @@ impl Accumulator {
         }
     }
 
-    /// Number of values observed.
-    pub(crate) fn count(&self) -> u64 {
-        match self {
-            Accumulator::Flat(_, record) => record.all.count(),
-            Accumulator::Boxed(estimator) => estimator.count(),
-        }
-    }
-
     fn estimate(&self) -> Option<f64> {
         match self {
-            Accumulator::Flat(kind, record) => kind.estimate(record),
+            Accumulator::Flat(kind, moments) => kind.estimate(moments),
             Accumulator::Boxed(estimator) => estimator.estimate(),
         }
     }
@@ -81,14 +98,14 @@ impl Accumulator {
     /// The accumulated sum of the values, where the state keeps one.
     fn sum(&self) -> Option<f64> {
         match self {
-            Accumulator::Flat(_, record) => (record.all.count() > 0).then(|| record.all.sum()),
+            Accumulator::Flat(_, moments) => (moments.all.count() > 0).then(|| moments.all.sum()),
             Accumulator::Boxed(_) => None,
         }
     }
 
     fn interval(&self, ctx: &BoundContext) -> Ci {
         match self {
-            Accumulator::Flat(kind, record) => kind.interval(record, ctx),
+            Accumulator::Flat(kind, moments) => kind.interval(moments, ctx),
             Accumulator::Boxed(estimator) => estimator.interval(ctx),
         }
     }
@@ -164,7 +181,7 @@ impl AggregateView {
     #[inline]
     pub fn observe(&mut self, value: f64) {
         self.matched += 1;
-        self.estimator.observe_batch(&[value]);
+        self.estimator.observe(value);
     }
 
     /// Folds a scan partition's partial accumulation for this view (of the
@@ -174,9 +191,9 @@ impl AggregateView {
     /// round boundaries via [`Self::round_update`], after every partition of
     /// the round has been merged, which is what keeps round evaluation
     /// identical at any thread count.
-    pub(crate) fn absorb_partial(&mut self, partial: &Accumulator) {
+    pub(crate) fn absorb_partial(&mut self, partial: &Partial) {
         self.matched += partial.count();
-        self.estimator.merge(partial);
+        self.estimator.absorb(partial);
     }
 
     /// Records that `rows` rows were skipped in blocks provably containing no
@@ -436,19 +453,19 @@ mod tests {
         // that observed the same values partition-by-partition.
         let mut direct = view(BounderKind::BernsteinRangeTrim);
         let mut merged = view(BounderKind::BernsteinRangeTrim);
-        let mut partial_a = Accumulator::new(BounderKind::BernsteinRangeTrim);
-        let mut partial_b = Accumulator::new(BounderKind::BernsteinRangeTrim);
+        let mut partial_a = FlatRecord::EMPTY;
+        let mut partial_b = FlatRecord::EMPTY;
         for i in 0..300u64 {
             let v = 10.0 + (i % 17) as f64;
             direct.observe(v);
             if i < 200 {
-                partial_a.observe_batch(&[v]);
+                partial_a.observe(v);
             } else {
-                partial_b.observe_batch(&[v]);
+                partial_b.observe(v);
             }
         }
-        merged.absorb_partial(&partial_a);
-        merged.absorb_partial(&partial_b);
+        merged.absorb_partial(&Partial::Flat(partial_a));
+        merged.absorb_partial(&Partial::Flat(partial_b));
         assert_eq!(merged.matched(), direct.matched());
         let m = merged.mean_estimate().unwrap();
         let d = direct.mean_estimate().unwrap();

@@ -3,10 +3,11 @@
 //!
 //! Every query the engine runs, approximate or Exact, scans rows through
 //! one batch pipeline (columnar predicate kernels over selection vectors,
-//! projection pushdown, per-view `observe_batch`). The reference below
-//! shares none of that code: it copies a materialized table into plain
-//! rows through the `Table` / `Column` accessors, then walks them one at a
-//! time with its own predicate, target and grouping logic.
+//! projection pushdown, a dense group table, per-row record updates). The
+//! reference below shares none of that code: it copies a materialized
+//! table into plain rows through the `Table` / `Column` accessors, then
+//! walks them one at a time with its own predicate, target and grouping
+//! logic.
 //!
 //! For random predicates × aggregates × targets × group-bys × selections,
 //! on the in-memory and the segment backing at `threads = 1` and
@@ -605,4 +606,125 @@ fn empty_selection_keeps_the_global_group() {
         }
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// A table for GROUP BYs beyond the two small columns above: `a`, `b` and
+/// `c` (5, 4 and 3 codes; `c` follows from `a` and `b`, so 20 of the 60
+/// combinations occur), and `wide1` × `wide2` (293 × 251 = 73 543 code
+/// combinations, past the group table's 2¹⁶ dense cap and either
+/// column's dictionary, of which 1 000 occur).
+fn wide_group_table(rows: usize) -> Table {
+    let label = |prefix: &str, code: usize| format!("{prefix}{code}");
+    let mut values = Vec::with_capacity(rows);
+    let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut wide1, mut wide2) = (Vec::new(), Vec::new());
+    for i in 0..rows {
+        let k = i % 1_000;
+        values.push(((i * 2_654_435_761) % 1000) as f64 / 10.0 + (k % 17) as f64);
+        a.push(label("a", i % 5));
+        b.push(label("b", i % 4));
+        c.push(label("c", (i % 5 + i % 4) % 3));
+        wide1.push(label("w", k % 293));
+        wide2.push(label("x", k % 251));
+    }
+    Table::new(vec![
+        Column::float("v", values),
+        Column::categorical("a", &a),
+        Column::categorical("b", &b),
+        Column::categorical("c", &c),
+        Column::categorical("wide1", &wide1),
+        Column::categorical("wide2", &wide2),
+    ])
+    .unwrap()
+}
+
+/// The naive answer of `AVG(v) WHERE v > 20 GROUP BY columns` over the rows
+/// of `table`: group label → (rows, sum of `v`).
+fn naive_group_avg(table: &Table, columns: &[&str]) -> BTreeMap<String, (u64, f64)> {
+    let v = table.column("v").unwrap().float_values().unwrap();
+    let mut groups = BTreeMap::new();
+    for (row, &value) in v.iter().enumerate() {
+        if value <= 20.0 {
+            continue;
+        }
+        let label = columns
+            .iter()
+            .map(|name| {
+                let column = table.column(name).unwrap();
+                let code = column.category_codes().unwrap()[row];
+                column.dictionary().unwrap()[code as usize].clone()
+            })
+            .collect::<Vec<_>>()
+            .join("/");
+        let entry = groups.entry(label).or_insert((0u64, 0.0));
+        entry.0 += 1;
+        entry.1 += value;
+    }
+    groups
+}
+
+/// GROUP BYs through both storages of the group table: three columns (a
+/// dense key table with absent keys) and two columns whose key space
+/// exceeds the dense cap (a map). Exact and a full pass answer exactly what
+/// the naive evaluator does, and every run is bit-identical at any thread
+/// count on either backing.
+#[test]
+fn multi_column_group_tables_match_the_reference() {
+    for columns in [&["a", "b", "c"][..], &["wide1", "wide2"][..]] {
+        let path = temp_path(&format!("groups_{}", columns.len()));
+        let mut s = Session::new();
+        s.register("mem", &wide_group_table(6_000)).unwrap();
+        s.save_table("mem", &path).unwrap();
+        s.open_table("disk", &path).unwrap();
+        let query = |backing: &str| {
+            let mut q = s
+                .query(backing)
+                .avg(Expr::col("v"))
+                .filter(Predicate::num_gt("v", 20.0));
+            for &column in columns {
+                q = q.group_by(column);
+            }
+            q
+        };
+        let naive = naive_group_avg(s.scramble("mem").unwrap().table(), columns);
+        let check = |result: &QueryResult, what: &str| {
+            let mut answered = 0;
+            for g in result.groups.iter().filter(|g| g.samples > 0) {
+                let label = g.key.display();
+                let (count, sum) = naive[&label];
+                assert_eq!(g.samples, count, "{what}: samples of {label}");
+                let (estimate, truth) = (g.estimate.unwrap(), sum / count as f64);
+                assert!(
+                    (estimate - truth).abs() <= 1e-9 * truth.abs(),
+                    "{what}: {label} estimate {estimate} vs reference {truth}"
+                );
+                assert!(g.exact, "{what}: {label} is not marked exact");
+                answered += 1;
+            }
+            assert_eq!(answered, naive.len(), "{what}: answered groups");
+        };
+        let run = |backing: &str, threads: usize, width: f64| {
+            query(backing)
+                .absolute_width(width)
+                .config(config(threads, 9, SamplingStrategy::Scan))
+                .execute()
+                .unwrap()
+        };
+        let (full_baseline, early_baseline) = (run("mem", 1, 0.0), run("mem", 1, 20.0));
+        let exact_baseline = query("mem").threads(1).execute_exact().unwrap();
+        for backing in BACKINGS {
+            for threads in THREADS {
+                let what = format!("{columns:?} {backing}/threads={threads}");
+                let exact = query(backing).threads(threads).execute_exact().unwrap();
+                check(&exact, &format!("exact {what}"));
+                assert_identical(&exact, &exact_baseline, &format!("exact {what}"));
+                let full_pass = run(backing, threads, 0.0);
+                check(&full_pass, &format!("full pass {what}"));
+                assert_identical(&full_pass, &full_baseline, &format!("full pass {what}"));
+                let early = run(backing, threads, 20.0);
+                assert_identical(&early, &early_baseline, &format!("early {what}"));
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }
