@@ -34,8 +34,9 @@
 //! * At partition end, [`FlatRecord::finish`] materialises the three-moment
 //!   [`FlatMoments`] of Algorithm 6: `all` plus the clipped `left` and
 //!   `right` moments. That is a view's master state. Partials fold into it
-//!   with Chan et al.'s pairwise formulas ([`RunningMoments::merge`]); the
-//!   raw sums add exactly, so an Exact SUM of integers is exactly integral
+//!   by translating each partial's shifted sums into the master's shift and
+//!   adding them ([`RunningMoments::merge`]: a few multiply-adds, no
+//!   division); the raw sums add exactly, so an Exact SUM of integers is exactly integral
 //!   under any layout.
 //!
 //! [`FlatBounder`] computes, from finished moments, the estimate and
@@ -82,8 +83,13 @@
 //! left and right states stay finite; here the clipped states are derived
 //! from `all` and take the NaN too, so a RangeTrim interval of a view that
 //! observed a NaN falls back to the declared range `[a, b]`. That is wider,
-//! hence still valid. NaN reaches a scan only from malformed input (the CSV
-//! loader stores an unparsable float as NaN).
+//! hence still valid. A session refuses such data up front:
+//! `Session::register_with` and `register_scramble` reject a float column
+//! holding a NaN or an infinity, naming the column and row. NaN can still
+//! reach a scan that bypasses the session, such as a scramble built
+//! directly from a table or a segment opened from disk (the CSV loader
+//! stores an unparsable float as NaN, and `Table::new` and
+//! `Scramble::build_with` accept it, as persistence round-trips need).
 //!
 //! [`PartialState`] is the merge contract every accumulator implements: a
 //! state that can be sent to a worker (`Send`) and folded back
@@ -524,9 +530,13 @@ mod tests {
     }
 
     fn assert_close(what: &str, got: f64, want: f64) {
+        assert_within(what, got, want, 1e-12);
+    }
+
+    fn assert_within(what: &str, got: f64, want: f64, tolerance: f64) {
         let rel = (got - want).abs() / want.abs().max(f64::MIN_POSITIVE);
         assert!(
-            got == want || rel < 1e-12,
+            got == want || rel < tolerance,
             "{what}: {got} vs {want} ({rel:e} relative)"
         );
     }
@@ -571,6 +581,72 @@ mod tests {
                     assert_eq!(got.count(), want.count(), "{what}: count");
                     assert_close(&format!("{what} mean"), got.mean(), want.mean());
                     assert_close(&format!("{what} variance"), got.variance(), want.variance());
+                }
+            }
+        }
+    }
+
+    /// The translate-and-add merge against one sequential fold: values
+    /// folded in 1, 7 and 64 partitions and merged agree with a sequential
+    /// `RangeTrim<HoeffdingSerfling>` fold over all of them (the `all`
+    /// moments) on mean and variance: within 1e-12 relative at a 1e9
+    /// offset, and within 1e-11 with a 10⁶σ outlier as the first value of
+    /// the last partition. That partition's sums are then shifted by the
+    /// outlier, which costs them about its row count times ε relative
+    /// before any merge: Chan et al.'s merge is off by the same 3e-12 on
+    /// the 7-partition layout. The clipped states, which depend on the
+    /// layout, match Algorithm 6's fold over the same partitions.
+    #[test]
+    fn translate_and_add_merge_matches_a_sequential_fold() {
+        let noise = |i: u64| ((i * 7_919) % 1_000) as f64 * 0.1 + (i % 3) as f64 * 1e-3;
+        let rows = 22_400u64;
+        // σ of the noise is about 29; the outlier sits 10⁶σ above it.
+        let sigma = 28.9;
+        let rt = RangeTrim::new(HoeffdingSerfling);
+        for (name, offset, outlier) in [
+            ("offset", 1e9, false),
+            ("outlier", 0.0, true),
+            ("offset and outlier", 1e9, true),
+        ] {
+            for parts in [1usize, 7, 64] {
+                let mut values: Vec<f64> = (0..rows).map(|i| offset + noise(i)).collect();
+                let chunk = values.len().div_ceil(parts);
+                if outlier {
+                    values[(parts - 1) * chunk] = offset + 1e6 * sigma;
+                }
+                let mut sequential = rt.init_state();
+                for &v in &values {
+                    rt.update_state(&mut sequential, v);
+                }
+                let merged = merged_over(&values, parts);
+                let what = format!("{name} x{parts}");
+                assert_eq!(merged.all.count(), sequential.all.count(), "{what}");
+                let tolerance = if outlier { 1e-11 } else { 1e-12 };
+                for (stat, got, want) in [
+                    ("mean", merged.all.mean(), sequential.all.mean()),
+                    ("variance", merged.all.variance(), sequential.all.variance()),
+                ] {
+                    assert_within(&format!("{what} {stat}"), got, want, tolerance);
+                }
+                if outlier {
+                    // The clipped states leave the outlier out but keep its
+                    // shift, which costs them up to 1e-8 relative under
+                    // either merge; the one-record derivation, not the
+                    // merge, sets that bound.
+                    continue;
+                }
+                let three = three_state_over(&values, parts);
+                for (side, got, want) in [
+                    ("left", merged.left, three.left),
+                    ("right", merged.right, three.right),
+                ] {
+                    assert_eq!(got.count(), want.count(), "{what} {side}");
+                    assert_close(&format!("{what} {side} mean"), got.mean(), want.mean());
+                    assert_close(
+                        &format!("{what} {side} variance"),
+                        got.variance(),
+                        want.variance(),
+                    );
                 }
             }
         }

@@ -84,6 +84,19 @@ impl StoppingCondition {
         }
     }
 
+    /// The verdict and the active groups of one round, with the active set
+    /// computed once: every condition but Ê is satisfied exactly when there
+    /// are groups and none of them is active. Ê keeps its own test, which
+    /// also holds vacuously for `m = 0`.
+    pub fn evaluate(&self, groups: &[GroupSnapshot]) -> (bool, Vec<usize>) {
+        let active = self.active_groups(groups);
+        let satisfied = match self {
+            StoppingCondition::SampleCount { .. } => self.is_satisfied(groups),
+            _ => !groups.is_empty() && active.is_empty(),
+        };
+        (satisfied, active)
+    }
+
     /// Whether a particular group is *active*: further samples for it are
     /// needed before this condition can be satisfied (§4.3).
     pub fn group_is_active(&self, group: &GroupSnapshot, all: &[GroupSnapshot]) -> bool {

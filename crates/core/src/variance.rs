@@ -16,12 +16,19 @@
 //! * **Stability.** Shifting by a value of the data removes the catastrophic
 //!   cancellation of the naive `Σ v²` method: for values like
 //!   `1e9 + noise`, the shifted sums hold only the noise.
-//! * **Pairwise merge.** [`RunningMoments::merge`] combines two accumulators
-//!   with Chan et al.'s pairwise formulas ("Updating formulae and a pairwise
-//!   algorithm for computing sample variances", 1979) on their centred
-//!   moments, and re-centres the result: the merged shift is the combined
-//!   mean and the shifted sum restarts at zero. Later observations are then
-//!   shifted by a value inside the data again.
+//! * **Pairwise merge.** [`RunningMoments::merge`] keeps the earlier
+//!   accumulator's shift `K`, which is a value of the data, and translates
+//!   the later one's sums into it: with `d = K′ − K`, its `Σ (v − K)` is
+//!   `s₁′ + n′d` and its `Σ (v − K)²` is `s₂′ + d(2s₁′ + n′d)`. Both are
+//!   added. There is no division and no re-centring on a mean, so a merge
+//!   costs a few multiply-adds, and the shift of a view's master state is
+//!   the first value of its first partition for the whole query. This is
+//!   the shifted-data form of Chan et al.'s pairwise update ("Updating
+//!   formulae and a pairwise algorithm for computing sample variances",
+//!   1979): the two agree up to rounding. Precision is that of any sum
+//!   shifted by a data value: a shift far from the rest of the data (a
+//!   10⁶σ outlier seen first) costs the shifted sums about their count
+//!   times ε, relative, under either merge and in a sequential fold alike.
 //! * **A real sum.** [`RunningMoments::sum`] is the running sum of the raw
 //!   values, not `count × mean`, so a sum of integer-valued data stays
 //!   exactly integral (below 2⁵³) whatever the merge layout.
@@ -37,8 +44,8 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunningMoments {
     count: u64,
-    /// The shift `K`: the first value observed, or the mean as of the last
-    /// merge.
+    /// The shift `K`: the first value observed (or merged in, for an
+    /// accumulator that was empty).
     shift: f64,
     /// `Σ (v − K)`.
     s1: f64,
@@ -142,8 +149,10 @@ impl RunningMoments {
         (self.shift, self.s1, self.s2)
     }
 
-    /// Merges another accumulator into this one with Chan et al.'s pairwise
-    /// formulas, then re-centres the shifted sums on the combined mean.
+    /// Merges another accumulator into this one by translating its shifted
+    /// sums into this one's shift `K` and adding them. With `d = K′ − K`,
+    /// `Σ (v − K) = s₁′ + n′d` and `Σ (v − K)² = s₂′ + d(2s₁′ + n′d)`: no
+    /// division, and `K` stays the value of the data it was set from.
     pub fn merge(&mut self, other: &RunningMoments) {
         if other.count == 0 {
             return;
@@ -152,16 +161,11 @@ impl RunningMoments {
             *self = *other;
             return;
         }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let total = n1 + n2;
-        let mean1 = self.mean();
-        let delta = other.mean() - mean1;
-        let m2 = self.m2() + other.m2() + delta * delta * n1 * n2 / total;
+        let d = other.shift - self.shift;
+        let n = other.count as f64;
         self.count += other.count;
-        self.shift = mean1 + delta * n2 / total;
-        self.s1 = 0.0;
-        self.s2 = m2;
+        self.s1 += other.s1 + n * d;
+        self.s2 += other.s2 + d * (2.0 * other.s1 + n * d);
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);

@@ -32,6 +32,14 @@ pub enum EngineError {
         /// The GROUP BY columns.
         columns: Vec<String>,
     },
+    /// A float column holds a NaN or an infinity, which no bounder can
+    /// bound; the table is refused when it is registered.
+    NonFiniteValue {
+        /// The column.
+        column: String,
+        /// The first offending row, in the registered table's order.
+        row: usize,
+    },
     /// The scramble holds no rows.
     EmptyScramble,
     /// The query references a table that is not registered in the session.
@@ -85,6 +93,11 @@ impl std::fmt::Display for EngineError {
             EngineError::GroupKeySpaceTooLarge { columns } => write!(
                 f,
                 "GROUP BY columns {columns:?} have more than 2^64 code combinations"
+            ),
+            EngineError::NonFiniteValue { column, row } => write!(
+                f,
+                "column `{column}` holds a non-finite value (NaN or infinity) at row {row}; \
+                 the error bounders need finite data"
             ),
             EngineError::EmptyScramble => write!(f, "cannot query an empty scramble"),
             EngineError::UnknownTable { name } => {

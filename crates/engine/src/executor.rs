@@ -63,6 +63,7 @@
 //! [`PreparedQuery::execute_exact`]: crate::session::PreparedQuery::execute_exact
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use fastframe_core::bounder::BounderKind;
@@ -71,7 +72,7 @@ use fastframe_core::stopping::GroupSnapshot;
 use fastframe_store::block::BlockId;
 use fastframe_store::expr::BoundExpr;
 use fastframe_store::predicate::BoundPredicate;
-use fastframe_store::source::BlockSource;
+use fastframe_store::source::{BlockSource, GroupUniverse};
 use fastframe_store::stats::ScanStats;
 use fastframe_store::table::Table;
 
@@ -159,37 +160,42 @@ pub(crate) fn bind_query(source: &dyn BlockSource, query: &AggQuery) -> EngineRe
 /// (bitmap-derived or early-exiting) cold build. Not counted against the
 /// blocks-fetched metric. An ungrouped query has one view, the empty tuple.
 ///
-/// Returns the view keys and the row → view lookup built from the shared
-/// tuples.
+/// Returns the view keys, each built once per query and shared by every
+/// snapshot, the code tuples (the planner's code table, indexed by view id)
+/// and the row → view lookup built from them.
 fn enumerate_groups(
     source: &dyn BlockSource,
     group_cols: &[usize],
-) -> EngineResult<(Vec<GroupKey>, GroupLookup)> {
+) -> EngineResult<(Vec<Arc<GroupKey>>, GroupUniverse, GroupLookup)> {
     let schema = source.schema();
     if group_cols.is_empty() {
-        let lookup = GroupLookup::build(&[], schema, &[Vec::new()])?;
-        return Ok((vec![GroupKey::global()], lookup));
+        let tuples: GroupUniverse = Arc::from(vec![Vec::new()]);
+        let lookup = GroupLookup::build(&[], schema, &tuples)?;
+        return Ok((vec![Arc::new(GroupKey::global())], tuples, lookup));
     }
 
     let tuples = source.distinct_group_tuples(group_cols)?;
     let keys = tuples
         .iter()
-        .map(|codes| GroupKey {
-            codes: codes.clone(),
-            labels: group_cols
-                .iter()
-                .zip(codes)
-                .map(|(&ci, &code)| {
-                    schema
-                        .column_at(ci)
-                        .dictionary()
-                        .and_then(|d| d.get(code as usize).cloned())
-                        .unwrap_or_else(|| format!("#{code}"))
-                })
-                .collect(),
+        .map(|codes| {
+            Arc::new(GroupKey {
+                codes: codes.clone(),
+                labels: group_cols
+                    .iter()
+                    .zip(codes)
+                    .map(|(&ci, &code)| {
+                        schema
+                            .column_at(ci)
+                            .dictionary()
+                            .and_then(|d| d.get(code as usize).cloned())
+                            .unwrap_or_else(|| format!("#{code}"))
+                    })
+                    .collect(),
+            })
         })
         .collect();
-    Ok((keys, GroupLookup::build(group_cols, schema, &tuples)?))
+    let lookup = GroupLookup::build(group_cols, schema, &tuples)?;
+    Ok((keys, tuples, lookup))
 }
 
 /// `GroupLookup::view_ids` output for a row that belongs to no view.
@@ -324,7 +330,9 @@ struct ScanState {
     /// Worker-side counters, merged per round in partition order.
     exec: ExecMetrics,
     rounds: u64,
-    active: ActiveSet,
+    /// Shared with the planner, which keeps the set it decided a batch
+    /// against.
+    active: Arc<ActiveSet>,
     any_active_skip: bool,
     converged: bool,
 }
@@ -488,7 +496,7 @@ fn run_progressive(
         DeltaBudget::new(DeltaBudget::new(config.delta)?.split_even(bound.view_parts))?;
 
     // Group universe and per-group views.
-    let (keys, lookup) = enumerate_groups(source, &bound.group_cols)?;
+    let (keys, tuples, lookup) = enumerate_groups(source, &bound.group_cols)?;
     let views: Vec<AggregateView> = keys
         .into_iter()
         .enumerate()
@@ -525,7 +533,7 @@ fn run_progressive(
         stats: ScanStats::new(),
         exec: ExecMetrics::default(),
         rounds: 0,
-        active: ActiveSet::all_active(),
+        active: Arc::new(ActiveSet::all_active()),
         any_active_skip: false,
         converged: false,
     };
@@ -573,11 +581,12 @@ fn run_progressive(
         Pass::Approximate => BlockPlanner::new(
             source,
             &query.group_by,
+            &tuples,
             bound.predicate_eq.clone(),
             &query.filter.range_filters(),
             config.strategy,
         ),
-        Pass::Exact => BlockPlanner::new(source, &[], None, &[], SamplingStrategy::Scan),
+        Pass::Exact => BlockPlanner::new(source, &[], &[], None, &[], SamplingStrategy::Scan),
     };
     with_round_executor(&scan_ctx, threads, |rexec| {
         run_scan_loop(
@@ -689,10 +698,10 @@ fn run_scan_loop(
             break;
         }
 
-        let (decisions, checks) = planner.plan(&batch, &state.active);
+        let checks = planner.plan(&batch, &state.active);
         state.stats.record_index_checks(checks);
 
-        for (&block, fetch) in batch.iter().zip(decisions) {
+        for (&block, &fetch) in batch.iter().zip(planner.decisions()) {
             let rows = source.block_rows(block);
             let block_rows = (rows.end - rows.start) as u64;
             if !fetch {
@@ -782,7 +791,7 @@ fn merge_pending(
         // it is single-sourced — unlike the two-sided fetch accounting
         // below.
         state.stats.record_selected(partial.exec.rows_selected);
-        for (view, view_partial) in &partial.views {
+        for (view, view_partial) in partial.views() {
             // `ScanStats::rows_matched` is rebuilt from the per-view partials
             // being merged, a different worker-side structure than the
             // `ExecMetrics` counter it is asserted against — a dropped or
@@ -818,7 +827,7 @@ fn make_snapshot(
         groups: group_snapshots
             .iter()
             .map(|s| GroupProgress {
-                key: state.views[s.group].key.clone(),
+                key: Arc::clone(&state.views[s.group].key),
                 estimate: s.estimate,
                 ci: s.ci,
                 samples: s.samples,
@@ -852,14 +861,9 @@ fn evaluate_round(
         )?);
     }
 
-    let satisfied = query.stopping.is_satisfied(&snapshots);
+    let (satisfied, active_ids) = query.stopping.evaluate(&snapshots);
     if !satisfied {
-        let active_ids = query.stopping.active_groups(&snapshots);
-        state.active = ActiveSet::of(
-            active_ids
-                .into_iter()
-                .map(|id| (id, state.views[id].key.codes.clone())),
-        );
+        state.active = Arc::new(ActiveSet::of(active_ids));
         for (id, flag) in state.ever_inactive.iter_mut().enumerate() {
             *flag |= !state.active.contains(id);
         }
@@ -1214,6 +1218,28 @@ mod tests {
         assert!(p.converged());
     }
 
+    /// Every round's snapshot shares each group's one key instead of
+    /// copying it.
+    #[test]
+    fn snapshots_share_each_group_key_across_rounds() {
+        let s = test_scramble();
+        let q = AggQuery::avg("keys", Expr::col("delay"))
+            .group_by("airline")
+            .absolute_width(0.0)
+            .build();
+        let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
+        let mut observer = |_: &Snapshot| RoundControl::Continue;
+        let budget = Budget::unlimited().max_rounds(2);
+        let p = execute_progressive(&s, &q, &cfg, &budget, &mut observer).unwrap();
+        let [first, second] = &p.snapshots[..] else {
+            panic!("expected two rounds, got {}", p.rounds());
+        };
+        assert_eq!(first.groups.len(), 3);
+        for (a, b) in first.groups.iter().zip(&second.groups) {
+            assert!(Arc::ptr_eq(&a.key, &b.key), "{}", a.key.display());
+        }
+    }
+
     #[test]
     fn row_budget_cancels_without_exceeding_the_cap() {
         let s = test_scramble();
@@ -1547,11 +1573,11 @@ mod tests {
             stats: ScanStats::new(),
             exec: ExecMetrics::default(),
             rounds: 2,
-            active: ActiveSet::of([(0, vec![0]), (1, vec![1])]),
+            active: Arc::new(ActiveSet::of([0, 1])),
             any_active_skip: false,
             converged: false,
         };
-        let planned = ActiveSet::of([(0, vec![0]), (2, vec![2])]);
+        let planned = ActiveSet::of([0, 2]);
         state.record_skipped_block(25, &planned);
 
         assert_eq!(state.views[0].known_absent(), 25);

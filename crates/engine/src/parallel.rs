@@ -26,9 +26,14 @@
 //! once per worker per query: a dense slab with one slot per aggregate view,
 //! a view-id buffer for a block's selected rows, and the selection vectors.
 //! A partition fills slots and records them in a touched list; at its end
-//! the filled slots are moved into the `PartitionPartial`, leaving them
-//! empty, in O(touched views). Nothing in a partition allocates in
-//! proportion to the number of views.
+//! the filled slots are moved into the `PartitionPartial`'s buffer, leaving
+//! them empty, in O(touched views).
+//!
+//! That buffer, and in pool mode the job's block list, are reused: the
+//! coordinator hands each partition a spare set of buffers, gets them back
+//! with its partial, and keeps them, emptied, for later partitions and
+//! rounds. Inline (`threads = 1`) one set serves every partition. Once the
+//! buffers have grown to a round's size, a partition allocates nothing.
 //!
 //! For Hoeffding and Bernstein (±RT) the slab is a dense `Vec` of plain
 //! `Copy` [`FlatRecord`]s: count, sum, shifted sums, extremes and
@@ -38,9 +43,10 @@
 //! estimator per touched view.
 //!
 //! The coordinator folds the partials into the master views **in partition
-//! order**, each as soon as it and every earlier partition are done, with
-//! Chan et al.'s pairwise formulas. Only partials that overtook a slower
-//! predecessor are ever held.
+//! order**, each as soon as it and every earlier partition are done. A
+//! merge translates the partial's shifted sums into the master's shift and
+//! adds them, with no division ([`RunningMoments::merge`]). Only partials
+//! that overtook a slower predecessor are ever held.
 //!
 //! Because the partition layout and the merge order are pure functions of
 //! the planned block list, the merged states — and every estimate, variance
@@ -88,6 +94,7 @@
 //! [`BlockSource::scan_blocks`]:
 //!     fastframe_store::source::BlockSource::scan_blocks
 //! [`FlatRecord`]: fastframe_core::partial::FlatRecord
+//! [`RunningMoments::merge`]: fastframe_core::variance::RunningMoments::merge
 
 use std::ops::ControlFlow;
 
@@ -150,21 +157,39 @@ pub(crate) struct ScanContext<'a> {
     pub projection: Vec<usize>,
 }
 
+/// The buffers one partition is scanned with, handed back to the
+/// coordinator with its partial and reused by later partitions and rounds.
+#[derive(Default)]
+struct PartitionBuffers {
+    /// The partition's blocks (pool mode; an inline scan reads the round's
+    /// list in place).
+    blocks: Vec<BlockId>,
+    /// Touched views' partials, in first-touch order (views are
+    /// independent, so the order only has to be deterministic).
+    views: Vec<(u32, Partial)>,
+}
+
 /// The result of scanning one partition.
 pub(crate) struct PartitionPartial {
     /// Partition index within the round (merge key).
     pub index: usize,
     /// Worker-private counters for this partition.
     pub exec: ExecMetrics,
-    /// Touched views' partials, in first-touch order (views are
-    /// independent, so the order only has to be deterministic).
-    pub views: Vec<(u32, Partial)>,
+    /// The partition's buffers, its touched views' partials filled in.
+    buffers: PartitionBuffers,
     /// A block read failure (I/O error or chunk corruption detected mid
     /// scan); the coordinator fails the query with it instead of merging.
     pub error: Option<fastframe_store::table::StoreError>,
     /// The payload of a panic raised during the worker's scan, carried back
     /// so the coordinator can resume it with its original message.
     pub panic: Option<Box<dyn std::any::Any + Send>>,
+}
+
+impl PartitionPartial {
+    /// Touched views' partials, in first-touch order.
+    pub fn views(&self) -> &[(u32, Partial)] {
+        &self.buffers.views
+    }
 }
 
 /// One slot per aggregate view, holding the view's partial for the
@@ -245,27 +270,24 @@ impl Slab {
         folded
     }
 
-    /// Moves the touched slots out as partials, leaving every slot empty,
-    /// in O(touched).
-    fn take(&mut self) -> Vec<(u32, Partial)> {
+    /// Moves the touched slots out as partials into `out`, leaving every
+    /// slot empty, in O(touched).
+    fn take_into(&mut self, out: &mut Vec<(u32, Partial)>) {
         let slots = &mut self.slots;
-        self.touched
-            .drain(..)
-            .map(|view| {
-                let partial = match slots {
-                    Slots::Flat(records) => Partial::Flat(std::mem::replace(
-                        &mut records[view as usize],
-                        FlatRecord::EMPTY,
-                    )),
-                    Slots::Boxed(_, slots) => Partial::Boxed(
-                        slots[view as usize]
-                            .take()
-                            .expect("a touched slot is filled"),
-                    ),
-                };
-                (view, partial)
-            })
-            .collect()
+        out.extend(self.touched.drain(..).map(|view| {
+            let partial = match slots {
+                Slots::Flat(records) => Partial::Flat(std::mem::replace(
+                    &mut records[view as usize],
+                    FlatRecord::EMPTY,
+                )),
+                Slots::Boxed(_, slots) => Partial::Boxed(
+                    slots[view as usize]
+                        .take()
+                        .expect("a touched slot is filled"),
+                ),
+            };
+            (view, partial)
+        }));
     }
 }
 
@@ -311,6 +333,7 @@ fn scan_partition(
     scratch: &mut WorkerScratch,
     index: usize,
     blocks: &[BlockId],
+    mut buffers: PartitionBuffers,
 ) -> PartitionPartial {
     let WorkerScratch {
         slab,
@@ -338,11 +361,12 @@ fn scan_partition(
             ControlFlow::Continue(())
         });
     exec.partitions = 1;
+    slab.take_into(&mut buffers.views);
 
     PartitionPartial {
         index,
         exec,
-        views: slab.take(),
+        buffers,
         error: scanned.err(),
         panic: None,
     }
@@ -398,17 +422,19 @@ impl<'a> ValueKernel<'a> {
     }
 }
 
-/// A partition job sent to the worker pool.
-#[derive(Debug)]
+/// A partition job sent to the worker pool: its index and its buffers, the
+/// blocks filled in.
 struct Job {
     index: usize,
-    blocks: Vec<BlockId>,
+    buffers: PartitionBuffers,
 }
 
 /// Channel ends the coordinator keeps while a pool is live.
 struct Pool {
     jobs: crossbeam::channel::Sender<Job>,
     results: crossbeam::channel::Receiver<PartitionPartial>,
+    /// Partials that finished ahead of an earlier partition, by index.
+    waiting: Vec<Option<PartitionPartial>>,
 }
 
 /// Where a round's partitions are scanned.
@@ -424,6 +450,10 @@ enum Mode {
 pub(crate) struct RoundExecutor<'a> {
     ctx: &'a ScanContext<'a>,
     mode: Mode,
+    /// Buffers of merged partitions, ready for the next ones: a round
+    /// allocates only while it has more partitions in flight than any
+    /// earlier round had.
+    spare: Vec<PartitionBuffers>,
 }
 
 impl RoundExecutor<'_> {
@@ -441,12 +471,13 @@ impl RoundExecutor<'_> {
     pub fn execute_round(
         &mut self,
         blocks: &[BlockId],
-        mut merge: impl FnMut(PartitionPartial),
+        mut merge: impl FnMut(&PartitionPartial),
     ) -> Result<(), fastframe_store::table::StoreError> {
         if blocks.is_empty() {
             return Ok(());
         }
         let chunks = blocks.chunks(partition_size(blocks.len()));
+        // Merges a finished partial and hands back its emptied buffers.
         let mut accept = |mut partial: PartitionPartial| {
             if let Some(payload) = partial.panic.take() {
                 // Re-raise with the original payload so the message and any
@@ -456,30 +487,36 @@ impl RoundExecutor<'_> {
             match partial.error.take() {
                 Some(error) => Err(error),
                 None => {
-                    merge(partial);
-                    Ok(())
+                    merge(&partial);
+                    let mut buffers = partial.buffers;
+                    buffers.blocks.clear();
+                    buffers.views.clear();
+                    Ok(buffers)
                 }
             }
         };
         let pool = match &mut self.mode {
             Mode::Inline(scratch) => {
+                let mut buffers = self.spare.pop().unwrap_or_default();
                 for (i, chunk) in chunks.enumerate() {
-                    accept(scan_partition(self.ctx, scratch, i, chunk))?;
+                    buffers = accept(scan_partition(self.ctx, scratch, i, chunk, buffers))?;
                 }
+                self.spare.push(buffers);
                 return Ok(());
             }
             Mode::Pool(pool) => pool,
         };
         let total = chunks.len();
         for (i, chunk) in chunks.enumerate() {
+            let mut buffers = self.spare.pop().unwrap_or_default();
+            buffers.blocks.extend_from_slice(chunk);
             pool.jobs
-                .send(Job {
-                    index: i,
-                    blocks: chunk.to_vec(),
-                })
-                .expect("scan workers exited before the round ended");
+                .send(Job { index: i, buffers })
+                .unwrap_or_else(|_| panic!("scan workers exited before the round ended"));
         }
-        let mut waiting: Vec<Option<PartitionPartial>> = (0..total).map(|_| None).collect();
+        let waiting = &mut pool.waiting;
+        waiting.clear();
+        waiting.resize_with(total, || None);
         let mut next = 0;
         while next < total {
             let partial = pool
@@ -489,7 +526,7 @@ impl RoundExecutor<'_> {
             let index = partial.index;
             waiting[index] = Some(partial);
             while let Some(partial) = waiting.get_mut(next).and_then(Option::take) {
-                accept(partial)?;
+                self.spare.push(accept(partial)?);
                 next += 1;
             }
         }
@@ -510,6 +547,7 @@ pub(crate) fn with_round_executor<R>(
         return f(&mut RoundExecutor {
             ctx,
             mode: Mode::Inline(Box::new(WorkerScratch::new(ctx))),
+            spare: Vec::new(),
         });
     }
     crossbeam::thread::scope(|scope| {
@@ -520,21 +558,25 @@ pub(crate) fn with_round_executor<R>(
             let results = result_tx.clone();
             scope.spawn(move || {
                 let mut scratch = WorkerScratch::new(ctx);
-                while let Ok(job) = jobs.recv() {
+                while let Ok(Job { index, mut buffers }) = jobs.recv() {
                     // Catch panics so the coordinator (blocked on the result
                     // channel) is never deadlocked by a dying worker; the
                     // poisoned marker re-raises the panic on the coordinator.
+                    let blocks = std::mem::take(&mut buffers.blocks);
                     let partial = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        scan_partition(ctx, &mut scratch, job.index, &job.blocks)
+                        let mut partial =
+                            scan_partition(ctx, &mut scratch, index, &blocks, buffers);
+                        partial.buffers.blocks = blocks;
+                        partial
                     }))
                     .unwrap_or_else(|payload| {
                         // The interrupted partition may have left slots
                         // filled; start over from clean buffers.
                         scratch = WorkerScratch::new(ctx);
                         PartitionPartial {
-                            index: job.index,
+                            index,
                             exec: ExecMetrics::default(),
-                            views: Vec::new(),
+                            buffers: PartitionBuffers::default(),
                             error: None,
                             panic: Some(payload),
                         }
@@ -554,7 +596,9 @@ pub(crate) fn with_round_executor<R>(
             mode: Mode::Pool(Pool {
                 jobs: job_tx,
                 results: result_rx,
+                waiting: Vec::new(),
             }),
+            spare: Vec::new(),
         })
     })
     .expect("scan worker scope never returns Err")

@@ -31,6 +31,7 @@
 //! worker sees them), and a deadline or observer stop finalizes the state
 //! of the last fully-merged round.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use fastframe_core::bounder::Ci;
@@ -135,8 +136,11 @@ pub enum RoundControl {
 /// One group's approximation state inside a [`Snapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupProgress {
-    /// Group identity.
-    pub key: GroupKey,
+    /// Group identity. The engine builds each group's key once per query,
+    /// so every round's snapshot shares the same `Arc` (compare with
+    /// [`Arc::ptr_eq`]) instead of copying its codes and labels. It derefs
+    /// to the [`GroupKey`].
+    pub key: Arc<GroupKey>,
     /// Point estimate of the group's aggregate at this round (the interval
     /// midpoint when no row has contributed yet).
     pub estimate: f64,
@@ -174,7 +178,7 @@ impl Snapshot {
 
     /// The state of the group identified by `key`, if present.
     pub fn group(&self, key: &GroupKey) -> Option<&GroupProgress> {
-        self.groups.iter().find(|g| &g.key == key)
+        self.groups.iter().find(|g| *g.key == *key)
     }
 
     /// The widest confidence interval across groups — the quantity most
@@ -293,10 +297,10 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(i, &w)| GroupProgress {
-                    key: GroupKey {
+                    key: Arc::new(GroupKey {
                         codes: vec![i as u32],
                         labels: vec![format!("g{i}")],
-                    },
+                    }),
                     estimate: 0.0,
                     ci: Ci::new(-w / 2.0, w / 2.0),
                     samples: 10,

@@ -33,6 +33,8 @@
 //! so the planned block sequence, and with it every result, is independent
 //! of the scan thread count.
 
+use std::sync::Arc;
+
 use fastframe_store::bitmap::BlockBitmapIndex;
 use fastframe_store::block::BlockId;
 use fastframe_store::source::BlockSource;
@@ -40,20 +42,19 @@ use fastframe_store::zone::{RangeFilter, ZoneMap};
 
 pub use crate::config::SamplingStrategy;
 
-/// The set of groups still requiring samples. Each group is known by its id
-/// (the executor's view id) and by its dictionary-code tuple over the
-/// query's GROUP BY columns, which is what the planner probes.
+/// The set of groups still requiring samples: a membership bitset over the
+/// executor's view ids. A group's dictionary-code tuple, which the planner
+/// probes, is looked up in the query's code table by id, so the set holds
+/// no codes and sharing it clones nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActiveSet {
     /// `false` until the first OptStop round has produced group snapshots; a
     /// planner must treat every group as active until then.
     pub initialized: bool,
-    /// One entry per active group: the group's dictionary codes, one per
-    /// GROUP BY column (in query order).
-    tuples: Vec<Vec<u32>>,
-    /// `members[id]` is whether group `id` is active (ids past the end are
-    /// not).
-    members: Vec<bool>,
+    /// Bit `id` is set iff group `id` is active (ids past the end are not).
+    members: Vec<u64>,
+    /// Number of active groups.
+    len: usize,
 }
 
 impl ActiveSet {
@@ -65,38 +66,75 @@ impl ActiveSet {
         }
     }
 
-    /// An initialized active set of `(group id, dictionary codes)` pairs.
-    pub fn of(groups: impl IntoIterator<Item = (usize, Vec<u32>)>) -> Self {
-        let (ids, tuples): (Vec<usize>, _) = groups.into_iter().unzip();
-        let mut members = vec![false; ids.iter().max().map_or(0, |&id| id + 1)];
+    /// An initialized active set of the given group ids.
+    pub fn of(ids: impl IntoIterator<Item = usize>) -> Self {
+        let mut members = Vec::new();
+        let mut len = 0;
         for id in ids {
-            members[id] = true;
+            if members.len() <= id / 64 {
+                members.resize(id / 64 + 1, 0);
+            }
+            let bit = 1u64 << (id % 64);
+            len += usize::from(members[id / 64] & bit == 0);
+            members[id / 64] |= bit;
         }
         Self {
             initialized: true,
-            tuples,
             members,
+            len,
         }
     }
 
     /// Whether no group is active (only meaningful once initialized).
     pub fn is_empty(&self) -> bool {
-        self.initialized && self.tuples.is_empty()
+        self.initialized && self.len == 0
     }
 
     /// Whether group `id` is active (every group is before initialization).
     pub fn contains(&self, id: usize) -> bool {
-        !self.initialized || self.members.get(id).copied().unwrap_or(false)
+        !self.initialized
+            || self
+                .members
+                .get(id / 64)
+                .is_some_and(|w| w & (1u64 << (id % 64)) != 0)
+    }
+
+    /// The active group ids in ascending order (none before
+    /// initialization).
+    pub fn ids(&self) -> impl Iterator<Item = usize> + '_ {
+        self.members.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    i * 64 + bit
+                })
+            })
+        })
     }
 }
 
 /// The per-query block planner: decides, one batch of blocks at a time,
 /// which blocks to fetch.
+///
+/// A batch is decided word-parallel. Each run of consecutive block ids in it
+/// (one, or two when the batch wraps past the last block) covers a range of
+/// 64-block bitmap words. Per word, the planner starts from the run's bits
+/// and ANDs in the predicate bitmap's word. With active skipping it then
+/// ORs, over the active groups, the AND of each group's GROUP BY code
+/// bitmaps, ANDed into what is still undecided, so a word stops costing
+/// probes once every candidate block in it is covered. Zone maps are
+/// tested last, once per surviving block. The fetched blocks are exactly
+/// those a per-block probe of every condition would fetch.
 pub struct BlockPlanner<'a> {
-    /// Bitmap indexes of the GROUP BY columns, in query order (only columns
-    /// that have an index; columns without one are treated as "always
-    /// present", which is conservative).
+    /// Bitmap indexes of the GROUP BY columns, in query order (columns
+    /// without an index are `None` and treated as "always present", which
+    /// is conservative).
     group_indexes: Vec<Option<&'a BlockBitmapIndex>>,
+    /// Every group's dictionary codes over the GROUP BY columns, indexed by
+    /// view id: the code table an [`ActiveSet`]'s ids refer to.
+    tuples: &'a [Vec<u32>],
     /// Bitmap index and code for a categorical equality predicate, if the
     /// query has one on an indexed column.
     predicate_index: Option<(&'a BlockBitmapIndex, u32)>,
@@ -110,9 +148,17 @@ pub struct BlockPlanner<'a> {
     /// previous batch (ActivePeek) rather than its own.
     one_batch_stale: bool,
     /// The active set handed in with the previous batch (ActivePeek only).
-    previous: Option<ActiveSet>,
+    previous: Option<Arc<ActiveSet>>,
     /// The active set the latest batch was decided against.
-    planned_with: ActiveSet,
+    planned_with: Arc<ActiveSet>,
+    /// The latest batch's fetch decisions, one per block.
+    decisions: Vec<bool>,
+    /// Per word of the run being planned: its fetch mask so far, and the
+    /// candidate blocks no active group has covered yet.
+    mask: Vec<u64>,
+    uncovered: Vec<u64>,
+    /// One group's bitmaps, one per indexed GROUP BY column.
+    group_bitmaps: Vec<&'a [u64]>,
 }
 
 impl<'a> BlockPlanner<'a> {
@@ -120,14 +166,16 @@ impl<'a> BlockPlanner<'a> {
     /// nothing to probe (no columns, no predicate, `Scan`), so it fetches
     /// every block with zero index checks.
     ///
-    /// `group_columns` are the GROUP BY column names; `predicate_eq` is the
-    /// `(column, code)` of a categorical equality predicate if one exists;
-    /// `range_filters` are the predicate's numeric range conjuncts (see
-    /// [`fastframe_store::predicate::Predicate::range_filters`]), matched
-    /// here against the source's zone maps.
+    /// `group_columns` are the GROUP BY column names and `tuples` the
+    /// groups' code tuples over them, indexed by view id; `predicate_eq` is
+    /// the `(column, code)` of a categorical equality predicate if one
+    /// exists; `range_filters` are the predicate's numeric range conjuncts
+    /// (see [`fastframe_store::predicate::Predicate::range_filters`]),
+    /// matched here against the source's zone maps.
     pub fn new(
         source: &'a dyn BlockSource,
         group_columns: &[String],
+        tuples: &'a [Vec<u32>],
         predicate_eq: Option<(String, u32)>,
         range_filters: &[(String, RangeFilter)],
         strategy: SamplingStrategy,
@@ -144,38 +192,58 @@ impl<'a> BlockPlanner<'a> {
             .collect();
         Self {
             group_indexes,
+            tuples,
             predicate_index,
             zone_filters,
             use_active_skipping: strategy != SamplingStrategy::Scan,
             one_batch_stale: strategy == SamplingStrategy::ActivePeek,
             previous: None,
-            planned_with: ActiveSet::all_active(),
+            planned_with: Arc::new(ActiveSet::all_active()),
+            decisions: Vec::new(),
+            mask: Vec::new(),
+            uncovered: Vec::new(),
+            group_bitmaps: Vec::new(),
         }
     }
 
     /// Decides the next batch of `blocks` given the caller's current
-    /// `active` set: returns a fetch/skip decision per block plus the number
-    /// of index probes performed (bitmap lookups and zone-map overlap tests
-    /// alike). ActivePeek decides against the set handed in with the
-    /// previous batch (its first batch against its own); the other
-    /// strategies against `active`.
-    pub fn plan(&mut self, blocks: &[BlockId], active: &ActiveSet) -> (Vec<bool>, u64) {
+    /// `active` set, and returns the number of index checks made: bitmap
+    /// words examined plus zone-map tests. The decisions are then read
+    /// with [`decisions`](Self::decisions). ActivePeek decides against the
+    /// set handed in with the previous batch (its first batch against its
+    /// own); the other strategies against `active`.
+    pub fn plan(&mut self, blocks: &[BlockId], active: &Arc<ActiveSet>) -> u64 {
         let previous = if self.one_batch_stale {
-            self.previous.replace(active.clone())
+            self.previous.replace(Arc::clone(active))
         } else {
             None
         };
-        self.planned_with = previous.unwrap_or_else(|| active.clone());
-        let mut checks = 0u64;
-        let decisions = blocks
-            .iter()
-            .map(|&block| {
-                let (fetch, c) = self.block_decision(block);
-                checks += c;
-                fetch
-            })
-            .collect();
-        (decisions, checks)
+        self.planned_with = previous.unwrap_or_else(|| Arc::clone(active));
+        self.decisions.clear();
+        self.decisions.resize(blocks.len(), false);
+        if self.use_active_skipping && self.planned_with.is_empty() {
+            // Stopping condition met; no block needs fetching.
+            return 0;
+        }
+        let mut checks = 0;
+        let mut start = 0;
+        while start < blocks.len() {
+            let first = blocks[start].index();
+            let len = blocks[start..]
+                .iter()
+                .enumerate()
+                .take_while(|&(j, b)| b.index() == first + j)
+                .count();
+            checks += self.plan_run(first, start, len);
+            start += len;
+        }
+        checks
+    }
+
+    /// The fetch decision of every block of the latest batch, in batch
+    /// order.
+    pub fn decisions(&self) -> &[bool] {
+        &self.decisions
     }
 
     /// The active set the latest [`plan`](Self::plan) call decided its batch
@@ -184,56 +252,109 @@ impl<'a> BlockPlanner<'a> {
         &self.planned_with
     }
 
-    /// Decides whether `block` must be fetched given `planned_with`, and
-    /// counts the index probes performed.
-    fn block_decision(&self, block: BlockId) -> (bool, u64) {
-        let mut checks = 0u64;
+    /// Decides the `len` consecutive blocks from block id `first`, which
+    /// sit at batch position `at`, and returns the index checks made.
+    fn plan_run(&mut self, first: usize, at: usize, len: usize) -> u64 {
+        let (w0, w1) = (first / 64, (first + len - 1) / 64);
+        let mut checks = 0;
+        self.mask.clear();
+        self.mask.extend((w0..=w1).map(|w| {
+            let lo = (w * 64).max(first) - w * 64;
+            let hi = ((w + 1) * 64).min(first + len) - w * 64;
+            (u64::MAX >> (64 - (hi - lo))) << lo
+        }));
 
         // Predicate-level skipping applies to every strategy.
         if let Some((idx, code)) = self.predicate_index {
-            checks += 1;
-            if !idx.block_contains(code, block) {
-                return (false, checks);
+            let words = idx.bitmap(code).map(|bs| &bs.words()[w0..=w1]);
+            for (i, m) in self.mask.iter_mut().enumerate() {
+                checks += 1;
+                *m &= words.map_or(0, |words| words[i]);
             }
+        }
+
+        if self.use_active_skipping && self.planned_with.initialized {
+            checks += self.cover_by_active_groups(w0, w1);
         }
 
         // Zone-map skipping for numeric range conjuncts, likewise
         // strategy-independent: a block whose [min, max] misses a conjunct's
         // range contains no matching row.
-        for (zone, filter) in &self.zone_filters {
-            checks += 1;
-            if !zone.block_may_match(block, *filter) {
-                return (false, checks);
-            }
-        }
-
-        let active = &self.planned_with;
-        if !self.use_active_skipping || !active.initialized {
-            return (true, checks);
-        }
-        if active.tuples.is_empty() {
-            // Stopping condition met; no block needs fetching.
-            return (false, checks);
-        }
-        // Fetch if some active group could have rows in this block: for every
-        // indexed GROUP BY column, the group's code must appear in the block.
-        // Columns without an index cannot rule the group out (conservative).
-        for tuple in &active.tuples {
-            let mut possible = true;
-            for (col, code) in self.group_indexes.iter().zip(tuple) {
-                if let Some(idx) = col {
-                    checks += 1;
-                    if !idx.block_contains(*code, block) {
-                        possible = false;
-                        break;
+        if !self.zone_filters.is_empty() {
+            for (i, m) in self.mask.iter_mut().enumerate() {
+                let mut rest = *m;
+                while rest != 0 {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    let block = BlockId((w0 + i) * 64 + bit as usize);
+                    for (zone, filter) in &self.zone_filters {
+                        checks += 1;
+                        if !zone.block_may_match(block, *filter) {
+                            *m &= !(1u64 << bit);
+                            break;
+                        }
                     }
                 }
             }
-            if possible {
-                return (true, checks);
+        }
+
+        for (j, decision) in self.decisions[at..at + len].iter_mut().enumerate() {
+            let block = first + j;
+            *decision = self.mask[block / 64 - w0] & (1u64 << (block % 64)) != 0;
+        }
+        checks
+    }
+
+    /// Narrows the mask of words `w0..=w1` to the blocks some active group
+    /// could have rows in: for every indexed GROUP BY column, the group's
+    /// code appears in the block. Columns without an index cannot rule a
+    /// group out (all ones). Returns the bitmap words examined.
+    fn cover_by_active_groups(&mut self, w0: usize, w1: usize) -> u64 {
+        let mut checks = 0;
+        self.uncovered.clear();
+        self.uncovered.extend_from_slice(&self.mask);
+        self.mask.fill(0);
+        let mut open = self.uncovered.iter().filter(|&&w| w != 0).count();
+        let active = Arc::clone(&self.planned_with);
+        for id in active.ids() {
+            if open == 0 {
+                break;
+            }
+            let Some(codes) = self.tuples.get(id) else {
+                continue;
+            };
+            // A code outside its column's dictionary is in no block.
+            self.group_bitmaps.clear();
+            let mut possible = true;
+            for (col, &code) in self.group_indexes.iter().zip(codes) {
+                if let Some(idx) = col {
+                    match idx.bitmap(code) {
+                        Some(bs) => self.group_bitmaps.push(&bs.words()[w0..=w1]),
+                        None => possible = false,
+                    }
+                }
+            }
+            if !possible {
+                continue;
+            }
+            for (i, uncovered) in self.uncovered.iter_mut().enumerate() {
+                if *uncovered == 0 {
+                    continue;
+                }
+                let mut hit = *uncovered;
+                for words in &self.group_bitmaps {
+                    checks += 1;
+                    hit &= words[i];
+                    if hit == 0 {
+                        break;
+                    }
+                }
+                self.mask[i] |= hit;
+                *uncovered &= !hit;
+                open -= usize::from(*uncovered == 0);
             }
         }
-        (false, checks)
+        checks
     }
 }
 
@@ -243,6 +364,7 @@ mod tests {
     use fastframe_store::column::Column;
     use fastframe_store::scramble::Scramble;
     use fastframe_store::table::Table;
+    use fastframe_store::zone::RangeFilter;
 
     /// 200 rows, block size 25 → 8 blocks. Group column `g` has value "hot"
     /// only in rows 0..25 of the *original* table; after scrambling it is
@@ -276,21 +398,44 @@ mod tests {
         Scramble::build_with(&t, 99, 25, 0.0).unwrap()
     }
 
+    /// Plans `blocks` and returns the decisions with the index checks made.
+    fn plan(
+        planner: &mut BlockPlanner<'_>,
+        blocks: &[BlockId],
+        active: ActiveSet,
+    ) -> (Vec<bool>, u64) {
+        let checks = planner.plan(blocks, &Arc::new(active));
+        (planner.decisions().to_vec(), checks)
+    }
+
+    #[test]
+    fn active_set_membership_and_ids() {
+        let set = ActiveSet::of([130, 3, 64, 3]);
+        assert_eq!(set.ids().collect::<Vec<_>>(), vec![3, 64, 130]);
+        assert!(set.contains(64) && !set.contains(65) && !set.contains(10_000));
+        assert!(!set.is_empty());
+        let all = ActiveSet::all_active();
+        assert!(all.contains(10_000) && !all.is_empty());
+        assert_eq!(all.ids().count(), 0);
+    }
+
     #[test]
     fn scan_strategy_only_uses_predicate_index() {
         let s = scramble();
-        let g_code = s.table().column("g").unwrap().code_of("hot").unwrap();
-        let mut planner =
-            BlockPlanner::new(&s, &["g".to_string()], None, &[], SamplingStrategy::Scan);
+        let mut planner = BlockPlanner::new(
+            &s,
+            &["g".to_string()],
+            &[],
+            None,
+            &[],
+            SamplingStrategy::Scan,
+        );
         // Even with an "initialized" active set that excludes everything,
         // Scan fetches every block.
-        let active = ActiveSet::of([]);
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let (decisions, _) = planner.plan(&blocks, &active);
+        let (decisions, checks) = plan(&mut planner, &blocks, ActiveSet::of([]));
         assert!(decisions.iter().all(|&d| d));
-        // Unused but exercised: the group bitmap exists.
-        assert!(s.bitmap_index("g").unwrap().num_values() > 0);
-        let _ = g_code;
+        assert_eq!(checks, 0);
     }
 
     #[test]
@@ -299,9 +444,9 @@ mod tests {
         let p_code = s.table().column("p").unwrap().code_of("yes").unwrap();
         for strategy in SamplingStrategy::ALL {
             let mut planner =
-                BlockPlanner::new(&s, &[], Some(("p".to_string(), p_code)), &[], strategy);
+                BlockPlanner::new(&s, &[], &[], Some(("p".to_string(), p_code)), &[], strategy);
             let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-            let (decisions, checks) = planner.plan(&blocks, &ActiveSet::all_active());
+            let (decisions, checks) = plan(&mut planner, &blocks, ActiveSet::all_active());
             // "yes" appears in every block with overwhelming probability
             // (100 rows spread over 8 blocks); verify agreement with the
             // index rather than assuming.
@@ -309,7 +454,8 @@ mod tests {
             for (i, d) in decisions.iter().enumerate() {
                 assert_eq!(*d, idx.block_contains(p_code, BlockId(i)));
             }
-            assert!(checks >= blocks.len() as u64);
+            // Eight blocks are one bitmap word.
+            assert_eq!(checks, 1);
         }
     }
 
@@ -317,27 +463,21 @@ mod tests {
     fn active_skipping_matches_bitmap_membership() {
         let s = scramble();
         let hot = s.table().column("g").unwrap().code_of("hot").unwrap();
+        let tuples = [vec![hot]];
         let mut planner = BlockPlanner::new(
             &s,
             &["g".to_string()],
+            &tuples,
             None,
             &[],
             SamplingStrategy::ActiveSync,
         );
-        let active = ActiveSet::of([(0, vec![hot])]);
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let (decisions, _) = planner.plan(&blocks, &active);
+        let (decisions, _) = plan(&mut planner, &blocks, ActiveSet::of([0]));
         let idx = s.bitmap_index("g").unwrap();
         for (i, d) in decisions.iter().enumerate() {
             assert_eq!(*d, idx.block_contains(hot, BlockId(i)));
         }
-        // At least one block must be skippable (hot rows occupy only 25 of
-        // 200 rows, so they can cover at most 25 blocks... with 8 blocks they
-        // may cover all; check via the index count instead).
-        let covered = (0..s.num_blocks())
-            .filter(|&i| idx.block_contains(hot, BlockId(i)))
-            .count();
-        assert_eq!(decisions.iter().filter(|&&d| d).count(), covered);
     }
 
     #[test]
@@ -345,14 +485,11 @@ mod tests {
         let s = scramble();
         // The scramble's "x" column is 0..200 permuted; with 8 blocks, each
         // block's zone range is known from the data itself.
-        let filters = vec![(
-            "x".to_string(),
-            fastframe_store::zone::RangeFilter::Gt(150.0),
-        )];
-        let mut planner = BlockPlanner::new(&s, &[], None, &filters, SamplingStrategy::Scan);
+        let filters = vec![("x".to_string(), RangeFilter::Gt(150.0))];
+        let mut planner = BlockPlanner::new(&s, &[], &[], None, &filters, SamplingStrategy::Scan);
         assert_eq!(planner.zone_filters.len(), 1);
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let (decisions, checks) = planner.plan(&blocks, &ActiveSet::all_active());
+        let (decisions, checks) = plan(&mut planner, &blocks, ActiveSet::all_active());
         let zone = s.zone_map("x").unwrap();
         for (i, d) in decisions.iter().enumerate() {
             let (_, max) = zone.block_range(BlockId(i)).unwrap();
@@ -361,17 +498,14 @@ mod tests {
         assert_eq!(checks, blocks.len() as u64);
         // A filter nothing satisfies skips every block; an unknown column
         // has no zone map and cannot skip anything.
-        let filters = vec![("x".to_string(), fastframe_store::zone::RangeFilter::Gt(1e9))];
-        let mut planner = BlockPlanner::new(&s, &[], None, &filters, SamplingStrategy::Scan);
-        let (decisions, _) = planner.plan(&blocks, &ActiveSet::all_active());
+        let filters = vec![("x".to_string(), RangeFilter::Gt(1e9))];
+        let mut planner = BlockPlanner::new(&s, &[], &[], None, &filters, SamplingStrategy::Scan);
+        let (decisions, _) = plan(&mut planner, &blocks, ActiveSet::all_active());
         assert!(decisions.iter().all(|&d| !d));
-        let filters = vec![(
-            "missing".to_string(),
-            fastframe_store::zone::RangeFilter::Gt(1e9),
-        )];
-        let mut planner = BlockPlanner::new(&s, &[], None, &filters, SamplingStrategy::Scan);
+        let filters = vec![("missing".to_string(), RangeFilter::Gt(1e9))];
+        let mut planner = BlockPlanner::new(&s, &[], &[], None, &filters, SamplingStrategy::Scan);
         assert!(planner.zone_filters.is_empty());
-        let (decisions, _) = planner.plan(&blocks, &ActiveSet::all_active());
+        let (decisions, _) = plan(&mut planner, &blocks, ActiveSet::all_active());
         assert!(decisions.iter().all(|&d| d));
     }
 
@@ -381,12 +515,13 @@ mod tests {
         let mut planner = BlockPlanner::new(
             &s,
             &["g".to_string()],
+            &[],
             None,
             &[],
             SamplingStrategy::ActivePeek,
         );
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let (decisions, _) = planner.plan(&blocks, &ActiveSet::all_active());
+        let (decisions, _) = plan(&mut planner, &blocks, ActiveSet::all_active());
         assert!(decisions.iter().all(|&d| d));
     }
 
@@ -396,12 +531,13 @@ mod tests {
         let mut planner = BlockPlanner::new(
             &s,
             &["g".to_string()],
+            &[],
             None,
             &[],
             SamplingStrategy::ActiveSync,
         );
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let (decisions, _) = planner.plan(&blocks, &ActiveSet::of([]));
+        let (decisions, _) = plan(&mut planner, &blocks, ActiveSet::of([]));
         assert!(decisions.iter().all(|&d| !d));
         assert!(ActiveSet::of([]).is_empty());
         assert!(!ActiveSet::all_active().is_empty());
@@ -423,19 +559,20 @@ mod tests {
         let s = Scramble::build_with(&t, 5, 10, 0.0).unwrap();
         let code_a0 = s.table().column("c1").unwrap().code_of("a0").unwrap();
         let code_b3 = s.table().column("c2").unwrap().code_of("b3").unwrap();
+        // Group (a0, b3) does not exist in the data (a0 covers rows 0..50,
+        // b3 covers rows 75..100), but the planner only knows per-column
+        // membership; a block is fetched only if both codes appear in it.
+        let tuples = [vec![code_a0, code_b3]];
         let mut planner = BlockPlanner::new(
             &s,
             &["c1".to_string(), "c2".to_string()],
+            &tuples,
             None,
             &[],
             SamplingStrategy::ActiveSync,
         );
-        // Group (a0, b3) does not exist in the data (a0 covers rows 0..50,
-        // b3 covers rows 75..100), but the planner only knows per-column
-        // membership; a block is fetched only if both codes appear in it.
-        let active = ActiveSet::of([(0, vec![code_a0, code_b3])]);
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let (decisions, _) = planner.plan(&blocks, &active);
+        let (decisions, _) = plan(&mut planner, &blocks, ActiveSet::of([0]));
         let idx1 = s.bitmap_index("c1").unwrap();
         let idx2 = s.bitmap_index("c2").unwrap();
         for (i, d) in decisions.iter().enumerate() {
@@ -450,28 +587,43 @@ mod tests {
         let s = scramble();
         let hot = s.table().column("g").unwrap().code_of("hot").unwrap();
         let group_by = ["g".to_string()];
+        let tuples = [vec![hot]];
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
         let batches: Vec<&[BlockId]> = blocks.chunks(2).collect();
         // The active set handed in with each batch, changing every batch.
         let sets = [
             ActiveSet::of([]),
-            ActiveSet::of([(0, vec![hot])]),
+            ActiveSet::of([0]),
             ActiveSet::of([]),
-            ActiveSet::of([(0, vec![hot])]),
+            ActiveSet::of([0]),
         ];
         assert_eq!(batches.len(), sets.len());
         let sync = |batch: &[BlockId], set: &ActiveSet| {
-            BlockPlanner::new(&s, &group_by, None, &[], SamplingStrategy::ActiveSync)
-                .plan(batch, set)
+            let mut planner = BlockPlanner::new(
+                &s,
+                &group_by,
+                &tuples,
+                None,
+                &[],
+                SamplingStrategy::ActiveSync,
+            );
+            plan(&mut planner, batch, set.clone())
         };
 
-        let mut peek = BlockPlanner::new(&s, &group_by, None, &[], SamplingStrategy::ActivePeek);
+        let mut peek = BlockPlanner::new(
+            &s,
+            &group_by,
+            &tuples,
+            None,
+            &[],
+            SamplingStrategy::ActivePeek,
+        );
         let mut stale_differs = false;
         for (k, (batch, set)) in batches.iter().zip(&sets).enumerate() {
             // Batch 0 is decided against its own set, batch k against the
             // set handed in at k - 1 — decisions and index checks alike.
             let decided_against = &sets[k.saturating_sub(1)];
-            let decisions = peek.plan(batch, set);
+            let decisions = plan(&mut peek, batch, set.clone());
             assert_eq!(decisions, sync(batch, decided_against), "batch {k}");
             assert_eq!(peek.planned_with(), decided_against, "batch {k}");
             stale_differs |= decisions.0 != sync(batch, set).0;
@@ -482,9 +634,191 @@ mod tests {
 
         // Exact has nothing to probe: every block, zero checks, whatever the
         // active set.
-        let mut exact = BlockPlanner::new(&s, &[], None, &[], SamplingStrategy::Scan);
+        let mut exact = BlockPlanner::new(&s, &[], &[], None, &[], SamplingStrategy::Scan);
         for (batch, set) in batches.iter().zip(&sets) {
-            assert_eq!(exact.plan(batch, set), (vec![true; batch.len()], 0));
+            assert_eq!(
+                plan(&mut exact, batch, set.clone()),
+                (vec![true; batch.len()], 0)
+            );
         }
+    }
+
+    /// The per-block probe the word-parallel mask must agree with: the
+    /// predicate bitmap, every zone map, then (with active skipping and an
+    /// initialized set) some active group whose code is in the block for
+    /// every indexed GROUP BY column.
+    struct NaiveProbe<'a> {
+        s: &'a Scramble,
+        group_by: &'a [String],
+        tuples: &'a [Vec<u32>],
+        predicate: Option<(&'a str, u32)>,
+        zones: &'a [(String, RangeFilter)],
+        strategy: SamplingStrategy,
+    }
+
+    impl NaiveProbe<'_> {
+        fn fetch(&self, planned: &ActiveSet, block: BlockId) -> bool {
+            let NaiveProbe {
+                s,
+                group_by,
+                tuples,
+                predicate,
+                zones,
+                strategy,
+            } = *self;
+            if let Some((col, code)) = predicate {
+                if !s.bitmap_index(col).unwrap().block_contains(code, block) {
+                    return false;
+                }
+            }
+            for (col, filter) in zones {
+                if let Some(zone) = s.zone_map(col) {
+                    if !zone.block_may_match(block, *filter) {
+                        return false;
+                    }
+                }
+            }
+            if strategy == SamplingStrategy::Scan || !planned.initialized {
+                return true;
+            }
+            planned.ids().any(|id| {
+                group_by.iter().zip(&tuples[id]).all(|(col, &code)| {
+                    s.bitmap_index(col)
+                        .is_none_or(|idx| idx.block_contains(code, block))
+                })
+            })
+        }
+    }
+
+    /// The word-parallel fetch mask equals the per-block probe for every
+    /// strategy, random active sets, one- and two-column GROUP BYs plus a
+    /// column without an index, a predicate bitmap and zone maps, on
+    /// batches that start mid-word and batches that wrap past the last
+    /// block.
+    #[test]
+    fn fetch_mask_equals_the_per_block_probe() {
+        // 3 000 rows in blocks of 10: 300 blocks, the last word 44 bits.
+        let rows = 3_000usize;
+        let cat = |name: &str, k: usize, salt: usize| {
+            let values: Vec<String> = (0..rows)
+                .map(|i| format!("{name}{}", (i * salt / 7 + i * i % 13) % k))
+                .collect();
+            Column::categorical(name, &values)
+        };
+        let t = Table::new(vec![
+            Column::float("x", (0..rows).map(|i| ((i * 37) % 1_000) as f64).collect()),
+            cat("a", 61, 3),
+            cat("b", 4, 11),
+            cat("p", 3, 5),
+        ])
+        .unwrap();
+        let s = Scramble::build_with(&t, 17, 10, 0.0).unwrap();
+        let n = s.num_blocks();
+        assert_eq!(n, 300);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+
+        let p_code = s.table().column("p").unwrap().code_of("p1").unwrap();
+        let group_bys: [&[&str]; 3] = [&["a"], &["a", "b"], &["b", "x"]];
+        let zone_sets = [vec![], vec![("x".to_string(), RangeFilter::Lt(300.0))]];
+        let mut fetched = 0usize;
+        let mut skipped = 0usize;
+        for group_by in group_bys {
+            let group_by: Vec<String> = group_by.iter().map(|c| c.to_string()).collect();
+            // Every code combination, plus one code outside `a`'s
+            // dictionary (in no block).
+            let card = |c: &str| {
+                s.table()
+                    .column(c)
+                    .map_or(5, |c| c.cardinality().unwrap_or(5))
+            };
+            let mut tuples: Vec<Vec<u32>> = vec![Vec::new()];
+            for col in &group_by {
+                tuples = tuples
+                    .into_iter()
+                    .flat_map(|t| {
+                        (0..card(col) as u32).map(move |code| {
+                            let mut t = t.clone();
+                            t.push(code);
+                            t
+                        })
+                    })
+                    .collect();
+            }
+            tuples.push(vec![99; group_by.len()]);
+            for predicate in [None, Some(("p", p_code))] {
+                for zones in &zone_sets {
+                    for strategy in SamplingStrategy::ALL {
+                        let mut planner = BlockPlanner::new(
+                            &s,
+                            &group_by,
+                            &tuples,
+                            predicate.map(|(c, code)| (c.to_string(), code)),
+                            zones,
+                            strategy,
+                        );
+                        let naive = NaiveProbe {
+                            s: &s,
+                            group_by: &group_by,
+                            tuples: &tuples,
+                            predicate,
+                            zones,
+                            strategy,
+                        };
+                        let mut handed: Option<ActiveSet> = None;
+                        for round in 0..12 {
+                            // Random sets, dense to sparse; the first
+                            // uninitialized, one empty.
+                            let active = match round {
+                                0 => ActiveSet::all_active(),
+                                5 => ActiveSet::of([]),
+                                _ if round % 2 == 0 => {
+                                    let keep = 1 + next(tuples.len());
+                                    ActiveSet::of(
+                                        (0..tuples.len()).filter(|_| next(tuples.len()) < keep),
+                                    )
+                                }
+                                _ => ActiveSet::of((0..1 + next(4)).map(|_| next(tuples.len()))),
+                            };
+                            // Starts mid-word and lengths crossing words;
+                            // some batches wrap past block 299.
+                            let start = next(n);
+                            let len = 1 + next(2 * n / 3);
+                            let batch: Vec<BlockId> =
+                                (start..start + len).map(|b| BlockId(b % n)).collect();
+                            let stale = handed.replace(active.clone());
+                            let planned = match (strategy, stale) {
+                                (SamplingStrategy::ActivePeek, Some(previous)) => previous,
+                                _ => active.clone(),
+                            };
+                            let (decisions, _) = plan(&mut planner, &batch, active);
+                            assert_eq!(planner.planned_with(), &planned);
+                            for (&block, &fetch) in batch.iter().zip(&decisions) {
+                                let want = naive.fetch(&planned, block);
+                                assert_eq!(
+                                    fetch,
+                                    want,
+                                    "{group_by:?} {predicate:?} {zones:?} {strategy} \
+                                     round {round} block {}",
+                                    block.index()
+                                );
+                                if fetch {
+                                    fetched += 1;
+                                } else {
+                                    skipped += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Both outcomes occur often enough for the comparison to bite.
+        assert!(fetched > 5_000 && skipped > 5_000, "{fetched} / {skipped}");
     }
 }

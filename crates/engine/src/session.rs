@@ -160,6 +160,13 @@ impl Session {
     }
 
     /// Registers `table` under `name` with explicit scramble options.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::DuplicateTable`] for a name already in use, and
+    /// [`EngineError::NonFiniteValue`] when a float column holds a NaN or
+    /// an infinity (found by the scramble's catalog pass, so the check
+    /// costs no extra pass over the data).
     pub fn register_with(
         &mut self,
         name: impl Into<String>,
@@ -177,6 +184,11 @@ impl Session {
     }
 
     /// Registers a pre-built scramble under `name`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Session::register_with`]: a duplicate name, or a non-finite
+    /// float value noted by the scramble's catalog.
     pub fn register_scramble(
         &mut self,
         name: impl Into<String>,
@@ -185,6 +197,12 @@ impl Session {
         let name = name.into();
         if self.tables.contains_key(&name) {
             return Err(EngineError::DuplicateTable { name });
+        }
+        if let Some((column, row)) = scramble.catalog().first_non_finite() {
+            return Err(EngineError::NonFiniteValue {
+                column: column.to_string(),
+                row,
+            });
         }
         self.tables.insert(name, TableEntry::Memory(scramble));
         Ok(())
@@ -805,6 +823,44 @@ mod tests {
             s.scramble("nope"),
             Err(EngineError::UnknownTable { .. })
         ));
+    }
+
+    /// One NaN, +∞ or −∞ in a 10 000-row float column is refused at
+    /// registration with an error naming the column and the row, through
+    /// `register`, `register_with` and `register_scramble`; nothing is
+    /// registered.
+    #[test]
+    fn a_non_finite_float_is_rejected_when_the_table_is_registered() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut values: Vec<f64> = (0..10_000).map(|i| (i % 97) as f64).collect();
+            values[4_321] = bad;
+            values[9_000] = bad;
+            let t = Table::new(vec![
+                Column::float("ok", (0..10_000).map(f64::from).collect()),
+                Column::float("delay", values),
+            ])
+            .unwrap();
+            let rejected = |result: EngineResult<()>, how: &str| match result {
+                Err(EngineError::NonFiniteValue { column, row }) => {
+                    assert_eq!((column.as_str(), row), ("delay", 4_321), "{bad} via {how}")
+                }
+                other => panic!("{bad} via {how}: expected NonFiniteValue, got {other:?}"),
+            };
+            let mut s = Session::new();
+            rejected(s.register("t", &t), "register");
+            rejected(
+                s.register_with("t", &t, TableOptions::default().block_size(7)),
+                "register_with",
+            );
+            let scramble = Scramble::build_with(&t, 1, 25, 0.0).unwrap();
+            rejected(s.register_scramble("t", scramble), "register_scramble");
+            assert!(s.is_empty());
+            let message = s.register("t", &t).unwrap_err().to_string();
+            assert!(
+                message.contains("`delay`") && message.contains("4321"),
+                "{message}"
+            );
+        }
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! * running (monotonically shrinking) intervals across OptStop rounds for
 //!   both the aggregate and the COUNT.
 
+use std::sync::Arc;
+
 use fastframe_core::bounder::{BoundContext, BounderKind, BoxedEstimator, Ci, ErrorBounder};
 use fastframe_core::count::SelectivityTracker;
 use fastframe_core::error::CoreResult;
@@ -124,8 +126,9 @@ impl std::fmt::Debug for Accumulator {
 pub struct AggregateView {
     /// Dense identifier assigned by the executor (index into its view list).
     pub id: usize,
-    /// Group identity.
-    pub key: GroupKey,
+    /// Group identity, built once per query and shared with every round's
+    /// [`GroupProgress`](crate::progressive::GroupProgress).
+    pub key: Arc<GroupKey>,
     estimator: Accumulator,
     /// Derived range bounds `[a, b]` of the target expression.
     range: (f64, f64),
@@ -163,10 +166,15 @@ impl std::fmt::Debug for AggregateView {
 
 impl AggregateView {
     /// Creates a view with a fresh estimator of the given kind.
-    pub fn new(id: usize, key: GroupKey, bounder: BounderKind, range: (f64, f64)) -> Self {
+    pub fn new(
+        id: usize,
+        key: impl Into<Arc<GroupKey>>,
+        bounder: BounderKind,
+        range: (f64, f64),
+    ) -> Self {
         Self {
             id,
-            key,
+            key: key.into(),
             estimator: Accumulator::new(bounder),
             range,
             matched: 0,
@@ -408,7 +416,7 @@ impl AggregateView {
             }
         };
         Ok(GroupResult {
-            key: self.key.clone(),
+            key: GroupKey::clone(&self.key),
             estimate,
             ci,
             samples: self.matched,

@@ -33,6 +33,10 @@ pub struct ColumnStats {
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     columns: HashMap<String, ColumnStats>,
+    /// The first non-finite float value met by [`Catalog::build`], as
+    /// `(column, row)`: the first such column in table order, and its first
+    /// such row.
+    non_finite: Option<(String, usize)>,
 }
 
 impl Catalog {
@@ -43,11 +47,26 @@ impl Catalog {
     /// exact `[MIN, MAX]`; `0.05` records a 5% wider interval). The paper
     /// only requires `[a, b] ⊇ [MIN, MAX]`, so any non-negative slack is
     /// valid.
+    ///
+    /// The same pass notes the first non-finite float value (NaN or ±∞),
+    /// reported by [`Catalog::first_non_finite`]. A NaN is left out of the
+    /// recorded range; an infinity makes it infinite.
     pub fn build(table: &Table, range_slack: f64) -> Self {
         assert!(range_slack >= 0.0, "range slack must be non-negative");
         let mut columns = HashMap::new();
+        let mut non_finite = None;
         for c in table.columns() {
-            let (min, max) = match c.numeric_min_max() {
+            let range = match c.float_values() {
+                Some(values) => {
+                    let (range, bad_row) = float_range(values);
+                    if let (None, Some(row)) = (&non_finite, bad_row) {
+                        non_finite = Some((c.name().to_string(), row));
+                    }
+                    range
+                }
+                None => c.numeric_min_max(),
+            };
+            let (min, max) = match range {
                 Some((lo, hi)) => {
                     let pad = (hi - lo) * range_slack;
                     (Some(lo - pad), Some(hi + pad))
@@ -66,16 +85,33 @@ impl Catalog {
                 },
             );
         }
-        Self { columns }
+        Self {
+            columns,
+            non_finite,
+        }
     }
 
     /// Reassembles a catalog from per-column statistics (used when loading a
     /// persisted segment, whose catalog was computed at write time from the
     /// original table).
+    ///
+    /// Statistics hold no rows, so such a catalog reports no
+    /// [non-finite value](Catalog::first_non_finite).
     pub fn from_stats(stats: impl IntoIterator<Item = ColumnStats>) -> Self {
         Self {
             columns: stats.into_iter().map(|s| (s.name.clone(), s)).collect(),
+            non_finite: None,
         }
+    }
+
+    /// The first non-finite float value (NaN or ±∞) the catalog was built
+    /// over, as `(column, row)`: the first such column in table order and
+    /// its first such row. The bounders need finite data, so a session
+    /// refuses to register a table that has one.
+    pub fn first_non_finite(&self) -> Option<(&str, usize)> {
+        self.non_finite
+            .as_ref()
+            .map(|(column, row)| (column.as_str(), *row))
     }
 
     /// Statistics for one column.
@@ -114,6 +150,32 @@ impl Catalog {
     pub fn iter(&self) -> impl Iterator<Item = &ColumnStats> {
         self.columns.values()
     }
+}
+
+/// The `(min, max)` of a float column as [`Column::numeric_min_max`]
+/// records it (NaN ignored; `None` when empty), and the row of its first
+/// non-finite value, from one pass over the values.
+///
+/// [`Column::numeric_min_max`]: crate::column::Column::numeric_min_max
+fn float_range(values: &[f64]) -> (Option<(f64, f64)>, Option<usize>) {
+    if values.is_empty() {
+        return (None, None);
+    }
+    let mut lo = f64::INFINITY;
+    let mut hi = f64::NEG_INFINITY;
+    let mut finite = true;
+    for &x in values {
+        lo = lo.min(x);
+        hi = hi.max(x);
+        finite &= x.is_finite();
+    }
+    // Only a column that is about to be refused pays a second look.
+    let bad_row = if finite {
+        None
+    } else {
+        values.iter().position(|x| !x.is_finite())
+    };
+    (Some((lo, hi)), bad_row)
 }
 
 #[cfg(test)]
@@ -173,6 +235,25 @@ mod tests {
         for n in ["delay", "airline", "dep_time"] {
             assert!(names.iter().any(|x| x == n));
         }
+    }
+
+    #[test]
+    fn the_first_non_finite_float_is_noted_in_the_same_pass() {
+        assert_eq!(Catalog::build(&table(), 0.0).first_non_finite(), None);
+        let t = Table::new(vec![
+            Column::int("i", vec![1, 2, 3, 4]),
+            Column::float("a", vec![0.0, 1.0, f64::NEG_INFINITY, f64::NAN]),
+            Column::float("b", vec![f64::NAN, 1.0, 2.0, 3.0]),
+        ])
+        .unwrap();
+        let cat = Catalog::build(&t, 0.0);
+        assert_eq!(cat.first_non_finite(), Some(("a", 2)));
+        // The range is what `numeric_min_max` gives: NaN is ignored.
+        assert_eq!(cat.range_bounds("b").unwrap(), (1.0, 3.0));
+        assert_eq!(
+            Catalog::from_stats(cat.iter().cloned()).first_non_finite(),
+            None
+        );
     }
 
     #[test]

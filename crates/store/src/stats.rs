@@ -24,7 +24,8 @@ pub struct ScanStats {
     /// `rows_scanned` (rows decoded out of fetched blocks) this exposes the
     /// decoded-vs-selected funnel; `rows_selected >= rows_matched`.
     pub rows_selected: u64,
-    /// Bitmap-index membership checks performed.
+    /// Index work done by the block planner: 64-block bitmap words examined
+    /// (predicate and GROUP BY bitmaps) plus zone-map tests.
     pub index_checks: u64,
     /// OptStop rounds (CI recomputations) performed.
     pub rounds: u64,
@@ -61,7 +62,7 @@ impl ScanStats {
         self.rows_selected += rows;
     }
 
-    /// Records bitmap-index lookups.
+    /// Records index work: bitmap words examined plus zone-map tests.
     #[inline]
     pub fn record_index_checks(&mut self, checks: u64) {
         self.index_checks += checks;
