@@ -108,7 +108,7 @@ fn main() {
         let t0 = Instant::now();
         let table = read_csv_file(&csv_path, &csv_options).expect("csv loads");
         let scramble =
-            Scramble::build_with(&table, config.seed, DEFAULT_BLOCK_SIZE, 0.0).expect("scrambles");
+            Scramble::build_with(&table, config.seed, DEFAULT_BLOCK_SIZE).expect("scrambles");
         let mut session = Session::with_defaults(engine.clone());
         session
             .register_scramble(TABLE, scramble)

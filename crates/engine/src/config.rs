@@ -2,10 +2,11 @@
 //! and round sizing.
 
 use fastframe_core::bounder::BounderKind;
-use fastframe_core::delta::DEFAULT_ALPHA;
+use fastframe_core::delta::DeltaBudget;
 use fastframe_core::optstop::DEFAULT_ROUND_SIZE;
 use fastframe_core::PAPER_DELTA;
-use fastframe_store::block::DEFAULT_LOOKAHEAD_BATCH;
+
+use crate::error::{EngineError, EngineResult};
 
 /// How blocks of the scramble are selected for processing (§4.3, §5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,11 +52,15 @@ impl std::fmt::Display for SamplingStrategy {
 
 /// Configuration of one approximate query execution.
 ///
-/// Construct via [`EngineConfig::default`], [`EngineConfig::with_bounder`],
-/// or the derived builder ([`EngineConfig::builder`]); tweak an existing
-/// configuration with [`EngineConfig::to_builder`]. The struct is
-/// `#[non_exhaustive]`: new knobs can be added without breaking downstream
-/// construction sites.
+/// Construct via [`EngineConfig::default`] or the builder
+/// ([`EngineConfig::builder`]); tweak an existing configuration with
+/// [`EngineConfig::to_builder`]. The struct is `#[non_exhaustive]`: new
+/// knobs can be added without breaking downstream construction sites.
+///
+/// Theorem 3's α and the planner batch size have one value each, so they
+/// are constants rather than knobs:
+/// [`DEFAULT_ALPHA`](fastframe_core::delta::DEFAULT_ALPHA) and
+/// [`DEFAULT_LOOKAHEAD_BATCH`](fastframe_store::block::DEFAULT_LOOKAHEAD_BATCH).
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct EngineConfig {
@@ -66,16 +71,10 @@ pub struct EngineConfig {
     /// Total error probability budget for the query (δ). The paper uses
     /// `1e-15` throughout its evaluation.
     pub delta: f64,
-    /// Theorem 3's α: fraction of each view's budget spent on the mean CI
-    /// versus the dataset-size upper bound (paper: 0.99).
-    pub alpha: f64,
     /// Number of sampled rows per OptStop round (B in Algorithm 5; paper:
     /// 40 000). CIs are recomputed after roughly this many rows have been
     /// read from fetched blocks.
     pub round_rows: u64,
-    /// Planner batch size in blocks (paper: 1024), the unit by which
-    /// `ActivePeek`'s decisions lag the active set.
-    pub lookahead_batch: usize,
     /// Starting block of the scan. `None` picks a pseudo-random start from
     /// `seed` ("each approximate query was started from a random position in
     /// the shuffled data", §5.2).
@@ -101,9 +100,7 @@ impl Default for EngineConfig {
             bounder: BounderKind::BernsteinRangeTrim,
             strategy: SamplingStrategy::ActivePeek,
             delta: PAPER_DELTA,
-            alpha: DEFAULT_ALPHA,
             round_rows: DEFAULT_ROUND_SIZE,
-            lookahead_batch: DEFAULT_LOOKAHEAD_BATCH,
             start_block: None,
             seed: 0x5eed,
             threads: 0,
@@ -112,14 +109,6 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Configuration matching the paper's defaults but with the given bounder.
-    pub fn with_bounder(bounder: BounderKind) -> Self {
-        Self {
-            bounder,
-            ..Self::default()
-        }
-    }
-
     /// Starts a builder from the paper defaults.
     ///
     /// ```
@@ -148,47 +137,20 @@ impl EngineConfig {
         }
     }
 
-    /// Sets the sampling strategy.
-    #[must_use = "this returns the modified value; the receiver is consumed"]
-    pub fn strategy(mut self, strategy: SamplingStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Sets the error budget.
-    #[must_use = "this returns the modified value; the receiver is consumed"]
-    pub fn delta(mut self, delta: f64) -> Self {
-        self.delta = delta;
-        self
-    }
-
-    /// Sets the OptStop round size (rows per round).
-    #[must_use = "this returns the modified value; the receiver is consumed"]
-    pub fn round_rows(mut self, rows: u64) -> Self {
-        self.round_rows = rows;
-        self
-    }
-
-    /// Sets a deterministic scan start block.
-    #[must_use = "this returns the modified value; the receiver is consumed"]
-    pub fn start_block(mut self, block: usize) -> Self {
-        self.start_block = Some(block);
-        self
-    }
-
-    /// Sets the seed used for the random scan start.
-    #[must_use = "this returns the modified value; the receiver is consumed"]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the scan worker thread count (`0` = auto, see
-    /// [`Self::effective_threads`]).
-    #[must_use = "this returns the modified value; the receiver is consumed"]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
+    /// Rejects a configuration the executor cannot run: δ must lie in
+    /// (0, 1) and a round must hold at least one row. Preparing a query and
+    /// running it both check through here, so every path into execution
+    /// refuses the same configurations.
+    pub(crate) fn validate(&self) -> EngineResult<()> {
+        DeltaBudget::new(self.delta)?;
+        if self.round_rows == 0 {
+            return Err(EngineError::InvalidConfig {
+                field: "round_rows",
+                value: "0".into(),
+                expected: "at least 1 row",
+            });
+        }
+        Ok(())
     }
 
     /// Resolves the effective scan thread count: an explicit
@@ -212,7 +174,7 @@ impl EngineConfig {
     }
 }
 
-/// Derived builder for [`EngineConfig`].
+/// The one builder for [`EngineConfig`].
 ///
 /// Because `EngineConfig` is `#[non_exhaustive]`, downstream crates cannot
 /// use struct-update syntax; the builder covers every knob instead. Obtain
@@ -232,53 +194,30 @@ impl EngineConfigBuilder {
     }
 
     /// Sets the sampling strategy.
-    #[must_use = "this returns the modified value; the receiver is consumed"]
     pub fn strategy(mut self, strategy: SamplingStrategy) -> Self {
         self.config.strategy = strategy;
         self
     }
 
     /// Sets the total error probability budget δ.
-    #[must_use = "this returns the modified value; the receiver is consumed"]
     pub fn delta(mut self, delta: f64) -> Self {
         self.config.delta = delta;
         self
     }
 
-    /// Sets Theorem 3's α split between the `N⁺` bound and the mean CI.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.config.alpha = alpha;
-        self
-    }
-
     /// Sets the OptStop round size (rows per round).
-    #[must_use = "this returns the modified value; the receiver is consumed"]
     pub fn round_rows(mut self, rows: u64) -> Self {
         self.config.round_rows = rows;
         self
     }
 
-    /// Sets the planner batch size in blocks (`ActivePeek`'s staleness).
-    pub fn lookahead_batch(mut self, blocks: usize) -> Self {
-        self.config.lookahead_batch = blocks;
-        self
-    }
-
     /// Pins the scan start to a specific block (deterministic scans).
-    #[must_use = "this returns the modified value; the receiver is consumed"]
     pub fn start_block(mut self, block: usize) -> Self {
         self.config.start_block = Some(block);
         self
     }
 
-    /// Clears any pinned start block, restoring the seeded random start.
-    pub fn random_start(mut self) -> Self {
-        self.config.start_block = None;
-        self
-    }
-
     /// Sets the seed used for the random scan start.
-    #[must_use = "this returns the modified value; the receiver is consumed"]
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
         self
@@ -286,7 +225,6 @@ impl EngineConfigBuilder {
 
     /// Sets the scan worker thread count (`0` = auto, see
     /// [`EngineConfig::effective_threads`]).
-    #[must_use = "this returns the modified value; the receiver is consumed"]
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self
@@ -308,9 +246,7 @@ mod tests {
         assert_eq!(c.bounder, BounderKind::BernsteinRangeTrim);
         assert_eq!(c.strategy, SamplingStrategy::ActivePeek);
         assert_eq!(c.delta, 1e-15);
-        assert_eq!(c.alpha, 0.99);
         assert_eq!(c.round_rows, 40_000);
-        assert_eq!(c.lookahead_batch, 1024);
         assert!(c.start_block.is_none());
         assert_eq!(c.threads, 0, "threads default to auto");
         assert!(c.effective_threads() >= 1);
@@ -321,18 +257,20 @@ mod tests {
         let c = EngineConfig::builder().threads(3).build();
         assert_eq!(c.threads, 3);
         assert_eq!(c.effective_threads(), 3);
-        let c = EngineConfig::default().threads(7);
+        let c = EngineConfig::default().to_builder().threads(7).build();
         assert_eq!(c.effective_threads(), 7);
     }
 
     #[test]
     fn builder_methods() {
-        let c = EngineConfig::with_bounder(BounderKind::Hoeffding)
+        let c = EngineConfig::builder()
+            .bounder(BounderKind::Hoeffding)
             .strategy(SamplingStrategy::Scan)
             .delta(1e-6)
             .round_rows(1_000)
             .start_block(7)
-            .seed(99);
+            .seed(99)
+            .build();
         assert_eq!(c.bounder, BounderKind::Hoeffding);
         assert_eq!(c.strategy, SamplingStrategy::Scan);
         assert_eq!(c.delta, 1e-6);
@@ -347,9 +285,7 @@ mod tests {
             .bounder(BounderKind::AndersonDkw)
             .strategy(SamplingStrategy::ActiveSync)
             .delta(0.05)
-            .alpha(0.9)
             .round_rows(123)
-            .lookahead_batch(64)
             .start_block(3)
             .seed(11)
             .threads(2)
@@ -357,14 +293,12 @@ mod tests {
         assert_eq!(c.bounder, BounderKind::AndersonDkw);
         assert_eq!(c.strategy, SamplingStrategy::ActiveSync);
         assert_eq!(c.delta, 0.05);
-        assert_eq!(c.alpha, 0.9);
         assert_eq!(c.round_rows, 123);
-        assert_eq!(c.lookahead_batch, 64);
         assert_eq!(c.start_block, Some(3));
         assert_eq!(c.seed, 11);
         assert_eq!(c.threads, 2);
-        let c2 = c.to_builder().random_start().build();
-        assert_eq!(c2.start_block, None);
+        let c2 = c.to_builder().seed(12).build();
+        assert_eq!(c2.seed, 12);
         assert_eq!(
             c2.delta, 0.05,
             "to_builder starts from the overridden config"

@@ -62,7 +62,8 @@ pub enum EngineError {
     /// `count`).
     MissingAggregate,
     /// An `EngineConfig` setting is out of range; rejected when the query is
-    /// built. (An invalid δ is reported as `Core(InvalidDelta)`.)
+    /// prepared and again when it runs. (An invalid δ is reported as
+    /// `Core(InvalidDelta)`.)
     InvalidConfig {
         /// The offending `EngineConfig` field.
         field: &'static str,
@@ -187,13 +188,13 @@ mod tests {
             .to_string()
             .contains("aggregate"));
         let e = EngineError::InvalidConfig {
-            field: "alpha",
-            value: "1.5".into(),
-            expected: "a value in (0, 1)",
+            field: "round_rows",
+            value: "0".into(),
+            expected: "at least 1 row",
         };
         assert_eq!(
             e.to_string(),
-            "invalid config: `alpha` = 1.5, expected a value in (0, 1)"
+            "invalid config: `round_rows` = 0, expected at least 1 row"
         );
     }
 

@@ -25,11 +25,13 @@
 //!    selection, and report metrics (wall time, blocks fetched, rounds). A
 //!    run that scanned every block without stopping reports exact results.
 //!
-//! Execution is *progressive*: [`execute_progressive`] emits a [`Snapshot`]
-//! of every group's running interval after each round, honours the
-//! cancellation caps of a [`Budget`], and lets a per-round observer stop the
-//! scan ([`RoundControl`]). The blocking [`execute_approx`] simply drains
-//! that stream and keeps the finalized [`QueryResult`].
+//! Every [`PreparedQuery`] execution method is one call of [`run`], which
+//! validates the configuration before anything else. Execution is
+//! *progressive*: [`PreparedQuery::stream`] emits a [`Snapshot`] of every
+//! group's running interval after each round, honours the cancellation caps
+//! of a [`Budget`], and lets a per-round observer stop the scan
+//! ([`RoundControl`]). The blocking [`PreparedQuery::execute`] runs the same
+//! loop without an observer and keeps the finalized [`QueryResult`].
 //!
 //! The executor reads data exclusively through the [`BlockSource`] scan
 //! abstraction: the in-memory [`Scramble`](fastframe_store::scramble::Scramble)
@@ -59,8 +61,6 @@
 //! round that never fills (so no interval is computed mid-scan), and the
 //! full-pass finalize. Approximate and exact answers therefore come from the
 //! same kernels, merges and finalize.
-//!
-//! [`PreparedQuery::execute_exact`]: crate::session::PreparedQuery::execute_exact
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -69,7 +69,7 @@ use std::time::Instant;
 use fastframe_core::bounder::BounderKind;
 use fastframe_core::delta::DeltaBudget;
 use fastframe_core::stopping::GroupSnapshot;
-use fastframe_store::block::BlockId;
+use fastframe_store::block::{BlockId, DEFAULT_LOOKAHEAD_BATCH};
 use fastframe_store::expr::BoundExpr;
 use fastframe_store::predicate::BoundPredicate;
 use fastframe_store::source::{BlockSource, GroupUniverse};
@@ -86,11 +86,12 @@ use crate::progressive::{
 use crate::query::{AggQuery, AggregateFunction};
 use crate::result::{select_groups, GroupKey, QueryResult};
 use crate::sampling::{ActiveSet, BlockPlanner};
+use crate::session::PreparedQuery;
 use crate::view::AggregateView;
 
 /// A per-round observer: receives each round's [`Snapshot`] and decides
 /// whether the scan continues.
-pub type RoundObserver<'a> = dyn FnMut(&Snapshot) -> RoundControl + 'a;
+pub(crate) type RoundObserver<'a> = dyn FnMut(&Snapshot) -> RoundControl + 'a;
 
 /// A query bound against a particular scramble. Shared read-only with the
 /// scan workers of `crate::parallel`.
@@ -383,110 +384,56 @@ impl ProgressiveSink<'_, '_> {
     }
 }
 
-/// Executes `query` approximately with early stopping, blocking until the
-/// stopping condition is satisfied or the scramble is exhausted — the
-/// drained form of the progressive stream, with an unlimited [`Budget`].
-pub fn execute_approx(
-    source: &dyn BlockSource,
-    query: &AggQuery,
-    config: &EngineConfig,
-) -> EngineResult<QueryResult> {
-    execute_budgeted(source, query, config, &Budget::unlimited())
-}
-
-/// Executes `query` approximately with early stopping and the caps of
-/// `budget`, blocking for the final (possibly unconverged) result. No
-/// per-round snapshots are materialized.
-pub fn execute_budgeted(
-    source: &dyn BlockSource,
-    query: &AggQuery,
-    config: &EngineConfig,
-    budget: &Budget,
-) -> EngineResult<QueryResult> {
-    run_progressive(source, query, config, budget, None, Pass::Approximate)
-        .map(ProgressiveResult::into_result)
-}
-
-/// Executes an approximate query over a block source progressively: after
-/// every OptStop round the current per-group state is snapshotted, appended
-/// to the returned [`ProgressiveResult`], and offered to `observer`, which
-/// may stop the scan. The caps of `budget` are enforced during the scan; a
-/// cancelled execution finalizes the current (valid, unconverged) state
-/// rather than erroring.
-pub fn execute_progressive(
-    source: &dyn BlockSource,
-    query: &AggQuery,
-    config: &EngineConfig,
-    budget: &Budget,
-    observer: &mut RoundObserver<'_>,
-) -> EngineResult<ProgressiveResult> {
-    run_progressive(
-        source,
-        query,
-        config,
-        budget,
-        Some(observer),
-        Pass::Approximate,
-    )
-}
-
-/// Executes `query` exactly: the `Exact` baseline of §5.2, run as one full
-/// pass of the same pipeline. Every block is fetched (so its block count is
-/// comparable with an approximate run's) and the views are finalized as a
-/// full pass, so each result is marked exact with the interval
-/// `estimate ± 1e-9·(|estimate| + 1)`. GROUP BY groups without a matching
-/// row are omitted; an ungrouped query always answers its global group.
-///
-/// Of `config` only an explicit thread count applies: Exact ignores the
-/// strategy, start block, δ and any [`Budget`]. Left on auto (`0`), it scans
-/// on one thread, as the paper's baseline does, so its timings stay
-/// comparable with single-threaded approximate runs and it holds one
-/// partial at a time.
-pub(crate) fn execute_exact(
-    source: &dyn BlockSource,
-    query: &AggQuery,
-    config: &EngineConfig,
-) -> EngineResult<QueryResult> {
-    // Hoeffding's flat record is the least state that yields the mean and
-    // the sum; its interval is never reported.
-    let config = EngineConfig {
-        bounder: BounderKind::Hoeffding,
-        start_block: Some(0),
-        threads: config.threads.max(1),
-        ..EngineConfig::default()
-    };
-    run_progressive(
-        source,
-        query,
-        &config,
-        &Budget::unlimited(),
-        None,
-        Pass::Exact,
-    )
-    .map(ProgressiveResult::into_result)
-}
-
 /// What a run scans and how it finishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pass {
+pub(crate) enum Pass {
     /// OptStop rounds over the blocks the sampling strategy grants, until
     /// the stopping condition holds.
     Approximate,
-    /// Every block in a single round, with no interval work before the
-    /// full-pass finalize.
+    /// The `Exact` baseline of §5.2: every block in a single round, with no
+    /// interval work before the full-pass finalize.
     Exact,
 }
 
-/// Shared implementation of every execution mode: `observer` being `None`
-/// selects blocking mode, which skips snapshot materialization entirely.
-fn run_progressive(
-    source: &dyn BlockSource,
-    query: &AggQuery,
-    config: &EngineConfig,
-    budget: &Budget,
+/// Runs `prepared` in one mode, the one implementation behind every
+/// [`PreparedQuery`] execution method. The configuration is validated before
+/// anything else, so a configuration swapped in after preparation is refused
+/// as it would have been at build time. `observer` being `None` selects
+/// blocking mode, which skips snapshot materialization entirely.
+///
+/// A [`Pass::Exact`] run fetches every block (so its block count is
+/// comparable with an approximate run's) and finalizes the views as a full
+/// pass, so each result is marked exact with the interval
+/// `estimate ± 1e-9·(|estimate| + 1)`. GROUP BY groups without a matching
+/// row are omitted; an ungrouped query always answers its global group. Of
+/// the configuration only an explicit thread count applies: Exact ignores
+/// the strategy, start block, δ and the [`Budget`]. Left on auto (`0`), it
+/// scans on one thread, as the paper's baseline does, so its timings stay
+/// comparable with single-threaded approximate runs and it holds one
+/// partial at a time.
+pub(crate) fn run(
+    prepared: &PreparedQuery<'_>,
     observer: Option<&mut RoundObserver<'_>>,
     pass: Pass,
 ) -> EngineResult<ProgressiveResult> {
+    prepared.config().validate()?;
+    let (source, query) = (prepared.source(), prepared.query());
+    let exact_config;
+    let unlimited = Budget::unlimited();
+    let (config, budget) = match pass {
+        Pass::Approximate => (prepared.config(), prepared.budget()),
+        Pass::Exact => {
+            // Hoeffding's flat record is the least state that yields the
+            // mean and the sum; its interval is never reported.
+            exact_config = EngineConfig {
+                bounder: BounderKind::Hoeffding,
+                start_block: Some(0),
+                threads: prepared.config().threads.max(1),
+                ..EngineConfig::default()
+            };
+            (&exact_config, &unlimited)
+        }
+    };
     let start_time = Instant::now();
     let bound = bind_query(source, query)?;
     let scramble_rows = source.num_rows() as u64;
@@ -518,10 +465,7 @@ fn run_progressive(
 
     // Exact's single round never fills, so the loop's tail merge scans it.
     let round_blocks = match pass {
-        Pass::Approximate => {
-            let block_size = source.layout().block_size().max(1);
-            ((config.round_rows as usize).div_ceil(block_size)).max(1)
-        }
+        Pass::Approximate => (config.round_rows as usize).div_ceil(source.layout().block_size()),
         Pass::Exact => usize::MAX,
     };
 
@@ -592,7 +536,6 @@ fn run_progressive(
         run_scan_loop(
             source,
             query,
-            config,
             &view_budget,
             scramble_rows,
             start_block,
@@ -618,7 +561,6 @@ fn run_progressive(
             state.rows_scanned,
             scramble_rows,
             final_delta,
-            config.alpha,
             exact,
         )?);
     }
@@ -654,14 +596,13 @@ fn run_progressive(
 }
 
 /// The block-scan loop shared by all strategies and passes. `planner`
-/// decides one batch of `config.lookahead_batch` blocks at a time;
+/// decides one batch of [`DEFAULT_LOOKAHEAD_BATCH`] blocks at a time;
 /// fetch-granted blocks accumulate into the current round's pending list and
 /// are scanned by the partitioned pipeline (`rexec`) when the round fills up.
 #[allow(clippy::too_many_arguments)]
 fn run_scan_loop(
     source: &dyn BlockSource,
     query: &AggQuery,
-    config: &EngineConfig,
     view_budget: &DeltaBudget,
     scramble_rows: u64,
     start_block: usize,
@@ -686,11 +627,10 @@ fn run_scan_loop(
         return Ok(());
     }
 
-    let batch_size = config.lookahead_batch.max(1);
     let mut batch = Vec::new();
     'batches: loop {
         batch.clear();
-        batch.extend(order.by_ref().take(batch_size));
+        batch.extend(order.by_ref().take(DEFAULT_LOOKAHEAD_BATCH));
         // On a deadline, pending blocks are dropped unscanned: the deadline
         // wants the fastest possible valid answer, and unscanned grants are
         // simply rows the estimate never saw.
@@ -724,7 +664,7 @@ fn run_scan_loop(
             if pending.len() >= round_blocks {
                 merge_pending(source, rexec, &mut pending, state)?;
                 let (satisfied, group_snapshots) =
-                    evaluate_round(query, config, view_budget, scramble_rows, state)?;
+                    evaluate_round(query, view_budget, scramble_rows, state)?;
                 let mut control = RoundControl::Continue;
                 if sink.observer.is_some() {
                     let snapshot =
@@ -841,7 +781,6 @@ fn make_snapshot(
 /// plus the per-view snapshots the verdict was computed from.
 fn evaluate_round(
     query: &AggQuery,
-    config: &EngineConfig,
     view_budget: &DeltaBudget,
     scramble_rows: u64,
     state: &mut ScanState,
@@ -857,7 +796,6 @@ fn evaluate_round(
             state.rows_scanned,
             scramble_rows,
             round_delta,
-            config.alpha,
         )?);
     }
 
@@ -913,15 +851,40 @@ mod tests {
             Column::int("dep_time", times),
         ])
         .unwrap();
-        Scramble::build_with(&t, 7, 25, 0.0).unwrap()
+        Scramble::build_with(&t, 7, 25).unwrap()
     }
 
     fn fast_config(bounder: BounderKind, strategy: SamplingStrategy) -> EngineConfig {
-        EngineConfig::with_bounder(bounder)
+        EngineConfig::builder()
+            .bounder(bounder)
             .strategy(strategy)
             .delta(1e-9)
             .round_rows(2_000)
             .start_block(0)
+            .build()
+    }
+
+    /// Runs `q` over `s` to its final answer.
+    fn run_approx(s: &Scramble, q: &AggQuery, cfg: &EngineConfig) -> EngineResult<QueryResult> {
+        PreparedQuery::new(s, q.clone(), cfg.clone())?.execute()
+    }
+
+    /// Runs `q` over `s` progressively under `budget`.
+    fn run_progressive(
+        s: &Scramble,
+        q: &AggQuery,
+        cfg: &EngineConfig,
+        budget: &Budget,
+        observer: impl FnMut(&Snapshot) -> RoundControl,
+    ) -> EngineResult<ProgressiveResult> {
+        PreparedQuery::new(s, q.clone(), cfg.clone())?
+            .with_budget(budget.clone())
+            .stream(observer)
+    }
+
+    /// Runs the `Exact` baseline of `q` over `s`.
+    fn run_exact(s: &Scramble, q: &AggQuery, cfg: &EngineConfig) -> EngineResult<QueryResult> {
+        PreparedQuery::new(s, q.clone(), cfg.clone())?.execute_exact()
     }
 
     #[test]
@@ -931,7 +894,7 @@ mod tests {
             .relative_error(0.2)
             .build();
         let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
-        let r = execute_approx(&s, &q, &cfg).unwrap();
+        let r = run_approx(&s, &q, &cfg).unwrap();
         assert_eq!(r.groups.len(), 1);
         let g = r.global().unwrap();
         // True mean ≈ (5 + 5 + 20 + 40)/4 = 17.5 plus a negligible outlier
@@ -954,7 +917,7 @@ mod tests {
             BounderKind::BernsteinRangeTrim,
             SamplingStrategy::ActiveSync,
         );
-        let r = execute_approx(&s, &q, &cfg).unwrap();
+        let r = run_approx(&s, &q, &cfg).unwrap();
         let mut selected = r.selected_labels();
         selected.sort();
         assert_eq!(selected, vec!["BB".to_string(), "CC".to_string()]);
@@ -972,7 +935,7 @@ mod tests {
             BounderKind::BernsteinRangeTrim,
             SamplingStrategy::ActivePeek,
         );
-        let r = execute_approx(&s, &q, &cfg).unwrap();
+        let r = run_approx(&s, &q, &cfg).unwrap();
         assert_eq!(r.selected_labels(), vec!["CC".to_string()]);
     }
 
@@ -985,7 +948,7 @@ mod tests {
             .build();
         for strategy in SamplingStrategy::ALL {
             let cfg = fast_config(BounderKind::BernsteinRangeTrim, strategy);
-            let r = execute_approx(&s, &q, &cfg).unwrap();
+            let r = run_approx(&s, &q, &cfg).unwrap();
             assert_eq!(
                 r.selected_labels(),
                 vec!["AA".to_string()],
@@ -1003,13 +966,13 @@ mod tests {
             .group_by("airline")
             .having_gt(15.0)
             .build();
-        let hoef = execute_approx(
+        let hoef = run_approx(
             &s,
             &q,
             &fast_config(BounderKind::Hoeffding, SamplingStrategy::Scan),
         )
         .unwrap();
-        let bern = execute_approx(
+        let bern = run_approx(
             &s,
             &q,
             &fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan),
@@ -1044,7 +1007,7 @@ mod tests {
             .relative_error(0.2)
             .build();
         let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
-        let r = execute_approx(&s, &q, &cfg).unwrap();
+        let r = run_approx(&s, &q, &cfg).unwrap();
         let est = r.global().unwrap().estimate.unwrap();
         assert!((est - 20.0).abs() < 2.0, "estimate {est}");
     }
@@ -1057,7 +1020,7 @@ mod tests {
             .relative_error(0.1)
             .build();
         let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
-        let r = execute_approx(&s, &q, &cfg).unwrap();
+        let r = run_approx(&s, &q, &cfg).unwrap();
         let g = r.global().unwrap();
         // A quarter of 20_000 rows are "BB".
         assert!(g.ci.contains(5_000.0), "{:?}", g.ci);
@@ -1071,7 +1034,7 @@ mod tests {
             .relative_error(0.25)
             .build();
         let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
-        let r = execute_approx(&s, &q, &cfg).unwrap();
+        let r = run_approx(&s, &q, &cfg).unwrap();
         let g = r.global().unwrap();
         // Compare against the exact SUM over the AA rows (row 1234, the
         // outlier, is a "BB" row, so it does not contribute).
@@ -1099,7 +1062,7 @@ mod tests {
             })
             .build();
         let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
-        let r = execute_approx(&s, &q, &cfg).unwrap();
+        let r = run_approx(&s, &q, &cfg).unwrap();
         let g = r.global().unwrap();
         assert!(
             g.ci.lo > 10.0,
@@ -1118,7 +1081,7 @@ mod tests {
             .absolute_width(0.0)
             .build();
         let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
-        let r = execute_approx(&s, &q, &cfg).unwrap();
+        let r = run_approx(&s, &q, &cfg).unwrap();
         assert!(!r.converged);
         for g in &r.groups {
             assert!(g.exact);
@@ -1148,7 +1111,7 @@ mod tests {
         let q = AggQuery::avg("q", Expr::col("x")).build();
         let cfg = EngineConfig::default();
         assert!(matches!(
-            execute_approx(&s, &q, &cfg),
+            run_approx(&s, &q, &cfg),
             Err(EngineError::EmptyScramble)
         ));
     }
@@ -1161,7 +1124,7 @@ mod tests {
             .build();
         let cfg = EngineConfig::default();
         assert!(matches!(
-            execute_approx(&s, &q, &cfg),
+            run_approx(&s, &q, &cfg),
             Err(EngineError::InvalidGroupBy { .. })
         ));
     }
@@ -1173,7 +1136,7 @@ mod tests {
             .relative_error(0.3)
             .build();
         let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
-        let r = execute_approx(&s, &q, &cfg).unwrap();
+        let r = run_approx(&s, &q, &cfg).unwrap();
         assert!(r.metrics.blocks_fetched() > 0);
         assert!(r.metrics.scan.rows_scanned > 0);
         assert!(r.metrics.rounds >= 1);
@@ -1194,7 +1157,7 @@ mod tests {
             seen += 1;
             RoundControl::Continue
         };
-        let p = execute_progressive(&s, &q, &cfg, &Budget::unlimited(), &mut observer).unwrap();
+        let p = run_progressive(&s, &q, &cfg, &Budget::unlimited(), &mut observer).unwrap();
         assert!(
             p.rounds() >= 2,
             "expected several rounds, got {}",
@@ -1230,7 +1193,7 @@ mod tests {
         let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
         let mut observer = |_: &Snapshot| RoundControl::Continue;
         let budget = Budget::unlimited().max_rounds(2);
-        let p = execute_progressive(&s, &q, &cfg, &budget, &mut observer).unwrap();
+        let p = run_progressive(&s, &q, &cfg, &budget, &mut observer).unwrap();
         let [first, second] = &p.snapshots[..] else {
             panic!("expected two rounds, got {}", p.rounds());
         };
@@ -1252,7 +1215,7 @@ mod tests {
         let cap = 4_321u64;
         let budget = Budget::unlimited().max_rows(cap);
         let mut observer = |_: &Snapshot| RoundControl::Continue;
-        let p = execute_progressive(&s, &q, &cfg, &budget, &mut observer).unwrap();
+        let p = run_progressive(&s, &q, &cfg, &budget, &mut observer).unwrap();
         assert_eq!(p.cancellation, Some(CancellationReason::RowBudget));
         assert!(!p.converged());
         assert!(p.result.metrics.scan.rows_scanned <= cap);
@@ -1278,7 +1241,7 @@ mod tests {
 
         let mut observer = |_: &Snapshot| RoundControl::Continue;
         let budget = Budget::unlimited().max_rounds(2);
-        let p = execute_progressive(&s, &q, &cfg, &budget, &mut observer).unwrap();
+        let p = run_progressive(&s, &q, &cfg, &budget, &mut observer).unwrap();
         assert_eq!(p.cancellation, Some(CancellationReason::RoundBudget));
         assert_eq!(p.rounds(), 2);
 
@@ -1289,12 +1252,12 @@ mod tests {
                 RoundControl::Continue
             }
         };
-        let p = execute_progressive(&s, &q, &cfg, &Budget::unlimited(), &mut stopper).unwrap();
+        let p = run_progressive(&s, &q, &cfg, &Budget::unlimited(), &mut stopper).unwrap();
         assert_eq!(p.cancellation, Some(CancellationReason::Caller));
         assert_eq!(p.rounds(), 3);
 
         let mut observer = |_: &Snapshot| RoundControl::Continue;
-        let p = execute_progressive(
+        let p = run_progressive(
             &s,
             &q,
             &cfg,
@@ -1317,7 +1280,7 @@ mod tests {
         let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
         let budget = Budget::unlimited().deadline(std::time::Duration::ZERO);
         let mut observer = |_: &Snapshot| RoundControl::Continue;
-        let p = execute_progressive(&s, &q, &cfg, &budget, &mut observer).unwrap();
+        let p = run_progressive(&s, &q, &cfg, &budget, &mut observer).unwrap();
         assert_eq!(p.cancellation, Some(CancellationReason::Deadline));
         assert!(!p.converged());
         assert_eq!(p.result.groups.len(), 3);
@@ -1331,10 +1294,10 @@ mod tests {
             .having_gt(15.0)
             .build();
         let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
-        let blocking = execute_approx(&s, &q, &cfg).unwrap();
+        let blocking = run_approx(&s, &q, &cfg).unwrap();
         let mut observer = |_: &Snapshot| RoundControl::Continue;
         let progressive =
-            execute_progressive(&s, &q, &cfg, &Budget::unlimited(), &mut observer).unwrap();
+            run_progressive(&s, &q, &cfg, &Budget::unlimited(), &mut observer).unwrap();
         assert_eq!(
             blocking.selected_labels(),
             progressive.result.selected_labels()
@@ -1354,8 +1317,8 @@ mod tests {
         let mut cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
         cfg.start_block = None;
         cfg.seed = 123;
-        let a = execute_approx(&s, &q, &cfg).unwrap();
-        let b = execute_approx(&s, &q, &cfg).unwrap();
+        let a = run_approx(&s, &q, &cfg).unwrap();
+        let b = run_approx(&s, &q, &cfg).unwrap();
         assert_eq!(a.global().unwrap().estimate, b.global().unwrap().estimate);
         assert_eq!(a.metrics.blocks_fetched(), b.metrics.blocks_fetched());
     }
@@ -1370,7 +1333,7 @@ mod tests {
             Column::categorical("airline", &airlines),
         ])
         .unwrap();
-        Scramble::build_with(&t, 1, 25, 0.0).unwrap()
+        Scramble::build_with(&t, 1, 25).unwrap()
     }
 
     #[test]
@@ -1379,7 +1342,7 @@ mod tests {
         let q = AggQuery::avg("exact", Expr::col("delay"))
             .group_by("airline")
             .build();
-        let r = execute_exact(&s, &q, &EngineConfig::default()).unwrap();
+        let r = run_exact(&s, &q, &EngineConfig::default()).unwrap();
         assert_eq!(r.groups.len(), 3);
         for g in &r.groups {
             assert!(g.exact);
@@ -1410,14 +1373,14 @@ mod tests {
         let count_q = AggQuery::count("c")
             .filter(Predicate::cat_eq("airline", "A1"))
             .build();
-        let r = execute_exact(&s, &count_q, &config).unwrap();
+        let r = run_exact(&s, &count_q, &config).unwrap();
         assert_eq!(r.global().unwrap().estimate, Some(333.0));
         assert_eq!(r.global().unwrap().samples, 333);
 
         let sum_q = AggQuery::sum("s", Expr::col("delay"))
             .filter(Predicate::cat_eq("airline", "A2"))
             .build();
-        let r = execute_exact(&s, &sum_q, &config).unwrap();
+        let r = run_exact(&s, &sum_q, &config).unwrap();
         assert_eq!(r.global().unwrap().estimate, Some(20.0 * 333.0));
         assert_eq!(r.metrics.blocks_fetched(), s.num_blocks() as u64);
     }
@@ -1429,7 +1392,7 @@ mod tests {
             .group_by("airline")
             .having_gt(5.0)
             .build();
-        let r = execute_exact(&s, &q, &EngineConfig::default()).unwrap();
+        let r = run_exact(&s, &q, &EngineConfig::default()).unwrap();
         let mut labels = r.selected_labels();
         labels.sort();
         assert_eq!(labels, vec!["A1".to_string(), "A2".to_string()]);
@@ -1442,7 +1405,7 @@ mod tests {
             .filter(Predicate::cat_eq("airline", "A1"))
             .group_by("airline")
             .build();
-        let r = execute_exact(&s, &q, &EngineConfig::default()).unwrap();
+        let r = run_exact(&s, &q, &EngineConfig::default()).unwrap();
         assert_eq!(r.groups.len(), 1);
         assert_eq!(r.groups[0].key.display(), "A1");
         assert_eq!(r.groups[0].estimate, Some(333.0));
@@ -1454,13 +1417,13 @@ mod tests {
         let config = EngineConfig::default();
         let none = Predicate::num_gt("delay", 1e9);
         let q = AggQuery::count("c").filter(none.clone()).build();
-        let r = execute_exact(&s, &q, &config).unwrap();
+        let r = run_exact(&s, &q, &config).unwrap();
         let global = r.global().unwrap();
         assert_eq!(global.estimate, Some(0.0));
         assert_eq!(global.samples, 0);
 
         let q = AggQuery::avg("a", Expr::col("delay")).filter(none).build();
-        let r = execute_exact(&s, &q, &config).unwrap();
+        let r = run_exact(&s, &q, &config).unwrap();
         assert_eq!(r.global().unwrap().estimate, None);
     }
 
@@ -1473,12 +1436,12 @@ mod tests {
         let mut values: Vec<f64> = (0..n).map(|i| i as f64).collect();
         values[7] = f64::INFINITY;
         let t = Table::new(vec![Column::float("x", values)]).unwrap();
-        let s = Scramble::build_with(&t, 1, 25, 0.0).unwrap();
+        let s = Scramble::build_with(&t, 1, 25).unwrap();
         let finite = Predicate::num_lt("x", 1e9);
         let expected_sum = (0..n).filter(|&i| i != 7).sum::<usize>() as f64;
 
         let q = AggQuery::sum("s", Expr::col("x")).filter(finite).build();
-        let r = execute_exact(&s, &q, &EngineConfig::default()).unwrap();
+        let r = run_exact(&s, &q, &EngineConfig::default()).unwrap();
         let global = r.global().unwrap();
         assert_eq!(global.estimate, Some(expected_sum));
         assert_eq!(global.samples, n as u64 - 1);
@@ -1524,9 +1487,9 @@ mod tests {
             let expected = (0..rows).map(|i| (i * 7_919) % 1_013).sum::<usize>() as f64;
             let t = Table::new(vec![Column::float("x", values)]).unwrap();
             // One-row blocks: the Exact round has `rows` blocks.
-            let s = Scramble::build_with(&t, 3, 1, 0.0).unwrap();
+            let s = Scramble::build_with(&t, 3, 1).unwrap();
             let q = AggQuery::sum("s", Expr::col("x")).build();
-            let r = execute_exact(&s, &q, &EngineConfig::default()).unwrap();
+            let r = run_exact(&s, &q, &EngineConfig::default()).unwrap();
             assert_eq!(r.metrics.exec.partitions, partitions, "{rows} blocks");
             let sum = r.global().unwrap().estimate.unwrap();
             assert_eq!(sum, expected, "{partitions} partitions");
@@ -1539,7 +1502,7 @@ mod tests {
         let s = Scramble::build(&t, 1).unwrap();
         let q = AggQuery::avg("q", Expr::col("x")).build();
         assert!(matches!(
-            execute_exact(&s, &q, &EngineConfig::default()),
+            run_exact(&s, &q, &EngineConfig::default()),
             Err(EngineError::EmptyScramble)
         ));
 
@@ -1548,7 +1511,7 @@ mod tests {
             .group_by("delay")
             .build();
         assert!(matches!(
-            execute_exact(&s, &q, &EngineConfig::default()),
+            run_exact(&s, &q, &EngineConfig::default()),
             Err(EngineError::InvalidGroupBy { .. })
         ));
     }

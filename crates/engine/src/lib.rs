@@ -31,6 +31,12 @@
 //!    [`Budget`] (row cap, round cap, wall-clock deadline), so callers can
 //!    render online-aggregation UIs or stop early with a valid answer.
 //!
+//! Every execution is a method of [`PreparedQuery`]. [`Session::prepare`]
+//! prepares a pre-built [`AggQuery`], and [`PreparedQuery::new`] prepares
+//! one over any `BlockSource`; like [`QueryBuilder::build`], both check the
+//! query and the [`EngineConfig`] through that one constructor, and every
+//! execution method checks the configuration again before it scans.
+//!
 //! Tables persist across process runs: [`Session::save_table`] writes a
 //! registered scramble to a checksummed columnar segment file and
 //! [`Session::open_table`] re-serves it lazily (blocks decode on demand via
@@ -76,19 +82,20 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
 pub mod config;
 pub mod error;
-pub mod executor;
+pub(crate) mod executor;
 pub mod metrics;
 pub(crate) mod parallel;
 pub mod progressive;
 pub mod query;
 pub mod result;
-pub mod sampling;
+pub(crate) mod sampling;
 pub mod session;
-pub mod view;
+pub(crate) mod view;
 
 pub use config::{EngineConfig, EngineConfigBuilder, SamplingStrategy};
 pub use error::{EngineError, EngineResult};

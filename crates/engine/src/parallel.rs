@@ -187,7 +187,7 @@ pub(crate) struct PartitionPartial {
 
 impl PartitionPartial {
     /// Touched views' partials, in first-touch order.
-    pub fn views(&self) -> &[(u32, Partial)] {
+    pub(crate) fn views(&self) -> &[(u32, Partial)] {
         &self.buffers.views
     }
 }
@@ -468,7 +468,7 @@ impl RoundExecutor<'_> {
     /// The first block-read failure in partition order (storage rot detected
     /// after open-time validation). The caller must then discard the state
     /// it merged into: later partitions are not merged.
-    pub fn execute_round(
+    pub(crate) fn execute_round(
         &mut self,
         blocks: &[BlockId],
         mut merge: impl FnMut(&PartitionPartial),

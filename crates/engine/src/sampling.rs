@@ -40,17 +40,17 @@ use fastframe_store::block::BlockId;
 use fastframe_store::source::BlockSource;
 use fastframe_store::zone::{RangeFilter, ZoneMap};
 
-pub use crate::config::SamplingStrategy;
+use crate::config::SamplingStrategy;
 
 /// The set of groups still requiring samples: a membership bitset over the
 /// executor's view ids. A group's dictionary-code tuple, which the planner
 /// probes, is looked up in the query's code table by id, so the set holds
 /// no codes and sharing it clones nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ActiveSet {
+pub(crate) struct ActiveSet {
     /// `false` until the first OptStop round has produced group snapshots; a
     /// planner must treat every group as active until then.
-    pub initialized: bool,
+    pub(crate) initialized: bool,
     /// Bit `id` is set iff group `id` is active (ids past the end are not).
     members: Vec<u64>,
     /// Number of active groups.
@@ -59,7 +59,7 @@ pub struct ActiveSet {
 
 impl ActiveSet {
     /// The "everything is active" state used before the first round.
-    pub fn all_active() -> Self {
+    pub(crate) fn all_active() -> Self {
         Self {
             initialized: false,
             ..Self::of([])
@@ -67,7 +67,7 @@ impl ActiveSet {
     }
 
     /// An initialized active set of the given group ids.
-    pub fn of(ids: impl IntoIterator<Item = usize>) -> Self {
+    pub(crate) fn of(ids: impl IntoIterator<Item = usize>) -> Self {
         let mut members = Vec::new();
         let mut len = 0;
         for id in ids {
@@ -86,12 +86,12 @@ impl ActiveSet {
     }
 
     /// Whether no group is active (only meaningful once initialized).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.initialized && self.len == 0
     }
 
     /// Whether group `id` is active (every group is before initialization).
-    pub fn contains(&self, id: usize) -> bool {
+    pub(crate) fn contains(&self, id: usize) -> bool {
         !self.initialized
             || self
                 .members
@@ -101,7 +101,7 @@ impl ActiveSet {
 
     /// The active group ids in ascending order (none before
     /// initialization).
-    pub fn ids(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn ids(&self) -> impl Iterator<Item = usize> + '_ {
         self.members.iter().enumerate().flat_map(|(i, &word)| {
             let mut rest = word;
             std::iter::from_fn(move || {
@@ -127,7 +127,7 @@ impl ActiveSet {
 /// probes once every candidate block in it is covered. Zone maps are
 /// tested last, once per surviving block. The fetched blocks are exactly
 /// those a per-block probe of every condition would fetch.
-pub struct BlockPlanner<'a> {
+pub(crate) struct BlockPlanner<'a> {
     /// Bitmap indexes of the GROUP BY columns, in query order (columns
     /// without an index are `None` and treated as "always present", which
     /// is conservative).
@@ -172,7 +172,7 @@ impl<'a> BlockPlanner<'a> {
     /// exists; `range_filters` are the predicate's numeric range conjuncts
     /// (see [`fastframe_store::predicate::Predicate::range_filters`]),
     /// matched here against the source's zone maps.
-    pub fn new(
+    pub(crate) fn new(
         source: &'a dyn BlockSource,
         group_columns: &[String],
         tuples: &'a [Vec<u32>],
@@ -212,7 +212,7 @@ impl<'a> BlockPlanner<'a> {
     /// with [`decisions`](Self::decisions). ActivePeek decides against the
     /// set handed in with the previous batch (its first batch against its
     /// own); the other strategies against `active`.
-    pub fn plan(&mut self, blocks: &[BlockId], active: &Arc<ActiveSet>) -> u64 {
+    pub(crate) fn plan(&mut self, blocks: &[BlockId], active: &Arc<ActiveSet>) -> u64 {
         let previous = if self.one_batch_stale {
             self.previous.replace(Arc::clone(active))
         } else {
@@ -242,13 +242,13 @@ impl<'a> BlockPlanner<'a> {
 
     /// The fetch decision of every block of the latest batch, in batch
     /// order.
-    pub fn decisions(&self) -> &[bool] {
+    pub(crate) fn decisions(&self) -> &[bool] {
         &self.decisions
     }
 
     /// The active set the latest [`plan`](Self::plan) call decided its batch
     /// against.
-    pub fn planned_with(&self) -> &ActiveSet {
+    pub(crate) fn planned_with(&self) -> &ActiveSet {
         &self.planned_with
     }
 
@@ -395,7 +395,7 @@ mod tests {
             Column::categorical("p", &preds),
         ])
         .unwrap();
-        Scramble::build_with(&t, 99, 25, 0.0).unwrap()
+        Scramble::build_with(&t, 99, 25).unwrap()
     }
 
     /// Plans `blocks` and returns the decisions with the index checks made.
@@ -556,7 +556,7 @@ mod tests {
         ])
         .unwrap();
         // Identity-ish scramble not guaranteed; use the index to cross-check.
-        let s = Scramble::build_with(&t, 5, 10, 0.0).unwrap();
+        let s = Scramble::build_with(&t, 5, 10).unwrap();
         let code_a0 = s.table().column("c1").unwrap().code_of("a0").unwrap();
         let code_b3 = s.table().column("c2").unwrap().code_of("b3").unwrap();
         // Group (a0, b3) does not exist in the data (a0 covers rows 0..50,
@@ -712,7 +712,7 @@ mod tests {
             cat("p", 3, 5),
         ])
         .unwrap();
-        let s = Scramble::build_with(&t, 17, 10, 0.0).unwrap();
+        let s = Scramble::build_with(&t, 17, 10).unwrap();
         let n = s.num_blocks();
         assert_eq!(n, 300);
         let mut state = 0x9e37_79b9_7f4a_7c15u64;

@@ -39,7 +39,6 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use fastframe_core::delta::DeltaBudget;
 use fastframe_core::stopping::StoppingCondition;
 use fastframe_store::block::DEFAULT_BLOCK_SIZE;
 use fastframe_store::expr::Expr;
@@ -51,22 +50,20 @@ use fastframe_store::table::Table;
 
 use crate::config::EngineConfig;
 use crate::error::{EngineError, EngineResult};
-use crate::executor::{execute_budgeted, execute_exact, execute_progressive, RoundObserver};
+use crate::executor::{bind_query, run, Pass, RoundObserver};
 use crate::progressive::{Budget, ProgressiveResult, RoundControl, Snapshot};
 use crate::query::{AggQuery, AggQueryBuilder, AggregateFunction};
 use crate::result::QueryResult;
 
-/// Per-table scramble construction options: permutation seed, block size and
-/// catalog range slack.
-#[derive(Debug, Clone, PartialEq)]
+/// Per-table scramble construction options: permutation seed and block size.
+/// The catalog records each numeric column's exact `[MIN, MAX]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[must_use = "TableOptions is a builder: pass it to `register_with` (dropping it does nothing)"]
 pub struct TableOptions {
     /// Seed of the scramble permutation.
     pub seed: u64,
     /// Rows per block (the paper's default is 25).
     pub block_size: usize,
-    /// Relative slack added to the catalog range bounds (0.0 = exact ranges).
-    pub range_slack: f64,
 }
 
 impl Default for TableOptions {
@@ -74,7 +71,6 @@ impl Default for TableOptions {
         Self {
             seed: 0x5eed,
             block_size: DEFAULT_BLOCK_SIZE,
-            range_slack: 0.0,
         }
     }
 }
@@ -89,12 +85,6 @@ impl TableOptions {
     /// Sets the block size in rows.
     pub fn block_size(mut self, block_size: usize) -> Self {
         self.block_size = block_size;
-        self
-    }
-
-    /// Sets the catalog range slack.
-    pub fn range_slack(mut self, range_slack: f64) -> Self {
-        self.range_slack = range_slack;
         self
     }
 }
@@ -178,8 +168,7 @@ impl Session {
         if self.tables.contains_key(&name) {
             return Err(EngineError::DuplicateTable { name });
         }
-        let scramble =
-            Scramble::build_with(table, options.seed, options.block_size, options.range_slack)?;
+        let scramble = Scramble::build_with(table, options.seed, options.block_size)?;
         self.register_scramble(name, scramble)
     }
 
@@ -330,53 +319,8 @@ impl Session {
     /// defaults. This is the bridge for code that assembles [`AggQuery`]
     /// values directly (e.g. the workload templates).
     pub fn prepare(&self, table: &str, query: &AggQuery) -> EngineResult<PreparedQuery<'_>> {
-        let source = self.source(table)?;
-        validate(source, query)?;
-        validate_config(&self.defaults)?;
-        Ok(PreparedQuery {
-            source,
-            query: query.clone(),
-            config: self.defaults.clone(),
-            budget: Budget::unlimited(),
-        })
+        PreparedQuery::new(self.source(table)?, query.clone(), self.defaults.clone())
     }
-}
-
-/// Rejects a config the executor would refuse or silently reinterpret, so
-/// the error surfaces when the query is built rather than when it runs: δ
-/// and α must lie in (0, 1), and rounds and lookahead batches must hold at
-/// least one row and one block.
-fn validate_config(config: &EngineConfig) -> EngineResult<()> {
-    DeltaBudget::new(config.delta)?;
-    let invalid = |field, value: String, expected| {
-        Err(EngineError::InvalidConfig {
-            field,
-            value,
-            expected,
-        })
-    };
-    if !(config.alpha > 0.0 && config.alpha < 1.0) {
-        return invalid("alpha", config.alpha.to_string(), "a value in (0, 1)");
-    }
-    if config.round_rows == 0 {
-        return invalid("round_rows", "0".into(), "at least 1 row");
-    }
-    if config.lookahead_batch == 0 {
-        return invalid("lookahead_batch", "0".into(), "at least 1 block");
-    }
-    Ok(())
-}
-
-/// Type-checks `query` against the source's schema by running the
-/// executor's own binding step (and discarding the bound artifacts): every
-/// referenced column must exist with a compatible type, GROUP BY columns
-/// must be categorical, the target's range bounds must be derivable from the
-/// catalog, and the table must be non-empty. Reusing the executor's
-/// binder keeps build-time validation in lockstep with execution — anything
-/// that would fail to bind fails here first, on catalog metadata only (no
-/// blocks are read).
-fn validate(source: &dyn BlockSource, query: &AggQuery) -> EngineResult<()> {
-    crate::executor::bind_query(source, query).map(|_| ())
 }
 
 /// A fluent, catalog-checked builder for aggregate queries over one session
@@ -543,15 +487,8 @@ impl<'s> QueryBuilder<'s> {
         query.name = self
             .name
             .unwrap_or_else(|| format!("{}.{}", self.table, aggregate.to_string().to_lowercase()));
-        validate(source, &query)?;
         let config = self.config.unwrap_or_else(|| self.session.defaults.clone());
-        validate_config(&config)?;
-        Ok(PreparedQuery {
-            source,
-            query,
-            config,
-            budget: self.budget,
-        })
+        Ok(PreparedQuery::new(source, query, config)?.with_budget(self.budget))
     }
 
     /// Builds and executes approximately, blocking until the stopping
@@ -582,8 +519,9 @@ impl<'s> QueryBuilder<'s> {
     }
 }
 
-/// A query that has been type-checked against a session table and bound to
-/// an effective configuration and budget — ready to run in any mode.
+/// A query that has been type-checked against a block source and bound to
+/// an effective configuration and budget — ready to run in any mode. Every
+/// execution goes through one of its methods.
 #[derive(Clone)]
 pub struct PreparedQuery<'s> {
     source: &'s dyn BlockSource,
@@ -603,7 +541,34 @@ impl std::fmt::Debug for PreparedQuery<'_> {
     }
 }
 
-impl PreparedQuery<'_> {
+impl<'s> PreparedQuery<'s> {
+    /// Prepares `query` over any [`BlockSource`] with `config` and an
+    /// unlimited [`Budget`]. [`Session::prepare`] and [`QueryBuilder::build`]
+    /// are calls of this constructor over a registered table.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the executor's own binding step refuses, on catalog metadata
+    /// only (no block is read): an unknown or mistyped column, a
+    /// non-categorical GROUP BY column, a target whose range bounds the
+    /// catalog cannot derive, or an empty table. Then an invalid `config`:
+    /// `Core(InvalidDelta)` for δ outside (0, 1) and
+    /// [`EngineError::InvalidConfig`] for a zero round size.
+    pub fn new(
+        source: &'s dyn BlockSource,
+        query: AggQuery,
+        config: EngineConfig,
+    ) -> EngineResult<Self> {
+        bind_query(source, &query)?;
+        config.validate()?;
+        Ok(Self {
+            source,
+            query,
+            config,
+            budget: Budget::unlimited(),
+        })
+    }
+
     /// The validated query.
     pub fn query(&self) -> &AggQuery {
         &self.query
@@ -620,7 +585,14 @@ impl PreparedQuery<'_> {
         self.source
     }
 
-    /// Replaces the effective configuration.
+    /// The cancellation budget.
+    pub(crate) fn budget(&self) -> &Budget {
+        &self.budget
+    }
+
+    /// Replaces the effective configuration. It is validated when the query
+    /// runs: every execution method refuses an invalid one as
+    /// [`PreparedQuery::new`] does.
     pub fn with_config(mut self, config: EngineConfig) -> Self {
         self.config = config;
         self
@@ -636,7 +608,7 @@ impl PreparedQuery<'_> {
     /// form of the progressive stream (no intermediate snapshots are
     /// materialized).
     pub fn execute(&self) -> EngineResult<QueryResult> {
-        execute_budgeted(self.source, &self.query, &self.config, &self.budget)
+        run(self, None, Pass::Approximate).map(ProgressiveResult::into_result)
     }
 
     /// Executes the `Exact` baseline: one full pass of the scan pipeline
@@ -645,7 +617,7 @@ impl PreparedQuery<'_> {
     /// thread count applies (auto scans on one thread); the budget is
     /// ignored.
     pub fn execute_exact(&self) -> EngineResult<QueryResult> {
-        execute_exact(self.source, &self.query, &self.config)
+        run(self, None, Pass::Exact).map(ProgressiveResult::into_result)
     }
 
     /// Executes progressively, collecting every round's [`Snapshot`] into
@@ -662,13 +634,7 @@ impl PreparedQuery<'_> {
         mut observer: impl FnMut(&Snapshot) -> RoundControl,
     ) -> EngineResult<ProgressiveResult> {
         let observer: &mut RoundObserver<'_> = &mut observer;
-        execute_progressive(
-            self.source,
-            &self.query,
-            &self.config,
-            &self.budget,
-            observer,
-        )
+        run(self, Some(observer), Pass::Approximate)
     }
 }
 
@@ -706,53 +672,80 @@ mod tests {
     }
 
     #[test]
-    fn a_bad_alpha_round_or_batch_is_rejected_when_the_query_is_built() {
+    fn a_zero_round_size_is_rejected_when_the_query_is_built() {
         let base = || session().defaults().to_builder();
-        let cases = [
-            ("alpha", base().alpha(0.0).build()),
-            ("alpha", base().alpha(1.0).build()),
-            ("alpha", base().alpha(-0.5).build()),
-            ("alpha", base().alpha(f64::NAN).build()),
-            ("round_rows", base().round_rows(0).build()),
-            ("lookahead_batch", base().lookahead_batch(0).build()),
-        ];
-        for (field, config) in cases {
-            let mut from_defaults = session();
-            from_defaults.set_defaults(config.clone());
-            let per_query = session()
-                .query("flights")
-                .avg(Expr::col("delay"))
-                .config(config)
-                .build()
-                .map(|_| ());
-            let defaults = from_defaults
-                .query("flights")
-                .avg(Expr::col("delay"))
-                .build()
-                .map(|_| ());
-            let query = AggQuery::avg("q", Expr::col("delay")).build();
-            let prepared = from_defaults.prepare("flights", &query).map(|_| ());
-            for (how, result) in [
-                ("per-query config", per_query),
-                ("session defaults", defaults),
-                ("prepare", prepared),
-            ] {
-                match result {
-                    Err(EngineError::InvalidConfig { field: got, .. }) => {
-                        assert_eq!(got, field, "{how}")
-                    }
-                    other => panic!("{field} from {how}: expected InvalidConfig, got {other:?}"),
+        let config = base().round_rows(0).build();
+        let mut from_defaults = session();
+        from_defaults.set_defaults(config.clone());
+        let per_query = session()
+            .query("flights")
+            .avg(Expr::col("delay"))
+            .config(config)
+            .build()
+            .map(|_| ());
+        let defaults = from_defaults
+            .query("flights")
+            .avg(Expr::col("delay"))
+            .build()
+            .map(|_| ());
+        let query = AggQuery::avg("q", Expr::col("delay")).build();
+        let prepared = from_defaults.prepare("flights", &query).map(|_| ());
+        for (how, result) in [
+            ("per-query config", per_query),
+            ("session defaults", defaults),
+            ("prepare", prepared),
+        ] {
+            match result {
+                Err(EngineError::InvalidConfig { field, .. }) => {
+                    assert_eq!(field, "round_rows", "{how}")
                 }
+                other => panic!("round_rows from {how}: expected InvalidConfig, got {other:?}"),
             }
         }
-        // The edges of the accepted ranges build.
-        let config = base().alpha(0.5).round_rows(1).lookahead_batch(1).build();
+        // The edge of the accepted range builds.
+        let config = base().round_rows(1).build();
         assert!(session()
             .query("flights")
             .avg(Expr::col("delay"))
             .config(config)
             .build()
             .is_ok());
+    }
+
+    /// A configuration swapped in after preparation is validated when the
+    /// query runs, in every execution mode.
+    #[test]
+    fn a_config_swapped_in_after_preparation_is_rejected_by_every_mode() {
+        let s = session();
+        let query = AggQuery::avg("q", Expr::col("delay"))
+            .group_by("airline")
+            .build();
+        let prepared = s
+            .prepare("flights", &query)
+            .unwrap()
+            .with_config(EngineConfig::builder().round_rows(0).build());
+        let modes = [
+            ("execute", prepared.execute().map(|_| ())),
+            ("execute_exact", prepared.execute_exact().map(|_| ())),
+            ("progressive", prepared.progressive().map(|_| ())),
+            (
+                "stream",
+                prepared.stream(|_| RoundControl::Continue).map(|_| ()),
+            ),
+        ];
+        for (mode, result) in modes {
+            match result {
+                Err(EngineError::InvalidConfig { field, .. }) => {
+                    assert_eq!(field, "round_rows", "{mode}")
+                }
+                other => panic!("{mode}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+        let bad_delta = prepared.with_config(EngineConfig::builder().delta(0.0).build());
+        assert!(matches!(
+            bad_delta.execute(),
+            Err(EngineError::Core(CoreError::InvalidDelta { .. }))
+        ));
     }
 
     #[test]
@@ -852,7 +845,7 @@ mod tests {
                 s.register_with("t", &t, TableOptions::default().block_size(7)),
                 "register_with",
             );
-            let scramble = Scramble::build_with(&t, 1, 25, 0.0).unwrap();
+            let scramble = Scramble::build_with(&t, 1, 25).unwrap();
             rejected(s.register_scramble("t", scramble), "register_scramble");
             assert!(s.is_empty());
             let message = s.register("t", &t).unwrap_err().to_string();

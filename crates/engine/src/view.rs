@@ -15,13 +15,12 @@
 
 use std::sync::Arc;
 
-use fastframe_core::bounder::{BoundContext, BounderKind, BoxedEstimator, Ci, ErrorBounder};
+use fastframe_core::bounder::{BoundContext, BounderKind, BoxedEstimator, Ci};
 use fastframe_core::count::SelectivityTracker;
+use fastframe_core::delta::DEFAULT_ALPHA;
 use fastframe_core::error::CoreResult;
-use fastframe_core::hoeffding::HoeffdingSerfling;
 use fastframe_core::optstop::RunningInterval;
 use fastframe_core::partial::{FlatBounder, FlatMoments, FlatRecord};
-use fastframe_core::range_trim::RangeTrim;
 use fastframe_core::stopping::GroupSnapshot;
 use fastframe_core::sum::sum_interval;
 
@@ -61,18 +60,6 @@ impl Accumulator {
         match kind.flat() {
             Some(flat) => Accumulator::Flat(flat, FlatMoments::EMPTY),
             None => Accumulator::Boxed(kind.make_estimator()),
-        }
-    }
-
-    /// Observes one value directly into the state. For the flat kinds this
-    /// is Algorithm 6's three-moment update, the sequential fold a finished
-    /// record reproduces; the scan itself absorbs partition records.
-    fn observe(&mut self, value: f64) {
-        match self {
-            Accumulator::Flat(_, moments) => {
-                RangeTrim::new(HoeffdingSerfling).update_state(moments, value)
-            }
-            Accumulator::Boxed(estimator) => estimator.observe(value),
         }
     }
 
@@ -123,12 +110,12 @@ impl std::fmt::Debug for Accumulator {
 }
 
 /// Per-group approximation state.
-pub struct AggregateView {
+pub(crate) struct AggregateView {
     /// Dense identifier assigned by the executor (index into its view list).
-    pub id: usize,
+    pub(crate) id: usize,
     /// Group identity, built once per query and shared with every round's
     /// [`GroupProgress`](crate::progressive::GroupProgress).
-    pub key: Arc<GroupKey>,
+    pub(crate) key: Arc<GroupKey>,
     estimator: Accumulator,
     /// Derived range bounds `[a, b]` of the target expression.
     range: (f64, f64),
@@ -166,7 +153,7 @@ impl std::fmt::Debug for AggregateView {
 
 impl AggregateView {
     /// Creates a view with a fresh estimator of the given kind.
-    pub fn new(
+    pub(crate) fn new(
         id: usize,
         key: impl Into<Arc<GroupKey>>,
         bounder: BounderKind,
@@ -185,13 +172,6 @@ impl AggregateView {
         }
     }
 
-    /// Records a matching row's target-expression value.
-    #[inline]
-    pub fn observe(&mut self, value: f64) {
-        self.matched += 1;
-        self.estimator.observe(value);
-    }
-
     /// Folds a scan partition's partial accumulation for this view (of the
     /// same [`BounderKind`]) into the master state, in partition order.
     ///
@@ -207,40 +187,14 @@ impl AggregateView {
     /// Records that `rows` rows were skipped in blocks provably containing no
     /// rows of this view (see [`Self`] field docs).
     #[inline]
-    pub fn record_absent(&mut self, rows: u64) {
+    pub(crate) fn record_absent(&mut self, rows: u64) {
         self.known_absent += rows;
     }
 
     /// Marks that rows with unknown membership were skipped for this view.
     #[inline]
-    pub fn mark_denominator_unclean(&mut self) {
+    pub(crate) fn mark_denominator_unclean(&mut self) {
         self.denominator_clean = false;
-    }
-
-    /// Whether no block with unknown membership for this view has been
-    /// skipped (see [`Self::mark_denominator_unclean`]).
-    pub fn denominator_clean(&self) -> bool {
-        self.denominator_clean
-    }
-
-    /// Number of rows that matched this view.
-    pub fn matched(&self) -> u64 {
-        self.matched
-    }
-
-    /// Rows whose absence from this view is known from the index.
-    pub fn known_absent(&self) -> u64 {
-        self.known_absent
-    }
-
-    /// Point estimate of the group's AVG.
-    pub fn mean_estimate(&self) -> Option<f64> {
-        self.estimator.estimate()
-    }
-
-    /// Derived range bounds of the target expression.
-    pub fn range(&self) -> (f64, f64) {
-        self.range
     }
 
     /// Recomputes this view's intervals at the end of an OptStop round and
@@ -253,17 +207,15 @@ impl AggregateView {
     /// * `scramble_rows` — total rows in the scramble (`R`).
     /// * `round_delta` — this round's error budget for this view,
     ///   `(6/π²)·(δ/#views)/k²`.
-    /// * `alpha` — Theorem 3's split between the `N⁺` bound and the mean CI.
-    pub fn round_update(
+    pub(crate) fn round_update(
         &mut self,
         aggregate: AggregateFunction,
         rows_scanned: u64,
         scramble_rows: u64,
         round_delta: f64,
-        alpha: f64,
     ) -> CoreResult<GroupSnapshot> {
         let (agg_ci, count_ci) =
-            self.intervals(aggregate, rows_scanned, scramble_rows, round_delta, alpha)?;
+            self.intervals(aggregate, rows_scanned, scramble_rows, round_delta)?;
         let agg_running = self.running_agg.update(agg_ci);
         self.running_count.update(count_ci);
         Ok(GroupSnapshot {
@@ -290,7 +242,6 @@ impl AggregateView {
         rows_scanned: u64,
         scramble_rows: u64,
         round_delta: f64,
-        alpha: f64,
     ) -> CoreResult<(Ci, Ci)> {
         let mut tracker = SelectivityTracker::new(scramble_rows)?;
         tracker.record_batch(
@@ -314,7 +265,7 @@ impl AggregateView {
         match aggregate {
             AggregateFunction::Avg => {
                 let count_ci = count_interval(round_delta);
-                let avg_ci = self.avg_interval(&tracker, round_delta, alpha)?;
+                let avg_ci = self.avg_interval(&tracker, round_delta)?;
                 Ok((avg_ci, count_ci))
             }
             AggregateFunction::Count => {
@@ -325,26 +276,27 @@ impl AggregateView {
                 // Split the round budget between the COUNT interval and the
                 // AVG interval (union bound), then combine.
                 let count_ci = count_interval(round_delta * 0.5);
-                let avg_ci = self.avg_interval(&tracker, round_delta * 0.5, alpha)?;
+                let avg_ci = self.avg_interval(&tracker, round_delta * 0.5)?;
                 Ok((sum_interval(&count_ci, &avg_ci), count_ci))
             }
         }
     }
 
     /// The Theorem 3 AVG interval: `N⁺` from a `(1 − α)` share of the budget,
-    /// the bounder interval from the remaining `α` share.
-    fn avg_interval(&self, tracker: &SelectivityTracker, delta: f64, alpha: f64) -> CoreResult<Ci> {
+    /// the bounder interval from the remaining `α` share
+    /// ([`DEFAULT_ALPHA`], the paper's 0.99).
+    fn avg_interval(&self, tracker: &SelectivityTracker, delta: f64) -> CoreResult<Ci> {
         let (a, b) = self.range;
         if self.matched == 0 {
             return Ok(Ci::full_range(a, b));
         }
-        let n_plus = tracker.n_plus(delta, alpha)?;
-        let ctx = BoundContext::new(a, b, n_plus.max(self.matched).max(1), alpha * delta)?;
+        let n_plus = tracker.n_plus(delta, DEFAULT_ALPHA)?;
+        let ctx = BoundContext::new(a, b, n_plus.max(self.matched).max(1), DEFAULT_ALPHA * delta)?;
         Ok(self.estimator.interval(&ctx))
     }
 
     /// Point estimate of the query's aggregate for this view.
-    pub fn aggregate_estimate(
+    fn aggregate_estimate(
         &self,
         aggregate: AggregateFunction,
         rows_scanned: u64,
@@ -378,13 +330,12 @@ impl AggregateView {
     /// `exact` callers pass `true` when every row of the scramble was scanned
     /// (so the estimate is the true aggregate); in that case the interval
     /// collapses onto the estimate.
-    pub fn finalize(
+    pub(crate) fn finalize(
         &mut self,
         aggregate: AggregateFunction,
         rows_scanned: u64,
         scramble_rows: u64,
         round_delta: f64,
-        alpha: f64,
         exact: bool,
     ) -> CoreResult<GroupResult> {
         let estimate = self.aggregate_estimate(aggregate, rows_scanned, scramble_rows);
@@ -404,7 +355,7 @@ impl AggregateView {
             // trivial full range and no bounder context is built either.
             _ => {
                 let snapshot =
-                    self.round_update(aggregate, rows_scanned, scramble_rows, round_delta, alpha)?;
+                    self.round_update(aggregate, rows_scanned, scramble_rows, round_delta)?;
                 let count_ci = if exact {
                     exact_ci(self.matched as f64)
                 } else {
@@ -429,6 +380,49 @@ impl AggregateView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastframe_core::bounder::ErrorBounder;
+    use fastframe_core::hoeffding::HoeffdingSerfling;
+    use fastframe_core::range_trim::RangeTrim;
+
+    /// Direct access to a view's state, for tests; the scan only absorbs
+    /// partition partials.
+    impl AggregateView {
+        /// Records a matching row's value directly into the state. For the
+        /// flat kinds this is Algorithm 6's three-moment update, the
+        /// sequential fold a finished record reproduces.
+        fn observe(&mut self, value: f64) {
+            self.matched += 1;
+            match &mut self.estimator {
+                Accumulator::Flat(_, moments) => {
+                    RangeTrim::new(HoeffdingSerfling).update_state(moments, value)
+                }
+                Accumulator::Boxed(estimator) => estimator.observe(value),
+            }
+        }
+
+        fn matched(&self) -> u64 {
+            self.matched
+        }
+
+        fn mean_estimate(&self) -> Option<f64> {
+            self.estimator.estimate()
+        }
+
+        fn range(&self) -> (f64, f64) {
+            self.range
+        }
+
+        /// Rows whose absence from this view is known from the index.
+        pub(crate) fn known_absent(&self) -> u64 {
+            self.known_absent
+        }
+
+        /// Whether no block with unknown membership for this view has been
+        /// skipped.
+        pub(crate) fn denominator_clean(&self) -> bool {
+            self.denominator_clean
+        }
+    }
 
     fn view(bounder: BounderKind) -> AggregateView {
         AggregateView::new(
@@ -490,7 +484,7 @@ mod tests {
             v.observe(40.0 + (i % 21) as f64);
         }
         let snap1 = v
-            .round_update(AggregateFunction::Avg, 10_000, 100_000, 1e-6, 0.99)
+            .round_update(AggregateFunction::Avg, 10_000, 100_000, 1e-6)
             .unwrap();
         assert!(snap1.ci.contains(snap1.estimate));
         assert_eq!(snap1.samples, 1_000);
@@ -499,7 +493,7 @@ mod tests {
             v.observe(40.0 + (i % 21) as f64);
         }
         let snap2 = v
-            .round_update(AggregateFunction::Avg, 100_000, 100_000, 1e-6 / 4.0, 0.99)
+            .round_update(AggregateFunction::Avg, 100_000, 100_000, 1e-6 / 4.0)
             .unwrap();
         assert!(snap2.ci.width() < snap1.ci.width());
         assert!(snap2.ci.contains(50.0));
@@ -514,7 +508,7 @@ mod tests {
             v.observe(1.0);
         }
         let snap = v
-            .round_update(AggregateFunction::Count, 10_000, 100_000, 1e-9, 0.99)
+            .round_update(AggregateFunction::Count, 10_000, 100_000, 1e-9)
             .unwrap();
         assert!(snap.ci.contains(25_000.0), "{:?}", snap.ci);
         assert!((snap.estimate - 25_000.0).abs() < 1.0);
@@ -531,7 +525,7 @@ mod tests {
             .unwrap();
         assert!((est - 10.0 * 10_000.0).abs() < 1e-6);
         let snap = v
-            .round_update(AggregateFunction::Sum, 10_000, 100_000, 1e-9, 0.99)
+            .round_update(AggregateFunction::Sum, 10_000, 100_000, 1e-9)
             .unwrap();
         assert!(snap.ci.contains(est));
     }
@@ -540,7 +534,7 @@ mod tests {
     fn empty_view_yields_full_range_interval() {
         let mut v = view(BounderKind::Hoeffding);
         let snap = v
-            .round_update(AggregateFunction::Avg, 10_000, 100_000, 1e-9, 0.99)
+            .round_update(AggregateFunction::Avg, 10_000, 100_000, 1e-9)
             .unwrap();
         assert_eq!(snap.ci, Ci::new(0.0, 100.0));
         assert_eq!(snap.samples, 0);
@@ -560,7 +554,6 @@ mod tests {
                     20_000 * round,
                     1_000_000,
                     1e-9 / (round * round) as f64,
-                    0.99,
                 )
                 .unwrap();
             assert!(snap.ci.width() <= last_width + 1e-12);
@@ -575,7 +568,7 @@ mod tests {
             v.observe((i % 10) as f64);
         }
         let r = v
-            .finalize(AggregateFunction::Avg, 100_000, 100_000, 1e-9, 0.99, true)
+            .finalize(AggregateFunction::Avg, 100_000, 100_000, 1e-9, true)
             .unwrap();
         assert!(r.exact);
         assert!(
@@ -590,7 +583,7 @@ mod tests {
             v2.observe((i % 10) as f64);
         }
         let r2 = v2
-            .finalize(AggregateFunction::Avg, 10_000, 100_000, 1e-9, 0.99, false)
+            .finalize(AggregateFunction::Avg, 10_000, 100_000, 1e-9, false)
             .unwrap();
         assert!(!r2.exact);
         assert!(r2.ci.width() > 0.0);

@@ -3,9 +3,8 @@
 //! §2.2.1: "we assume that the database catalog maintains range bounds `a`
 //! and `b` for the MIN and MAX of each continuous column, inferred, for
 //! example, during data loading." The catalog here records exactly that for
-//! numeric columns (optionally widened by a caller-supplied slack so that
-//! `[a, b] ⊇ [MIN, MAX]` strictly), and the dictionary cardinality for
-//! categorical columns.
+//! numeric columns, the exact `[MIN, MAX]`, and the dictionary cardinality
+//! for categorical columns.
 
 use std::collections::HashMap;
 
@@ -40,19 +39,13 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    /// Builds a catalog by scanning every column of `table` once.
-    ///
-    /// `range_slack` widens the recorded numeric ranges by the given
-    /// *fraction* of the observed width on both sides (e.g. `0.0` records the
-    /// exact `[MIN, MAX]`; `0.05` records a 5% wider interval). The paper
-    /// only requires `[a, b] ⊇ [MIN, MAX]`, so any non-negative slack is
-    /// valid.
+    /// Builds a catalog by scanning every column of `table` once, recording
+    /// each numeric column's exact `[MIN, MAX]`.
     ///
     /// The same pass notes the first non-finite float value (NaN or ±∞),
     /// reported by [`Catalog::first_non_finite`]. A NaN is left out of the
     /// recorded range; an infinity makes it infinite.
-    pub fn build(table: &Table, range_slack: f64) -> Self {
-        assert!(range_slack >= 0.0, "range slack must be non-negative");
+    pub fn build(table: &Table) -> Self {
         let mut columns = HashMap::new();
         let mut non_finite = None;
         for c in table.columns() {
@@ -66,13 +59,7 @@ impl Catalog {
                 }
                 None => c.numeric_min_max(),
             };
-            let (min, max) = match range {
-                Some((lo, hi)) => {
-                    let pad = (hi - lo) * range_slack;
-                    (Some(lo - pad), Some(hi + pad))
-                }
-                None => (None, None),
-            };
+            let (min, max) = range.unzip();
             columns.insert(
                 c.name().to_string(),
                 ColumnStats {
@@ -194,7 +181,7 @@ mod tests {
 
     #[test]
     fn records_ranges_and_cardinalities() {
-        let cat = Catalog::build(&table(), 0.0);
+        let cat = Catalog::build(&table());
         assert_eq!(cat.len(), 3);
         assert!(!cat.is_empty());
         assert_eq!(cat.range_bounds("delay").unwrap(), (-10.0, 40.0));
@@ -206,17 +193,8 @@ mod tests {
     }
 
     #[test]
-    fn range_slack_widens_bounds() {
-        let cat = Catalog::build(&table(), 0.1);
-        let (a, b) = cat.range_bounds("delay").unwrap();
-        assert!(a < -10.0 && b > 40.0);
-        assert!((a - (-15.0)).abs() < 1e-9);
-        assert!((b - 45.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn unknown_and_non_numeric_columns_error() {
-        let cat = Catalog::build(&table(), 0.0);
+        let cat = Catalog::build(&table());
         assert!(matches!(
             cat.column("missing"),
             Err(StoreError::UnknownColumn { .. })
@@ -229,7 +207,7 @@ mod tests {
 
     #[test]
     fn iter_visits_every_column() {
-        let cat = Catalog::build(&table(), 0.0);
+        let cat = Catalog::build(&table());
         let names: Vec<_> = cat.iter().map(|s| s.name.clone()).collect();
         assert_eq!(names.len(), 3);
         for n in ["delay", "airline", "dep_time"] {
@@ -239,14 +217,14 @@ mod tests {
 
     #[test]
     fn the_first_non_finite_float_is_noted_in_the_same_pass() {
-        assert_eq!(Catalog::build(&table(), 0.0).first_non_finite(), None);
+        assert_eq!(Catalog::build(&table()).first_non_finite(), None);
         let t = Table::new(vec![
             Column::int("i", vec![1, 2, 3, 4]),
             Column::float("a", vec![0.0, 1.0, f64::NEG_INFINITY, f64::NAN]),
             Column::float("b", vec![f64::NAN, 1.0, 2.0, 3.0]),
         ])
         .unwrap();
-        let cat = Catalog::build(&t, 0.0);
+        let cat = Catalog::build(&t);
         assert_eq!(cat.first_non_finite(), Some(("a", 2)));
         // The range is what `numeric_min_max` gives: NaN is ignored.
         assert_eq!(cat.range_bounds("b").unwrap(), (1.0, 3.0));
@@ -254,11 +232,5 @@ mod tests {
             Catalog::from_stats(cat.iter().cloned()).first_non_finite(),
             None
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_slack_panics() {
-        Catalog::build(&table(), -0.1);
     }
 }

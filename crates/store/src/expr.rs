@@ -282,7 +282,7 @@ mod tests {
         // exact bounds of (2c1 + 3c2 - 1)^2 are [0, 100]; interval arithmetic
         // must contain them (it is conservative, not exact).
         let t = table();
-        let catalog = Catalog::build(&t, 0.0);
+        let catalog = Catalog::build(&t);
         let expr = Expr::lit(2.0)
             .mul(Expr::col("c1"))
             .add(Expr::lit(3.0).mul(Expr::col("c2")))
@@ -302,7 +302,7 @@ mod tests {
     #[test]
     fn interval_arithmetic_primitive_ops() {
         let t = table();
-        let catalog = Catalog::build(&t, 0.0);
+        let catalog = Catalog::build(&t);
         // c1 ∈ [-3, 1], c2 ∈ [-1, 3]
         assert_eq!(Expr::col("c1").range_bounds(&catalog).unwrap(), (-3.0, 1.0));
         assert_eq!(Expr::lit(5.0).range_bounds(&catalog).unwrap(), (5.0, 5.0));
@@ -361,7 +361,7 @@ mod tests {
     #[test]
     fn abs_of_strictly_negative_interval() {
         let t = Table::new(vec![Column::float("n", vec![-5.0, -2.0])]).unwrap();
-        let catalog = Catalog::build(&t, 0.0);
+        let catalog = Catalog::build(&t);
         assert_eq!(
             Expr::Abs(Box::new(Expr::col("n")))
                 .range_bounds(&catalog)

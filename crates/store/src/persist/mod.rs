@@ -72,7 +72,7 @@ mod tests {
             ),
         ])
         .unwrap();
-        Scramble::build_with(&t, 42, 25, 0.0).unwrap()
+        Scramble::build_with(&t, 42, 25).unwrap()
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {

@@ -555,7 +555,7 @@ mod tests {
         let n = 20_000usize;
         let column = |name: &str| Column::float(name, (0..n).map(|i| i as f64).collect());
         let table = Table::new(vec![column("a"), column("b"), column("c")]).unwrap();
-        let scramble = Scramble::build_with(&table, 1, 25, 0.0).unwrap();
+        let scramble = Scramble::build_with(&table, 1, 25).unwrap();
         let path = std::env::temp_dir().join(format!(
             "fastframe_reader_runs_{}.ffseg",
             std::process::id()

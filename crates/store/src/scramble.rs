@@ -40,26 +40,21 @@ pub struct Scramble {
 }
 
 impl Scramble {
-    /// Builds a scramble of `table` with the default block size, a 0% catalog
-    /// range slack, and bitmap indexes over every categorical column.
+    /// Builds a scramble of `table` with the default block size and bitmap
+    /// indexes over every categorical column.
     pub fn build(table: &Table, seed: u64) -> StoreResult<Self> {
-        Self::build_with(table, seed, DEFAULT_BLOCK_SIZE, 0.0)
+        Self::build_with(table, seed, DEFAULT_BLOCK_SIZE)
     }
 
-    /// Builds a scramble with explicit block size and catalog range slack.
-    pub fn build_with(
-        table: &Table,
-        seed: u64,
-        block_size: usize,
-        range_slack: f64,
-    ) -> StoreResult<Self> {
+    /// Builds a scramble with an explicit block size.
+    pub fn build_with(table: &Table, seed: u64, block_size: usize) -> StoreResult<Self> {
         let mut permutation: Vec<usize> = (0..table.num_rows()).collect();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         permutation.shuffle(&mut rng);
 
         let permuted = table.permuted(&permutation);
         let layout = BlockLayout::new(permuted.num_rows(), block_size);
-        let catalog = Catalog::build(table, range_slack);
+        let catalog = Catalog::build(table);
 
         let mut indexes = HashMap::new();
         let mut zones = HashMap::new();
@@ -291,7 +286,7 @@ mod tests {
     #[test]
     fn bitmap_index_is_consistent_with_scrambled_data() {
         let t = table(1000);
-        let s = Scramble::build_with(&t, 3, 25, 0.0).unwrap();
+        let s = Scramble::build_with(&t, 3, 25).unwrap();
         let idx = s.bitmap_index("g").unwrap();
         let col = s.table().column("g").unwrap();
         for block in 0..s.num_blocks() {
@@ -307,7 +302,7 @@ mod tests {
     #[test]
     fn zone_maps_built_for_numeric_columns_only() {
         let t = table(1000);
-        let s = Scramble::build_with(&t, 3, 25, 0.0).unwrap();
+        let s = Scramble::build_with(&t, 3, 25).unwrap();
         assert!(s.zone_map("x").is_some());
         assert!(s.zone_map("g").is_none());
         let z = s.zone_map("x").unwrap();
@@ -326,7 +321,7 @@ mod tests {
     #[test]
     fn scramble_is_a_block_source() {
         let t = table(130);
-        let s = Scramble::build_with(&t, 3, 25, 0.0).unwrap();
+        let s = Scramble::build_with(&t, 3, 25).unwrap();
         let src: &dyn BlockSource = &s;
         assert_eq!(src.num_rows(), 130);
         assert_eq!(src.num_blocks(), 6);
@@ -344,7 +339,7 @@ mod tests {
     #[test]
     fn block_size_and_counts() {
         let t = table(101);
-        let s = Scramble::build_with(&t, 1, 25, 0.0).unwrap();
+        let s = Scramble::build_with(&t, 1, 25).unwrap();
         assert_eq!(s.num_blocks(), 5);
         assert_eq!(s.block_rows(BlockId(4)), 100..101);
         assert_eq!(s.layout().block_size(), 25);

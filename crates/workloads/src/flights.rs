@@ -318,7 +318,7 @@ impl FlightsDataset {
     /// paper block size — exactly the scramble [`Self::register_into`]
     /// registers, available standalone for persistence and benchmarking.
     pub fn scramble(&self) -> StoreResult<Scramble> {
-        Scramble::build_with(&self.table, self.config.seed, DEFAULT_BLOCK_SIZE, 0.0)
+        Scramble::build_with(&self.table, self.config.seed, DEFAULT_BLOCK_SIZE)
     }
 
     /// Opens a cached scramble segment at `path`, or — when the file is
@@ -468,7 +468,7 @@ mod tests {
     #[test]
     fn delay_range_is_wide_but_bulk_is_narrow() {
         let d = small();
-        let catalog = Catalog::build(&d.table, 0.0);
+        let catalog = Catalog::build(&d.table);
         let (lo, hi) = catalog.range_bounds(columns::DEP_DELAY).unwrap();
         assert!(lo >= DELAY_MIN && hi <= DELAY_MAX);
         // The tail should push the max far beyond the bulk.

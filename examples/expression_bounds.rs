@@ -29,7 +29,7 @@ fn main() {
 
     // 1. Conservative derived range bounds via interval arithmetic (what the
     //    engine uses automatically).
-    let catalog = Catalog::build(&dataset.table, 0.0);
+    let catalog = Catalog::build(&dataset.table);
     let (ia_lo, ia_hi) = target.range_bounds(&catalog).expect("bounds derive");
     println!("interval-arithmetic derived bounds: [{ia_lo:.1}, {ia_hi:.1}]");
 
@@ -59,7 +59,7 @@ fn main() {
         .avg(target)
         .named("avg-squared-deviation")
         .relative_error(0.1)
-        .config(EngineConfig::default().round_rows(10_000));
+        .config(EngineConfig::builder().round_rows(10_000).build());
     let approx = query.clone().execute().expect("approximate query");
     let exact = query.execute_exact().expect("exact query");
 

@@ -77,7 +77,7 @@ fn main() {
     }
 
     // Show the per-airline intervals from the recommended configuration.
-    let config = EngineConfig::default().round_rows(10_000);
+    let config = EngineConfig::builder().round_rows(10_000).build();
     let result = prepared
         .clone()
         .with_config(config)

@@ -9,16 +9,17 @@
 //! * **memo** — a second enumeration of the same column tuple reads no
 //!   block, directly and through the engine, on both backings; dropping a
 //!   table and registering different data under its name yields the new
-//!   universe.
+//!   universe;
+//! * **validation** — `PreparedQuery::new` over a custom source refuses
+//!   what `Session::prepare` refuses, without reading a block.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use fastframe_engine::executor::execute_approx;
 use fastframe_engine::session::{Session, TableOptions};
-use fastframe_engine::{AggQuery, EngineConfig};
+use fastframe_engine::{AggQuery, EngineConfig, EngineError, PreparedQuery};
 use fastframe_store::bitmap::BlockBitmapIndex;
 use fastframe_store::block::{BlockId, BlockLayout};
 use fastframe_store::catalog::Catalog;
@@ -86,7 +87,7 @@ fn scramble_in_storage_order(columns: Vec<Column>, block_size: usize) -> Scrambl
     const SEED: u64 = 5;
     let n = columns[0].len();
     let ids = Table::new(vec![Column::int("id", (0..n as i64).collect())]).unwrap();
-    let order = Scramble::build_with(&ids, SEED, block_size, 0.0).unwrap();
+    let order = Scramble::build_with(&ids, SEED, block_size).unwrap();
     let original_row: Vec<usize> = (0..n)
         .map(|pos| order.table().column_at(0).numeric_value(pos).unwrap() as usize)
         .collect();
@@ -95,8 +96,7 @@ fn scramble_in_storage_order(columns: Vec<Column>, block_size: usize) -> Scrambl
         inverse[row] = pos;
     }
     let desired = Table::new(columns).unwrap();
-    let scramble =
-        Scramble::build_with(&desired.permuted(&inverse), SEED, block_size, 0.0).unwrap();
+    let scramble = Scramble::build_with(&desired.permuted(&inverse), SEED, block_size).unwrap();
     for ci in 0..desired.num_columns() {
         for row in 0..n {
             assert_eq!(
@@ -186,7 +186,7 @@ fn empty_table_has_an_empty_universe() {
         Column::float("x", Vec::new()),
     ])
     .unwrap();
-    let scramble = Scramble::build_with(&table, 1, 25, 0.0).unwrap();
+    let scramble = Scramble::build_with(&table, 1, 25).unwrap();
     for columns in [&[0usize][..], &[1], &[0, 1]] {
         assert!(scramble.distinct_group_tuples(columns).unwrap().is_empty());
     }
@@ -221,7 +221,7 @@ proptest! {
             Column::categorical("c", &c),
         ])
         .unwrap();
-        let scramble = Scramble::build_with(&table, seed, block_size, 0.0).unwrap();
+        let scramble = Scramble::build_with(&table, seed, block_size).unwrap();
         assert_universes(
             &scramble,
             &[&[0], &[2], &[3], &[1], &[0, 2], &[3, 0], &[0, 2, 3], &[2, 1, 3]],
@@ -366,9 +366,11 @@ fn assert_memoized(source: &dyn BlockSource) {
         .group_by("day")
         .build();
     let config = EngineConfig::builder().delta(0.05).seed(9).build();
-    let first = execute_approx(&counted, &query, &config).unwrap();
+    let prepared = PreparedQuery::new(&counted, query, config).unwrap();
+    assert_eq!(counted.take_reads(), 0, "preparing reads no block");
+    let first = prepared.execute().unwrap();
     let first_reads = counted.take_reads() as u64;
-    let second = execute_approx(&counted, &query, &config).unwrap();
+    let second = prepared.execute().unwrap();
     let second_reads = counted.take_reads() as u64;
     assert_eq!(first.metrics.scan, second.metrics.scan);
     assert!(first_reads > first.metrics.blocks_fetched());
@@ -377,7 +379,7 @@ fn assert_memoized(source: &dyn BlockSource) {
 
 #[test]
 fn repeated_enumeration_reads_no_blocks_on_either_backing() {
-    let scramble = Scramble::build_with(&flights_like(4_000), 3, 25, 0.0).unwrap();
+    let scramble = Scramble::build_with(&flights_like(4_000), 3, 25).unwrap();
     let path = temp_path("memo");
     write_segment(&scramble, &path).unwrap();
     let reader = SegmentReader::open(&path).unwrap();
@@ -388,13 +390,48 @@ fn repeated_enumeration_reads_no_blocks_on_either_backing() {
 
 #[test]
 fn sources_without_a_cache_recompute() {
-    let scramble = Scramble::build_with(&flights_like(500), 3, 25, 0.0).unwrap();
+    let scramble = Scramble::build_with(&flights_like(500), 3, 25).unwrap();
     let uncached = CountingSource::new(&scramble).without_cache();
     let a = uncached.distinct_group_tuples(&[1, 0]).unwrap();
     assert!(uncached.take_reads() > 0);
     let b = uncached.distinct_group_tuples(&[1, 0]).unwrap();
     assert!(uncached.take_reads() > 0, "no cache, so no memo");
     assert_eq!(a, b);
+}
+
+/// `PreparedQuery::new` over a custom source refuses what `Session::prepare`
+/// refuses over the same data, with the same error, and reads no block.
+#[test]
+fn prepared_query_new_rejects_what_session_prepare_rejects() {
+    let table = flights_like(500);
+    let scramble = Scramble::build(&table, 3).unwrap();
+    let counted = CountingSource::new(&scramble);
+    let mut session = Session::new();
+    session.register("t", &table).unwrap();
+    let avg = |target: &str| AggQuery::avg("q", Expr::col(target));
+    let mut refused = |query: AggQuery, config: EngineConfig| {
+        session.set_defaults(config.clone());
+        let via_session = session.prepare("t", &query).unwrap_err();
+        let via_new = PreparedQuery::new(&counted, query, config).unwrap_err();
+        assert_eq!(via_new.to_string(), via_session.to_string());
+        via_new
+    };
+    let unknown_column = refused(avg("nope").build(), EngineConfig::default());
+    assert!(matches!(unknown_column, EngineError::Store(_)));
+    let numeric_group_by = refused(
+        avg("delay").group_by("delay").build(),
+        EngineConfig::default(),
+    );
+    assert!(matches!(
+        numeric_group_by,
+        EngineError::InvalidGroupBy { .. }
+    ));
+    let bad_delta = refused(
+        avg("delay").build(),
+        EngineConfig::builder().delta(1.5).build(),
+    );
+    assert!(matches!(bad_delta, EngineError::Core(_)));
+    assert_eq!(counted.take_reads(), 0, "validation reads no block");
 }
 
 /// Group labels of a grouped AVG over `g`, in view order.

@@ -145,7 +145,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let table = build_table(&floats, cardinality);
-        let scramble = Scramble::build_with(&table, seed, block_size, 0.0).unwrap();
+        let scramble = Scramble::build_with(&table, seed, block_size).unwrap();
         let path = temp_path("proptest");
         write_segment(&scramble, &path).unwrap();
         let reader = SegmentReader::open(&path).unwrap();
@@ -167,7 +167,7 @@ proptest! {
 #[test]
 fn truncated_and_corrupted_files_fail_loudly() {
     let table = build_table(&vec![1.0; 300], 5);
-    let scramble = Scramble::build_with(&table, 3, 25, 0.0).unwrap();
+    let scramble = Scramble::build_with(&table, 3, 25).unwrap();
     let path = temp_path("corrupt");
     write_segment(&scramble, &path).unwrap();
     let pristine = std::fs::read(&path).unwrap();
@@ -352,7 +352,7 @@ fn mid_scan_corruption_is_an_error_not_a_panic() {
     // fail with EngineError::Store(Corrupt) through the public API — at one
     // thread (inline scan) and four (worker pool) alike.
     let table = acceptance_table(4_000);
-    let scramble = Scramble::build_with(&table, 9, 25, 0.0).unwrap();
+    let scramble = Scramble::build_with(&table, 9, 25).unwrap();
     let path = temp_path("midscan");
     write_segment(&scramble, &path).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
@@ -385,7 +385,7 @@ fn mid_scan_corruption_is_an_error_not_a_panic() {
 #[test]
 fn group_universe_is_memoized_and_identical_across_backings() {
     let table = acceptance_table(3_000);
-    let scramble = Scramble::build_with(&table, 11, 25, 0.0).unwrap();
+    let scramble = Scramble::build_with(&table, 11, 25).unwrap();
     let path = temp_path("universe");
     write_segment(&scramble, &path).unwrap();
     let reader = SegmentReader::open(&path).unwrap();
@@ -481,7 +481,7 @@ fn corruption_of_a_referenced_chunk_mid_run_names_block_and_column() {
     // 160 blocks: the full pass below splits into partitions of three
     // consecutive blocks, and block 37 sits in the middle of one.
     let table = acceptance_table(4_000);
-    let scramble = Scramble::build_with(&table, 9, 25, 0.0).unwrap();
+    let scramble = Scramble::build_with(&table, 9, 25).unwrap();
     let (session, path) = session_with_flipped_chunk("midrun", &scramble, 37, 0);
     let expect_named = |result: Result<QueryResult, EngineError>, what: &str| match result {
         Err(EngineError::Store(StoreError::Corrupt { detail, .. })) => assert!(
@@ -514,7 +514,7 @@ fn corruption_of_an_unreferenced_chunk_inside_a_run_is_not_checked() {
     // a run reading `v` fetches its bytes; only referenced chunks are
     // checked, so a query on `v` alone answers as on the pristine data.
     let table = acceptance_table(4_000);
-    let scramble = Scramble::build_with(&table, 9, 25, 0.0).unwrap();
+    let scramble = Scramble::build_with(&table, 9, 25).unwrap();
     let (mut session, path) = session_with_flipped_chunk("unreferenced", &scramble, 37, 1);
     let pristine = temp_path("unreferenced_pristine");
     write_segment(&scramble, &pristine).unwrap();
@@ -622,7 +622,7 @@ fn golden_scramble() -> Scramble {
         ),
     ])
     .unwrap();
-    Scramble::build_with(&table, 7, 25, 0.0).unwrap()
+    Scramble::build_with(&table, 7, 25).unwrap()
 }
 
 #[test]

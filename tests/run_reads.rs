@@ -155,7 +155,7 @@ fn via_single_reads(
 
 #[test]
 fn scan_blocks_matches_single_block_reads_on_both_backings() {
-    let scramble = Scramble::build_with(&table(), 5, 25, 0.0).unwrap();
+    let scramble = Scramble::build_with(&table(), 5, 25).unwrap();
     let path = temp_path("differential");
     write_segment(&scramble, &path).unwrap();
     let reader = SegmentReader::open(&path).unwrap();
@@ -206,7 +206,7 @@ fn scan_blocks_matches_single_block_reads_on_both_backings() {
 
 #[test]
 fn scan_blocks_stops_when_the_visitor_breaks() {
-    let scramble = Scramble::build_with(&table(), 5, 25, 0.0).unwrap();
+    let scramble = Scramble::build_with(&table(), 5, 25).unwrap();
     let path = temp_path("break");
     write_segment(&scramble, &path).unwrap();
     let reader = SegmentReader::open(&path).unwrap();
