@@ -44,20 +44,6 @@ impl AndersonState {
             self.sum += v;
         }
     }
-
-    /// Merges another partial state into this one by concatenating the
-    /// retained samples (bounds are order-insensitive: they sort first) and
-    /// summing the running sums in merge order.
-    pub fn merge(&mut self, other: &AndersonState) {
-        self.sample.extend_from_slice(&other.sample);
-        self.sum += other.sum;
-    }
-}
-
-impl crate::partial::PartialState for AndersonState {
-    fn merge(&mut self, other: &Self) {
-        AndersonState::merge(self, other);
-    }
 }
 
 /// The Anderson/DKW error bounder (Algorithm 3 in the paper).

@@ -12,8 +12,9 @@
 //! wrapper) compose with static dispatch. For callers that select the
 //! bounder at runtime, [`BounderKind`] provides a factory producing a
 //! [`BoxedEstimator`] — an object-safe, self-contained estimator owning both
-//! the bounder and its state. The query engine uses it only for
-//! Anderson/DKW; every other kind accumulates a plain
+//! the bounder and its state, used by the bounder benchmarks and tests. The
+//! query engine runs only the constant-memory kinds
+//! ([`BounderKind::EVALUATED`]), each accumulating a plain
 //! [`FlatRecord`](crate::partial::FlatRecord) through
 //! [`BounderKind::flat`], with the same update and bound code.
 
@@ -199,12 +200,8 @@ impl BoundContext {
 /// also obey the dataset-size monotonicity property of §3.3: increasing
 /// `ctx.n` never tightens the returned bounds.
 pub trait ErrorBounder {
-    /// Streaming state maintained while scanning tuples. The
-    /// [`PartialState`](crate::partial::PartialState) bound makes every
-    /// bounder usable in the engine's partitioned (multi-threaded) scan:
-    /// workers accumulate independent states that are merged back
-    /// deterministically in partition order.
-    type State: Clone + std::fmt::Debug + Send + crate::partial::PartialState + 'static;
+    /// Streaming state maintained while scanning tuples.
+    type State: Clone + std::fmt::Debug + Send + 'static;
 
     /// Ê Initializes state needed for error bounds.
     fn init_state(&self) -> Self::State;
@@ -223,13 +220,6 @@ pub trait ErrorBounder {
         for &v in values {
             self.update_state(state, v);
         }
-    }
-
-    /// Folds a partial state accumulated over a later scan partition into
-    /// `state`. Deterministic for a fixed merge order (see
-    /// [`crate::partial`]).
-    fn merge_state(&self, state: &mut Self::State, other: &Self::State) {
-        crate::partial::PartialState::merge(state, other);
     }
 
     /// Ì Confidence lower bound for `AVG(D)` with failure probability
@@ -261,15 +251,8 @@ pub trait ErrorBounder {
 }
 
 /// Object-safe estimator: a bounder bundled with its own state, for callers
-/// that pick the bounder at runtime (the query engine does so for
-/// Anderson/DKW, whose state is an O(m) sample).
-///
-/// The `Any` supertrait exists so that two boxed estimators of the *same*
-/// concrete kind can be merged through the object-safe interface
-/// ([`Self::merge_from`]): the engine's parallel scan accumulates one
-/// Anderson/DKW estimator per touched aggregate view per partition and folds
-/// them back into the master view in deterministic partition order.
-pub trait MeanEstimator: Send + std::any::Any {
+/// that pick the bounder at runtime.
+pub trait MeanEstimator: Send {
     /// Observes a value that contributes to this aggregate.
     fn observe(&mut self, v: f64);
 
@@ -281,15 +264,6 @@ pub trait MeanEstimator: Send + std::any::Any {
             self.observe(v);
         }
     }
-
-    /// Merges `other` — a partial estimator of the **same concrete kind**
-    /// accumulated over a later scan partition — into this one. Returns
-    /// `false` (leaving `self` untouched) if the kinds differ.
-    fn merge_from(&mut self, other: &dyn MeanEstimator) -> bool;
-
-    /// Upcast used by [`Self::merge_from`] implementations to recover the
-    /// concrete estimator type.
-    fn as_any(&self) -> &dyn std::any::Any;
 
     /// Number of observed values.
     fn count(&self) -> u64;
@@ -338,7 +312,7 @@ impl<B: ErrorBounder> Estimator<B> {
     }
 }
 
-impl<B: ErrorBounder + Send + 'static> MeanEstimator for Estimator<B> {
+impl<B: ErrorBounder + Send> MeanEstimator for Estimator<B> {
     fn observe(&mut self, v: f64) {
         self.bounder.update_state(&mut self.state, v);
     }
@@ -347,20 +321,6 @@ impl<B: ErrorBounder + Send + 'static> MeanEstimator for Estimator<B> {
         // One virtual call per batch; the inner loop is monomorphized over
         // the concrete bounder.
         self.bounder.update_batch(&mut self.state, values);
-    }
-
-    fn merge_from(&mut self, other: &dyn MeanEstimator) -> bool {
-        match other.as_any().downcast_ref::<Estimator<B>>() {
-            Some(other) => {
-                self.bounder.merge_state(&mut self.state, &other.state);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 
     fn count(&self) -> u64 {
@@ -407,9 +367,11 @@ pub enum BounderKind {
     /// Empirical Bernstein–Serfling wrapped in RangeTrim — the paper's
     /// recommended configuration with neither PMA nor PHOS.
     BernsteinRangeTrim,
-    /// Anderson/DKW (Algorithm 3). No PHOS, exhibits PMA; O(m) memory.
+    /// Anderson/DKW (Algorithm 3). No PHOS, exhibits PMA; O(m) memory, so
+    /// the query engine refuses it (Table 2 probes and ablations only).
     AndersonDkw,
-    /// Anderson/DKW wrapped in RangeTrim (kept for completeness/ablations).
+    /// Anderson/DKW wrapped in RangeTrim (kept for completeness/ablations;
+    /// the query engine refuses it).
     AndersonDkwRangeTrim,
 }
 
@@ -424,7 +386,8 @@ impl BounderKind {
         BounderKind::AndersonDkwRangeTrim,
     ];
 
-    /// The four kinds compared throughout the paper's evaluation (Table 5).
+    /// The four kinds compared throughout the paper's evaluation (Table 5),
+    /// all with constant-memory state: the kinds the query engine runs.
     pub const EVALUATED: [BounderKind; 4] = [
         BounderKind::Hoeffding,
         BounderKind::HoeffdingRangeTrim,
@@ -434,7 +397,8 @@ impl BounderKind {
 
     /// Creates a fresh boxed estimator of this kind. Hoeffding and
     /// Bernstein (±RT) run the engine's one flat-record update
-    /// ([`FlatEstimator`]); Anderson/DKW (±RT) the generic bounder state.
+    /// ([`FlatEstimator`]); Anderson/DKW (±RT) the generic bounder state,
+    /// which the engine does not run.
     pub fn make_estimator(&self) -> BoxedEstimator {
         match (self, self.flat()) {
             (_, Some(flat)) => Box::new(FlatEstimator::new(flat)),
@@ -446,7 +410,9 @@ impl BounderKind {
     }
 
     /// The flat-record form of this kind, or `None` for Anderson/DKW (±RT),
-    /// whose state is an O(m) sample (see [`crate::partial`]).
+    /// whose state is an O(m) sample (see [`crate::partial`]). The kinds
+    /// with a flat form are exactly [`Self::EVALUATED`], the ones the query
+    /// engine runs.
     pub fn flat(&self) -> Option<FlatBounder> {
         match self {
             BounderKind::Hoeffding => Some(FlatBounder::Hoeffding),
@@ -634,36 +600,6 @@ mod tests {
         all
     }
 
-    #[test]
-    fn boxed_estimators_of_same_kind_merge() {
-        for (kind, make_estimator) in every_estimator() {
-            // Sequential feed vs. two partials merged in order: counts and
-            // estimates must agree (up to float merge order, which is exact
-            // for these values).
-            let values: Vec<f64> = (0..200).map(|i| (i % 13) as f64).collect();
-            let mut whole = make_estimator();
-            for &v in &values {
-                whole.observe(v);
-            }
-            let mut left = make_estimator();
-            let mut right = make_estimator();
-            for &v in &values[..120] {
-                left.observe(v);
-            }
-            for &v in &values[120..] {
-                right.observe(v);
-            }
-            assert!(left.merge_from(right.as_ref()), "{kind}");
-            assert_eq!(left.count(), whole.count(), "{kind}");
-            let merged = left.estimate().unwrap();
-            let sequential = whole.estimate().unwrap();
-            assert!(
-                (merged - sequential).abs() < 1e-9,
-                "{kind}: {merged} vs {sequential}"
-            );
-        }
-    }
-
     /// The batch entry points are dispatch optimizations, not numerical
     /// ones: feeding a state one batch must leave it bit-for-bit identical
     /// to the per-value update loop, for every bounder kind and any batch
@@ -695,15 +631,6 @@ mod tests {
             assert_eq!(bi.lo.to_bits(), si.lo.to_bits(), "{kind}: lbound bits");
             assert_eq!(bi.hi.to_bits(), si.hi.to_bits(), "{kind}: rbound bits");
         }
-    }
-
-    #[test]
-    fn merging_different_kinds_is_rejected() {
-        let mut a = BounderKind::Hoeffding.make_estimator();
-        let b = BounderKind::BernsteinRangeTrim.make_estimator();
-        a.observe(1.0);
-        assert!(!a.merge_from(b.as_ref()));
-        assert_eq!(a.count(), 1);
     }
 
     #[test]

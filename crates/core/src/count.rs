@@ -79,22 +79,6 @@ impl SelectivityTracker {
         self.matching += matched;
     }
 
-    /// Merges another tracker over the *same scramble* into this one: the
-    /// processed and matching counters add. Completes the
-    /// [`PartialState`](crate::partial::PartialState) contract for the COUNT
-    /// path's accumulator. (The engine currently rebuilds its tracker per
-    /// round from already-merged per-view counters rather than merging
-    /// trackers directly, so this is API surface for partitioned callers,
-    /// exercised by the unit tests.)
-    pub fn merge(&mut self, other: &SelectivityTracker) {
-        debug_assert_eq!(
-            self.scramble_rows, other.scramble_rows,
-            "merging selectivity trackers of different scrambles"
-        );
-        self.processed += other.processed;
-        self.matching += other.matching;
-    }
-
     /// Rows processed so far.
     pub fn processed(&self) -> u64 {
         self.processed
@@ -183,12 +167,6 @@ impl SelectivityTracker {
     /// `α = 0.99`.
     pub fn n_plus_default(&self, delta: f64) -> CoreResult<u64> {
         self.n_plus(delta, DEFAULT_ALPHA)
-    }
-}
-
-impl crate::partial::PartialState for SelectivityTracker {
-    fn merge(&mut self, other: &Self) {
-        SelectivityTracker::merge(self, other);
     }
 }
 

@@ -12,8 +12,10 @@
 //!   selectivity bound (`(1−α)·δ`) and the mean bound (`α·δ`, with α = 0.99
 //!   in the paper's experiments).
 //!
-//! [`DeltaBudget`] packages these splits so the engine cannot accidentally
-//! double-spend the budget.
+//! [`DeltaBudget`] packages the per-view and per-round splits the engine
+//! makes, so it cannot accidentally double-spend the budget; the interval
+//! sides and Theorem 3's α are split where the bounds are computed
+//! ([`Ci::two_sided`](crate::bounder::Ci::two_sided), [`DEFAULT_ALPHA`]).
 
 use crate::error::{CoreError, CoreResult};
 
@@ -37,12 +39,6 @@ impl DeltaBudget {
         Ok(Self { delta })
     }
 
-    /// Total error probability held by this budget.
-    #[inline]
-    pub fn total(&self) -> f64 {
-        self.delta
-    }
-
     /// Splits the budget evenly over `parts` independent claims (union bound).
     ///
     /// Returns the per-part δ. `parts = 0` is treated as 1.
@@ -50,35 +46,11 @@ impl DeltaBudget {
         self.delta / parts.max(1) as f64
     }
 
-    /// The per-side δ for a two-sided confidence interval.
-    #[inline]
-    pub fn per_side(&self) -> f64 {
-        self.delta * 0.5
-    }
-
     /// The per-round δ′ of the OptStop schedule: `(6/π²)·δ/k²` for round
     /// `k ≥ 1` (Algorithm 5, line 7).
     pub fn optstop_round(&self, round: usize) -> f64 {
         let k = round.max(1) as f64;
         (6.0 / (std::f64::consts::PI * std::f64::consts::PI)) * self.delta / (k * k)
-    }
-
-    /// Theorem 3's split for unknown dataset size: returns
-    /// `(selectivity_delta, mean_delta) = ((1 − α)·δ, α·δ)`.
-    pub fn theorem3_split(&self, alpha: f64) -> CoreResult<(f64, f64)> {
-        if !(alpha > 0.0 && alpha < 1.0) {
-            return Err(CoreError::InvalidFraction { value: alpha });
-        }
-        Ok(((1.0 - alpha) * self.delta, alpha * self.delta))
-    }
-
-    /// Derives a sub-budget holding a fraction of this budget. The fraction
-    /// must lie in `(0, 1]`.
-    pub fn fraction(&self, frac: f64) -> CoreResult<DeltaBudget> {
-        if !(frac > 0.0 && frac <= 1.0) {
-            return Err(CoreError::InvalidFraction { value: frac });
-        }
-        DeltaBudget::new(self.delta * frac)
     }
 }
 
@@ -101,12 +73,6 @@ mod tests {
         assert!((b.split_even(4) - 0.025).abs() < 1e-15);
         assert_eq!(b.split_even(0), 0.1);
         assert_eq!(b.split_even(1), 0.1);
-    }
-
-    #[test]
-    fn per_side_is_half() {
-        let b = DeltaBudget::new(1e-6).unwrap();
-        assert!((b.per_side() - 5e-7).abs() < 1e-20);
     }
 
     #[test]
@@ -133,24 +99,5 @@ mod tests {
     fn optstop_round_zero_treated_as_one() {
         let b = DeltaBudget::new(0.1).unwrap();
         assert_eq!(b.optstop_round(0), b.optstop_round(1));
-    }
-
-    #[test]
-    fn theorem3_split_adds_to_total() {
-        let b = DeltaBudget::new(1e-10).unwrap();
-        let (sel, mean) = b.theorem3_split(DEFAULT_ALPHA).unwrap();
-        assert!((sel + mean - 1e-10).abs() < 1e-24);
-        assert!(mean > sel);
-        assert!(b.theorem3_split(0.0).is_err());
-        assert!(b.theorem3_split(1.0).is_err());
-    }
-
-    #[test]
-    fn fraction_produces_sub_budget() {
-        let b = DeltaBudget::new(0.2).unwrap();
-        let sub = b.fraction(0.25).unwrap();
-        assert!((sub.total() - 0.05).abs() < 1e-15);
-        assert!(b.fraction(0.0).is_err());
-        assert!(b.fraction(1.5).is_err());
     }
 }

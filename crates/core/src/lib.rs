@@ -80,8 +80,8 @@ pub use count::{CountCi, SelectivityTracker};
 pub use delta::DeltaBudget;
 pub use error::{CoreError, CoreResult};
 pub use hoeffding::HoeffdingSerfling;
-pub use optstop::{OptStopSchedule, RunningInterval};
-pub use partial::{FlatBounder, FlatEstimator, FlatMoments, FlatRecord, PartialState};
+pub use optstop::RunningInterval;
+pub use partial::{FlatBounder, FlatEstimator, FlatMoments, FlatRecord};
 pub use range_trim::RangeTrim;
 pub use stopping::StoppingCondition;
 pub use sum::sum_interval;
@@ -98,8 +98,8 @@ pub mod prelude {
     pub use crate::delta::DeltaBudget;
     pub use crate::error::{CoreError, CoreResult};
     pub use crate::hoeffding::HoeffdingSerfling;
-    pub use crate::optstop::{OptStopSchedule, RunningInterval};
-    pub use crate::partial::{FlatBounder, FlatEstimator, FlatMoments, FlatRecord, PartialState};
+    pub use crate::optstop::RunningInterval;
+    pub use crate::partial::{FlatBounder, FlatEstimator, FlatMoments, FlatRecord};
     pub use crate::range_trim::RangeTrim;
     pub use crate::stopping::StoppingCondition;
     pub use crate::sum::sum_interval;

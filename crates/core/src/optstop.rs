@@ -11,62 +11,16 @@
 //! a valid `(1 − δ)` interval at every point in time, and the query may stop
 //! the moment its stopping condition is met.
 //!
-//! This module provides the δ schedule ([`OptStopSchedule`]) and the running
-//! interval accumulator ([`RunningInterval`]); the engine drives the actual
-//! sampling loop.
+//! This module provides the running interval accumulator
+//! ([`RunningInterval`]) and the paper's round size; the δ schedule is
+//! [`DeltaBudget::optstop_round`](crate::delta::DeltaBudget::optstop_round),
+//! and the engine drives the actual sampling loop.
 
 use crate::bounder::Ci;
-use crate::delta::DeltaBudget;
-use crate::error::CoreResult;
 
 /// The default number of samples per OptStop round used by the paper's
 /// experiments (§4.2: "we set B = 40000").
 pub const DEFAULT_ROUND_SIZE: u64 = 40_000;
-
-/// The δ-decay schedule of Algorithm 5.
-#[derive(Debug, Clone, Copy)]
-pub struct OptStopSchedule {
-    budget: DeltaBudget,
-    round: usize,
-}
-
-impl OptStopSchedule {
-    /// Creates a schedule with total error budget `delta`.
-    pub fn new(delta: f64) -> CoreResult<Self> {
-        Ok(Self {
-            budget: DeltaBudget::new(delta)?,
-            round: 0,
-        })
-    }
-
-    /// Creates a schedule from an existing budget.
-    pub fn from_budget(budget: DeltaBudget) -> Self {
-        Self { budget, round: 0 }
-    }
-
-    /// Advances to the next round and returns its error probability
-    /// `δ_k = (6/π²)·δ/k²`.
-    pub fn next_round_delta(&mut self) -> f64 {
-        self.round += 1;
-        self.budget.optstop_round(self.round)
-    }
-
-    /// The error probability of the current round without advancing (returns
-    /// the round-1 value before the first call to `next_round_delta`).
-    pub fn current_round_delta(&self) -> f64 {
-        self.budget.optstop_round(self.round.max(1))
-    }
-
-    /// Number of rounds started so far.
-    pub fn rounds_started(&self) -> usize {
-        self.round
-    }
-
-    /// Total error budget across all rounds.
-    pub fn total_delta(&self) -> f64 {
-        self.budget.total()
-    }
-}
 
 /// Running intersection of per-round confidence intervals
 /// (`[max_k L_k, min_k R_k]`, Algorithm 5 line 14).
@@ -121,41 +75,6 @@ impl RunningInterval {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn schedule_decays_quadratically() {
-        let mut s = OptStopSchedule::new(0.1).unwrap();
-        let d1 = s.next_round_delta();
-        let d2 = s.next_round_delta();
-        let d3 = s.next_round_delta();
-        assert!((d1 / d2 - 4.0).abs() < 1e-12);
-        assert!((d1 / d3 - 9.0).abs() < 1e-12);
-        assert_eq!(s.rounds_started(), 3);
-        assert_eq!(s.total_delta(), 0.1);
-    }
-
-    #[test]
-    fn schedule_budget_never_exceeds_total() {
-        let mut s = OptStopSchedule::new(1e-3).unwrap();
-        let spent: f64 = (0..10_000).map(|_| s.next_round_delta()).sum();
-        assert!(spent < 1e-3);
-    }
-
-    #[test]
-    fn current_round_delta_matches_last_issued() {
-        let mut s = OptStopSchedule::new(0.05).unwrap();
-        // Before any round, reports the round-1 value.
-        let first = s.current_round_delta();
-        assert_eq!(first, s.next_round_delta());
-        let second = s.next_round_delta();
-        assert_eq!(s.current_round_delta(), second);
-    }
-
-    #[test]
-    fn schedule_rejects_bad_delta() {
-        assert!(OptStopSchedule::new(0.0).is_err());
-        assert!(OptStopSchedule::new(2.0).is_err());
-    }
 
     #[test]
     fn running_interval_is_monotonically_shrinking() {

@@ -1,11 +1,11 @@
-//! Mergeable partial accumulator state for partitioned (multi-threaded)
-//! scans, and the flat per-view record the engine's scan accumulates.
+//! The flat per-view record the engine's partitioned (multi-threaded) scan
+//! accumulates, and the merge of its partials.
 //!
 //! The engine's parallel pipeline cuts each OptStop round's block list into
 //! contiguous partitions of a fixed block count (at least 256 blocks, at
 //! most 64 partitions per round). The layout is a pure function of the
 //! planned list, never of the thread count. Each partition is scanned into
-//! one partial per touched aggregate view, on whichever worker picks it up,
+//! one partial per touched aggregate view, on whichever scan thread takes it,
 //! and the coordinator folds the partials into the master state **in
 //! partition (block-id) order**.
 //!
@@ -44,11 +44,11 @@
 //! RangeTrim kinds `left` and `right`. [`FlatEstimator`] is the boxed
 //! [`MeanEstimator`] that
 //! [`BounderKind::make_estimator`](crate::bounder::BounderKind::make_estimator)
-//! returns for these four kinds: merged moments plus an open record, so it
-//! runs the same update. Anderson/DKW keeps its O(m) sample, so its
-//! partials stay boxed generic estimators, and Anderson+RT runs the
-//! three-state [`RangeTrim`] wrapper, which also stays the Algorithm 6
-//! reference the one record is tested against.
+//! returns for these four kinds: one open record, so it runs the same
+//! update. Anderson/DKW keeps its O(m) sample and has no flat form, so the
+//! engine does not run it; Anderson+RT runs the three-state [`RangeTrim`]
+//! wrapper, which also stays the Algorithm 6 reference the one record is
+//! tested against.
 //!
 //! ### RangeTrim in one record
 //!
@@ -91,19 +91,12 @@
 //! stores an unparsable float as NaN, and `Table::new` and
 //! `Scramble::build_with` accept it, as persistence round-trips need).
 //!
-//! [`PartialState`] is the merge contract every accumulator implements: a
-//! state that can be sent to a worker (`Send`) and folded back
-//! deterministically (`merge`). The running moments, the Anderson/DKW state,
-//! the [`RangeTrim`] wrapper state and the selectivity tracker behind the
-//! COUNT path ([`SelectivityTracker`](crate::count::SelectivityTracker))
-//! implement it.
-//!
 //! ## Statistical validity of merged states
 //!
-//! For the purely additive states (counts, sums, moments, Anderson's
-//! retained sample) a merge reconstructs the state a single pass over the
-//! concatenated partitions would have built, up to floating-point summation
-//! order, which the fixed merge order pins down.
+//! For the plain moments (count, sum, shifted sums, extremes) a merge
+//! reconstructs the state a single pass over the concatenated partitions
+//! would have built, up to floating-point summation order, which the fixed
+//! merge order pins down.
 //!
 //! The one subtle case is [`RangeTrim`], whose inner states are fed values
 //! clipped against the *prefix* running min/max. A partition clips against
@@ -122,25 +115,6 @@ use crate::bounder::{BoundContext, Ci, ErrorBounder, MeanEstimator};
 use crate::hoeffding::HoeffdingSerfling;
 use crate::range_trim::{RangeTrim, RangeTrimState};
 use crate::variance::RunningMoments;
-
-/// A partial accumulator that a scan worker can build independently and the
-/// merge step can fold back deterministically.
-///
-/// Implementations must be:
-///
-/// * **associative over partitions**: merging `[p0, p1, p2]` left-to-right
-///   must equal merging `merge(p0, p1)` then `p2` (up to floating-point
-///   rounding);
-/// * **deterministic**: the merged state must be a pure function of the
-///   operand states (no randomness, clocks or global state), so a fixed
-///   partition layout yields bit-identical results at any thread count;
-/// * **identity-respecting**: merging an empty (freshly initialized) state
-///   must leave the other operand's observable statistics unchanged.
-pub trait PartialState: Send {
-    /// Folds `other` (the partial accumulated over the *later* partition)
-    /// into `self` (the earlier one, or the running master state).
-    fn merge(&mut self, other: &Self);
-}
 
 /// Algorithm 6's three moments: every value (`all`) and the clipped `left`
 /// and `right` states. A view's master state, built by merging finished
@@ -304,12 +278,11 @@ impl FlatBounder {
 
 /// The boxed [`MeanEstimator`] of the four flat kinds, which
 /// [`BounderKind::make_estimator`](crate::bounder::BounderKind::make_estimator)
-/// returns: the merged moments of earlier partitions plus the record of the
-/// values observed since, so it runs the engine's one [`FlatRecord`] update.
+/// returns: one open record of every value observed, so it runs the
+/// engine's one [`FlatRecord`] update.
 #[derive(Debug, Clone, Copy)]
 pub struct FlatEstimator {
     kind: FlatBounder,
-    merged: FlatMoments,
     open: FlatRecord,
 }
 
@@ -318,16 +291,13 @@ impl FlatEstimator {
     pub fn new(kind: FlatBounder) -> Self {
         Self {
             kind,
-            merged: FlatMoments::EMPTY,
             open: FlatRecord::EMPTY,
         }
     }
 
-    /// The three moments of everything observed and merged.
+    /// The three moments of everything observed.
     fn moments(&self) -> FlatMoments {
-        let mut moments = self.merged;
-        moments.merge(&self.open.finish());
-        moments
+        self.open.finish()
     }
 }
 
@@ -340,24 +310,8 @@ impl MeanEstimator for FlatEstimator {
         self.open.observe_batch(values);
     }
 
-    fn merge_from(&mut self, other: &dyn MeanEstimator) -> bool {
-        match other.as_any().downcast_ref::<FlatEstimator>() {
-            Some(other) if other.kind == self.kind => {
-                self.merged = self.moments();
-                self.merged.merge(&other.moments());
-                self.open = FlatRecord::EMPTY;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
     fn count(&self) -> u64 {
-        self.merged.all.count() + self.open.all.count()
+        self.open.all.count()
     }
 
     fn estimate(&self) -> Option<f64> {
@@ -388,7 +342,6 @@ impl MeanEstimator for FlatEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::anderson::AndersonState;
     use crate::bounder::ErrorBounder;
     use crate::hoeffding::HoeffdingState;
     use crate::variance::RunningMoments;
@@ -413,7 +366,7 @@ mod tests {
         // Left fold.
         let mut left = RunningMoments::new();
         for p in &partials {
-            PartialState::merge(&mut left, p);
+            left.merge(p);
         }
         // Pairwise tree fold of the same sequence.
         let mut tree = partials.clone();
@@ -422,7 +375,7 @@ mod tests {
             for pair in tree.chunks(2) {
                 let mut acc = pair[0];
                 if let Some(rhs) = pair.get(1) {
-                    PartialState::merge(&mut acc, rhs);
+                    acc.merge(rhs);
                 }
                 next.push(acc);
             }
@@ -443,7 +396,7 @@ mod tests {
         for v in [10.0, 20.0] {
             b.push(v);
         }
-        PartialState::merge(&mut a, &b);
+        a.merge(&b);
         assert_eq!(a.count(), 5);
         assert!((a.mean() - (1.0 + 2.0 + 3.0 + 10.0 + 20.0) / 5.0).abs() < 1e-12);
     }
@@ -455,27 +408,14 @@ mod tests {
             a.push(v);
         }
         let before = a;
-        PartialState::merge(&mut a, &HoeffdingState::default());
+        a.merge(&HoeffdingState::default());
         assert_eq!(a, before);
         assert_eq!(a.count(), 4);
         assert_eq!(a.mean(), 2.5);
 
         let mut empty = HoeffdingState::default();
-        PartialState::merge(&mut empty, &a);
+        empty.merge(&a);
         assert_eq!(empty, before);
-
-        let bounder = crate::anderson::AndersonDkw::new();
-        let mut anderson = AndersonState::default();
-        let mut other = AndersonState::default();
-        for v in [5.0, 7.0] {
-            crate::bounder::ErrorBounder::update_state(&bounder, &mut other, v);
-        }
-        PartialState::merge(&mut anderson, &other);
-        assert_eq!(anderson.sample, vec![5.0, 7.0]);
-        assert_eq!(
-            crate::bounder::ErrorBounder::estimate(&bounder, &anderson),
-            Some(6.0)
-        );
     }
 
     /// The same partial merged in the same order always produces bitwise
@@ -493,7 +433,7 @@ mod tests {
                 parts.push(p);
             }
             for p in &parts {
-                PartialState::merge(&mut m, p);
+                m.merge(p);
             }
             (m.mean().to_bits(), m.variance().to_bits(), m.count())
         };
@@ -724,10 +664,11 @@ mod tests {
 
     /// Each flat kind's boxed estimator, which runs the one-record update,
     /// against the generic estimator over the bounder it stands for, fed
-    /// value by value and merged over the same two partitions. The plain
-    /// kinds agree bit for bit (`widen` then `push_within` is `push`); the
-    /// RangeTrim kinds hold the same multisets in their clipped states, so
-    /// they agree within 1e-12 relative.
+    /// value by value. The plain kinds agree bit for bit (`widen` then
+    /// `push_within` is `push`); the RangeTrim kinds hold the same multisets
+    /// in their clipped states, so they agree within 1e-12 relative. (Merged
+    /// records are checked against the three-state fold by
+    /// `translate_and_add_merge_matches_a_sequential_fold`.)
     #[test]
     fn flat_records_match_their_boxed_estimator_bitwise() {
         use crate::bernstein::EmpiricalBernsteinSerfling;
@@ -739,58 +680,42 @@ mod tests {
             let Some(flat) = kind.flat() else {
                 continue;
             };
-            let reference = || -> BoxedEstimator {
-                match flat {
-                    FlatBounder::Hoeffding => Box::new(Estimator::new(HoeffdingSerfling)),
-                    FlatBounder::Bernstein => Box::new(Estimator::new(EmpiricalBernsteinSerfling)),
-                    FlatBounder::HoeffdingRangeTrim => {
-                        Box::new(Estimator::new(RangeTrim::new(HoeffdingSerfling)))
-                    }
-                    FlatBounder::BernsteinRangeTrim => {
-                        Box::new(Estimator::new(RangeTrim::new(EmpiricalBernsteinSerfling)))
-                    }
+            let mut want: BoxedEstimator = match flat {
+                FlatBounder::Hoeffding => Box::new(Estimator::new(HoeffdingSerfling)),
+                FlatBounder::Bernstein => Box::new(Estimator::new(EmpiricalBernsteinSerfling)),
+                FlatBounder::HoeffdingRangeTrim => {
+                    Box::new(Estimator::new(RangeTrim::new(HoeffdingSerfling)))
+                }
+                FlatBounder::BernsteinRangeTrim => {
+                    Box::new(Estimator::new(RangeTrim::new(EmpiricalBernsteinSerfling)))
                 }
             };
-            let (mut flat_est, mut flat_later) = (kind.make_estimator(), kind.make_estimator());
-            let (mut want, mut want_later) = (reference(), reference());
-            let (early, late) = values.split_at(613);
-            for batch in early.chunks(61) {
+            let mut flat_est = kind.make_estimator();
+            for batch in values.chunks(61) {
                 flat_est.observe_batch(batch);
             }
-            for batch in late.chunks(61) {
-                flat_later.observe_batch(batch);
-            }
-            for &v in early {
+            for &v in &values {
                 want.observe(v);
             }
-            for &v in late {
-                want_later.observe(v);
-            }
-            for merged in [false, true] {
-                if merged {
-                    assert!(flat_est.merge_from(flat_later.as_ref()), "{kind}");
-                    assert!(want.merge_from(want_later.as_ref()), "{kind}");
-                }
-                let what = format!("{kind}, merged: {merged}");
-                assert_eq!(flat_est.count(), want.count(), "{what}");
-                assert_eq!(flat_est.bounder_name(), want.bounder_name(), "{what}");
-                assert_eq!(
-                    flat_est.estimate().map(f64::to_bits),
-                    want.estimate().map(f64::to_bits),
-                    "{what}: estimate"
-                );
-                let (got, exp) = (flat_est.interval(&ctx), want.interval(&ctx));
-                for (side, g, w) in [
-                    ("interval lo", got.lo, exp.lo),
-                    ("interval hi", got.hi, exp.hi),
-                    ("lbound", flat_est.lbound(&ctx), want.lbound(&ctx)),
-                    ("rbound", flat_est.rbound(&ctx), want.rbound(&ctx)),
-                ] {
-                    if kind.uses_range_trim() {
-                        assert_close(&format!("{what}: {side}"), g, w);
-                    } else {
-                        assert_eq!(g.to_bits(), w.to_bits(), "{what}: {side} bits");
-                    }
+            let what = kind.to_string();
+            assert_eq!(flat_est.count(), want.count(), "{what}");
+            assert_eq!(flat_est.bounder_name(), want.bounder_name(), "{what}");
+            assert_eq!(
+                flat_est.estimate().map(f64::to_bits),
+                want.estimate().map(f64::to_bits),
+                "{what}: estimate"
+            );
+            let (got, exp) = (flat_est.interval(&ctx), want.interval(&ctx));
+            for (side, g, w) in [
+                ("interval lo", got.lo, exp.lo),
+                ("interval hi", got.hi, exp.hi),
+                ("lbound", flat_est.lbound(&ctx), want.lbound(&ctx)),
+                ("rbound", flat_est.rbound(&ctx), want.rbound(&ctx)),
+            ] {
+                if kind.uses_range_trim() {
+                    assert_close(&format!("{what}: {side}"), g, w);
+                } else {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{what}: {side} bits");
                 }
             }
         }

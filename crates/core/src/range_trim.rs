@@ -66,7 +66,7 @@ impl<S> RangeTrimState<S> {
     }
 }
 
-impl<S: crate::partial::PartialState> RangeTrimState<S> {
+impl RangeTrimState<RunningMoments> {
     /// Merges a later partition's partial state into this one.
     ///
     /// The inner states and the all-values moments merge independently.
@@ -76,19 +76,13 @@ impl<S: crate::partial::PartialState> RangeTrimState<S> {
     /// observation — both effects only widen the derived interval, so merged
     /// bounds stay valid (conservative); see [`crate::partial`] for the full
     /// argument.
-    pub fn merge(&mut self, other: &RangeTrimState<S>) {
+    pub fn merge(&mut self, other: &RangeTrimState<RunningMoments>) {
         if other.all.count() == 0 {
             return;
         }
         self.all.merge(&other.all);
         self.left.merge(&other.left);
         self.right.merge(&other.right);
-    }
-}
-
-impl<S: crate::partial::PartialState> crate::partial::PartialState for RangeTrimState<S> {
-    fn merge(&mut self, other: &Self) {
-        RangeTrimState::merge(self, other);
     }
 }
 

@@ -247,12 +247,6 @@ impl RunningMoments {
     }
 }
 
-impl crate::partial::PartialState for RunningMoments {
-    fn merge(&mut self, other: &Self) {
-        RunningMoments::merge(self, other);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

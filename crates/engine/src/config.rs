@@ -4,6 +4,7 @@
 use fastframe_core::bounder::BounderKind;
 use fastframe_core::delta::DeltaBudget;
 use fastframe_core::optstop::DEFAULT_ROUND_SIZE;
+use fastframe_core::partial::FlatBounder;
 use fastframe_core::PAPER_DELTA;
 
 use crate::error::{EngineError, EngineResult};
@@ -64,7 +65,9 @@ impl std::fmt::Display for SamplingStrategy {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct EngineConfig {
-    /// Which error bounder to use for AVG confidence intervals.
+    /// Which error bounder to use for AVG confidence intervals: one of
+    /// [`BounderKind::EVALUATED`]. Anderson/DKW (±RT) is refused when the
+    /// query is built, and again when it runs.
     pub bounder: BounderKind,
     /// Which sampling strategy to use.
     pub strategy: SamplingStrategy,
@@ -81,16 +84,19 @@ pub struct EngineConfig {
     pub start_block: Option<usize>,
     /// Seed used to pick the starting block when `start_block` is `None`.
     pub seed: u64,
-    /// Number of scan worker threads for the partitioned scan/aggregation
-    /// pipeline. `0` (the default) resolves at execution time to the
-    /// `FASTFRAME_THREADS` environment variable if set, otherwise to the
-    /// machine's available parallelism — see
-    /// [`EngineConfig::effective_threads`].
+    /// Number of scan threads for the partitioned scan/aggregation
+    /// pipeline, the coordinating thread included: `threads = n` spawns
+    /// `n − 1` helpers, and `1` spawns none (the coordinator scans every
+    /// partition). Clamped to 64, the most partitions a round has. `0` (the
+    /// default) resolves at execution time to the `FASTFRAME_THREADS`
+    /// environment variable if set, otherwise to the machine's available
+    /// parallelism — see [`EngineConfig::effective_threads`].
     ///
     /// The thread count never changes query *results*: each round's block
-    /// list is partitioned independently of the thread count and per-worker
-    /// partial states are merged in block-id order, so estimates, variances
-    /// and CI bounds are bit-for-bit identical at any setting.
+    /// list is partitioned independently of the thread count and
+    /// per-partition partial states are merged in block-id order, so
+    /// estimates, variances and CI bounds are bit-for-bit identical at any
+    /// setting.
     pub threads: usize,
 }
 
@@ -138,10 +144,13 @@ impl EngineConfig {
     }
 
     /// Rejects a configuration the executor cannot run: δ must lie in
-    /// (0, 1) and a round must hold at least one row. Preparing a query and
-    /// running it both check through here, so every path into execution
-    /// refuses the same configurations.
-    pub(crate) fn validate(&self) -> EngineResult<()> {
+    /// (0, 1), a round must hold at least one row, and the bounder must
+    /// keep constant-memory state, one of [`BounderKind::EVALUATED`].
+    /// Anderson/DKW (±RT) keeps an O(m) sample, so the engine refuses it.
+    /// Preparing a query and running it both check through here, so every
+    /// path into execution refuses the same configurations. Returns the
+    /// flat form of the bounder, which the engine's views run.
+    pub(crate) fn validate(&self) -> EngineResult<FlatBounder> {
         DeltaBudget::new(self.delta)?;
         if self.round_rows == 0 {
             return Err(EngineError::InvalidConfig {
@@ -150,7 +159,14 @@ impl EngineConfig {
                 expected: "at least 1 row",
             });
         }
-        Ok(())
+        self.bounder
+            .flat()
+            .ok_or_else(|| EngineError::InvalidConfig {
+                field: "bounder",
+                value: self.bounder.to_string(),
+                expected:
+                    "a constant-memory bounder: Hoeffding or Bernstein, with or without RangeTrim",
+            })
     }
 
     /// Resolves the effective scan thread count: an explicit
@@ -223,7 +239,7 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Sets the scan worker thread count (`0` = auto, see
+    /// Sets the scan thread count, the coordinator included (`0` = auto, see
     /// [`EngineConfig::effective_threads`]).
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;

@@ -43,12 +43,12 @@
 //! Scanning and aggregation are **parallel**: each round's planned block
 //! list is handed to the partitioned pipeline of `crate::parallel`, which
 //! splits it into thread-count-independent partitions, accumulates partial
-//! aggregate state per partition on a scoped worker pool
-//! ([`EngineConfig::effective_threads`] workers), and merges the partials in
-//! block-id order — so results are bit-for-bit identical at any thread
-//! count. Budget row caps are enforced when blocks are *granted* to a round
-//! (before any worker sees them), so `max_rows` is never exceeded under
-//! concurrency.
+//! aggregate state per partition on the coordinating thread and its scoped
+//! helpers ([`EngineConfig::effective_threads`] scan threads in all), and
+//! merges the partials in block-id order — so results are bit-for-bit
+//! identical at any thread count. Budget row caps are enforced when blocks
+//! are *granted* to a round (before any thread scans them), so `max_rows` is
+//! never exceeded under concurrency.
 //!
 //! Within each partition, blocks execute **batch-at-a-time**: the predicate
 //! runs as a columnar filter kernel emitting a selection vector, only the
@@ -66,8 +66,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fastframe_core::bounder::BounderKind;
 use fastframe_core::delta::DeltaBudget;
+use fastframe_core::partial::FlatBounder;
 use fastframe_core::stopping::GroupSnapshot;
 use fastframe_store::block::{BlockId, DEFAULT_LOOKAHEAD_BATCH};
 use fastframe_store::expr::BoundExpr;
@@ -416,22 +416,21 @@ pub(crate) fn run(
     observer: Option<&mut RoundObserver<'_>>,
     pass: Pass,
 ) -> EngineResult<ProgressiveResult> {
-    prepared.config().validate()?;
+    let bounder = prepared.config().validate()?;
     let (source, query) = (prepared.source(), prepared.query());
     let exact_config;
     let unlimited = Budget::unlimited();
-    let (config, budget) = match pass {
-        Pass::Approximate => (prepared.config(), prepared.budget()),
+    let (config, budget, bounder) = match pass {
+        Pass::Approximate => (prepared.config(), prepared.budget(), bounder),
         Pass::Exact => {
-            // Hoeffding's flat record is the least state that yields the
-            // mean and the sum; its interval is never reported.
             exact_config = EngineConfig {
-                bounder: BounderKind::Hoeffding,
                 start_block: Some(0),
                 threads: prepared.config().threads.max(1),
                 ..EngineConfig::default()
             };
-            (&exact_config, &unlimited)
+            // Hoeffding's moments are the least state that yields the mean
+            // and the sum; its interval is never reported.
+            (&exact_config, &unlimited, FlatBounder::Hoeffding)
         }
     };
     let start_time = Instant::now();
@@ -447,7 +446,7 @@ pub(crate) fn run(
     let views: Vec<AggregateView> = keys
         .into_iter()
         .enumerate()
-        .map(|(id, key)| AggregateView::new(id, key, config.bounder, bound.range))
+        .map(|(id, key)| AggregateView::new(id, key, bounder, bound.range))
         .collect();
     let ever_inactive = vec![false; views.len()];
 
@@ -489,10 +488,10 @@ pub(crate) fn run(
         cancellation: None,
     };
 
-    // Shared, read-only context for the scan workers of the partitioned
+    // Shared, read-only context for the scan threads of the partitioned
     // pipeline; the thread count never influences results (see
-    // `crate::parallel`). `threads` is the pool size actually used (clamped
-    // to the per-round partition cap), so metrics report reality.
+    // `crate::parallel`). `threads` is the scan-thread count actually used
+    // (clamped to the per-round partition cap), so metrics report reality.
     let threads = crate::parallel::effective_pool_size(config.effective_threads());
     // The columns the query actually reads (target ∪ predicate ∪ group-by),
     // in ascending order, pushed down to the block source so lazy backings
@@ -513,7 +512,6 @@ pub(crate) fn run(
         source,
         bound: &bound,
         aggregate: query.aggregate,
-        bounder: config.bounder,
         lookup: &lookup,
         num_views,
         projection,
@@ -731,13 +729,13 @@ fn merge_pending(
         // it is single-sourced — unlike the two-sided fetch accounting
         // below.
         state.stats.record_selected(partial.exec.rows_selected);
-        for (view, view_partial) in partial.views() {
-            // `ScanStats::rows_matched` is rebuilt from the per-view partials
-            // being merged, a different worker-side structure than the
+        for (view, record) in partial.views() {
+            // `ScanStats::rows_matched` is rebuilt from the per-view records
+            // being merged, a different scan-side structure than the
             // `ExecMetrics` counter it is asserted against — a dropped or
-            // double-merged view partial diverges the two.
-            state.stats.record_matches(view_partial.count());
-            state.views[*view as usize].absorb_partial(view_partial);
+            // double-merged view record diverges the two.
+            state.stats.record_matches(record.all.count());
+            state.views[*view as usize].absorb_partial(record);
         }
     })?;
     for &block in pending.iter() {
@@ -812,6 +810,7 @@ fn evaluate_round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastframe_core::bounder::BounderKind;
     use fastframe_store::column::Column;
     use fastframe_store::expr::Expr;
     use fastframe_store::predicate::Predicate;
@@ -1526,7 +1525,7 @@ mod tests {
                     codes: vec![id as u32],
                     labels: vec![format!("g{id}")],
                 };
-                AggregateView::new(id, key, BounderKind::Hoeffding, (0.0, 1.0))
+                AggregateView::new(id, key, FlatBounder::Hoeffding, (0.0, 1.0))
             })
             .collect();
         let mut state = ScanState {

@@ -1,6 +1,7 @@
-//! The partitioned scan/aggregation pipeline: a crossbeam-scoped worker pool
-//! that evaluates predicates and accumulates per-partition partial aggregate
-//! state, merged back deterministically in block-id order.
+//! The partitioned scan/aggregation pipeline: the coordinating thread and
+//! its helpers scan a round's partitions into per-partition partial
+//! records, which the coordinator merges deterministically in block-id
+//! order.
 //!
 //! ## Partition layout
 //!
@@ -13,56 +14,71 @@
 //! depends only on the list length, never on the thread count.
 //!
 //! The price is parallelism inside small rounds. A default round of 40 000
-//! rows (1 600 blocks of 25 rows) has 7 partitions, so at most 7 workers
-//! scan it at once; a round of 256 blocks or fewer runs on one worker. In
+//! rows (1 600 blocks of 25 rows) has 7 partitions, so at most 7 threads
+//! scan it at once; a round of 256 blocks or fewer runs on one thread. In
 //! exchange a round costs what it scans: per-partition work (a partial per
 //! touched view, its merge, RangeTrim's withheld first observation) is paid
 //! 7 times per default round instead of 64 times.
 //!
+//! ## Schedule
+//!
+//! A query scans on `threads` threads: the coordinator, which plans and
+//! merges, and `threads − 1` helpers spawned once per query inside a
+//! [`std::thread::scope`] (none at `threads = 1`), so per-round overhead is
+//! a handful of channel operations, not thread spawns. A round queues its
+//! partitions, in partition order, on one job queue. Helpers block on the
+//! queue; the coordinator takes jobs from it without ever blocking, so
+//! whichever thread is free scans the next partition (the morsel dispatch
+//! of Leis et al.). Before it takes a job, the coordinator merges every
+//! partial the helpers have finished, so it scans only when none waits.
+//!
+//! At most `2 · threads` partitions are unmerged at once (one at
+//! `threads = 1`) — queued, being scanned, or finished ahead of a slower
+//! predecessor. Only the coordinator merges and queues, and it cannot while
+//! it scans. So when every thread finishes a partition at about the same
+//! time and the oldest of them reaches the coordinator only after it has
+//! started its next scan, those `threads` partitions stay unmerged for a
+//! whole scan, and the other `threads` slots must already hold queued jobs
+//! for every thread to keep scanning. With partitions of equal cost, a cap
+//! of `threads` scans 3 partitions in two scan times at 2 threads, not 4.
+//! The coordinator queues another partition only after merging the oldest,
+//! so a round holds at most `2 · threads` sets of partition buffers however
+//! many partitions it has; alone, the coordinator merges each partition
+//! before it queues the next, and holds one set.
+//!
 //! ## Accumulation and merge
 //!
-//! Workers pull partitions off a shared job queue and scan each partition's
-//! blocks in block order. Every worker owns a `WorkerScratch`, allocated
-//! once per worker per query: a dense slab with one slot per aggregate view,
-//! a view-id buffer for a block's selected rows, and the selection vectors.
-//! A partition fills slots and records them in a touched list; at its end
-//! the filled slots are moved into the `PartitionPartial`'s buffer, leaving
-//! them empty, in O(touched views).
+//! Every scan thread owns a `WorkerScratch`, allocated once per query: a
+//! dense slab with one plain `Copy` [`FlatRecord`] per aggregate view, a
+//! view-id buffer for a block's selected rows, and the selection vectors. A
+//! record holds count, sum, shifted sums, extremes and RangeTrim's four
+//! correction sums, one update per value for every bounder kind the engine
+//! runs (see [`fastframe_core::partial`]). A partition fills records and
+//! lists the views it touched; at its end the touched records move into
+//! the `PartitionPartial`'s buffer, leaving the slab empty, in O(touched
+//! views).
 //!
-//! That buffer, and in pool mode the job's block list, are reused: the
-//! coordinator hands each partition a spare set of buffers, gets them back
-//! with its partial, and keeps them, emptied, for later partitions and
-//! rounds. Inline (`threads = 1`) one set serves every partition. Once the
-//! buffers have grown to a round's size, a partition allocates nothing.
-//!
-//! For Hoeffding and Bernstein (±RT) the slab is a dense `Vec` of plain
-//! `Copy` [`FlatRecord`]s: count, sum, shifted sums, extremes and
-//! RangeTrim's four correction sums, one update per value (see
-//! [`fastframe_core::partial`]). The coordinator finishes each into the
-//! three-moment state it merges. Anderson/DKW (±RT) keeps a boxed
-//! estimator per touched view.
+//! That buffer and the job's block list are reused: each partition is
+//! queued with a spare set of buffers, which comes back with its partial
+//! and is kept, emptied, for later partitions and rounds. Once the buffers
+//! have grown to a round's size, a partition allocates nothing.
 //!
 //! The coordinator folds the partials into the master views **in partition
-//! order**, each as soon as it and every earlier partition are done. A
-//! merge translates the partial's shifted sums into the master's shift and
-//! adds them, with no division ([`RunningMoments::merge`]). Only partials
-//! that overtook a slower predecessor are ever held.
+//! order**, each as soon as it and every earlier partition are done. It
+//! finishes each record into the three-moment state of its view, then
+//! translates the partial's shifted sums into the master's shift and adds
+//! them, with no division ([`RunningMoments::merge`]).
 //!
 //! Because the partition layout and the merge order are pure functions of
 //! the planned block list, the merged states — and every estimate, variance
 //! and CI bound derived from them — are a pure function of (data, plan):
-//! bit-for-bit identical at any thread count, including `threads = 1`, which
-//! runs the same partition/merge code inline without spawning, and on any
-//! backing.
+//! bit-for-bit identical at any thread count and on any backing, whichever
+//! thread scanned which partition.
 //!
 //! RangeTrim partials clip against partition-local prefix extremes and
 //! withhold one first observation per partition. That is conservative: it
 //! only widens the interval (the argument is in
 //! [`fastframe_core::partial`]).
-//!
-//! The pool lives for the whole query (workers are spawned once inside a
-//! `crossbeam::thread::scope` and fed rounds through channels), so per-round
-//! overhead is a handful of channel operations, not thread spawns.
 //!
 //! ## Batch execution
 //!
@@ -79,7 +95,7 @@
 //!    the keys up (`GroupLookup::view_ids`).
 //! 4. The target-value kernel is resolved once per block, and one loop
 //!    over the selected rows, specialised to it, updates each row's view
-//!    slot in place.
+//!    record in place.
 //!
 //! Rows are never copied into per-view buffers. Each view still sees its
 //! values in ascending row order, so a partition's records, and with them
@@ -97,24 +113,24 @@
 //! [`RunningMoments::merge`]: fastframe_core::variance::RunningMoments::merge
 
 use std::ops::ControlFlow;
+use std::panic::{self, AssertUnwindSafe};
 
-use fastframe_core::bounder::{BounderKind, BoxedEstimator};
+use crossbeam::channel::{Receiver, Sender};
 use fastframe_core::partial::FlatRecord;
 
 use fastframe_store::block::BlockId;
 use fastframe_store::expr::BoundExpr;
 use fastframe_store::selection::{SelectionScratch, SelectionVector};
 use fastframe_store::source::BlockSource;
-use fastframe_store::table::Table;
+use fastframe_store::table::{StoreError, Table};
 
 use crate::executor::{BoundQuery, GroupLookup, NO_VIEW};
 use crate::metrics::ExecMetrics;
 use crate::query::AggregateFunction;
-use crate::view::Partial;
 
 /// Upper bound on the number of partitions a round is split into. The
 /// partition layout must be independent of the thread count (determinism),
-/// so this is a constant rather than a multiple of the pool size.
+/// so this is a constant rather than a multiple of the thread count.
 pub(crate) const MAX_PARTITIONS: usize = 64;
 
 /// Smallest partition, in blocks, unless the whole round is smaller: large
@@ -128,16 +144,17 @@ pub(crate) fn partition_size(total: usize) -> usize {
     total.div_ceil(MAX_PARTITIONS).max(MIN_PARTITION_BLOCKS)
 }
 
-/// The pool size actually used for a requested thread count: at least 1,
-/// and clamped to [`MAX_PARTITIONS`] — a round never has more jobs, so
-/// extra workers could only idle, and the clamp keeps an absurd setting
-/// (or `FASTFRAME_THREADS` value) from exhausting OS thread limits. This is
-/// also the value reported in `QueryMetrics::threads`.
+/// The number of scan threads, the coordinator included, actually used for
+/// a requested thread count: at least 1, and clamped to [`MAX_PARTITIONS`]
+/// — a round never has more partitions, so extra helpers could only idle,
+/// and the clamp keeps an absurd setting (or `FASTFRAME_THREADS` value) from
+/// exhausting OS thread limits. This is also the value reported in
+/// `QueryMetrics::threads`.
 pub(crate) fn effective_pool_size(threads: usize) -> usize {
     threads.clamp(1, MAX_PARTITIONS)
 }
 
-/// Everything a scan worker needs to process a partition: shared, read-only
+/// Everything a scan thread needs to process a partition: shared, read-only
 /// per-query state.
 pub(crate) struct ScanContext<'a> {
     /// The block source under scan (in-memory scramble or on-disk segment).
@@ -146,8 +163,6 @@ pub(crate) struct ScanContext<'a> {
     pub bound: &'a BoundQuery,
     /// The query's aggregate function.
     pub aggregate: AggregateFunction,
-    /// Bounder kind of the views, and so of their partials.
-    pub bounder: BounderKind,
     /// Row → aggregate-view routing.
     pub lookup: &'a GroupLookup,
     /// Total number of aggregate views.
@@ -161,68 +176,62 @@ pub(crate) struct ScanContext<'a> {
 /// coordinator with its partial and reused by later partitions and rounds.
 #[derive(Default)]
 struct PartitionBuffers {
-    /// The partition's blocks (pool mode; an inline scan reads the round's
-    /// list in place).
+    /// The partition's blocks.
     blocks: Vec<BlockId>,
-    /// Touched views' partials, in first-touch order (views are
-    /// independent, so the order only has to be deterministic).
-    views: Vec<(u32, Partial)>,
+    /// Touched views' records, in first-touch order (views are independent,
+    /// so the order only has to be deterministic).
+    views: Vec<(u32, FlatRecord)>,
 }
 
 /// The result of scanning one partition.
 pub(crate) struct PartitionPartial {
     /// Partition index within the round (merge key).
     pub index: usize,
-    /// Worker-private counters for this partition.
+    /// Scan-thread-private counters for this partition.
     pub exec: ExecMetrics,
-    /// The partition's buffers, its touched views' partials filled in.
+    /// The partition's buffers, its touched views' records filled in.
     buffers: PartitionBuffers,
     /// A block read failure (I/O error or chunk corruption detected mid
     /// scan); the coordinator fails the query with it instead of merging.
-    pub error: Option<fastframe_store::table::StoreError>,
-    /// The payload of a panic raised during the worker's scan, carried back
+    pub error: Option<StoreError>,
+    /// The payload of a panic raised during a helper's scan, carried back
     /// so the coordinator can resume it with its original message.
     pub panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
 impl PartitionPartial {
-    /// Touched views' partials, in first-touch order.
-    pub(crate) fn views(&self) -> &[(u32, Partial)] {
+    /// Touched views' records, in first-touch order.
+    pub(crate) fn views(&self) -> &[(u32, FlatRecord)] {
         &self.buffers.views
     }
 }
 
-/// One slot per aggregate view, holding the view's partial for the
-/// partition being scanned, and the views touched so far.
+/// One record per aggregate view for the partition being scanned (an empty
+/// record is an untouched view), and the views touched so far.
 struct Slab {
-    slots: Slots,
-    /// Views with a filled slot, in first-touch order.
-    touched: Vec<u32>,
-}
-
-enum Slots {
-    /// Hoeffding and Bernstein (±RT): a dense record per view; an empty
-    /// record is an untouched slot.
-    Flat(Vec<FlatRecord>),
-    /// Anderson/DKW (±RT): a boxed estimator per touched view.
-    Boxed(BounderKind, Vec<Option<BoxedEstimator>>),
+    records: Vec<FlatRecord>,
+    /// Views with a non-empty record, in first-touch order: the first
+    /// `num_touched` entries. Sized for every view up front, so listing a
+    /// view is a plain store. A `Vec::push` would put its growth call in the
+    /// row loop, and around that call the loop spilled registers on every
+    /// row: about 2 % of Exact's time at one thread, on a 2-vCPU x86-64
+    /// host.
+    touched: Box<[u32]>,
+    num_touched: usize,
 }
 
 impl Slab {
-    fn new(kind: BounderKind, num_views: usize) -> Self {
-        let slots = match kind.flat() {
-            Some(_) => Slots::Flat(vec![FlatRecord::EMPTY; num_views]),
-            None => Slots::Boxed(kind, (0..num_views).map(|_| None).collect()),
-        };
+    fn new(num_views: usize) -> Self {
         Self {
-            slots,
-            touched: Vec::new(),
+            records: vec![FlatRecord::EMPTY; num_views],
+            touched: vec![0; num_views].into(),
+            num_touched: 0,
         }
     }
 
-    /// Folds a block's selected `rows` into their views' slots in row order:
-    /// `views[i]` is the view of `rows[i]` (or [`NO_VIEW`]) and `value` its
-    /// target value. Returns the number of values folded.
+    /// Folds a block's selected `rows` into their views' records in row
+    /// order: `views[i]` is the view of `rows[i]` (or [`NO_VIEW`]) and
+    /// `value` its target value. Returns the number of values folded.
     #[inline]
     fn fold_rows(
         &mut self,
@@ -230,68 +239,43 @@ impl Slab {
         views: &[u64],
         value: impl Fn(usize) -> Option<f64>,
     ) -> u64 {
-        let touched = &mut self.touched;
+        let Slab {
+            records,
+            touched,
+            num_touched,
+        } = self;
         let mut folded = 0;
-        match &mut self.slots {
-            Slots::Flat(records) => {
-                for (&row, &view) in rows.iter().zip(views) {
-                    if view == NO_VIEW {
-                        continue;
-                    }
-                    let Some(v) = value(row as usize) else {
-                        continue;
-                    };
-                    let record = &mut records[view as usize];
-                    if record.is_empty() {
-                        touched.push(view as u32);
-                    }
-                    record.observe(v);
-                    folded += 1;
-                }
+        for (&row, &view) in rows.iter().zip(views) {
+            if view == NO_VIEW {
+                continue;
             }
-            Slots::Boxed(kind, slots) => {
-                for (&row, &view) in rows.iter().zip(views) {
-                    if view == NO_VIEW {
-                        continue;
-                    }
-                    let Some(v) = value(row as usize) else {
-                        continue;
-                    };
-                    slots[view as usize]
-                        .get_or_insert_with(|| {
-                            touched.push(view as u32);
-                            kind.make_estimator()
-                        })
-                        .observe(v);
-                    folded += 1;
-                }
+            let Some(v) = value(row as usize) else {
+                continue;
+            };
+            let record = &mut records[view as usize];
+            if record.is_empty() {
+                touched[*num_touched] = view as u32;
+                *num_touched += 1;
             }
+            record.observe(v);
+            folded += 1;
         }
         folded
     }
 
-    /// Moves the touched slots out as partials into `out`, leaving every
-    /// slot empty, in O(touched).
-    fn take_into(&mut self, out: &mut Vec<(u32, Partial)>) {
-        let slots = &mut self.slots;
-        out.extend(self.touched.drain(..).map(|view| {
-            let partial = match slots {
-                Slots::Flat(records) => Partial::Flat(std::mem::replace(
-                    &mut records[view as usize],
-                    FlatRecord::EMPTY,
-                )),
-                Slots::Boxed(_, slots) => Partial::Boxed(
-                    slots[view as usize]
-                        .take()
-                        .expect("a touched slot is filled"),
-                ),
-            };
-            (view, partial)
+    /// Moves the touched records out into `out`, leaving every record
+    /// empty, in O(touched).
+    fn take_into(&mut self, out: &mut Vec<(u32, FlatRecord)>) {
+        let records = &mut self.records;
+        out.extend(self.touched[..self.num_touched].iter().map(|&view| {
+            let record = std::mem::replace(&mut records[view as usize], FlatRecord::EMPTY);
+            (view, record)
         }));
+        self.num_touched = 0;
     }
 }
 
-/// A scan worker's reusable state: allocated once per worker per query,
+/// A scan thread's reusable state: allocated once per thread per query,
 /// reset after every partition in O(touched views).
 struct WorkerScratch {
     slab: Slab,
@@ -307,7 +291,7 @@ struct WorkerScratch {
 impl WorkerScratch {
     fn new(ctx: &ScanContext<'_>) -> Self {
         Self {
-            slab: Slab::new(ctx.bounder, ctx.num_views),
+            slab: Slab::new(ctx.num_views),
             sel: SelectionVector::empty(),
             filter_scratch: SelectionScratch::new(),
             views: Vec::new(),
@@ -315,11 +299,17 @@ impl WorkerScratch {
     }
 }
 
+/// A queued partition: its index and its buffers, the blocks filled in.
+struct Job {
+    index: usize,
+    buffers: PartitionBuffers,
+}
+
 /// Scans one partition's blocks in block order, producing its partial:
 /// projected block reads, columnar predicate kernels into a
 /// [`SelectionVector`], the selected rows' view ids from the group table,
-/// and one in-place update of its view's slot per selected row, each view's
-/// values in ascending row order.
+/// and one in-place update of its view's record per selected row, each
+/// view's values in ascending row order.
 ///
 /// Blocks are obtained through one [`BlockSource::scan_blocks`] call: a
 /// zero-copy view per block for in-memory scrambles, run reads decoding
@@ -331,9 +321,7 @@ impl WorkerScratch {
 fn scan_partition(
     ctx: &ScanContext<'_>,
     scratch: &mut WorkerScratch,
-    index: usize,
-    blocks: &[BlockId],
-    mut buffers: PartitionBuffers,
+    Job { index, mut buffers }: Job,
 ) -> PartitionPartial {
     let WorkerScratch {
         slab,
@@ -345,7 +333,7 @@ fn scan_partition(
     let projection = Some(ctx.projection.as_slice());
     let scanned = ctx
         .source
-        .scan_blocks(blocks, projection, &mut |_, block_ref| {
+        .scan_blocks(&buffers.blocks, projection, &mut |_, block_ref| {
             let table = block_ref.table();
             exec.record_block(block_ref.len() as u64);
             ctx.bound
@@ -422,186 +410,165 @@ impl<'a> ValueKernel<'a> {
     }
 }
 
-/// A partition job sent to the worker pool: its index and its buffers, the
-/// blocks filled in.
-struct Job {
-    index: usize,
-    buffers: PartitionBuffers,
+/// A helper scan thread: scans queued partitions until the queue closes,
+/// sending back a partial for every job it takes.
+fn help(ctx: &ScanContext<'_>, queue: Receiver<Job>, results: Sender<PartitionPartial>) {
+    let mut scratch = WorkerScratch::new(ctx);
+    while let Ok(job) = queue.recv() {
+        let index = job.index;
+        // The coordinator may be waiting for this partition, so even a
+        // panicking scan sends a partial; the coordinator re-raises its
+        // payload.
+        let partial =
+            panic::catch_unwind(AssertUnwindSafe(|| scan_partition(ctx, &mut scratch, job)))
+                .unwrap_or_else(|payload| {
+                    // The interrupted scan may have left records filled.
+                    scratch = WorkerScratch::new(ctx);
+                    PartitionPartial {
+                        index,
+                        exec: ExecMetrics::default(),
+                        buffers: PartitionBuffers::default(),
+                        error: None,
+                        panic: Some(payload),
+                    }
+                });
+        if results.send(partial).is_err() {
+            break;
+        }
+    }
 }
 
-/// Channel ends the coordinator keeps while a pool is live.
-struct Pool {
-    jobs: crossbeam::channel::Sender<Job>,
-    results: crossbeam::channel::Receiver<PartitionPartial>,
-    /// Partials that finished ahead of an earlier partition, by index.
-    waiting: Vec<Option<PartitionPartial>>,
-}
-
-/// Where a round's partitions are scanned.
-enum Mode {
-    /// `threads == 1`: on the coordinator, with its own scratch.
-    Inline(Box<WorkerScratch>),
-    /// On a worker pool; each worker owns its scratch.
-    Pool(Pool),
-}
-
-/// Executes rounds of planned blocks, either inline (`threads == 1`) or on a
-/// scoped worker pool — with identical results either way.
+/// Executes rounds of planned blocks on the coordinating thread and its
+/// helpers, with identical results at any thread count.
 pub(crate) struct RoundExecutor<'a> {
     ctx: &'a ScanContext<'a>,
-    mode: Mode,
-    /// Buffers of merged partitions, ready for the next ones: a round
-    /// allocates only while it has more partitions in flight than any
-    /// earlier round had.
+    /// The most partitions a round may have unmerged at once:
+    /// `2 · threads`, or 1 without helpers (see the module docs).
+    max_unmerged: usize,
+    /// The coordinator's own scan state.
+    scratch: WorkerScratch,
+    /// The job queue's two ends. Helpers hold clones of `queue` and block
+    /// on it; the coordinator only ever tries it. Dropping `jobs` with the
+    /// executor closes the queue and ends the helpers.
+    jobs: Sender<Job>,
+    queue: Receiver<Job>,
+    /// Partials scanned by helpers.
+    results: Receiver<PartitionPartial>,
+    /// Partials finished ahead of an earlier partition, by index.
+    waiting: Vec<Option<PartitionPartial>>,
+    /// Buffers of merged partitions, ready for the next ones.
     spare: Vec<PartitionBuffers>,
 }
 
 impl RoundExecutor<'_> {
     /// Scans every partition of `blocks` and hands each partial to `merge`
     /// in partition (block-id) order, as soon as it and every earlier
-    /// partition are done. Only partials that finished ahead of an earlier,
-    /// slower one are held back, so a round's memory stays bounded however
-    /// many blocks it covers.
+    /// partition are done. At most `2 · threads` partitions (one without
+    /// helpers) are unmerged at once, so a round's memory stays bounded
+    /// however many blocks it covers.
     ///
     /// # Errors
     ///
     /// The first block-read failure in partition order (storage rot detected
     /// after open-time validation). The caller must then discard the state
-    /// it merged into: later partitions are not merged.
+    /// it merged into, and the executor: later partitions are not merged,
+    /// and some may still be queued.
     pub(crate) fn execute_round(
         &mut self,
         blocks: &[BlockId],
         mut merge: impl FnMut(&PartitionPartial),
-    ) -> Result<(), fastframe_store::table::StoreError> {
-        if blocks.is_empty() {
-            return Ok(());
-        }
-        let chunks = blocks.chunks(partition_size(blocks.len()));
-        // Merges a finished partial and hands back its emptied buffers.
-        let mut accept = |mut partial: PartitionPartial| {
-            if let Some(payload) = partial.panic.take() {
-                // Re-raise with the original payload so the message and any
-                // context it carries survive the thread hop.
-                std::panic::resume_unwind(payload);
-            }
-            match partial.error.take() {
-                Some(error) => Err(error),
-                None => {
-                    merge(&partial);
-                    let mut buffers = partial.buffers;
-                    buffers.blocks.clear();
-                    buffers.views.clear();
-                    Ok(buffers)
-                }
-            }
-        };
-        let pool = match &mut self.mode {
-            Mode::Inline(scratch) => {
-                let mut buffers = self.spare.pop().unwrap_or_default();
-                for (i, chunk) in chunks.enumerate() {
-                    buffers = accept(scan_partition(self.ctx, scratch, i, chunk, buffers))?;
-                }
-                self.spare.push(buffers);
-                return Ok(());
-            }
-            Mode::Pool(pool) => pool,
-        };
+    ) -> Result<(), StoreError> {
+        let mut chunks = blocks.chunks(partition_size(blocks.len())).enumerate();
         let total = chunks.len();
-        for (i, chunk) in chunks.enumerate() {
-            let mut buffers = self.spare.pop().unwrap_or_default();
-            buffers.blocks.extend_from_slice(chunk);
-            pool.jobs
-                .send(Job { index: i, buffers })
-                .unwrap_or_else(|_| panic!("scan workers exited before the round ended"));
-        }
-        let waiting = &mut pool.waiting;
-        waiting.clear();
-        waiting.resize_with(total, || None);
-        let mut next = 0;
-        while next < total {
-            let partial = pool
-                .results
-                .recv()
-                .expect("scan workers exited before the round ended");
+        self.waiting.clear();
+        self.waiting.resize_with(total, || None);
+        let (mut queued, mut merged) = (0, 0);
+        while merged < total {
+            while queued < merged + self.max_unmerged {
+                let Some((index, chunk)) = chunks.next() else {
+                    break;
+                };
+                let mut buffers = self.spare.pop().unwrap_or_default();
+                buffers.blocks.extend_from_slice(chunk);
+                if self.jobs.send(Job { index, buffers }).is_err() {
+                    unreachable!("the coordinator holds a receiver of its own queue");
+                }
+                queued += 1;
+            }
+            // A finished partial comes first: merging it frees a slot, and
+            // the refill above then keeps the helpers supplied.
+            let partial = match self.results.try_recv() {
+                Ok(partial) => partial,
+                Err(_) => match self.queue.try_recv() {
+                    Ok(job) => scan_partition(self.ctx, &mut self.scratch, job),
+                    // The queue is empty, so partition `merged` — queued,
+                    // not merged, and not waiting, or the loop below would
+                    // have merged it — was taken by a helper. A helper sends
+                    // back a partial for every job it takes, even one whose
+                    // scan panicked, so this receive returns. At
+                    // `threads = 1` there is no helper, the queue holds the
+                    // one unmerged partition, and the coordinator never gets
+                    // here.
+                    Err(_) => self
+                        .results
+                        .recv()
+                        .expect("a helper sends back every partition it takes"),
+                },
+            };
             let index = partial.index;
-            waiting[index] = Some(partial);
-            while let Some(partial) = waiting.get_mut(next).and_then(Option::take) {
-                self.spare.push(accept(partial)?);
-                next += 1;
+            self.waiting[index] = Some(partial);
+            while let Some(mut partial) = self.waiting.get_mut(merged).and_then(Option::take) {
+                if let Some(payload) = partial.panic.take() {
+                    // Re-raise with the original payload so the message and
+                    // any context it carries survive the thread hop.
+                    panic::resume_unwind(payload);
+                }
+                if let Some(error) = partial.error.take() {
+                    return Err(error);
+                }
+                merge(&partial);
+                let mut buffers = partial.buffers;
+                buffers.blocks.clear();
+                buffers.views.clear();
+                self.spare.push(buffers);
+                merged += 1;
             }
         }
         Ok(())
     }
 }
 
-/// Runs `f` with a [`RoundExecutor`] appropriate for `threads`: inline for a
-/// single thread, otherwise a crossbeam-scoped pool of `threads` workers
-/// that lives exactly as long as `f`.
+/// Runs `f` with a [`RoundExecutor`] over `threads` scan threads: the
+/// calling thread, which coordinates, and `threads − 1` scoped helpers
+/// that live exactly as long as `f`.
 pub(crate) fn with_round_executor<R>(
     ctx: &ScanContext<'_>,
     threads: usize,
     f: impl FnOnce(&mut RoundExecutor<'_>) -> R,
 ) -> R {
     let threads = effective_pool_size(threads);
-    if threads <= 1 {
-        return f(&mut RoundExecutor {
-            ctx,
-            mode: Mode::Inline(Box::new(WorkerScratch::new(ctx))),
-            spare: Vec::new(),
-        });
-    }
-    crossbeam::thread::scope(|scope| {
-        let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job>();
-        let (result_tx, result_rx) = crossbeam::channel::unbounded::<PartitionPartial>();
-        for _ in 0..threads {
-            let jobs = job_rx.clone();
-            let results = result_tx.clone();
-            scope.spawn(move || {
-                let mut scratch = WorkerScratch::new(ctx);
-                while let Ok(Job { index, mut buffers }) = jobs.recv() {
-                    // Catch panics so the coordinator (blocked on the result
-                    // channel) is never deadlocked by a dying worker; the
-                    // poisoned marker re-raises the panic on the coordinator.
-                    let blocks = std::mem::take(&mut buffers.blocks);
-                    let partial = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut partial =
-                            scan_partition(ctx, &mut scratch, index, &blocks, buffers);
-                        partial.buffers.blocks = blocks;
-                        partial
-                    }))
-                    .unwrap_or_else(|payload| {
-                        // The interrupted partition may have left slots
-                        // filled; start over from clean buffers.
-                        scratch = WorkerScratch::new(ctx);
-                        PartitionPartial {
-                            index,
-                            exec: ExecMetrics::default(),
-                            buffers: PartitionBuffers::default(),
-                            error: None,
-                            panic: Some(payload),
-                        }
-                    });
-                    if results.send(partial).is_err() {
-                        break;
-                    }
-                }
-            });
+    let (jobs, queue) = crossbeam::channel::unbounded();
+    let (results_tx, results) = crossbeam::channel::unbounded();
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            let (queue, results) = (queue.clone(), results_tx.clone());
+            scope.spawn(move || help(ctx, queue, results));
         }
-        // The workers hold their own clones; dropping these ends the pool
-        // when `f` returns and the job sender goes out of scope.
-        drop(job_rx);
-        drop(result_tx);
+        drop(results_tx);
+        // The executor, and with it `jobs`, drops when `f` returns or
+        // unwinds, which ends the helpers; the scope then joins them and
+        // resumes a panic of `f` with its original payload.
         f(&mut RoundExecutor {
             ctx,
-            mode: Mode::Pool(Pool {
-                jobs: job_tx,
-                results: result_rx,
-                waiting: Vec::new(),
-            }),
+            max_unmerged: if threads == 1 { 1 } else { 2 * threads },
+            scratch: WorkerScratch::new(ctx),
+            jobs,
+            queue,
+            results,
+            waiting: Vec::new(),
             spare: Vec::new(),
         })
     })
-    .expect("scan worker scope never returns Err")
 }
 
 #[cfg(test)]

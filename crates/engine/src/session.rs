@@ -447,7 +447,7 @@ impl<'s> QueryBuilder<'s> {
         self
     }
 
-    /// Overrides the scan worker thread count for this query (`0` = auto,
+    /// Overrides the scan thread count for this query (`0` = auto,
     /// see [`EngineConfig::effective_threads`]). The thread count never
     /// changes results — per-partition partial states are merged in block-id
     /// order, so output is bit-for-bit identical at any setting.
@@ -552,8 +552,9 @@ impl<'s> PreparedQuery<'s> {
     /// only (no block is read): an unknown or mistyped column, a
     /// non-categorical GROUP BY column, a target whose range bounds the
     /// catalog cannot derive, or an empty table. Then an invalid `config`:
-    /// `Core(InvalidDelta)` for δ outside (0, 1) and
-    /// [`EngineError::InvalidConfig`] for a zero round size.
+    /// `Core(InvalidDelta)` for δ outside (0, 1), and
+    /// [`EngineError::InvalidConfig`] for a zero round size or an
+    /// Anderson/DKW bounder.
     pub fn new(
         source: &'s dyn BlockSource,
         query: AggQuery,
@@ -671,35 +672,51 @@ mod tests {
         s
     }
 
+    /// Each configuration the engine refuses, with the field it names: a
+    /// zero round size, and the Anderson/DKW bounders, whose state is an
+    /// O(m) sample.
+    fn invalid_configs() -> [(EngineConfig, &'static str); 3] {
+        let base = || session().defaults().to_builder();
+        [
+            (base().round_rows(0).build(), "round_rows"),
+            (base().bounder(BounderKind::AndersonDkw).build(), "bounder"),
+            (
+                base().bounder(BounderKind::AndersonDkwRangeTrim).build(),
+                "bounder",
+            ),
+        ]
+    }
+
     #[test]
     fn a_zero_round_size_is_rejected_when_the_query_is_built() {
         let base = || session().defaults().to_builder();
-        let config = base().round_rows(0).build();
-        let mut from_defaults = session();
-        from_defaults.set_defaults(config.clone());
-        let per_query = session()
-            .query("flights")
-            .avg(Expr::col("delay"))
-            .config(config)
-            .build()
-            .map(|_| ());
-        let defaults = from_defaults
-            .query("flights")
-            .avg(Expr::col("delay"))
-            .build()
-            .map(|_| ());
-        let query = AggQuery::avg("q", Expr::col("delay")).build();
-        let prepared = from_defaults.prepare("flights", &query).map(|_| ());
-        for (how, result) in [
-            ("per-query config", per_query),
-            ("session defaults", defaults),
-            ("prepare", prepared),
-        ] {
-            match result {
-                Err(EngineError::InvalidConfig { field, .. }) => {
-                    assert_eq!(field, "round_rows", "{how}")
+        for (config, want) in invalid_configs() {
+            let mut from_defaults = session();
+            from_defaults.set_defaults(config.clone());
+            let per_query = session()
+                .query("flights")
+                .avg(Expr::col("delay"))
+                .config(config)
+                .build()
+                .map(|_| ());
+            let defaults = from_defaults
+                .query("flights")
+                .avg(Expr::col("delay"))
+                .build()
+                .map(|_| ());
+            let query = AggQuery::avg("q", Expr::col("delay")).build();
+            let prepared = from_defaults.prepare("flights", &query).map(|_| ());
+            for (how, result) in [
+                ("per-query config", per_query),
+                ("session defaults", defaults),
+                ("prepare", prepared),
+            ] {
+                match result {
+                    Err(EngineError::InvalidConfig { field, .. }) => {
+                        assert_eq!(field, want, "{how}")
+                    }
+                    other => panic!("{want} from {how}: expected InvalidConfig, got {other:?}"),
                 }
-                other => panic!("round_rows from {how}: expected InvalidConfig, got {other:?}"),
             }
         }
         // The edge of the accepted range builds.
@@ -720,25 +737,25 @@ mod tests {
         let query = AggQuery::avg("q", Expr::col("delay"))
             .group_by("airline")
             .build();
-        let prepared = s
-            .prepare("flights", &query)
-            .unwrap()
-            .with_config(EngineConfig::builder().round_rows(0).build());
-        let modes = [
-            ("execute", prepared.execute().map(|_| ())),
-            ("execute_exact", prepared.execute_exact().map(|_| ())),
-            ("progressive", prepared.progressive().map(|_| ())),
-            (
-                "stream",
-                prepared.stream(|_| RoundControl::Continue).map(|_| ()),
-            ),
-        ];
-        for (mode, result) in modes {
-            match result {
-                Err(EngineError::InvalidConfig { field, .. }) => {
-                    assert_eq!(field, "round_rows", "{mode}")
+        let prepared = s.prepare("flights", &query).unwrap();
+        for (config, want) in invalid_configs() {
+            let prepared = prepared.clone().with_config(config);
+            let modes = [
+                ("execute", prepared.execute().map(|_| ())),
+                ("execute_exact", prepared.execute_exact().map(|_| ())),
+                ("progressive", prepared.progressive().map(|_| ())),
+                (
+                    "stream",
+                    prepared.stream(|_| RoundControl::Continue).map(|_| ()),
+                ),
+            ];
+            for (mode, result) in modes {
+                match result {
+                    Err(EngineError::InvalidConfig { field, .. }) => {
+                        assert_eq!(field, want, "{mode}")
+                    }
+                    other => panic!("{mode}: expected InvalidConfig, got {other:?}"),
                 }
-                other => panic!("{mode}: expected InvalidConfig, got {other:?}"),
             }
         }
         let bad_delta = prepared.with_config(EngineConfig::builder().delta(0.0).build());

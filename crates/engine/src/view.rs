@@ -3,10 +3,9 @@
 //! Each group induced by a query's GROUP BY clause (or the single implicit
 //! group of an ungrouped query) owns one [`AggregateView`]. The view holds
 //!
-//! * a streaming mean estimator (one of the bounders of `fastframe-core`,
-//!   selected by [`BounderKind`]) fed the target-expression values of
-//!   matching rows: merged flat moments for Hoeffding and Bernstein (±RT),
-//!   a boxed estimator for Anderson/DKW;
+//! * the three moments of Algorithm 6 over the target-expression values of
+//!   matching rows, merged from the scan's per-partition flat records, and
+//!   the bounder ([`FlatBounder`]) that reads its interval from them;
 //! * the count of matching rows seen, which — combined with the total number
 //!   of scanned rows and the scramble size — yields the selectivity bounds of
 //!   Lemma 5 and the dataset-size upper bound `N⁺` of Theorem 3;
@@ -15,7 +14,7 @@
 
 use std::sync::Arc;
 
-use fastframe_core::bounder::{BoundContext, BounderKind, BoxedEstimator, Ci};
+use fastframe_core::bounder::{BoundContext, Ci};
 use fastframe_core::count::SelectivityTracker;
 use fastframe_core::delta::DEFAULT_ALPHA;
 use fastframe_core::error::CoreResult;
@@ -27,88 +26,6 @@ use fastframe_core::sum::sum_interval;
 use crate::query::AggregateFunction;
 use crate::result::{GroupKey, GroupResult};
 
-/// A view's estimator state.
-pub(crate) enum Accumulator {
-    /// Hoeffding and Bernstein (±RT): the three moments finished partition
-    /// records merge into, with no allocation and no virtual call.
-    Flat(FlatBounder, FlatMoments),
-    /// Anderson/DKW (±RT), whose state is an O(m) sample.
-    Boxed(BoxedEstimator),
-}
-
-/// What a scan partition accumulated for one view.
-pub(crate) enum Partial {
-    /// The view's flat record for the partition.
-    Flat(FlatRecord),
-    /// The view's boxed estimator for the partition.
-    Boxed(BoxedEstimator),
-}
-
-impl Partial {
-    /// Number of values observed.
-    pub(crate) fn count(&self) -> u64 {
-        match self {
-            Partial::Flat(record) => record.all.count(),
-            Partial::Boxed(estimator) => estimator.count(),
-        }
-    }
-}
-
-impl Accumulator {
-    /// An empty accumulator of `kind`.
-    pub(crate) fn new(kind: BounderKind) -> Self {
-        match kind.flat() {
-            Some(flat) => Accumulator::Flat(flat, FlatMoments::EMPTY),
-            None => Accumulator::Boxed(kind.make_estimator()),
-        }
-    }
-
-    /// Folds `later`, accumulated over a later partition, into `self`.
-    fn absorb(&mut self, later: &Partial) {
-        match (self, later) {
-            (Accumulator::Flat(_, moments), Partial::Flat(record)) => {
-                moments.merge(&record.finish())
-            }
-            (Accumulator::Boxed(estimator), Partial::Boxed(other)) => {
-                let merged = estimator.merge_from(other.as_ref());
-                debug_assert!(merged, "partition estimator kind differs from the view's");
-            }
-            _ => unreachable!("a view and its partials share one bounder kind"),
-        }
-    }
-
-    fn estimate(&self) -> Option<f64> {
-        match self {
-            Accumulator::Flat(kind, moments) => kind.estimate(moments),
-            Accumulator::Boxed(estimator) => estimator.estimate(),
-        }
-    }
-
-    /// The accumulated sum of the values, where the state keeps one.
-    fn sum(&self) -> Option<f64> {
-        match self {
-            Accumulator::Flat(_, moments) => (moments.all.count() > 0).then(|| moments.all.sum()),
-            Accumulator::Boxed(_) => None,
-        }
-    }
-
-    fn interval(&self, ctx: &BoundContext) -> Ci {
-        match self {
-            Accumulator::Flat(kind, moments) => kind.interval(moments, ctx),
-            Accumulator::Boxed(estimator) => estimator.interval(ctx),
-        }
-    }
-}
-
-impl std::fmt::Debug for Accumulator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Accumulator::Flat(kind, _) => write!(f, "Flat({kind:?})"),
-            Accumulator::Boxed(estimator) => write!(f, "Boxed({})", estimator.bounder_name()),
-        }
-    }
-}
-
 /// Per-group approximation state.
 pub(crate) struct AggregateView {
     /// Dense identifier assigned by the executor (index into its view list).
@@ -116,7 +33,10 @@ pub(crate) struct AggregateView {
     /// Group identity, built once per query and shared with every round's
     /// [`GroupProgress`](crate::progressive::GroupProgress).
     pub(crate) key: Arc<GroupKey>,
-    estimator: Accumulator,
+    /// The bounder the query runs, read from `moments`.
+    bounder: FlatBounder,
+    /// The moments of every value merged so far.
+    moments: FlatMoments,
     /// Derived range bounds `[a, b]` of the target expression.
     range: (f64, f64),
     /// Rows matched by this view so far.
@@ -144,7 +64,7 @@ impl std::fmt::Debug for AggregateView {
         f.debug_struct("AggregateView")
             .field("id", &self.id)
             .field("key", &self.key)
-            .field("estimator", &self.estimator)
+            .field("bounder", &self.bounder)
             .field("range", &self.range)
             .field("matched", &self.matched)
             .finish()
@@ -152,17 +72,18 @@ impl std::fmt::Debug for AggregateView {
 }
 
 impl AggregateView {
-    /// Creates a view with a fresh estimator of the given kind.
+    /// Creates an empty view whose intervals `bounder` computes.
     pub(crate) fn new(
         id: usize,
         key: impl Into<Arc<GroupKey>>,
-        bounder: BounderKind,
+        bounder: FlatBounder,
         range: (f64, f64),
     ) -> Self {
         Self {
             id,
             key: key.into(),
-            estimator: Accumulator::new(bounder),
+            bounder,
+            moments: FlatMoments::EMPTY,
             range,
             matched: 0,
             known_absent: 0,
@@ -172,16 +93,16 @@ impl AggregateView {
         }
     }
 
-    /// Folds a scan partition's partial accumulation for this view (of the
-    /// same [`BounderKind`]) into the master state, in partition order.
+    /// Folds a scan partition's record for this view into the master
+    /// state, in partition order.
     ///
     /// The running intervals are *not* touched here — they only advance at
     /// round boundaries via [`Self::round_update`], after every partition of
     /// the round has been merged, which is what keeps round evaluation
     /// identical at any thread count.
-    pub(crate) fn absorb_partial(&mut self, partial: &Partial) {
-        self.matched += partial.count();
-        self.estimator.absorb(partial);
+    pub(crate) fn absorb_partial(&mut self, partial: &FlatRecord) {
+        self.matched += partial.all.count();
+        self.moments.merge(&partial.finish());
     }
 
     /// Records that `rows` rows were skipped in blocks provably containing no
@@ -292,7 +213,7 @@ impl AggregateView {
         }
         let n_plus = tracker.n_plus(delta, DEFAULT_ALPHA)?;
         let ctx = BoundContext::new(a, b, n_plus.max(self.matched).max(1), DEFAULT_ALPHA * delta)?;
-        Ok(self.estimator.interval(&ctx))
+        Ok(self.bounder.interval(&self.moments, &ctx))
     }
 
     /// Point estimate of the query's aggregate for this view.
@@ -312,16 +233,16 @@ impl AggregateView {
         } else {
             self.matched as f64 / accounted as f64 * scramble_rows as f64
         };
+        let mean = self.bounder.estimate(&self.moments);
         match aggregate {
-            AggregateFunction::Avg => self.estimator.estimate(),
+            AggregateFunction::Avg => mean,
             AggregateFunction::Count => Some(count_estimate),
             // After a full pass the sum of the matching rows is known: read
             // it as accumulated instead of rebuilding it from the mean.
-            AggregateFunction::Sum if accounted == scramble_rows => self
-                .estimator
-                .sum()
-                .or_else(|| self.estimator.estimate().map(|m| m * count_estimate)),
-            AggregateFunction::Sum => self.estimator.estimate().map(|m| m * count_estimate),
+            AggregateFunction::Sum if accounted == scramble_rows => {
+                mean.map(|_| self.moments.all.sum())
+            }
+            AggregateFunction::Sum => mean.map(|m| m * count_estimate),
         }
     }
 
@@ -387,17 +308,12 @@ mod tests {
     /// Direct access to a view's state, for tests; the scan only absorbs
     /// partition partials.
     impl AggregateView {
-        /// Records a matching row's value directly into the state. For the
-        /// flat kinds this is Algorithm 6's three-moment update, the
-        /// sequential fold a finished record reproduces.
+        /// Records a matching row's value directly into the state with
+        /// Algorithm 6's three-moment update, the sequential fold a
+        /// finished record reproduces.
         fn observe(&mut self, value: f64) {
             self.matched += 1;
-            match &mut self.estimator {
-                Accumulator::Flat(_, moments) => {
-                    RangeTrim::new(HoeffdingSerfling).update_state(moments, value)
-                }
-                Accumulator::Boxed(estimator) => estimator.observe(value),
-            }
+            RangeTrim::new(HoeffdingSerfling).update_state(&mut self.moments, value)
         }
 
         fn matched(&self) -> u64 {
@@ -405,7 +321,7 @@ mod tests {
         }
 
         fn mean_estimate(&self) -> Option<f64> {
-            self.estimator.estimate()
+            self.bounder.estimate(&self.moments)
         }
 
         fn range(&self) -> (f64, f64) {
@@ -424,7 +340,7 @@ mod tests {
         }
     }
 
-    fn view(bounder: BounderKind) -> AggregateView {
+    fn view(bounder: FlatBounder) -> AggregateView {
         AggregateView::new(
             0,
             GroupKey {
@@ -438,7 +354,7 @@ mod tests {
 
     #[test]
     fn observe_and_estimate() {
-        let mut v = view(BounderKind::BernsteinRangeTrim);
+        let mut v = view(FlatBounder::BernsteinRangeTrim);
         assert_eq!(v.matched(), 0);
         assert!(v.mean_estimate().is_none());
         for i in 0..100 {
@@ -453,8 +369,8 @@ mod tests {
     fn absorb_partial_matches_direct_observation() {
         // A view that absorbed two partition partials must agree with one
         // that observed the same values partition-by-partition.
-        let mut direct = view(BounderKind::BernsteinRangeTrim);
-        let mut merged = view(BounderKind::BernsteinRangeTrim);
+        let mut direct = view(FlatBounder::BernsteinRangeTrim);
+        let mut merged = view(FlatBounder::BernsteinRangeTrim);
         let mut partial_a = FlatRecord::EMPTY;
         let mut partial_b = FlatRecord::EMPTY;
         for i in 0..300u64 {
@@ -466,8 +382,8 @@ mod tests {
                 partial_b.observe(v);
             }
         }
-        merged.absorb_partial(&Partial::Flat(partial_a));
-        merged.absorb_partial(&Partial::Flat(partial_b));
+        merged.absorb_partial(&partial_a);
+        merged.absorb_partial(&partial_b);
         assert_eq!(merged.matched(), direct.matched());
         let m = merged.mean_estimate().unwrap();
         let d = direct.mean_estimate().unwrap();
@@ -476,7 +392,7 @@ mod tests {
 
     #[test]
     fn avg_snapshot_contains_truth_and_shrinks() {
-        let mut v = view(BounderKind::BernsteinRangeTrim);
+        let mut v = view(FlatBounder::BernsteinRangeTrim);
         // Population: values uniform over 40..60, so the true mean of any
         // matching subset is close to 50; the scramble has 100k rows, 10%
         // matching.
@@ -501,7 +417,7 @@ mod tests {
 
     #[test]
     fn count_snapshot_brackets_true_count() {
-        let mut v = view(BounderKind::BernsteinRangeTrim);
+        let mut v = view(FlatBounder::BernsteinRangeTrim);
         // 2500 matches out of 10_000 scanned rows, scramble of 100_000 rows →
         // true count is ~25_000 (if the matching rate is representative).
         for _ in 0..2_500 {
@@ -516,7 +432,7 @@ mod tests {
 
     #[test]
     fn sum_estimate_is_mean_times_count() {
-        let mut v = view(BounderKind::BernsteinRangeTrim);
+        let mut v = view(FlatBounder::BernsteinRangeTrim);
         for _ in 0..1_000 {
             v.observe(10.0);
         }
@@ -532,7 +448,7 @@ mod tests {
 
     #[test]
     fn empty_view_yields_full_range_interval() {
-        let mut v = view(BounderKind::Hoeffding);
+        let mut v = view(FlatBounder::Hoeffding);
         let snap = v
             .round_update(AggregateFunction::Avg, 10_000, 100_000, 1e-9)
             .unwrap();
@@ -542,7 +458,7 @@ mod tests {
 
     #[test]
     fn running_interval_is_monotone_across_rounds() {
-        let mut v = view(BounderKind::Bernstein);
+        let mut v = view(FlatBounder::Bernstein);
         let mut last_width = f64::INFINITY;
         for round in 1..=5u64 {
             for i in 0..2_000u64 {
@@ -563,7 +479,7 @@ mod tests {
 
     #[test]
     fn finalize_exact_collapses_interval() {
-        let mut v = view(BounderKind::BernsteinRangeTrim);
+        let mut v = view(FlatBounder::BernsteinRangeTrim);
         for i in 0..1_000u64 {
             v.observe((i % 10) as f64);
         }
@@ -578,7 +494,7 @@ mod tests {
         assert!(r.count_ci.contains(1_000.0) && r.count_ci.width() < 1e-5);
         assert_eq!(r.samples, 1_000);
 
-        let mut v2 = view(BounderKind::BernsteinRangeTrim);
+        let mut v2 = view(FlatBounder::BernsteinRangeTrim);
         for i in 0..1_000u64 {
             v2.observe((i % 10) as f64);
         }

@@ -10,10 +10,17 @@
 //! * **degenerate pool shapes** — one thread, more threads than blocks, and
 //!   scans whose rounds go empty (everything skipped / nothing matching)
 //!   all complete without deadlock or panic;
-//! * **metrics consistency** — the race-free per-worker [`ExecMetrics`]
+//! * **metrics consistency** — the race-free per-partition [`ExecMetrics`]
 //!   counters, merged at round end, agree exactly with the storage-level
-//!   scan counters.
+//!   scan counters;
+//! * **panics** — a panic inside a partition's scan re-raises on the
+//!   caller with its original message, whichever scan thread hit it, and
+//!   never hangs the query.
 
+use std::ops::ControlFlow;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Condvar, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -22,11 +29,17 @@ use fastframe_core::bounder::BounderKind;
 use fastframe_engine::config::{EngineConfig, SamplingStrategy};
 use fastframe_engine::progressive::{Budget, CancellationReason, RoundControl};
 use fastframe_engine::session::{Session, TableOptions};
-use fastframe_engine::{ProgressiveResult, QueryResult};
+use fastframe_engine::{AggQuery, PreparedQuery, ProgressiveResult, QueryResult};
+use fastframe_store::bitmap::BlockBitmapIndex;
+use fastframe_store::block::{BlockId, BlockLayout};
+use fastframe_store::catalog::Catalog;
 use fastframe_store::column::Column;
 use fastframe_store::expr::Expr;
 use fastframe_store::predicate::Predicate;
-use fastframe_store::table::Table;
+use fastframe_store::scramble::Scramble;
+use fastframe_store::source::{BlockRef, BlockSource, GroupUniverseCache};
+use fastframe_store::table::{StoreResult, Table};
+use fastframe_store::zone::ZoneMap;
 
 const TABLE: &str = "t";
 
@@ -460,5 +473,232 @@ fn partition_layout_edges_are_thread_count_independent() {
         let expected = rounds * parts(round_blocks) + parts(20_000 % round_blocks);
         assert_eq!(one.metrics.exec.partitions, expected, "n={round_blocks}");
         assert_eq!(eight.metrics.exec.partitions, expected, "n={round_blocks}");
+    }
+}
+
+/// What a [`HookedSource`] does in place of a partition scan.
+trait ScanHook: Sync {
+    fn scan(
+        &self,
+        inner: &Scramble,
+        blocks: &[BlockId],
+        projection: Option<&[usize]>,
+        visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
+    ) -> StoreResult<()>;
+}
+
+/// Delegates to a scramble, except that every partition scan goes through
+/// its hook.
+struct HookedSource<'a, H> {
+    inner: &'a Scramble,
+    hook: H,
+}
+
+impl<H: ScanHook> BlockSource for HookedSource<'_, H> {
+    fn schema(&self) -> &Table {
+        self.inner.schema()
+    }
+
+    fn num_rows(&self) -> usize {
+        self.inner.num_rows()
+    }
+
+    fn layout(&self) -> &BlockLayout {
+        self.inner.layout()
+    }
+
+    fn catalog(&self) -> &Catalog {
+        self.inner.catalog()
+    }
+
+    fn seed(&self) -> u64 {
+        self.inner.seed()
+    }
+
+    fn bitmap_index(&self, column: &str) -> Option<&BlockBitmapIndex> {
+        self.inner.bitmap_index(column)
+    }
+
+    fn zone_map(&self, column: &str) -> Option<&ZoneMap> {
+        self.inner.zone_map(column)
+    }
+
+    fn read_block(&self, block: BlockId) -> StoreResult<BlockRef<'_>> {
+        self.inner.read_block(block)
+    }
+
+    fn read_block_projected(
+        &self,
+        block: BlockId,
+        projection: Option<&[usize]>,
+    ) -> StoreResult<BlockRef<'_>> {
+        self.inner.read_block_projected(block, projection)
+    }
+
+    fn scan_blocks(
+        &self,
+        blocks: &[BlockId],
+        projection: Option<&[usize]>,
+        visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
+    ) -> StoreResult<()> {
+        self.hook.scan(self.inner, blocks, projection, visit)
+    }
+
+    fn group_universe_cache(&self) -> Option<&GroupUniverseCache> {
+        self.inner.group_universe_cache()
+    }
+}
+
+/// A scan reaching the block visits the blocks before it and then panics.
+struct PanicAt(BlockId);
+
+impl PanicAt {
+    fn message(&self) -> String {
+        format!("scan reached block {}", self.0 .0)
+    }
+}
+
+impl ScanHook for PanicAt {
+    fn scan(
+        &self,
+        inner: &Scramble,
+        blocks: &[BlockId],
+        projection: Option<&[usize]>,
+        visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
+    ) -> StoreResult<()> {
+        match blocks.iter().position(|&b| b == self.0) {
+            None => inner.scan_blocks(blocks, projection, visit),
+            Some(cut) => {
+                inner.scan_blocks(&blocks[..cut], projection, visit)?;
+                panic!("{}", self.message())
+            }
+        }
+    }
+}
+
+/// A panic in a partition's scan — the first partition, which the
+/// coordinator scans, or a later one, which a helper may take — re-raises
+/// on the caller with its original message at every thread count, and the
+/// query returns instead of hanging.
+#[test]
+fn a_panic_in_a_scan_re_raises_on_the_caller() {
+    // One-row blocks and one 4 000-block round: 16 partitions of 256.
+    let scramble: &'static Scramble =
+        Box::leak(Box::new(Scramble::build_with(&table(4_000), 7, 1).unwrap()));
+    for panic_at in [0, 3_000] {
+        for threads in [1, 2, 4] {
+            let (done_tx, done) = mpsc::channel();
+            std::thread::spawn(move || {
+                let source = HookedSource {
+                    inner: scramble,
+                    hook: PanicAt(BlockId(panic_at)),
+                };
+                let query = AggQuery::avg("q", Expr::col("v"))
+                    .group_by("g")
+                    .absolute_width(0.0)
+                    .build();
+                let config = EngineConfig::builder()
+                    .strategy(SamplingStrategy::Scan)
+                    .round_rows(4_000)
+                    .start_block(0)
+                    .threads(threads)
+                    .build();
+                let prepared = PreparedQuery::new(&source, query, config).unwrap();
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| prepared.execute()));
+                let message = match outcome {
+                    Ok(result) => Err(format!("returned {:?}", result.map(|r| r.groups))),
+                    Err(payload) => payload
+                        .downcast::<String>()
+                        .map(|m| *m)
+                        .map_err(|_| "a payload that is not a String".to_string()),
+                };
+                done_tx.send((message, source.hook.message())).unwrap();
+            });
+            let (message, want) = done
+                .recv_timeout(Duration::from_secs(120))
+                .unwrap_or_else(|_| panic!("block {panic_at}, {threads} threads: hung"));
+            assert_eq!(message, Ok(want), "block {panic_at}, {threads} threads");
+        }
+    }
+}
+
+/// Holds the calling thread's first partition scan until the other scan
+/// threads have finished `want` partition scans, or 30 s have passed.
+struct HoldCaller {
+    caller: ThreadId,
+    want: usize,
+    helper_scans: Mutex<usize>,
+    scanned: Condvar,
+    /// Set when the caller's first scan is released: the helper scans
+    /// finished by then, `Err` if it waited in vain.
+    held: Mutex<Option<Result<usize, usize>>>,
+}
+
+impl ScanHook for HoldCaller {
+    fn scan(
+        &self,
+        inner: &Scramble,
+        blocks: &[BlockId],
+        projection: Option<&[usize]>,
+        visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
+    ) -> StoreResult<()> {
+        if std::thread::current().id() != self.caller {
+            let scanned = inner.scan_blocks(blocks, projection, visit);
+            *self.helper_scans.lock().unwrap() += 1;
+            self.scanned.notify_all();
+            return scanned;
+        }
+        let mut held = self.held.lock().unwrap();
+        if held.is_none() {
+            let scans = self.helper_scans.lock().unwrap();
+            let (scans, wait) = self
+                .scanned
+                .wait_timeout_while(scans, Duration::from_secs(30), |n| *n < self.want)
+                .unwrap();
+            *held = Some(if wait.timed_out() {
+                Err(*scans)
+            } else {
+                Ok(*scans)
+            });
+        }
+        drop(held);
+        inner.scan_blocks(blocks, projection, visit)
+    }
+}
+
+/// The coordinator scans its share, but only it merges and queues, so its
+/// scan must not hold up the helpers: while it scans one partition, they
+/// scan every other partition of the first `2 · threads`, which are queued
+/// before anyone scans. (Should the helpers take every job, the coordinator
+/// scans nothing and nothing is held.)
+#[test]
+fn helpers_keep_scanning_while_the_coordinator_scans() {
+    // One-row blocks and one 4 000-block Exact round: 16 partitions.
+    let scramble = Scramble::build_with(&table(4_000), 7, 1).unwrap();
+    for threads in [2, 4] {
+        let source = HookedSource {
+            inner: &scramble,
+            hook: HoldCaller {
+                caller: std::thread::current().id(),
+                want: 2 * threads - 1,
+                helper_scans: Mutex::new(0),
+                scanned: Condvar::new(),
+                held: Mutex::new(None),
+            },
+        };
+        let query = AggQuery::avg("q", Expr::col("v")).build();
+        let config = EngineConfig::builder().threads(threads).build();
+        let result = PreparedQuery::new(&source, query, config)
+            .unwrap()
+            .execute_exact()
+            .unwrap();
+        assert_eq!(result.metrics.exec.partitions, 16);
+        let held = *source.hook.held.lock().unwrap();
+        assert!(
+            matches!(held, None | Some(Ok(_))),
+            "{threads} threads: the helpers finished {held:?} scans while the coordinator's \
+             first scan waited for {}",
+            2 * threads - 1
+        );
     }
 }
