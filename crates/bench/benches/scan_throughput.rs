@@ -262,7 +262,7 @@ fn main() {
             backing.to_string(),
             format!("{:.3}s", wall.as_secs_f64()),
             format!("{:.2}M", rate / 1e6),
-            format!("{}", result.metrics.scan.rows_selected),
+            format!("{}", result.metrics.rows_selected()),
             format!("{:.3}x", memory_wall.as_secs_f64() / wall.as_secs_f64()),
         ]);
         if memory.is_none() {

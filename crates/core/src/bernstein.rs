@@ -24,8 +24,9 @@ use crate::variance::RunningMoments;
 /// inequality.
 pub const KAPPA: f64 = 7.0 / 3.0 + 3.0 / std::f64::consts::SQRT_2;
 
-/// Streaming state for [`EmpiricalBernsteinSerfling`]: Welford running
-/// moments (count, mean, M2) in O(1) memory.
+/// Streaming state for [`EmpiricalBernsteinSerfling`]: shifted-sum running
+/// moments (count, a shift `K` taken from the data, `Σ (v − K)`,
+/// `Σ (v − K)²`, the raw sum and the extremes) in O(1) memory.
 pub type BernsteinState = RunningMoments;
 
 /// The empirical Bernstein–Serfling error bounder (Algorithm 2 in the paper).

@@ -24,25 +24,15 @@ pub const DEFAULT_ROUND_SIZE: u64 = 40_000;
 
 /// Running intersection of per-round confidence intervals
 /// (`[max_k L_k, min_k R_k]`, Algorithm 5 line 14).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningInterval {
     current: Option<Ci>,
-    rounds: usize,
-}
-
-impl Default for RunningInterval {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl RunningInterval {
     /// Creates an empty running interval (no rounds observed).
     pub fn new() -> Self {
-        Self {
-            current: None,
-            rounds: 0,
-        }
+        Self::default()
     }
 
     /// Folds in the interval computed at the end of a round.
@@ -52,18 +42,12 @@ impl RunningInterval {
             Some(prev) => prev.intersect(&round_ci),
         };
         self.current = Some(next);
-        self.rounds += 1;
         next
     }
 
     /// The current running interval, if any round has completed.
     pub fn current(&self) -> Option<Ci> {
         self.current
-    }
-
-    /// Number of rounds folded in.
-    pub fn rounds(&self) -> usize {
-        self.rounds
     }
 
     /// Resets to the empty state.
@@ -86,7 +70,6 @@ mod tests {
         assert_eq!(second, Ci::new(2.0, 10.0));
         let third = r.update(Ci::new(1.0, 9.0));
         assert_eq!(third, Ci::new(2.0, 9.0));
-        assert_eq!(r.rounds(), 3);
         // Widths never increase.
         assert!(third.width() <= second.width());
         assert!(second.width() <= first.width());
@@ -109,7 +92,6 @@ mod tests {
         r.update(Ci::new(0.0, 1.0));
         r.reset();
         assert!(r.current().is_none());
-        assert_eq!(r.rounds(), 0);
     }
 
     #[test]

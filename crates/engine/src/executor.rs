@@ -23,7 +23,8 @@
 //!    satisfied.
 //! 5. **Finalize**: produce per-group results, apply HAVING / ORDER BY-LIMIT
 //!    selection, and report metrics (wall time, blocks fetched, rounds). A
-//!    run that scanned every block without stopping reports exact results.
+//!    run that passed every block without stopping reports exact results
+//!    for every view whose skip ledger holds no row of unknown membership.
 //!
 //! Every [`PreparedQuery`] execution method is one call of [`run`], which
 //! validates the configuration before anything else. Execution is
@@ -325,8 +326,6 @@ impl GroupLookup {
 /// here between rounds.
 struct ScanState {
     views: Vec<AggregateView>,
-    ever_inactive: Vec<bool>,
-    rows_scanned: u64,
     stats: ScanStats,
     /// Worker-side counters, merged per round in partition order.
     exec: ExecMetrics,
@@ -334,25 +333,40 @@ struct ScanState {
     /// Shared with the planner, which keeps the set it decided a batch
     /// against.
     active: Arc<ActiveSet>,
-    any_active_skip: bool,
+    /// Rows of the blocks skipped since the last [`Self::charge_skips`],
+    /// not yet charged to any view.
+    uncharged_skips: u64,
     converged: bool,
 }
 
 impl ScanState {
-    /// Accounts for a skipped block decided against the active set `planned`,
-    /// which lags the current set under ActivePeek or when a round ends
-    /// mid-batch (a group can re-enter the set in between). Its rows are
-    /// recorded absent for the views active both in `planned` and now (all
-    /// views before the first round, when only predicate-level skips occur);
-    /// every other view's selectivity denominator is marked unclean.
-    fn record_skipped_block(&mut self, rows: u64, planned: &ActiveSet) {
+    /// Counts a skipped block; its rows wait for the next
+    /// [`Self::charge_skips`].
+    fn record_skip(&mut self, rows: u64) {
         self.stats.record_skip();
-        self.any_active_skip |= self.active.initialized;
+        self.uncharged_skips += rows;
+    }
+
+    /// Charges the skipped rows not yet charged to the views' skip ledgers.
+    /// Every one of them was decided against the active set `planned` while
+    /// the current set was `self.active`, so the caller charges before
+    /// either changes: before planning a batch, before a round refreshes
+    /// the active set, and after the scan. `planned` lags the current set
+    /// under ActivePeek or when a round ends mid-batch (a group can
+    /// re-enter the set in between). The rows are recorded absent for the
+    /// views active in both sets (all views before the first round, when
+    /// only predicate-level skips occur) and of unknown membership for every
+    /// other view.
+    fn charge_skips(&mut self, planned: &ActiveSet) {
+        let rows = std::mem::take(&mut self.uncharged_skips);
+        if rows == 0 {
+            return;
+        }
         for (id, view) in self.views.iter_mut().enumerate() {
             if planned.contains(id) && self.active.contains(id) {
                 view.record_absent(rows);
             } else {
-                view.mark_denominator_unclean();
+                view.record_unknown(rows);
             }
         }
     }
@@ -448,7 +462,6 @@ pub(crate) fn run(
         .enumerate()
         .map(|(id, key)| AggregateView::new(id, key, bounder, bound.range))
         .collect();
-    let ever_inactive = vec![false; views.len()];
 
     // Scan order: all blocks starting from a pseudo-random position (§5.2).
     let num_blocks = source.num_blocks();
@@ -471,13 +484,11 @@ pub(crate) fn run(
     let num_views = views.len();
     let mut state = ScanState {
         views,
-        ever_inactive,
-        rows_scanned: 0,
         stats: ScanStats::new(),
         exec: ExecMetrics::default(),
         rounds: 0,
         active: Arc::new(ActiveSet::all_active()),
-        any_active_skip: false,
+        uncharged_skips: 0,
         converged: false,
     };
     let mut sink = ProgressiveSink {
@@ -544,22 +555,23 @@ pub(crate) fn run(
             &mut planner,
         )
     })?;
+    state.charge_skips(planner.planned_with());
 
     // Final round so that views updated since the last round evaluation have
     // fresh intervals, then finalize. A cancelled scan is a partial pass, so
-    // its results are never exact.
+    // its results are never exact; after a full pass, a view is exact when
+    // its skip ledger is clean.
     state.rounds += 1;
     let final_delta = view_budget.optstop_round(state.rounds as usize);
     let full_pass = !state.converged && sink.cancellation.is_none();
     let mut groups = Vec::with_capacity(state.views.len());
-    for (i, view) in state.views.iter_mut().enumerate() {
-        let exact = full_pass && !(state.any_active_skip && state.ever_inactive[i]);
+    for view in state.views.iter_mut() {
         groups.push(view.finalize(
             query.aggregate,
-            state.rows_scanned,
+            state.stats.rows_scanned,
             scramble_rows,
             final_delta,
-            exact,
+            full_pass,
         )?);
     }
     // Exact omits the groups of a GROUP BY that no row matched; the implicit
@@ -636,6 +648,7 @@ fn run_scan_loop(
             break;
         }
 
+        state.charge_skips(planner.planned_with());
         let checks = planner.plan(&batch, &state.active);
         state.stats.record_index_checks(checks);
 
@@ -643,7 +656,7 @@ fn run_scan_loop(
             let rows = source.block_rows(block);
             let block_rows = (rows.end - rows.start) as u64;
             if !fetch {
-                state.record_skipped_block(block_rows, planner.planned_with());
+                state.record_skip(block_rows);
                 continue;
             }
             if let Some(cap) = sink.budget.max_rows {
@@ -661,6 +674,7 @@ fn run_scan_loop(
 
             if pending.len() >= round_blocks {
                 merge_pending(source, rexec, &mut pending, state)?;
+                state.charge_skips(planner.planned_with());
                 let (satisfied, group_snapshots) =
                     evaluate_round(query, view_budget, scramble_rows, state)?;
                 let mut control = RoundControl::Continue;
@@ -724,11 +738,6 @@ fn merge_pending(
     // the partly merged state is dropped with it.
     rexec.execute_round(pending, |partial| {
         state.exec.merge(&partial.exec);
-        // Selection-funnel counter: how many decoded rows survived the
-        // predicate. Worker-reported (the coordinator cannot know it), so
-        // it is single-sourced — unlike the two-sided fetch accounting
-        // below.
-        state.stats.record_selected(partial.exec.rows_selected);
         for (view, record) in partial.views() {
             // `ScanStats::rows_matched` is rebuilt from the per-view records
             // being merged, a different scan-side structure than the
@@ -742,7 +751,6 @@ fn merge_pending(
         let rows = source.block_rows(block);
         let block_rows = (rows.end - rows.start) as u64;
         state.stats.record_fetch(block_rows);
-        state.rows_scanned += block_rows;
     }
     pending.clear();
     Ok(())
@@ -758,7 +766,7 @@ fn make_snapshot(
 ) -> Snapshot {
     Snapshot {
         round: state.rounds,
-        rows_scanned: state.rows_scanned,
+        rows_scanned: state.stats.rows_scanned,
         blocks_fetched: state.stats.blocks_fetched,
         elapsed,
         converged,
@@ -784,14 +792,13 @@ fn evaluate_round(
     state: &mut ScanState,
 ) -> EngineResult<(bool, Vec<GroupSnapshot>)> {
     state.rounds += 1;
-    state.stats.record_round();
     let round_delta = view_budget.optstop_round(state.rounds as usize);
 
     let mut snapshots: Vec<GroupSnapshot> = Vec::with_capacity(state.views.len());
     for view in state.views.iter_mut() {
         snapshots.push(view.round_update(
             query.aggregate,
-            state.rows_scanned,
+            state.stats.rows_scanned,
             scramble_rows,
             round_delta,
         )?);
@@ -800,9 +807,6 @@ fn evaluate_round(
     let (satisfied, active_ids) = query.stopping.evaluate(&snapshots);
     if !satisfied {
         state.active = Arc::new(ActiveSet::of(active_ids));
-        for (id, flag) in state.ever_inactive.iter_mut().enumerate() {
-            *flag |= !state.active.contains(id);
-        }
     }
     Ok((satisfied, snapshots))
 }
@@ -1530,17 +1534,19 @@ mod tests {
             .collect();
         let mut state = ScanState {
             views,
-            ever_inactive: vec![true; 3],
-            rows_scanned: 0,
             stats: ScanStats::new(),
             exec: ExecMetrics::default(),
             rounds: 2,
             active: Arc::new(ActiveSet::of([0, 1])),
-            any_active_skip: false,
+            uncharged_skips: 0,
             converged: false,
         };
         let planned = ActiveSet::of([0, 2]);
-        state.record_skipped_block(25, &planned);
+        state.record_skip(10);
+        state.record_skip(15);
+        // Nothing is charged until the decision set is about to change.
+        assert!(state.views.iter().all(|v| v.known_absent() == 0));
+        state.charge_skips(&planned);
 
         assert_eq!(state.views[0].known_absent(), 25);
         assert!(state.views[0].denominator_clean());
@@ -1548,7 +1554,11 @@ mod tests {
             assert_eq!(view.known_absent(), 0, "view {}", view.id);
             assert!(!view.denominator_clean(), "view {}", view.id);
         }
-        assert!(state.any_active_skip);
-        assert_eq!(state.stats.blocks_skipped, 1);
+        assert_eq!(state.stats.blocks_skipped, 2);
+
+        // A charge with no skip since the last one changes no view.
+        state.charge_skips(&ActiveSet::of([]));
+        assert_eq!(state.views[0].known_absent(), 25);
+        assert!(state.views[0].denominator_clean());
     }
 }

@@ -12,9 +12,9 @@ use fastframe_store::stats::ScanStats;
 /// atomics on the row loop and no lost updates. The per-partition values are
 /// folded back with [`ExecMetrics::merge`] on the coordinating thread, in
 /// deterministic partition order, at the same point the aggregate partials
-/// are merged. For a correctly merged execution the totals here agree
-/// exactly with the storage-level [`ScanStats`] — the end-to-end tests
-/// assert that invariant.
+/// are merged. For a correctly merged execution the fetch and match totals
+/// here agree exactly with the storage-level [`ScanStats`] — the end-to-end
+/// tests assert that invariant. `rows_selected` is counted here only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecMetrics {
     /// Blocks whose rows were read by scan workers.
@@ -27,7 +27,8 @@ pub struct ExecMetrics {
     /// summed selection-vector lengths. Always `>= rows_matched`
     /// (selected rows whose group is absent or whose target expression has
     /// no value do not match) and `<= rows_scanned` — the decoded-vs-
-    /// selected funnel of the batch pipeline.
+    /// selected funnel of the batch pipeline. Only the workers can count
+    /// it, so it has no storage-level twin.
     pub rows_selected: u64,
     /// Scan partitions processed (one partial state each).
     pub partitions: u64,
@@ -72,8 +73,8 @@ pub struct QueryMetrics {
     /// Storage-level counters (blocks fetched / skipped, rows scanned, ...).
     pub scan: ScanStats,
     /// Worker-side execution counters, merged per round from the parallel
-    /// scan pipeline. For a consistent execution these totals match the
-    /// corresponding [`ScanStats`] fields.
+    /// scan pipeline. For a consistent execution the fetch and match totals
+    /// match the corresponding [`ScanStats`] fields.
     pub exec: ExecMetrics,
     /// Number of scan threads the pipeline ran with.
     pub threads: usize,
@@ -99,7 +100,7 @@ impl QueryMetrics {
     /// Rows that survived the predicate filter (the middle of the funnel;
     /// `rows_sampled` — rows routed to a view — is the bottom).
     pub fn rows_selected(&self) -> u64 {
-        self.scan.rows_selected
+        self.exec.rows_selected
     }
 
     /// Speedup of this execution relative to a baseline, by wall time.

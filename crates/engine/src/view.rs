@@ -6,9 +6,15 @@
 //! * the three moments of Algorithm 6 over the target-expression values of
 //!   matching rows, merged from the scan's per-partition flat records, and
 //!   the bounder ([`FlatBounder`]) that reads its interval from them;
-//! * the count of matching rows seen, which — combined with the total number
-//!   of scanned rows and the scramble size — yields the selectivity bounds of
-//!   Lemma 5 and the dataset-size upper bound `N⁺` of Theorem 3;
+//! * the count of matching rows seen (the moments' count), which — combined
+//!   with the total number of scanned rows and the scramble size — yields the
+//!   selectivity bounds of Lemma 5 and the dataset-size upper bound `N⁺` of
+//!   Theorem 3;
+//! * the skip ledger: the rows of skipped blocks known to hold none of the
+//!   group's rows, and the rows of skipped blocks that may hold some. It is
+//!   the only record of what the group missed: it bounds the group's COUNT
+//!   and `N⁺`, and it alone decides whether a full pass answers the group
+//!   exactly;
 //! * running (monotonically shrinking) intervals across OptStop rounds for
 //!   both the aggregate and the COUNT.
 
@@ -35,26 +41,32 @@ pub(crate) struct AggregateView {
     pub(crate) key: Arc<GroupKey>,
     /// The bounder the query runs, read from `moments`.
     bounder: FlatBounder,
-    /// The moments of every value merged so far.
+    /// The moments of every value merged so far; their count is the number
+    /// of rows this view matched.
     moments: FlatMoments,
     /// Derived range bounds `[a, b]` of the target expression.
     range: (f64, f64),
-    /// Rows matched by this view so far.
-    matched: u64,
     /// Rows in *skipped* blocks that are provably not part of this view
-    /// (either the block cannot satisfy the query predicate, or — while this
-    /// view was active — the block contains none of the view's group codes).
+    /// (either the block cannot satisfy the query predicate, or the view
+    /// was active both in the set the block was decided against and when
+    /// the skip was charged, so the block contains none of its group codes).
     /// These rows count towards the selectivity denominator with zero
     /// matches: their membership is known with certainty from the bitmap
     /// index rather than estimated, so Lemma 5 still applies to the combined
-    /// prefix.
+    /// prefix. The executor charges skipped rows once per run of skips
+    /// decided against the same pair of sets, not once per block.
     known_absent: u64,
-    /// `false` once a block has been skipped whose membership could *not* be
-    /// proven for this view (it was inactive at the time). From then on the
-    /// selectivity point estimate may be biased upward, so the COUNT lower
-    /// bound falls back to the trivially-valid `matched` count; the `N⁺`
-    /// upper bound used for AVG remains valid either way.
-    denominator_clean: bool,
+    /// Rows in skipped blocks whose membership in this view could *not* be
+    /// proven (it was inactive in one of the two sets): any of them may be
+    /// the view's. Such blocks are skipped *because* they hold no row of an
+    /// active group, so they are richer in inactive groups' rows than the
+    /// scanned ones, and the scanned rows alone would bias an inactive
+    /// view's selectivity low. The selectivity bounds therefore count them
+    /// in the prefix as non-matching for the lower bound and as matching
+    /// for the upper bound and `N⁺`. While there are none (the denominator
+    /// is *clean*), a full pass has seen every row of the view, so
+    /// [`Self::finalize`] reports the view exactly.
+    unknown: u64,
     running_agg: RunningInterval,
     running_count: RunningInterval,
 }
@@ -66,7 +78,7 @@ impl std::fmt::Debug for AggregateView {
             .field("key", &self.key)
             .field("bounder", &self.bounder)
             .field("range", &self.range)
-            .field("matched", &self.matched)
+            .field("matched", &self.matched())
             .finish()
     }
 }
@@ -85,9 +97,8 @@ impl AggregateView {
             bounder,
             moments: FlatMoments::EMPTY,
             range,
-            matched: 0,
             known_absent: 0,
-            denominator_clean: true,
+            unknown: 0,
             running_agg: RunningInterval::new(),
             running_count: RunningInterval::new(),
         }
@@ -101,8 +112,12 @@ impl AggregateView {
     /// the round has been merged, which is what keeps round evaluation
     /// identical at any thread count.
     pub(crate) fn absorb_partial(&mut self, partial: &FlatRecord) {
-        self.matched += partial.all.count();
         self.moments.merge(&partial.finish());
+    }
+
+    /// Rows matched by this view so far.
+    fn matched(&self) -> u64 {
+        self.moments.all.count()
     }
 
     /// Records that `rows` rows were skipped in blocks provably containing no
@@ -112,19 +127,18 @@ impl AggregateView {
         self.known_absent += rows;
     }
 
-    /// Marks that rows with unknown membership were skipped for this view.
+    /// Records that `rows` rows with unknown membership in this view were
+    /// skipped.
     #[inline]
-    pub(crate) fn mark_denominator_unclean(&mut self) {
-        self.denominator_clean = false;
+    pub(crate) fn record_unknown(&mut self, rows: u64) {
+        self.unknown += rows;
     }
 
     /// Recomputes this view's intervals at the end of an OptStop round and
     /// returns a snapshot for stopping-condition evaluation.
     ///
-    /// * `rows_scanned` — total rows read from fetched blocks so far (the
-    ///   `r` of Lemma 5; rows in skipped blocks are excluded, which can only
-    ///   overestimate the selectivity and therefore `N⁺`, keeping the bound
-    ///   valid by dataset-size monotonicity).
+    /// * `rows_scanned` — total rows read from fetched blocks so far; with
+    ///   the skip ledger's rows they make up the `r` of Lemma 5.
     /// * `scramble_rows` — total rows in the scramble (`R`).
     /// * `round_delta` — this round's error budget for this view,
     ///   `(6/π²)·(δ/#views)/k²`.
@@ -145,12 +159,13 @@ impl AggregateView {
                 .aggregate_estimate(aggregate, rows_scanned, scramble_rows)
                 .unwrap_or(agg_running.midpoint()),
             ci: agg_running,
-            samples: self.matched,
+            samples: self.matched(),
         })
     }
 
-    /// The selectivity denominator: rows whose membership in this view is
-    /// known, either by scanning them or from the bitmap index.
+    /// The rows whose membership in this view is known, either by scanning
+    /// them or from the bitmap index: the denominator of the selectivity
+    /// point estimate.
     fn rows_accounted(&self, rows_scanned: u64, scramble_rows: u64) -> u64 {
         (rows_scanned + self.known_absent).min(scramble_rows)
     }
@@ -164,29 +179,29 @@ impl AggregateView {
         scramble_rows: u64,
         round_delta: f64,
     ) -> CoreResult<(Ci, Ci)> {
-        let mut tracker = SelectivityTracker::new(scramble_rows)?;
-        tracker.record_batch(
-            self.rows_accounted(rows_scanned, scramble_rows),
-            self.matched,
-        );
-
-        // When rows with unknown membership were skipped, the selectivity
-        // point estimate may be biased high; the Lemma-5 *upper* bound stays
-        // valid but the lower bound does not, so fall back to the trivially
-        // valid lower bound of "matches already seen".
+        // Lemma 5 over the prefix the scan has passed, skipped rows of
+        // unknown membership included: counted as non-matching for the
+        // lower bound, as matching for the upper ones. Both bounds are
+        // monotone in the matches, so whichever of those rows are the
+        // view's, the interval still holds; with none, the two trackers
+        // are one.
+        let prefix =
+            (self.rows_accounted(rows_scanned, scramble_rows) + self.unknown).min(scramble_rows);
+        let mut lower = SelectivityTracker::new(scramble_rows)?;
+        let mut upper = lower;
+        lower.record_batch(prefix, self.matched());
+        upper.record_batch(prefix, self.matched() + self.unknown);
         let count_interval = |delta: f64| -> Ci {
-            let ci = tracker.count_ci(delta).count;
-            if self.denominator_clean {
-                ci
-            } else {
-                Ci::new((self.matched as f64).min(ci.hi), ci.hi)
-            }
+            Ci::new(
+                lower.count_ci(delta).count.lo,
+                upper.count_ci(delta).count.hi,
+            )
         };
 
         match aggregate {
             AggregateFunction::Avg => {
                 let count_ci = count_interval(round_delta);
-                let avg_ci = self.avg_interval(&tracker, round_delta)?;
+                let avg_ci = self.avg_interval(&upper, round_delta)?;
                 Ok((avg_ci, count_ci))
             }
             AggregateFunction::Count => {
@@ -197,22 +212,22 @@ impl AggregateView {
                 // Split the round budget between the COUNT interval and the
                 // AVG interval (union bound), then combine.
                 let count_ci = count_interval(round_delta * 0.5);
-                let avg_ci = self.avg_interval(&tracker, round_delta * 0.5)?;
+                let avg_ci = self.avg_interval(&upper, round_delta * 0.5)?;
                 Ok((sum_interval(&count_ci, &avg_ci), count_ci))
             }
         }
     }
 
-    /// The Theorem 3 AVG interval: `N⁺` from a `(1 − α)` share of the budget,
-    /// the bounder interval from the remaining `α` share
-    /// ([`DEFAULT_ALPHA`], the paper's 0.99).
-    fn avg_interval(&self, tracker: &SelectivityTracker, delta: f64) -> CoreResult<Ci> {
-        let (a, b) = self.range;
-        if self.matched == 0 {
+    /// The Theorem 3 AVG interval: `N⁺` from a `(1 − α)` share of the budget
+    /// (read from the `upper` selectivity tracker), the bounder interval
+    /// from the remaining `α` share ([`DEFAULT_ALPHA`], the paper's 0.99).
+    fn avg_interval(&self, upper: &SelectivityTracker, delta: f64) -> CoreResult<Ci> {
+        let ((a, b), matched) = (self.range, self.matched());
+        if matched == 0 {
             return Ok(Ci::full_range(a, b));
         }
-        let n_plus = tracker.n_plus(delta, DEFAULT_ALPHA)?;
-        let ctx = BoundContext::new(a, b, n_plus.max(self.matched).max(1), DEFAULT_ALPHA * delta)?;
+        let n_plus = upper.n_plus(delta, DEFAULT_ALPHA)?;
+        let ctx = BoundContext::new(a, b, n_plus.max(matched), DEFAULT_ALPHA * delta)?;
         Ok(self.bounder.interval(&self.moments, &ctx))
     }
 
@@ -227,11 +242,11 @@ impl AggregateView {
         // Once every row's membership is known the count is exact; skip the
         // scale-up, whose rounding would otherwise perturb it.
         let count_estimate = if accounted == scramble_rows {
-            self.matched as f64
+            self.matched() as f64
         } else if accounted == 0 {
             0.0
         } else {
-            self.matched as f64 / accounted as f64 * scramble_rows as f64
+            self.matched() as f64 / accounted as f64 * scramble_rows as f64
         };
         let mean = self.bounder.estimate(&self.moments);
         match aggregate {
@@ -248,17 +263,21 @@ impl AggregateView {
 
     /// Finalizes this view into a [`GroupResult`].
     ///
-    /// `exact` callers pass `true` when every row of the scramble was scanned
-    /// (so the estimate is the true aggregate); in that case the interval
-    /// collapses onto the estimate.
+    /// `full_pass` callers pass `true` when the scan considered every block
+    /// of the scramble without stopping. The result is exact when, in
+    /// addition, the view's denominator is clean: every skipped row was then
+    /// known not to be the view's, so the view saw all of its rows and the
+    /// estimate is the true aggregate. Its interval collapses onto the
+    /// estimate.
     pub(crate) fn finalize(
         &mut self,
         aggregate: AggregateFunction,
         rows_scanned: u64,
         scramble_rows: u64,
         round_delta: f64,
-        exact: bool,
+        full_pass: bool,
     ) -> CoreResult<GroupResult> {
+        let exact = full_pass && self.unknown == 0;
         let estimate = self.aggregate_estimate(aggregate, rows_scanned, scramble_rows);
         // Exact results collapse the interval onto the estimate, widened by a
         // relative 1e-9 so that downstream comparisons against independently
@@ -271,14 +290,14 @@ impl AggregateView {
         let (ci, count_ci) = match (exact, estimate) {
             // No bounder work: the answer is known, and a non-finite catalog
             // range (which the bounders reject) cannot fail it.
-            (true, Some(e)) => (exact_ci(e), exact_ci(self.matched as f64)),
+            (true, Some(e)) => (exact_ci(e), exact_ci(self.matched() as f64)),
             // Without an estimate no row matched, so the AVG interval is the
             // trivial full range and no bounder context is built either.
             _ => {
                 let snapshot =
                     self.round_update(aggregate, rows_scanned, scramble_rows, round_delta)?;
                 let count_ci = if exact {
-                    exact_ci(self.matched as f64)
+                    exact_ci(self.matched() as f64)
                 } else {
                     self.running_count
                         .current()
@@ -291,7 +310,7 @@ impl AggregateView {
             key: GroupKey::clone(&self.key),
             estimate,
             ci,
-            samples: self.matched,
+            samples: self.matched(),
             count_ci,
             exact,
         })
@@ -312,12 +331,7 @@ mod tests {
         /// Algorithm 6's three-moment update, the sequential fold a
         /// finished record reproduces.
         fn observe(&mut self, value: f64) {
-            self.matched += 1;
             RangeTrim::new(HoeffdingSerfling).update_state(&mut self.moments, value)
-        }
-
-        fn matched(&self) -> u64 {
-            self.matched
         }
 
         fn mean_estimate(&self) -> Option<f64> {
@@ -336,7 +350,7 @@ mod tests {
         /// Whether no block with unknown membership for this view has been
         /// skipped.
         pub(crate) fn denominator_clean(&self) -> bool {
-            self.denominator_clean
+            self.unknown == 0
         }
     }
 
@@ -475,6 +489,46 @@ mod tests {
             assert!(snap.ci.width() <= last_width + 1e-12);
             last_width = snap.ci.width();
         }
+    }
+
+    /// Skipped rows of unknown membership count as non-matching for the
+    /// COUNT lower bound and as matching for the upper bound, and keep a
+    /// full pass from being exact.
+    #[test]
+    fn unknown_rows_bound_the_count_both_ways_and_forbid_exactness() {
+        let observed = |known_absent: u64, unknown: u64| {
+            let mut v = view(FlatBounder::BernsteinRangeTrim);
+            for _ in 0..100 {
+                v.observe(1.0);
+            }
+            v.record_absent(known_absent);
+            v.record_unknown(unknown);
+            v
+        };
+        // 1 000 rows scanned, 100 matched, 4 000 rows skipped, 10 000 in all.
+        let mut clean = observed(4_000, 0);
+        let mut unknown = observed(0, 4_000);
+        let count = |v: &mut AggregateView| {
+            v.round_update(AggregateFunction::Count, 1_000, 10_000, 1e-3)
+                .unwrap()
+                .ci
+        };
+        let (clean_ci, unknown_ci) = (count(&mut clean), count(&mut unknown));
+        assert_eq!(unknown_ci.lo, clean_ci.lo);
+        // If every unknown row matched, 4 100 of the 5 000 rows passed would.
+        assert!(
+            unknown_ci.contains(4_100.0 / 5_000.0 * 10_000.0),
+            "{unknown_ci:?}"
+        );
+        assert!(clean_ci.hi < 4_100.0, "{clean_ci:?}");
+
+        let full_pass = |mut v: AggregateView| {
+            v.finalize(AggregateFunction::Avg, 6_000, 10_000, 1e-3, true)
+                .unwrap()
+                .exact
+        };
+        assert!(full_pass(observed(4_000, 0)));
+        assert!(!full_pass(observed(3_999, 1)));
     }
 
     #[test]

@@ -18,17 +18,9 @@ pub struct ScanStats {
     /// Rows that satisfied the query predicate (i.e. contributed to some
     /// aggregate view).
     pub rows_matched: u64,
-    /// Rows that survived the predicate filter, before group routing — the
-    /// total selection-vector length of the batch pipeline (the scalar path
-    /// counts the equivalent per-row predicate passes). Together with
-    /// `rows_scanned` (rows decoded out of fetched blocks) this exposes the
-    /// decoded-vs-selected funnel; `rows_selected >= rows_matched`.
-    pub rows_selected: u64,
     /// Index work done by the block planner: 64-block bitmap words examined
     /// (predicate and GROUP BY bitmaps) plus zone-map tests.
     pub index_checks: u64,
-    /// OptStop rounds (CI recomputations) performed.
-    pub rounds: u64,
 }
 
 impl ScanStats {
@@ -56,38 +48,10 @@ impl ScanStats {
         self.rows_matched += rows;
     }
 
-    /// Records rows that survived the predicate filter.
-    #[inline]
-    pub fn record_selected(&mut self, rows: u64) {
-        self.rows_selected += rows;
-    }
-
     /// Records index work: bitmap words examined plus zone-map tests.
     #[inline]
     pub fn record_index_checks(&mut self, checks: u64) {
         self.index_checks += checks;
-    }
-
-    /// Records the completion of one OptStop round.
-    #[inline]
-    pub fn record_round(&mut self) {
-        self.rounds += 1;
-    }
-
-    /// Merges another set of counters into this one.
-    pub fn merge(&mut self, other: &ScanStats) {
-        self.blocks_fetched += other.blocks_fetched;
-        self.blocks_skipped += other.blocks_skipped;
-        self.rows_scanned += other.rows_scanned;
-        self.rows_matched += other.rows_matched;
-        self.rows_selected += other.rows_selected;
-        self.index_checks += other.index_checks;
-        self.rounds += other.rounds;
-    }
-
-    /// Total blocks considered (fetched + skipped).
-    pub fn blocks_considered(&self) -> u64 {
-        self.blocks_fetched + self.blocks_skipped
     }
 }
 
@@ -103,32 +67,15 @@ mod tests {
         s.record_skip();
         s.record_matches(13);
         s.record_index_checks(3);
-        s.record_round();
         assert_eq!(s.blocks_fetched, 2);
         assert_eq!(s.blocks_skipped, 1);
         assert_eq!(s.rows_scanned, 50);
         assert_eq!(s.rows_matched, 13);
         assert_eq!(s.index_checks, 3);
-        assert_eq!(s.rounds, 1);
-        assert_eq!(s.blocks_considered(), 3);
-    }
-
-    #[test]
-    fn merge_sums_counters() {
-        let mut a = ScanStats::new();
-        a.record_fetch(10);
-        let mut b = ScanStats::new();
-        b.record_fetch(5);
-        b.record_skip();
-        a.merge(&b);
-        assert_eq!(a.blocks_fetched, 2);
-        assert_eq!(a.rows_scanned, 15);
-        assert_eq!(a.blocks_skipped, 1);
     }
 
     #[test]
     fn default_is_zeroed() {
         assert_eq!(ScanStats::default(), ScanStats::new());
-        assert_eq!(ScanStats::new().blocks_considered(), 0);
     }
 }

@@ -92,9 +92,10 @@ fn sum_of_delays_brackets_the_exact_sum() {
     let exact = query.execute_exact().unwrap();
     let truth = exact.global().unwrap().estimate.unwrap();
     let g = approx.global().unwrap();
-    // Allow for floating-point summation-order differences between the
-    // approximate executor (running mean × count) and the exact executor
-    // (Welford sum) when the interval is degenerate after a full pass.
+    // Both executors run one scan pipeline and read the sum as accumulated;
+    // they differ only in how the scan's partitions are laid out and merged,
+    // so allow for that summation-order difference when the interval is
+    // degenerate after a full pass.
     let tol = 1e-9 * truth.abs();
     assert!(
         g.ci.lo - tol <= truth && truth <= g.ci.hi + tol,

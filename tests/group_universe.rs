@@ -30,6 +30,7 @@ use fastframe_store::source::{BlockRef, BlockSource, GroupUniverseCache};
 use fastframe_store::table::{StoreResult, Table};
 use fastframe_store::zone::ZoneMap;
 use fastframe_store::Expr;
+use fastframe_tests::scramble_in_storage_order;
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
@@ -77,36 +78,6 @@ fn assert_universes(scramble: &Scramble, groupings: &[&[usize]], tag: &str) {
         }
     }
     std::fs::remove_file(&path).ok();
-}
-
-/// Builds a scramble whose *storage* order is exactly `columns` (each
-/// column given in permuted row order). The scramble permutation depends
-/// only on the seed and the row count, so it is read off a scramble of row
-/// ids and inverted onto the input.
-fn scramble_in_storage_order(columns: Vec<Column>, block_size: usize) -> Scramble {
-    const SEED: u64 = 5;
-    let n = columns[0].len();
-    let ids = Table::new(vec![Column::int("id", (0..n as i64).collect())]).unwrap();
-    let order = Scramble::build_with(&ids, SEED, block_size).unwrap();
-    let original_row: Vec<usize> = (0..n)
-        .map(|pos| order.table().column_at(0).numeric_value(pos).unwrap() as usize)
-        .collect();
-    let mut inverse = vec![0; n];
-    for (pos, &row) in original_row.iter().enumerate() {
-        inverse[row] = pos;
-    }
-    let desired = Table::new(columns).unwrap();
-    let scramble = Scramble::build_with(&desired.permuted(&inverse), SEED, block_size).unwrap();
-    for ci in 0..desired.num_columns() {
-        for row in 0..n {
-            assert_eq!(
-                scramble.table().column_at(ci).value(row),
-                desired.column_at(ci).value(row),
-                "storage order was not reproduced"
-            );
-        }
-    }
-    scramble
 }
 
 fn cat(name: &str, dictionary: &[&str], codes: Vec<u32>) -> Column {

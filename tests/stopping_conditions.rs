@@ -185,10 +185,11 @@ fn impossible_condition_forces_a_full_exact_pass() {
             ag.exact,
             "after a full pass the group result should be exact"
         );
-        // Both executors saw every row, but the partitioned pipeline merges
-        // per-partition Welford states while the exact baseline accumulates
-        // sequentially — the summation orders differ, so compare with the
-        // same relative slack the engine's exact intervals use.
+        // Both executors saw every row through one scan pipeline; they
+        // differ only in how the rows are cut into partitions and merged
+        // (the approximate run's rounds against Exact's single round), so
+        // compare with the same relative slack the engine's exact intervals
+        // use.
         let (a, e) = (ag.estimate.unwrap(), eg.estimate.unwrap());
         assert!(
             (a - e).abs() <= 1e-9 * (e.abs() + 1.0),
