@@ -52,6 +52,13 @@ impl EmpiricalBernsteinSerfling {
         }
     }
 
+    /// The δ-only term `log(5/δ)` of [`Self::epsilon`]. It is the same for
+    /// every sample bounded at one δ, so a caller bounding many samples at
+    /// one δ computes it once ([`Self::epsilon_with_log`]).
+    pub fn log_term(delta: f64) -> f64 {
+        (5.0 / delta).ln()
+    }
+
     /// Half-width `ε` for a sample with empirical standard deviation
     /// `sigma_hat`, sample size `m`, population size `n`, range width `range`
     /// and per-side error probability `delta`.
@@ -59,10 +66,42 @@ impl EmpiricalBernsteinSerfling {
         if m == 0 {
             return f64::INFINITY;
         }
+        Self::epsilon_with_log(sigma_hat, m, n, range, Self::log_term(delta))
+    }
+
+    /// [`Self::epsilon`] from its precomputed [`Self::log_term`], bit for
+    /// bit.
+    pub fn epsilon_with_log(sigma_hat: f64, m: u64, n: u64, range: f64, log_term: f64) -> f64 {
+        if m == 0 {
+            return f64::INFINITY;
+        }
         let m_f = m as f64;
         let rho = Self::rho(m, n);
-        let log_term = (5.0 / delta).ln();
         sigma_hat * (2.0 * rho * log_term / m_f).sqrt() + KAPPA * range * log_term / m_f
+    }
+
+    /// `(lbound, rbound)` of `state` under `ctx`, from the precomputed
+    /// [`Self::log_term`] of `ctx.delta`: the bounds of the
+    /// [`ErrorBounder`] implementation, bit for bit.
+    pub fn bounds_with_log(
+        state: &BernsteinState,
+        ctx: &BoundContext,
+        log_term: f64,
+    ) -> (f64, f64) {
+        if state.count() == 0 {
+            return (ctx.a, ctx.b);
+        }
+        let eps = Self::epsilon_with_log(
+            state.std_dev(),
+            state.count(),
+            ctx.n,
+            ctx.range_width(),
+            log_term,
+        );
+        (
+            (state.mean() - eps).max(ctx.a),
+            (state.mean() + eps).min(ctx.b),
+        )
     }
 }
 
@@ -179,31 +218,11 @@ impl ErrorBounder for EmpiricalBernsteinSerfling {
     }
 
     fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        if state.count() == 0 {
-            return ctx.a;
-        }
-        let eps = Self::epsilon(
-            state.std_dev(),
-            state.count(),
-            ctx.n,
-            ctx.range_width(),
-            ctx.delta,
-        );
-        (state.mean() - eps).max(ctx.a)
+        Self::bounds_with_log(state, ctx, Self::log_term(ctx.delta)).0
     }
 
     fn rbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        if state.count() == 0 {
-            return ctx.b;
-        }
-        let eps = Self::epsilon(
-            state.std_dev(),
-            state.count(),
-            ctx.n,
-            ctx.range_width(),
-            ctx.delta,
-        );
-        (state.mean() + eps).min(ctx.b)
+        Self::bounds_with_log(state, ctx, Self::log_term(ctx.delta)).1
     }
 
     fn observed(&self, state: &Self::State) -> u64 {

@@ -109,17 +109,33 @@ impl SelectivityTracker {
     /// `delta` here is the *total* two-sided budget, matching the lemma's
     /// statement (it charges `log(2/δ)`).
     pub fn epsilon(&self, delta: f64) -> f64 {
-        if self.processed == 0 {
-            return f64::INFINITY;
-        }
-        HoeffdingSerfling::epsilon(self.processed, self.scramble_rows, 1.0, delta / 2.0)
+        self.epsilon_with_log(Self::count_log(delta))
+    }
+
+    /// Lemma 5's δ-only term `log(2/δ)`, as [`Self::epsilon`] and
+    /// [`Self::count_ci`] compute it. It is the same for every view bounded
+    /// at one δ, so a caller bounding many views at one δ computes it once.
+    pub fn count_log(delta: f64) -> f64 {
+        HoeffdingSerfling::log_term(delta / 2.0)
+    }
+
+    /// [`Self::epsilon`] from its precomputed [`Self::count_log`], bit for
+    /// bit.
+    pub fn epsilon_with_log(&self, count_log: f64) -> f64 {
+        HoeffdingSerfling::epsilon_with_log(self.processed, self.scramble_rows, 1.0, count_log)
     }
 
     /// Two-sided `(1 − delta)` CI for the `COUNT` of rows in the aggregate
     /// view (Lemma 5 scaled by `R`).
     pub fn count_ci(&self, delta: f64) -> CountCi {
+        self.count_ci_with_log(Self::count_log(delta))
+    }
+
+    /// [`Self::count_ci`] from its precomputed [`Self::count_log`], bit for
+    /// bit.
+    pub fn count_ci_with_log(&self, count_log: f64) -> CountCi {
         let sel_hat = self.selectivity_estimate();
-        let eps = self.epsilon(delta);
+        let eps = self.epsilon_with_log(count_log);
         let sel_lo = (sel_hat - eps).max(0.0);
         let sel_hi = (sel_hat + eps).min(1.0);
         let r = self.scramble_rows as f64;
@@ -145,22 +161,39 @@ impl SelectivityTracker {
     /// Returns `scramble_rows` (the trivial upper bound) before any row has
     /// been processed.
     pub fn n_plus(&self, delta: f64, alpha: f64) -> CoreResult<u64> {
+        Ok(self.n_plus_with_log(Self::n_plus_log(delta, alpha)?))
+    }
+
+    /// The δ-only term `log(1/((1−α)·δ))` of [`Self::n_plus`], after
+    /// validating `delta` and `alpha` as it does. It is the same for every
+    /// view bounded at one δ, so a caller bounding many views at one δ
+    /// computes it once.
+    pub fn n_plus_log(delta: f64, alpha: f64) -> CoreResult<f64> {
         if !(alpha > 0.0 && alpha < 1.0) {
             return Err(CoreError::InvalidFraction { value: alpha });
         }
         if !(delta > 0.0 && delta < 1.0) {
             return Err(CoreError::InvalidDelta { delta });
         }
+        Ok(HoeffdingSerfling::log_term((1.0 - alpha) * delta))
+    }
+
+    /// [`Self::n_plus`] from its precomputed [`Self::n_plus_log`], bit for
+    /// bit.
+    pub fn n_plus_with_log(&self, n_plus_log: f64) -> u64 {
         if self.processed == 0 {
-            return Ok(self.scramble_rows);
+            return self.scramble_rows;
         }
         let sel_hat = self.selectivity_estimate();
-        let one_sided_delta = (1.0 - alpha) * delta;
-        let eps =
-            HoeffdingSerfling::epsilon(self.processed, self.scramble_rows, 1.0, one_sided_delta);
+        let eps = HoeffdingSerfling::epsilon_with_log(
+            self.processed,
+            self.scramble_rows,
+            1.0,
+            n_plus_log,
+        );
         let bound = ((sel_hat + eps) * self.scramble_rows as f64).ceil();
         let clamped = bound.clamp(self.matching.max(1) as f64, self.scramble_rows as f64);
-        Ok(clamped as u64)
+        clamped as u64
     }
 
     /// Convenience wrapper for [`Self::n_plus`] with the paper's default

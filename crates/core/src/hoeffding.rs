@@ -46,6 +46,22 @@ impl HoeffdingSerfling {
         if m == 0 {
             return f64::INFINITY;
         }
+        Self::epsilon_with_log(m, n, range, Self::log_term(delta))
+    }
+
+    /// The δ-only term `log(1/δ)` of [`Self::epsilon`]. It is the same for
+    /// every sample bounded at one δ, so a caller bounding many samples at
+    /// one δ computes it once ([`Self::epsilon_with_log`]).
+    pub fn log_term(delta: f64) -> f64 {
+        (1.0 / delta).ln()
+    }
+
+    /// [`Self::epsilon`] from its precomputed [`Self::log_term`], bit for
+    /// bit.
+    pub fn epsilon_with_log(m: u64, n: u64, range: f64, log_term: f64) -> f64 {
+        if m == 0 {
+            return f64::INFINITY;
+        }
         // The sample cannot be larger than the population; if the caller's N
         // is an underestimate, clamp so the sampling-fraction term stays
         // non-negative (a larger N only loosens the bound, preserving
@@ -53,7 +69,27 @@ impl HoeffdingSerfling {
         let n = n.max(m) as f64;
         let m_f = m as f64;
         let sampling_fraction = (1.0 - (m_f - 1.0) / n).max(0.0);
-        range * ((1.0 / delta).ln() / (2.0 * m_f) * sampling_fraction).sqrt()
+        range * (log_term / (2.0 * m_f) * sampling_fraction).sqrt()
+    }
+
+    /// `(lbound, rbound)` of `state` under `ctx`, from the precomputed
+    /// [`Self::log_term`] of `ctx.delta`: the bounds of the
+    /// [`ErrorBounder`] implementation, bit for bit. Algorithm 1 implements
+    /// Rbound by reflecting the state through `a + b` and reusing Lbound;
+    /// the half-width is symmetric, so that is `mean + ε`.
+    pub fn bounds_with_log(
+        state: &HoeffdingState,
+        ctx: &BoundContext,
+        log_term: f64,
+    ) -> (f64, f64) {
+        if state.count() == 0 {
+            return (ctx.a, ctx.b);
+        }
+        let eps = Self::epsilon_with_log(state.count(), ctx.n, ctx.range_width(), log_term);
+        (
+            (state.mean() - eps).max(ctx.a),
+            (state.mean() + eps).min(ctx.b),
+        )
     }
 }
 
@@ -70,22 +106,11 @@ impl ErrorBounder for HoeffdingSerfling {
     }
 
     fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        if state.count() == 0 {
-            return ctx.a;
-        }
-        let eps = Self::epsilon(state.count(), ctx.n, ctx.range_width(), ctx.delta);
-        (state.mean() - eps).max(ctx.a)
+        Self::bounds_with_log(state, ctx, Self::log_term(ctx.delta)).0
     }
 
     fn rbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        if state.count() == 0 {
-            return ctx.b;
-        }
-        // Algorithm 1 implements Rbound by reflecting the state through
-        // (a + b) and reusing Lbound; since the Hoeffding-Serfling half-width
-        // is symmetric this is equivalent to mean + ε.
-        let eps = Self::epsilon(state.count(), ctx.n, ctx.range_width(), ctx.delta);
-        (state.mean() + eps).min(ctx.b)
+        Self::bounds_with_log(state, ctx, Self::log_term(ctx.delta)).1
     }
 
     fn observed(&self, state: &Self::State) -> u64 {

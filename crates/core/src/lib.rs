@@ -81,7 +81,7 @@ pub use delta::DeltaBudget;
 pub use error::{CoreError, CoreResult};
 pub use hoeffding::HoeffdingSerfling;
 pub use optstop::RunningInterval;
-pub use partial::{FlatBounder, FlatEstimator, FlatMoments, FlatRecord};
+pub use partial::{FlatBounder, FlatEstimator, FlatMaster, FlatMoments, FlatRecord};
 pub use range_trim::RangeTrim;
 pub use stopping::StoppingCondition;
 pub use sum::sum_interval;
@@ -99,7 +99,7 @@ pub mod prelude {
     pub use crate::error::{CoreError, CoreResult};
     pub use crate::hoeffding::HoeffdingSerfling;
     pub use crate::optstop::RunningInterval;
-    pub use crate::partial::{FlatBounder, FlatEstimator, FlatMoments, FlatRecord};
+    pub use crate::partial::{FlatBounder, FlatEstimator, FlatMaster, FlatMoments, FlatRecord};
     pub use crate::range_trim::RangeTrim;
     pub use crate::stopping::StoppingCondition;
     pub use crate::sum::sum_interval;

@@ -38,9 +38,9 @@ use crate::variance::RunningMoments;
 /// untrimmed mean reported as the point estimate.
 ///
 /// With `S = RunningMoments` (Hoeffding and Bernstein inner bounders) the
-/// state is a plain `Copy` record, [`crate::partial::FlatMoments`]: the
-/// master state the engine's one-record scan
-/// ([`crate::partial::FlatRecord`]) finishes into.
+/// state is a plain `Copy` record, [`crate::partial::FlatMoments`]: what a
+/// view's master record ([`crate::partial::FlatMaster`]) materialises
+/// when its interval is computed.
 #[derive(Debug, Clone, Copy)]
 pub struct RangeTrimState<S> {
     /// Inner state fed `min(v, b′)` — used for the confidence lower bound.
@@ -64,25 +64,25 @@ impl<S> RangeTrimState<S> {
     pub fn observed_max(&self) -> Option<f64> {
         self.all.max()
     }
-}
 
-impl RangeTrimState<RunningMoments> {
-    /// Merges a later partition's partial state into this one.
-    ///
-    /// The inner states and the all-values moments merge independently.
-    /// Each partition clipped its inner-state feeds against
-    /// *partition-local* prefix extremes (at most as extreme as the global
-    /// ones a sequential scan would have used) and withheld its own first
-    /// observation — both effects only widen the derived interval, so merged
-    /// bounds stay valid (conservative); see [`crate::partial`] for the full
-    /// argument.
-    pub fn merge(&mut self, other: &RangeTrimState<RunningMoments>) {
-        if other.all.count() == 0 {
-            return;
-        }
-        self.all.merge(&other.all);
-        self.left.merge(&other.left);
-        self.right.merge(&other.right);
+    /// The context RangeTrim's lower bound runs its inner bounder in:
+    /// `Lbound(S_l, a, b′, N − 1, δ)`, with `b′` clamped so `[a, b′]` is a
+    /// valid (possibly degenerate) range even if an observation sat exactly
+    /// at `a`. `None` before the first observation.
+    pub fn lower_context(&self, ctx: &BoundContext) -> Option<BoundContext> {
+        self.observed_max().map(|b_prime| {
+            ctx.with_range(ctx.a, b_prime.max(ctx.a))
+                .with_n(ctx.n.saturating_sub(1).max(1))
+        })
+    }
+
+    /// The context of RangeTrim's upper bound: `Rbound(S_r, a′, b, N − 1, δ)`
+    /// (see [`Self::lower_context`]).
+    pub fn upper_context(&self, ctx: &BoundContext) -> Option<BoundContext> {
+        self.observed_min().map(|a_prime| {
+            ctx.with_range(a_prime.min(ctx.b), ctx.b)
+                .with_n(ctx.n.saturating_sub(1).max(1))
+        })
     }
 }
 
@@ -154,32 +154,15 @@ impl<B: ErrorBounder> ErrorBounder for RangeTrim<B> {
     }
 
     fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        match state.observed_max() {
-            None => ctx.a,
-            Some(b_prime) => {
-                // Lbound(S_l, a, b′, N − 1, δ); clamp the trimmed upper range
-                // bound so [a, b′] is a valid (possibly degenerate) range even
-                // if an observation sat exactly at a.
-                let trimmed_b = b_prime.max(ctx.a);
-                let inner_ctx = ctx
-                    .with_range(ctx.a, trimmed_b)
-                    .with_n(ctx.n.saturating_sub(1).max(1));
-                self.inner.lbound(&state.left, &inner_ctx).max(ctx.a)
-            }
-        }
+        state.lower_context(ctx).map_or(ctx.a, |inner_ctx| {
+            self.inner.lbound(&state.left, &inner_ctx).max(ctx.a)
+        })
     }
 
     fn rbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        match state.observed_min() {
-            None => ctx.b,
-            Some(a_prime) => {
-                let trimmed_a = a_prime.min(ctx.b);
-                let inner_ctx = ctx
-                    .with_range(trimmed_a, ctx.b)
-                    .with_n(ctx.n.saturating_sub(1).max(1));
-                self.inner.rbound(&state.right, &inner_ctx).min(ctx.b)
-            }
-        }
+        state.upper_context(ctx).map_or(ctx.b, |inner_ctx| {
+            self.inner.rbound(&state.right, &inner_ctx).min(ctx.b)
+        })
     }
 
     fn observed(&self, state: &Self::State) -> u64 {

@@ -21,14 +21,19 @@
 //!   the later one's sums into it: with `d = K′ − K`, its `Σ (v − K)` is
 //!   `s₁′ + n′d` and its `Σ (v − K)²` is `s₂′ + d(2s₁′ + n′d)`. Both are
 //!   added. There is no division and no re-centring on a mean, so a merge
-//!   costs a few multiply-adds, and the shift of a view's master state is
-//!   the first value of its first partition for the whole query. This is
-//!   the shifted-data form of Chan et al.'s pairwise update ("Updating
-//!   formulae and a pairwise algorithm for computing sample variances",
-//!   1979): the two agree up to rounding. Precision is that of any sum
-//!   shifted by a data value: a shift far from the rest of the data (a
-//!   10⁶σ outlier seen first) costs the shifted sums about their count
-//!   times ε, relative, under either merge and in a sequential fold alike.
+//!   costs a few multiply-adds. This is the shifted-data form of Chan et
+//!   al.'s pairwise update ("Updating formulae and a pairwise algorithm for
+//!   computing sample variances", 1979): the two agree up to rounding.
+//!   Precision is that of any sum shifted by a data value: a shift far from
+//!   the rest of the data (a 10⁶σ outlier seen first) costs the shifted sums
+//!   about their count times ε, relative, under either merge and in a
+//!   sequential fold alike.
+//! * **Seeded accumulation.** An accumulator that starts from another's
+//!   shift shares it, so the two merge by plain addition, with no
+//!   translation at all. The engine seeds every partition of a round from
+//!   its view's master state ([`FlatMaster`](crate::partial::FlatMaster)),
+//!   so a view's shift is the first value of its first partition for the
+//!   whole query.
 //! * **A real sum.** [`RunningMoments::sum`] is the running sum of the raw
 //!   values, not `count × mean`, so a sum of integer-valued data stays
 //!   exactly integral (below 2⁵³) whatever the merge layout.
@@ -45,7 +50,8 @@
 pub struct RunningMoments {
     count: u64,
     /// The shift `K`: the first value observed (or merged in, for an
-    /// accumulator that was empty).
+    /// accumulator that was empty), or the shift of the accumulator this
+    /// one was seeded from.
     shift: f64,
     /// `Σ (v − K)`.
     s1: f64,
@@ -96,8 +102,7 @@ impl RunningMoments {
 
     /// Observes `v` without touching the extremes: the update of
     /// [`Self::push`] for a value known to lie within `[min, max]` of a
-    /// non-empty accumulator. [`Self::widen`] followed by this equals
-    /// [`Self::push`] bit for bit, for any value.
+    /// non-empty (or seeded) accumulator; see [`Self::widen`].
     #[inline]
     pub(crate) fn push_within(&mut self, v: f64) {
         let d = v - self.shift;
@@ -107,15 +112,45 @@ impl RunningMoments {
         self.sum += v;
     }
 
-    /// Extends the extremes to cover `v`; the first value also becomes the
-    /// shift. The rest of [`Self::push`] is [`Self::push_within`].
+    /// Extends the extremes to cover `v`. A value that widens empty extremes
+    /// (the first value that is not NaN) also becomes the shift, unless the
+    /// accumulator was seeded with one. For values without NaN, this
+    /// followed by [`Self::push_within`] equals [`Self::push`] bit for bit.
     #[inline]
     pub(crate) fn widen(&mut self, v: f64) {
-        if self.count == 0 {
+        if self.min > self.max {
             self.shift = v;
         }
         self.min = if v < self.min { v } else { self.min };
         self.max = if v > self.max { v } else { self.max };
+    }
+
+    /// An empty accumulator that keeps this one's shift and extremes: the
+    /// start of a later partition whose sums [`Self::add`] back without
+    /// translation. Its values are clipped against these extremes by
+    /// [`FlatRecord`](crate::partial::FlatRecord).
+    #[inline]
+    pub(crate) fn seed(&self) -> Self {
+        Self {
+            count: 0,
+            s1: 0.0,
+            s2: 0.0,
+            sum: 0.0,
+            ..*self
+        }
+    }
+
+    /// Adds an accumulator that shares this one's shift (one started from
+    /// [`Self::seed`]): every sum adds as it is, and the extremes join.
+    #[inline]
+    pub(crate) fn add(&mut self, other: &RunningMoments) {
+        debug_assert_eq!(self.shift.to_bits(), other.shift.to_bits());
+        self.count += other.count;
+        self.s1 += other.s1;
+        self.s2 += other.s2;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 
     /// Rebuilds an accumulator from its shifted-sum form: `count` values

@@ -86,9 +86,9 @@ use crate::progressive::{
 };
 use crate::query::{AggQuery, AggregateFunction};
 use crate::result::{select_groups, GroupKey, QueryResult};
-use crate::sampling::{ActiveSet, BlockPlanner};
+use crate::sampling::{ActiveSet, BlockPlanner, Skip};
 use crate::session::PreparedQuery;
-use crate::view::AggregateView;
+use crate::view::{AggregateView, RoundLogs};
 
 /// A per-round observer: receives each round's [`Snapshot`] and decides
 /// whether the scan continues.
@@ -333,30 +333,43 @@ struct ScanState {
     /// Shared with the planner, which keeps the set it decided a batch
     /// against.
     active: Arc<ActiveSet>,
-    /// Rows of the blocks skipped since the last [`Self::charge_skips`],
-    /// not yet charged to any view.
+    /// Rows of the blocks the predicate ruled out ([`Skip::Pruned`]):
+    /// known to hold none of any view's rows, so every view counts them as
+    /// rows of known membership, like the rows scanned.
+    rows_pruned: u64,
+    /// Rows of the blocks skipped as inactive since the last
+    /// [`Self::charge_skips`], not yet charged to any view.
     uncharged_skips: u64,
     converged: bool,
 }
 
 impl ScanState {
-    /// Counts a skipped block; its rows wait for the next
+    /// Counts a skipped block. A pruned block's rows are known to every
+    /// view at once; an inactive block's wait for the next
     /// [`Self::charge_skips`].
-    fn record_skip(&mut self, rows: u64) {
+    fn record_skip(&mut self, rows: u64, reason: Skip) {
         self.stats.record_skip();
-        self.uncharged_skips += rows;
+        match reason {
+            Skip::Pruned => self.rows_pruned += rows,
+            Skip::Inactive => self.uncharged_skips += rows,
+        }
     }
 
-    /// Charges the skipped rows not yet charged to the views' skip ledgers.
-    /// Every one of them was decided against the active set `planned` while
-    /// the current set was `self.active`, so the caller charges before
-    /// either changes: before planning a batch, before a round refreshes
-    /// the active set, and after the scan. `planned` lags the current set
-    /// under ActivePeek or when a round ends mid-batch (a group can
-    /// re-enter the set in between). The rows are recorded absent for the
-    /// views active in both sets (all views before the first round, when
-    /// only predicate-level skips occur) and of unknown membership for every
-    /// other view.
+    /// Rows whose membership in every view is known: the rows scanned and
+    /// the rows of pruned blocks.
+    fn rows_known(&self) -> u64 {
+        self.stats.rows_scanned + self.rows_pruned
+    }
+
+    /// Charges the rows of inactive skips not yet charged to the views'
+    /// skip ledgers. Every one of them was decided against the active set
+    /// `planned` while the current set was `self.active`, so the caller
+    /// charges before either changes: before planning a batch, before a
+    /// round refreshes the active set, and after the scan. `planned` lags
+    /// the current set under ActivePeek or when a round ends mid-batch (a
+    /// group can re-enter the set in between). The rows are recorded absent
+    /// for the views active in both sets and of unknown membership for
+    /// every other view.
     fn charge_skips(&mut self, planned: &ActiveSet) {
         let rows = std::mem::take(&mut self.uncharged_skips);
         if rows == 0 {
@@ -488,6 +501,7 @@ pub(crate) fn run(
         exec: ExecMetrics::default(),
         rounds: 0,
         active: Arc::new(ActiveSet::all_active()),
+        rows_pruned: 0,
         uncharged_skips: 0,
         converged: false,
     };
@@ -545,6 +559,7 @@ pub(crate) fn run(
         run_scan_loop(
             source,
             query,
+            bounder,
             &view_budget,
             scramble_rows,
             start_block,
@@ -562,15 +577,20 @@ pub(crate) fn run(
     // its results are never exact; after a full pass, a view is exact when
     // its skip ledger is clean.
     state.rounds += 1;
-    let final_delta = view_budget.optstop_round(state.rounds as usize);
+    let final_logs = RoundLogs::new(
+        query.aggregate,
+        bounder,
+        view_budget.optstop_round(state.rounds as usize),
+    )?;
     let full_pass = !state.converged && sink.cancellation.is_none();
+    let rows_known = state.rows_known();
     let mut groups = Vec::with_capacity(state.views.len());
     for view in state.views.iter_mut() {
         groups.push(view.finalize(
             query.aggregate,
-            state.stats.rows_scanned,
+            rows_known,
             scramble_rows,
-            final_delta,
+            &final_logs,
             full_pass,
         )?);
     }
@@ -613,6 +633,7 @@ pub(crate) fn run(
 fn run_scan_loop(
     source: &dyn BlockSource,
     query: &AggQuery,
+    bounder: FlatBounder,
     view_budget: &DeltaBudget,
     scramble_rows: u64,
     start_block: usize,
@@ -652,11 +673,11 @@ fn run_scan_loop(
         let checks = planner.plan(&batch, &state.active);
         state.stats.record_index_checks(checks);
 
-        for (&block, &fetch) in batch.iter().zip(planner.decisions()) {
+        for (i, (&block, &fetch)) in batch.iter().zip(planner.decisions()).enumerate() {
             let rows = source.block_rows(block);
             let block_rows = (rows.end - rows.start) as u64;
             if !fetch {
-                state.record_skip(block_rows);
+                state.record_skip(block_rows, planner.skip_reason(i));
                 continue;
             }
             if let Some(cap) = sink.budget.max_rows {
@@ -676,7 +697,7 @@ fn run_scan_loop(
                 merge_pending(source, rexec, &mut pending, state)?;
                 state.charge_skips(planner.planned_with());
                 let (satisfied, group_snapshots) =
-                    evaluate_round(query, view_budget, scramble_rows, state)?;
+                    evaluate_round(query, bounder, view_budget, scramble_rows, state)?;
                 let mut control = RoundControl::Continue;
                 if sink.observer.is_some() {
                     let snapshot =
@@ -734,6 +755,9 @@ fn merge_pending(
     if pending.is_empty() {
         return Ok(());
     }
+    // Every partition of the round starts each view's record from the
+    // view's master as of now.
+    rexec.seed_round(state.views.iter_mut().map(AggregateView::round_seed));
     // A block-read failure (storage rot caught mid-scan) fails the query;
     // the partly merged state is dropped with it.
     rexec.execute_round(pending, |partial| {
@@ -787,21 +811,24 @@ fn make_snapshot(
 /// plus the per-view snapshots the verdict was computed from.
 fn evaluate_round(
     query: &AggQuery,
+    bounder: FlatBounder,
     view_budget: &DeltaBudget,
     scramble_rows: u64,
     state: &mut ScanState,
 ) -> EngineResult<(bool, Vec<GroupSnapshot>)> {
     state.rounds += 1;
-    let round_delta = view_budget.optstop_round(state.rounds as usize);
+    // Every view gets the same round budget: its log terms are computed
+    // once here, not once per view.
+    let logs = RoundLogs::new(
+        query.aggregate,
+        bounder,
+        view_budget.optstop_round(state.rounds as usize),
+    )?;
+    let rows_known = state.rows_known();
 
     let mut snapshots: Vec<GroupSnapshot> = Vec::with_capacity(state.views.len());
     for view in state.views.iter_mut() {
-        snapshots.push(view.round_update(
-            query.aggregate,
-            state.stats.rows_scanned,
-            scramble_rows,
-            round_delta,
-        )?);
+        snapshots.push(view.round_update(query.aggregate, rows_known, scramble_rows, &logs)?);
     }
 
     let (satisfied, active_ids) = query.stopping.evaluate(&snapshots);
@@ -1538,12 +1565,17 @@ mod tests {
             exec: ExecMetrics::default(),
             rounds: 2,
             active: Arc::new(ActiveSet::of([0, 1])),
+            rows_pruned: 0,
             uncharged_skips: 0,
             converged: false,
         };
         let planned = ActiveSet::of([0, 2]);
-        state.record_skip(10);
-        state.record_skip(15);
+        state.record_skip(10, Skip::Inactive);
+        state.record_skip(15, Skip::Inactive);
+        // A pruned block's rows are known to every view at once, through
+        // the rows of known membership, and charge no ledger.
+        state.record_skip(7, Skip::Pruned);
+        assert_eq!(state.rows_known(), 7);
         // Nothing is charged until the decision set is about to change.
         assert!(state.views.iter().all(|v| v.known_absent() == 0));
         state.charge_skips(&planned);
@@ -1554,7 +1586,7 @@ mod tests {
             assert_eq!(view.known_absent(), 0, "view {}", view.id);
             assert!(!view.denominator_clean(), "view {}", view.id);
         }
-        assert_eq!(state.stats.blocks_skipped, 2);
+        assert_eq!(state.stats.blocks_skipped, 3);
 
         // A charge with no skip since the last one changes no view.
         state.charge_skips(&ActiveSet::of([]));

@@ -17,8 +17,8 @@
 //! rows (1 600 blocks of 25 rows) has 7 partitions, so at most 7 threads
 //! scan it at once; a round of 256 blocks or fewer runs on one thread. In
 //! exchange a round costs what it scans: per-partition work (a partial per
-//! touched view, its merge, RangeTrim's withheld first observation) is paid
-//! 7 times per default round instead of 64 times.
+//! touched view and its merge) is paid 7 times per default round instead of
+//! 64 times.
 //!
 //! ## Schedule
 //!
@@ -55,8 +55,18 @@
 //! correction sums, one update per value for every bounder kind the engine
 //! runs (see [`fastframe_core::partial`]). A partition fills records and
 //! lists the views it touched; at its end the touched records move into
-//! the `PartitionPartial`'s buffer, leaving the slab empty, in O(touched
-//! views).
+//! the `PartitionPartial`'s buffer, in O(touched views).
+//!
+//! Before each round the coordinator writes every view's **seed** into one
+//! buffer shared with the helpers, reused across rounds
+//! ([`RoundExecutor::seed_round`]): the view's master shift and extremes as
+//! of the round's start, with nothing counted
+//! ([`FlatMaster::seed`]). A scan thread's first partition of a round
+//! copies the seeds into its slab, and every partition leaves each record
+//! it hands on replaced by its seed, so a record always starts a partition
+//! as its view's seed. The row loop never reads the seeds: a partition's
+//! values clip against the round-start extremes joined with its own
+//! prefix, and its sums share the master's shift.
 //!
 //! That buffer and the job's block list are reused: each partition is
 //! queued with a spare set of buffers, which comes back with its partial
@@ -64,21 +74,24 @@
 //! have grown to a round's size, a partition allocates nothing.
 //!
 //! The coordinator folds the partials into the master views **in partition
-//! order**, each as soon as it and every earlier partition are done. It
-//! finishes each record into the three-moment state of its view, then
-//! translates the partial's shifted sums into the master's shift and adds
-//! them, with no division ([`RunningMoments::merge`]).
+//! order**, each as soon as it and every earlier partition are done, by
+//! addition ([`FlatMaster::absorb`]). Only in a view's first round, when
+//! its seed is empty, does a partial withhold its first value and have its
+//! sums translated into the master's shift. Algorithm 6's three moments
+//! are materialised once per view per round, when its interval is
+//! recomputed, not once per partition.
 //!
-//! Because the partition layout and the merge order are pure functions of
-//! the planned block list, the merged states — and every estimate, variance
-//! and CI bound derived from them — are a pure function of (data, plan):
-//! bit-for-bit identical at any thread count and on any backing, whichever
-//! thread scanned which partition.
+//! Because the partition layout, the seeds and the merge order are pure
+//! functions of the planned block list, the merged states — and every
+//! estimate, variance and CI bound derived from them — are a pure function
+//! of (data, plan): bit-for-bit identical at any thread count and on any
+//! backing, whichever thread scanned which partition.
 //!
-//! RangeTrim partials clip against partition-local prefix extremes and
-//! withhold one first observation per partition. That is conservative: it
-//! only widens the interval (the argument is in
-//! [`fastframe_core::partial`]).
+//! RangeTrim partials clip against the round-start extremes joined with
+//! their partition's prefix, a subset of the prefix Algorithm 6 clips
+//! against, and each partition of a view's first round withholds one first
+//! observation. Both are conservative: they only widen the interval (the
+//! argument is in [`fastframe_core::partial`]).
 //!
 //! ## Batch execution
 //!
@@ -110,10 +123,12 @@
 //! [`BlockSource::scan_blocks`]:
 //!     fastframe_store::source::BlockSource::scan_blocks
 //! [`FlatRecord`]: fastframe_core::partial::FlatRecord
-//! [`RunningMoments::merge`]: fastframe_core::variance::RunningMoments::merge
+//! [`FlatMaster::seed`]: fastframe_core::partial::FlatMaster::seed
+//! [`FlatMaster::absorb`]: fastframe_core::partial::FlatMaster::absorb
 
 use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::RwLock;
 
 use crossbeam::channel::{Receiver, Sender};
 use fastframe_core::partial::FlatRecord;
@@ -206,11 +221,14 @@ impl PartitionPartial {
     }
 }
 
-/// One record per aggregate view for the partition being scanned (an empty
-/// record is an untouched view), and the views touched so far.
+/// One record per aggregate view for the partition being scanned, and the
+/// views touched so far. An untouched view's record is its seed for the
+/// round, which has counted nothing.
 struct Slab {
     records: Vec<FlatRecord>,
-    /// Views with a non-empty record, in first-touch order: the first
+    /// The round whose seeds the untouched records hold (0: none yet).
+    round: u64,
+    /// Views the partition has touched, in first-touch order: the first
     /// `num_touched` entries. Sized for every view up front, so listing a
     /// view is a plain store. A `Vec::push` would put its growth call in the
     /// row loop, and around that call the loop spilled registers on every
@@ -224,8 +242,18 @@ impl Slab {
     fn new(num_views: usize) -> Self {
         Self {
             records: vec![FlatRecord::EMPTY; num_views],
+            round: 0,
             touched: vec![0; num_views].into(),
             num_touched: 0,
+        }
+    }
+
+    /// Starts a partition of the round `seeds` belongs to: on the thread's
+    /// first partition of a round, every record becomes its view's seed.
+    fn begin(&mut self, seeds: &Seeds) {
+        if self.round != seeds.round {
+            self.records.copy_from_slice(&seeds.records);
+            self.round = seeds.round;
         }
     }
 
@@ -243,6 +271,7 @@ impl Slab {
             records,
             touched,
             num_touched,
+            ..
         } = self;
         let mut folded = 0;
         for (&row, &view) in rows.iter().zip(views) {
@@ -263,12 +292,13 @@ impl Slab {
         folded
     }
 
-    /// Moves the touched records out into `out`, leaving every record
-    /// empty, in O(touched).
-    fn take_into(&mut self, out: &mut Vec<(u32, FlatRecord)>) {
+    /// Moves the touched records out into `out`, leaving each its view's
+    /// seed again, in O(touched).
+    fn take_into(&mut self, out: &mut Vec<(u32, FlatRecord)>, seeds: &Seeds) {
         let records = &mut self.records;
         out.extend(self.touched[..self.num_touched].iter().map(|&view| {
-            let record = std::mem::replace(&mut records[view as usize], FlatRecord::EMPTY);
+            let seed = seeds.records[view as usize];
+            let record = std::mem::replace(&mut records[view as usize], seed);
             (view, record)
         }));
         self.num_touched = 0;
@@ -276,7 +306,8 @@ impl Slab {
 }
 
 /// A scan thread's reusable state: allocated once per thread per query,
-/// reset after every partition in O(touched views).
+/// reset after every partition in O(touched views) and on a new round in
+/// O(views).
 struct WorkerScratch {
     slab: Slab,
     /// One selection (plus a scratch pool for Or/Not temporaries) reused
@@ -320,6 +351,7 @@ struct Job {
 /// `EngineResult::Err` instead of a crash.
 fn scan_partition(
     ctx: &ScanContext<'_>,
+    seeds: &Seeds,
     scratch: &mut WorkerScratch,
     Job { index, mut buffers }: Job,
 ) -> PartitionPartial {
@@ -329,6 +361,7 @@ fn scan_partition(
         filter_scratch,
         views,
     } = scratch;
+    slab.begin(seeds);
     let mut exec = ExecMetrics::default();
     let projection = Some(ctx.projection.as_slice());
     let scanned = ctx
@@ -349,7 +382,7 @@ fn scan_partition(
             ControlFlow::Continue(())
         });
     exec.partitions = 1;
-    slab.take_into(&mut buffers.views);
+    slab.take_into(&mut buffers.views, seeds);
 
     PartitionPartial {
         index,
@@ -410,28 +443,50 @@ impl<'a> ValueKernel<'a> {
     }
 }
 
+/// Why the seeds' lock is never poisoned: only the coordinator writes
+/// them, and nothing in [`RoundExecutor::seed_round`] panics.
+const SEEDS_WRITTEN_WHOLE: &str = "the seeds are written whole, by the coordinator alone";
+
+/// The views' seeds for the round being scanned, one per view, written by
+/// the coordinator between rounds ([`RoundExecutor::seed_round`]) and read
+/// by every scan thread while it scans a partition (behind an `RwLock`; no
+/// partition is in flight while the coordinator writes, so the lock is
+/// never contended).
+struct Seeds {
+    /// Counts the rounds seeded, so a scan thread sees when they change.
+    round: u64,
+    records: Vec<FlatRecord>,
+}
+
 /// A helper scan thread: scans queued partitions until the queue closes,
 /// sending back a partial for every job it takes.
-fn help(ctx: &ScanContext<'_>, queue: Receiver<Job>, results: Sender<PartitionPartial>) {
+fn help(
+    ctx: &ScanContext<'_>,
+    seeds: &RwLock<Seeds>,
+    queue: Receiver<Job>,
+    results: Sender<PartitionPartial>,
+) {
     let mut scratch = WorkerScratch::new(ctx);
     while let Ok(job) = queue.recv() {
         let index = job.index;
         // The coordinator may be waiting for this partition, so even a
         // panicking scan sends a partial; the coordinator re-raises its
         // payload.
-        let partial =
-            panic::catch_unwind(AssertUnwindSafe(|| scan_partition(ctx, &mut scratch, job)))
-                .unwrap_or_else(|payload| {
-                    // The interrupted scan may have left records filled.
-                    scratch = WorkerScratch::new(ctx);
-                    PartitionPartial {
-                        index,
-                        exec: ExecMetrics::default(),
-                        buffers: PartitionBuffers::default(),
-                        error: None,
-                        panic: Some(payload),
-                    }
-                });
+        let partial = panic::catch_unwind(AssertUnwindSafe(|| {
+            let seeds = seeds.read().expect(SEEDS_WRITTEN_WHOLE);
+            scan_partition(ctx, &seeds, &mut scratch, job)
+        }))
+        .unwrap_or_else(|payload| {
+            // The interrupted scan may have left records filled.
+            scratch = WorkerScratch::new(ctx);
+            PartitionPartial {
+                index,
+                exec: ExecMetrics::default(),
+                buffers: PartitionBuffers::default(),
+                error: None,
+                panic: Some(payload),
+            }
+        });
         if results.send(partial).is_err() {
             break;
         }
@@ -442,6 +497,8 @@ fn help(ctx: &ScanContext<'_>, queue: Receiver<Job>, results: Sender<PartitionPa
 /// helpers, with identical results at any thread count.
 pub(crate) struct RoundExecutor<'a> {
     ctx: &'a ScanContext<'a>,
+    /// The views' seeds for the round, shared with the helpers.
+    seeds: &'a RwLock<Seeds>,
     /// The most partitions a round may have unmerged at once:
     /// `2 · threads`, or 1 without helpers (see the module docs).
     max_unmerged: usize,
@@ -461,7 +518,19 @@ pub(crate) struct RoundExecutor<'a> {
 }
 
 impl RoundExecutor<'_> {
-    /// Scans every partition of `blocks` and hands each partial to `merge`
+    /// Sets the records every partition of the next round starts its views'
+    /// records from: one per view, in view order. The buffer is reused, so
+    /// after the first round this allocates nothing.
+    pub(crate) fn seed_round(&mut self, seeds: impl IntoIterator<Item = FlatRecord>) {
+        let mut buffer = self.seeds.write().expect(SEEDS_WRITTEN_WHOLE);
+        buffer.round += 1;
+        buffer.records.clear();
+        buffer.records.extend(seeds);
+        debug_assert_eq!(buffer.records.len(), self.ctx.num_views);
+    }
+
+    /// Scans every partition of `blocks`, each view's record started from
+    /// the seed of the latest [`Self::seed_round`], and hands each partial to `merge`
     /// in partition (block-id) order, as soon as it and every earlier
     /// partition are done. At most `2 · threads` partitions (one without
     /// helpers) are unmerged at once, so a round's memory stays bounded
@@ -500,7 +569,10 @@ impl RoundExecutor<'_> {
             let partial = match self.results.try_recv() {
                 Ok(partial) => partial,
                 Err(_) => match self.queue.try_recv() {
-                    Ok(job) => scan_partition(self.ctx, &mut self.scratch, job),
+                    Ok(job) => {
+                        let seeds = self.seeds.read().expect(SEEDS_WRITTEN_WHOLE);
+                        scan_partition(self.ctx, &seeds, &mut self.scratch, job)
+                    }
                     // The queue is empty, so partition `merged` — queued,
                     // not merged, and not waiting, or the loop below would
                     // have merged it — was taken by a helper. A helper sends
@@ -549,10 +621,14 @@ pub(crate) fn with_round_executor<R>(
     let threads = effective_pool_size(threads);
     let (jobs, queue) = crossbeam::channel::unbounded();
     let (results_tx, results) = crossbeam::channel::unbounded();
+    let seeds = RwLock::new(Seeds {
+        round: 0,
+        records: Vec::with_capacity(ctx.num_views),
+    });
     std::thread::scope(|scope| {
         for _ in 1..threads {
-            let (queue, results) = (queue.clone(), results_tx.clone());
-            scope.spawn(move || help(ctx, queue, results));
+            let (seeds, queue, results) = (&seeds, queue.clone(), results_tx.clone());
+            scope.spawn(move || help(ctx, seeds, queue, results));
         }
         drop(results_tx);
         // The executor, and with it `jobs`, drops when `f` returns or
@@ -560,6 +636,7 @@ pub(crate) fn with_round_executor<R>(
         // resumes a panic of `f` with its original payload.
         f(&mut RoundExecutor {
             ctx,
+            seeds: &seeds,
             max_unmerged: if threads == 1 { 1 } else { 2 * threads },
             scratch: WorkerScratch::new(ctx),
             jobs,

@@ -115,6 +115,18 @@ impl ActiveSet {
     }
 }
 
+/// Why the planner skipped a block: what the skip tells each view about
+/// the block's rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Skip {
+    /// The predicate's bitmap or a zone map rules out every row of the
+    /// block, so it holds none of any view's rows.
+    Pruned,
+    /// No group of the set the batch was decided against has rows in the
+    /// block (active scanning). It may hold other groups' rows.
+    Inactive,
+}
+
 /// The per-query block planner: decides, one batch of blocks at a time,
 /// which blocks to fetch.
 ///
@@ -126,7 +138,10 @@ impl ActiveSet {
 /// bitmaps, ANDed into what is still undecided, so a word stops costing
 /// probes once every candidate block in it is covered. Zone maps are
 /// tested last, once per surviving block. The fetched blocks are exactly
-/// those a per-block probe of every condition would fetch.
+/// those a per-block probe of every condition would fetch. A block no
+/// active group covers is skipped as [`Skip::Inactive`], whatever its zone
+/// map says; one the predicate bitmap or a zone map rules out otherwise as
+/// [`Skip::Pruned`].
 pub(crate) struct BlockPlanner<'a> {
     /// Bitmap indexes of the GROUP BY columns, in query order (columns
     /// without an index are `None` and treated as "always present", which
@@ -153,6 +168,9 @@ pub(crate) struct BlockPlanner<'a> {
     planned_with: Arc<ActiveSet>,
     /// The latest batch's fetch decisions, one per block.
     decisions: Vec<bool>,
+    /// Bit `i` is set iff the latest batch's block `i` was skipped as
+    /// [`Skip::Inactive`].
+    inactive: Vec<u64>,
     /// Per word of the run being planned: its fetch mask so far, and the
     /// candidate blocks no active group has covered yet.
     mask: Vec<u64>,
@@ -200,6 +218,7 @@ impl<'a> BlockPlanner<'a> {
             previous: None,
             planned_with: Arc::new(ActiveSet::all_active()),
             decisions: Vec::new(),
+            inactive: Vec::new(),
             mask: Vec::new(),
             uncovered: Vec::new(),
             group_bitmaps: Vec::new(),
@@ -221,8 +240,11 @@ impl<'a> BlockPlanner<'a> {
         self.planned_with = previous.unwrap_or_else(|| Arc::clone(active));
         self.decisions.clear();
         self.decisions.resize(blocks.len(), false);
+        self.inactive.clear();
+        self.inactive.resize(blocks.len().div_ceil(64), 0);
         if self.use_active_skipping && self.planned_with.is_empty() {
             // Stopping condition met; no block needs fetching.
+            self.inactive.fill(u64::MAX);
             return 0;
         }
         let mut checks = 0;
@@ -244,6 +266,15 @@ impl<'a> BlockPlanner<'a> {
     /// order.
     pub(crate) fn decisions(&self) -> &[bool] {
         &self.decisions
+    }
+
+    /// Why the latest batch's block `i`, which is not fetched, was skipped.
+    pub(crate) fn skip_reason(&self, i: usize) -> Skip {
+        if self.inactive[i / 64] & (1u64 << (i % 64)) != 0 {
+            Skip::Inactive
+        } else {
+            Skip::Pruned
+        }
     }
 
     /// The active set the latest [`plan`](Self::plan) call decided its batch
@@ -275,6 +306,16 @@ impl<'a> BlockPlanner<'a> {
 
         if self.use_active_skipping && self.planned_with.initialized {
             checks += self.cover_by_active_groups(w0, w1);
+            // The blocks no active group covers are skipped as inactive.
+            for (i, &word) in self.uncovered.iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    let position = at + (w0 + i) * 64 + bit - first;
+                    self.inactive[position / 64] |= 1u64 << (position % 64);
+                }
+            }
         }
 
         // Zone-map skipping for numeric range conjuncts, likewise
@@ -308,7 +349,8 @@ impl<'a> BlockPlanner<'a> {
     /// Narrows the mask of words `w0..=w1` to the blocks some active group
     /// could have rows in: for every indexed GROUP BY column, the group's
     /// code appears in the block. Columns without an index cannot rule a
-    /// group out (all ones). Returns the bitmap words examined.
+    /// group out (all ones). The candidate blocks no group covers are left
+    /// in `uncovered`. Returns the bitmap words examined.
     fn cover_by_active_groups(&mut self, w0: usize, w1: usize) -> u64 {
         let mut checks = 0;
         self.uncovered.clear();
@@ -644,9 +686,11 @@ mod tests {
     }
 
     /// The per-block probe the word-parallel mask must agree with: the
-    /// predicate bitmap, every zone map, then (with active skipping and an
-    /// initialized set) some active group whose code is in the block for
-    /// every indexed GROUP BY column.
+    /// predicate bitmap, then (with active skipping and an initialized set)
+    /// some active group whose code is in the block for every indexed
+    /// GROUP BY column, then every zone map. A block the predicate or a
+    /// zone map rules out is pruned; one no active group covers is skipped
+    /// as inactive.
     struct NaiveProbe<'a> {
         s: &'a Scramble,
         group_by: &'a [String],
@@ -657,7 +701,8 @@ mod tests {
     }
 
     impl NaiveProbe<'_> {
-        fn fetch(&self, planned: &ActiveSet, block: BlockId) -> bool {
+        /// `None` to fetch `block`, or why it is skipped.
+        fn decide(&self, planned: &ActiveSet, block: BlockId) -> Option<Skip> {
             let NaiveProbe {
                 s,
                 group_by,
@@ -666,31 +711,37 @@ mod tests {
                 zones,
                 strategy,
             } = *self;
+            if strategy != SamplingStrategy::Scan && planned.is_empty() {
+                return Some(Skip::Inactive);
+            }
             if let Some((col, code)) = predicate {
                 if !s.bitmap_index(col).unwrap().block_contains(code, block) {
-                    return false;
+                    return Some(Skip::Pruned);
                 }
+            }
+            let covered = strategy == SamplingStrategy::Scan
+                || !planned.initialized
+                || planned.ids().any(|id| {
+                    group_by.iter().zip(&tuples[id]).all(|(col, &code)| {
+                        s.bitmap_index(col)
+                            .is_none_or(|idx| idx.block_contains(code, block))
+                    })
+                });
+            if !covered {
+                return Some(Skip::Inactive);
             }
             for (col, filter) in zones {
                 if let Some(zone) = s.zone_map(col) {
                     if !zone.block_may_match(block, *filter) {
-                        return false;
+                        return Some(Skip::Pruned);
                     }
                 }
             }
-            if strategy == SamplingStrategy::Scan || !planned.initialized {
-                return true;
-            }
-            planned.ids().any(|id| {
-                group_by.iter().zip(&tuples[id]).all(|(col, &code)| {
-                    s.bitmap_index(col)
-                        .is_none_or(|idx| idx.block_contains(code, block))
-                })
-            })
+            None
         }
     }
 
-    /// The word-parallel fetch mask equals the per-block probe for every
+    /// The word-parallel decisions equal the per-block probe's for every
     /// strategy, random active sets, one- and two-column GROUP BYs plus a
     /// column without an index, a predicate bitmap and zone maps, on
     /// batches that start mid-word and batches that wrap past the last
@@ -726,8 +777,7 @@ mod tests {
         let p_code = s.table().column("p").unwrap().code_of("p1").unwrap();
         let group_bys: [&[&str]; 3] = [&["a"], &["a", "b"], &["b", "x"]];
         let zone_sets = [vec![], vec![("x".to_string(), RangeFilter::Lt(300.0))]];
-        let mut fetched = 0usize;
-        let mut skipped = 0usize;
+        let (mut fetched, mut pruned, mut inactive) = (0usize, 0usize, 0usize);
         for group_by in group_bys {
             let group_by: Vec<String> = group_by.iter().map(|c| c.to_string()).collect();
             // Every code combination, plus one code outside `a`'s
@@ -796,21 +846,24 @@ mod tests {
                                 (SamplingStrategy::ActivePeek, Some(previous)) => previous,
                                 _ => active.clone(),
                             };
-                            let (decisions, _) = plan(&mut planner, &batch, active);
+                            planner.plan(&batch, &Arc::new(active));
                             assert_eq!(planner.planned_with(), &planned);
-                            for (&block, &fetch) in batch.iter().zip(&decisions) {
-                                let want = naive.fetch(&planned, block);
+                            for (i, (&block, &fetch)) in
+                                batch.iter().zip(planner.decisions()).enumerate()
+                            {
+                                let decision = (!fetch).then(|| planner.skip_reason(i));
+                                let want = naive.decide(&planned, block);
                                 assert_eq!(
-                                    fetch,
+                                    decision,
                                     want,
                                     "{group_by:?} {predicate:?} {zones:?} {strategy} \
                                      round {round} block {}",
                                     block.index()
                                 );
-                                if fetch {
-                                    fetched += 1;
-                                } else {
-                                    skipped += 1;
+                                match decision {
+                                    None => fetched += 1,
+                                    Some(Skip::Pruned) => pruned += 1,
+                                    Some(Skip::Inactive) => inactive += 1,
                                 }
                             }
                         }
@@ -818,7 +871,12 @@ mod tests {
                 }
             }
         }
-        // Both outcomes occur often enough for the comparison to bite.
-        assert!(fetched > 5_000 && skipped > 5_000, "{fetched} / {skipped}");
+        // Every outcome occurs often enough for the comparison to bite
+        // (nearly every block has a row the predicate or the zone map
+        // admits, so pruning is the rarest).
+        assert!(
+            fetched > 5_000 && pruned > 500 && inactive > 5_000,
+            "{fetched} / {pruned} / {inactive}"
+        );
     }
 }

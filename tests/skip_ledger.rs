@@ -9,7 +9,9 @@
 //!   exact against the Exact baseline on random tables;
 //! * **coverage** — at δ = 0.2, where a miss is possible, the per-group
 //!   miss rate of early-stopped AVG and COUNT runs stays within δ plus
-//!   binomial slack under every strategy, over hundreds of scramble seeds.
+//!   binomial slack under every strategy, over hundreds of scramble seeds;
+//!   and so does that of AVG and SUM runs whose rounds merge several
+//!   partitions, started from the views' seeds.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -101,6 +103,54 @@ fn a_group_inactive_after_a_predicate_skip_is_exact_after_a_full_pass() {
             "{strategy}: {:?}",
             a.ci
         );
+    }
+}
+
+/// 60 blocks of 5 rows. Group A has 3 rows in each of blocks 0–20 (63 in
+/// all); group B has one row in each of blocks 0–29; both have `f = 'y'`.
+/// Every other row is B's with `f = 'n'`, so the predicate bitmap skips
+/// blocks 30–59. A reaches 40 samples in round 2 (10 blocks a round) and
+/// goes inactive; B never does, so the scan makes a full pass. A's only
+/// skipped blocks are predicate skips, passed after it went inactive. Such
+/// a block holds none of any group's rows, so A has been counted whole.
+/// Charged to A as rows of unknown membership, they would keep it inexact
+/// and scale its count of 63 to 126.
+#[test]
+fn a_count_group_inactive_before_predicate_skips_is_exact_after_a_full_pass() {
+    let (mut g, mut f) = (Vec::new(), Vec::new());
+    for block in 0..60 {
+        for slot in 0..5 {
+            let in_a = block < 21 && slot < 3;
+            let in_b = block < 30 && slot == 3;
+            g.push(if in_a { 0 } else { 1 });
+            f.push(if in_a || in_b { 0 } else { 1 });
+        }
+    }
+    let scramble =
+        scramble_in_storage_order(vec![cat("g", &["A", "B"], g), cat("f", &["y", "n"], f)], 5);
+    let query = AggQuery::count("count")
+        .filter(Predicate::cat_eq("f", "y"))
+        .group_by("g")
+        .sample_count(40)
+        .build();
+    for strategy in SamplingStrategy::ALL {
+        let result = run(&scramble, &query, config(strategy, 0.05, 50));
+        assert!(!result.converged, "{strategy}: B never reaches 40 samples");
+        assert_eq!(result.metrics.scan.blocks_skipped, 30, "{strategy}");
+        let a = result
+            .groups
+            .iter()
+            .find(|g| g.key.display() == "A")
+            .unwrap();
+        assert!(a.exact, "{strategy}: A was counted whole: {a:?}");
+        assert_eq!(a.samples, 63, "{strategy}");
+        assert_eq!(a.estimate, Some(63.0), "{strategy}");
+        for ci in [a.ci, a.count_ci] {
+            assert!(
+                (ci.lo - 63.0).abs() < 1e-6 && (ci.hi - 63.0).abs() < 1e-6,
+                "{strategy}: {ci:?}"
+            );
+        }
     }
 }
 
@@ -309,4 +359,101 @@ fn per_group_miss_rates_stay_within_delta_under_every_strategy() {
     }
     // `cargo test -- --nocapture` prints the rates recorded in EXPERIMENTS.md.
     println!("{}", report.join("\n"));
+}
+
+/// Rounds of 600 one-row blocks are cut into three partitions (256, 256 and
+/// 88 blocks), so every round merges partials, and from a group's second
+/// round on they start from its master's seed: its round-start extremes
+/// and shift. At δ = 0.2 the per-group miss rates of Bernstein+RT and
+/// Hoeffding+RT, AVG and SUM, stay within δ plus binomial slack, over runs
+/// that mostly take two rounds or more and stop early.
+#[test]
+fn per_group_miss_rates_stay_within_delta_when_partitions_merge() {
+    const SEEDS: u64 = 400;
+    const DELTA: f64 = 0.2;
+    let table = coverage_table();
+    let truth = coverage_truth(&table);
+    let queries = [
+        (
+            "AVG",
+            AggQuery::avg("avg", Expr::col("v"))
+                .group_by("g")
+                .absolute_width(8.0)
+                .build(),
+        ),
+        (
+            "SUM",
+            AggQuery::sum("sum", Expr::col("v"))
+                .group_by("g")
+                .relative_error(0.2)
+                .build(),
+        ),
+    ];
+    let bounders = [
+        BounderKind::BernsteinRangeTrim,
+        BounderKind::HoeffdingRangeTrim,
+    ];
+    let bound = DELTA + 3.0 * (DELTA * (1.0 - DELTA) / SEEDS as f64).sqrt();
+    let mut misses: HashMap<(BounderKind, &str, String), u64> = HashMap::new();
+    let mut runs: HashMap<(BounderKind, &str), (u64, u64, u64)> = HashMap::new();
+    for seed in 0..SEEDS {
+        let scramble = Scramble::build_with(&table, seed, 1).unwrap();
+        for bounder in bounders {
+            let config = EngineConfig::builder()
+                .bounder(bounder)
+                .strategy(SamplingStrategy::Scan)
+                .delta(DELTA)
+                .round_rows(600)
+                .start_block(0)
+                .threads(1)
+                .build();
+            for (aggregate, query) in &queries {
+                let result = run(&scramble, query, config.clone());
+                let (early, merged, partitions) = runs.entry((bounder, aggregate)).or_default();
+                *early += u64::from(result.converged);
+                // `rounds` counts the final evaluation too.
+                *merged += u64::from(result.metrics.rounds >= 3);
+                *partitions += result.metrics.exec.partitions;
+                for group in &result.groups {
+                    let label = group.key.display();
+                    let (mean, count) = truth[&label];
+                    let expected = if *aggregate == "AVG" {
+                        mean
+                    } else {
+                        mean * count
+                    };
+                    *misses.entry((bounder, aggregate, label)).or_default() +=
+                        u64::from(!group.ci.contains(expected));
+                }
+            }
+        }
+    }
+    let mut report: Vec<_> = runs.into_iter().collect();
+    report.sort_by_key(|((bounder, aggregate), _)| (bounder.to_string(), *aggregate));
+    for ((bounder, aggregate), (early, merged, partitions)) in &report {
+        println!(
+            "{bounder} {aggregate}: {early}/{SEEDS} stopped early, {merged} took two rounds \
+             or more, {partitions} partitions"
+        );
+        assert!(
+            early * 2 > SEEDS,
+            "{bounder} {aggregate}: {early} stopped early"
+        );
+        assert!(
+            merged * 2 > SEEDS,
+            "{bounder} {aggregate}: {merged} took 2 rounds"
+        );
+    }
+    let mut misses: Vec<_> = misses.into_iter().collect();
+    misses.sort_by_key(|((bounder, aggregate, label), _)| {
+        (bounder.to_string(), *aggregate, label.clone())
+    });
+    for ((bounder, aggregate, label), missed) in &misses {
+        let rate = *missed as f64 / SEEDS as f64;
+        println!("{bounder} {aggregate} {label}: miss rate {rate}");
+        assert!(
+            rate <= bound,
+            "{bounder} {aggregate} {label}: miss rate {rate} > {bound}"
+        );
+    }
 }
