@@ -15,8 +15,18 @@
 //! A second table isolates the block-read layer itself: nanoseconds per
 //! block to read every block with the query's projection, either one
 //! `read_block_projected` call per block or one `scan_blocks` call over the
-//! whole list (the scan path, which the segment serves in runs of
-//! consecutive blocks).
+//! whole list (the scan path, which both backings serve in runs of up to
+//! `RUN_ROWS` rows of consecutive blocks).
+//!
+//! A third splits the segment's scan path into its steps, per block, with
+//! the reader's own step clock (`SegmentReader::scan_steps`): the
+//! positioned reads (each covering up to 256 KiB of whole runs), the
+//! four-lane CRC-32 check of each run's referenced chunks and their decode
+//! into one buffer per column, next to the whole path through
+//! `scan_blocks`. It covers the synthetic table's
+//! projection and two Flights projections (5 columns; `{Origin, DepDelay}`
+//! and `{Airline, DepDelay, DepTime}`), the shapes the Table 5 templates
+//! read.
 //!
 //! Results land in `EXPERIMENTS.md`.
 //!
@@ -36,16 +46,17 @@ use fastframe_engine::config::{EngineConfig, SamplingStrategy};
 use fastframe_engine::session::Session;
 use fastframe_engine::QueryResult;
 use fastframe_store::block::BlockId;
-use fastframe_store::column::{Column, ColumnData};
+use fastframe_store::column::Column;
 use fastframe_store::expr::Expr;
-use fastframe_store::persist::format::{crc32, decode_chunk, encode_chunk, HEADER_LEN};
+use fastframe_store::persist::{ScanSteps, SegmentReader};
 use fastframe_store::predicate::Predicate;
-use fastframe_store::scramble::Scramble;
-use fastframe_store::source::BlockSource;
+use fastframe_store::source::{BlockSource, RUN_ROWS};
 use fastframe_store::table::Table;
+use fastframe_workloads::flights::{columns as fc, FlightsConfig, FlightsDataset};
 
 const MEM: &str = "mem";
 const DISK: &str = "disk";
+const FLIGHTS: &str = "flights";
 
 /// 1M-row synthetic table: a float target, an int time column, a 16-value
 /// categorical whose `flag = 'on'` arm selects 1/16 of the rows, plus three
@@ -122,68 +133,32 @@ fn assert_identical(a: &QueryResult, b: &QueryResult, what: &str) {
     assert_eq!(a.metrics.scan, b.metrics.scan, "{what}: ScanStats");
 }
 
-/// Median nanoseconds per block of the three steps of a segment block read,
-/// timed apart over the query's projection: I/O (the whole data section in
-/// 256 KiB positioned reads, as the reader's runs fetch it), CRC-32 over the
-/// referenced chunks, and decoding them into reused column buffers. The
-/// chunks are re-encoded from the in-memory scramble, which yields the
-/// segment's exact bytes.
-fn read_split_ns(
-    scramble: &Scramble,
-    path: &std::path::Path,
-    projection: &[usize],
-    runs: usize,
-) -> [f64; 3] {
-    use std::os::unix::fs::FileExt;
-    let table = scramble.table();
-    let num_blocks = scramble.num_blocks();
-    let mut chunks = Vec::new();
-    let mut data_bytes = HEADER_LEN;
-    for block in 0..num_blocks {
-        let rows = scramble.block_rows(BlockId(block));
-        for (ci, column) in table.columns().iter().enumerate() {
-            let mut bytes = Vec::new();
-            let encoding = encode_chunk(column, rows.clone(), &mut bytes);
-            data_bytes += bytes.len() as u64;
-            if projection.contains(&ci) {
-                chunks.push((ci, encoding, rows.len(), bytes));
-            }
-        }
-    }
-    let file = std::fs::File::open(path).unwrap();
-    let mut decoded: Vec<ColumnData> = table.columns().iter().map(|c| c.data().clone()).collect();
-    let median_ns = |mut f: Box<dyn FnMut() + '_>| {
-        let mut walls: Vec<Duration> = (0..runs)
-            .map(|_| {
-                let start = Instant::now();
-                f();
-                start.elapsed()
-            })
-            .collect();
+/// Median nanoseconds per block of the three steps of the segment
+/// reader's scan path over `projection`, every block read as a full scan
+/// reads it, with the steps timed by the reader itself
+/// (`SegmentReader::scan_steps`): I/O (positioned reads of whole runs into
+/// a reused buffer), CRC-32 (each run's referenced chunks checked column by
+/// column, four at a time) and unpack (each referenced column of a run
+/// decoded into one reused buffer, block after block). Also returns the
+/// number of reads of one pass.
+fn read_split_ns(reader: &SegmentReader, projection: &[usize], runs: usize) -> ([f64; 3], usize) {
+    let blocks: Vec<BlockId> = (0..reader.num_blocks()).map(BlockId).collect();
+    let steps: Vec<ScanSteps> = (0..runs)
+        .map(|_| {
+            reader
+                .scan_steps(&blocks, Some(projection))
+                .expect("scan_steps")
+        })
+        .collect();
+    let median = |step: fn(&ScanSteps) -> Duration| {
+        let mut walls: Vec<Duration> = steps.iter().map(step).collect();
         walls.sort();
-        walls[runs / 2].as_nanos() as f64 / num_blocks as f64
+        walls[runs / 2].as_nanos() as f64 / blocks.len() as f64
     };
-    let io = median_ns(Box::new(|| {
-        let mut buf = vec![0u8; 256 * 1024];
-        let mut offset = HEADER_LEN;
-        while offset < data_bytes {
-            let len = (data_bytes - offset).min(buf.len() as u64) as usize;
-            file.read_exact_at(&mut buf[..len], offset).unwrap();
-            offset += len as u64;
-        }
-    }));
-    let crc = median_ns(Box::new(|| {
-        let sum = chunks.iter().fold(0u32, |acc, c| acc ^ crc32(&c.3));
-        std::hint::black_box(sum);
-    }));
-    let path = std::path::PathBuf::new();
-    let unpack = median_ns(Box::new(|| {
-        for (ci, encoding, rows, bytes) in &chunks {
-            let name = table.column_at(*ci).name();
-            decode_chunk(*encoding, bytes, *rows, name, &mut decoded[*ci], &path).unwrap();
-        }
-    }));
-    [io, crc, unpack]
+    (
+        [median(|s| s.io), median(|s| s.crc), median(|s| s.decode)],
+        steps[0].reads,
+    )
 }
 
 /// Median nanoseconds per block to read every block of `source` with
@@ -283,15 +258,65 @@ fn main() {
             ]);
         }
     }
-    let scramble = session.scramble(MEM).unwrap();
-    let [io, crc, unpack] = read_split_ns(scramble, &path, &[0, 1, 2], runs);
+
+    // Flights-shaped: 5 columns, two of the projections F-q1…F-q9 use.
+    let flights = FlightsDataset::generate(FlightsConfig::default().rows(rows).seed(seed))
+        .expect("flights dataset");
+    flights.register_into(&mut session, FLIGHTS).unwrap();
+    let flights_path = std::env::temp_dir().join(format!(
+        "fastframe_scan_throughput_flights_{}.ffseg",
+        std::process::id()
+    ));
+    session.save_table(FLIGHTS, &flights_path).unwrap();
+    let flights_projection = |names: &[&str]| -> Vec<usize> {
+        let schema = session.source(FLIGHTS).unwrap().schema();
+        let mut projection: Vec<usize> = names
+            .iter()
+            .map(|name| schema.column_index(name).unwrap())
+            .collect();
+        projection.sort_unstable();
+        projection
+    };
+    let splits = [
+        (path.as_path(), "synthetic {v, time, flag}", vec![0, 1, 2]),
+        (
+            flights_path.as_path(),
+            "Flights {Origin, DepDelay}",
+            flights_projection(&[fc::ORIGIN, fc::DEP_DELAY]),
+        ),
+        (
+            flights_path.as_path(),
+            "Flights {Airline, DepDelay, DepTime}",
+            flights_projection(&[fc::AIRLINE, fc::DEP_DELAY, fc::DEP_TIME]),
+        ),
+    ];
     println!();
-    println!("## segment block read, split by step (ns/block)");
-    print_header(&["I/O", "CRC-32", "unpack"]);
-    print_row(&[
-        format!("{io:.0}"),
-        format!("{crc:.0}"),
-        format!("{unpack:.0}"),
+    println!(
+        "## segment scans, split by step (ns/block; runs of up to {RUN_ROWS} rows, median of {runs})"
+    );
+    print_header(&[
+        "table and projection",
+        "reads",
+        "I/O",
+        "CRC-32",
+        "unpack",
+        "sum",
+        "scan_blocks",
     ]);
+    for (file, label, projection) in &splits {
+        let reader = SegmentReader::open(file).expect("reopen segment");
+        let ([io, crc, unpack], reads) = read_split_ns(&reader, projection, runs);
+        let whole = block_read_ns(&reader, projection, runs, true);
+        print_row(&[
+            label.to_string(),
+            format!("{reads}"),
+            format!("{io:.0}"),
+            format!("{crc:.0}"),
+            format!("{unpack:.0}"),
+            format!("{:.0}", io + crc + unpack),
+            format!("{whole:.0}"),
+        ]);
+    }
+    std::fs::remove_file(&flights_path).ok();
     std::fs::remove_file(&path).ok();
 }

@@ -119,10 +119,12 @@ impl StoppingCondition {
     /// The set of active groups under this condition.
     ///
     /// Semantically equivalent to filtering with [`Self::group_is_active`];
-    /// the group-set conditions (Î, Ï) use single-pass implementations so
-    /// that per-round active-set computation stays `O(G log G)` even for
-    /// queries with thousands of groups (F-q6 has |DayOfWeek| × |Origin| of
-    /// them).
+    /// the group-set conditions use single-pass implementations so that
+    /// per-round active-set computation stays `O(G)` for Î and
+    /// `O(G log G)` for Ï even for queries with thousands of groups (F-q6
+    /// has |DayOfWeek| × |Origin| of them). Î returns its active groups in
+    /// input order, Ï in order of their intervals' lower bounds, the other
+    /// conditions in input order.
     pub fn active_groups(&self, all: &[GroupSnapshot]) -> Vec<usize> {
         match *self {
             StoppingCondition::TopKSeparated { k, largest } => top_k_active_groups(all, k, largest),
@@ -208,38 +210,49 @@ fn top_k_group_is_active(
     }
 }
 
-/// Single-pass active-group computation for condition Î: sort once, find the
-/// separation midpoint, classify every group against it.
+/// Active-group computation for condition Î in O(G): a selection instead of
+/// a sort. Only the k-th and (k+1)-th estimates in sort order fix the
+/// separation midpoint, and a group is selected exactly when it orders no
+/// later than the k-th, so one `select_nth_unstable_by` and one
+/// classification pass suffice. Groups order by estimate (descending for
+/// top-K), ties by input position, as a stable sort would leave them; that
+/// order is total, so the selected set is the one sorting would give.
+///
+/// The active groups are returned in input order.
 fn top_k_active_groups(all: &[GroupSnapshot], k: usize, largest: bool) -> Vec<usize> {
     if all.len() <= k || k == 0 {
         return Vec::new();
     }
-    let mut sorted: Vec<&GroupSnapshot> = all.iter().collect();
-    if largest {
-        sorted.sort_by(|x, y| y.estimate.total_cmp(&x.estimate));
-    } else {
-        sorted.sort_by(|x, y| x.estimate.total_cmp(&y.estimate));
-    }
-    let midpoint = 0.5 * (sorted[k - 1].estimate + sorted[k].estimate);
-    let mut active = Vec::new();
-    for (pos, g) in sorted.iter().enumerate() {
-        let selected = pos < k;
-        let is_active = if largest {
-            if selected {
+    let order = |&x: &usize, &y: &usize| {
+        let (ex, ey) = (all[x].estimate, all[y].estimate);
+        let by_estimate = if largest {
+            ey.total_cmp(&ex)
+        } else {
+            ex.total_cmp(&ey)
+        };
+        by_estimate.then(x.cmp(&y))
+    };
+    let mut positions: Vec<usize> = (0..all.len()).collect();
+    let (_, &mut kth, rest) = positions.select_nth_unstable_by(k - 1, order);
+    let next = *rest
+        .iter()
+        .min_by(|x, y| order(x, y))
+        .expect("more groups than k");
+    let midpoint = 0.5 * (all[kth].estimate + all[next].estimate);
+    all.iter()
+        .enumerate()
+        .filter(|&(pos, g)| {
+            let selected = order(&pos, &kth) != std::cmp::Ordering::Greater;
+            if largest == selected {
+                // A selected top group, or a rest group of bottom-K: active
+                // while its lower bound dips below the midpoint.
                 g.ci.lo <= midpoint
             } else {
                 g.ci.hi >= midpoint
             }
-        } else if selected {
-            g.ci.hi >= midpoint
-        } else {
-            g.ci.lo <= midpoint
-        };
-        if is_active {
-            active.push(g.group);
-        }
-    }
-    active
+        })
+        .map(|(_, g)| g.group)
+        .collect()
 }
 
 /// Single-pass active-group computation for condition Ï: sort by interval
@@ -486,6 +499,104 @@ mod tests {
                 fast.sort_unstable();
                 pairwise.sort_unstable();
                 assert_eq!(fast, pairwise, "mismatch for {cond:?} on trial {trial}");
+            }
+        }
+    }
+
+    /// The sort-based computation of Î's active set that the selection
+    /// replaced: a stable sort by estimate, the midpoint between the k-th
+    /// and (k+1)-th, every group classified in sorted order.
+    fn top_k_active_by_sort(all: &[GroupSnapshot], k: usize, largest: bool) -> Vec<usize> {
+        if all.len() <= k || k == 0 {
+            return Vec::new();
+        }
+        let mut sorted: Vec<&GroupSnapshot> = all.iter().collect();
+        if largest {
+            sorted.sort_by(|x, y| y.estimate.total_cmp(&x.estimate));
+        } else {
+            sorted.sort_by(|x, y| x.estimate.total_cmp(&y.estimate));
+        }
+        let midpoint = 0.5 * (sorted[k - 1].estimate + sorted[k].estimate);
+        let mut active = Vec::new();
+        for (pos, g) in sorted.iter().enumerate() {
+            let selected = pos < k;
+            let is_active = if largest == selected {
+                g.ci.lo <= midpoint
+            } else {
+                g.ci.hi >= midpoint
+            };
+            if is_active {
+                active.push(g.group);
+            }
+        }
+        active
+    }
+
+    #[test]
+    fn top_k_selection_matches_the_sort_based_reference() {
+        let mut seed: u64 = 0x9E37_79B9;
+        let mut next = || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) as f64 / f64::from(u32::MAX)
+        };
+        for trial in 0..400 {
+            let n = 1 + trial % 40;
+            // Every third trial draws estimates from four values, so ties
+            // straddle the k boundary; group ids are not positions, so a
+            // tie broken by id instead of position would show.
+            let tied = trial % 3 == 0;
+            let groups: Vec<GroupSnapshot> = (0..n)
+                .map(|pos| {
+                    let estimate = if tied {
+                        (next() * 4.0).floor() * 10.0
+                    } else {
+                        next() * 100.0
+                    };
+                    let (below, above) = (next() * 15.0, next() * 15.0);
+                    snap(
+                        (pos * 37 + 11) % 41,
+                        estimate,
+                        estimate - below,
+                        estimate + above,
+                        10,
+                    )
+                })
+                .collect();
+            for k in [0, 1, 2, n / 2, n.saturating_sub(1), n, n + 3] {
+                for largest in [true, false] {
+                    let fast = top_k_active_groups(&groups, k, largest);
+                    let mut reference = top_k_active_by_sort(&groups, k, largest);
+                    // The selection reports in input order.
+                    let position = |id: &usize| groups.iter().position(|g| g.group == *id);
+                    assert!(fast.windows(2).all(|w| position(&w[0]) < position(&w[1])));
+                    let mut sorted_fast = fast.clone();
+                    sorted_fast.sort_unstable();
+                    reference.sort_unstable();
+                    assert_eq!(
+                        sorted_fast, reference,
+                        "trial {trial}, n {n}, k {k}, largest {largest}"
+                    );
+                }
+            }
+        }
+        // Ties exactly at the boundary: three groups share the k-th
+        // estimate; the earliest positions are selected.
+        let groups = [
+            snap(13, 5.0, 4.0, 6.0, 1),
+            snap(11, 9.0, 8.9, 9.1, 1),
+            snap(14, 5.0, 4.0, 6.0, 1),
+            snap(10, 5.0, 4.0, 6.0, 1),
+            snap(12, 1.0, 0.0, 2.0, 1),
+        ];
+        for k in 1..=4 {
+            for largest in [true, false] {
+                let mut fast = top_k_active_groups(&groups, k, largest);
+                let mut reference = top_k_active_by_sort(&groups, k, largest);
+                fast.sort_unstable();
+                reference.sort_unstable();
+                assert_eq!(fast, reference, "k {k}, largest {largest}");
             }
         }
     }

@@ -17,7 +17,8 @@ use fastframe_store::stats::ScanStats;
 /// tests assert that invariant. `rows_selected` is counted here only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecMetrics {
-    /// Blocks whose rows were read by scan workers.
+    /// Blocks whose rows were read by scan workers, counted from the runs
+    /// they were handed.
     pub blocks_fetched: u64,
     /// Rows read out of fetched blocks.
     pub rows_scanned: u64,
@@ -35,10 +36,11 @@ pub struct ExecMetrics {
 }
 
 impl ExecMetrics {
-    /// Records that a block of `rows` rows was fetched and scanned.
+    /// Records that a run of `blocks` consecutive blocks holding `rows`
+    /// rows was fetched and scanned.
     #[inline]
-    pub fn record_block(&mut self, rows: u64) {
-        self.blocks_fetched += 1;
+    pub fn record_run(&mut self, blocks: u64, rows: u64) {
+        self.blocks_fetched += blocks;
         self.rows_scanned += rows;
     }
 
@@ -145,12 +147,11 @@ mod tests {
     #[test]
     fn exec_metrics_accumulate_and_merge() {
         let mut a = ExecMetrics::default();
-        a.record_block(25);
-        a.record_block(25);
+        a.record_run(2, 50);
         a.record_matches(7);
         a.partitions += 1;
         let mut b = ExecMetrics::default();
-        b.record_block(10);
+        b.record_run(1, 10);
         b.record_matches(3);
         b.partitions += 1;
         a.merge(&b);

@@ -80,25 +80,91 @@ const fn make_crc_tables() -> [[u32; 256]; 8] {
 /// CRC-32 (ISO-HDLC polynomial, the zlib/PNG variant) of `bytes`, eight
 /// bytes per step (slicing-by-8) with a bytewise tail.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
+    crc_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
+}
+
+/// The CRC-32s of four byte strings at once, each equal to [`crc32`] of its
+/// lane. Over their common length the four table-lookup chains advance in
+/// lockstep, eight bytes per step: the chains are independent, so their
+/// lookups overlap instead of each waiting on its own previous step. Each
+/// lane's tail beyond the shortest is finished alone.
+fn crc32x4(lanes: [&[u8]; 4]) -> [u32; 4] {
+    let common = lanes.iter().map(|lane| lane.len()).min().unwrap_or(0) / 8 * 8;
+    let mut reg = [0xFFFF_FFFFu32; 4];
+    let [l0, l1, l2, l3] = lanes.map(|lane| lane[..common].chunks_exact(8));
+    for (((w0, w1), w2), w3) in l0.zip(l1).zip(l2).zip(l3) {
+        reg[0] = crc_step8(reg[0], w0);
+        reg[1] = crc_step8(reg[1], w1);
+        reg[2] = crc_step8(reg[2], w2);
+        reg[3] = crc_step8(reg[3], w3);
+    }
+    std::array::from_fn(|lane| crc_update(reg[lane], &lanes[lane][common..]) ^ 0xFFFF_FFFF)
+}
+
+/// Checks chunks against their stored CRC-32s, four at a time (four
+/// lookup chains advancing in lockstep) and the remainder one by one with
+/// [`crc32`]: the `(bytes, stored crc)` pairs a segment read verifies
+/// before it decodes anything.
+///
+/// # Errors
+///
+/// The position in `chunks` and the computed CRC of the first chunk whose
+/// CRC differs from the stored one.
+pub fn check_crcs<'a>(
+    chunks: impl IntoIterator<Item = (&'a [u8], u32)>,
+) -> Result<(), (usize, u32)> {
+    let mut batch: [(&[u8], u32); 4] = [(&[], 0); 4];
+    let mut filled = 0;
+    let mut start = 0;
+    let check = |start: usize, batch: &[(&[u8], u32)], computed: &[u32]| {
+        batch
+            .iter()
+            .zip(computed)
+            .position(|(&(_, stored), &computed)| computed != stored)
+            .map_or(Ok(()), |lane| Err((start + lane, computed[lane])))
+    };
+    for chunk in chunks {
+        batch[filled] = chunk;
+        filled += 1;
+        if filled == 4 {
+            check(start, &batch, &crc32x4(batch.map(|(bytes, _)| bytes)))?;
+            start += 4;
+            filled = 0;
+        }
+    }
+    let rest = &batch[..filled];
+    let computed: [u32; 4] = std::array::from_fn(|i| rest.get(i).map_or(0, |c| crc32(c.0)));
+    check(start, rest, &computed[..filled])
+}
+
+/// Advances a CRC register over `bytes`: eight bytes per step, then a
+/// bytewise tail. The register is not pre- or post-inverted here.
+#[inline]
+fn crc_update(mut c: u32, bytes: &[u8]) -> u32 {
     let mut words = bytes.chunks_exact(8);
     for word in &mut words {
-        let lo = c ^ u32::from_le_bytes(word[..4].try_into().expect("4 bytes"));
-        let hi = u32::from_le_bytes(word[4..].try_into().expect("4 bytes"));
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        c = crc_step8(c, word);
     }
     for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// One slicing-by-8 step: the register advanced over the 8 bytes of `word`.
+#[inline(always)]
+fn crc_step8(c: u32, word: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let lo = c ^ u32::from_le_bytes(word[..4].try_into().expect("4 bytes"));
+    let hi = u32::from_le_bytes(word[4..8].try_into().expect("4 bytes"));
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][((lo >> 8) & 0xFF) as usize]
+        ^ t[5][((lo >> 16) & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][((hi >> 8) & 0xFF) as usize]
+        ^ t[1][((hi >> 16) & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
 }
 
 /// Appends a `u32` little-endian.
@@ -316,13 +382,14 @@ pub fn encode_chunk(column: &Column, rows: Range<usize>, out: &mut Vec<u8>) -> u
     }
 }
 
-/// Decodes one chunk of `rows` rows into `out`, replacing its contents.
+/// Decodes one chunk of `rows` rows, appending them to `out`.
 ///
 /// `out` is the destination column's storage and fixes the expected type:
 /// the chunk's encoding must match it, and categorical codes are checked
 /// against its dictionary (which the segment stores once in its metadata,
-/// not per chunk). Its buffer is reused, so decoding a run of blocks into
-/// one `ColumnData` allocates only while the buffer grows.
+/// not per chunk). Appending lets a run of blocks decode into one column
+/// buffer, block after block; the buffer is reused, so a scan allocates
+/// only while it grows.
 pub fn decode_chunk(
     encoding: u8,
     bytes: &[u8],
@@ -341,7 +408,6 @@ pub fn decode_chunk(
                     rows * 8
                 )));
             }
-            values.clear();
             values.extend(
                 bytes
                     .chunks_exact(8)
@@ -360,7 +426,7 @@ pub fn decode_chunk(
                     "int chunk for `{name}`: impossible bit width {width}"
                 )));
             }
-            values.clear();
+            values.reserve(rows);
             unpack_bits(&bytes[9..], width, rows, |d| {
                 values.push(min.wrapping_add(d as i64));
             })
@@ -380,7 +446,7 @@ pub fn decode_chunk(
             // A width of at most 32 keeps every delta below 2^32, so `min +
             // delta` fits a u64; the largest one decides both checks.
             let mut max_code = 0u64;
-            codes.clear();
+            codes.reserve(rows);
             unpack_bits(&bytes[5..], width, rows, |d| {
                 let code = u64::from(min) + d;
                 max_code = max_code.max(code);
@@ -566,6 +632,68 @@ mod tests {
                     crc32_bytewise(slice),
                     "offset {offset}, len {len}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn four_lane_crc32_equals_the_bytewise_reference() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let bytes: Vec<u8> = (0..600)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect();
+        // Unequal lengths (the shortest lane anywhere, empty lanes, tails of
+        // every length) at unequal alignments.
+        let lens = [0usize, 1, 7, 8, 9, 15, 16, 17, 63, 200, 201, 208];
+        for (i, &a) in lens.iter().enumerate() {
+            for (j, &b) in lens.iter().enumerate() {
+                let c = lens[(i + 3 * j) % lens.len()];
+                let d = lens[(5 * i + j + 1) % lens.len()];
+                let lanes = [
+                    &bytes[i % 8..i % 8 + a],
+                    &bytes[100 + j % 8..100 + j % 8 + b],
+                    &bytes[300 + (i + j) % 8..300 + (i + j) % 8 + c],
+                    &bytes[380 + 3..380 + 3 + d],
+                ];
+                assert_eq!(
+                    crc32x4(lanes),
+                    lanes.map(crc32_bytewise),
+                    "lengths {a}, {b}, {c}, {d}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn check_crcs_names_the_first_mismatch_in_any_lane_or_the_remainder() {
+        let chunks: Vec<Vec<u8>> = (0..11u8)
+            .map(|i| (0..(i as usize * 13) % 40).map(|b| b as u8 ^ i).collect())
+            .collect();
+        let stored: Vec<u32> = chunks.iter().map(|c| crc32(c)).collect();
+        let pairs = |stored: &[u32]| -> Vec<(&[u8], u32)> {
+            chunks
+                .iter()
+                .map(Vec::as_slice)
+                .zip(stored.iter().copied())
+                .collect()
+        };
+        assert_eq!(check_crcs(pairs(&stored)), Ok(()));
+        assert_eq!(check_crcs(pairs(&stored[..0])), Ok(()));
+        // Every position: each lane of both four-chunk batches, and the
+        // three-chunk remainder.
+        for bad in 0..chunks.len() {
+            let mut wrong = stored.clone();
+            wrong[bad] ^= 1;
+            assert_eq!(check_crcs(pairs(&wrong)), Err((bad, stored[bad])), "{bad}");
+            // With a later chunk also wrong, the first one is named.
+            if bad + 1 < chunks.len() {
+                wrong[bad + 1] ^= 1;
+                assert_eq!(check_crcs(pairs(&wrong)), Err((bad, stored[bad])));
             }
         }
     }

@@ -8,7 +8,8 @@
 //! [`write_segment`] into a versioned, checksummed, block-granular columnar
 //! file, and [`SegmentReader`] serves it back through the
 //! [`BlockSource`](crate::source::BlockSource) scan abstraction, decoding
-//! blocks on demand so working sets larger than memory scan block-by-block.
+//! blocks on demand so working sets larger than memory scan a run of
+//! blocks at a time.
 //!
 //! ## File anatomy
 //!
@@ -39,6 +40,22 @@
 //!   files surface as [`StoreError::Corrupt`](crate::table::StoreError)
 //!   instead of silently wrong answers.
 //!
+//! ## Runs
+//!
+//! The file is block-granular, but a scan is not: [`SegmentReader`] hands
+//! [`BlockSource::scan_blocks`](crate::source::BlockSource::scan_blocks)
+//! **runs** of consecutive blocks holding up to
+//! [`RUN_ROWS`](crate::source::RUN_ROWS) rows. One positioned read fetches
+//! up to 256 KiB of whole consecutive runs; per run, the referenced chunks'
+//! CRC-32s are checked four chunks at a time and each referenced column is
+//! decoded into one buffer, so the fixed cost of a checksum batch and a
+//! decode call is paid per run, and that of a read per 256 KiB. The row
+//! cap keeps the decode buffers at tens of KiB whatever the block size. Blocks stay the unit of the chunk
+//! directory and of every checksum, and of planning, skipping and the
+//! "blocks fetched" count; a corrupt chunk fails its whole run before any
+//! of the run's blocks is visited. The bytes on disk are the same as
+//! before runs existed.
+//!
 //! The byte-level layout is specified in `docs/FORMAT.md` at the repository
 //! root.
 
@@ -46,7 +63,7 @@ pub mod format;
 mod reader;
 mod writer;
 
-pub use reader::SegmentReader;
+pub use reader::{ScanSteps, SegmentReader};
 pub use writer::write_segment;
 
 #[cfg(test)]

@@ -5,49 +5,71 @@
 //! dictionaries, catalog, zone maps, bitmap indexes, chunk directory) — a
 //! few KB plus the dictionaries, independent of the data size. Row data
 //! stays on disk until a scan decodes it, so working sets larger than memory
-//! can be scanned block-by-block through the [`BlockSource`] interface.
+//! can be scanned a run of blocks at a time through the [`BlockSource`]
+//! interface.
 //!
-//! Every block read goes through one path, [`BlockSource::scan_blocks`]:
-//! the block list is split into runs of consecutive block ids, and since
-//! the data section is block-major, each run's referenced chunks lie in one
-//! byte range, fetched with one positioned read into a buffer reused across
-//! runs. Each block is then decoded into column buffers reused across the
-//! scan. [`SegmentReader::read_block`], `read_block_projected` and
-//! [`SegmentReader::materialize`] are runs of the same code.
+//! Every block read goes through one path, [`BlockSource::scan_blocks`],
+//! which hands out **runs**: stretches of consecutive block ids holding up
+//! to [`RUN_ROWS`](crate::source::RUN_ROWS) rows (see [`runs`]). The reader
+//! pays its fixed costs once per read and once per run:
+//!
+//! 1. The data section is block-major, so consecutive blocks' referenced
+//!    chunks lie in one byte range. One positioned read fetches the range
+//!    of as many whole runs as continue each other (a run ended by the cap,
+//!    not by a gap or the wrap, is continued by the next) and fit in
+//!    [`READ_BYTES`], and always at least one run, into a buffer reused
+//!    from read to read. Read size and visit size are separate: a full pass
+//!    over a table makes one read per 256 KiB, not one per run.
+//! 2. Every referenced chunk of a run is checked against its CRC-32 in the
+//!    directory, column by column, four chunks at a time: the same column
+//!    of four consecutive blocks gives four independent table-lookup chains
+//!    ([`check_crcs`]).
+//! 3. Each referenced column of the run is decoded into one column buffer,
+//!    block after block, and the run is visited as one table.
+//!
+//! The read buffer holds at most [`READ_BYTES`] (or one run, when a run's
+//! chunks are longer) and the decoded table at most one run, so a scan's
+//! memory does not grow with the list it scans.
+//! [`SegmentReader::read_block`], `read_block_projected`,
+//! [`SegmentReader::materialize`] and [`SegmentReader::scan_steps`] run the
+//! same code.
 //!
 //! Integrity is checked at two levels: the footer carries a CRC-32 over the
 //! metadata section (validated at open, so truncated or corrupt files fail
 //! loudly before any query runs), and every referenced chunk's CRC-32 from
-//! the directory is validated when the chunk is decoded (so data corruption
-//! is caught on first touch, with the offending block and column in the
-//! error). Bytes of unreferenced chunks inside a run's range are read but
-//! not checked.
+//! the directory is validated before the chunk is decoded (so data
+//! corruption is caught on first touch, with the offending block and column
+//! in the error). A corrupt chunk fails its whole run before any of the
+//! run's blocks is visited; when several are corrupt, the error names the
+//! first in block order, then column order. Bytes of unreferenced chunks
+//! inside a run's range are read but not checked. Blocks remain the unit
+//! of the chunk directory and of every checksum: the file format knows
+//! nothing of runs.
 
 use std::collections::HashMap;
 use std::fs::File;
 use std::ops::{ControlFlow, Range};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use crate::bitmap::{BitSet, BlockBitmapIndex};
 use crate::block::{BlockId, BlockLayout};
 use crate::catalog::{Catalog, ColumnStats};
 use crate::column::{Column, ColumnData, DataType};
 use crate::scramble::Scramble;
-use crate::source::{BlockRef, BlockSource, GroupUniverseCache};
+use crate::source::{runs, BlockRef, BlockSource, GroupUniverseCache};
 use crate::table::{StoreError, StoreResult, Table};
 use crate::zone::ZoneMap;
 
 use super::format::{
-    crc32, decode_chunk, Cursor, ENC_CODES_FOR, FOOTER_LEN, HEADER_LEN, MAGIC, NO_CARDINALITY,
-    TYPE_CAT, TYPE_FLOAT, TYPE_INT, VERSION,
+    check_crcs, crc32, decode_chunk, Cursor, ENC_CODES_FOR, FOOTER_LEN, HEADER_LEN, MAGIC,
+    NO_CARDINALITY, TYPE_CAT, TYPE_FLOAT, TYPE_INT, VERSION,
 };
 
-/// Upper bound on the bytes one positioned read fetches for a run of
-/// consecutive blocks: it bounds each scan's read buffer. A run ends before
-/// the block that would push its byte range past this; a single block is
-/// always read whole.
-const RUN_BYTES: u64 = 256 * 1024;
+/// The most bytes one positioned read of a scan covers, unless a single run
+/// needs more: reads of consecutive runs are merged up to this size.
+const READ_BYTES: u64 = 256 * 1024;
 
 /// One entry of the in-memory chunk directory.
 #[derive(Debug, Clone, Copy)]
@@ -303,8 +325,9 @@ impl SegmentReader {
     pub fn materialize(&self) -> StoreResult<Scramble> {
         let mut columns = self.schema.columns().to_vec();
         let blocks: Vec<BlockId> = (0..self.layout.num_blocks()).map(BlockId).collect();
-        self.scan_into(&blocks, None, &mut self.schema.clone(), &mut |_, block| {
-            for (column, part) in columns.iter_mut().zip(block.columns()) {
+        let mut decoded = self.schema.clone();
+        self.scan_into(&blocks, None, &mut decoded, None, &mut |_, run| {
+            for (column, part) in columns.iter_mut().zip(run.columns()) {
                 append(column.data_mut(), part.data());
             }
             ControlFlow::Continue(())
@@ -319,99 +342,207 @@ impl SegmentReader {
         ))
     }
 
-    /// Reads and decodes `blocks` in list order into `decoded`, a clone of
-    /// the schema, handing it to `visit` after each block until `visit`
-    /// breaks. Only the `projection` columns' chunks are decoded and
-    /// CRC-checked (all of them for `None`); the other columns stay zero-row
-    /// placeholders keeping their position, name, type and dictionary.
+    /// Scans `blocks` as [`BlockSource::scan_blocks`] does with
+    /// `projection`, visiting nothing, and returns the time spent in each
+    /// step of the reader's run path. This is the reader's own scan, with a
+    /// clock read between steps: a profile of the scan path, not a second
+    /// copy of it.
     ///
-    /// Blocks are fetched in runs (see [`Self::next_run`]), one positioned
-    /// read per run, and each block is decoded into the column buffers of
-    /// `decoded`, which are reused from block to block.
+    /// # Errors
+    ///
+    /// As [`BlockSource::scan_blocks`].
+    pub fn scan_steps(
+        &self,
+        blocks: &[BlockId],
+        projection: Option<&[usize]>,
+    ) -> StoreResult<ScanSteps> {
+        let mut steps = ScanSteps::default();
+        self.scan_into(
+            blocks,
+            projection,
+            &mut self.schema.clone(),
+            Some(&mut steps),
+            &mut |_, _| ControlFlow::Continue(()),
+        )?;
+        Ok(steps)
+    }
+
+    /// Reads and decodes `blocks` in list order into `decoded`, a clone of
+    /// the schema, one run at a time (see [`runs`]), handing it to `visit`
+    /// with the run's first block id after each run until `visit` breaks.
+    /// `decoded` then holds the run's rows, block after block. Only the
+    /// `projection` columns' chunks are checked and decoded (all of them
+    /// for `None`); the other columns stay zero-row placeholders keeping
+    /// their position, name, type and dictionary.
+    ///
+    /// Each read ([`Self::next_read`]) is one positioned read of whole runs
+    /// into a byte buffer; each run is then a CRC check of every referenced
+    /// chunk ([`Self::check_run`]) and one decode per column into the
+    /// column buffers of `decoded`. Both buffers are reused, so after the
+    /// first read a scan allocates only when a longer read or run needs
+    /// more room. With `steps`, the time of each step is added to it.
     fn scan_into(
         &self,
         blocks: &[BlockId],
         projection: Option<&[usize]>,
         decoded: &mut Table,
+        steps: Option<&mut ScanSteps>,
         visit: &mut dyn FnMut(BlockId, &Table) -> ControlFlow<()>,
     ) -> StoreResult<()> {
         let columns: Vec<usize> = (0..self.schema.num_columns())
             .filter(|ci| projection.map_or(true, |wanted| wanted.contains(ci)))
             .collect();
-        let mut bytes = Vec::new();
+        let block_size = self.layout.block_size();
+        let mut clock = steps.map(|steps| (steps, Instant::now()));
+        let mut buffer = Vec::new();
         let mut rest = blocks;
         while !rest.is_empty() {
-            let (len, span) = self.next_run(rest, &columns)?;
-            let (run, tail) = rest.split_at(len);
+            lap(&mut clock, None);
+            let (len, span) = self.next_read(rest, &columns)?;
+            let (read, tail) = rest.split_at(len);
             rest = tail;
-            bytes.resize((span.end - span.start) as usize, 0);
-            read_at(&self.file, &self.path, span.start, &mut bytes)?;
-            for &block in run {
-                let rows = self.layout.rows_of(block).len();
+            let bytes_len = (span.end - span.start) as usize;
+            if buffer.len() < bytes_len {
+                buffer.resize(bytes_len, 0);
+            }
+            read_at(&self.file, &self.path, span.start, &mut buffer[..bytes_len])?;
+            lap(
+                &mut clock,
+                Some(|steps| {
+                    steps.reads += 1;
+                    &mut steps.io
+                }),
+            );
+            let bytes = &buffer[..bytes_len];
+            let chunk = |block: BlockId, ci: usize| {
+                let entry = self.entry(block, ci);
+                let start = (entry.offset - span.start) as usize;
+                (entry, &bytes[start..start + entry.len as usize])
+            };
+            for run in runs(read, block_size) {
+                self.check_run(run, &columns, chunk)?;
+                lap(&mut clock, Some(|steps| &mut steps.crc));
+                let (first, last) = (run[0], run[run.len() - 1]);
+                let rows = self.layout.rows_of(last).end - self.layout.rows_of(first).start;
                 let table_columns = decoded.refill(rows);
                 for &ci in &columns {
-                    let entry = self.entry(block, ci);
-                    let start = (entry.offset - span.start) as usize;
-                    let chunk = &bytes[start..start + entry.len as usize];
                     let name = self.schema.column_at(ci).name();
-                    let actual = crc32(chunk);
-                    if actual != entry.crc {
-                        return Err(StoreError::corrupt(
-                            &self.path,
-                            format!(
-                                "chunk checksum mismatch for {block} column {ci} (`{name}`): stored {:#010x}, computed {actual:#010x}",
-                                entry.crc
-                            ),
-                        ));
-                    }
                     let out = table_columns[ci].data_mut();
-                    decode_chunk(entry.encoding, chunk, rows, name, out, &self.path)?;
+                    clear(out);
+                    for &block in run {
+                        let (entry, chunk) = chunk(block, ci);
+                        let rows = self.layout.rows_of(block).len();
+                        decode_chunk(entry.encoding, chunk, rows, name, out, &self.path)?;
+                    }
                 }
-                if visit(block, decoded).is_break() {
+                lap(&mut clock, Some(|steps| &mut steps.decode));
+                if visit(first, decoded).is_break() {
                     return Ok(());
                 }
+                lap(&mut clock, None);
             }
         }
         Ok(())
     }
 
-    /// The run at the head of `blocks`: how many of its leading blocks have
-    /// consecutive ids and fit, together, in [`RUN_BYTES`], and the byte
-    /// range covering their `columns` chunks (empty when `columns` is).
-    /// The data section is block-major, so the range holds the run's other
-    /// chunks too; those bytes are read but never decoded or checked.
+    /// The head of `blocks` that one positioned read of a scan fetches, as
+    /// a number of blocks, and the byte range covering its `columns`
+    /// chunks: whole runs (see [`runs`]), each continuing the one before
+    /// it, while their range fits in [`READ_BYTES`], and always the first
+    /// run. A run that fails [`Self::run_span`] ends the read before it,
+    /// so it fails on its own read, after the runs before it are visited.
+    ///
+    /// # Errors
+    ///
+    /// [`Self::run_span`]'s, for the first run.
+    fn next_read(&self, blocks: &[BlockId], columns: &[usize]) -> StoreResult<(usize, Range<u64>)> {
+        let mut len = 0;
+        let mut span: Option<Range<u64>> = None;
+        for run in runs(blocks, self.layout.block_size()) {
+            if len > 0 && run[0].index() != blocks[len - 1].index() + 1 {
+                break;
+            }
+            let run_span = match self.run_span(run, columns) {
+                Ok(run_span) => run_span,
+                Err(_) if len > 0 => break,
+                Err(e) => return Err(e),
+            };
+            let grown = match &span {
+                Some(span) => span.start.min(run_span.start)..span.end.max(run_span.end),
+                None => run_span,
+            };
+            if len > 0 && grown.end - grown.start > READ_BYTES {
+                break;
+            }
+            span = Some(grown);
+            len += run.len();
+        }
+        Ok((len, span.unwrap_or(0..0)))
+    }
+
+    /// Checks every `columns` chunk of `run` against its stored CRC-32,
+    /// column by column, four blocks at a time ([`check_crcs`]). `chunk`
+    /// gives a chunk's directory entry and bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] naming the first mismatching chunk in block
+    /// order, then column order, so the error does not depend on how the
+    /// checks are batched.
+    fn check_run<'b>(
+        &self,
+        run: &[BlockId],
+        columns: &[usize],
+        chunk: impl Fn(BlockId, usize) -> (ChunkEntry, &'b [u8]),
+    ) -> StoreResult<()> {
+        let mut first_bad: Option<(usize, usize, u32)> = None;
+        for &ci in columns {
+            let crcs = run.iter().map(|&block| {
+                let (entry, bytes) = chunk(block, ci);
+                (bytes, entry.crc)
+            });
+            if let Err((at, computed)) = check_crcs(crcs) {
+                if first_bad.map_or(true, |(earliest, _, _)| at < earliest) {
+                    first_bad = Some((at, ci, computed));
+                }
+            }
+        }
+        let Some((at, ci, computed)) = first_bad else {
+            return Ok(());
+        };
+        let block = run[at];
+        let name = self.schema.column_at(ci).name();
+        Err(StoreError::corrupt(
+            &self.path,
+            format!(
+                "chunk checksum mismatch for {block} column {ci} (`{name}`): stored {:#010x}, computed {computed:#010x}",
+                self.entry(block, ci).crc
+            ),
+        ))
+    }
+
+    /// The byte range covering the `columns` chunks of `run` (empty when
+    /// `columns` is). The data section is block-major, so the range holds
+    /// the run's other chunks too; those bytes are read but never decoded
+    /// or checked.
     ///
     /// # Errors
     ///
     /// [`StoreError::Corrupt`] for a block id past the end of the segment.
-    fn next_run(&self, blocks: &[BlockId], columns: &[usize]) -> StoreResult<(usize, Range<u64>)> {
-        let mut span: Option<Range<u64>> = None;
-        let mut len = 0;
-        for (i, &block) in blocks.iter().enumerate() {
-            if i > 0 && block.index() != blocks[i - 1].index() + 1 {
-                break;
-            }
-            if block.index() >= self.layout.num_blocks() {
-                return Err(StoreError::corrupt(
-                    &self.path,
-                    format!("{block} out of range ({} blocks)", self.layout.num_blocks()),
-                ));
-            }
-            let grown = columns
-                .iter()
-                .map(|&ci| {
-                    let entry = self.entry(block, ci);
-                    entry.offset..entry.offset + u64::from(entry.len)
-                })
-                .chain(span.clone())
-                .reduce(|a, b| a.start.min(b.start)..a.end.max(b.end));
-            if i > 0 && grown.as_ref().map_or(0, |r| r.end - r.start) > RUN_BYTES {
-                break;
-            }
-            span = grown;
-            len += 1;
+    fn run_span(&self, run: &[BlockId], columns: &[usize]) -> StoreResult<Range<u64>> {
+        let num_blocks = self.layout.num_blocks();
+        if let Some(&block) = run.iter().find(|block| block.index() >= num_blocks) {
+            return Err(StoreError::corrupt(
+                &self.path,
+                format!("{block} out of range ({num_blocks} blocks)"),
+            ));
         }
-        Ok((len, span.unwrap_or(0..0)))
+        let span = run
+            .iter()
+            .flat_map(|&block| columns.iter().map(move |&ci| self.entry(block, ci)))
+            .map(|entry| entry.offset..entry.offset + u64::from(entry.len))
+            .reduce(|a, b| a.start.min(b.start)..a.end.max(b.end));
+        Ok(span.unwrap_or(0..0))
     }
 
     /// The directory entry of `block`'s chunk of column `ci`.
@@ -459,7 +590,7 @@ impl BlockSource for SegmentReader {
         projection: Option<&[usize]>,
     ) -> StoreResult<BlockRef<'_>> {
         let mut decoded = self.schema.clone();
-        self.scan_into(&[block], projection, &mut decoded, &mut |_, _| {
+        self.scan_into(&[block], projection, &mut decoded, None, &mut |_, _| {
             ControlFlow::Continue(())
         })?;
         Ok(BlockRef::owned(decoded))
@@ -475,12 +606,42 @@ impl BlockSource for SegmentReader {
             blocks,
             projection,
             &mut self.schema.clone(),
-            &mut |block, table| visit(block, BlockRef::borrowed(table, 0..table.num_rows())),
+            None,
+            &mut |first, run| visit(first, BlockRef::borrowed(run, 0..run.num_rows())),
         )
     }
 
     fn group_universe_cache(&self) -> Option<&GroupUniverseCache> {
         Some(&self.universes)
+    }
+}
+
+/// Time spent in each step of a segment scan, summed over its reads and
+/// runs ([`SegmentReader::scan_steps`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanSteps {
+    /// Positioned reads of the referenced byte ranges.
+    pub io: Duration,
+    /// CRC-32 checks of the referenced chunks.
+    pub crc: Duration,
+    /// Decoding the referenced chunks into column buffers.
+    pub decode: Duration,
+    /// Number of positioned reads.
+    pub reads: usize,
+}
+
+/// With a clock, adds the time since its last lap to the step `step`
+/// picks (none: the time is dropped) and restarts it; without one, nothing.
+fn lap(
+    clock: &mut Option<(&mut ScanSteps, Instant)>,
+    step: Option<fn(&mut ScanSteps) -> &mut Duration>,
+) {
+    if let Some((steps, at)) = clock {
+        let now = Instant::now();
+        if let Some(step) = step {
+            *step(steps) += now - *at;
+        }
+        *at = now;
     }
 }
 
@@ -514,7 +675,17 @@ fn column_name(schema: &Table, index: usize, path: &Path) -> StoreResult<String>
     Ok(schema.column_at(index).name().to_string())
 }
 
-/// Appends one decoded block's values of a column to the whole column
+/// Empties a decoded column buffer, keeping its allocation for the next
+/// run.
+fn clear(column: &mut ColumnData) {
+    match column {
+        ColumnData::Float64(values) => values.clear(),
+        ColumnData::Int64(values) => values.clear(),
+        ColumnData::Categorical { codes, .. } => codes.clear(),
+    }
+}
+
+/// Appends one decoded run's values of a column to the whole column
 /// (used by [`SegmentReader::materialize`]). Both sides come from the same
 /// schema column, so their types agree.
 fn append(column: &mut ColumnData, part: &ColumnData) {
@@ -533,21 +704,18 @@ fn append(column: &mut ColumnData, part: &ColumnData) {
 mod tests {
     use super::*;
     use crate::persist::write_segment;
+    use crate::source::run_blocks;
 
-    /// Splits `blocks` into runs the way a scan does.
-    fn runs(
+    /// Splits `blocks` into runs the way a scan does, with each run's
+    /// length and byte range.
+    fn runs_of(
         reader: &SegmentReader,
         blocks: &[BlockId],
         columns: &[usize],
     ) -> Vec<(usize, Range<u64>)> {
-        let mut out = Vec::new();
-        let mut rest = blocks;
-        while !rest.is_empty() {
-            let run = reader.next_run(rest, columns).unwrap();
-            rest = &rest[run.0..];
-            out.push(run);
-        }
-        out
+        runs(blocks, reader.layout.block_size())
+            .map(|run| (run.len(), reader.run_span(run, columns).unwrap()))
+            .collect()
     }
 
     #[test]
@@ -564,28 +732,115 @@ mod tests {
         let reader = SegmentReader::open(&path).unwrap();
         let num_blocks = reader.layout.num_blocks();
         let every: Vec<BlockId> = (0..num_blocks).map(BlockId).collect();
+        // 1 600 rows of 25-row blocks.
+        const RUN_BLOCKS: usize = 64;
+        assert_eq!(run_blocks(25), RUN_BLOCKS);
 
-        // 800 blocks of 600 bytes: several capped runs tiling the data.
-        let all = runs(&reader, &every, &[0, 1, 2]);
-        assert!(all.len() > 1);
-        assert!(all
-            .iter()
-            .all(|(_, span)| span.end - span.start <= RUN_BYTES));
-        assert_eq!(all.iter().map(|(len, _)| len).sum::<usize>(), num_blocks);
+        // 800 blocks: twelve full runs of RUN_BLOCKS and a 32-block rest,
+        // whose byte ranges tile the data section.
+        let all = runs_of(&reader, &every, &[0, 1, 2]);
+        let lens: Vec<usize> = all.iter().map(|(len, _)| *len).collect();
+        assert_eq!(lens[..12], [RUN_BLOCKS; 12]);
+        assert_eq!(lens[12..], [num_blocks - 12 * RUN_BLOCKS]);
         assert!(all.windows(2).all(|w| w[0].1.end == w[1].1.start));
+        let run_bytes = (RUN_BLOCKS * 3 * 25 * 8) as u64;
+        assert!(all[..12]
+            .iter()
+            .all(|(_, span)| span.end - span.start == run_bytes));
 
         // One column's span starts at its first chunk and ends at its last.
-        let (len, span) = reader.next_run(&every[3..5], &[1]).unwrap();
-        assert_eq!(len, 2);
+        let span = reader.run_span(&every[3..5], &[1]).unwrap();
         let first = reader.entry(BlockId(3), 1);
         let last = reader.entry(BlockId(4), 1);
         assert_eq!(span, first.offset..last.offset + u64::from(last.len));
 
-        // A gap or a wrap ends a run; an empty projection reads nothing.
+        // A gap or a wrap ends a run, and so does the cap; an empty
+        // projection reads nothing.
         let gapped = [BlockId(0), BlockId(1), BlockId(5), BlockId(6), BlockId(0)];
-        let lens: Vec<usize> = runs(&reader, &gapped, &[0]).iter().map(|r| r.0).collect();
+        let lens: Vec<usize> = runs_of(&reader, &gapped, &[0])
+            .iter()
+            .map(|r| r.0)
+            .collect();
         assert_eq!(lens, [2, 2, 1]);
-        assert_eq!(runs(&reader, &every, &[]), [(num_blocks, 0..0)]);
+        let wrapped: Vec<BlockId> = (num_blocks - 3..num_blocks)
+            .chain(0..RUN_BLOCKS + 2)
+            .map(BlockId)
+            .collect();
+        let lens: Vec<usize> = runs_of(&reader, &wrapped, &[2])
+            .iter()
+            .map(|r| r.0)
+            .collect();
+        assert_eq!(lens, [3, RUN_BLOCKS, 2]);
+        let empty = runs_of(&reader, &every, &[]);
+        assert_eq!(empty.len(), num_blocks.div_ceil(RUN_BLOCKS));
+        assert!(empty.iter().all(|(_, span)| *span == (0..0)));
+
+        // A block past the end fails its run.
+        let past = [BlockId(num_blocks - 1), BlockId(num_blocks)];
+        assert!(matches!(
+            reader.run_span(&past, &[0]),
+            Err(StoreError::Corrupt { .. })
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+    #[test]
+    fn a_read_covers_consecutive_whole_runs_up_to_the_byte_cap() {
+        let n = 20_000usize;
+        let column = |name: &str| Column::float(name, (0..n).map(|i| i as f64).collect());
+        let table = Table::new(vec![column("a"), column("b"), column("c")]).unwrap();
+        let scramble = Scramble::build_with(&table, 1, 25).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "fastframe_reader_reads_{}.ffseg",
+            std::process::id()
+        ));
+        write_segment(&scramble, &path).unwrap();
+        let reader = SegmentReader::open(&path).unwrap();
+        let num_blocks = reader.layout.num_blocks();
+        let every: Vec<BlockId> = (0..num_blocks).map(BlockId).collect();
+        let reads = |blocks: &[BlockId], columns: &[usize]| {
+            let mut rest = blocks;
+            let mut out = Vec::new();
+            while !rest.is_empty() {
+                let (len, span) = reader.next_read(rest, columns).unwrap();
+                out.push((len, span));
+                rest = &rest[len..];
+            }
+            out
+        };
+
+        // A run of all three columns is 64 · 25 · 3 · 8 = 38 400 bytes, so
+        // six runs fit in READ_BYTES and a seventh does not; the 800 blocks
+        // take two reads, six runs and then six plus the 32-block rest,
+        // whose ranges tile the data section.
+        let all = reads(&every, &[0, 1, 2]);
+        let lens: Vec<usize> = all.iter().map(|(len, _)| *len).collect();
+        assert_eq!(lens, [384, 416]);
+        assert!(all
+            .iter()
+            .all(|(_, span)| span.end - span.start <= READ_BYTES));
+        assert!(all.windows(2).all(|w| w[0].1.end == w[1].1.start));
+        // One column's runs: its range spans the other columns too (the
+        // section is block-major), so the same six runs fit.
+        let one: Vec<usize> = reads(&every, &[1]).iter().map(|r| r.0).collect();
+        assert_eq!(one, [384, 416]);
+        // The scan makes exactly those reads.
+        let steps = reader.scan_steps(&every, None).unwrap();
+        assert_eq!(steps.reads, 2);
+
+        // A gap or the wrap ends a read as it ends a run.
+        let gapped: Vec<BlockId> = (0..100).chain(101..300).chain(0..10).map(BlockId).collect();
+        let lens: Vec<usize> = reads(&gapped, &[0]).iter().map(|r| r.0).collect();
+        assert_eq!(lens, [100, 199, 10]);
+
+        // A block past the end ends the read before its run, so the runs
+        // before it are read (and visited) first; read alone, it fails.
+        let past: Vec<BlockId> = (num_blocks - 70..num_blocks + 1).map(BlockId).collect();
+        let (len, _) = reader.next_read(&past, &[0]).unwrap();
+        assert_eq!(len, run_blocks(25));
+        assert!(matches!(
+            reader.next_read(&past[len..], &[0]),
+            Err(StoreError::Corrupt { .. })
+        ));
         std::fs::remove_file(&path).ok();
     }
 }

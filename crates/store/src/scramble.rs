@@ -13,6 +13,7 @@
 //! columns.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -20,7 +21,7 @@ use rand::SeedableRng;
 use crate::bitmap::BlockBitmapIndex;
 use crate::block::{BlockId, BlockLayout, DEFAULT_BLOCK_SIZE};
 use crate::catalog::Catalog;
-use crate::source::{BlockRef, BlockSource, GroupUniverseCache};
+use crate::source::{runs, BlockRef, BlockSource, GroupUniverseCache};
 use crate::table::{StoreResult, Table};
 use crate::zone::ZoneMap;
 
@@ -189,6 +190,24 @@ impl BlockSource for Scramble {
 
     fn read_block(&self, block: BlockId) -> StoreResult<BlockRef<'_>> {
         Ok(BlockRef::borrowed(&self.table, self.layout.rows_of(block)))
+    }
+
+    /// Hands out each run as a zero-copy row range of the table: the
+    /// run's blocks are adjacent rows.
+    fn scan_blocks(
+        &self,
+        blocks: &[BlockId],
+        _projection: Option<&[usize]>,
+        visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
+    ) -> StoreResult<()> {
+        for run in runs(blocks, self.layout.block_size()) {
+            let (first, last) = (run[0], run[run.len() - 1]);
+            let rows = self.layout.rows_of(first).start..self.layout.rows_of(last).end;
+            if visit(first, BlockRef::borrowed(&self.table, rows)).is_break() {
+                break;
+            }
+        }
+        Ok(())
     }
 
     fn group_universe_cache(&self) -> Option<&GroupUniverseCache> {

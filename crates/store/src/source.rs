@@ -10,7 +10,11 @@
 //!   `read_block` is a zero-copy view into the permuted table, and
 //! * the on-disk [`SegmentReader`](crate::persist::SegmentReader), which
 //!   decodes blocks on demand so working sets larger than memory can be
-//!   scanned block-by-block.
+//!   scanned a run of blocks at a time.
+//!
+//! Scans ([`BlockSource::scan_blocks`]) hand out **runs** of consecutive
+//! blocks holding up to [`RUN_ROWS`] rows, so per-call costs are paid per
+//! run; blocks remain the unit of planning, skipping and counting.
 //!
 //! Both expose the same layout, catalog, bitmap indexes and zone maps, so
 //! the planner makes identical skip decisions and the executor produces
@@ -26,7 +30,8 @@ use crate::catalog::Catalog;
 use crate::table::{StoreResult, Table};
 use crate::zone::ZoneMap;
 
-/// The decoded contents of one block, referencing either the backing
+/// The decoded contents of one block, or of one run of consecutive blocks
+/// (see [`BlockSource::scan_blocks`]), referencing either the backing
 /// in-memory table (zero copy) or a table decoded on demand from disk.
 #[derive(Debug)]
 pub struct BlockRef<'a> {
@@ -70,12 +75,12 @@ impl<'a> BlockRef<'a> {
         }
     }
 
-    /// The row indices of [`Self::table`] that belong to this block.
+    /// The row indices of [`Self::table`] that belong to this block or run.
     pub fn rows(&self) -> Range<usize> {
         self.rows.clone()
     }
 
-    /// Number of rows in the block.
+    /// Number of rows in the block or run.
     pub fn len(&self) -> usize {
         self.rows.end - self.rows.start
     }
@@ -84,6 +89,40 @@ impl<'a> BlockRef<'a> {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
+}
+
+/// The most rows one run of [`BlockSource::scan_blocks`] covers, on every
+/// backing and at every block size: 64 of the paper's 25-row blocks. Long
+/// enough that a visitor's per-call costs vanish next to its per-row work,
+/// short enough that the buffers sized by a run (a segment scan's decoded
+/// columns, the engine's selection vector) stay at tens of KiB whatever
+/// the table's block size. A block larger than the cap is a run of its own.
+pub const RUN_ROWS: usize = 1_600;
+
+/// The most blocks of `block_size` rows one run covers: as many as fit in
+/// [`RUN_ROWS`], and at least one.
+pub fn run_blocks(block_size: usize) -> usize {
+    (RUN_ROWS / block_size.max(1)).max(1)
+}
+
+/// Splits `blocks` of a table with `block_size`-row blocks into the maximal
+/// runs [`BlockSource::scan_blocks`] hands out: stretches of consecutive
+/// ids, each at most [`run_blocks`]`(block_size)` long, in list order.
+pub fn runs(blocks: &[BlockId], block_size: usize) -> impl Iterator<Item = &[BlockId]> + '_ {
+    let cap = run_blocks(block_size);
+    let mut rest = blocks;
+    std::iter::from_fn(move || {
+        let first = rest.first()?.index();
+        let len = rest
+            .iter()
+            .take(cap)
+            .enumerate()
+            .take_while(|&(i, block)| block.index() == first + i)
+            .count();
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        Some(run)
+    })
 }
 
 /// A source of scramble blocks: the engine's entire view of a table.
@@ -163,21 +202,38 @@ pub trait BlockSource: Sync {
     }
 
     /// Reads `blocks` in list order with [`Self::read_block_projected`]'s
-    /// projection semantics, handing each block to `visit` until it breaks.
-    /// This is the scan path: the engine's partition scans and the
-    /// group-universe build read through it.
+    /// projection semantics and hands them to `visit` one **run** at a time,
+    /// until it breaks. This is the scan path: the engine's partition scans
+    /// and the group-universe build read through it.
     ///
-    /// The default reads each block with [`Self::read_block_projected`], so
-    /// in-memory blocks stay zero-copy views and a source that overrides
-    /// only that method still sees every block. Lazy sources override it to
-    /// fetch runs of consecutive blocks at once and decode them into reused
-    /// buffers (see [`SegmentReader`](crate::persist::SegmentReader)); the
-    /// blocks `visit` sees are the same either way.
+    /// A run is a stretch of consecutive block ids of the list, at most
+    /// [`run_blocks`]`(block_size)` long, so at most [`RUN_ROWS`] rows
+    /// unless one block alone is longer. `visit(first, run)` gets the run's first block id
+    /// and one [`BlockRef`] whose rows are the run's blocks' rows, whole and
+    /// in block order: row `first_row + i` of the run belongs to block
+    /// `first + i / block_size`, where `first_row` is `run.rows().start`.
+    /// A run never crosses a gap in the list (a skipped block), the wrap
+    /// from the last block to block 0, or the cap. Blocks stay the unit of
+    /// planning, skipping and the "blocks fetched" count; a run is only
+    /// the unit of scanning, so that a visitor pays its per-call costs
+    /// (a filter call, a routing pass, a kernel dispatch; on the segment a
+    /// CRC batch and a decode call per column) once for up to [`RUN_ROWS`]
+    /// rows instead of once per block. The cap bounds every buffer sized by
+    /// a run at [`RUN_ROWS`] rows, whatever the block size.
+    ///
+    /// Both built-in sources hand maximal runs ([`runs`]): the in-memory
+    /// [`Scramble`](crate::scramble::Scramble) as a zero-copy row range of
+    /// its table, the [`SegmentReader`](crate::persist::SegmentReader)
+    /// decoded into buffers reused from run to run. The default reads each
+    /// block with [`Self::read_block_projected`], so every run of a source
+    /// that overrides only that method is one block long; visitors must not
+    /// assume a run is maximal.
     ///
     /// # Errors
     ///
-    /// The first failing read, after which no further block is visited.
-    /// Blocks before it may have been visited.
+    /// The first failing read, after which nothing further is visited. A
+    /// run is visited only once all of it has been read, so the runs before
+    /// the failing one may have been visited, but no block of its own run.
     fn scan_blocks(
         &self,
         blocks: &[BlockId],
@@ -338,9 +394,9 @@ pub fn build_group_universe<S: BlockSource + ?Sized>(
     let blocks: Vec<BlockId> = (0..source.num_blocks()).map(BlockId).collect();
     // Only the group-by columns are read, so lazy sources decode just those
     // chunks.
-    source.scan_blocks(&blocks, Some(columns), &mut |_, block_ref| {
-        let table = block_ref.table();
-        for row in block_ref.rows() {
+    source.scan_blocks(&blocks, Some(columns), &mut |_, run| {
+        let table = run.table();
+        for row in run.rows() {
             tuple.clear();
             tuple.extend(
                 columns
@@ -377,17 +433,21 @@ fn indexed_universe<S: BlockSource + ?Sized>(
     blocks.sort_unstable();
     blocks.dedup();
 
+    let block_size = source.layout().block_size();
     let mut emitted = vec![false; first_block.len()];
     let mut out = Vec::new();
-    source.scan_blocks(&blocks, Some(&[column]), &mut |block, block_ref| {
-        let codes = block_ref
+    source.scan_blocks(&blocks, Some(&[column]), &mut |first, run| {
+        let codes = run
             .table()
             .column_at(column)
             .category_codes()
             .unwrap_or_default();
-        for &code in &codes[block_ref.rows()] {
+        // A run holds whole consecutive blocks, so a row's block follows
+        // from its offset within the run.
+        for (offset, &code) in codes[run.rows()].iter().enumerate() {
             let c = code as usize;
-            if first_block.get(c) == Some(&Some(block.index())) && !emitted[c] {
+            let block = first.index() + offset / block_size;
+            if first_block.get(c) == Some(&Some(block)) && !emitted[c] {
                 emitted[c] = true;
                 out.push(vec![code]);
             }
