@@ -21,7 +21,7 @@
 use std::io::Write;
 use std::time::{Duration, Instant};
 
-use fastframe_bench::{env_or, fmt_secs, print_header, print_row, BENCH_DELTA};
+use fastframe_bench::{env_or, fmt_ms, print_header, print_row, BENCH_DELTA};
 use fastframe_engine::config::EngineConfig;
 use fastframe_engine::session::Session;
 use fastframe_store::block::DEFAULT_BLOCK_SIZE;
@@ -159,32 +159,32 @@ fn main() {
     let n = runs as u32;
     println!("# cold_open — process start to first answer ({rows} rows, avg of {runs})");
     println!(
-        "# artifacts: csv {:.1} MB, segment {:.1} MB (one-time save {})",
+        "# artifacts: csv {:.1} MB, segment {:.1} MB (one-time save {} ms)",
         file_mb(&csv_path),
         file_mb(&seg_path),
-        fmt_secs(save_time)
+        fmt_ms(save_time)
     );
     print_header(&[
         "path",
-        "setup (s)",
-        "query (s)",
-        "total (s)",
+        "setup (ms)",
+        "query (ms)",
+        "total (ms)",
         "blocks fetched",
     ]);
     let total_csv = csv_setup / n + csv_query / n;
     let total_open = open_setup / n + open_query / n;
     print_row(&[
         "csv+shuffle".into(),
-        fmt_secs(csv_setup / n),
-        fmt_secs(csv_query / n),
-        fmt_secs(total_csv),
+        fmt_ms(csv_setup / n),
+        fmt_ms(csv_query / n),
+        fmt_ms(total_csv),
         csv_result.metrics.blocks_fetched().to_string(),
     ]);
     print_row(&[
         "open_table".into(),
-        fmt_secs(open_setup / n),
-        fmt_secs(open_query / n),
-        fmt_secs(total_open),
+        fmt_ms(open_setup / n),
+        fmt_ms(open_query / n),
+        fmt_ms(total_open),
         open_result.metrics.blocks_fetched().to_string(),
     ]);
     println!(

@@ -20,10 +20,11 @@
 //!
 //! A third splits the segment's scan path into its steps, per block, with
 //! the reader's own step clock (`SegmentReader::scan_steps`): the
-//! positioned reads (each covering up to 256 KiB of whole runs), the
-//! four-lane CRC-32 check of each run's referenced chunks and their decode
-//! into one buffer per column, next to the whole path through
-//! `scan_blocks`. It covers the synthetic table's
+//! positioned reads (one per referenced column and row group of a window
+//! of up to 256 KiB of whole runs) with the bytes they move, the
+//! four-lane CRC-32 check of each run's referenced pieces and their decode
+//! into one buffer per column, one call per page, next to the whole path
+//! through `scan_blocks`. It covers the synthetic table's
 //! projection and two Flights projections (5 columns; `{Origin, DepDelay}`
 //! and `{Airline, DepDelay, DepTime}`), the shapes the Table 5 templates
 //! read.
@@ -136,12 +137,17 @@ fn assert_identical(a: &QueryResult, b: &QueryResult, what: &str) {
 /// Median nanoseconds per block of the three steps of the segment
 /// reader's scan path over `projection`, every block read as a full scan
 /// reads it, with the steps timed by the reader itself
-/// (`SegmentReader::scan_steps`): I/O (positioned reads of whole runs into
-/// a reused buffer), CRC-32 (each run's referenced chunks checked column by
-/// column, four at a time) and unpack (each referenced column of a run
-/// decoded into one reused buffer, block after block). Also returns the
-/// number of reads of one pass.
-fn read_split_ns(reader: &SegmentReader, projection: &[usize], runs: usize) -> ([f64; 3], usize) {
+/// (`SegmentReader::scan_steps`): I/O (positioned reads of the referenced
+/// columns' pieces into a reused buffer), CRC-32 (each run's referenced
+/// pieces checked column by column, four at a time) and unpack (each
+/// referenced column of a run decoded into one reused buffer, one call per
+/// page). Also returns the number of reads of one pass and the bytes they
+/// move per block.
+fn read_split_ns(
+    reader: &SegmentReader,
+    projection: &[usize],
+    runs: usize,
+) -> ([f64; 3], usize, f64) {
     let blocks: Vec<BlockId> = (0..reader.num_blocks()).map(BlockId).collect();
     let steps: Vec<ScanSteps> = (0..runs)
         .map(|_| {
@@ -158,6 +164,7 @@ fn read_split_ns(reader: &SegmentReader, projection: &[usize], runs: usize) -> (
     (
         [median(|s| s.io), median(|s| s.crc), median(|s| s.decode)],
         steps[0].reads,
+        steps[0].bytes as f64 / blocks.len() as f64,
     )
 }
 
@@ -297,6 +304,7 @@ fn main() {
     print_header(&[
         "table and projection",
         "reads",
+        "bytes/block",
         "I/O",
         "CRC-32",
         "unpack",
@@ -305,11 +313,12 @@ fn main() {
     ]);
     for (file, label, projection) in &splits {
         let reader = SegmentReader::open(file).expect("reopen segment");
-        let ([io, crc, unpack], reads) = read_split_ns(&reader, projection, runs);
+        let ([io, crc, unpack], reads, bytes) = read_split_ns(&reader, projection, runs);
         let whole = block_read_ns(&reader, projection, runs, true);
         print_row(&[
             label.to_string(),
             format!("{reads}"),
+            format!("{bytes:.0}"),
             format!("{io:.0}"),
             format!("{crc:.0}"),
             format!("{unpack:.0}"),

@@ -9,7 +9,7 @@
 //! Run with `cargo bench -p fastframe-bench --bench table5`.
 
 use fastframe_bench::{
-    assert_same_selection, build_flights_session, fmt_secs, print_header, print_row, run_approx,
+    assert_same_selection, build_flights_session, fmt_ms, print_header, print_row, run_approx,
     run_exact,
 };
 use fastframe_core::bounder::BounderKind;
@@ -40,7 +40,7 @@ fn main() {
     println!();
     print_header(&[
         "Query",
-        "Exact (s)",
+        "Exact (ms)",
         "Hoeffding",
         "Hoeffding+RT",
         "Bernstein",
@@ -61,7 +61,7 @@ fn main() {
         } else {
             SamplingStrategy::Scan
         };
-        let mut cells = vec![template.query.name.clone(), fmt_secs(exact.wall)];
+        let mut cells = vec![template.query.name.clone(), fmt_ms(exact.wall)];
         let mut blocks = vec![
             template.query.name.clone(),
             exact.blocks_fetched.to_string(),
@@ -72,7 +72,7 @@ fn main() {
             cells.push(format!(
                 "{:.2}x ({})",
                 m.speedup_over(&exact),
-                fmt_secs(m.wall)
+                fmt_ms(m.wall)
             ));
             blocks.push(format!(
                 "{:.2}x ({})",

@@ -5,7 +5,7 @@
 //! Run with `cargo bench -p fastframe-bench --bench table6`.
 
 use fastframe_bench::{
-    assert_same_selection, build_flights_session, fmt_secs, print_header, print_row, run_approx,
+    assert_same_selection, build_flights_session, fmt_ms, print_header, print_row, run_approx,
     run_exact,
 };
 use fastframe_core::bounder::BounderKind;
@@ -19,7 +19,7 @@ fn main() {
     println!();
     print_header(&[
         "Query",
-        "Scan (s)",
+        "Scan (ms)",
         "Scan blocks",
         "ActiveSync",
         "ActivePeek",
@@ -38,7 +38,7 @@ fn main() {
 
         let mut cells = vec![
             template.query.name.clone(),
-            fmt_secs(scan.wall),
+            fmt_ms(scan.wall),
             scan.blocks_fetched.to_string(),
         ];
         let mut peek_blocks = 0;
@@ -53,7 +53,7 @@ fn main() {
             cells.push(format!(
                 "{:.2}x ({})",
                 m.speedup_over(&scan),
-                fmt_secs(m.wall)
+                fmt_ms(m.wall)
             ));
             if strategy == SamplingStrategy::ActivePeek {
                 peek_blocks = m.blocks_fetched;

@@ -183,9 +183,11 @@ pub fn assert_same_selection(query_label: &str, approx: &Measurement, exact: &Me
     );
 }
 
-/// Formats a duration as seconds with three decimals.
-pub fn fmt_secs(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64())
+/// Formats a duration as milliseconds with two decimals: at 1M rows most
+/// query times are a few milliseconds, which three decimals of a second
+/// would round to one or two digits.
+pub fn fmt_ms(d: Duration) -> String {
+    format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
 /// Prints a Markdown-style table row.
@@ -219,6 +221,7 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(fmt_secs(Duration::from_millis(1_500)), "1.500");
+        assert_eq!(fmt_ms(Duration::from_millis(1_500)), "1500.00");
+        assert_eq!(fmt_ms(Duration::from_micros(2_346)), "2.35");
     }
 }

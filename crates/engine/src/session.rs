@@ -203,6 +203,15 @@ impl Session {
     /// decoded on demand, so the table may be larger than memory. Queries
     /// against it behave identically to the in-memory scramble it was saved
     /// from — bit-identical estimates, CI bounds and scan statistics.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::DuplicateTable`] for a name already in use, a store
+    /// error for a file that is missing or fails to validate, and
+    /// [`EngineError::NonFiniteValue`] when a float column holds a NaN or
+    /// an infinity, as [`Session::register_scramble`] refuses it (the
+    /// segment records the catalog's first one, so the check reads no
+    /// data).
     pub fn open_table(
         &mut self,
         name: impl Into<String>,
@@ -213,6 +222,12 @@ impl Session {
             return Err(EngineError::DuplicateTable { name });
         }
         let reader = SegmentReader::open(path)?;
+        if let Some((column, row)) = reader.catalog().first_non_finite() {
+            return Err(EngineError::NonFiniteValue {
+                column: column.to_string(),
+                row,
+            });
+        }
         self.tables.insert(name, TableEntry::Segment(reader));
         Ok(())
     }

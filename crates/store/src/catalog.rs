@@ -83,12 +83,22 @@ impl Catalog {
     /// original table).
     ///
     /// Statistics hold no rows, so such a catalog reports no
-    /// [non-finite value](Catalog::first_non_finite).
+    /// [non-finite value](Catalog::first_non_finite) unless one is restored
+    /// with [`Catalog::with_first_non_finite`].
     pub fn from_stats(stats: impl IntoIterator<Item = ColumnStats>) -> Self {
         Self {
             columns: stats.into_iter().map(|s| (s.name.clone(), s)).collect(),
             non_finite: None,
         }
+    }
+
+    /// This catalog reporting `non_finite` as its
+    /// [first non-finite value](Catalog::first_non_finite): a persisted
+    /// segment records the one its catalog was built with, so a reopened
+    /// table can be refused without a pass over its data.
+    pub fn with_first_non_finite(mut self, non_finite: Option<(String, usize)>) -> Self {
+        self.non_finite = non_finite;
+        self
     }
 
     /// The first non-finite float value (NaN or ±∞) the catalog was built

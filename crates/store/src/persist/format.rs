@@ -1,5 +1,16 @@
 //! Low-level byte helpers for the segment format: CRC-32, little-endian
-//! primitives, a bounds-checked cursor, and the per-chunk column encodings.
+//! primitives, a bounds-checked cursor, and the page encodings of the data
+//! section.
+//!
+//! The data section is cut into **row groups** of [`GROUP_BLOCKS`] blocks.
+//! A row group holds one contiguous **chunk** per column, and a chunk is
+//! cut into **pages** of [`PAGE_BLOCKS`] blocks. A page has one
+//! frame of reference ([`Frame`]: a `min` and a bit `width`) and one
+//! byte-aligned **piece** per block: the block's values minus `min`, packed
+//! in `width` bits each ([`encode_piece`]). A float page is its blocks'
+//! raw `f64`s back to back, which is the frame `(0, 64)`. A run of
+//! consecutive blocks of one page decodes with one width-dispatched call
+//! ([`decode_page`]), eight values per word load up to 8-bit widths.
 //!
 //! Everything here is deterministic: the same scramble always serializes to
 //! the same bytes, so segment files can be compared and cached by content.
@@ -7,14 +18,14 @@
 use std::ops::Range;
 use std::path::Path;
 
-use crate::column::{Column, ColumnData};
+use crate::column::{Column, ColumnData, DataType};
 use crate::table::{StoreError, StoreResult};
 
 /// Magic bytes opening the file and closing the footer.
 pub const MAGIC: [u8; 8] = *b"FFSEGM01";
 
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Size of the fixed header in bytes.
 pub const HEADER_LEN: u64 = 16;
@@ -22,15 +33,29 @@ pub const HEADER_LEN: u64 = 16;
 /// Size of the fixed footer in bytes.
 pub const FOOTER_LEN: u64 = 32;
 
-/// Chunk encoding tag: raw little-endian `f64` bits.
-pub const ENC_FLOAT_RAW: u8 = 0;
+/// Blocks per page: the unit of a frame of reference and of one decode
+/// call. 64 blocks, one word of a block bitmap, and one run of the paper's
+/// 25-row blocks.
+pub const PAGE_BLOCKS: usize = 64;
 
-/// Chunk encoding tag: frame-of-reference + bit-packed `i64`.
-pub const ENC_INT_FOR: u8 = 1;
+/// Blocks per row group: one planner batch. A multiple of [`PAGE_BLOCKS`],
+/// so no page straddles two row groups.
+pub const GROUP_BLOCKS: usize = 1_024;
 
-/// Chunk encoding tag: frame-of-reference + bit-packed `u32` dictionary
-/// codes.
-pub const ENC_CODES_FOR: u8 = 2;
+/// Size in bytes of one page directory entry in the metadata section:
+/// `u64 offset`, `u64 min`, `u8 width`.
+pub const PAGE_ENTRY_LEN: usize = 17;
+
+/// Sentinel column index for "no non-finite value" in the metadata's
+/// non-finite record.
+pub const NO_NON_FINITE: u32 = u32::MAX;
+
+/// Bytes a decoder may load past the end of a page's last piece: values
+/// are read with 8- and 16-byte word loads and the bits beyond a value
+/// masked away. A caller handing [`decode_page`] this much slack after
+/// the pieces keeps every load in place; without it the last pieces are
+/// decoded from a zero-padded copy.
+pub const DECODE_SLACK: usize = 16;
 
 /// Column type tag: `Float64`.
 pub const TYPE_FLOAT: u8 = 0;
@@ -137,15 +162,27 @@ pub fn check_crcs<'a>(
     check(start, rest, &computed[..filled])
 }
 
-/// Advances a CRC register over `bytes`: eight bytes per step, then a
-/// bytewise tail. The register is not pre- or post-inverted here.
+/// Advances a CRC register over `bytes`: eight bytes per step, then at
+/// most one four-byte step (slicing-by-4 over the first four tables) and a
+/// bytewise tail of at most three, so a short piece's tail is not a long
+/// serial chain. The register is not pre- or post-inverted here.
 #[inline]
 fn crc_update(mut c: u32, bytes: &[u8]) -> u32 {
     let mut words = bytes.chunks_exact(8);
     for word in &mut words {
         c = crc_step8(c, word);
     }
-    for &b in words.remainder() {
+    let mut rest = words.remainder();
+    if let Some((word, tail)) = rest.split_first_chunk::<4>() {
+        let t = &CRC_TABLES;
+        let x = c ^ u32::from_le_bytes(*word);
+        c = t[3][(x & 0xFF) as usize]
+            ^ t[2][((x >> 8) & 0xFF) as usize]
+            ^ t[1][((x >> 16) & 0xFF) as usize]
+            ^ t[0][(x >> 24) as usize];
+        rest = tail;
+    }
+    for &b in rest {
         c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c
@@ -281,60 +318,33 @@ pub fn pack_bits(values: impl Iterator<Item = u64>, width: u8, out: &mut Vec<u8>
     }
 }
 
-/// Unpacks `count` `width`-bit values from a stream produced by
-/// [`pack_bits`], handing each to `emit` in order. Returns `None` (having
-/// emitted nothing) if `bytes` is too short.
-///
-/// Up to 56 bits wide, each value is one shifted 8-byte little-endian load
-/// at its first byte (7 bits of shift plus 56 of width fit). Values whose
-/// load would run past the end of the stream read a zero-padded copy of
-/// its last 8 bytes instead. Wider values are streamed a byte at a time.
-pub fn unpack_bits(bytes: &[u8], width: u8, count: usize, mut emit: impl FnMut(u64)) -> Option<()> {
-    let width = usize::from(width);
-    if bytes.len() < (count * width).div_ceil(8) {
-        return None;
-    }
-    if width == 0 {
-        (0..count).for_each(|_| emit(0));
-        return Some(());
-    }
-    if width > 56 {
-        let mut acc: u128 = 0;
-        let mut nbits = 0;
-        let mut next = 0;
-        for _ in 0..count {
-            while nbits < width {
-                acc |= u128::from(bytes[next]) << nbits;
-                next += 1;
-                nbits += 8;
-            }
-            emit(acc as u64 & (u64::MAX >> (64 - width)));
-            acc >>= width;
-            nbits -= width;
-        }
-        return Some(());
-    }
-    let mask = (1u64 << width) - 1;
-    let load =
-        |src: &[u8], at: usize| u64::from_le_bytes(src[at..at + 8].try_into().expect("8 bytes"));
-    // Value `i` loads in place while its first byte, `i * width / 8`, is at
-    // most `len - 8`.
-    let direct = match bytes.len().checked_sub(8) {
-        Some(last) => ((last * 8 + 7) / width + 1).min(count),
-        None => 0,
-    };
-    for i in 0..direct {
-        let bit = i * width;
-        emit((load(bytes, bit / 8) >> (bit % 8)) & mask);
-    }
-    let tail_start = bytes.len().saturating_sub(8);
-    let mut tail = [0u8; 16];
-    tail[..bytes.len() - tail_start].copy_from_slice(&bytes[tail_start..]);
-    for i in direct..count {
-        let bit = i * width;
-        emit((load(&tail, bit / 8 - tail_start) >> (bit % 8)) & mask);
-    }
-    Some(())
+/// A page's frame of reference: every value of the page is stored as its
+/// distance from `min` in `width` bits. `min` is a dictionary code for a
+/// categorical page and an `i64`'s two's-complement bits for an integer
+/// page; a float page has the frame [`Frame::FLOAT`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Frame {
+    /// The value every stored delta is added to.
+    pub min: u64,
+    /// Bits per stored value.
+    pub width: u8,
+}
+
+impl Frame {
+    /// The frame of a float page: raw `f64` bits, 64 to a value.
+    pub const FLOAT: Frame = Frame { min: 0, width: 64 };
+}
+
+/// Bytes of a piece of `rows` values `width` bits wide: pieces are
+/// byte-aligned, so each block's piece starts on a byte.
+pub fn piece_len(rows: usize, width: u8) -> usize {
+    (rows * usize::from(width)).div_ceil(8)
+}
+
+/// Bytes of the consecutive pieces holding `rows` values of a page, every
+/// piece but the last holding `block_rows` of them.
+fn pieces_len(rows: usize, block_rows: usize, width: u8) -> usize {
+    rows / block_rows * piece_len(block_rows, width) + piece_len(rows % block_rows, width)
 }
 
 /// Minimal bit width able to represent `max_delta`.
@@ -342,15 +352,11 @@ fn width_for(max_delta: u64) -> u8 {
     (64 - max_delta.leading_zeros()) as u8
 }
 
-/// Encodes rows `rows` of `column` into `out`, returning the encoding tag.
-pub fn encode_chunk(column: &Column, rows: Range<usize>, out: &mut Vec<u8>) -> u8 {
+/// The frame of reference of the page holding rows `rows` of `column`:
+/// its smallest value and the width of its largest distance from it.
+pub fn frame_of(column: &Column, rows: Range<usize>) -> Frame {
     match column.data() {
-        ColumnData::Float64(values) => {
-            for &v in &values[rows] {
-                put_f64(out, v);
-            }
-            ENC_FLOAT_RAW
-        }
+        ColumnData::Float64(_) => Frame::FLOAT,
         ColumnData::Int64(values) => {
             let slice = &values[rows];
             let min = slice.iter().copied().min().unwrap_or(0);
@@ -359,118 +365,254 @@ pub fn encode_chunk(column: &Column, rows: Range<usize>, out: &mut Vec<u8>) -> u
                 .map(|&v| v.wrapping_sub(min) as u64)
                 .max()
                 .unwrap_or(0);
-            let width = width_for(max_delta);
-            out.extend_from_slice(&min.to_le_bytes());
-            out.push(width);
-            pack_bits(
-                slice.iter().map(|&v| v.wrapping_sub(min) as u64),
-                width,
-                out,
-            );
-            ENC_INT_FOR
+            Frame {
+                min: min as u64,
+                width: width_for(max_delta),
+            }
         }
         ColumnData::Categorical { codes, .. } => {
             let slice = &codes[rows];
             let min = slice.iter().copied().min().unwrap_or(0);
-            let max_delta = slice.iter().map(|&v| (v - min) as u64).max().unwrap_or(0);
-            let width = width_for(max_delta);
-            out.extend_from_slice(&min.to_le_bytes());
-            out.push(width);
-            pack_bits(slice.iter().map(|&v| (v - min) as u64), width, out);
-            ENC_CODES_FOR
+            let max_delta = slice.iter().map(|&v| v - min).max().unwrap_or(0);
+            Frame {
+                min: u64::from(min),
+                width: width_for(u64::from(max_delta)),
+            }
         }
     }
 }
 
-/// Decodes one chunk of `rows` rows, appending them to `out`.
+/// Encodes rows `rows` of `column` as one piece of a page with frame
+/// `frame` (from [`frame_of`] over the whole page), appending it to `out`.
+pub fn encode_piece(column: &Column, rows: Range<usize>, frame: Frame, out: &mut Vec<u8>) {
+    match column.data() {
+        ColumnData::Float64(values) => {
+            for &v in &values[rows] {
+                put_f64(out, v);
+            }
+        }
+        ColumnData::Int64(values) => {
+            let min = frame.min as i64;
+            let deltas = values[rows].iter().map(|&v| v.wrapping_sub(min) as u64);
+            pack_bits(deltas, frame.width, out);
+        }
+        ColumnData::Categorical { codes, .. } => {
+            let min = frame.min as u32;
+            let deltas = codes[rows].iter().map(|&v| u64::from(v - min));
+            pack_bits(deltas, frame.width, out);
+        }
+    }
+}
+
+/// Checks that `frame` can be the frame of a page of a `data_type` column:
+/// a float page's frame is [`Frame::FLOAT`], an integer page's width is at
+/// most 64, and a categorical page's width at most 32 with a `u32` minimum.
+///
+/// # Errors
+///
+/// [`StoreError::Corrupt`] naming the column `name` and what is wrong.
+pub fn check_frame(frame: Frame, data_type: DataType, name: &str, path: &Path) -> StoreResult<()> {
+    let Frame { min, width } = frame;
+    let problem = match data_type {
+        DataType::Float64 if frame != Frame::FLOAT => {
+            format!("float page of `{name}`: frame ({min}, {width}) is not raw f64 bits")
+        }
+        DataType::Int64 if width > 64 => {
+            format!("int page of `{name}`: impossible bit width {width}")
+        }
+        DataType::Categorical if width > 32 => {
+            format!("code page of `{name}`: impossible bit width {width}")
+        }
+        DataType::Categorical if min > u64::from(u32::MAX) => {
+            format!("code page of `{name}`: minimum code {min} overflows u32")
+        }
+        _ => return Ok(()),
+    };
+    Err(StoreError::corrupt(path, problem))
+}
+
+/// Decodes `rows` values of consecutive pieces of one page, appending them
+/// to `out`: the pieces of consecutive blocks, starting at the start of
+/// `bytes`, every piece but the last holding `block_rows` values (the last
+/// may be a ragged final block). `bytes` may run past the last piece; with
+/// [`DECODE_SLACK`] bytes after it, every value is one word load in place.
 ///
 /// `out` is the destination column's storage and fixes the expected type:
-/// the chunk's encoding must match it, and categorical codes are checked
-/// against its dictionary (which the segment stores once in its metadata,
-/// not per chunk). Appending lets a run of blocks decode into one column
-/// buffer, block after block; the buffer is reused, so a scan allocates
-/// only while it grows.
-pub fn decode_chunk(
-    encoding: u8,
+/// `frame` must be a frame of it ([`check_frame`]), and categorical codes
+/// are checked against its dictionary (which the segment stores once in
+/// its metadata). Appending lets a run spanning pages decode into one
+/// column buffer, page after page; the buffer is reused, so a scan
+/// allocates only while it grows.
+///
+/// # Errors
+///
+/// [`StoreError::Corrupt`] for a frame that is not one of `out`'s type,
+/// pieces shorter than their rows, or a code outside the dictionary.
+pub fn decode_page(
+    frame: Frame,
     bytes: &[u8],
+    block_rows: usize,
     rows: usize,
     name: &str,
     out: &mut ColumnData,
     path: &Path,
 ) -> StoreResult<()> {
-    let corrupt = |detail: String| StoreError::corrupt(path, detail);
-    match (encoding, out) {
-        (ENC_FLOAT_RAW, ColumnData::Float64(values)) => {
-            if bytes.len() != rows * 8 {
-                return Err(corrupt(format!(
-                    "float chunk for `{name}`: {} bytes, expected {}",
-                    bytes.len(),
-                    rows * 8
-                )));
-            }
-            values.extend(
-                bytes
-                    .chunks_exact(8)
-                    .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes")))),
-            );
-            Ok(())
-        }
-        (ENC_INT_FOR, ColumnData::Int64(values)) => {
-            if bytes.len() < 9 {
-                return Err(corrupt(format!("int chunk for `{name}` truncated")));
-            }
-            let min = i64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
-            let width = bytes[8];
-            if width > 64 {
-                return Err(corrupt(format!(
-                    "int chunk for `{name}`: impossible bit width {width}"
-                )));
-            }
-            values.reserve(rows);
-            unpack_bits(&bytes[9..], width, rows, |d| {
-                values.push(min.wrapping_add(d as i64));
-            })
-            .ok_or_else(|| corrupt(format!("int chunk for `{name}` truncated")))
-        }
-        (ENC_CODES_FOR, ColumnData::Categorical { dictionary, codes }) => {
-            if bytes.len() < 5 {
-                return Err(corrupt(format!("code chunk for `{name}` truncated")));
-            }
-            let min = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
-            let width = bytes[4];
-            if width > 32 {
-                return Err(corrupt(format!(
-                    "code chunk for `{name}`: impossible bit width {width}"
-                )));
-            }
-            // A width of at most 32 keeps every delta below 2^32, so `min +
-            // delta` fits a u64; the largest one decides both checks.
-            let mut max_code = 0u64;
-            codes.reserve(rows);
-            unpack_bits(&bytes[5..], width, rows, |d| {
-                let code = u64::from(min) + d;
-                max_code = max_code.max(code);
-                codes.push(code as u32);
-            })
-            .ok_or_else(|| corrupt(format!("code chunk for `{name}` truncated")))?;
-            if max_code > u64::from(u32::MAX) {
-                return Err(corrupt(format!(
-                    "code chunk for `{name}`: code overflows u32"
-                )));
-            }
-            if rows > 0 && max_code >= dictionary.len() as u64 {
-                return Err(corrupt(format!(
-                    "code chunk for `{name}`: code {max_code} outside dictionary of {}",
-                    dictionary.len()
-                )));
-            }
-            Ok(())
-        }
-        (ENC_FLOAT_RAW | ENC_INT_FOR | ENC_CODES_FOR, _) => Err(corrupt(format!(
-            "chunk encoding tag {encoding} does not match the type of column `{name}`"
-        ))),
-        (other, _) => Err(corrupt(format!("unknown chunk encoding tag {other}"))),
+    let data_type = match out {
+        ColumnData::Float64(_) => DataType::Float64,
+        ColumnData::Int64(_) => DataType::Int64,
+        ColumnData::Categorical { .. } => DataType::Categorical,
+    };
+    check_frame(frame, data_type, name, path)?;
+    let needed = pieces_len(rows, block_rows.max(1), frame.width);
+    if bytes.len() < needed {
+        return Err(StoreError::corrupt(
+            path,
+            format!(
+                "page of `{name}` truncated: {} bytes hold fewer than {rows} values of {} bits",
+                bytes.len(),
+                frame.width
+            ),
+        ));
     }
+    match out {
+        ColumnData::Float64(values) => values.extend(
+            bytes[..needed]
+                .chunks_exact(8)
+                .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes")))),
+        ),
+        ColumnData::Int64(values) => {
+            let start = values.len();
+            values.resize(start + rows, 0);
+            let min = frame.min as i64;
+            unpack_width(frame.width, bytes, block_rows, &mut values[start..], |d| {
+                min.wrapping_add(d as i64)
+            });
+        }
+        ColumnData::Categorical { dictionary, codes } => {
+            let start = codes.len();
+            codes.resize(start + rows, 0);
+            let min = frame.min as u32;
+            let decoded = &mut codes[start..];
+            unpack_width(frame.width, bytes, block_rows, decoded, |d| {
+                min.wrapping_add(d as u32)
+            });
+            // A delta of `width <= 32` bits may still carry a code past the
+            // dictionary; the frame alone rules that out when its largest
+            // delta cannot. Each code less `min` is its delta (it fits a
+            // u32), so the largest delta decides, and the largest code is
+            // computed without wrapping.
+            let largest = frame.min + ((1u64 << frame.width) - 1);
+            if rows > 0 && largest >= dictionary.len() as u64 {
+                let max_delta = decoded.iter().fold(0, |m, &c| m.max(c.wrapping_sub(min)));
+                let code = frame.min + u64::from(max_delta);
+                if code >= dictionary.len() as u64 {
+                    return Err(StoreError::corrupt(
+                        path,
+                        format!(
+                            "code page of `{name}`: code {code} outside dictionary of {}",
+                            dictionary.len()
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// [`unpack`] with the width `width` as a compile-time constant: one match
+/// per call, so a page's pieces run one monomorphized loop.
+fn unpack_width<T>(
+    width: u8,
+    bytes: &[u8],
+    block_rows: usize,
+    out: &mut [T],
+    map: impl Fn(u64) -> T,
+) {
+    macro_rules! dispatch {
+        ($($w:literal)*) => {
+            match width {
+                $($w => unpack::<$w, T>(bytes, block_rows, out, &map),)*
+                _ => unreachable!("bit width {width} past 64 is refused by check_frame"),
+            }
+        };
+    }
+    dispatch!(
+        0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
+        33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62
+        63 64
+    )
+}
+
+/// Unpacks `out.len()` values of `W` bits from consecutive byte-aligned
+/// pieces of `block_rows` values each (the last may be shorter), mapping
+/// each stored delta through `map`. `bytes` holds at least the pieces;
+/// a piece followed by fewer than [`DECODE_SLACK`] bytes is decoded from
+/// a zero-padded copy.
+fn unpack<const W: usize, T>(
+    bytes: &[u8],
+    block_rows: usize,
+    out: &mut [T],
+    map: &impl Fn(u64) -> T,
+) {
+    let stride = piece_len(block_rows, W as u8);
+    for (i, values) in out.chunks_mut(block_rows.max(1)).enumerate() {
+        let piece = &bytes[i * stride..];
+        let len = piece_len(values.len(), W as u8);
+        if piece.len() >= len + DECODE_SLACK {
+            unpack_piece::<W, T>(piece, values, map);
+        } else {
+            let mut padded = piece[..len].to_vec();
+            padded.resize(len + DECODE_SLACK, 0);
+            unpack_piece::<W, T>(&padded, values, map);
+        }
+    }
+}
+
+/// Unpacks one piece into `out`, eight values at a time: eight `W`-bit
+/// values fill `W` bytes, so every group of eight starts on a byte and its
+/// values sit at bit offsets fixed at compile time. Up to 8 bits wide the
+/// group is one word load. `piece` holds [`DECODE_SLACK`] bytes past the
+/// piece's last value.
+#[inline(always)]
+fn unpack_piece<const W: usize, T>(piece: &[u8], out: &mut [T], map: &impl Fn(u64) -> T) {
+    let mask = u64::MAX.checked_shr(64 - W as u32).unwrap_or(0);
+    let whole = out.len() / 8 * 8;
+    let (groups, tail) = out.split_at_mut(whole);
+    for (g, eight) in groups.chunks_exact_mut(8).enumerate() {
+        let at = g * W;
+        if W <= 8 {
+            let word = load_u64(piece, at);
+            for (k, value) in eight.iter_mut().enumerate() {
+                *value = map((word >> (k * W)) & mask);
+            }
+        } else {
+            for (k, value) in eight.iter_mut().enumerate() {
+                *value = map(extract::<W>(piece, at * 8 + k * W, mask));
+            }
+        }
+    }
+    for (i, value) in tail.iter_mut().enumerate() {
+        *value = map(extract::<W>(piece, (whole + i) * W, mask));
+    }
+}
+
+/// The `W`-bit value at bit `bit` of `bytes`: one shifted 8-byte load up to
+/// 56 bits wide (at most 7 bits of shift plus the width), a 16-byte one
+/// beyond.
+#[inline(always)]
+fn extract<const W: usize>(bytes: &[u8], bit: usize, mask: u64) -> u64 {
+    if W <= 56 {
+        (load_u64(bytes, bit / 8) >> (bit % 8)) & mask
+    } else {
+        let word = u128::from_le_bytes(bytes[bit / 8..bit / 8 + 16].try_into().expect("16 bytes"));
+        (word >> (bit % 8)) as u64 & mask
+    }
+}
+
+#[inline(always)]
+fn load_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
 }
 
 #[cfg(test)]
@@ -488,34 +630,57 @@ mod tests {
         c ^ 0xFFFF_FFFF
     }
 
-    /// Collects [`super::unpack_bits`]'s values.
+    /// Decodes one piece of `count` values through the width-dispatched
+    /// kernel, or `None` if `bytes` is too short for them.
     fn unpack_bits(bytes: &[u8], width: u8, count: usize) -> Option<Vec<u64>> {
-        let mut out = Vec::new();
-        super::unpack_bits(bytes, width, count, |v| out.push(v))?;
+        if bytes.len() < piece_len(count, width) {
+            return None;
+        }
+        let mut out = vec![0; count];
+        unpack_width(width, bytes, count, &mut out, |v| v);
         Some(out)
     }
 
-    /// Decodes into a fresh column of the encoding's type, as a reader's
+    /// Encodes rows `rows` of `column` as one page of `block_rows`-row
+    /// pieces, returning its frame and bytes.
+    fn encode_page(column: &Column, rows: Range<usize>, block_rows: usize) -> (Frame, Vec<u8>) {
+        let frame = frame_of(column, rows.clone());
+        let mut bytes = Vec::new();
+        for start in rows.clone().step_by(block_rows) {
+            encode_piece(
+                column,
+                start..(start + block_rows).min(rows.end),
+                frame,
+                &mut bytes,
+            );
+        }
+        (frame, bytes)
+    }
+
+    /// Decodes a page into a fresh column of `like`'s type, as a reader's
     /// reused buffer would be filled.
-    fn decode_chunk(
-        encoding: u8,
+    fn decode(
+        like: &Column,
+        frame: Frame,
         bytes: &[u8],
+        block_rows: usize,
         rows: usize,
-        name: &str,
-        dictionary: Option<&Arc<Vec<String>>>,
-        path: &Path,
     ) -> StoreResult<Column> {
-        let mut column = match (encoding, dictionary) {
-            (ENC_INT_FOR, _) => Column::int(name, Vec::new()),
-            (ENC_CODES_FOR, Some(d)) => {
-                Column::categorical_from_codes(name, Arc::clone(d), Vec::new())
-            }
-            (ENC_CODES_FOR, None) => {
-                return Err(StoreError::corrupt(path, "code chunk without a dictionary"))
-            }
-            _ => Column::float(name, Vec::new()),
+        let mut column = match like.dictionary() {
+            Some(d) => Column::categorical_from_codes(like.name(), Arc::clone(d), Vec::new()),
+            None if like.data_type() == DataType::Int64 => Column::int(like.name(), Vec::new()),
+            None => Column::float(like.name(), Vec::new()),
         };
-        super::decode_chunk(encoding, bytes, rows, name, column.data_mut(), path)?;
+        let path = PathBuf::from("<test>");
+        super::decode_page(
+            frame,
+            bytes,
+            block_rows,
+            rows,
+            like.name(),
+            column.data_mut(),
+            &path,
+        )?;
         Ok(column)
     }
 
@@ -551,13 +716,13 @@ mod tests {
 
     #[test]
     fn chunk_encodings_round_trip() {
-        let path = PathBuf::from("<test>");
-        let f = Column::float("x", vec![1.5, f64::NAN, -0.0, 1e300]);
-        let mut buf = Vec::new();
-        let enc = encode_chunk(&f, 0..4, &mut buf);
-        let back = decode_chunk(enc, &buf, 4, "x", None, &path).unwrap();
+        let f = Column::float("x", vec![1.5, f64::NAN, -0.0, 1e300, -7.0]);
+        let (frame, bytes) = encode_page(&f, 0..5, 2);
+        assert_eq!(frame, Frame::FLOAT);
+        assert_eq!(bytes.len(), 5 * 8);
+        let back = decode(&f, frame, &bytes, 2, 5).unwrap();
         // NaN and -0.0 must survive bitwise.
-        for i in 0..4 {
+        for i in 0..5 {
             assert_eq!(
                 f.numeric_value(i).unwrap().to_bits(),
                 back.numeric_value(i).unwrap().to_bits()
@@ -565,34 +730,100 @@ mod tests {
         }
 
         let ints = Column::int("t", vec![i64::MIN, -5, 0, 1_000, i64::MAX]);
-        buf.clear();
-        let enc = encode_chunk(&ints, 0..5, &mut buf);
-        let back = decode_chunk(enc, &buf, 5, "t", None, &path).unwrap();
+        let (frame, bytes) = encode_page(&ints, 0..5, 2);
+        assert_eq!((frame.min as i64, frame.width), (i64::MIN, 64));
+        let back = decode(&ints, frame, &bytes, 2, 5).unwrap();
         for i in 0..5 {
             assert_eq!(ints.value(i), back.value(i));
         }
 
-        let cat = Column::categorical("g", &["b", "a", "b", "c"]);
-        buf.clear();
-        let enc = encode_chunk(&cat, 1..4, &mut buf);
-        let dict = cat.dictionary().unwrap();
-        let back = decode_chunk(enc, &buf, 3, "g", Some(dict), &path).unwrap();
-        assert_eq!(back.value(0), cat.value(1));
-        assert_eq!(back.value(2), cat.value(3));
+        // Three 3-row pieces of 2-bit deltas from code 0: each piece is one
+        // byte, padded, so the second starts on the second byte.
+        let cat = Column::categorical("g", &["b", "a", "b", "c", "a", "c", "b", "b", "a", "c"]);
+        let (frame, bytes) = encode_page(&cat, 1..10, 3);
+        assert_eq!(frame, Frame { min: 0, width: 2 });
+        assert_eq!(bytes.len(), 3);
+        let back = decode(&cat, frame, &bytes, 3, 9).unwrap();
+        for i in 0..9 {
+            assert_eq!(back.value(i), cat.value(i + 1));
+        }
+    }
+
+    #[test]
+    fn a_page_decodes_its_pieces_at_every_width_with_and_without_slack() {
+        // 25-row blocks and a ragged 7-row last block, at every width: the
+        // page decodes in one call to the values of its pieces, whether or
+        // not the bytes after the last piece leave room for word loads.
+        let rows = 3 * 25 + 7;
+        for width in 0..=64u8 {
+            let values: Vec<i64> = (0..rows as u64)
+                .map(|i| {
+                    let delta = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - width.max(1));
+                    let delta = if width == 0 { 0 } else { delta };
+                    (delta as i64).wrapping_add(-12_345)
+                })
+                .collect();
+            let column = Column::int("t", values.clone());
+            let (frame, bytes) = encode_page(&column, 0..rows, 25);
+            assert!(frame.width <= width, "width {width}");
+            let mut slack = bytes.clone();
+            slack.resize(bytes.len() + DECODE_SLACK, 0xAB);
+            let ints = |column: Column| match column.data() {
+                ColumnData::Int64(values) => values.clone(),
+                other => panic!("decoded into {other:?}"),
+            };
+            for bytes in [&bytes, &slack] {
+                let back = ints(decode(&column, frame, bytes, 25, rows).unwrap());
+                assert_eq!(back, values, "width {width}, {} bytes", bytes.len());
+            }
+            // A decode of a later block range starts at that block's piece.
+            let skip = piece_len(25, frame.width);
+            let tail = ints(decode(&column, frame, &bytes[2 * skip..], 25, 32).unwrap());
+            assert_eq!(
+                tail[..],
+                values[50..],
+                "width {width}, from the third block"
+            );
+        }
     }
 
     #[test]
     fn decode_rejects_malformed_chunks() {
         let path = PathBuf::from("<test>");
-        assert!(decode_chunk(ENC_FLOAT_RAW, &[0u8; 7], 1, "x", None, &path).is_err());
-        assert!(decode_chunk(ENC_INT_FOR, &[0u8; 4], 1, "x", None, &path).is_err());
-        assert!(decode_chunk(99, &[], 0, "x", None, &path).is_err());
-        // Out-of-dictionary code.
-        let dict = Arc::new(vec!["a".to_string()]);
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&5u32.to_le_bytes()); // min code 5, dict of 1
-        buf.push(0); // width 0
-        assert!(decode_chunk(ENC_CODES_FOR, &buf, 2, "g", Some(&dict), &path).is_err());
+        let corrupt = |result: StoreResult<Column>, expect: &str| match result {
+            Err(StoreError::Corrupt { detail, .. }) => {
+                assert!(detail.contains(expect), "{expect}: {detail}")
+            }
+            other => panic!("{expect}: expected Corrupt, got {other:?}"),
+        };
+        let dict = Arc::new(vec!["a".to_string(), "b".to_string()]);
+        let cat = Column::categorical_from_codes("g", Arc::clone(&dict), vec![0, 1]);
+        let ints = Column::int("t", vec![1, 2]);
+        let floats = Column::float("x", vec![1.0]);
+        let bytes = [0u8; 64];
+        // A code page wider than 32 bits, an int page wider than 64.
+        let wide = |width| Frame { min: 0, width };
+        corrupt(
+            decode(&cat, wide(33), &bytes, 2, 2),
+            "impossible bit width 33",
+        );
+        corrupt(
+            decode(&ints, wide(65), &bytes, 2, 2),
+            "impossible bit width 65",
+        );
+        // Pieces shorter than their rows: 25 rows of 7 bits need 22 bytes
+        // per piece, and two pieces of 8 rows of floats 128 bytes.
+        corrupt(decode(&cat, wide(7), &bytes[..21], 25, 25), "truncated");
+        corrupt(decode(&ints, wide(7), &bytes[..43], 25, 50), "truncated");
+        corrupt(decode(&floats, Frame::FLOAT, &bytes, 8, 16), "truncated");
+        // Out-of-dictionary code: min code 5 in a dictionary of 2.
+        let high = Frame { min: 5, width: 0 };
+        corrupt(decode(&cat, high, &[], 2, 2), "outside dictionary of 2");
+        // Width checks hold at the frame level too, before any decode.
+        assert!(check_frame(wide(32), DataType::Categorical, "g", &path).is_ok());
+        assert!(check_frame(wide(64), DataType::Int64, "t", &path).is_ok());
+        assert!(check_frame(wide(33), DataType::Categorical, "g", &path).is_err());
+        assert!(check_frame(wide(65), DataType::Int64, "t", &path).is_err());
     }
 
     #[test]
@@ -719,16 +950,25 @@ mod tests {
     #[test]
     fn decode_rejects_mismatched_types_and_overflowing_codes() {
         let path = PathBuf::from("<test>");
-        // An encoding that does not match the destination column's type.
-        let mut ints = ColumnData::Int64(Vec::new());
-        assert!(super::decode_chunk(ENC_FLOAT_RAW, &[0u8; 8], 1, "x", &mut ints, &path).is_err());
-        // A code past u32::MAX.
+        // A frame that is not one of the destination column's type: a
+        // packed frame for a float column, a code minimum past u32::MAX.
+        let mut floats = ColumnData::Float64(Vec::new());
+        let packed = Frame { min: 0, width: 8 };
+        assert!(super::decode_page(packed, &[0u8; 8], 1, 1, "x", &mut floats, &path).is_err());
         let mut codes = ColumnData::Categorical {
             dictionary: Arc::new(vec!["a".to_string()]),
             codes: Vec::new(),
         };
-        let mut buf = u32::MAX.to_le_bytes().to_vec();
-        buf.extend_from_slice(&[1, 0b10]); // width 1, deltas 0 then 1
-        assert!(super::decode_chunk(ENC_CODES_FOR, &buf, 2, "g", &mut codes, &path).is_err());
+        let past = Frame {
+            min: 1 << 32,
+            width: 0,
+        };
+        assert!(super::decode_page(past, &[], 2, 2, "g", &mut codes, &path).is_err());
+        // A code past u32::MAX: min u32::MAX, deltas 0 then 1.
+        let top = Frame {
+            min: u64::from(u32::MAX),
+            width: 1,
+        };
+        assert!(super::decode_page(top, &[0b10], 2, 2, "g", &mut codes, &path).is_err());
     }
 }

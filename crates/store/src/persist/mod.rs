@@ -5,8 +5,8 @@
 //! an in-memory-only scramble re-pays that cost on every process start and
 //! caps datasets at RAM. This module amortizes the shuffle *across runs*: a
 //! built [`Scramble`](crate::scramble::Scramble) is serialized once with
-//! [`write_segment`] into a versioned, checksummed, block-granular columnar
-//! file, and [`SegmentReader`] serves it back through the
+//! [`write_segment`] into a versioned, checksummed, column-major file, and
+//! [`SegmentReader`] serves it back through the
 //! [`BlockSource`](crate::source::BlockSource) scan abstraction, decoding
 //! blocks on demand so working sets larger than memory scan a run of
 //! blocks at a time.
@@ -14,47 +14,51 @@
 //! ## File anatomy
 //!
 //! ```text
-//! +--------+---------------------------+------------------+--------+
-//! | header | data section              | metadata section | footer |
-//! | 16 B   | per-(block,column) chunks | schema, catalog, | 32 B   |
-//! |        | block-major               | dictionaries,    |        |
-//! |        |                           | zone maps, bitmap|        |
-//! |        |                           | indexes, chunk   |        |
-//! |        |                           | directory        |        |
-//! +--------+---------------------------+------------------+--------+
+//! +--------+------------------------------+------------------+--------+
+//! | header | data section                 | metadata section | footer |
+//! | 16 B   | row groups of 1 024 blocks:  | schema, catalog, | 32 B   |
+//! |        | one chunk per column, cut    | dictionaries,    |        |
+//! |        | into pages of 64 blocks, one | zone maps, bitmap|        |
+//! |        | byte-aligned piece per block | indexes, page    |        |
+//! |        |                              | directory, CRCs  |        |
+//! +--------+------------------------------+------------------+--------+
 //! ```
 //!
-//! * **Columnar, block-granular**: each block's rows are stored one chunk
-//!   per column, so a lazy reader fetches exactly the bytes of the block it
-//!   needs.
+//! * **Column-major row groups** (the Parquet/DuckDB layout): inside a row
+//!   group a column's values are contiguous, so a projected scan reads
+//!   only the referenced columns' bytes.
 //! * **Encodings**: raw little-endian `f64` for floats (bitwise-exact round
-//!   trips, NaN included), frame-of-reference + bit-packing for integers and
-//!   dictionary codes, dictionaries stored once in the metadata.
+//!   trips, NaN included); for integers and dictionary codes, one
+//!   frame of reference per page (a `min` and a bit `width`, kept in the
+//!   page directory) and each block's deltas bit-packed in a byte-aligned
+//!   piece; dictionaries stored once in the metadata.
 //! * **Zone maps & bitmap summaries**: the per-block numeric `[min, max]`
 //!   maps and the categorical block bitmap indexes are persisted, so a
 //!   reopened segment makes byte-identical skip decisions (and reports
-//!   identical `ScanStats`) without re-deriving anything.
+//!   identical `ScanStats`) without re-deriving anything. So is the
+//!   catalog's first non-finite value, so a session can refuse such a
+//!   table at open without reading its data.
 //! * **Fail-loud integrity**: the footer carries magic, version and a
-//!   CRC-32 over the metadata (validated at open); every chunk carries its
-//!   own CRC-32 (validated on decode). Truncated, overwritten or bit-rotted
-//!   files surface as [`StoreError::Corrupt`](crate::table::StoreError)
-//!   instead of silently wrong answers.
+//!   CRC-32 over the metadata, page frames included (validated at open);
+//!   every (block, column) piece has its own CRC-32 (validated on decode).
+//!   Truncated, overwritten or bit-rotted files surface as
+//!   [`StoreError::Corrupt`](crate::table::StoreError) instead of silently
+//!   wrong answers, and so does a file of another format version.
 //!
-//! ## Runs
+//! ## Runs, windows and pages
 //!
-//! The file is block-granular, but a scan is not: [`SegmentReader`] hands
+//! [`SegmentReader`] hands
 //! [`BlockSource::scan_blocks`](crate::source::BlockSource::scan_blocks)
 //! **runs** of consecutive blocks holding up to
-//! [`RUN_ROWS`](crate::source::RUN_ROWS) rows. One positioned read fetches
-//! up to 256 KiB of whole consecutive runs; per run, the referenced chunks'
-//! CRC-32s are checked four chunks at a time and each referenced column is
-//! decoded into one buffer, so the fixed cost of a checksum batch and a
-//! decode call is paid per run, and that of a read per 256 KiB. The row
-//! cap keeps the decode buffers at tens of KiB whatever the block size. Blocks stay the unit of the chunk
-//! directory and of every checksum, and of planning, skipping and the
-//! "blocks fetched" count; a corrupt chunk fails its whole run before any
-//! of the run's blocks is visited. The bytes on disk are the same as
-//! before runs existed.
+//! [`RUN_ROWS`](crate::source::RUN_ROWS) rows. A window of up to 256 KiB
+//! of whole consecutive runs is one positioned read per referenced column
+//! (and row group); per run, the referenced pieces' CRC-32s are checked
+//! four pieces at a time and each referenced column is decoded with one
+//! call per page, so the fixed cost of a checksum batch is paid per run, a
+//! decode call per page and a read per window and column. Blocks stay the
+//! unit of every checksum, and of planning, skipping and the "blocks
+//! fetched" count; a corrupt piece fails its whole run before any of the
+//! run's blocks is visited.
 //!
 //! The byte-level layout is specified in `docs/FORMAT.md` at the repository
 //! root.
@@ -322,6 +326,23 @@ mod tests {
             SegmentReader::open(&path),
             Err(StoreError::Io { .. })
         ));
+    }
+
+    /// `docs/FORMAT.md` documents this format: its title names the magic
+    /// and the version the code writes, so a format bump cannot leave the
+    /// document behind unnoticed.
+    #[test]
+    fn the_format_document_names_the_magic_and_version_it_specifies() {
+        let doc = include_str!("../../../../docs/FORMAT.md");
+        let title = doc.lines().next().unwrap_or_default();
+        let magic = std::str::from_utf8(&format::MAGIC).unwrap();
+        assert_eq!(
+            title,
+            format!(
+                "# FastFrame segment format (`{magic}`, version {})",
+                format::VERSION
+            )
+        );
     }
 
     #[test]

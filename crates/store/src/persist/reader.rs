@@ -2,8 +2,8 @@
 //! decodes *blocks* on demand.
 //!
 //! Opening a segment reads only the footer and metadata section (schema,
-//! dictionaries, catalog, zone maps, bitmap indexes, chunk directory) — a
-//! few KB plus the dictionaries, independent of the data size. Row data
+//! dictionaries, catalog, zone maps, bitmap indexes, page directory and
+//! piece CRCs) — a few bytes per block plus the dictionaries. Row data
 //! stays on disk until a scan decodes it, so working sets larger than memory
 //! can be scanned a run of blocks at a time through the [`BlockSource`]
 //! interface.
@@ -11,40 +11,43 @@
 //! Every block read goes through one path, [`BlockSource::scan_blocks`],
 //! which hands out **runs**: stretches of consecutive block ids holding up
 //! to [`RUN_ROWS`](crate::source::RUN_ROWS) rows (see [`runs`]). The reader
-//! pays its fixed costs once per read and once per run:
+//! pays its fixed costs once per window of runs, once per run, and once
+//! per page of a run:
 //!
-//! 1. The data section is block-major, so consecutive blocks' referenced
-//!    chunks lie in one byte range. One positioned read fetches the range
-//!    of as many whole runs as continue each other (a run ended by the cap,
-//!    not by a gap or the wrap, is continued by the next) and fit in
-//!    [`READ_BYTES`], and always at least one run, into a buffer reused
-//!    from read to read. Read size and visit size are separate: a full pass
-//!    over a table makes one read per 256 KiB, not one per run.
-//! 2. Every referenced chunk of a run is checked against its CRC-32 in the
-//!    directory, column by column, four chunks at a time: the same column
-//!    of four consecutive blocks gives four independent table-lookup chains
+//! 1. A **window** is as many whole runs as continue each other (a run
+//!    ended by the cap, not by a gap or the wrap, is continued by the next)
+//!    and whose referenced bytes fit in [`READ_BYTES`], and always at least
+//!    one run. The data section is column-major inside each row group, so
+//!    a window's pieces of one column lie in one byte range per row group:
+//!    the window is one positioned read per referenced column (per row
+//!    group it touches) into a buffer reused from window to window, and
+//!    unreferenced columns are never read.
+//! 2. Every referenced piece of a run is checked against its CRC-32,
+//!    column by column, four pieces at a time: the same column of four
+//!    consecutive blocks gives four independent table-lookup chains
 //!    ([`check_crcs`]).
-//! 3. Each referenced column of the run is decoded into one column buffer,
-//!    block after block, and the run is visited as one table.
+//! 3. Each referenced column of the run is decoded into one column buffer
+//!    with one width-dispatched call per page the run touches
+//!    ([`decode_page`]), and the run is visited as one table.
 //!
 //! The read buffer holds at most [`READ_BYTES`] (or one run, when a run's
-//! chunks are longer) and the decoded table at most one run, so a scan's
+//! pieces are longer) and the decoded table at most one run, so a scan's
 //! memory does not grow with the list it scans.
 //! [`SegmentReader::read_block`], `read_block_projected`,
 //! [`SegmentReader::materialize`] and [`SegmentReader::scan_steps`] run the
 //! same code.
 //!
 //! Integrity is checked at two levels: the footer carries a CRC-32 over the
-//! metadata section (validated at open, so truncated or corrupt files fail
-//! loudly before any query runs), and every referenced chunk's CRC-32 from
-//! the directory is validated before the chunk is decoded (so data
-//! corruption is caught on first touch, with the offending block and column
-//! in the error). A corrupt chunk fails its whole run before any of the
-//! run's blocks is visited; when several are corrupt, the error names the
-//! first in block order, then column order. Bytes of unreferenced chunks
-//! inside a run's range are read but not checked. Blocks remain the unit
-//! of the chunk directory and of every checksum: the file format knows
-//! nothing of runs.
+//! metadata section (validated at open, so truncated or corrupt files —
+//! page frames included — fail loudly before any query runs), and every
+//! referenced piece's CRC-32 is validated before the piece is decoded (so
+//! data corruption is caught on first touch, with the offending block and
+//! column in the error). A corrupt piece fails its whole run before any of
+//! the run's blocks is visited; when several are corrupt, the error names
+//! the first in block order, then column order. Pieces of skipped blocks,
+//! unreferenced columns and skipped parts of a page are neither read nor
+//! checked. Blocks remain the unit of every checksum: the file format
+//! knows nothing of runs.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -63,21 +66,46 @@ use crate::table::{StoreError, StoreResult, Table};
 use crate::zone::ZoneMap;
 
 use super::format::{
-    check_crcs, crc32, decode_chunk, Cursor, ENC_CODES_FOR, FOOTER_LEN, HEADER_LEN, MAGIC,
-    NO_CARDINALITY, TYPE_CAT, TYPE_FLOAT, TYPE_INT, VERSION,
+    check_crcs, check_frame, crc32, decode_page, piece_len, Cursor, Frame, DECODE_SLACK,
+    FOOTER_LEN, GROUP_BLOCKS, HEADER_LEN, MAGIC, NO_CARDINALITY, NO_NON_FINITE, PAGE_BLOCKS,
+    TYPE_CAT, TYPE_FLOAT, TYPE_INT, VERSION,
 };
 
-/// The most bytes one positioned read of a scan covers, unless a single run
-/// needs more: reads of consecutive runs are merged up to this size.
+/// The most bytes one window of a scan reads, over all its referenced
+/// columns, unless a single run needs more: windows of consecutive runs are
+/// grown up to this size.
 const READ_BYTES: u64 = 256 * 1024;
 
-/// One entry of the in-memory chunk directory.
+/// One entry of the page directory: where a page of one column starts,
+/// and its frame of reference.
 #[derive(Debug, Clone, Copy)]
-struct ChunkEntry {
+struct PageEntry {
     offset: u64,
-    len: u32,
-    encoding: u8,
-    crc: u32,
+    frame: Frame,
+}
+
+/// The bytes one window of a scan reads: per referenced column (in
+/// projection order) and per row group the window touches, the file range
+/// of the window's pieces and where it lands in the read buffer.
+struct Window {
+    /// Blocks of the scan's list the window covers.
+    len: usize,
+    /// Row group of the window's first block.
+    first_group: usize,
+    /// Row groups the window touches.
+    groups: usize,
+    /// `(file range, buffer offset)`, column-major.
+    slices: Vec<(Range<u64>, usize)>,
+}
+
+impl Window {
+    /// Bytes the window reads.
+    fn bytes(&self) -> usize {
+        self.slices
+            .iter()
+            .map(|(file, _)| (file.end - file.start) as usize)
+            .sum()
+    }
 }
 
 /// A lazily-decoding reader over one segment file — the on-disk
@@ -99,16 +127,27 @@ pub struct SegmentReader {
     seed: u64,
     indexes: HashMap<String, BlockBitmapIndex>,
     zones: HashMap<String, ZoneMap>,
-    directory: Vec<ChunkEntry>,
+    /// Page directory, column-major: column `ci`'s page `p` at
+    /// `ci * num_pages + p`.
+    pages: Vec<PageEntry>,
+    /// Piece CRC-32s, column-major: column `ci`'s block `b` at
+    /// `ci * num_blocks + b`.
+    crcs: Vec<u32>,
     /// Memoized group universes, shared across clones (the underlying file
     /// is the same).
     universes: GroupUniverseCache,
 }
 
 impl SegmentReader {
-    /// Opens a segment file, validating the footer magic/version and the
-    /// metadata checksum. Row data is *not* read or validated here; each
-    /// referenced chunk's CRC is checked each time a block read decodes it.
+    /// Opens a segment file, validating the footer magic/version, the
+    /// metadata checksum and every page frame. Row data is *not* read or
+    /// validated here; each referenced piece's CRC is checked each time a
+    /// block read decodes it.
+    ///
+    /// A segment whose catalog noted a non-finite float value opens (the
+    /// value is stored bitwise, as every other); its
+    /// [`Catalog::first_non_finite`] reports it, so a session can refuse
+    /// the table without a pass over the data.
     ///
     /// # Errors
     ///
@@ -226,7 +265,6 @@ impl SegmentReader {
             columns.push(column);
         }
         let schema = Table::new(columns)?;
-        let catalog = Catalog::from_stats(stats);
 
         // Zone maps.
         let num_zones = c.u32()? as usize;
@@ -265,33 +303,55 @@ impl SegmentReader {
             );
         }
 
-        // Chunk directory.
-        let mut directory = Vec::with_capacity(num_blocks * num_columns);
-        for _ in 0..num_blocks * num_columns {
-            let entry = ChunkEntry {
-                offset: c.u64()?,
-                len: c.u32()?,
-                encoding: c.u8()?,
-                crc: c.u32()?,
-            };
-            if entry.encoding > ENC_CODES_FOR {
-                return Err(StoreError::corrupt(
-                    &path,
-                    format!("unknown chunk encoding tag {}", entry.encoding),
-                ));
+        // The catalog's first non-finite value.
+        let non_finite_column = c.u32()?;
+        let non_finite_row = c.u64()? as usize;
+        let non_finite = match non_finite_column {
+            NO_NON_FINITE => None,
+            ci => Some((column_name(&schema, ci as usize, &path)?, non_finite_row)),
+        };
+        let catalog = Catalog::from_stats(stats).with_first_non_finite(non_finite);
+
+        // Page directory: every frame must be one of its column's type, and
+        // every page's pieces must lie inside the data section.
+        let num_pages = num_blocks.div_ceil(PAGE_BLOCKS);
+        let mut pages = Vec::with_capacity(num_columns * num_pages);
+        for column in schema.columns() {
+            for page in 0..num_pages {
+                let entry = PageEntry {
+                    offset: c.u64()?,
+                    frame: Frame {
+                        min: c.u64()?,
+                        width: c.u8()?,
+                    },
+                };
+                check_frame(entry.frame, column.data_type(), column.name(), &path)?;
+                let blocks = page * PAGE_BLOCKS..((page + 1) * PAGE_BLOCKS).min(num_blocks);
+                let last_rows = layout.rows_of(BlockId(blocks.end - 1)).len();
+                let len = (blocks.len() - 1) * piece_len(block_size, entry.frame.width)
+                    + piece_len(last_rows, entry.frame.width);
+                if entry.offset < HEADER_LEN
+                    || entry
+                        .offset
+                        .checked_add(len as u64)
+                        .map_or(true, |end| end > meta_offset)
+                {
+                    return Err(StoreError::corrupt(
+                        &path,
+                        format!(
+                            "page {page} of `{}`: its pieces, {len} bytes from offset {}, \
+                             run past the data section",
+                            column.name(),
+                            entry.offset
+                        ),
+                    ));
+                }
+                pages.push(entry);
             }
-            if entry.offset < HEADER_LEN
-                || entry
-                    .offset
-                    .checked_add(entry.len as u64)
-                    .map_or(true, |end| end > meta_offset)
-            {
-                return Err(StoreError::corrupt(
-                    &path,
-                    "chunk directory entry points outside the data section",
-                ));
-            }
-            directory.push(entry);
+        }
+        let mut crcs = Vec::with_capacity(num_columns * num_blocks);
+        for _ in 0..num_columns * num_blocks {
+            crcs.push(c.u32()?);
         }
         if c.remaining() != 0 {
             return Err(StoreError::corrupt(
@@ -309,7 +369,8 @@ impl SegmentReader {
             seed,
             indexes,
             zones,
-            directory,
+            pages,
+            crcs,
             universes: GroupUniverseCache::new(),
         })
     }
@@ -371,16 +432,17 @@ impl SegmentReader {
     /// the schema, one run at a time (see [`runs`]), handing it to `visit`
     /// with the run's first block id after each run until `visit` breaks.
     /// `decoded` then holds the run's rows, block after block. Only the
-    /// `projection` columns' chunks are checked and decoded (all of them
-    /// for `None`); the other columns stay zero-row placeholders keeping
-    /// their position, name, type and dictionary.
+    /// `projection` columns' pieces are read, checked and decoded (all of
+    /// them for `None`); the other columns stay zero-row placeholders
+    /// keeping their position, name, type and dictionary.
     ///
-    /// Each read ([`Self::next_read`]) is one positioned read of whole runs
-    /// into a byte buffer; each run is then a CRC check of every referenced
-    /// chunk ([`Self::check_run`]) and one decode per column into the
-    /// column buffers of `decoded`. Both buffers are reused, so after the
-    /// first read a scan allocates only when a longer read or run needs
-    /// more room. With `steps`, the time of each step is added to it.
+    /// Each window ([`Self::next_window`]) is one positioned read per
+    /// referenced column and row group into a byte buffer; each run is
+    /// then a CRC check of every referenced piece ([`Self::check_run`])
+    /// and one decode per column and page into the column buffers of
+    /// `decoded`. Both buffers are reused, so after the first window a
+    /// scan allocates only when a longer window or run needs more room.
+    /// With `steps`, the time of each step is added to it.
     fn scan_into(
         &self,
         blocks: &[BlockId],
@@ -398,45 +460,75 @@ impl SegmentReader {
         let mut rest = blocks;
         while !rest.is_empty() {
             lap(&mut clock, None);
-            let (len, span) = self.next_read(rest, &columns)?;
-            let (read, tail) = rest.split_at(len);
+            let window = self.next_window(rest, &columns)?;
+            let (read, tail) = rest.split_at(window.len);
             rest = tail;
-            let bytes_len = (span.end - span.start) as usize;
-            if buffer.len() < bytes_len {
-                buffer.resize(bytes_len, 0);
+            // The slack past the window's bytes lets the decoder load whole
+            // words at the end of the last piece.
+            let bytes = window.bytes();
+            if buffer.len() < bytes + DECODE_SLACK {
+                buffer.resize(bytes + DECODE_SLACK, 0);
             }
-            read_at(&self.file, &self.path, span.start, &mut buffer[..bytes_len])?;
-            lap(
-                &mut clock,
-                Some(|steps| {
-                    steps.reads += 1;
-                    &mut steps.io
-                }),
-            );
-            let bytes = &buffer[..bytes_len];
-            let chunk = |block: BlockId, ci: usize| {
-                let entry = self.entry(block, ci);
-                let start = (entry.offset - span.start) as usize;
-                (entry, &bytes[start..start + entry.len as usize])
+            let mut reads = 0;
+            for (file, at) in window.slices.iter().filter(|(file, _)| !file.is_empty()) {
+                let into = &mut buffer[*at..at + (file.end - file.start) as usize];
+                read_at(&self.file, &self.path, file.start, into)?;
+                reads += 1;
+            }
+            lap(&mut clock, Some(|steps| &mut steps.io));
+            if let Some((steps, _)) = &mut clock {
+                steps.reads += reads;
+                steps.bytes += bytes as u64;
+            }
+            // Where the `k`-th referenced column's piece of `block` starts in
+            // the buffer.
+            let piece_at = |k: usize, block: usize| {
+                let (file, at) =
+                    &window.slices[k * window.groups + block / GROUP_BLOCKS - window.first_group];
+                at + (self.piece(columns[k], block).start - file.start) as usize
             };
+            let (buffer, piece_at) = (&buffer[..], &piece_at);
+            let last_block = self.layout.num_blocks() - 1;
             for run in runs(read, block_size) {
-                self.check_run(run, &columns, chunk)?;
+                let blocks = run[0].index()..run[run.len() - 1].index() + 1;
+                // The `k`-th referenced column's pieces of the run, page by
+                // page: a page's pieces lie `stride` bytes apart, and only
+                // the table's ragged last block is shorter.
+                let pieces = |k: usize| {
+                    let ci = columns[k];
+                    pages_of(blocks.clone()).flat_map(move |part| {
+                        let width = self.page(ci, part.start).frame.width;
+                        let stride = piece_len(block_size, width);
+                        let (first, start) = (part.start, piece_at(k, part.start));
+                        part.map(move |block| {
+                            let len = match block == last_block {
+                                true => piece_len(self.layout.rows_of(BlockId(block)).len(), width),
+                                false => stride,
+                            };
+                            &buffer[start + (block - first) * stride..][..len]
+                        })
+                    })
+                };
+                self.check_run(blocks.clone(), &columns, pieces)?;
                 lap(&mut clock, Some(|steps| &mut steps.crc));
-                let (first, last) = (run[0], run[run.len() - 1]);
-                let rows = self.layout.rows_of(last).end - self.layout.rows_of(first).start;
-                let table_columns = decoded.refill(rows);
-                for &ci in &columns {
+                let rows_of = |blocks: Range<usize>| {
+                    self.layout.rows_of(BlockId(blocks.end - 1)).end
+                        - self.layout.rows_of(BlockId(blocks.start)).start
+                };
+                let table_columns = decoded.refill(rows_of(blocks.clone()));
+                for (k, &ci) in columns.iter().enumerate() {
                     let name = self.schema.column_at(ci).name();
                     let out = table_columns[ci].data_mut();
                     clear(out);
-                    for &block in run {
-                        let (entry, chunk) = chunk(block, ci);
-                        let rows = self.layout.rows_of(block).len();
-                        decode_chunk(entry.encoding, chunk, rows, name, out, &self.path)?;
+                    for part in pages_of(blocks.clone()) {
+                        let frame = self.page(ci, part.start).frame;
+                        let bytes = &buffer[piece_at(k, part.start)..];
+                        let rows = rows_of(part);
+                        decode_page(frame, bytes, block_size, rows, name, out, &self.path)?;
                     }
                 }
                 lap(&mut clock, Some(|steps| &mut steps.decode));
-                if visit(first, decoded).is_break() {
+                if visit(BlockId(blocks.start), decoded).is_break() {
                     return Ok(());
                 }
                 lap(&mut clock, None);
@@ -445,63 +537,97 @@ impl SegmentReader {
         Ok(())
     }
 
-    /// The head of `blocks` that one positioned read of a scan fetches, as
-    /// a number of blocks, and the byte range covering its `columns`
-    /// chunks: whole runs (see [`runs`]), each continuing the one before
-    /// it, while their range fits in [`READ_BYTES`], and always the first
-    /// run. A run that fails [`Self::run_span`] ends the read before it,
-    /// so it fails on its own read, after the runs before it are visited.
+    /// The head of `blocks` that one window of a scan covers, and the byte
+    /// ranges of its `columns` pieces: whole runs (see [`runs`]), each
+    /// continuing the one before it, while their pieces fit in
+    /// [`READ_BYTES`], and always the first run. A run holding a block past
+    /// the end of the segment ends the window before it, so it fails on its
+    /// own window, after the runs before it are visited.
     ///
     /// # Errors
     ///
-    /// [`Self::run_span`]'s, for the first run.
-    fn next_read(&self, blocks: &[BlockId], columns: &[usize]) -> StoreResult<(usize, Range<u64>)> {
+    /// [`StoreError::Corrupt`] for a block id past the end of the segment
+    /// in the first run.
+    fn next_window(&self, blocks: &[BlockId], columns: &[usize]) -> StoreResult<Window> {
+        let num_blocks = self.layout.num_blocks();
         let mut len = 0;
-        let mut span: Option<Range<u64>> = None;
+        let mut bytes = 0;
         for run in runs(blocks, self.layout.block_size()) {
             if len > 0 && run[0].index() != blocks[len - 1].index() + 1 {
                 break;
             }
-            let run_span = match self.run_span(run, columns) {
-                Ok(run_span) => run_span,
-                Err(_) if len > 0 => break,
-                Err(e) => return Err(e),
-            };
-            let grown = match &span {
-                Some(span) => span.start.min(run_span.start)..span.end.max(run_span.end),
-                None => run_span,
-            };
-            if len > 0 && grown.end - grown.start > READ_BYTES {
+            if let Some(&block) = run.iter().find(|block| block.index() >= num_blocks) {
+                if len > 0 {
+                    break;
+                }
+                return Err(StoreError::corrupt(
+                    &self.path,
+                    format!("{block} out of range ({num_blocks} blocks)"),
+                ));
+            }
+            let (first, end) = (run[0].index(), run[run.len() - 1].index() + 1);
+            let run_bytes: u64 = columns
+                .iter()
+                .flat_map(|&ci| self.slices(ci, first..end))
+                .map(|file| file.end - file.start)
+                .sum();
+            if len > 0 && bytes + run_bytes > READ_BYTES {
                 break;
             }
-            span = Some(grown);
+            bytes += run_bytes;
             len += run.len();
         }
-        Ok((len, span.unwrap_or(0..0)))
+        let (first, end) = (blocks[0].index(), blocks[len - 1].index() + 1);
+        let first_group = first / GROUP_BLOCKS;
+        let mut slices = Vec::new();
+        let mut at = 0;
+        for &ci in columns {
+            for file in self.slices(ci, first..end) {
+                let next = at + (file.end - file.start) as usize;
+                slices.push((file, at));
+                at = next;
+            }
+        }
+        Ok(Window {
+            len,
+            first_group,
+            groups: (end - 1) / GROUP_BLOCKS + 1 - first_group,
+            slices,
+        })
     }
 
-    /// Checks every `columns` chunk of `run` against its stored CRC-32,
-    /// column by column, four blocks at a time ([`check_crcs`]). `chunk`
-    /// gives a chunk's directory entry and bytes.
+    /// The file ranges of column `ci`'s pieces of consecutive `blocks`, one
+    /// per row group they touch: a column's pieces are contiguous inside a
+    /// row group.
+    fn slices(&self, ci: usize, blocks: Range<usize>) -> impl Iterator<Item = Range<u64>> + '_ {
+        let groups = blocks.start / GROUP_BLOCKS..(blocks.end - 1) / GROUP_BLOCKS + 1;
+        groups.map(move |group| {
+            let lo = blocks.start.max(group * GROUP_BLOCKS);
+            let hi = blocks.end.min((group + 1) * GROUP_BLOCKS);
+            self.piece(ci, lo).start..self.piece(ci, hi - 1).end
+        })
+    }
+
+    /// Checks every `columns` piece of the consecutive `blocks` of a run
+    /// against its stored CRC-32, column by column, four blocks at a time
+    /// ([`check_crcs`]). `pieces(k)` gives the bytes of the run's pieces of
+    /// the `k`-th referenced column, in block order.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Corrupt`] naming the first mismatching chunk in block
+    /// [`StoreError::Corrupt`] naming the first mismatching piece in block
     /// order, then column order, so the error does not depend on how the
     /// checks are batched.
-    fn check_run<'b>(
+    fn check_run<'b, I: Iterator<Item = &'b [u8]>>(
         &self,
-        run: &[BlockId],
+        blocks: Range<usize>,
         columns: &[usize],
-        chunk: impl Fn(BlockId, usize) -> (ChunkEntry, &'b [u8]),
+        pieces: impl Fn(usize) -> I,
     ) -> StoreResult<()> {
         let mut first_bad: Option<(usize, usize, u32)> = None;
-        for &ci in columns {
-            let crcs = run.iter().map(|&block| {
-                let (entry, bytes) = chunk(block, ci);
-                (bytes, entry.crc)
-            });
-            if let Err((at, computed)) = check_crcs(crcs) {
+        for (k, &ci) in columns.iter().enumerate() {
+            let stored = &self.crcs[ci * self.layout.num_blocks()..][blocks.clone()];
+            if let Err((at, computed)) = check_crcs(pieces(k).zip(stored.iter().copied())) {
                 if first_bad.map_or(true, |(earliest, _, _)| at < earliest) {
                     first_bad = Some((at, ci, computed));
                 }
@@ -510,44 +636,36 @@ impl SegmentReader {
         let Some((at, ci, computed)) = first_bad else {
             return Ok(());
         };
-        let block = run[at];
+        let block = BlockId(blocks.start + at);
         let name = self.schema.column_at(ci).name();
         Err(StoreError::corrupt(
             &self.path,
             format!(
                 "chunk checksum mismatch for {block} column {ci} (`{name}`): stored {:#010x}, computed {computed:#010x}",
-                self.entry(block, ci).crc
+                self.crc(ci, block)
             ),
         ))
     }
 
-    /// The byte range covering the `columns` chunks of `run` (empty when
-    /// `columns` is). The data section is block-major, so the range holds
-    /// the run's other chunks too; those bytes are read but never decoded
-    /// or checked.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] for a block id past the end of the segment.
-    fn run_span(&self, run: &[BlockId], columns: &[usize]) -> StoreResult<Range<u64>> {
-        let num_blocks = self.layout.num_blocks();
-        if let Some(&block) = run.iter().find(|block| block.index() >= num_blocks) {
-            return Err(StoreError::corrupt(
-                &self.path,
-                format!("{block} out of range ({num_blocks} blocks)"),
-            ));
-        }
-        let span = run
-            .iter()
-            .flat_map(|&block| columns.iter().map(move |&ci| self.entry(block, ci)))
-            .map(|entry| entry.offset..entry.offset + u64::from(entry.len))
-            .reduce(|a, b| a.start.min(b.start)..a.end.max(b.end));
-        Ok(span.unwrap_or(0..0))
+    /// The page directory entry of column `ci`'s page holding `block`.
+    fn page(&self, ci: usize, block: usize) -> PageEntry {
+        let num_pages = self.layout.num_blocks().div_ceil(PAGE_BLOCKS);
+        self.pages[ci * num_pages + block / PAGE_BLOCKS]
     }
 
-    /// The directory entry of `block`'s chunk of column `ci`.
-    fn entry(&self, block: BlockId, ci: usize) -> ChunkEntry {
-        self.directory[block.index() * self.schema.num_columns() + ci]
+    /// The file range of `block`'s piece of column `ci`: every piece of a
+    /// page before the last holds a whole block.
+    fn piece(&self, ci: usize, block: usize) -> Range<u64> {
+        let PageEntry { offset, frame } = self.page(ci, block);
+        let stride = piece_len(self.layout.block_size(), frame.width) as u64;
+        let start = offset + (block % PAGE_BLOCKS) as u64 * stride;
+        let rows = self.layout.rows_of(BlockId(block)).len();
+        start..start + piece_len(rows, frame.width) as u64
+    }
+
+    /// The stored CRC-32 of `block`'s piece of column `ci`.
+    fn crc(&self, ci: usize, block: BlockId) -> u32 {
+        self.crcs[ci * self.layout.num_blocks() + block.index()]
     }
 }
 
@@ -616,18 +734,20 @@ impl BlockSource for SegmentReader {
     }
 }
 
-/// Time spent in each step of a segment scan, summed over its reads and
-/// runs ([`SegmentReader::scan_steps`]).
+/// Time spent in each step of a segment scan, summed over its windows and
+/// runs, with the bytes read ([`SegmentReader::scan_steps`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanSteps {
     /// Positioned reads of the referenced byte ranges.
     pub io: Duration,
-    /// CRC-32 checks of the referenced chunks.
+    /// CRC-32 checks of the referenced pieces.
     pub crc: Duration,
-    /// Decoding the referenced chunks into column buffers.
+    /// Decoding the referenced pieces into column buffers.
     pub decode: Duration,
     /// Number of positioned reads.
     pub reads: usize,
+    /// Bytes read: the referenced columns' pieces of the blocks scanned.
+    pub bytes: u64,
 }
 
 /// With a clock, adds the time since its last lap to the step `step`
@@ -643,6 +763,17 @@ fn lap(
         }
         *at = now;
     }
+}
+
+/// Splits consecutive `blocks` at page boundaries.
+fn pages_of(blocks: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    let mut start = blocks.start;
+    std::iter::from_fn(move || {
+        let end = blocks.end.min((start / PAGE_BLOCKS + 1) * PAGE_BLOCKS);
+        let part = (start < end).then_some(start..end)?;
+        start = end;
+        Some(part)
+    })
 }
 
 /// Positioned read filling `buf` from `offset`.
@@ -706,139 +837,137 @@ mod tests {
     use crate::persist::write_segment;
     use crate::source::run_blocks;
 
-    /// Splits `blocks` into runs the way a scan does, with each run's
-    /// length and byte range.
-    fn runs_of(
-        reader: &SegmentReader,
-        blocks: &[BlockId],
-        columns: &[usize],
-    ) -> Vec<(usize, Range<u64>)> {
-        runs(blocks, reader.layout.block_size())
-            .map(|run| (run.len(), reader.run_span(run, columns).unwrap()))
-            .collect()
+    /// 40 000 rows of three float columns in 25-row blocks: 1 600 blocks,
+    /// two row groups, 200 bytes per piece.
+    fn reader(tag: &str) -> (SegmentReader, PathBuf) {
+        let n = 40_000usize;
+        let column = |name: &str| Column::float(name, (0..n).map(|i| i as f64).collect());
+        let table = Table::new(vec![column("a"), column("b"), column("c")]).unwrap();
+        let scramble = Scramble::build_with(&table, 1, 25).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "fastframe_reader_{tag}_{}.ffseg",
+            std::process::id()
+        ));
+        write_segment(&scramble, &path).unwrap();
+        (SegmentReader::open(&path).unwrap(), path)
     }
 
     #[test]
     fn runs_are_consecutive_and_capped() {
-        let n = 20_000usize;
-        let column = |name: &str| Column::float(name, (0..n).map(|i| i as f64).collect());
-        let table = Table::new(vec![column("a"), column("b"), column("c")]).unwrap();
-        let scramble = Scramble::build_with(&table, 1, 25).unwrap();
-        let path = std::env::temp_dir().join(format!(
-            "fastframe_reader_runs_{}.ffseg",
-            std::process::id()
-        ));
-        write_segment(&scramble, &path).unwrap();
-        let reader = SegmentReader::open(&path).unwrap();
+        let (reader, path) = reader("runs");
         let num_blocks = reader.layout.num_blocks();
+        assert_eq!(num_blocks, 1_600);
         let every: Vec<BlockId> = (0..num_blocks).map(BlockId).collect();
         // 1 600 rows of 25-row blocks.
         const RUN_BLOCKS: usize = 64;
         assert_eq!(run_blocks(25), RUN_BLOCKS);
+        let lens = |blocks: &[BlockId]| -> Vec<usize> {
+            runs(blocks, reader.layout.block_size())
+                .map(<[BlockId]>::len)
+                .collect()
+        };
+        assert_eq!(lens(&every), [RUN_BLOCKS; 25]);
 
-        // 800 blocks: twelve full runs of RUN_BLOCKS and a 32-block rest,
-        // whose byte ranges tile the data section.
-        let all = runs_of(&reader, &every, &[0, 1, 2]);
-        let lens: Vec<usize> = all.iter().map(|(len, _)| *len).collect();
-        assert_eq!(lens[..12], [RUN_BLOCKS; 12]);
-        assert_eq!(lens[12..], [num_blocks - 12 * RUN_BLOCKS]);
-        assert!(all.windows(2).all(|w| w[0].1.end == w[1].1.start));
-        let run_bytes = (RUN_BLOCKS * 3 * 25 * 8) as u64;
-        assert!(all[..12]
-            .iter()
-            .all(|(_, span)| span.end - span.start == run_bytes));
+        // Inside a row group a column's pieces are contiguous, and the next
+        // column's chunk follows the last of them.
+        assert_eq!(reader.piece(1, 3).end - reader.piece(1, 3).start, 200);
+        assert_eq!(reader.piece(1, 3).end, reader.piece(1, 4).start);
+        assert_eq!(
+            reader.piece(0, GROUP_BLOCKS - 1).end,
+            reader.piece(1, 0).start
+        );
+        assert_eq!(reader.piece(0, 0).start, HEADER_LEN);
+        let span: Vec<Range<u64>> = reader.slices(1, 3..5).collect();
+        assert_eq!(span.len(), 1);
+        assert_eq!(span[0], reader.piece(1, 3).start..reader.piece(1, 4).end);
+        // A run across the row-group boundary has one range per group.
+        let across: Vec<Range<u64>> = reader.slices(2, 1_000..1_064).collect();
+        assert_eq!(
+            across,
+            [
+                reader.piece(2, 1_000).start..reader.piece(2, GROUP_BLOCKS - 1).end,
+                reader.piece(2, GROUP_BLOCKS).start..reader.piece(2, 1_063).end,
+            ]
+        );
 
-        // One column's span starts at its first chunk and ends at its last.
-        let span = reader.run_span(&every[3..5], &[1]).unwrap();
-        let first = reader.entry(BlockId(3), 1);
-        let last = reader.entry(BlockId(4), 1);
-        assert_eq!(span, first.offset..last.offset + u64::from(last.len));
-
-        // A gap or a wrap ends a run, and so does the cap; an empty
-        // projection reads nothing.
+        // A gap or a wrap ends a run, and so does the cap.
         let gapped = [BlockId(0), BlockId(1), BlockId(5), BlockId(6), BlockId(0)];
-        let lens: Vec<usize> = runs_of(&reader, &gapped, &[0])
-            .iter()
-            .map(|r| r.0)
-            .collect();
-        assert_eq!(lens, [2, 2, 1]);
+        assert_eq!(lens(&gapped), [2, 2, 1]);
         let wrapped: Vec<BlockId> = (num_blocks - 3..num_blocks)
             .chain(0..RUN_BLOCKS + 2)
             .map(BlockId)
             .collect();
-        let lens: Vec<usize> = runs_of(&reader, &wrapped, &[2])
-            .iter()
-            .map(|r| r.0)
-            .collect();
-        assert_eq!(lens, [3, RUN_BLOCKS, 2]);
-        let empty = runs_of(&reader, &every, &[]);
-        assert_eq!(empty.len(), num_blocks.div_ceil(RUN_BLOCKS));
-        assert!(empty.iter().all(|(_, span)| *span == (0..0)));
+        assert_eq!(lens(&wrapped), [3, RUN_BLOCKS, 2]);
 
-        // A block past the end fails its run.
+        // An empty projection reads nothing; a block past the end fails its
+        // window.
+        let window = reader.next_window(&every, &[]).unwrap();
+        assert_eq!((window.len, window.bytes()), (num_blocks, 0));
         let past = [BlockId(num_blocks - 1), BlockId(num_blocks)];
         assert!(matches!(
-            reader.run_span(&past, &[0]),
+            reader.next_window(&past, &[0]),
             Err(StoreError::Corrupt { .. })
         ));
         std::fs::remove_file(&path).ok();
     }
+
     #[test]
     fn a_read_covers_consecutive_whole_runs_up_to_the_byte_cap() {
-        let n = 20_000usize;
-        let column = |name: &str| Column::float(name, (0..n).map(|i| i as f64).collect());
-        let table = Table::new(vec![column("a"), column("b"), column("c")]).unwrap();
-        let scramble = Scramble::build_with(&table, 1, 25).unwrap();
-        let path = std::env::temp_dir().join(format!(
-            "fastframe_reader_reads_{}.ffseg",
-            std::process::id()
-        ));
-        write_segment(&scramble, &path).unwrap();
-        let reader = SegmentReader::open(&path).unwrap();
+        let (reader, path) = reader("reads");
         let num_blocks = reader.layout.num_blocks();
         let every: Vec<BlockId> = (0..num_blocks).map(BlockId).collect();
-        let reads = |blocks: &[BlockId], columns: &[usize]| {
+        let windows = |blocks: &[BlockId], columns: &[usize]| {
             let mut rest = blocks;
             let mut out = Vec::new();
             while !rest.is_empty() {
-                let (len, span) = reader.next_read(rest, columns).unwrap();
-                out.push((len, span));
-                rest = &rest[len..];
+                let window = reader.next_window(rest, columns).unwrap();
+                rest = &rest[window.len..];
+                out.push(window);
             }
             out
         };
 
-        // A run of all three columns is 64 · 25 · 3 · 8 = 38 400 bytes, so
-        // six runs fit in READ_BYTES and a seventh does not; the 800 blocks
-        // take two reads, six runs and then six plus the 32-block rest,
-        // whose ranges tile the data section.
-        let all = reads(&every, &[0, 1, 2]);
-        let lens: Vec<usize> = all.iter().map(|(len, _)| *len).collect();
-        assert_eq!(lens, [384, 416]);
-        assert!(all
-            .iter()
-            .all(|(_, span)| span.end - span.start <= READ_BYTES));
-        assert!(all.windows(2).all(|w| w[0].1.end == w[1].1.start));
-        // One column's runs: its range spans the other columns too (the
-        // section is block-major), so the same six runs fit.
-        let one: Vec<usize> = reads(&every, &[1]).iter().map(|r| r.0).collect();
-        assert_eq!(one, [384, 416]);
-        // The scan makes exactly those reads.
+        // A run of all three columns is 64 · 3 · 200 = 38 400 bytes, so six
+        // runs fit in READ_BYTES and a seventh does not: the 1 600 blocks
+        // take four windows of six runs and one of one. Each reads one
+        // range per column and row group; the third crosses into the
+        // second row group.
+        let all = windows(&every, &[0, 1, 2]);
+        let lens: Vec<usize> = all.iter().map(|w| w.len).collect();
+        assert_eq!(lens, [384, 384, 384, 384, 64]);
+        let reads: Vec<usize> = all.iter().map(|w| w.slices.len()).collect();
+        assert_eq!(reads, [3, 3, 6, 3, 3]);
+        assert!(all.iter().all(|w| w.bytes() as u64 <= READ_BYTES));
+        assert_eq!(
+            all[2].slices[0].0,
+            reader.piece(0, 768).start..reader.piece(0, 1_023).end
+        );
+        assert_eq!(
+            all[2].slices[1].0,
+            reader.piece(0, 1_024).start..reader.piece(0, 1_151).end
+        );
+        // One column reads only its own bytes: twenty runs fit.
+        let one: Vec<usize> = windows(&every, &[1]).iter().map(|w| w.len).collect();
+        assert_eq!(one, [1_280, 320]);
+        // The scan makes exactly those reads, of exactly those bytes.
         let steps = reader.scan_steps(&every, None).unwrap();
-        assert_eq!(steps.reads, 2);
+        assert_eq!(steps.reads, 18);
+        assert_eq!(steps.bytes, 1_600 * 3 * 200);
+        let steps = reader.scan_steps(&every, Some(&[1])).unwrap();
+        assert_eq!((steps.reads, steps.bytes), (3, 1_600 * 200));
 
-        // A gap or the wrap ends a read as it ends a run.
+        // A gap or the wrap ends a window as it ends a run.
         let gapped: Vec<BlockId> = (0..100).chain(101..300).chain(0..10).map(BlockId).collect();
-        let lens: Vec<usize> = reads(&gapped, &[0]).iter().map(|r| r.0).collect();
+        let lens: Vec<usize> = windows(&gapped, &[0]).iter().map(|w| w.len).collect();
         assert_eq!(lens, [100, 199, 10]);
 
-        // A block past the end ends the read before its run, so the runs
+        // A block past the end ends the window before its run, so the runs
         // before it are read (and visited) first; read alone, it fails.
         let past: Vec<BlockId> = (num_blocks - 70..num_blocks + 1).map(BlockId).collect();
-        let (len, _) = reader.next_read(&past, &[0]).unwrap();
-        assert_eq!(len, run_blocks(25));
+        let window = reader.next_window(&past, &[0]).unwrap();
+        assert_eq!(window.len, run_blocks(25));
         assert!(matches!(
-            reader.next_read(&past[len..], &[0]),
+            reader.next_window(&past[window.len..], &[0]),
             Err(StoreError::Corrupt { .. })
         ));
         std::fs::remove_file(&path).ok();

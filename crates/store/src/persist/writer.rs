@@ -1,10 +1,11 @@
 //! Serializing a [`Scramble`] into an on-disk segment file.
 //!
-//! The write path streams the block-major data section first (tracking the
-//! chunk directory as it goes), then emits the metadata section and the
-//! checksummed footer. Output bytes are a pure function of the scramble:
-//! columns, zone maps and bitmap indexes are all written in table column
-//! order, never in hash-map iteration order.
+//! The write path streams the data section first, row group by row group
+//! and, inside a row group, column by column and page by page (tracking the
+//! page directory and the piece CRCs as it goes), then emits the metadata
+//! section and the checksummed footer. Output bytes are a pure function of
+//! the scramble: columns, zone maps and bitmap indexes are all written in
+//! table column order, never in hash-map iteration order.
 
 use std::io::Write;
 use std::path::Path;
@@ -15,29 +16,18 @@ use crate::scramble::Scramble;
 use crate::table::{StoreError, StoreResult};
 
 use super::format::{
-    crc32, encode_chunk, put_f64, put_string, put_u32, put_u64, FOOTER_LEN, HEADER_LEN, MAGIC,
-    NO_CARDINALITY, TYPE_CAT, TYPE_FLOAT, TYPE_INT, VERSION,
+    crc32, encode_piece, frame_of, put_f64, put_string, put_u32, put_u64, Frame, FOOTER_LEN,
+    GROUP_BLOCKS, HEADER_LEN, MAGIC, NO_CARDINALITY, NO_NON_FINITE, PAGE_BLOCKS, TYPE_CAT,
+    TYPE_FLOAT, TYPE_INT, VERSION,
 };
-
-/// One chunk directory entry accumulated during the data-section write.
-pub(super) struct ChunkEntry {
-    /// Byte offset of the chunk payload from the start of the file.
-    pub offset: u64,
-    /// Payload length in bytes.
-    pub len: u32,
-    /// Encoding tag (see `format`).
-    pub encoding: u8,
-    /// CRC-32 of the payload.
-    pub crc: u32,
-}
 
 /// Writes `scramble` as a segment file at `path`, replacing any existing
 /// file.
 ///
 /// The format is specified byte-for-byte in `docs/FORMAT.md`. Reading the
 /// file back with [`super::SegmentReader`] reproduces the scramble exactly:
-/// values bitwise, dictionaries, block layout, catalog bounds, zone maps and
-/// bitmap indexes.
+/// values bitwise, dictionaries, block layout, catalog bounds and its first
+/// non-finite value, zone maps and bitmap indexes.
 ///
 /// # Errors
 ///
@@ -51,6 +41,7 @@ pub fn write_segment(scramble: &Scramble, path: impl AsRef<Path>) -> StoreResult
     let table = scramble.table();
     let layout = scramble.layout();
     let num_blocks = layout.num_blocks();
+    let num_pages = num_blocks.div_ceil(PAGE_BLOCKS);
     let num_columns = table.num_columns();
 
     // Header.
@@ -59,22 +50,29 @@ pub fn write_segment(scramble: &Scramble, path: impl AsRef<Path>) -> StoreResult
     w.write_all(&0u32.to_le_bytes()).map_err(io_err)?;
     let mut offset = HEADER_LEN;
 
-    // Data section: block-major chunks.
-    let mut directory: Vec<ChunkEntry> = Vec::with_capacity(num_blocks * num_columns);
-    let mut chunk = Vec::new();
-    for block in 0..num_blocks {
-        let rows = layout.rows_of(BlockId(block));
-        for column in table.columns() {
-            chunk.clear();
-            let encoding = encode_chunk(column, rows.clone(), &mut chunk);
-            w.write_all(&chunk).map_err(io_err)?;
-            directory.push(ChunkEntry {
-                offset,
-                len: chunk.len() as u32,
-                encoding,
-                crc: crc32(&chunk),
-            });
-            offset += chunk.len() as u64;
+    // Data section: row groups of column chunks, each cut into pages of
+    // byte-aligned pieces, one piece per block. Pages and CRCs are indexed
+    // column-major, as the metadata lists them.
+    let mut pages = vec![(0u64, Frame::default()); num_columns * num_pages];
+    let mut crcs = vec![0u32; num_columns * num_blocks];
+    let mut piece = Vec::new();
+    for group in (0..num_blocks).step_by(GROUP_BLOCKS) {
+        let group_end = (group + GROUP_BLOCKS).min(num_blocks);
+        for (ci, column) in table.columns().iter().enumerate() {
+            for page in (group..group_end).step_by(PAGE_BLOCKS) {
+                let page_end = (page + PAGE_BLOCKS).min(group_end);
+                let rows =
+                    layout.rows_of(BlockId(page)).start..layout.rows_of(BlockId(page_end - 1)).end;
+                let frame = frame_of(column, rows);
+                pages[ci * num_pages + page / PAGE_BLOCKS] = (offset, frame);
+                for block in page..page_end {
+                    piece.clear();
+                    encode_piece(column, layout.rows_of(BlockId(block)), frame, &mut piece);
+                    w.write_all(&piece).map_err(io_err)?;
+                    crcs[ci * num_blocks + block] = crc32(&piece);
+                    offset += piece.len() as u64;
+                }
+            }
         }
     }
 
@@ -143,12 +141,25 @@ pub fn write_segment(scramble: &Scramble, path: impl AsRef<Path>) -> StoreResult
         }
     }
 
-    // Chunk directory.
-    for entry in &directory {
-        put_u64(&mut meta, entry.offset);
-        put_u32(&mut meta, entry.len);
-        meta.push(entry.encoding);
-        put_u32(&mut meta, entry.crc);
+    // The catalog's first non-finite value, as (column index, row).
+    let non_finite = scramble.catalog().first_non_finite();
+    let non_finite_column = non_finite
+        .map(|(name, _)| table.column_index(name))
+        .transpose()?;
+    put_u32(
+        &mut meta,
+        non_finite_column.map_or(NO_NON_FINITE, |ci| ci as u32),
+    );
+    put_u64(&mut meta, non_finite.map_or(0, |(_, row)| row as u64));
+
+    // Page directory, then piece CRCs, both column-major.
+    for &(page_offset, frame) in &pages {
+        put_u64(&mut meta, page_offset);
+        put_u64(&mut meta, frame.min);
+        meta.push(frame.width);
+    }
+    for &crc in &crcs {
+        put_u32(&mut meta, crc);
     }
 
     let meta_crc = crc32(&meta);

@@ -626,6 +626,39 @@ mod tests {
     }
 
     #[test]
+    fn a_stale_version_1_cache_is_rebuilt() {
+        use fastframe_store::persist::format::VERSION;
+        use fastframe_store::source::BlockSource;
+        let config = FlightsConfig::small().rows(2_000);
+        let path = std::env::temp_dir().join(format!(
+            "fastframe_flights_v1_cache_{}.ffseg",
+            std::process::id()
+        ));
+        // A cache of the right configuration, marked as written by the
+        // version-1 format (header and footer version fields).
+        write_segment(
+            &FlightsDataset::generate(config.clone())
+                .unwrap()
+                .scramble()
+                .unwrap(),
+            &path,
+        )
+        .unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let footer = bytes.len() - 32;
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        bytes[footer + 20..footer + 24].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(SegmentReader::open(&path).is_err());
+        // Served anyway: rebuilt in place at the current version.
+        let rebuilt = FlightsDataset::open_or_cache_segment(config, &path).unwrap();
+        assert_eq!(rebuilt.num_rows(), 2_000);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[8..12], VERSION.to_le_bytes());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn segment_cache_round_trips_and_rebuilds_when_corrupt() {
         use fastframe_store::source::BlockSource;
         let config = FlightsConfig::small().rows(2_000);

@@ -18,17 +18,17 @@ use proptest::prelude::*;
 use fastframe_core::bounder::BounderKind;
 use fastframe_engine::config::{EngineConfig, SamplingStrategy};
 use fastframe_engine::error::EngineError;
-use fastframe_engine::session::Session;
+use fastframe_engine::session::{Session, TableOptions};
 use fastframe_engine::QueryResult;
 use fastframe_store::block::BlockId;
 use fastframe_store::column::Column;
-use fastframe_store::persist::format::{encode_chunk, HEADER_LEN};
 use fastframe_store::persist::{write_segment, SegmentReader};
 use fastframe_store::predicate::Predicate;
 use fastframe_store::scramble::Scramble;
 use fastframe_store::source::BlockSource;
 use fastframe_store::table::{StoreError, Table};
 use fastframe_store::Expr;
+use fastframe_tests::piece_range;
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
@@ -437,26 +437,6 @@ fn session_backing_rules_are_enforced() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Byte range of `block`'s chunk of column `column` in a segment written
-/// from `scramble`, laid out as the writer does: block-major chunks right
-/// after the header.
-fn chunk_range(scramble: &Scramble, block: usize, column: usize) -> std::ops::Range<usize> {
-    let mut offset = HEADER_LEN as usize;
-    let mut chunk = Vec::new();
-    for b in 0..=block {
-        let rows = scramble.layout().rows_of(BlockId(b));
-        for (ci, c) in scramble.table().columns().iter().enumerate() {
-            chunk.clear();
-            encode_chunk(c, rows.clone(), &mut chunk);
-            if (b, ci) == (block, column) {
-                return offset..offset + chunk.len();
-            }
-            offset += chunk.len();
-        }
-    }
-    unreachable!("block {block} column {column} is in the segment")
-}
-
 /// Writes `scramble` with one byte flipped in the middle of `block`'s chunk
 /// of `column`, and opens it in a session as `"t"`.
 fn session_with_flipped_chunk(
@@ -468,7 +448,7 @@ fn session_with_flipped_chunk(
     let path = temp_path(tag);
     write_segment(scramble, &path).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
-    let range = chunk_range(scramble, block, column);
+    let range = piece_range(scramble, block, column);
     bytes[(range.start + range.end) / 2] ^= 0x10;
     std::fs::write(&path, &bytes).unwrap();
     let mut session = Session::new();
@@ -510,9 +490,9 @@ fn corruption_of_a_referenced_chunk_mid_run_names_block_and_column() {
 
 #[test]
 fn corruption_of_an_unreferenced_chunk_inside_a_run_is_not_checked() {
-    // Block 37's `time` chunk lies between its `v` chunk and block 38's, so
-    // a run reading `v` fetches its bytes; only referenced chunks are
-    // checked, so a query on `v` alone answers as on the pristine data.
+    // Block 37's `time` piece sits in the `time` chunk of its row group,
+    // which a run reading `v` alone neither reads nor checks, so a query
+    // on `v` answers as on the pristine data.
     let table = acceptance_table(4_000);
     let scramble = Scramble::build_with(&table, 9, 25).unwrap();
     let (mut session, path) = session_with_flipped_chunk("unreferenced", &scramble, 37, 1);
@@ -583,6 +563,267 @@ fn truncated_data_section_mid_scan_is_an_error_not_a_panic() {
     std::fs::remove_file(&path).ok();
 }
 
+/// 27 507 rows: in blocks of 5 rows, 5 501 blocks and a ragged 2-row one,
+/// six row groups, the last ending in a partial page of 62 blocks whose
+/// last is the ragged one, and six planner batches, so active scanning
+/// sees its active set change. `v` a float target, `time` an int, `g` four groups, `h` a common
+/// group `c` and a rare one `r` (one row in 50), so active scanning skips
+/// the blocks without `r` once `c` has converged, and `flag` a rare `on`
+/// (one row in 60), so its bitmap skips blocks inside every page.
+fn page_table() -> Table {
+    let rows = 27_507;
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let (mut v, mut time, mut g, mut h, mut flag) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..rows {
+        let r = next();
+        v.push(100.0 + (r % 1_000) as f64 / 10.0);
+        time.push(600 + ((r >> 12) % 1_200) as i64);
+        g.push(format!("g{}", (r >> 24) % 4));
+        h.push(if (r >> 32) % 50 == 0 { "r" } else { "c" }.to_string());
+        flag.push(if (r >> 44) % 60 == 0 { "on" } else { "off" }.to_string());
+    }
+    Table::new(vec![
+        Column::float("v", v),
+        Column::int("time", time),
+        Column::categorical("g", &g),
+        Column::categorical("h", &h),
+        Column::categorical("flag", &flag),
+    ])
+    .unwrap()
+}
+
+#[test]
+fn page_paths_are_bit_identical_to_memory_at_one_and_four_threads() {
+    let table = page_table();
+    let mut session = Session::new();
+    session
+        .register_with("t", &table, TableOptions::default().block_size(5))
+        .unwrap();
+    let path = temp_path("pages");
+    session.save_table("t", &path).unwrap();
+    session.open_table("t_disk", &path).unwrap();
+    let layout = *session.scramble("t").unwrap().layout();
+    assert_eq!(layout.num_blocks(), 5_502);
+    assert_eq!(layout.rows_of(BlockId(5_501)).len(), 2, "ragged last block");
+
+    // Start blocks: a page boundary; mid-page, so runs start and end
+    // mid-page; 24 blocks before the first row-group boundary, so a run
+    // crosses pages and a row group; and inside the partial last page, so
+    // the ragged block is read early and the scan wraps.
+    for start in [0usize, 30, 1_000, 5_490] {
+        for threads in [1usize, 4] {
+            for strategy in [SamplingStrategy::Scan, SamplingStrategy::ActivePeek] {
+                let config = EngineConfig::builder()
+                    .bounder(BounderKind::BernsteinRangeTrim)
+                    .strategy(strategy)
+                    .delta(0.05)
+                    .round_rows(1_000)
+                    .start_block(start)
+                    .threads(threads)
+                    .build();
+                let what = format!("start {start}, threads {threads}, {strategy:?}");
+                let both = |query: &dyn Fn(&str) -> QueryResult| {
+                    let (mem, disk) = (query("t"), query("t_disk"));
+                    assert_bit_identical(&mem, &disk);
+                    mem
+                };
+                // Inactive skips: once `c` converges only blocks with `r`
+                // are fetched, so runs break inside pages.
+                let active = both(&|name| {
+                    session
+                        .query(name)
+                        .avg(Expr::col("v"))
+                        .group_by("h")
+                        .relative_error(0.05)
+                        .config(config.clone())
+                        .execute()
+                        .unwrap()
+                });
+                if strategy == SamplingStrategy::ActivePeek {
+                    assert!(active.metrics.scan.blocks_skipped > 0, "{what}: active");
+                }
+                // Predicate skips inside every page, over a full pass that
+                // reads the int column too.
+                let filtered = both(&|name| {
+                    session
+                        .query(name)
+                        .avg(Expr::col("v"))
+                        .filter(Predicate::And(vec![
+                            Predicate::cat_eq("flag", "on"),
+                            Predicate::num_gt("time", 700.0),
+                        ]))
+                        .group_by("g")
+                        .absolute_width(0.0)
+                        .config(config.clone())
+                        .execute()
+                        .unwrap()
+                });
+                let scan = &filtered.metrics.scan;
+                assert!(scan.blocks_skipped > 0, "{what}: filtered {scan:?}");
+                assert_eq!(scan.blocks_fetched + scan.blocks_skipped, 5_502, "{what}");
+                // Every block, the ragged one included.
+                let exact = both(&|name| {
+                    session
+                        .query(name)
+                        .sum(Expr::col("time"))
+                        .group_by("g")
+                        .config(config.clone())
+                        .execute_exact()
+                        .unwrap()
+                });
+                assert_eq!(exact.metrics.scan.rows_scanned, 27_507, "{what}");
+            }
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn open_table_refuses_a_segment_holding_a_non_finite_value() {
+    // The catalog notes the first non-finite value in the *original* row
+    // order; the segment carries it, so opening reads no data.
+    let mut values: Vec<f64> = (0..500).map(f64::from).collect();
+    values[321] = f64::NAN;
+    values[400] = f64::INFINITY;
+    let table = Table::new(vec![
+        Column::int("k", (0..500).collect()),
+        Column::float("x", values),
+    ])
+    .unwrap();
+    let scramble = Scramble::build_with(&table, 3, 25).unwrap();
+    let path = temp_path("non_finite");
+    write_segment(&scramble, &path).unwrap();
+    // The reader opens it (the values are stored bitwise) and reports it.
+    let reader = SegmentReader::open(&path).unwrap();
+    assert_eq!(reader.catalog().first_non_finite(), Some(("x", 321)));
+    let mut session = Session::new();
+    match session.open_table("t", &path) {
+        Err(EngineError::NonFiniteValue { column, row }) => {
+            assert_eq!((column.as_str(), row), ("x", 321))
+        }
+        other => panic!("expected NonFiniteValue, got {other:?}"),
+    }
+    assert!(!session.contains("t"));
+    // A finite table's segment records none.
+    let finite = Scramble::build_with(&acceptance_table(300), 3, 25).unwrap();
+    write_segment(&finite, &path).unwrap();
+    assert_eq!(
+        SegmentReader::open(&path)
+            .unwrap()
+            .catalog()
+            .first_non_finite(),
+        None
+    );
+    session.open_table("t", &path).unwrap();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_version_1_segment_fails_loudly() {
+    let scramble = Scramble::build_with(&acceptance_table(300), 3, 25).unwrap();
+    let path = temp_path("version_1");
+    write_segment(&scramble, &path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    // The version sits at header bytes 8..12 and footer bytes 20..24.
+    let footer = bytes.len() - 32;
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    bytes[footer + 20..footer + 24].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    match SegmentReader::open(&path) {
+        Err(StoreError::Corrupt { detail, .. }) => assert!(
+            detail.contains("unsupported segment version 1 (expected 2)"),
+            "detail: {detail}"
+        ),
+        other => panic!("expected a version mismatch, got {other:?}"),
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Rewrites the page directory entry of column `column`'s page `page` in
+/// the segment at `path` with `edit`, and re-seals the metadata checksum,
+/// so only the edited frame can fail the open. The directory's position is
+/// derived from the documented layout: the metadata ends with the page
+/// directory (17 bytes per page and column) and the piece CRCs (4 bytes per
+/// block and column), both column-major.
+fn edit_page_entry(
+    path: &std::path::Path,
+    scramble: &Scramble,
+    column: usize,
+    page: usize,
+    edit: impl Fn(&mut [u8]),
+) {
+    use fastframe_store::persist::format::{crc32, PAGE_BLOCKS, PAGE_ENTRY_LEN};
+    let mut bytes = std::fs::read(path).unwrap();
+    let footer = bytes.len() - 32;
+    let meta_offset = u64::from_le_bytes(bytes[footer..footer + 8].try_into().unwrap()) as usize;
+    let columns = scramble.table().num_columns();
+    let blocks = scramble.num_blocks();
+    let pages = blocks.div_ceil(PAGE_BLOCKS);
+    let directory = footer - 4 * columns * blocks - PAGE_ENTRY_LEN * columns * pages;
+    let entry = directory + PAGE_ENTRY_LEN * (column * pages + page);
+    edit(&mut bytes[entry..entry + PAGE_ENTRY_LEN]);
+    let crc = crc32(&bytes[meta_offset..footer]);
+    bytes[footer + 16..footer + 20].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(path, &bytes).unwrap();
+}
+
+#[test]
+fn malformed_page_frames_fail_the_open_naming_the_column() {
+    // Columns: 0 `v` float, 1 `time` int, 2 `g` codes; 4 000 rows make 160
+    // blocks, so three pages, the last of 32 blocks.
+    let scramble = Scramble::build_with(&acceptance_table(4_000), 9, 25).unwrap();
+    let path = temp_path("frames");
+    // (column, page, byte of the entry, bytes written there, expected
+    // error); the width is the entry's byte 16, its offset bytes 0..8.
+    let cases = [
+        (
+            2,
+            1,
+            16,
+            vec![33],
+            "code page of `g`: impossible bit width 33",
+        ),
+        (
+            1,
+            0,
+            16,
+            vec![65],
+            "int page of `time`: impossible bit width 65",
+        ),
+        (0, 2, 16, vec![8], "float page of `v`"),
+        // The last int page widened to 64 bits: its pieces would need more
+        // bytes than the data section holds after it.
+        (1, 2, 16, vec![64], "run past the data section"),
+        (
+            2,
+            0,
+            0,
+            u64::MAX.to_le_bytes().to_vec(),
+            "run past the data section",
+        ),
+    ];
+    for (column, page, at, bytes, expect) in cases {
+        write_segment(&scramble, &path).unwrap();
+        edit_page_entry(&path, &scramble, column, page, |entry| {
+            entry[at..at + bytes.len()].copy_from_slice(&bytes)
+        });
+        match SegmentReader::open(&path) {
+            Err(StoreError::Corrupt { detail, .. }) => {
+                assert!(detail.contains(expect), "{expect}: {detail}")
+            }
+            other => panic!("{expect}: expected Corrupt, got {other:?}"),
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 /// FNV-1a 64 of a byte string: a digest independent of the segment's own
 /// CRC-32, so the golden-file check does not trust the code under test.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -627,10 +868,11 @@ fn golden_scramble() -> Scramble {
 
 #[test]
 fn segment_bytes_match_the_golden_file() {
-    // Recorded from the writer before the CRC moved to slicing-by-8: the
-    // format (and every checksum in it) must not change.
-    const GOLDEN_LEN: usize = 1482;
-    const GOLDEN_FNV1A64: u64 = 0x3533_0daa_bd32_09bc;
+    // Recorded once from the version-2 writer (row groups of column-major
+    // pages): the format, and every checksum in it, must not change
+    // without a version bump.
+    const GOLDEN_LEN: usize = 1456;
+    const GOLDEN_FNV1A64: u64 = 0x7d5b_ac59_d877_ce0c;
     let path = temp_path("golden");
     write_segment(&golden_scramble(), &path).unwrap();
     let bytes = std::fs::read(&path).unwrap();

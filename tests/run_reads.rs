@@ -20,13 +20,13 @@ use fastframe_store::bitmap::BlockBitmapIndex;
 use fastframe_store::block::{BlockId, BlockLayout};
 use fastframe_store::catalog::Catalog;
 use fastframe_store::column::{Column, ColumnData};
-use fastframe_store::persist::format::{encode_chunk, HEADER_LEN};
 use fastframe_store::persist::{write_segment, SegmentReader};
 use fastframe_store::scramble::Scramble;
 use fastframe_store::source::{run_blocks, BlockRef, BlockSource, RUN_ROWS};
 use fastframe_store::table::{StoreError, StoreResult, Table};
 use fastframe_store::zone::ZoneMap;
 use fastframe_store::{Expr, Predicate};
+use fastframe_tests::piece_range;
 
 /// Rows in the test table: 25-row blocks with a ragged 3-row last block.
 const ROWS: usize = 40_003;
@@ -349,6 +349,59 @@ fn scan_blocks_matches_single_block_reads_on_both_backings() {
 }
 
 #[test]
+fn runs_across_pages_and_row_groups_read_as_memory_does() {
+    // The segment stores each column of a row group of 1 024 blocks as
+    // pages of 64; the test table's 1 601 blocks make two row groups, the
+    // second ending in a partial page holding only the ragged 3-row block.
+    let scramble = Scramble::build_with(&table(), 5, 25).unwrap();
+    let path = temp_path("pages");
+    write_segment(&scramble, &path).unwrap();
+    let reader = SegmentReader::open(&path).unwrap();
+    let layout = *scramble.layout();
+    let n = scramble.num_blocks();
+    assert_eq!(n, 1_601);
+    let lists: Vec<(&str, Vec<usize>)> = vec![
+        ("starting and ending mid-page", (70..90).collect()),
+        ("across a page boundary", (100..140).collect()),
+        ("across a page and a row group", (1_000..1_064).collect()),
+        ("many runs across a row group", (900..1_200).collect()),
+        (
+            "skips inside pages",
+            (130..260).filter(|b| b % 3 != 0 && b % 7 != 2).collect(),
+        ),
+        ("the partial last page", (n - 40..n).collect()),
+        ("the ragged block alone", vec![n - 1]),
+        (
+            "wrapping from the partial page",
+            (n - 3..n).chain(0..70).collect(),
+        ),
+    ];
+    for (shape, list) in lists {
+        let blocks: Vec<BlockId> = list.into_iter().map(BlockId).collect();
+        let expected = expected_runs(&blocks);
+        for projection in projections() {
+            let projection = projection.as_deref();
+            let what = format!("{shape}, projection {projection:?}");
+            let memory = via_single_reads(&scramble, &blocks, projection);
+            assert_eq!(
+                via_single_reads(&reader, &blocks, projection),
+                memory,
+                "{what}: segment single reads"
+            );
+            assert_runs(
+                &via_scan(&reader, &blocks, projection),
+                &expected,
+                &memory,
+                &layout,
+                false,
+                &format!("{what}: segment"),
+            );
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn runs_are_capped_in_rows_whatever_the_block_size() {
     // One-row blocks make 1 600-block runs, 7-row blocks 228-block runs
     // (1 596 rows); a block of the cap's size or larger is a run alone.
@@ -444,25 +497,6 @@ fn scan_blocks_stops_when_the_visitor_breaks() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Byte range of `block`'s chunk of column `column` in a segment written
-/// from `scramble`: block-major chunks right after the header.
-fn chunk_range(scramble: &Scramble, block: usize, column: usize) -> Range<usize> {
-    let mut offset = HEADER_LEN as usize;
-    let mut chunk = Vec::new();
-    for b in 0..=block {
-        let rows = scramble.layout().rows_of(BlockId(b));
-        for (ci, c) in scramble.table().columns().iter().enumerate() {
-            chunk.clear();
-            encode_chunk(c, rows.clone(), &mut chunk);
-            if (b, ci) == (block, column) {
-                return offset..offset + chunk.len();
-            }
-            offset += chunk.len();
-        }
-    }
-    unreachable!("block {block} column {column} is in the segment")
-}
-
 #[test]
 fn a_corrupt_chunk_in_any_crc_lane_fails_its_run_naming_its_block_and_column() {
     // A run of 7 blocks is checked per column as one batch of four chunks
@@ -478,7 +512,7 @@ fn a_corrupt_chunk_in_any_crc_lane_fails_its_run_naming_its_block_and_column() {
     for column in [0usize, 1, 2] {
         let name = scramble.table().column_at(column).name().to_string();
         for &bad in &run {
-            let range = chunk_range(&scramble, bad.index(), column);
+            let range = piece_range(&scramble, bad.index(), column);
             let mut bytes = pristine.clone();
             bytes[(range.start + range.end) / 2] ^= 0x04;
             std::fs::write(&path, &bytes).unwrap();
