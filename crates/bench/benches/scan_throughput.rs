@@ -21,7 +21,7 @@
 //! A third splits the segment's scan path into its steps, per block, with
 //! the reader's own step clock (`SegmentReader::scan_steps`): the
 //! positioned reads (one per referenced column and row group of a window
-//! of up to 256 KiB of whole runs) with the bytes they move, the
+//! of up to 128 KiB of whole runs) with the bytes they move, the
 //! four-lane CRC-32 check of each run's referenced pieces and their decode
 //! into one buffer per column, one call per page, next to the whole path
 //! through `scan_blocks`. It covers the synthetic table's

@@ -2,9 +2,10 @@
 //! accumulates, and the merge of its partials.
 //!
 //! The engine's parallel pipeline cuts each OptStop round's block list into
-//! contiguous partitions of a fixed block count (at least 256 blocks, at
-//! most 64 partitions per round). The layout is a pure function of the
-//! planned list, never of the thread count. Each partition is scanned into
+//! contiguous partitions of a fixed block count (at least 256 blocks and
+//! 128 rows per view, at most 64 partitions per round). The layout is a
+//! pure function of the planned list's length, the view count and the
+//! block size, never of the thread count. Each partition is scanned into
 //! one partial per touched aggregate view, on whichever scan thread takes it,
 //! and the coordinator folds the partials into the view's master state
 //! ([`FlatMaster`]) **in partition (block-id) order**.

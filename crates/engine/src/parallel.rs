@@ -8,17 +8,54 @@
 //! Each OptStop round plans a list of blocks to fetch. That list is split
 //! into contiguous **partitions** of a fixed block count, as morsel-driven
 //! engines size their work units (Leis et al., "Morsel-Driven Parallelism",
-//! SIGMOD 2014): [`partition_size`] is `max(⌈n/64⌉, 256)` blocks for a round
-//! of `n` blocks. A round therefore has at most 64 partitions, and a
-//! partition has at least 256 blocks unless the round is smaller. The layout
-//! depends only on the list length, never on the thread count.
+//! SIGMOD 2014): a work unit must be large next to its fixed cost. A
+//! partition's fixed cost grows with the query's views: it hands on one
+//! record per view it touched, and the coordinator merges each. So
+//! [`partition_size`] is, for a round of `n` blocks, a query of `v` views
+//! and blocks of `b` rows,
 //!
-//! The price is parallelism inside small rounds. A default round of 40 000
-//! rows (1 600 blocks of 25 rows) has 7 partitions, so at most 7 threads
-//! scan it at once; a round of 256 blocks or fewer runs on one thread. In
-//! exchange a round costs what it scans: per-partition work (a partial per
-//! touched view and its merge) is paid 7 times per default round instead of
-//! 64 times.
+//! ```text
+//! max(⌈n/64⌉, 256, ⌈c · v / b⌉)   blocks,   c = ROWS_PER_VIEW = 128 rows
+//! ```
+//!
+//! A round therefore has at most 64 partitions, and a partition has at
+//! least 256 blocks and at least `c` rows per view, unless the round is
+//! smaller. The layout depends only on (round length, views, block size),
+//! never on the thread count.
+//!
+//! **Why `c = 128`.** Handing on and merging a view's record costs
+//! ≈ 40 ns (F-q6 at 1M rows: 150 fewer partitions of 700 views took
+//! 3.6 ms off the scan and 0.8 ms off the merge), and scanning a row
+//! ≈ 10 ns, so at 128 rows per view the hand-off is at most ≈ 3 % of a
+//! partition's scan. A sweep of `c` over 0 (the length-only layout), 64,
+//! 128, 256, 512 and 1 024 on perfbench's Table 5 stream at 1M rows (one
+//! scan thread, three seeds; EXPERIMENTS.md, "View-aware partitions") put
+//! the approximate stream's time 10 % lower at `c = 64` and 13–16 % lower
+//! at every `c ≥ 128`, within noise of each other. Exact's kept falling as
+//! `c` grew (9 % at 128, 13 % at 256, 17 % at 1 024), but on one thread
+//! only: each doubling of `c` halves the partitions a 100-view round
+//! (F-q5, F-q8) can spread over threads, 4 at `c = 128` and one from
+//! `c = 400` on. From `c = 200` on, a 3-view query on one-row blocks also
+//! scans a 600-row round as one partition, and the merged-partition
+//! coverage test in `tests/skip_ledger.rs` finds no round length that both
+//! merges partitions and takes its runs past one round (770–1 000 rows
+//! tried at `c = 256`).
+//!
+//! At the default 40 000-row rounds of 25-row blocks (1 600 blocks), a
+//! query with up to 50 views keeps 7 partitions of 256 blocks per round,
+//! a 100-view query has 4 of 512 blocks (the last 64), and F-q6's 700
+//! views make each round one partition of 3 584 blocks. Exact's single
+//! round of every block has, at 1M rows (40 000 blocks), 64 partitions of
+//! 625 blocks for up to 122 views and 12 for F-q6; at 10M rows (400 000
+//! blocks), 64 partitions for up to 1 220 views, F-q6 included.
+//!
+//! The price is parallelism inside a round: a round scans on at most as
+//! many threads as it has partitions, so F-q6's approximate rounds run on
+//! one thread. At 10M rows on a 2-vCPU host, F-q6 fell from 174 to 133 ms
+//! at one thread, but at two it read 131 ms against the length-only
+//! layout's 125, whose 7 partitions per round ran in parallel. In exchange
+//! a round pays its per-view hand-off once per partition that earns it,
+//! not 7 times.
 //!
 //! ## Schedule
 //!
@@ -157,14 +194,26 @@ use crate::query::AggregateFunction;
 pub(crate) const MAX_PARTITIONS: usize = 64;
 
 /// Smallest partition, in blocks, unless the whole round is smaller: large
-/// enough that per-partition costs (one partial per touched view and its
-/// merge) stay small next to the rows scanned.
+/// enough that per-partition costs stay small next to the rows scanned
+/// when a query has few views.
 const MIN_PARTITION_BLOCKS: usize = 256;
 
-/// Number of blocks per partition for a round of `total` planned blocks —
-/// a pure function of `total`, never of the thread count.
-pub(crate) fn partition_size(total: usize) -> usize {
-    total.div_ceil(MAX_PARTITIONS).max(MIN_PARTITION_BLOCKS)
+/// Rows a partition scans per aggregate view of the query, at the least,
+/// so the per-view hand-off stays small next to its scan (see "Partition
+/// layout" in the module docs for the measurement behind the value).
+const ROWS_PER_VIEW: usize = 128;
+
+/// Number of blocks per partition for a round of `total` planned blocks, a
+/// query of `views` aggregate views and blocks of `block_rows` rows: the
+/// largest of `⌈total/64⌉`, [`MIN_PARTITION_BLOCKS`] and
+/// `⌈ROWS_PER_VIEW · views / block_rows⌉`. A pure function of its
+/// arguments, never of the thread count.
+pub(crate) fn partition_size(total: usize, views: usize, block_rows: usize) -> usize {
+    let hand_off = (ROWS_PER_VIEW * views).div_ceil(block_rows);
+    total
+        .div_ceil(MAX_PARTITIONS)
+        .max(MIN_PARTITION_BLOCKS)
+        .max(hand_off)
 }
 
 /// The number of scan threads, the coordinator included, actually used for
@@ -561,7 +610,12 @@ impl RoundExecutor<'_> {
         blocks: &[BlockId],
         mut merge: impl FnMut(&PartitionPartial),
     ) -> Result<(), StoreError> {
-        let mut chunks = blocks.chunks(partition_size(blocks.len())).enumerate();
+        let size = partition_size(
+            blocks.len(),
+            self.ctx.num_views,
+            self.ctx.source.layout().block_size(),
+        );
+        let mut chunks = blocks.chunks(size).enumerate();
         let total = chunks.len();
         self.waiting.clear();
         self.waiting.resize_with(total, || None);
@@ -668,42 +722,57 @@ mod tests {
 
     #[test]
     fn partition_size_is_thread_count_independent() {
-        // A pure function of the round length: no thread count appears.
-        assert_eq!(partition_size(0), MIN_PARTITION_BLOCKS);
-        assert_eq!(partition_size(1), 256);
-        assert_eq!(partition_size(255), 256);
-        assert_eq!(partition_size(256), 256);
-        assert_eq!(partition_size(257), 256);
-        assert_eq!(partition_size(1600), 256);
-        assert_eq!(partition_size(16_384), 256);
-        assert_eq!(partition_size(16_385), 257);
-        assert_eq!(partition_size(40_000), 625);
-        // Partition counts at the edges: one partition up to 256 blocks,
-        // 7 for a default 1 600-block round, exactly 64 at 16 384.
-        let partitions = |n: usize| n.div_ceil(partition_size(n));
-        assert_eq!(partitions(255), 1);
-        assert_eq!(partitions(256), 1);
-        assert_eq!(partitions(257), 2);
-        assert_eq!(partitions(1600), 7);
-        assert_eq!(partitions(16_384), 64);
-        // Every round of `n` blocks yields at most MAX_PARTITIONS chunks.
-        for n in [
-            1usize,
-            7,
-            63,
-            64,
-            65,
-            255,
-            256,
-            257,
-            1000,
-            1600,
-            4096,
-            16_384,
-            16_385,
-            1 << 20,
-        ] {
-            assert!(partitions(n) <= MAX_PARTITIONS, "n={n}");
+        // A pure function of (round blocks, views, block rows): no thread
+        // count appears.
+        let partitions =
+            |n: usize, views: usize, rows: usize| n.div_ceil(partition_size(n, views, rows));
+        // A few-view query keeps the length-only layout: one partition up
+        // to 256 blocks, 7 for a default 1 600-block round of 25-row
+        // blocks, exactly 64 at 16 384 blocks and never more.
+        for views in [1, 3, 50] {
+            assert_eq!(partition_size(0, views, 25), MIN_PARTITION_BLOCKS);
+            assert_eq!(partition_size(255, views, 25), 256);
+            assert_eq!(partition_size(16_384, views, 25), 256);
+            assert_eq!(partition_size(16_385, views, 25), 257);
+            assert_eq!(partition_size(40_000, views, 25), 625);
+            assert_eq!(partitions(255, views, 25), 1);
+            assert_eq!(partitions(256, views, 25), 1);
+            assert_eq!(partitions(257, views, 25), 2);
+            assert_eq!(partitions(1_600, views, 25), 7);
+            assert_eq!(partitions(16_384, views, 25), 64);
+        }
+        // F-q6's shape: 700 views of 25-row blocks make a default round
+        // one partition of ⌈128 · 700 / 25⌉ = 3 584 blocks, and Exact's
+        // round 12 partitions at 1M rows and the length-only 64 at 10M.
+        assert_eq!(partition_size(1_600, 700, 25), 3_584);
+        assert_eq!(partitions(1_600, 700, 25), 1);
+        assert_eq!(partitions(40_000, 700, 25), 12);
+        assert_eq!(partitions(400_000, 700, 25), 64);
+        // A 100-view query (F-q5, F-q8): four partitions per default round.
+        assert_eq!(partition_size(1_600, 100, 25), 512);
+        assert_eq!(partitions(1_600, 100, 25), 4);
+        assert_eq!(partitions(40_000, 100, 25), 64);
+        // The per-view term's edges: 51 views is the first to outgrow 256
+        // blocks of 25 rows, and 3 views of one-row blocks need 384.
+        assert_eq!(partition_size(1_600, 51, 25), 262);
+        assert_eq!(partition_size(600, 3, 1), 384);
+        assert_eq!(partitions(384, 3, 1), 1);
+        assert_eq!(partitions(385, 3, 1), 2);
+        assert_eq!(partitions(600, 3, 1), 2);
+        // Larger blocks need fewer of them for the same rows per view.
+        assert_eq!(partition_size(1_600, 700, 1_000), 256);
+        // Every round yields at most MAX_PARTITIONS chunks, and a
+        // partition never shrinks as views are added.
+        for n in [1usize, 7, 64, 255, 256, 257, 1_600, 16_384, 16_385, 1 << 20] {
+            for rows in [1, 25, 1_600] {
+                let mut last = 0;
+                for views in [0, 1, 3, 51, 100, 700, 100_000] {
+                    let size = partition_size(n, views, rows);
+                    assert!(partitions(n, views, rows) <= MAX_PARTITIONS, "n={n}");
+                    assert!(size >= last, "n={n} views={views} rows={rows}");
+                    last = size;
+                }
+            }
         }
     }
 }

@@ -50,7 +50,7 @@
 //! [`SegmentReader`] hands
 //! [`BlockSource::scan_blocks`](crate::source::BlockSource::scan_blocks)
 //! **runs** of consecutive blocks holding up to
-//! [`RUN_ROWS`](crate::source::RUN_ROWS) rows. A window of up to 256 KiB
+//! [`RUN_ROWS`](crate::source::RUN_ROWS) rows. A window of up to 128 KiB
 //! of whole consecutive runs is one positioned read per referenced column
 //! (and row group); per run, the referenced pieces' CRC-32s are checked
 //! four pieces at a time and each referenced column is decoded with one

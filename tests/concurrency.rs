@@ -414,9 +414,12 @@ fn exec_metrics_partitions_reflect_the_pipeline() {
     assert_exec_consistent(&r);
 }
 
-/// Rounds of exactly 255, 256, 257 and 16 384 blocks sit on the edges of the
-/// partition layout: one partition, one full partition, two, and exactly
-/// the cap of 64. Results must still be bitwise equal at 1 and 8 threads.
+/// Rounds of 255, 256 and 257 blocks sit on the edges of the length-only
+/// layout's 256-block minimum, and rounds of 383, 384 and 385 on those of
+/// the per-view term, which for 3 views of one-row blocks asks for
+/// ⌈128 · 3 / 1⌉ = 384 blocks: one partition, one full partition, two. A
+/// 16 384-block round has 43. Results must still be bitwise equal at 1 and
+/// 8 threads.
 #[test]
 fn partition_layout_edges_are_thread_count_independent() {
     let t = table(20_000);
@@ -434,7 +437,7 @@ fn partition_layout_edges_are_thread_count_independent() {
     let mut s = Session::new();
     s.register_with(TABLE, &t, TableOptions::default().block_size(1))
         .unwrap();
-    for round_blocks in [255u64, 256, 257, 16_384] {
+    for round_blocks in [255u64, 256, 257, 383, 384, 385, 16_384] {
         let run = |threads: usize| {
             let config = EngineConfig::builder()
                 .bounder(BounderKind::BernsteinRangeTrim)
@@ -467,13 +470,93 @@ fn partition_layout_edges_are_thread_count_independent() {
             );
         }
         // The full pass scans ⌊20 000 / n⌋ whole rounds and one remainder;
-        // a round of `b` blocks has ⌈b / max(⌈b/64⌉, 256)⌉ partitions.
-        let parts = |b: u64| b.div_ceil(b.div_ceil(64).max(256));
+        // a round of `b` one-row blocks over 3 views has
+        // ⌈b / max(⌈b/64⌉, 256, ⌈128 · 3 / 1⌉)⌉ partitions.
+        let parts = |b: u64| b.div_ceil(b.div_ceil(64).max(256).max(128 * 3));
         let rounds = 20_000 / round_blocks;
         let expected = rounds * parts(round_blocks) + parts(20_000 % round_blocks);
         assert_eq!(one.metrics.exec.partitions, expected, "n={round_blocks}");
         assert_eq!(eight.metrics.exec.partitions, expected, "n={round_blocks}");
     }
+}
+
+/// A query with many views gets partitions of at least 128 rows per view:
+/// 64 groups over 40 000 rows of 25-row blocks ask for
+/// ⌈128 · 64 / 25⌉ = 328-block partitions, so a 20 000-row round (800
+/// blocks) merges three and Exact's single round (1 600 blocks) five. The
+/// partition counts follow that rule, and every estimate and CI bound is
+/// bitwise equal at 1, 2 and 4 threads, in memory and on a segment.
+#[test]
+fn many_view_partitions_follow_the_view_aware_rule_on_every_backing() {
+    const ROWS: usize = 40_000;
+    const GROUPS: u64 = 64;
+    let labels: Vec<String> = (0..ROWS)
+        .map(|i| format!("g{:02}", (i * 7_919) % GROUPS as usize))
+        .collect();
+    let values = (0..ROWS)
+        .map(|i| ((i * 2_654_435_761) % 1_000) as f64 / 10.0 + (i % 7) as f64)
+        .collect();
+    let t = Table::new(vec![
+        Column::float("v", values),
+        Column::categorical("g", &labels),
+    ])
+    .unwrap();
+    let mut s = Session::new();
+    s.register("mem", &t).unwrap();
+    assert_eq!(s.scramble("mem").unwrap().layout().block_size(), 25);
+    let path = std::env::temp_dir().join(format!(
+        "fastframe_concurrency_many_views_{}.ffseg",
+        std::process::id()
+    ));
+    s.save_table("mem", &path).unwrap();
+    s.open_table("seg", &path).unwrap();
+
+    // The rule: a round of `b` blocks over `GROUPS` views of 25-row blocks
+    // is cut into partitions of max(⌈b/64⌉, 256, ⌈128 · GROUPS / 25⌉).
+    let parts = |b: u64| b.div_ceil(b.div_ceil(64).max(256).max((128 * GROUPS).div_ceil(25)));
+    let (round_blocks, blocks) = (800, ROWS as u64 / 25);
+    let approx_parts = (blocks / round_blocks) * parts(round_blocks);
+    assert_eq!((approx_parts, parts(blocks)), (6, 5));
+
+    let run = |backing: &str, threads: usize, exact: bool| {
+        let config = EngineConfig::builder()
+            .bounder(BounderKind::BernsteinRangeTrim)
+            .strategy(SamplingStrategy::Scan)
+            .delta(1e-9)
+            .round_rows(round_blocks * 25)
+            .seed(3)
+            .threads(threads)
+            .build();
+        let query = s
+            .query(backing)
+            .avg(Expr::col("v"))
+            .group_by("g")
+            .absolute_width(0.0)
+            .config(config);
+        let result = if exact {
+            query.execute_exact()
+        } else {
+            query.execute()
+        };
+        result.unwrap()
+    };
+    for exact in [false, true] {
+        let reference = run("mem", 1, exact);
+        assert_eq!(reference.groups.len(), GROUPS as usize);
+        for backing in ["mem", "seg"] {
+            for threads in [1, 2, 4] {
+                let result = run(backing, threads, exact);
+                let expected = if exact { parts(blocks) } else { approx_parts };
+                assert_eq!(
+                    result.metrics.exec.partitions, expected,
+                    "{backing}, {threads} threads, exact={exact}"
+                );
+                assert_identical(&reference, &result);
+                assert_exec_consistent(&result);
+            }
+        }
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// What a [`HookedSource`] does in place of a partition scan.
@@ -582,7 +665,8 @@ impl ScanHook for PanicAt {
 /// query returns instead of hanging.
 #[test]
 fn a_panic_in_a_scan_re_raises_on_the_caller() {
-    // One-row blocks and one 4 000-block round: 16 partitions of 256.
+    // One-row blocks, 3 views and one 4 000-block round: 11 partitions of
+    // 384 blocks (the last 160).
     let scramble: &'static Scramble =
         Box::leak(Box::new(Scramble::build_with(&table(4_000), 7, 1).unwrap()));
     for panic_at in [0, 3_000] {

@@ -361,12 +361,14 @@ fn per_group_miss_rates_stay_within_delta_under_every_strategy() {
     println!("{}", report.join("\n"));
 }
 
-/// Rounds of 600 one-row blocks are cut into three partitions (256, 256 and
-/// 88 blocks), so every round merges partials, and from a group's second
-/// round on they start from its master's seed: its round-start extremes
-/// and shift. At δ = 0.2 the per-group miss rates of Bernstein+RT and
-/// Hoeffding+RT, AVG and SUM, stay within δ plus binomial slack, over runs
-/// that mostly take two rounds or more and stop early.
+/// Rounds of 600 one-row blocks are cut into two partitions (384 and 216
+/// blocks: 3 views ask for at least 128 rows each), so every round merges
+/// partials, and from a group's second round on they start from its
+/// master's seed: its round-start extremes and shift. The test checks that
+/// premise: every run that takes two rounds or more merges at least two
+/// partitions per round. At δ = 0.2 the per-group miss rates of
+/// Bernstein+RT and Hoeffding+RT, AVG and SUM, stay within δ plus binomial
+/// slack, over runs that mostly take two rounds or more and stop early.
 #[test]
 fn per_group_miss_rates_stay_within_delta_when_partitions_merge() {
     const SEEDS: u64 = 400;
@@ -411,8 +413,18 @@ fn per_group_miss_rates_stay_within_delta_when_partitions_merge() {
                 let result = run(&scramble, query, config.clone());
                 let (early, merged, partitions) = runs.entry((bounder, aggregate)).or_default();
                 *early += u64::from(result.converged);
-                // `rounds` counts the final evaluation too.
-                *merged += u64::from(result.metrics.rounds >= 3);
+                // `rounds` counts the final evaluation too, so a run
+                // evaluated `rounds − 1` full rounds.
+                let full_rounds = result.metrics.rounds - 1;
+                if full_rounds >= 2 {
+                    *merged += 1;
+                    assert!(
+                        result.metrics.exec.partitions >= 2 * full_rounds,
+                        "{bounder} {aggregate} seed {seed}: {} partitions over {full_rounds} \
+                         rounds",
+                        result.metrics.exec.partitions
+                    );
+                }
                 *partitions += result.metrics.exec.partitions;
                 for group in &result.groups {
                     let label = group.key.display();
