@@ -24,36 +24,26 @@
 //! Unlike the other bounders it must retain the full sample, so its memory
 //! footprint is `O(m)`.
 
-use crate::bounder::{BoundContext, ErrorBounder};
-
-/// Streaming state for [`AndersonDkw`]: the observed sample (O(m) memory).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AndersonState {
-    /// All observed values, in arrival order.
-    pub sample: Vec<f64>,
-    /// Running sum (for the point estimate).
-    sum: f64,
-}
-
-impl AndersonState {
-    /// Folds a batch of values in slice order — bit-identical to pushing the
-    /// values one at a time (the running sum accumulates in slice order).
-    pub fn push_batch(&mut self, values: &[f64]) {
-        self.sample.extend_from_slice(values);
-        for &v in values {
-            self.sum += v;
-        }
-    }
-}
+use crate::bounder::BoundContext;
 
 /// The Anderson/DKW error bounder (Algorithm 3 in the paper).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AndersonDkw;
 
 impl AndersonDkw {
-    /// Creates the bounder.
-    pub fn new() -> Self {
-        Self
+    /// Algorithm 3's `(Lbound, Rbound)` of `sample` (in any order) under
+    /// `ctx`, each clamped to the declared range; the range itself for an
+    /// empty sample. The sample is sorted once, in place, by `total_cmp`,
+    /// so a NaN value does not panic the sort.
+    pub fn bounds(mut sample: Vec<f64>, ctx: &BoundContext) -> (f64, f64) {
+        if sample.is_empty() {
+            return (ctx.a, ctx.b);
+        }
+        sample.sort_by(f64::total_cmp);
+        (
+            Self::lbound_sorted(&sample, ctx.a, ctx.delta).max(ctx.a),
+            Self::rbound_sorted(&sample, ctx.b, ctx.delta).min(ctx.b),
+        )
     }
 
     /// The DKW band half-width `ε = sqrt(log(1/δ) / (2m))`.
@@ -112,79 +102,27 @@ impl AndersonDkw {
     }
 }
 
-impl ErrorBounder for AndersonDkw {
-    type State = AndersonState;
-
-    fn init_state(&self) -> Self::State {
-        AndersonState::default()
-    }
-
-    #[inline]
-    fn update_state(&self, state: &mut Self::State, v: f64) {
-        state.sample.push(v);
-        state.sum += v;
-    }
-
-    fn update_batch(&self, state: &mut Self::State, values: &[f64]) {
-        state.push_batch(values);
-    }
-
-    fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        if state.sample.is_empty() {
-            return ctx.a;
-        }
-        let mut sorted = state.sample.clone();
-        sorted.sort_by(f64::total_cmp);
-        Self::lbound_sorted(&sorted, ctx.a, ctx.delta).max(ctx.a)
-    }
-
-    fn rbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        if state.sample.is_empty() {
-            return ctx.b;
-        }
-        let mut sorted = state.sample.clone();
-        sorted.sort_by(f64::total_cmp);
-        Self::rbound_sorted(&sorted, ctx.b, ctx.delta).min(ctx.b)
-    }
-
-    fn observed(&self, state: &Self::State) -> u64 {
-        state.sample.len() as u64
-    }
-
-    fn estimate(&self, state: &Self::State) -> Option<f64> {
-        (!state.sample.is_empty()).then(|| state.sum / state.sample.len() as f64)
-    }
-
-    fn name(&self) -> &'static str {
-        "anderson-dkw"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounder::BoundContext;
+    use crate::bounder::{BounderKind, Estimator};
 
     fn ctx(a: f64, b: f64, n: u64, delta: f64) -> BoundContext {
         BoundContext::new(a, b, n, delta).unwrap()
     }
 
-    fn feed(values: &[f64]) -> AndersonState {
-        let b = AndersonDkw::new();
-        let mut st = b.init_state();
-        for &v in values {
-            b.update_state(&mut st, v);
-        }
-        st
+    fn feed(values: &[f64]) -> Estimator {
+        let mut est = BounderKind::AndersonDkw.make_estimator();
+        est.observe_batch(values);
+        est
     }
 
     #[test]
     fn empty_state_returns_range_bounds() {
-        let b = AndersonDkw::new();
-        let st = b.init_state();
+        let est = feed(&[]);
         let c = ctx(0.0, 1.0, 100, 0.05);
-        assert_eq!(b.lbound(&st, &c), 0.0);
-        assert_eq!(b.rbound(&st, &c), 1.0);
+        assert_eq!(est.lbound(&c), 0.0);
+        assert_eq!(est.rbound(&c), 1.0);
     }
 
     #[test]
@@ -198,30 +136,25 @@ mod tests {
     /// panicking; the bounds stay inside the declared range.
     #[test]
     fn a_nan_sample_value_does_not_panic_the_sort() {
-        let b = AndersonDkw::new();
-        let st = feed(&[0.2, f64::NAN, 0.4, 0.6]);
+        let est = feed(&[0.2, f64::NAN, 0.4, 0.6]);
         let c = BoundContext::new(0.0, 1.0, 100, 0.05).unwrap();
-        let (lo, hi) = (b.lbound(&st, &c), b.rbound(&st, &c));
+        let (lo, hi) = (est.lbound(&c), est.rbound(&c));
         assert!((0.0..=1.0).contains(&lo), "lbound {lo}");
         assert!((0.0..=1.0).contains(&hi), "rbound {hi}");
     }
 
     #[test]
     fn estimate_is_sample_mean() {
-        let b = AndersonDkw::new();
-        let st = feed(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(b.observed(&st), 4);
-        assert!((b.estimate(&st).unwrap() - 2.5).abs() < 1e-12);
+        let est = feed(&[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(est.count(), 4);
+        assert!((est.estimate().unwrap() - 2.5).abs() < 1e-12);
     }
 
     #[test]
     fn interval_contains_true_mean_of_uniform_data() {
         let values: Vec<f64> = (0..5000).map(|i| (i % 100) as f64 / 100.0).collect();
         let mean = values.iter().sum::<f64>() / values.len() as f64;
-        let b = AndersonDkw::new();
-        let st = feed(&values);
-        let c = ctx(0.0, 1.0, 1_000_000, 1e-9);
-        let ci = b.interval(&st, &c);
+        let ci = feed(&values).interval(&ctx(0.0, 1.0, 1_000_000, 1e-9));
         assert!(ci.contains(mean), "{ci:?} should contain {mean}");
     }
 
@@ -229,10 +162,9 @@ mod tests {
     fn interval_shrinks_with_more_samples() {
         let small: Vec<f64> = (0..200).map(|i| (i % 10) as f64).collect();
         let large: Vec<f64> = (0..20_000).map(|i| (i % 10) as f64).collect();
-        let b = AndersonDkw::new();
         let c = ctx(0.0, 10.0, 10_000_000, 1e-9);
-        let w_small = b.interval(&feed(&small), &c).width();
-        let w_large = b.interval(&feed(&large), &c).width();
+        let w_small = feed(&small).interval(&c).width();
+        let w_large = feed(&large).interval(&c).width();
         assert!(w_large < w_small);
     }
 
@@ -240,22 +172,20 @@ mod tests {
     fn lower_bound_ignores_upper_range_bound() {
         // No PHOS: widening b must not change the lower bound.
         let values: Vec<f64> = (0..1000).map(|i| 10.0 + (i % 5) as f64).collect();
-        let b = AndersonDkw::new();
-        let st = feed(&values);
+        let est = feed(&values);
         let narrow = ctx(0.0, 100.0, 1_000_000, 1e-9);
         let wide = ctx(0.0, 1_000_000.0, 1_000_000, 1e-9);
-        assert_eq!(b.lbound(&st, &narrow), b.lbound(&st, &wide));
+        assert_eq!(est.lbound(&narrow), est.lbound(&wide));
     }
 
     #[test]
     fn upper_bound_ignores_lower_range_bound() {
         let values: Vec<f64> = (0..1000).map(|i| 10.0 + (i % 5) as f64).collect();
-        let b = AndersonDkw::new();
-        let st = feed(&values);
+        let est = feed(&values);
         let narrow = ctx(0.0, 100.0, 1_000_000, 1e-9);
         let wide = ctx(-1_000_000.0, 100.0, 1_000_000, 1e-9);
-        let r_narrow = b.rbound(&st, &narrow);
-        let r_wide = b.rbound(&st, &wide);
+        let r_narrow = est.rbound(&narrow);
+        let r_wide = est.rbound(&wide);
         assert!(
             (r_narrow - r_wide).abs() < 1e-9,
             "rbound must not depend on a: {r_narrow} vs {r_wide}"
@@ -270,11 +200,7 @@ mod tests {
         // that mass is always pinned to `a`. We verify the characteristic
         // symptom: the lower bound for data far above `a` is dragged down by
         // the ε·a term.
-        let values = vec![500.0; 1000];
-        let b = AndersonDkw::new();
-        let st = feed(&values);
-        let c = ctx(0.0, 1000.0, 1_000_000, 1e-9);
-        let lb = b.lbound(&st, &c);
+        let lb = feed(&[500.0; 1000]).lbound(&ctx(0.0, 1000.0, 1_000_000, 1e-9));
         let eps = AndersonDkw::band_epsilon(1000, 1e-9);
         // All retained values are 500, so Lbound = (1-ε)·500 exactly.
         assert!((lb - (1.0 - eps) * 500.0).abs() < 1e-9);
@@ -284,20 +210,16 @@ mod tests {
     #[test]
     fn tiny_sample_returns_range_bound() {
         // With m = 1 and small delta, ε ≥ 1 so the bound degenerates to a.
-        let b = AndersonDkw::new();
-        let st = feed(&[5.0]);
+        let est = feed(&[5.0]);
         let c = ctx(0.0, 10.0, 100, 1e-9);
-        assert_eq!(b.lbound(&st, &c), 0.0);
-        assert_eq!(b.rbound(&st, &c), 10.0);
+        assert_eq!(est.lbound(&c), 0.0);
+        assert_eq!(est.rbound(&c), 10.0);
     }
 
     #[test]
     fn bounds_clamped_to_range() {
         let values: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let b = AndersonDkw::new();
-        let st = feed(&values);
-        let c = ctx(0.0, 99.0, 10_000, 1e-15);
-        let ci = b.interval(&st, &c);
+        let ci = feed(&values).interval(&ctx(0.0, 99.0, 10_000, 1e-15));
         assert!(ci.lo >= 0.0 && ci.hi <= 99.0);
     }
 
@@ -308,10 +230,9 @@ mod tests {
         // implementation must agree with the reflection form.
         let values: Vec<f64> = (0..2000).map(|i| (i % 37) as f64).collect();
         let reflected: Vec<f64> = values.iter().map(|v| 100.0 - v).collect();
-        let b = AndersonDkw::new();
         let c = ctx(0.0, 100.0, 1_000_000, 1e-6);
-        let r = b.rbound(&feed(&values), &c);
-        let l = b.lbound(&feed(&reflected), &c);
+        let r = feed(&values).rbound(&c);
+        let l = feed(&reflected).lbound(&c);
         assert!(
             (r - (100.0 - l)).abs() < 1e-9,
             "r = {r}, 100 - l = {}",

@@ -14,31 +14,23 @@
 //! Because increasing the smallest observed values (or decreasing the largest)
 //! shrinks `σ̂`, this bounder does **not** exhibit PMA. Its error is still
 //! symmetric — both endpoints depend on both `a` and `b` through the additive
-//! `(b − a)/m` term — so it **does** exhibit PHOS, which the
-//! [`RangeTrim`](crate::range_trim::RangeTrim) wrapper removes (§3).
+//! `(b − a)/m` term — so it **does** exhibit PHOS, which
+//! [RangeTrim](crate::range_trim) removes (§3).
 
-use crate::bounder::{BoundContext, ErrorBounder};
+use crate::bounder::BoundContext;
 use crate::variance::RunningMoments;
 
 /// The constant `κ = 7/3 + 3/√2` from the empirical Bernstein–Serfling
 /// inequality.
 pub const KAPPA: f64 = 7.0 / 3.0 + 3.0 / std::f64::consts::SQRT_2;
 
-/// Streaming state for [`EmpiricalBernsteinSerfling`]: shifted-sum running
-/// moments (count, a shift `K` taken from the data, `Σ (v − K)`,
-/// `Σ (v − K)²`, the raw sum and the extremes) in O(1) memory.
-pub type BernsteinState = RunningMoments;
-
-/// The empirical Bernstein–Serfling error bounder (Algorithm 2 in the paper).
+/// The empirical Bernstein–Serfling error bounder (Algorithm 2 in the
+/// paper). Its bound reads the count, mean and variance of the sample's
+/// shifted-sum [`RunningMoments`], kept in O(1) memory.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EmpiricalBernsteinSerfling;
 
 impl EmpiricalBernsteinSerfling {
-    /// Creates the bounder.
-    pub fn new() -> Self {
-        Self
-    }
-
     /// The `ρ` sampling-fraction factor of the empirical Bernstein–Serfling
     /// inequality (line 10–11 of Algorithm 2).
     pub fn rho(m: u64, n: u64) -> f64 {
@@ -81,10 +73,9 @@ impl EmpiricalBernsteinSerfling {
     }
 
     /// `(lbound, rbound)` of `state` under `ctx`, from the precomputed
-    /// [`Self::log_term`] of `ctx.delta`: the bounds of the
-    /// [`ErrorBounder`] implementation, bit for bit.
+    /// [`Self::log_term`] of `ctx.delta`.
     pub fn bounds_with_log(
-        state: &BernsteinState,
+        state: &RunningMoments,
         ctx: &BoundContext,
         log_term: f64,
     ) -> (f64, f64) {
@@ -105,156 +96,83 @@ impl EmpiricalBernsteinSerfling {
     }
 }
 
-/// The *non-empirical* Bernstein–Serfling bounder: assumes the population
-/// standard deviation `σ = sqrt(VAR(D))` is known a priori (§2.2.3).
-///
-/// This oracle variant is not usable inside the query engine — "knowledge of
-/// VAR(D) typically cannot be assumed in a setting where AVG(D) is unknown" —
-/// but it is the natural yardstick for the empirical variant: the paper notes
-/// the empirical bounder returns intervals of asymptotically the same width
-/// as the oracle one, and the ablation benchmark quantifies the finite-sample
-/// gap. The half-width is
-///
-/// ```text
-/// ε = σ · sqrt( 2ρ·log(3/δ) / m ) + κ'·(b − a)·log(3/δ) / m ,   κ' = 4/3
-/// ```
-///
-/// with the same sampling-fraction factor `ρ` as the empirical variant.
-#[derive(Debug, Clone, Copy)]
-pub struct BernsteinSerfling {
-    sigma: f64,
-}
-
-impl BernsteinSerfling {
-    /// Creates the bounder with the known population standard deviation.
-    pub fn with_sigma(sigma: f64) -> Self {
-        assert!(
-            sigma >= 0.0 && sigma.is_finite(),
-            "sigma must be a non-negative finite number"
-        );
-        Self { sigma }
-    }
-
-    /// The known population standard deviation.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    /// Half-width `ε` for a sample of `m` out of `n` values.
-    pub fn epsilon(sigma: f64, m: u64, n: u64, range: f64, delta: f64) -> f64 {
-        if m == 0 {
-            return f64::INFINITY;
-        }
-        let m_f = m as f64;
-        let rho = EmpiricalBernsteinSerfling::rho(m, n);
-        let log_term = (3.0 / delta).ln();
-        sigma * (2.0 * rho * log_term / m_f).sqrt() + (4.0 / 3.0) * range * log_term / m_f
-    }
-}
-
-impl ErrorBounder for BernsteinSerfling {
-    type State = BernsteinState;
-
-    fn init_state(&self) -> Self::State {
-        RunningMoments::new()
-    }
-
-    #[inline]
-    fn update_state(&self, state: &mut Self::State, v: f64) {
-        state.push(v);
-    }
-
-    fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        if state.count() == 0 {
-            return ctx.a;
-        }
-        let eps = Self::epsilon(
-            self.sigma,
-            state.count(),
-            ctx.n,
-            ctx.range_width(),
-            ctx.delta,
-        );
-        (state.mean() - eps).max(ctx.a)
-    }
-
-    fn rbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        if state.count() == 0 {
-            return ctx.b;
-        }
-        let eps = Self::epsilon(
-            self.sigma,
-            state.count(),
-            ctx.n,
-            ctx.range_width(),
-            ctx.delta,
-        );
-        (state.mean() + eps).min(ctx.b)
-    }
-
-    fn observed(&self, state: &Self::State) -> u64 {
-        state.count()
-    }
-
-    fn estimate(&self, state: &Self::State) -> Option<f64> {
-        (state.count() > 0).then_some(state.mean())
-    }
-
-    fn name(&self) -> &'static str {
-        "bernstein-serfling(known-variance)"
-    }
-}
-
-impl ErrorBounder for EmpiricalBernsteinSerfling {
-    type State = BernsteinState;
-
-    fn init_state(&self) -> Self::State {
-        RunningMoments::new()
-    }
-
-    #[inline]
-    fn update_state(&self, state: &mut Self::State, v: f64) {
-        state.push(v);
-    }
-
-    fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        Self::bounds_with_log(state, ctx, Self::log_term(ctx.delta)).0
-    }
-
-    fn rbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        Self::bounds_with_log(state, ctx, Self::log_term(ctx.delta)).1
-    }
-
-    fn observed(&self, state: &Self::State) -> u64 {
-        state.count()
-    }
-
-    fn estimate(&self, state: &Self::State) -> Option<f64> {
-        (state.count() > 0).then_some(state.mean())
-    }
-
-    fn name(&self) -> &'static str {
-        "empirical-bernstein-serfling"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounder::BoundContext;
-    use crate::hoeffding::HoeffdingSerfling;
+    use crate::bounder::{BounderKind, Ci, Estimator};
 
     fn ctx(a: f64, b: f64, n: u64, delta: f64) -> BoundContext {
         BoundContext::new(a, b, n, delta).unwrap()
     }
 
-    fn feed(values: &[f64]) -> BernsteinState {
-        let b = EmpiricalBernsteinSerfling::new();
-        let mut st = b.init_state();
-        for &v in values {
-            b.update_state(&mut st, v);
+    fn feed_kind(kind: BounderKind, values: &[f64]) -> Estimator {
+        let mut est = kind.make_estimator();
+        est.observe_batch(values);
+        est
+    }
+
+    fn feed(values: &[f64]) -> Estimator {
+        feed_kind(BounderKind::Bernstein, values)
+    }
+
+    /// The *non-empirical* Bernstein–Serfling bounder: assumes the population
+    /// standard deviation `σ = sqrt(VAR(D))` is known a priori (§2.2.3).
+    ///
+    /// This oracle is not usable inside the query engine — "knowledge of
+    /// VAR(D) typically cannot be assumed in a setting where AVG(D) is
+    /// unknown" — but it is the natural yardstick for the empirical variant:
+    /// the paper notes the empirical bounder returns intervals of
+    /// asymptotically the same width as the oracle one. The half-width is
+    ///
+    /// ```text
+    /// ε = σ · sqrt( 2ρ·log(3/δ) / m ) + κ'·(b − a)·log(3/δ) / m ,   κ' = 4/3
+    /// ```
+    ///
+    /// with the same sampling-fraction factor `ρ` as the empirical variant.
+    struct BernsteinSerfling {
+        sigma: f64,
+    }
+
+    impl BernsteinSerfling {
+        fn with_sigma(sigma: f64) -> Self {
+            assert!(
+                sigma >= 0.0 && sigma.is_finite(),
+                "sigma must be a non-negative finite number"
+            );
+            Self { sigma }
         }
-        st
+
+        /// Half-width `ε` for a sample of `m` out of `n` values.
+        fn epsilon(&self, m: u64, n: u64, range: f64, delta: f64) -> f64 {
+            let m_f = m as f64;
+            let rho = EmpiricalBernsteinSerfling::rho(m, n);
+            let log_term = (3.0 / delta).ln();
+            self.sigma * (2.0 * rho * log_term / m_f).sqrt() + (4.0 / 3.0) * range * log_term / m_f
+        }
+
+        /// `(lbound, rbound)` of `state` under `ctx`.
+        fn bounds(&self, state: &RunningMoments, ctx: &BoundContext) -> (f64, f64) {
+            if state.count() == 0 {
+                return (ctx.a, ctx.b);
+            }
+            let eps = self.epsilon(state.count(), ctx.n, ctx.range_width(), ctx.delta);
+            (
+                (state.mean() - eps).max(ctx.a),
+                (state.mean() + eps).min(ctx.b),
+            )
+        }
+
+        fn interval(&self, state: &RunningMoments, ctx: &BoundContext) -> Ci {
+            Ci::two_sided(ctx, |half| self.bounds(state, half))
+        }
+    }
+
+    fn moments(values: &[f64]) -> RunningMoments {
+        let mut m = RunningMoments::new();
+        for &v in values {
+            m.push(v);
+        }
+        m
     }
 
     #[test]
@@ -265,11 +183,10 @@ mod tests {
 
     #[test]
     fn empty_state_returns_range_bounds() {
-        let b = EmpiricalBernsteinSerfling::new();
-        let st = b.init_state();
+        let est = feed(&[]);
         let c = ctx(-5.0, 5.0, 100, 0.05);
-        assert_eq!(b.lbound(&st, &c), -5.0);
-        assert_eq!(b.rbound(&st, &c), 5.0);
+        assert_eq!(est.lbound(&c), -5.0);
+        assert_eq!(est.rbound(&c), 5.0);
     }
 
     #[test]
@@ -298,19 +215,11 @@ mod tests {
         // Bernstein's σ̂-scaling should beat Hoeffding's (b−a)-scaling by a
         // large factor once m is moderately large.
         let values: Vec<f64> = (0..20_000).map(|i| 100.0 + (i % 5) as f64).collect();
-        let st = feed(&values);
         let c = ctx(0.0, 10_000.0, 10_000_000, 1e-10);
-
-        let bern = EmpiricalBernsteinSerfling::new();
-        let w_bern = bern.interval(&st, &c).width();
-
-        let hoef = HoeffdingSerfling::new();
-        let mut hst = hoef.init_state();
-        for &v in &values {
-            hoef.update_state(&mut hst, v);
-        }
-        let w_hoef = hoef.interval(&hst, &c).width();
-
+        let w_bern = feed(&values).interval(&c).width();
+        let w_hoef = feed_kind(BounderKind::Hoeffding, &values)
+            .interval(&c)
+            .width();
         assert!(
             w_bern * 3.0 < w_hoef,
             "expected Bernstein ({w_bern}) to be at least 3x tighter than Hoeffding ({w_hoef})"
@@ -324,19 +233,11 @@ mod tests {
         let values: Vec<f64> = (0..10_000)
             .map(|i| if i % 2 == 0 { 0.0 } else { 1.0 })
             .collect();
-        let st = feed(&values);
         let c = ctx(0.0, 1.0, 1_000_000, 1e-10);
-
-        let bern = EmpiricalBernsteinSerfling::new();
-        let w_bern = bern.interval(&st, &c).width();
-
-        let hoef = HoeffdingSerfling::new();
-        let mut hst = hoef.init_state();
-        for &v in &values {
-            hoef.update_state(&mut hst, v);
-        }
-        let w_hoef = hoef.interval(&hst, &c).width();
-
+        let w_bern = feed(&values).interval(&c).width();
+        let w_hoef = feed_kind(BounderKind::Hoeffding, &values)
+            .interval(&c)
+            .width();
         assert!(w_bern < 5.0 * w_hoef, "bern {w_bern} vs hoef {w_hoef}");
     }
 
@@ -351,9 +252,8 @@ mod tests {
             .map(|i| if i % 100 == 0 { 450.0 } else { 500.0 })
             .collect();
         let c = ctx(0.0, 1000.0, 1_000_000, 1e-10);
-        let b = EmpiricalBernsteinSerfling::new();
-        let w1 = b.interval(&feed(&with_outliers), &c).width();
-        let w2 = b.interval(&feed(&pulled_in), &c).width();
+        let w1 = feed(&with_outliers).interval(&c).width();
+        let w2 = feed(&pulled_in).interval(&c).width();
         assert!(
             w2 < w1,
             "pulled-in width {w2} should be < outlier width {w1}"
@@ -362,20 +262,16 @@ mod tests {
 
     #[test]
     fn dataset_size_monotonicity() {
-        let b = EmpiricalBernsteinSerfling::new();
-        let st = feed(&vec![3.0; 500]);
+        let est = feed(&[3.0; 500]);
         let c_small = ctx(0.0, 10.0, 1_000, 1e-9);
         let c_large = ctx(0.0, 10.0, 1_000_000, 1e-9);
-        assert!(b.lbound(&st, &c_large) <= b.lbound(&st, &c_small));
-        assert!(b.rbound(&st, &c_large) >= b.rbound(&st, &c_small));
+        assert!(est.lbound(&c_large) <= est.lbound(&c_small));
+        assert!(est.rbound(&c_large) >= est.rbound(&c_small));
     }
 
     #[test]
     fn single_sample_interval_is_valid_but_wide() {
-        let b = EmpiricalBernsteinSerfling::new();
-        let st = feed(&[7.0]);
-        let c = ctx(0.0, 10.0, 1000, 1e-6);
-        let ci = b.interval(&st, &c);
+        let ci = feed(&[7.0]).interval(&ctx(0.0, 10.0, 1000, 1e-6));
         // With one sample the additive term dominates and clamping kicks in.
         assert_eq!(ci.lo, 0.0);
         assert_eq!(ci.hi, 10.0);
@@ -393,19 +289,13 @@ mod tests {
         let c = ctx(0.0, 1_000.0, 10_000_000, 1e-10);
 
         let oracle = BernsteinSerfling::with_sigma(sigma);
-        let mut ost = oracle.init_state();
-        for &v in &values {
-            oracle.update_state(&mut ost, v);
-        }
-        let w_oracle = oracle.interval(&ost, &c).width();
-        assert!(oracle.interval(&ost, &c).contains(mean));
-        assert_eq!(oracle.sigma(), sigma);
-        assert_eq!(oracle.observed(&ost), 50_000);
-        assert!((oracle.estimate(&ost).unwrap() - mean).abs() < 1e-9);
+        let state = moments(&values);
+        let w_oracle = oracle.interval(&state, &c).width();
+        assert!(oracle.interval(&state, &c).contains(mean));
+        assert_eq!(state.count(), 50_000);
+        assert!((state.mean() - mean).abs() < 1e-9);
 
-        let empirical = EmpiricalBernsteinSerfling::new();
-        let w_empirical = empirical.interval(&feed(&values), &c).width();
-
+        let w_empirical = feed(&values).interval(&c).width();
         assert!(
             w_oracle <= w_empirical,
             "oracle {w_oracle} vs empirical {w_empirical}"
@@ -419,11 +309,8 @@ mod tests {
     #[test]
     fn known_variance_empty_state_returns_range_bounds() {
         let oracle = BernsteinSerfling::with_sigma(3.0);
-        let st = oracle.init_state();
         let c = ctx(-1.0, 1.0, 100, 0.01);
-        assert_eq!(oracle.lbound(&st, &c), -1.0);
-        assert_eq!(oracle.rbound(&st, &c), 1.0);
-        assert!(!oracle.name().is_empty());
+        assert_eq!(oracle.bounds(&RunningMoments::new(), &c), (-1.0, 1.0));
     }
 
     #[test]
@@ -435,10 +322,7 @@ mod tests {
     #[test]
     fn zero_variance_width_driven_by_additive_term() {
         let m = 10_000u64;
-        let st = feed(&vec![5.0; m as usize]);
-        let c = ctx(0.0, 10.0, 100_000_000, 1e-10);
-        let b = EmpiricalBernsteinSerfling::new();
-        let ci = b.interval(&st, &c);
+        let ci = feed(&vec![5.0; m as usize]).interval(&ctx(0.0, 10.0, 100_000_000, 1e-10));
         let log_term = (5.0f64 / (1e-10 / 2.0)).ln();
         let additive = KAPPA * 10.0 * log_term / m as f64;
         assert!((ci.width() - 2.0 * additive).abs() < 1e-9);

@@ -1,27 +1,28 @@
-//! The error-bounder interface of §2.2.2 and runtime-selectable estimators.
+//! Confidence intervals, bound contexts and runtime-selectable estimators.
 //!
-//! The paper presents every bounder in terms of four functions:
+//! The paper presents every bounder in terms of four functions (§2.2.2):
+//! initialise a streaming state, fold a newly seen value into it, and a
+//! confidence lower (`Lbound`) and upper (`Rbound`) bound for `AVG(D)` from
+//! the state, the range `[a, b]`, the dataset size `N` and the error
+//! probability `δ` ([`BoundContext`]). Each bound has one implementation:
 //!
-//! 1. `init_state()` — initialize the streaming state;
-//! 2. `update_state(S, v)` — fold a newly seen value into the state;
-//! 3. `Lbound(S, a, b, N, δ)` — a confidence *lower* bound for `AVG(D)`;
-//! 4. `Rbound(S, a, b, N, δ)` — a confidence *upper* bound for `AVG(D)`.
+//! * Hoeffding and Bernstein, with and without RangeTrim, fold every value
+//!   into one flat record ([`FlatRecord`]) and bound it with
+//!   [`FlatBounder`]. These are the kinds the query engine runs
+//!   ([`BounderKind::EVALUATED`]).
+//! * Anderson/DKW keeps its O(m) sample and bounds it with
+//!   [`AndersonDkw::bounds`]; with RangeTrim it first clips the sample in one
+//!   pass ([`crate::range_trim`]). The engine refuses these kinds.
 //!
-//! [`ErrorBounder`] mirrors this interface with an associated `State` type so
-//! that concrete bounders (and the [`RangeTrim`]
-//! wrapper) compose with static dispatch. For callers that select the
-//! bounder at runtime, [`BounderKind`] provides a factory producing a
-//! [`BoxedEstimator`] — an object-safe, self-contained estimator owning both
-//! the bounder and its state, used by the bounder benchmarks and tests. The
-//! query engine runs only the constant-memory kinds
-//! ([`BounderKind::EVALUATED`]), each accumulating a plain
-//! [`FlatRecord`](crate::partial::FlatRecord) through
-//! [`BounderKind::flat`], with the same update and bound code.
+//! [`BounderKind::make_estimator`] returns an [`Estimator`] of any kind: the
+//! values observed so far and that kind's bounds over them, used by the
+//! Table 2 probes ([`crate::pathology`]), the bounder benches and the tests.
 
 use crate::anderson::AndersonDkw;
 use crate::error::{CoreError, CoreResult};
-use crate::partial::{FlatBounder, FlatEstimator};
-use crate::range_trim::RangeTrim;
+use crate::partial::{FlatBounder, FlatRecord};
+use crate::range_trim::{self, lower_context, upper_context};
+use crate::variance::RunningMoments;
 
 /// A closed confidence interval `[lo, hi]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -186,174 +187,122 @@ impl BoundContext {
     }
 }
 
-/// A streaming, sample-size-independent error bounder for `AVG` following the
-/// interface of §2.2.2.
-///
-/// Implementations must guarantee, for samples drawn uniformly without
-/// replacement from a dataset `D` of at most `ctx.n` values in
-/// `[ctx.a, ctx.b]`:
-///
-/// * `P( lbound(..) > AVG(D) ) < ctx.delta`, and
-/// * `P( rbound(..) < AVG(D) ) < ctx.delta`,
-///
-/// for **any** sample size (SSI semantics, Definition 1). Implementations must
-/// also obey the dataset-size monotonicity property of §3.3: increasing
-/// `ctx.n` never tightens the returned bounds.
-pub trait ErrorBounder {
-    /// Streaming state maintained while scanning tuples.
-    type State: Clone + std::fmt::Debug + Send + 'static;
+/// An estimator of one [`BounderKind`]: the values it has observed, and
+/// that kind's bounds over them. [`BounderKind::make_estimator`] creates
+/// one.
+#[derive(Debug, Clone)]
+pub struct Estimator(State);
 
-    /// Ê Initializes state needed for error bounds.
-    fn init_state(&self) -> Self::State;
+/// What an [`Estimator`] keeps of the values it has observed.
+#[derive(Debug, Clone)]
+enum State {
+    /// Hoeffding and Bernstein (±RT): one open record of every value, the
+    /// engine's update.
+    Flat(FlatBounder, FlatRecord),
+    /// Anderson/DKW (±RT): the sample in arrival order, which RangeTrim
+    /// clips by, and the moments of every value.
+    Sample {
+        range_trim: bool,
+        values: Vec<f64>,
+        all: RunningMoments,
+    },
+}
 
-    /// Ë Folds a newly-seen value into the state.
-    fn update_state(&self, state: &mut Self::State, v: f64);
-
-    /// Folds a batch of values into the state, in slice order.
-    ///
-    /// The contract is strict: the resulting state must be **bit-for-bit
-    /// identical** to calling [`Self::update_state`] once per element in the
-    /// same order. Batch execution is a dispatch/loop-overhead optimization,
-    /// never a numerical one, so a state does not depend on how its values
-    /// were split into batches.
-    fn update_batch(&self, state: &mut Self::State, values: &[f64]) {
-        for &v in values {
-            self.update_state(state, v);
+impl Estimator {
+    /// Observes a value that contributes to this aggregate.
+    pub fn observe(&mut self, v: f64) {
+        match &mut self.0 {
+            State::Flat(_, open) => open.observe(v),
+            State::Sample { values, all, .. } => {
+                values.push(v);
+                all.push(v);
+            }
         }
     }
 
-    /// Ì Confidence lower bound for `AVG(D)` with failure probability
-    /// `< ctx.delta`.
-    fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64;
-
-    /// Í Confidence upper bound for `AVG(D)` with failure probability
-    /// `< ctx.delta`.
-    fn rbound(&self, state: &Self::State, ctx: &BoundContext) -> f64;
-
-    /// Number of values folded into `state`.
-    fn observed(&self, state: &Self::State) -> u64;
-
-    /// Current point estimate (running mean) held by `state`, or `None` for an
-    /// empty state.
-    fn estimate(&self, state: &Self::State) -> Option<f64>;
-
-    /// Convenience: a two-sided `(1 − ctx.delta)` confidence interval obtained
-    /// by spending `ctx.delta / 2` on each side (union bound) and clamping to
-    /// the declared range.
-    fn interval(&self, state: &Self::State, ctx: &BoundContext) -> Ci {
-        Ci::two_sided(ctx, |half| {
-            (self.lbound(state, half), self.rbound(state, half))
-        })
+    /// Observes a batch of values in slice order, bit-identical to one
+    /// [`Self::observe`] per value.
+    pub fn observe_batch(&mut self, batch: &[f64]) {
+        match &mut self.0 {
+            State::Flat(_, open) => open.observe_batch(batch),
+            State::Sample { values, all, .. } => {
+                values.extend_from_slice(batch);
+                batch.iter().for_each(|&v| all.push(v));
+            }
+        }
     }
 
-    /// Human-readable name used by the benchmark harness.
-    fn name(&self) -> &'static str;
-}
-
-/// Object-safe estimator: a bounder bundled with its own state, for callers
-/// that pick the bounder at runtime.
-pub trait MeanEstimator: Send {
-    /// Observes a value that contributes to this aggregate.
-    fn observe(&mut self, v: f64);
-
-    /// Observes a batch of values in slice order — bit-identical to calling
-    /// [`Self::observe`] once per element, but with a single virtual
-    /// dispatch for the whole batch.
-    fn observe_batch(&mut self, values: &[f64]) {
-        for &v in values {
-            self.observe(v);
+    /// The moments of every observed value.
+    fn all(&self) -> &RunningMoments {
+        match &self.0 {
+            State::Flat(_, open) => &open.all,
+            State::Sample { all, .. } => all,
         }
     }
 
     /// Number of observed values.
-    fn count(&self) -> u64;
+    pub fn count(&self) -> u64 {
+        self.all().count()
+    }
 
-    /// Running mean, or `None` if no values have been observed.
-    fn estimate(&self) -> Option<f64>;
-
-    /// Two-sided `(1 − delta)` confidence interval for the population mean.
-    fn interval(&self, ctx: &BoundContext) -> Ci;
+    /// Running mean, or `None` if no values have been observed. Plain
+    /// Anderson/DKW reports its sample's running sum over its size; every
+    /// other kind the mean of its moments.
+    pub fn estimate(&self) -> Option<f64> {
+        let all = self.all();
+        (all.count() > 0).then(|| match self.0 {
+            State::Sample {
+                range_trim: false, ..
+            } => all.sum() / all.count() as f64,
+            _ => all.mean(),
+        })
+    }
 
     /// Confidence lower bound with failure probability `< ctx.delta`.
-    fn lbound(&self, ctx: &BoundContext) -> f64;
+    pub fn lbound(&self, ctx: &BoundContext) -> f64 {
+        self.bounds(ctx).0
+    }
 
     /// Confidence upper bound with failure probability `< ctx.delta`.
-    fn rbound(&self, ctx: &BoundContext) -> f64;
-
-    /// Resets the estimator to its initial (empty) state.
-    fn reset(&mut self);
-
-    /// Name of the underlying bounder.
-    fn bounder_name(&self) -> &'static str;
-}
-
-/// Pairs an [`ErrorBounder`] with its state, implementing [`MeanEstimator`].
-#[derive(Debug, Clone)]
-pub struct Estimator<B: ErrorBounder> {
-    bounder: B,
-    state: B::State,
-}
-
-impl<B: ErrorBounder> Estimator<B> {
-    /// Creates a new estimator with freshly initialized state.
-    pub fn new(bounder: B) -> Self {
-        let state = bounder.init_state();
-        Self { bounder, state }
+    pub fn rbound(&self, ctx: &BoundContext) -> f64 {
+        self.bounds(ctx).1
     }
 
-    /// Read access to the underlying bounder.
-    pub fn bounder(&self) -> &B {
-        &self.bounder
+    /// Two-sided `(1 − ctx.delta)` confidence interval for the population
+    /// mean: each side spends `ctx.delta / 2` ([`Ci::two_sided`]).
+    pub fn interval(&self, ctx: &BoundContext) -> Ci {
+        Ci::two_sided(ctx, |half| self.bounds(half))
     }
 
-    /// Read access to the underlying state.
-    pub fn state(&self) -> &B::State {
-        &self.state
-    }
-}
-
-impl<B: ErrorBounder + Send> MeanEstimator for Estimator<B> {
-    fn observe(&mut self, v: f64) {
-        self.bounder.update_state(&mut self.state, v);
-    }
-
-    fn observe_batch(&mut self, values: &[f64]) {
-        // One virtual call per batch; the inner loop is monomorphized over
-        // the concrete bounder.
-        self.bounder.update_batch(&mut self.state, values);
-    }
-
-    fn count(&self) -> u64 {
-        self.bounder.observed(&self.state)
-    }
-
-    fn estimate(&self) -> Option<f64> {
-        self.bounder.estimate(&self.state)
-    }
-
-    fn interval(&self, ctx: &BoundContext) -> Ci {
-        self.bounder.interval(&self.state, ctx)
-    }
-
-    fn lbound(&self, ctx: &BoundContext) -> f64 {
-        self.bounder.lbound(&self.state, ctx)
-    }
-
-    fn rbound(&self, ctx: &BoundContext) -> f64 {
-        self.bounder.rbound(&self.state, ctx)
-    }
-
-    fn reset(&mut self) {
-        self.state = self.bounder.init_state();
-    }
-
-    fn bounder_name(&self) -> &'static str {
-        self.bounder.name()
+    /// `(lbound, rbound)` under `ctx`. Anderson/DKW+RT clips its sample as
+    /// Algorithm 6 does and bounds the left sample under `[a, b′]` and the
+    /// right one under `[a′, b]`, both at `N − 1`.
+    fn bounds(&self, ctx: &BoundContext) -> (f64, f64) {
+        match &self.0 {
+            State::Flat(kind, open) => kind.bounds(&open.moments(1), ctx),
+            State::Sample {
+                range_trim: false,
+                values,
+                ..
+            } => AndersonDkw::bounds(values.clone(), ctx),
+            State::Sample {
+                range_trim: true,
+                values,
+                all,
+            } => {
+                let (left, right) = range_trim::clip(values);
+                (
+                    lower_context(all, ctx).map_or(ctx.a, |inner| {
+                        AndersonDkw::bounds(left, &inner).0.max(ctx.a)
+                    }),
+                    upper_context(all, ctx).map_or(ctx.b, |inner| {
+                        AndersonDkw::bounds(right, &inner).1.min(ctx.b)
+                    }),
+                )
+            }
+        }
     }
 }
-
-/// A boxed, dynamically-dispatched estimator.
-pub type BoxedEstimator = Box<dyn MeanEstimator>;
 
 /// Runtime-selectable bounder configurations evaluated in the paper (§5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -395,18 +344,18 @@ impl BounderKind {
         BounderKind::BernsteinRangeTrim,
     ];
 
-    /// Creates a fresh boxed estimator of this kind. Hoeffding and
-    /// Bernstein (±RT) run the engine's one flat-record update
-    /// ([`FlatEstimator`]); Anderson/DKW (±RT) the generic bounder state,
-    /// which the engine does not run.
-    pub fn make_estimator(&self) -> BoxedEstimator {
-        match (self, self.flat()) {
-            (_, Some(flat)) => Box::new(FlatEstimator::new(flat)),
-            (BounderKind::AndersonDkwRangeTrim, None) => {
-                Box::new(Estimator::new(RangeTrim::new(AndersonDkw::new())))
-            }
-            (_, None) => Box::new(Estimator::new(AndersonDkw::new())),
-        }
+    /// A fresh [`Estimator`] of this kind. Hoeffding and Bernstein (±RT)
+    /// run the engine's one flat-record update; Anderson/DKW (±RT) keeps
+    /// its sample, which the engine does not.
+    pub fn make_estimator(&self) -> Estimator {
+        Estimator(match self.flat() {
+            Some(flat) => State::Flat(flat, FlatRecord::EMPTY),
+            None => State::Sample {
+                range_trim: self.uses_range_trim(),
+                values: Vec::new(),
+                all: RunningMoments::new(),
+            },
+        })
     }
 
     /// The flat-record form of this kind, or `None` for Anderson/DKW (±RT),
@@ -453,9 +402,156 @@ impl std::fmt::Display for BounderKind {
     }
 }
 
+/// Value-by-value reference folds of every bound an [`Estimator`]
+/// computes: §2.2.2's interface as a minimal trait, Hoeffding and Bernstein
+/// over [`RunningMoments::push`], Anderson/DKW over its sample, and
+/// Algorithm 6's three-state RangeTrim around any of them. Tests compare the
+/// one implementation that ships against these.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{BoundContext, Ci};
+    use crate::anderson::AndersonDkw;
+    use crate::bernstein::EmpiricalBernsteinSerfling;
+    use crate::hoeffding::HoeffdingSerfling;
+    use crate::variance::RunningMoments;
+
+    /// A streaming bounder (§2.2.2): a state, its update, and the one-sided
+    /// bounds `Lbound` and `Rbound` at failure probability `ctx.delta`.
+    pub(crate) trait Bounder {
+        type State;
+        fn init_state(&self) -> Self::State;
+        fn update_state(&self, state: &mut Self::State, v: f64);
+        fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64;
+        fn rbound(&self, state: &Self::State, ctx: &BoundContext) -> f64;
+        fn estimate(&self, state: &Self::State) -> Option<f64>;
+
+        /// The state after `values`, folded one at a time.
+        fn fold(&self, values: &[f64]) -> Self::State {
+            let mut state = self.init_state();
+            for &v in values {
+                self.update_state(&mut state, v);
+            }
+            state
+        }
+
+        /// The two-sided interval, `ctx.delta / 2` per side.
+        fn interval(&self, state: &Self::State, ctx: &BoundContext) -> Ci {
+            Ci::two_sided(ctx, |half| {
+                (self.lbound(state, half), self.rbound(state, half))
+            })
+        }
+    }
+
+    /// Hoeffding (Algorithm 1) and Bernstein (Algorithm 2) over the moments
+    /// of every value.
+    macro_rules! moments_bounder {
+        ($bounder:ident) => {
+            impl Bounder for $bounder {
+                type State = RunningMoments;
+                fn init_state(&self) -> RunningMoments {
+                    RunningMoments::new()
+                }
+                fn update_state(&self, state: &mut RunningMoments, v: f64) {
+                    state.push(v);
+                }
+                fn lbound(&self, state: &RunningMoments, ctx: &BoundContext) -> f64 {
+                    $bounder::bounds_with_log(state, ctx, $bounder::log_term(ctx.delta)).0
+                }
+                fn rbound(&self, state: &RunningMoments, ctx: &BoundContext) -> f64 {
+                    $bounder::bounds_with_log(state, ctx, $bounder::log_term(ctx.delta)).1
+                }
+                fn estimate(&self, state: &RunningMoments) -> Option<f64> {
+                    (state.count() > 0).then(|| state.mean())
+                }
+            }
+        };
+    }
+    moments_bounder!(HoeffdingSerfling);
+    moments_bounder!(EmpiricalBernsteinSerfling);
+
+    /// Anderson/DKW (Algorithm 3) over its sample and running sum.
+    impl Bounder for AndersonDkw {
+        type State = (Vec<f64>, f64);
+        fn init_state(&self) -> Self::State {
+            (Vec::new(), 0.0)
+        }
+        fn update_state(&self, (sample, sum): &mut Self::State, v: f64) {
+            sample.push(v);
+            *sum += v;
+        }
+        fn lbound(&self, (sample, _): &Self::State, ctx: &BoundContext) -> f64 {
+            AndersonDkw::bounds(sample.clone(), ctx).0
+        }
+        fn rbound(&self, (sample, _): &Self::State, ctx: &BoundContext) -> f64 {
+            AndersonDkw::bounds(sample.clone(), ctx).1
+        }
+        fn estimate(&self, (sample, sum): &Self::State) -> Option<f64> {
+            (!sample.is_empty()).then(|| sum / sample.len() as f64)
+        }
+    }
+
+    /// Algorithm 6 around an inner bounder, with three states.
+    pub(crate) struct RangeTrim<B>(pub(crate) B);
+
+    /// [`RangeTrim`]'s state: the inner states fed `min(v, b′)` (left) and
+    /// `max(v, a′)` (right), and the moments of every value.
+    pub(crate) struct Trimmed<S> {
+        pub(crate) left: S,
+        pub(crate) right: S,
+        pub(crate) all: RunningMoments,
+    }
+
+    impl<B: Bounder> Bounder for RangeTrim<B> {
+        type State = Trimmed<B::State>;
+
+        fn init_state(&self) -> Self::State {
+            Trimmed {
+                left: self.0.init_state(),
+                right: self.0.init_state(),
+                all: RunningMoments::new(),
+            }
+        }
+
+        /// The first value only sets `a′` and `b′`; every later value is
+        /// clipped against the extremes before it.
+        fn update_state(&self, state: &mut Self::State, v: f64) {
+            if let (Some(a_prime), Some(b_prime)) = (state.all.min(), state.all.max()) {
+                self.0.update_state(&mut state.left, v.min(b_prime));
+                self.0.update_state(&mut state.right, v.max(a_prime));
+            }
+            state.all.push(v);
+        }
+
+        /// `Lbound(S_l, a, b′, N − 1, δ)`, clamped to the declared range.
+        fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
+            state.all.max().map_or(ctx.a, |b_prime| {
+                let inner = ctx.with_range(ctx.a, b_prime.max(ctx.a));
+                let inner = inner.with_n(ctx.n.saturating_sub(1).max(1));
+                self.0.lbound(&state.left, &inner).max(ctx.a)
+            })
+        }
+
+        /// `Rbound(S_r, a′, b, N − 1, δ)`, clamped to the declared range.
+        fn rbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
+            state.all.min().map_or(ctx.b, |a_prime| {
+                let inner = ctx.with_range(a_prime.min(ctx.b), ctx.b);
+                let inner = inner.with_n(ctx.n.saturating_sub(1).max(1));
+                self.0.rbound(&state.right, &inner).min(ctx.b)
+            })
+        }
+
+        fn estimate(&self, state: &Self::State) -> Option<f64> {
+            (state.all.count() > 0).then(|| state.all.mean())
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::{Bounder, RangeTrim, Trimmed};
     use super::*;
+    use crate::bernstein::EmpiricalBernsteinSerfling;
+    use crate::hoeffding::HoeffdingSerfling;
 
     #[test]
     fn ci_basic_accessors() {
@@ -536,16 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn bounder_kind_factory_produces_named_estimators() {
-        for kind in BounderKind::ALL {
-            let est = kind.make_estimator();
-            assert_eq!(est.count(), 0);
-            assert!(est.estimate().is_none());
-            assert!(!est.bounder_name().is_empty());
-        }
-    }
-
-    #[test]
     fn bounder_kind_labels_are_distinct() {
         let labels: std::collections::HashSet<_> =
             BounderKind::ALL.iter().map(|k| k.label()).collect();
@@ -564,72 +650,125 @@ mod tests {
         assert!((mean - 54.5).abs() < 1e-9);
         let ci = est.interval(&ctx);
         assert!(ci.contains(mean));
-        est.reset();
-        assert_eq!(est.count(), 0);
     }
 
-    /// Every kind's estimator, and the generic [`Estimator`] over each
-    /// bounder the flat kinds stand for (their reference, see
-    /// `crate::partial`), as labelled factories.
-    fn every_estimator() -> Vec<(String, Box<dyn Fn() -> BoxedEstimator>)> {
-        use crate::bernstein::EmpiricalBernsteinSerfling;
-        use crate::hoeffding::HoeffdingSerfling;
-        let mut all: Vec<(String, Box<dyn Fn() -> BoxedEstimator>)> = BounderKind::ALL
-            .iter()
-            .map(|&kind| {
-                let make: Box<dyn Fn() -> BoxedEstimator> = Box::new(move || kind.make_estimator());
-                (kind.to_string(), make)
-            })
-            .collect();
-        all.push((
-            "generic Hoeffding".into(),
-            Box::new(|| Box::new(Estimator::new(HoeffdingSerfling))),
-        ));
-        all.push((
-            "generic Bernstein".into(),
-            Box::new(|| Box::new(Estimator::new(EmpiricalBernsteinSerfling))),
-        ));
-        all.push((
-            "generic Hoeffding+RT".into(),
-            Box::new(|| Box::new(Estimator::new(RangeTrim::new(HoeffdingSerfling)))),
-        ));
-        all.push((
-            "generic Bernstein+RT".into(),
-            Box::new(|| Box::new(Estimator::new(RangeTrim::new(EmpiricalBernsteinSerfling)))),
-        ));
-        all
-    }
-
-    /// The batch entry points are dispatch optimizations, not numerical
-    /// ones: feeding a state one batch must leave it bit-for-bit identical
-    /// to the per-value update loop, for every bounder kind and any batch
-    /// split. The engine's determinism guarantee rests on this.
-    #[test]
-    fn observe_batch_is_bitwise_identical_to_scalar_updates() {
-        let values: Vec<f64> = (0..257)
+    /// The samples every kind is checked on: empty, a single value, a
+    /// bounded body, that body with a 10⁶σ outlier first or last, and the
+    /// body holding a NaN.
+    fn samples() -> Vec<(&'static str, Vec<f64>)> {
+        let body: Vec<f64> = (0..257)
             .map(|i| ((i * 37) % 113) as f64 / 7.0 - 3.0)
             .collect();
-        for (kind, make_estimator) in every_estimator() {
-            let mut scalar = make_estimator();
-            for &v in &values {
-                scalar.observe(v);
+        // σ of the body is about 4.7.
+        let outlier = 1e6 * 4.7;
+        let mut nan = body.clone();
+        nan[100] = f64::NAN;
+        vec![
+            ("empty", Vec::new()),
+            ("single", vec![4.0]),
+            ("body", body.clone()),
+            ("outlier first", [&[outlier], &body[..]].concat()),
+            ("outlier last", [&body[..], &[outlier]].concat()),
+            ("NaN", nan),
+        ]
+    }
+
+    /// The bits of `(estimate, lbound, rbound, interval lo, interval hi)`.
+    type Bits = (Option<u64>, u64, u64, u64, u64);
+
+    fn bits_of(estimate: Option<f64>, lbound: f64, rbound: f64, ci: Ci) -> Bits {
+        (
+            estimate.map(f64::to_bits),
+            lbound.to_bits(),
+            rbound.to_bits(),
+            ci.lo.to_bits(),
+            ci.hi.to_bits(),
+        )
+    }
+
+    fn reference_bits<B: Bounder>(bounder: &B, state: &B::State, ctx: &BoundContext) -> Bits {
+        bits_of(
+            bounder.estimate(state),
+            bounder.lbound(state, ctx),
+            bounder.rbound(state, ctx),
+            bounder.interval(state, ctx),
+        )
+    }
+
+    /// Every kind's estimator, fed value by value and in uneven batches
+    /// (an empty one included), against its value-by-value reference, bit
+    /// for bit on the estimate, both one-sided bounds and the interval.
+    /// Hoeffding, Bernstein and Anderson/DKW (±RT) are checked against their
+    /// reference folds. The one record of Hoeffding+RT and Bernstein+RT holds
+    /// the three-state fold's clipped multisets but not its bits (the
+    /// `partial` tests compare them within a tolerance), so those two are
+    /// checked against the reference RangeTrim over the moments the record
+    /// materialises.
+    #[test]
+    fn every_kind_matches_its_reference_bit_for_bit() {
+        let contexts = [
+            BoundContext::new(-5.0, 20.0, 100_000, 1e-9).unwrap(),
+            BoundContext::new(-5.0, 1e7, 1_000, 1e-3).unwrap(),
+        ];
+        for (name, values) in samples() {
+            for kind in BounderKind::ALL {
+                let mut scalar = kind.make_estimator();
+                for &v in &values {
+                    scalar.observe(v);
+                }
+                let mut batched = kind.make_estimator();
+                batched.observe_batch(&[]);
+                for chunk in values.chunks(61) {
+                    batched.observe_batch(chunk);
+                }
+                let moments = match &scalar.0 {
+                    State::Flat(_, open) => open.moments(1),
+                    State::Sample { .. } => Default::default(),
+                };
+                let record = Trimmed {
+                    left: moments.left,
+                    right: moments.right,
+                    all: moments.all,
+                };
+                for ctx in &contexts {
+                    let want = match kind {
+                        BounderKind::Hoeffding => reference_bits(
+                            &HoeffdingSerfling,
+                            &HoeffdingSerfling.fold(&values),
+                            ctx,
+                        ),
+                        BounderKind::Bernstein => reference_bits(
+                            &EmpiricalBernsteinSerfling,
+                            &EmpiricalBernsteinSerfling.fold(&values),
+                            ctx,
+                        ),
+                        BounderKind::AndersonDkw => {
+                            reference_bits(&AndersonDkw, &AndersonDkw.fold(&values), ctx)
+                        }
+                        BounderKind::AndersonDkwRangeTrim => {
+                            let rt = RangeTrim(AndersonDkw);
+                            reference_bits(&rt, &rt.fold(&values), ctx)
+                        }
+                        BounderKind::HoeffdingRangeTrim => {
+                            reference_bits(&RangeTrim(HoeffdingSerfling), &record, ctx)
+                        }
+                        BounderKind::BernsteinRangeTrim => {
+                            reference_bits(&RangeTrim(EmpiricalBernsteinSerfling), &record, ctx)
+                        }
+                    };
+                    for (how, est) in [("scalar", &scalar), ("batched", &batched)] {
+                        let what = format!("{kind} {how} on {name}");
+                        assert_eq!(est.count(), values.len() as u64, "{what}");
+                        let got = bits_of(
+                            est.estimate(),
+                            est.lbound(ctx),
+                            est.rbound(ctx),
+                            est.interval(ctx),
+                        );
+                        assert_eq!(got, want, "{what} under {ctx:?}");
+                    }
+                }
             }
-            // Batch the same values in uneven chunks, including an empty one.
-            let mut batched = make_estimator();
-            batched.observe_batch(&[]);
-            for chunk in values.chunks(61) {
-                batched.observe_batch(chunk);
-            }
-            assert_eq!(batched.count(), scalar.count(), "{kind}");
-            assert_eq!(
-                batched.estimate().map(f64::to_bits),
-                scalar.estimate().map(f64::to_bits),
-                "{kind}: batched estimate differs from scalar"
-            );
-            let ctx = BoundContext::new(-5.0, 20.0, 100_000, 1e-9).unwrap();
-            let (bi, si) = (batched.interval(&ctx), scalar.interval(&ctx));
-            assert_eq!(bi.lo.to_bits(), si.lo.to_bits(), "{kind}: lbound bits");
-            assert_eq!(bi.hi.to_bits(), si.hi.to_bits(), "{kind}: rbound bits");
         }
     }
 

@@ -16,26 +16,17 @@
 //! entirely) and **PHOS** (both endpoints depend on both `a` and `b`), see
 //! §2.3.3 and Table 2.
 
-use crate::bounder::{BoundContext, ErrorBounder};
+use crate::bounder::BoundContext;
 use crate::variance::RunningMoments;
 
-/// Streaming state for [`HoeffdingSerfling`]: the sample size and running
-/// mean, kept as [`RunningMoments`] (O(1) memory). Hoeffding's bound reads
-/// only the count and the mean; sharing the state type with
-/// Bernstein–Serfling gives every range-based bounder one flat record (see
-/// [`crate::partial`]).
-pub type HoeffdingState = RunningMoments;
-
-/// The Hoeffding–Serfling error bounder (Algorithm 1 in the paper).
+/// The Hoeffding–Serfling error bounder (Algorithm 1 in the paper). Its
+/// bound reads only the count and the mean of the sample's
+/// [`RunningMoments`], which every range-based kind keeps in one flat
+/// record (see [`crate::partial`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HoeffdingSerfling;
 
 impl HoeffdingSerfling {
-    /// Creates the bounder.
-    pub fn new() -> Self {
-        Self
-    }
-
     /// The half-width `ε` of the Hoeffding–Serfling confidence interval for a
     /// sample of `m` out of `n` values in a range of width `range`, at error
     /// probability `delta`.
@@ -73,12 +64,11 @@ impl HoeffdingSerfling {
     }
 
     /// `(lbound, rbound)` of `state` under `ctx`, from the precomputed
-    /// [`Self::log_term`] of `ctx.delta`: the bounds of the
-    /// [`ErrorBounder`] implementation, bit for bit. Algorithm 1 implements
-    /// Rbound by reflecting the state through `a + b` and reusing Lbound;
-    /// the half-width is symmetric, so that is `mean + ε`.
+    /// [`Self::log_term`] of `ctx.delta`. Algorithm 1 implements Rbound by
+    /// reflecting the state through `a + b` and reusing Lbound; the
+    /// half-width is symmetric, so that is `mean + ε`.
     pub fn bounds_with_log(
-        state: &HoeffdingState,
+        state: &RunningMoments,
         ctx: &BoundContext,
         log_term: f64,
     ) -> (f64, f64) {
@@ -93,72 +83,35 @@ impl HoeffdingSerfling {
     }
 }
 
-impl ErrorBounder for HoeffdingSerfling {
-    type State = HoeffdingState;
-
-    fn init_state(&self) -> Self::State {
-        RunningMoments::new()
-    }
-
-    #[inline]
-    fn update_state(&self, state: &mut Self::State, v: f64) {
-        state.push(v);
-    }
-
-    fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        Self::bounds_with_log(state, ctx, Self::log_term(ctx.delta)).0
-    }
-
-    fn rbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        Self::bounds_with_log(state, ctx, Self::log_term(ctx.delta)).1
-    }
-
-    fn observed(&self, state: &Self::State) -> u64 {
-        state.count()
-    }
-
-    fn estimate(&self, state: &Self::State) -> Option<f64> {
-        (state.count() > 0).then_some(state.mean())
-    }
-
-    fn name(&self) -> &'static str {
-        "hoeffding-serfling"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounder::BoundContext;
+    use crate::bounder::{BounderKind, Estimator};
 
     fn ctx(n: u64, delta: f64) -> BoundContext {
         BoundContext::new(0.0, 1.0, n, delta).unwrap()
     }
 
-    fn feed(bounder: &HoeffdingSerfling, values: &[f64]) -> HoeffdingState {
-        let mut st = bounder.init_state();
-        for &v in values {
-            bounder.update_state(&mut st, v);
-        }
-        st
+    fn feed(values: &[f64]) -> Estimator {
+        let mut est = BounderKind::Hoeffding.make_estimator();
+        est.observe_batch(values);
+        est
     }
 
     #[test]
     fn empty_state_returns_range_bounds() {
-        let b = HoeffdingSerfling::new();
-        let st = b.init_state();
+        let est = feed(&[]);
         let c = ctx(100, 0.05);
-        assert_eq!(b.lbound(&st, &c), 0.0);
-        assert_eq!(b.rbound(&st, &c), 1.0);
-        assert!(b.estimate(&st).is_none());
+        assert_eq!(est.lbound(&c), 0.0);
+        assert_eq!(est.rbound(&c), 1.0);
+        assert!(est.estimate().is_none());
     }
 
     #[test]
     fn running_mean_is_exact() {
-        let b = HoeffdingSerfling::new();
-        let st = feed(&b, &[0.1, 0.2, 0.3, 0.4]);
-        assert_eq!(b.observed(&st), 4);
-        assert!((b.estimate(&st).unwrap() - 0.25).abs() < 1e-12);
+        let est = feed(&[0.1, 0.2, 0.3, 0.4]);
+        assert_eq!(est.count(), 4);
+        assert!((est.estimate().unwrap() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -171,21 +124,17 @@ mod tests {
 
     #[test]
     fn interval_shrinks_with_more_samples() {
-        let b = HoeffdingSerfling::new();
         let c = ctx(1_000_000, 1e-6);
-        let small = feed(&b, &vec![0.5; 100]);
-        let large = feed(&b, &vec![0.5; 10_000]);
-        let w_small = b.interval(&small, &c).width();
-        let w_large = b.interval(&large, &c).width();
+        let w_small = feed(&[0.5; 100]).interval(&c).width();
+        let w_large = feed(&[0.5; 10_000]).interval(&c).width();
         assert!(w_large < w_small);
     }
 
     #[test]
     fn interval_shrinks_with_larger_delta() {
-        let b = HoeffdingSerfling::new();
-        let st = feed(&b, &vec![0.5; 1000]);
-        let tight = b.interval(&st, &ctx(1_000_000, 0.1)).width();
-        let loose = b.interval(&st, &ctx(1_000_000, 1e-12)).width();
+        let est = feed(&[0.5; 1000]);
+        let tight = est.interval(&ctx(1_000_000, 0.1)).width();
+        let loose = est.interval(&ctx(1_000_000, 1e-12)).width();
         assert!(tight < loose);
     }
 
@@ -193,33 +142,28 @@ mod tests {
     fn sampling_fraction_tightens_bound() {
         // Same sample size, smaller population → tighter interval
         // (without-replacement benefit).
-        let b = HoeffdingSerfling::new();
-        let st = feed(&b, &vec![0.5; 500]);
-        let near_exhaustive = b.interval(&st, &ctx(600, 1e-6)).width();
-        let tiny_fraction = b.interval(&st, &ctx(10_000_000, 1e-6)).width();
+        let est = feed(&[0.5; 500]);
+        let near_exhaustive = est.interval(&ctx(600, 1e-6)).width();
+        let tiny_fraction = est.interval(&ctx(10_000_000, 1e-6)).width();
         assert!(near_exhaustive < tiny_fraction);
     }
 
     #[test]
     fn dataset_size_monotonicity() {
         // Using an upper bound for N must only loosen the bounds (§3.3).
-        let b = HoeffdingSerfling::new();
-        let st = feed(&b, &vec![0.3; 200]);
+        let est = feed(&[0.3; 200]);
         let c_small = ctx(1_000, 1e-9);
         let c_large = ctx(100_000, 1e-9);
-        assert!(b.lbound(&st, &c_large) <= b.lbound(&st, &c_small));
-        assert!(b.rbound(&st, &c_large) >= b.rbound(&st, &c_small));
+        assert!(est.lbound(&c_large) <= est.lbound(&c_small));
+        assert!(est.rbound(&c_large) >= est.rbound(&c_small));
     }
 
     #[test]
     fn exhaustive_sample_has_near_zero_width() {
         // When m == N the sampling fraction term (1 - (m-1)/N) = 1/N → width
         // shrinks towards 0 as N grows.
-        let b = HoeffdingSerfling::new();
         let values: Vec<f64> = (0..10_000).map(|i| (i % 2) as f64).collect();
-        let st = feed(&b, &values);
-        let c = ctx(10_000, 1e-9);
-        let ci = b.interval(&st, &c);
+        let ci = feed(&values).interval(&ctx(10_000, 1e-9));
         assert!(ci.width() < 0.05, "width = {}", ci.width());
         assert!(ci.contains(0.5));
     }
@@ -230,32 +174,23 @@ mod tests {
         // different value layouts get intervals of identical width (as long
         // as no clamping at the range boundary kicks in). The pathology
         // module turns this observation into a reusable probe.
-        let b = HoeffdingSerfling::new();
         let c = ctx(100_000, 1e-6);
-        let st_mid = feed(&b, &vec![0.35; 1000]);
-        let st_other = feed(&b, &vec![0.65; 1000]);
-        let w_mid = b.interval(&st_mid, &c).width();
-        let w_other = b.interval(&st_other, &c).width();
+        let w_mid = feed(&[0.35; 1000]).interval(&c).width();
+        let w_other = feed(&[0.65; 1000]).interval(&c).width();
         assert!((w_mid - w_other).abs() < 1e-12, "{w_mid} vs {w_other}");
     }
 
     #[test]
     fn bounds_are_clamped_to_range() {
-        let b = HoeffdingSerfling::new();
-        let st = feed(&b, &[0.5]);
-        let c = ctx(1_000_000, 1e-15);
-        let ci = b.interval(&st, &c);
+        let ci = feed(&[0.5]).interval(&ctx(1_000_000, 1e-15));
         assert!(ci.lo >= 0.0);
         assert!(ci.hi <= 1.0);
     }
 
     #[test]
     fn m_larger_than_claimed_n_does_not_panic() {
-        let b = HoeffdingSerfling::new();
-        let st = feed(&b, &vec![0.5; 50]);
         // Caller claims N = 10 < m = 50; epsilon clamps N to m.
-        let c = ctx(10, 1e-6);
-        let ci = b.interval(&st, &c);
+        let ci = feed(&[0.5; 50]).interval(&ctx(10, 1e-6));
         assert!(ci.lo.is_finite() && ci.hi.is_finite());
         assert!(ci.lo <= 0.5 && ci.hi >= 0.5);
     }

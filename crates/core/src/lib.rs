@@ -12,15 +12,17 @@
 //!
 //! The crate provides:
 //!
-//! * the streaming bounder interface of the paper (§2.2.2):
-//!   [`ErrorBounder`] with `init_state` / `update_state` / `lbound` / `rbound`;
-//! * three concrete bounders —
+//! * three bounders —
 //!   [`HoeffdingSerfling`] (Algorithm 1),
-//!   [`EmpiricalBernsteinSerfling`]
-//!   (Algorithm 2) and [`AndersonDkw`] (Algorithm 3);
-//! * the paper's primary contribution, the [`RangeTrim`]
-//!   meta-bounder (Algorithms 4 & 6), which removes *phantom outlier
-//!   sensitivity* (PHOS) from any range-based bounder;
+//!   [`EmpiricalBernsteinSerfling`] (Algorithm 2) and
+//!   [`AndersonDkw`] (Algorithm 3);
+//! * the paper's primary contribution, RangeTrim ([`range_trim`],
+//!   Algorithms 4 & 6), which removes *phantom outlier sensitivity* (PHOS)
+//!   from each of them;
+//! * one [`Estimator`] for every configuration, chosen at runtime by
+//!   [`BounderKind`] ([`BounderKind::make_estimator`]), and the flat record
+//!   the query engine accumulates, merges and bounds for the constant-memory
+//!   kinds ([`partial`]);
 //! * the [`OptStop`](optstop) optional-stopping machinery (Algorithm 5) and the
 //!   stopping conditions Ê–Ï of §4.2 ([`stopping`]);
 //! * confidence intervals for `COUNT` (selectivity bounds, Lemma 5) and `SUM`
@@ -40,15 +42,13 @@
 //! // values known to fall in [0, 100].
 //! let sample: Vec<f64> = (0..1000).map(|i| 40.0 + (i % 20) as f64).collect();
 //!
-//! let bounder = RangeTrim::new(EmpiricalBernsteinSerfling::new());
-//! let mut state = bounder.init_state();
-//! for &v in &sample {
-//!     bounder.update_state(&mut state, v);
-//! }
+//! let mut estimator = BounderKind::BernsteinRangeTrim.make_estimator();
+//! estimator.observe_batch(&sample);
 //! let ctx = BoundContext::new(0.0, 100.0, 1_000_000, 1e-10).unwrap();
-//! let ci = bounder.interval(&state, &ctx);
+//! let ci = estimator.interval(&ctx);
 //! assert!(ci.lo <= ci.hi);
 //! assert!(ci.lo >= 0.0 && ci.hi <= 100.0);
+//! assert!(ci.contains(estimator.estimate().unwrap()));
 //! ```
 
 #![warn(missing_docs)]
@@ -72,17 +72,15 @@ pub mod sum;
 pub mod variance;
 
 pub use anderson::AndersonDkw;
-pub use bernstein::{BernsteinSerfling, EmpiricalBernsteinSerfling};
-pub use bounder::{
-    BoundContext, BounderKind, BoxedEstimator, Ci, ErrorBounder, Estimator, MeanEstimator,
-};
+pub use bernstein::EmpiricalBernsteinSerfling;
+pub use bounder::{BoundContext, BounderKind, Ci, Estimator};
 pub use count::{CountCi, SelectivityTracker};
 pub use delta::DeltaBudget;
 pub use error::{CoreError, CoreResult};
 pub use hoeffding::HoeffdingSerfling;
 pub use optstop::RunningInterval;
-pub use partial::{FlatBounder, FlatEstimator, FlatMaster, FlatMoments, FlatRecord};
-pub use range_trim::RangeTrim;
+pub use partial::{FlatBounder, FlatMaster, FlatRecord};
+pub use range_trim::FlatMoments;
 pub use stopping::StoppingCondition;
 pub use sum::sum_interval;
 pub use variance::RunningMoments;
@@ -91,16 +89,14 @@ pub use variance::RunningMoments;
 pub mod prelude {
     pub use crate::anderson::AndersonDkw;
     pub use crate::bernstein::EmpiricalBernsteinSerfling;
-    pub use crate::bounder::{
-        BoundContext, BounderKind, BoxedEstimator, Ci, ErrorBounder, Estimator, MeanEstimator,
-    };
+    pub use crate::bounder::{BoundContext, BounderKind, Ci, Estimator};
     pub use crate::count::{CountCi, SelectivityTracker};
     pub use crate::delta::DeltaBudget;
     pub use crate::error::{CoreError, CoreResult};
     pub use crate::hoeffding::HoeffdingSerfling;
     pub use crate::optstop::RunningInterval;
-    pub use crate::partial::{FlatBounder, FlatEstimator, FlatMaster, FlatMoments, FlatRecord};
-    pub use crate::range_trim::RangeTrim;
+    pub use crate::partial::{FlatBounder, FlatMaster, FlatRecord};
+    pub use crate::range_trim::FlatMoments;
     pub use crate::stopping::StoppingCondition;
     pub use crate::sum::sum_interval;
     pub use crate::variance::RunningMoments;

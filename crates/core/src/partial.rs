@@ -52,15 +52,15 @@
 //! [`FlatMoments`] (`all` plus the clipped `left` and `right` states), once
 //! per view per round, when its interval is recomputed.
 //!
-//! [`FlatBounder`] computes, from those moments, the estimate and interval
-//! of the bounder a kind stands for: plain kinds read `all`, RangeTrim kinds
-//! `left` and `right`. [`FlatEstimator`] is the boxed [`MeanEstimator`] that
+//! [`FlatBounder`] computes, from those moments, the interval of the
+//! bounder a kind stands for: plain kinds read `all`, RangeTrim kinds `left`
+//! and `right`. The [`Estimator`](crate::bounder::Estimator) that
 //! [`BounderKind::make_estimator`](crate::bounder::BounderKind::make_estimator)
-//! returns for these four kinds: one open record, so it runs the same
+//! returns for these four kinds holds one open record, so it runs the same
 //! update. Anderson/DKW keeps its O(m) sample and has no flat form, so the
-//! engine does not run it; Anderson+RT runs the three-state [`RangeTrim`]
-//! wrapper, which also stays the Algorithm 6 reference the one record is
-//! tested against.
+//! engine does not run it. The tests check the one record against a
+//! value-by-value three-state fold of Algorithm 6 (the reference in
+//! `bounder.rs`'s test code, and this module's `reference_fold`).
 //!
 //! ### RangeTrim in one record
 //!
@@ -135,15 +135,10 @@
 //! Algorithm 6's.
 
 use crate::bernstein::EmpiricalBernsteinSerfling;
-use crate::bounder::{BoundContext, Ci, ErrorBounder, MeanEstimator};
+use crate::bounder::{BoundContext, Ci};
 use crate::hoeffding::HoeffdingSerfling;
-use crate::range_trim::{RangeTrim, RangeTrimState};
+use crate::range_trim::FlatMoments;
 use crate::variance::RunningMoments;
-
-/// Algorithm 6's three moments: every value (`all`) and the clipped `left`
-/// and `right` states, materialised from a view's [`FlatMaster`] when its
-/// interval is computed.
-pub type FlatMoments = RangeTrimState<RunningMoments>;
 
 /// One view's scan record for one partition: the moments of every value
 /// plus RangeTrim's four correction sums (see the module docs). The same
@@ -218,7 +213,7 @@ impl FlatRecord {
 
     /// Algorithm 6's three moments: `all`, and the left and right states as
     /// `all` less the `withheld` first values and the event corrections.
-    fn moments(&self, withheld: u64) -> FlatMoments {
+    pub(crate) fn moments(&self, withheld: u64) -> FlatMoments {
         let (k, s1, s2) = self.all.shifted();
         let clipped = |(c1, c2): (f64, f64)| {
             RunningMoments::from_shifted(
@@ -229,7 +224,7 @@ impl FlatRecord {
                 self.all.extremes(),
             )
         };
-        RangeTrimState {
+        FlatMoments {
             left: clipped(self.above),
             right: clipped(self.below),
             all: self.all,
@@ -350,11 +345,6 @@ pub enum FlatBounder {
 }
 
 impl FlatBounder {
-    /// The point estimate (the untrimmed mean), or `None` when empty.
-    pub fn estimate(self, moments: &FlatMoments) -> Option<f64> {
-        (moments.all.count() > 0).then(|| moments.all.mean())
-    }
-
     /// The δ-only term of this kind's half-width at the per-side error
     /// probability `delta`: Hoeffding's `log(1/δ)` or Bernstein's
     /// `log(5/δ)`. It is the same for every view bounded at one δ, so a
@@ -395,8 +385,9 @@ impl FlatBounder {
         };
         match self {
             FlatBounder::Hoeffding | FlatBounder::Bernstein => inner(&moments.all, ctx, log_term),
-            // RangeTrim's two sides, as `RangeTrim::{lbound, rbound}` run
-            // the inner bounder.
+            // RangeTrim's two sides: the inner bounder's lower bound of the
+            // left state and upper bound of the right state, each in its
+            // trimmed context and clamped to the declared range.
             FlatBounder::HoeffdingRangeTrim | FlatBounder::BernsteinRangeTrim => (
                 moments.lower_context(ctx).map_or(ctx.a, |inner_ctx| {
                     inner(&moments.left, &inner_ctx, log_term).0.max(ctx.a)
@@ -408,8 +399,8 @@ impl FlatBounder {
         }
     }
 
-    /// The two-sided interval of the bounder this kind stands for, as its
-    /// [`ErrorBounder::interval`] computes it.
+    /// The two-sided interval of the bounder this kind stands for: each
+    /// side at `ctx.delta / 2` ([`Ci::two_sided`]).
     pub fn interval(self, moments: &FlatMoments, ctx: &BoundContext) -> Ci {
         self.interval_with_log(moments, ctx, self.log_term(ctx.delta * 0.5))
     }
@@ -419,87 +410,11 @@ impl FlatBounder {
     pub fn interval_with_log(self, moments: &FlatMoments, ctx: &BoundContext, log_term: f64) -> Ci {
         Ci::two_sided(ctx, |half| self.bounds_with_log(moments, half, log_term))
     }
-
-    /// The name of the bounder this kind stands for.
-    pub fn name(self) -> &'static str {
-        match self {
-            FlatBounder::Hoeffding => HoeffdingSerfling.name(),
-            FlatBounder::Bernstein => EmpiricalBernsteinSerfling.name(),
-            FlatBounder::HoeffdingRangeTrim => RangeTrim::new(HoeffdingSerfling).name(),
-            FlatBounder::BernsteinRangeTrim => RangeTrim::new(EmpiricalBernsteinSerfling).name(),
-        }
-    }
-}
-
-/// The boxed [`MeanEstimator`] of the four flat kinds, which
-/// [`BounderKind::make_estimator`](crate::bounder::BounderKind::make_estimator)
-/// returns: one open record of every value observed, so it runs the
-/// engine's one [`FlatRecord`] update.
-#[derive(Debug, Clone, Copy)]
-pub struct FlatEstimator {
-    kind: FlatBounder,
-    open: FlatRecord,
-}
-
-impl FlatEstimator {
-    /// An empty estimator of `kind`.
-    pub fn new(kind: FlatBounder) -> Self {
-        Self {
-            kind,
-            open: FlatRecord::EMPTY,
-        }
-    }
-
-    /// The three moments of everything observed.
-    fn moments(&self) -> FlatMoments {
-        self.open.moments(1)
-    }
-}
-
-impl MeanEstimator for FlatEstimator {
-    fn observe(&mut self, v: f64) {
-        self.open.observe(v);
-    }
-
-    fn observe_batch(&mut self, values: &[f64]) {
-        self.open.observe_batch(values);
-    }
-
-    fn count(&self) -> u64 {
-        self.open.all.count()
-    }
-
-    fn estimate(&self) -> Option<f64> {
-        self.kind.estimate(&self.moments())
-    }
-
-    fn interval(&self, ctx: &BoundContext) -> Ci {
-        self.kind.interval(&self.moments(), ctx)
-    }
-
-    fn lbound(&self, ctx: &BoundContext) -> f64 {
-        self.kind.bounds(&self.moments(), ctx).0
-    }
-
-    fn rbound(&self, ctx: &BoundContext) -> f64 {
-        self.kind.bounds(&self.moments(), ctx).1
-    }
-
-    fn reset(&mut self) {
-        *self = Self::new(self.kind);
-    }
-
-    fn bounder_name(&self) -> &'static str {
-        self.kind.name()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounder::ErrorBounder;
-    use crate::hoeffding::HoeffdingState;
-    use crate::variance::RunningMoments;
 
     /// Merging a chain of per-partition partials left-to-right must be
     /// independent of how the partitions were grouped (associativity), which
@@ -543,8 +458,8 @@ mod tests {
 
     #[test]
     fn hoeffding_merge_matches_weighted_mean() {
-        let mut a = HoeffdingState::default();
-        let mut b = HoeffdingState::default();
+        let mut a = RunningMoments::default();
+        let mut b = RunningMoments::default();
         for v in [1.0, 2.0, 3.0] {
             a.push(v);
         }
@@ -558,17 +473,17 @@ mod tests {
 
     #[test]
     fn merging_empty_is_identity() {
-        let mut a = HoeffdingState::default();
+        let mut a = RunningMoments::default();
         for v in [1.0, 2.0, 3.0, 4.0] {
             a.push(v);
         }
         let before = a;
-        a.merge(&HoeffdingState::default());
+        a.merge(&RunningMoments::default());
         assert_eq!(a, before);
         assert_eq!(a.count(), 4);
         assert_eq!(a.mean(), 2.5);
 
-        let mut empty = HoeffdingState::default();
+        let mut empty = RunningMoments::default();
         empty.merge(&a);
         assert_eq!(empty, before);
     }
@@ -625,11 +540,7 @@ mod tests {
     /// partition's prefix, and every partition of the first round
     /// withholds its first value. With one partition this is Algorithm 6.
     fn reference_fold(values: &[f64], rounds: usize, parts: usize) -> FlatMoments {
-        let mut state = RangeTrimState {
-            left: RunningMoments::new(),
-            right: RunningMoments::new(),
-            all: RunningMoments::new(),
-        };
+        let mut state = FlatMoments::default();
         for round in values.chunks(values.len().div_ceil(rounds)) {
             let round_start = state.all.min().zip(state.all.max());
             for chunk in round.chunks(round.len().div_ceil(parts)) {
@@ -772,8 +683,8 @@ mod tests {
 
     /// The merge against one sequential fold: values folded in 1, 7 and 64
     /// partitions and merged agree with a sequential
-    /// `RangeTrim<HoeffdingSerfling>` fold over all of them (the `all`
-    /// moments) on mean and variance: within 1e-12 relative at a 1e9
+    /// [`RunningMoments::push`] fold over all of them (the `all` moments) on
+    /// mean and variance: within 1e-12 relative at a 1e9
     /// offset. A 10⁶σ outlier as the first value of the last partition
     /// costs the one-round layout more: that partition starts empty, so
     /// the outlier becomes its shift, which costs its sums about their row
@@ -791,7 +702,6 @@ mod tests {
         let rows = 22_400u64;
         // σ of the noise is about 29; the outlier sits 10⁶σ above it.
         let sigma = 28.9;
-        let rt = RangeTrim::new(HoeffdingSerfling);
         for (name, offset, outlier) in [
             ("offset", 1e9, false),
             ("outlier", 0.0, true),
@@ -807,17 +717,17 @@ mod tests {
                     if outlier {
                         values[last_round + (parts - 1) * chunk] = offset + 1e6 * sigma;
                     }
-                    let mut sequential = rt.init_state();
+                    let mut sequential = RunningMoments::new();
                     for &v in &values {
-                        rt.update_state(&mut sequential, v);
+                        sequential.push(v);
                     }
                     let merged = merged_over_rounds(&values, rounds, parts);
                     let what = format!("{name} {rounds} rounds x{parts}");
-                    assert_eq!(merged.all.count(), sequential.all.count(), "{what}");
+                    assert_eq!(merged.all.count(), sequential.count(), "{what}");
                     let tolerance = if outlier && rounds == 1 { 1e-11 } else { 1e-12 };
                     for (stat, got, want) in [
-                        ("mean", merged.all.mean(), sequential.all.mean()),
-                        ("variance", merged.all.variance(), sequential.all.variance()),
+                        ("mean", merged.all.mean(), sequential.mean()),
+                        ("variance", merged.all.variance(), sequential.variance()),
                     ] {
                         assert_within(&format!("{what} {stat}"), got, want, tolerance);
                     }
@@ -851,12 +761,12 @@ mod tests {
     }
 
     /// A flat kind's bounds, read with its log term precomputed or not,
-    /// equal the generic bounder's over the same three moments bit for bit:
-    /// the plain kinds' over `all`, the RangeTrim kinds' over the clipped
-    /// states.
+    /// equal the reference bounders' over the same three moments bit for
+    /// bit: the plain kinds' over `all`, the RangeTrim kinds' over the
+    /// clipped states.
     #[test]
     fn flat_bounds_equal_the_generic_bounders_bit_for_bit() {
-        use crate::bernstein::EmpiricalBernsteinSerfling;
+        use crate::bounder::reference::{Bounder, RangeTrim, Trimmed};
 
         let values: Vec<f64> = (0..3_000).map(|i| ((i * 37) % 113) as f64 / 7.0).collect();
         let ctx = BoundContext::new(-5.0, 40.0, 1_000_000, 1e-9).unwrap();
@@ -864,6 +774,11 @@ mod tests {
             merged_over_rounds(&values, 3, 7),
             merged_over(&values[..1], 1),
         ] {
+            let trimmed = Trimmed {
+                left: moments.left,
+                right: moments.right,
+                all: moments.all,
+            };
             for kind in [
                 FlatBounder::Hoeffding,
                 FlatBounder::HoeffdingRangeTrim,
@@ -876,10 +791,10 @@ mod tests {
                         EmpiricalBernsteinSerfling.interval(&moments.all, &ctx)
                     }
                     FlatBounder::HoeffdingRangeTrim => {
-                        RangeTrim::new(HoeffdingSerfling).interval(&moments, &ctx)
+                        RangeTrim(HoeffdingSerfling).interval(&trimmed, &ctx)
                     }
                     FlatBounder::BernsteinRangeTrim => {
-                        RangeTrim::new(EmpiricalBernsteinSerfling).interval(&moments, &ctx)
+                        RangeTrim(EmpiricalBernsteinSerfling).interval(&trimmed, &ctx)
                     }
                 };
                 let log = kind.log_term(ctx.delta * 0.5);
@@ -905,18 +820,14 @@ mod tests {
         values[250] = f64::NAN;
         let ctx = BoundContext::new(0.0, 100.0, 100_000, 1e-6).unwrap();
         let one = merged_over(&values, 1);
-        let rt = RangeTrim::new(HoeffdingSerfling);
-        let mut three = rt.init_state();
-        for &v in &values {
-            rt.update_state(&mut three, v);
-        }
+        let three = reference_fold(&values, 1, 1);
         assert_eq!(one.all.count(), three.all.count());
+        assert!(one.all.mean().is_nan());
+        assert!(three.all.mean().is_nan());
         for kind in [
             FlatBounder::HoeffdingRangeTrim,
             FlatBounder::BernsteinRangeTrim,
         ] {
-            assert!(kind.estimate(&one).unwrap().is_nan(), "{kind:?}");
-            assert!(kind.estimate(&three).unwrap().is_nan(), "{kind:?}");
             assert_eq!(
                 kind.interval(&one, &ctx),
                 Ci::full_range(0.0, 100.0),
@@ -966,65 +877,5 @@ mod tests {
             let moments = merged_over(&values, parts);
             assert_eq!(moments.all.sum(), exact as f64, "{parts} partitions");
         }
-    }
-
-    /// Each flat kind's boxed estimator, which runs the one-record update,
-    /// against the generic estimator over the bounder it stands for, fed
-    /// value by value. The plain kinds agree bit for bit (`widen` then
-    /// `push_within` is `push`); the RangeTrim kinds hold the same multisets
-    /// in their clipped states, so they agree within 1e-12 relative. (Merged
-    /// records are checked against the three-state fold by
-    /// `translate_and_add_merge_matches_a_sequential_fold`.)
-    #[test]
-    fn flat_records_match_their_boxed_estimator_bitwise() {
-        use crate::bernstein::EmpiricalBernsteinSerfling;
-        use crate::bounder::{BounderKind, BoxedEstimator, Estimator};
-
-        let values: Vec<f64> = (0..1_000).map(|i| ((i * 37) % 113) as f64 / 7.0).collect();
-        let ctx = BoundContext::new(-5.0, 20.0, 100_000, 1e-9).unwrap();
-        for kind in BounderKind::ALL {
-            let Some(flat) = kind.flat() else {
-                continue;
-            };
-            let mut want: BoxedEstimator = match flat {
-                FlatBounder::Hoeffding => Box::new(Estimator::new(HoeffdingSerfling)),
-                FlatBounder::Bernstein => Box::new(Estimator::new(EmpiricalBernsteinSerfling)),
-                FlatBounder::HoeffdingRangeTrim => {
-                    Box::new(Estimator::new(RangeTrim::new(HoeffdingSerfling)))
-                }
-                FlatBounder::BernsteinRangeTrim => {
-                    Box::new(Estimator::new(RangeTrim::new(EmpiricalBernsteinSerfling)))
-                }
-            };
-            let mut flat_est = kind.make_estimator();
-            for batch in values.chunks(61) {
-                flat_est.observe_batch(batch);
-            }
-            for &v in &values {
-                want.observe(v);
-            }
-            let what = kind.to_string();
-            assert_eq!(flat_est.count(), want.count(), "{what}");
-            assert_eq!(flat_est.bounder_name(), want.bounder_name(), "{what}");
-            assert_eq!(
-                flat_est.estimate().map(f64::to_bits),
-                want.estimate().map(f64::to_bits),
-                "{what}: estimate"
-            );
-            let (got, exp) = (flat_est.interval(&ctx), want.interval(&ctx));
-            for (side, g, w) in [
-                ("interval lo", got.lo, exp.lo),
-                ("interval hi", got.hi, exp.hi),
-                ("lbound", flat_est.lbound(&ctx), want.lbound(&ctx)),
-                ("rbound", flat_est.rbound(&ctx), want.rbound(&ctx)),
-            ] {
-                if kind.uses_range_trim() {
-                    assert_close(&format!("{what}: {side}"), g, w);
-                } else {
-                    assert_eq!(g.to_bits(), w.to_bits(), "{what}: {side} bits");
-                }
-            }
-        }
-        assert!(BounderKind::AndersonDkw.flat().is_none());
     }
 }

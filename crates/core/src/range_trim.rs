@@ -1,5 +1,4 @@
-//! The RangeTrim meta-bounder (Algorithms 4 and 6) — the paper's primary
-//! contribution.
+//! RangeTrim (Algorithms 4 and 6) — the paper's primary contribution.
 //!
 //! RangeTrim converts any symmetric, range-based SSI error bounder into an
 //! *asymmetric* one without phantom outlier sensitivity (PHOS): the returned
@@ -19,10 +18,13 @@
 //! 3. Both use population size `N − 1` (valid by dataset-size monotonicity,
 //!    since `|D_{<max S}| ≤ N − 1`).
 //!
-//! The streaming variant implemented here (Algorithm 6) maintains the two
-//! inner states online, feeding the left state `min(v, b′)` and the right
-//! state `max(v, a′)` where `a′`/`b′` are the running min/max *before*
-//! observing `v`; only O(1) extra memory is required beyond the inner states.
+//! The streaming variant (Algorithm 6) withholds the first value and feeds
+//! every later value `v` to a left state as `min(v, b′)` and to a right state
+//! as `max(v, a′)`, where `a′`/`b′` are the extremes *before* `v`. This module
+//! holds what every RangeTrim kind shares: the three moments ([`FlatMoments`])
+//! and the two trimmed contexts. Hoeffding and Bernstein keep the clipped
+//! states inside one record ([`crate::partial`]); Anderson/DKW, which keeps
+//! its sample, clips it in one pass each time it bounds.
 //!
 //! When the effective data range `(MAX − MIN)` of the values contributing to
 //! an aggregate is much smaller than the catalog range `(b − a)` — the common
@@ -30,257 +32,181 @@
 //! substantially tighter, which is what drives the additional speedups
 //! reported for `Bernstein+RT` and `Hoeffding+RT` in §5.4.
 
-use crate::bounder::{BoundContext, ErrorBounder};
+use crate::bounder::BoundContext;
 use crate::variance::RunningMoments;
 
-/// Streaming state for [`RangeTrim`]: two inner states plus the moments of
-/// every observed value, which carry the running minimum/maximum and the
-/// untrimmed mean reported as the point estimate.
-///
-/// With `S = RunningMoments` (Hoeffding and Bernstein inner bounders) the
-/// state is a plain `Copy` record, [`crate::partial::FlatMoments`]: what a
-/// view's master record ([`crate::partial::FlatMaster`]) materialises
-/// when its interval is computed.
-#[derive(Debug, Clone, Copy)]
-pub struct RangeTrimState<S> {
-    /// Inner state fed `min(v, b′)` — used for the confidence lower bound.
-    pub left: S,
-    /// Inner state fed `max(v, a′)` — used for the confidence upper bound.
-    pub right: S,
+/// Algorithm 6's three moments: every value (`all`) and the clipped `left`
+/// and `right` states, materialised from a view's
+/// [`FlatMaster`](crate::partial::FlatMaster) when its interval is computed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FlatMoments {
+    /// The state fed `min(v, b′)` — used for the confidence lower bound.
+    pub left: RunningMoments,
+    /// The state fed `max(v, a′)` — used for the confidence upper bound.
+    pub right: RunningMoments,
     /// Every observed value, unclipped (including the first, which is not
-    /// fed to the inner states): the count, the untrimmed mean `ĝ`, the sum
-    /// and the running extremes `a′`/`b′`.
+    /// fed to the clipped states): the count, the untrimmed mean `ĝ`, the
+    /// sum and the running extremes `a′`/`b′`.
     pub all: RunningMoments,
 }
 
-impl<S> RangeTrimState<S> {
-    /// Running minimum `a′` of all observed values (`None` until the first
-    /// observation).
-    pub fn observed_min(&self) -> Option<f64> {
-        self.all.min()
-    }
-
-    /// Running maximum `b′` of all observed values.
-    pub fn observed_max(&self) -> Option<f64> {
-        self.all.max()
-    }
-
+impl FlatMoments {
     /// The context RangeTrim's lower bound runs its inner bounder in:
     /// `Lbound(S_l, a, b′, N − 1, δ)`, with `b′` clamped so `[a, b′]` is a
     /// valid (possibly degenerate) range even if an observation sat exactly
     /// at `a`. `None` before the first observation.
     pub fn lower_context(&self, ctx: &BoundContext) -> Option<BoundContext> {
-        self.observed_max().map(|b_prime| {
-            ctx.with_range(ctx.a, b_prime.max(ctx.a))
-                .with_n(ctx.n.saturating_sub(1).max(1))
-        })
+        lower_context(&self.all, ctx)
     }
 
     /// The context of RangeTrim's upper bound: `Rbound(S_r, a′, b, N − 1, δ)`
     /// (see [`Self::lower_context`]).
     pub fn upper_context(&self, ctx: &BoundContext) -> Option<BoundContext> {
-        self.observed_min().map(|a_prime| {
-            ctx.with_range(a_prime.min(ctx.b), ctx.b)
-                .with_n(ctx.n.saturating_sub(1).max(1))
-        })
+        upper_context(&self.all, ctx)
     }
 }
 
-/// `min(v, b′)` as one compare-and-select: unlike `f64::min` it needs no
-/// NaN fix-up, which keeps the update short. A NaN `v` yields `b′`, as
-/// `f64::min` would.
-#[inline]
-fn clip_above(v: f64, b_prime: f64) -> f64 {
-    if v < b_prime {
-        v
-    } else {
-        b_prime
-    }
+/// [`FlatMoments::lower_context`] from the moments of every value alone.
+pub(crate) fn lower_context(all: &RunningMoments, ctx: &BoundContext) -> Option<BoundContext> {
+    all.max().map(|b_prime| {
+        ctx.with_range(ctx.a, b_prime.max(ctx.a))
+            .with_n(ctx.n.saturating_sub(1).max(1))
+    })
 }
 
-/// `max(v, a′)` as one compare-and-select (see [`clip_above`]).
-#[inline]
-fn clip_below(v: f64, a_prime: f64) -> f64 {
-    if v > a_prime {
-        v
-    } else {
-        a_prime
-    }
+/// [`FlatMoments::upper_context`] from the moments of every value alone.
+pub(crate) fn upper_context(all: &RunningMoments, ctx: &BoundContext) -> Option<BoundContext> {
+    all.min().map(|a_prime| {
+        ctx.with_range(a_prime.min(ctx.b), ctx.b)
+            .with_n(ctx.n.saturating_sub(1).max(1))
+    })
 }
 
-/// The RangeTrim meta-bounder: wraps any range-based SSI [`ErrorBounder`] and
-/// eliminates PHOS (Algorithm 6).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RangeTrim<B> {
-    inner: B,
-}
-
-impl<B: ErrorBounder> RangeTrim<B> {
-    /// Wraps `inner` with range trimming.
-    pub fn new(inner: B) -> Self {
-        Self { inner }
-    }
-
-    /// Read access to the wrapped bounder.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-}
-
-impl<B: ErrorBounder> ErrorBounder for RangeTrim<B> {
-    type State = RangeTrimState<B::State>;
-
-    fn init_state(&self) -> Self::State {
-        RangeTrimState {
-            left: self.inner.init_state(),
-            right: self.inner.init_state(),
-            all: RunningMoments::new(),
+/// Algorithm 6's left and right samples of `values` in arrival order, in
+/// one pass: the first value is withheld, and every later `v` becomes
+/// `min(v, b′)` on the left and `max(v, a′)` on the right, with `a′`/`b′`
+/// the extremes before `v`, updated as [`RunningMoments::push`] does.
+pub(crate) fn clip(values: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let (mut a_prime, mut b_prime) = (f64::INFINITY, f64::NEG_INFINITY);
+    let mut left = Vec::with_capacity(values.len());
+    let mut right = Vec::with_capacity(values.len());
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            left.push(v.min(b_prime));
+            right.push(v.max(a_prime));
         }
+        a_prime = if v < a_prime { v } else { a_prime };
+        b_prime = if v > b_prime { v } else { b_prime };
     }
-
-    #[inline]
-    fn update_state(&self, state: &mut Self::State, v: f64) {
-        // The first observation only initializes a′ and b′ (Algorithm 6,
-        // lines 9–13); the inner states stay untouched so that the
-        // conditional-sample argument of Lemma 4 applies. Every later value
-        // is clipped against the extremes *before* it.
-        if let (Some(a_prime), Some(b_prime)) = (state.all.min(), state.all.max()) {
-            self.inner
-                .update_state(&mut state.left, clip_above(v, b_prime));
-            self.inner
-                .update_state(&mut state.right, clip_below(v, a_prime));
-        }
-        state.all.push(v);
-    }
-
-    fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        state.lower_context(ctx).map_or(ctx.a, |inner_ctx| {
-            self.inner.lbound(&state.left, &inner_ctx).max(ctx.a)
-        })
-    }
-
-    fn rbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
-        state.upper_context(ctx).map_or(ctx.b, |inner_ctx| {
-            self.inner.rbound(&state.right, &inner_ctx).min(ctx.b)
-        })
-    }
-
-    fn observed(&self, state: &Self::State) -> u64 {
-        state.all.count()
-    }
-
-    fn estimate(&self, state: &Self::State) -> Option<f64> {
-        (state.all.count() > 0).then_some(state.all.mean())
-    }
-
-    fn name(&self) -> &'static str {
-        // Names are static per inner bounder type; match on the inner name.
-        match self.inner.name() {
-            "hoeffding-serfling" => "hoeffding-serfling+range-trim",
-            "empirical-bernstein-serfling" => "empirical-bernstein-serfling+range-trim",
-            "anderson-dkw" => "anderson-dkw+range-trim",
-            _ => "range-trim",
-        }
-    }
+    (left, right)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::bernstein::EmpiricalBernsteinSerfling;
-    use crate::bounder::BoundContext;
-    use crate::hoeffding::HoeffdingSerfling;
+    use crate::bounder::{BoundContext, BounderKind, Estimator};
+    use crate::partial::FlatRecord;
 
     fn ctx(a: f64, b: f64, n: u64, delta: f64) -> BoundContext {
         BoundContext::new(a, b, n, delta).unwrap()
     }
 
-    fn feed<B: ErrorBounder>(bounder: &B, values: &[f64]) -> B::State {
-        let mut st = bounder.init_state();
-        for &v in values {
-            bounder.update_state(&mut st, v);
-        }
-        st
+    fn feed(kind: BounderKind, values: &[f64]) -> Estimator {
+        let mut est = kind.make_estimator();
+        est.observe_batch(values);
+        est
     }
 
     #[test]
     fn empty_state_returns_range_bounds() {
-        let rt = RangeTrim::new(HoeffdingSerfling::new());
-        let st = rt.init_state();
+        let est = BounderKind::HoeffdingRangeTrim.make_estimator();
         let c = ctx(0.0, 100.0, 1000, 0.01);
-        assert_eq!(rt.lbound(&st, &c), 0.0);
-        assert_eq!(rt.rbound(&st, &c), 100.0);
-        assert!(rt.estimate(&st).is_none());
+        assert_eq!(est.lbound(&c), 0.0);
+        assert_eq!(est.rbound(&c), 100.0);
+        assert!(est.estimate().is_none());
     }
 
     #[test]
     fn first_observation_only_initializes_min_max() {
-        let rt = RangeTrim::new(HoeffdingSerfling::new());
-        let mut st = rt.init_state();
-        rt.update_state(&mut st, 42.0);
-        assert_eq!(st.observed_min(), Some(42.0));
-        assert_eq!(st.observed_max(), Some(42.0));
-        assert_eq!(rt.observed(&st), 1);
-        // The inner states have not seen any value yet.
+        let mut record = FlatRecord::EMPTY;
+        record.observe(42.0);
+        let st = record.moments(1);
+        assert_eq!(st.all.min(), Some(42.0));
+        assert_eq!(st.all.max(), Some(42.0));
+        assert_eq!(st.all.count(), 1);
+        // The clipped states have not seen any value yet.
         assert_eq!(st.left.count(), 0);
         assert_eq!(st.right.count(), 0);
-        assert_eq!(rt.estimate(&st), Some(42.0));
+        assert_eq!(st.all.mean(), 42.0);
     }
 
     #[test]
     fn inner_states_receive_clipped_values() {
-        let rt = RangeTrim::new(HoeffdingSerfling::new());
-        let mut st = rt.init_state();
-        rt.update_state(&mut st, 10.0); // initializes a' = b' = 10
-        rt.update_state(&mut st, 50.0); // left sees min(50, 10) = 10, right sees max(50, 10) = 50
-        rt.update_state(&mut st, 5.0); // left sees min(5, 50) = 5, right sees max(5, 10) = 10
+        let mut record = FlatRecord::EMPTY;
+        record.observe(10.0); // initializes a' = b' = 10
+        record.observe(50.0); // left sees min(50, 10) = 10, right sees max(50, 10) = 50
+        record.observe(5.0); // left sees min(5, 50) = 5, right sees max(5, 10) = 10
+        let st = record.moments(1);
         assert_eq!(st.left.count(), 2);
         assert_eq!(st.right.count(), 2);
         assert!((st.left.mean() - 7.5).abs() < 1e-12); // (10 + 5) / 2
         assert!((st.right.mean() - 30.0).abs() < 1e-12); // (50 + 10) / 2
-        assert_eq!(st.observed_min(), Some(5.0));
-        assert_eq!(st.observed_max(), Some(50.0));
+        assert_eq!(st.all.min(), Some(5.0));
+        assert_eq!(st.all.max(), Some(50.0));
+        // Anderson+RT's one pass over its sample clips the same way.
+        assert_eq!(
+            super::clip(&[10.0, 50.0, 5.0]),
+            (vec![10.0, 5.0], vec![50.0, 10.0])
+        );
     }
 
     #[test]
     fn estimate_is_untrimmed_running_mean() {
-        let rt = RangeTrim::new(EmpiricalBernsteinSerfling::new());
-        let st = feed(&rt, &[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert!((rt.estimate(&st).unwrap() - 3.0).abs() < 1e-12);
-        assert_eq!(rt.observed(&st), 5);
+        let est = feed(BounderKind::BernsteinRangeTrim, &[1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert!((est.estimate().unwrap() - 3.0).abs() < 1e-12);
+        assert_eq!(est.count(), 5);
     }
 
     #[test]
     fn lbound_ignores_upper_range_bound() {
         // The defining property: PHOS is eliminated, so widening `b` must not
         // change the lower bound.
-        let rt = RangeTrim::new(EmpiricalBernsteinSerfling::new());
         let values: Vec<f64> = (0..2000).map(|i| 40.0 + (i % 21) as f64).collect();
-        let st = feed(&rt, &values);
+        let est = feed(BounderKind::BernsteinRangeTrim, &values);
         let narrow = ctx(0.0, 100.0, 1_000_000, 1e-10);
         let wide = ctx(0.0, 1.0e9, 1_000_000, 1e-10);
-        assert_eq!(rt.lbound(&st, &narrow), rt.lbound(&st, &wide));
+        assert_eq!(est.lbound(&narrow), est.lbound(&wide));
     }
 
     #[test]
     fn rbound_ignores_lower_range_bound() {
-        let rt = RangeTrim::new(EmpiricalBernsteinSerfling::new());
         let values: Vec<f64> = (0..2000).map(|i| 40.0 + (i % 21) as f64).collect();
-        let st = feed(&rt, &values);
+        let est = feed(BounderKind::BernsteinRangeTrim, &values);
         let narrow = ctx(0.0, 100.0, 1_000_000, 1e-10);
         let wide = ctx(-1.0e9, 100.0, 1_000_000, 1e-10);
-        assert_eq!(rt.rbound(&st, &narrow), rt.rbound(&st, &wide));
+        assert_eq!(est.rbound(&narrow), est.rbound(&wide));
     }
 
     #[test]
     fn base_bounder_exhibits_phos_where_rangetrim_does_not() {
         // Contrast: the raw Bernstein lower bound *does* move when b widens.
-        let bern = EmpiricalBernsteinSerfling::new();
         let values: Vec<f64> = (0..2000).map(|i| 40.0 + (i % 21) as f64).collect();
-        let st = feed(&bern, &values);
+        let est = feed(BounderKind::Bernstein, &values);
         let narrow = ctx(0.0, 100.0, 1_000_000, 1e-10);
         let wide = ctx(0.0, 1.0e6, 1_000_000, 1e-10);
-        assert!(bern.lbound(&st, &narrow) > bern.lbound(&st, &wide));
+        assert!(est.lbound(&narrow) > est.lbound(&wide));
+    }
+
+    /// Interval widths of `plain` and `trimmed` over the same values.
+    fn widths(
+        plain: BounderKind,
+        trimmed: BounderKind,
+        values: &[f64],
+        c: &BoundContext,
+    ) -> (f64, f64) {
+        (
+            feed(plain, values).interval(c).width(),
+            feed(trimmed, values).interval(c).width(),
+        )
     }
 
     #[test]
@@ -295,13 +221,12 @@ mod tests {
         // range boundary.)
         let values: Vec<f64> = (0..5_000).map(|i| 5_000.0 + (i % 6) as f64).collect();
         let c = ctx(0.0, 10_000.0, 10_000_000, 1e-10);
-
-        let plain = EmpiricalBernsteinSerfling::new();
-        let w_plain = plain.interval(&feed(&plain, &values), &c).width();
-
-        let rt = RangeTrim::new(EmpiricalBernsteinSerfling::new());
-        let w_rt = rt.interval(&feed(&rt, &values), &c).width();
-
+        let (w_plain, w_rt) = widths(
+            BounderKind::Bernstein,
+            BounderKind::BernsteinRangeTrim,
+            &values,
+            &c,
+        );
         assert!(
             w_rt < 0.62 * w_plain,
             "RangeTrim width {w_rt} should be ~half of plain {w_plain}"
@@ -317,14 +242,8 @@ mod tests {
         let mean = values.iter().sum::<f64>() / values.len() as f64;
         let c = ctx(0.0, 10_000.0, 10_000_000, 1e-10);
 
-        let plain = EmpiricalBernsteinSerfling::new();
-        let lb_plain = plain.lbound(&feed(&plain, &values), &c);
-
-        let rt = RangeTrim::new(EmpiricalBernsteinSerfling::new());
-        let lb_rt = rt.lbound(&feed(&rt, &values), &c);
-
-        let gap_plain = mean - lb_plain;
-        let gap_rt = mean - lb_rt;
+        let gap_plain = mean - feed(BounderKind::Bernstein, &values).lbound(&c);
+        let gap_rt = mean - feed(BounderKind::BernsteinRangeTrim, &values).lbound(&c);
         assert!(
             gap_rt * 10.0 < gap_plain,
             "lower-bound gap with RT ({gap_rt}) should be >=10x smaller than plain ({gap_plain})"
@@ -335,13 +254,12 @@ mod tests {
     fn hoeffding_rangetrim_tighter_than_hoeffding_for_concentrated_data() {
         let values: Vec<f64> = (0..5_000).map(|i| 100.0 + (i % 6) as f64).collect();
         let c = ctx(0.0, 10_000.0, 10_000_000, 1e-10);
-
-        let plain = HoeffdingSerfling::new();
-        let w_plain = plain.interval(&feed(&plain, &values), &c).width();
-
-        let rt = RangeTrim::new(HoeffdingSerfling::new());
-        let w_rt = rt.interval(&feed(&rt, &values), &c).width();
-
+        let (w_plain, w_rt) = widths(
+            BounderKind::Hoeffding,
+            BounderKind::HoeffdingRangeTrim,
+            &values,
+            &c,
+        );
         assert!(w_rt < w_plain);
     }
 
@@ -354,13 +272,12 @@ mod tests {
             .map(|i| if i % 2 == 0 { 0.0 } else { 100.0 })
             .collect();
         let c = ctx(0.0, 100.0, 1_000_000, 1e-10);
-
-        let plain = EmpiricalBernsteinSerfling::new();
-        let w_plain = plain.interval(&feed(&plain, &values), &c).width();
-
-        let rt = RangeTrim::new(EmpiricalBernsteinSerfling::new());
-        let w_rt = rt.interval(&feed(&rt, &values), &c).width();
-
+        let (w_plain, w_rt) = widths(
+            BounderKind::Bernstein,
+            BounderKind::BernsteinRangeTrim,
+            &values,
+            &c,
+        );
         assert!(w_rt < 1.2 * w_plain, "rt {w_rt} vs plain {w_plain}");
     }
 
@@ -369,17 +286,15 @@ mod tests {
         let values: Vec<f64> = (0..3_000).map(|i| ((i * 37) % 500) as f64).collect();
         let mean = values.iter().sum::<f64>() / values.len() as f64;
         let c = ctx(0.0, 1_000.0, 1_000_000, 1e-12);
-        let rt = RangeTrim::new(EmpiricalBernsteinSerfling::new());
-        let ci = rt.interval(&feed(&rt, &values), &c);
+        let ci = feed(BounderKind::BernsteinRangeTrim, &values).interval(&c);
         assert!(ci.contains(mean), "{ci:?} should contain {mean}");
     }
 
     #[test]
     fn single_observation_yields_full_range_interval() {
-        let rt = RangeTrim::new(EmpiricalBernsteinSerfling::new());
-        let st = feed(&rt, &[50.0]);
+        let est = feed(BounderKind::BernsteinRangeTrim, &[50.0]);
         let c = ctx(0.0, 100.0, 1000, 1e-9);
-        let ci = rt.interval(&st, &c);
+        let ci = est.interval(&c);
         // The inner states are still empty, so bounds degrade gracefully to
         // the (trimmed) range bounds.
         assert_eq!(ci.lo, 0.0);
@@ -388,32 +303,18 @@ mod tests {
 
     #[test]
     fn dataset_size_monotonicity_preserved() {
-        let rt = RangeTrim::new(EmpiricalBernsteinSerfling::new());
-        let st = feed(&rt, &vec![5.0; 300]);
+        let est = feed(BounderKind::BernsteinRangeTrim, &[5.0; 300]);
         let c_small = ctx(0.0, 10.0, 1_000, 1e-9);
         let c_large = ctx(0.0, 10.0, 1_000_000, 1e-9);
-        assert!(rt.lbound(&st, &c_large) <= rt.lbound(&st, &c_small));
-        assert!(rt.rbound(&st, &c_large) >= rt.rbound(&st, &c_small));
+        assert!(est.lbound(&c_large) <= est.lbound(&c_small));
+        assert!(est.rbound(&c_large) >= est.rbound(&c_small));
     }
 
     #[test]
     fn population_of_one_does_not_panic() {
-        let rt = RangeTrim::new(HoeffdingSerfling::new());
-        let st = feed(&rt, &[7.0]);
+        let est = feed(BounderKind::HoeffdingRangeTrim, &[7.0]);
         let c = ctx(0.0, 10.0, 1, 0.01);
-        let ci = rt.interval(&st, &c);
+        let ci = est.interval(&c);
         assert!(ci.lo.is_finite() && ci.hi.is_finite());
-    }
-
-    #[test]
-    fn names_identify_inner_bounder() {
-        assert_eq!(
-            RangeTrim::new(HoeffdingSerfling::new()).name(),
-            "hoeffding-serfling+range-trim"
-        );
-        assert_eq!(
-            RangeTrim::new(EmpiricalBernsteinSerfling::new()).name(),
-            "empirical-bernstein-serfling+range-trim"
-        );
     }
 }

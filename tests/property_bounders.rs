@@ -3,12 +3,17 @@
 
 use proptest::prelude::*;
 
-use fastframe_core::bounder::{BoundContext, BounderKind, Ci, ErrorBounder};
+use fastframe_core::bounder::{BoundContext, BounderKind, Ci};
 use fastframe_core::expr_bounds::{corner_extrema, Interval};
-use fastframe_core::hoeffding::HoeffdingSerfling;
-use fastframe_core::range_trim::RangeTrim;
 use fastframe_core::sum::sum_interval;
 use fastframe_core::variance::RunningMoments;
+
+/// The kinds that wrap their bounder in RangeTrim.
+const RANGE_TRIM_KINDS: [BounderKind; 3] = [
+    BounderKind::HoeffdingRangeTrim,
+    BounderKind::BernsteinRangeTrim,
+    BounderKind::AndersonDkwRangeTrim,
+];
 
 /// Strategy: a data range plus a non-empty batch of values inside it.
 fn range_and_values() -> impl Strategy<Value = (f64, f64, Vec<f64>)> {
@@ -95,14 +100,26 @@ proptest! {
     fn range_trim_lower_bound_is_independent_of_b((a, _b, values) in range_and_values(), widen in 1.0f64..1e6) {
         let b1 = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max) + 1.0;
         let b2 = b1 + widen;
-        let rt = RangeTrim::new(HoeffdingSerfling::new());
-        let mut st = rt.init_state();
-        for &v in &values {
-            rt.update_state(&mut st, v);
-        }
         let ctx1 = BoundContext::new(a, b1, 1_000_000, 1e-6).unwrap();
         let ctx2 = BoundContext::new(a, b2, 1_000_000, 1e-6).unwrap();
-        prop_assert_eq!(rt.lbound(&st, &ctx1), rt.lbound(&st, &ctx2));
+        for kind in RANGE_TRIM_KINDS {
+            let mut est = kind.make_estimator();
+            est.observe_batch(&values);
+            prop_assert_eq!(est.lbound(&ctx1), est.lbound(&ctx2), "{}", kind);
+        }
+    }
+
+    #[test]
+    fn range_trim_upper_bound_is_independent_of_a((_a, b, values) in range_and_values(), widen in 1.0f64..1e6) {
+        let a1 = values.iter().cloned().fold(f64::INFINITY, f64::min) - 1.0;
+        let a2 = a1 - widen;
+        let ctx1 = BoundContext::new(a1, b, 1_000_000, 1e-6).unwrap();
+        let ctx2 = BoundContext::new(a2, b, 1_000_000, 1e-6).unwrap();
+        for kind in RANGE_TRIM_KINDS {
+            let mut est = kind.make_estimator();
+            est.observe_batch(&values);
+            prop_assert_eq!(est.rbound(&ctx1), est.rbound(&ctx2), "{}", kind);
+        }
     }
 
     #[test]
