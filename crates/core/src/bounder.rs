@@ -632,6 +632,17 @@ mod tests {
     }
 
     #[test]
+    fn bounder_kind_factory_produces_named_estimators() {
+        for kind in BounderKind::ALL {
+            let est = kind.make_estimator();
+            assert_eq!(est.count(), 0);
+            assert!(est.estimate().is_none());
+            assert!(!kind.label().is_empty());
+            assert_eq!(kind.to_string(), kind.label());
+        }
+    }
+
+    #[test]
     fn bounder_kind_labels_are_distinct() {
         let labels: std::collections::HashSet<_> =
             BounderKind::ALL.iter().map(|k| k.label()).collect();
@@ -650,6 +661,39 @@ mod tests {
         assert!((mean - 54.5).abs() < 1e-9);
         let ci = est.interval(&ctx);
         assert!(ci.contains(mean));
+    }
+
+    /// The batch entry point is a dispatch optimization, not a numerical
+    /// one: feeding an estimator one batch must leave it bit-for-bit
+    /// identical to the per-value update loop, for every bounder kind and
+    /// any batch split. The engine's determinism guarantee rests on this.
+    #[test]
+    fn observe_batch_is_bitwise_identical_to_scalar_updates() {
+        let values: Vec<f64> = (0..257)
+            .map(|i| ((i * 37) % 113) as f64 / 7.0 - 3.0)
+            .collect();
+        for kind in BounderKind::ALL {
+            let mut scalar = kind.make_estimator();
+            for &v in &values {
+                scalar.observe(v);
+            }
+            // Batch the same values in uneven chunks, including an empty one.
+            let mut batched = kind.make_estimator();
+            batched.observe_batch(&[]);
+            for chunk in values.chunks(61) {
+                batched.observe_batch(chunk);
+            }
+            assert_eq!(batched.count(), scalar.count(), "{kind}");
+            assert_eq!(
+                batched.estimate().map(f64::to_bits),
+                scalar.estimate().map(f64::to_bits),
+                "{kind}: batched estimate differs from scalar"
+            );
+            let ctx = BoundContext::new(-5.0, 20.0, 100_000, 1e-9).unwrap();
+            let (bi, si) = (batched.interval(&ctx), scalar.interval(&ctx));
+            assert_eq!(bi.lo.to_bits(), si.lo.to_bits(), "{kind}: lbound bits");
+            assert_eq!(bi.hi.to_bits(), si.hi.to_bits(), "{kind}: rbound bits");
+        }
     }
 
     /// The samples every kind is checked on: empty, a single value, a

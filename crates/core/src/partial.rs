@@ -809,6 +809,78 @@ mod tests {
         }
     }
 
+    /// Each flat kind's estimator, which runs the one-record update fed in
+    /// batches, against the reference bounder it stands for, fed value by
+    /// value. The plain kinds agree bit for bit (`widen` then `push_within`
+    /// is `push`); the RangeTrim kinds hold the same multisets in their
+    /// clipped states as the three-state fold, so they agree within 1e-12
+    /// relative. (Merged records are checked against the three-state fold
+    /// by `translate_and_add_merge_matches_a_sequential_fold`.)
+    #[test]
+    fn flat_records_match_their_boxed_estimator_bitwise() {
+        use crate::bounder::reference::{Bounder, RangeTrim};
+        use crate::bounder::BounderKind;
+
+        // (count, estimate, interval, lbound, rbound) of the reference.
+        fn reference<B: Bounder>(
+            bounder: &B,
+            values: &[f64],
+            ctx: &BoundContext,
+        ) -> (u64, Option<f64>, Ci, f64, f64) {
+            let state = bounder.fold(values);
+            (
+                values.len() as u64,
+                bounder.estimate(&state),
+                bounder.interval(&state, ctx),
+                bounder.lbound(&state, ctx),
+                bounder.rbound(&state, ctx),
+            )
+        }
+
+        let values: Vec<f64> = (0..1_000).map(|i| ((i * 37) % 113) as f64 / 7.0).collect();
+        let ctx = BoundContext::new(-5.0, 20.0, 100_000, 1e-9).unwrap();
+        for kind in BounderKind::ALL {
+            let Some(flat) = kind.flat() else {
+                continue;
+            };
+            let mut flat_est = kind.make_estimator();
+            for batch in values.chunks(61) {
+                flat_est.observe_batch(batch);
+            }
+            let (count, estimate, exp, lbound, rbound) = match flat {
+                FlatBounder::Hoeffding => reference(&HoeffdingSerfling, &values, &ctx),
+                FlatBounder::Bernstein => reference(&EmpiricalBernsteinSerfling, &values, &ctx),
+                FlatBounder::HoeffdingRangeTrim => {
+                    reference(&RangeTrim(HoeffdingSerfling), &values, &ctx)
+                }
+                FlatBounder::BernsteinRangeTrim => {
+                    reference(&RangeTrim(EmpiricalBernsteinSerfling), &values, &ctx)
+                }
+            };
+            let what = kind.to_string();
+            assert_eq!(flat_est.count(), count, "{what}");
+            assert_eq!(
+                flat_est.estimate().map(f64::to_bits),
+                estimate.map(f64::to_bits),
+                "{what}: estimate"
+            );
+            let got = flat_est.interval(&ctx);
+            for (side, g, w) in [
+                ("interval lo", got.lo, exp.lo),
+                ("interval hi", got.hi, exp.hi),
+                ("lbound", flat_est.lbound(&ctx), lbound),
+                ("rbound", flat_est.rbound(&ctx), rbound),
+            ] {
+                if kind.uses_range_trim() {
+                    assert_close(&format!("{what}: {side}"), g, w);
+                } else {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{what}: {side} bits");
+                }
+            }
+        }
+        assert!(BounderKind::AndersonDkw.flat().is_none());
+    }
+
     /// A NaN value is where the one record and Algorithm 6 part ways (see
     /// the module docs). Both report a NaN estimate; Algorithm 6 clips the
     /// NaN to the running extremes and keeps a finite interval, while the
