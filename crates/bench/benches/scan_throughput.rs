@@ -21,13 +21,27 @@
 //! A third splits the segment's scan path into its steps, per block, with
 //! the reader's own step clock (`SegmentReader::scan_steps`): the
 //! positioned reads (one per referenced column and row group of a window
-//! of up to 128 KiB of whole runs) with the bytes they move, the
-//! four-lane CRC-32 check of each run's referenced pieces and their decode
-//! into one buffer per column, one call per page, next to the whole path
-//! through `scan_blocks`. It covers the synthetic table's
-//! projection and two Flights projections (5 columns; `{Origin, DepDelay}`
-//! and `{Airline, DepDelay, DepTime}`), the shapes the Table 5 templates
-//! read.
+//! of up to 128 KiB of whole runs, read through holes of up to 400 skipped
+//! rows) with the bytes they move, the four-lane CRC-32 check of each
+//! run's referenced pieces and their decode into one buffer per column,
+//! one call per page, next to the whole path through `scan_blocks`. It
+//! covers the synthetic table's projection and two Flights projections
+//! (5 columns; `{Origin, DepDelay}` and `{Airline, DepDelay, DepTime}`),
+//! the shapes the Table 5 templates read.
+//!
+//! A fourth measures what reading through holes costs on sparse lists: a
+//! list keeping `k` of every `m` blocks of the Flights segment, read with
+//! `{Origin, DepDelay}` in partitions of 256 listed blocks as the engine
+//! issues a round, one `scan_blocks` call each. Per cell it prints the
+//! reads, the bytes read per fetched block (and the part of them read for
+//! skipped blocks) and the nanoseconds per fetched block of the whole path.
+//!
+//! A fifth replays the engine's own partition lists: each Table 5 template
+//! (F-q1…F-q9, Bernstein+RT, ActivePeek grouped and Scan ungrouped, as
+//! perfbench issues them) runs once on the Flights segment through a
+//! wrapper that keeps every block list the engine hands to `scan_blocks`,
+//! and the lists are then replayed through `scan_steps`: reads, bytes and
+//! the I/O, CRC-32 and unpack milliseconds of one query.
 //!
 //! Results land in `EXPERIMENTS.md`.
 //!
@@ -39,25 +53,35 @@
 //! isolates the inner loop).
 
 use std::ops::ControlFlow;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use fastframe_bench::{env_or, print_header, print_row};
 use fastframe_core::bounder::BounderKind;
 use fastframe_engine::config::{EngineConfig, SamplingStrategy};
-use fastframe_engine::session::Session;
+use fastframe_engine::query::AggQuery;
+use fastframe_engine::session::{PreparedQuery, Session};
 use fastframe_engine::QueryResult;
-use fastframe_store::block::BlockId;
+use fastframe_store::bitmap::BlockBitmapIndex;
+use fastframe_store::block::{BlockId, BlockLayout};
+use fastframe_store::catalog::Catalog;
 use fastframe_store::column::Column;
 use fastframe_store::expr::Expr;
 use fastframe_store::persist::{ScanSteps, SegmentReader};
 use fastframe_store::predicate::Predicate;
-use fastframe_store::source::{BlockSource, RUN_ROWS};
-use fastframe_store::table::Table;
+use fastframe_store::source::{BlockRef, BlockSource, GroupUniverseCache, RUN_ROWS};
+use fastframe_store::table::{StoreResult, Table};
+use fastframe_store::zone::ZoneMap;
 use fastframe_workloads::flights::{columns as fc, FlightsConfig, FlightsDataset};
+use fastframe_workloads::queries::all_default_queries;
 
 const MEM: &str = "mem";
 const DISK: &str = "disk";
 const FLIGHTS: &str = "flights";
+
+/// Blocks per partition of the sparse-list table: the engine's smallest
+/// partition, the size every round of up to 16 384 blocks is cut into.
+const PARTITION_BLOCKS: usize = 256;
 
 /// 1M-row synthetic table: a float target, an int time column, a 16-value
 /// categorical whose `flag = 'on'` arm selects 1/16 of the rows, plus three
@@ -108,18 +132,25 @@ fn config(threads: usize, rows: usize) -> EngineConfig {
         .build()
 }
 
-fn run(session: &Session, table: &str, cfg: &EngineConfig) -> (QueryResult, Duration) {
-    let start = Instant::now();
-    let result = session
-        .query(table)
-        .avg(Expr::col("v"))
+/// The harness's query: `AVG(v) WHERE flag = 'on' AND time > 900`, its
+/// stopping condition unsatisfiable, so it always makes a full pass and
+/// rows/sec is well defined.
+fn full_pass_query() -> AggQuery {
+    AggQuery::avg("scan_throughput", Expr::col("v"))
         .filter(Predicate::And(vec![
             Predicate::cat_eq("flag", "on"),
             Predicate::num_gt("time", 900.0),
         ]))
-        // Unsatisfiable: force the full pass so rows/sec is well defined.
         .absolute_width(0.0)
-        .config(cfg.clone())
+        .build()
+}
+
+fn run(session: &Session, table: &str, cfg: &EngineConfig) -> (QueryResult, Duration) {
+    let start = Instant::now();
+    let result = session
+        .prepare(table, &full_pass_query())
+        .expect("scan_throughput query")
+        .with_config(cfg.clone())
         .execute()
         .expect("scan_throughput query");
     (result, start.elapsed())
@@ -198,6 +229,165 @@ fn block_read_ns(source: &dyn BlockSource, projection: &[usize], runs: usize, sc
     }
     walls.sort();
     walls[runs / 2].as_nanos() as f64 / blocks.len() as f64
+}
+
+/// Adds one scan's steps to a running total.
+fn add_steps(total: &mut ScanSteps, steps: &ScanSteps) {
+    total.io += steps.io;
+    total.crc += steps.crc;
+    total.decode += steps.decode;
+    total.reads += steps.reads;
+    total.bytes += steps.bytes;
+    total.hole_bytes += steps.hole_bytes;
+}
+
+/// A list keeping the first `keep` of every `stride` blocks of `reader`,
+/// scanned as the engine scans a round: one `scan_blocks` call per
+/// partition of [`PARTITION_BLOCKS`] listed blocks. Returns the blocks
+/// listed, the steps of one pass (summed over its partitions) and the
+/// median nanoseconds per listed block of the whole path.
+fn sparse_scan(
+    reader: &SegmentReader,
+    projection: &[usize],
+    keep: usize,
+    stride: usize,
+    runs: usize,
+) -> (usize, ScanSteps, f64) {
+    let blocks: Vec<BlockId> = (0..reader.num_blocks())
+        .filter(|b| b % stride < keep)
+        .map(BlockId)
+        .collect();
+    let mut steps = ScanSteps::default();
+    for partition in blocks.chunks(PARTITION_BLOCKS) {
+        let partition_steps = reader
+            .scan_steps(partition, Some(projection))
+            .expect("scan_steps");
+        add_steps(&mut steps, &partition_steps);
+    }
+    let mut walls = Vec::with_capacity(runs);
+    for _ in 0..runs {
+        let mut rows = 0;
+        let start = Instant::now();
+        for partition in blocks.chunks(PARTITION_BLOCKS) {
+            reader
+                .scan_blocks(partition, Some(projection), &mut |_, run| {
+                    rows += run.len();
+                    ControlFlow::Continue(())
+                })
+                .expect("scan_blocks");
+        }
+        walls.push(start.elapsed());
+        assert!(rows >= blocks.len(), "every listed block read");
+    }
+    walls.sort();
+    let ns = walls[runs / 2].as_nanos() as f64 / blocks.len() as f64;
+    (blocks.len(), steps, ns)
+}
+
+/// A segment reader that keeps every block list the engine hands to
+/// `scan_blocks` (one per partition), with its projection, so a query's
+/// reads can be replayed through `SegmentReader::scan_steps`.
+struct PartitionLists<'a> {
+    reader: &'a SegmentReader,
+    lists: Mutex<Vec<ScanCall>>,
+}
+
+/// One `scan_blocks` call: its block list and projection.
+type ScanCall = (Vec<BlockId>, Option<Vec<usize>>);
+
+impl BlockSource for PartitionLists<'_> {
+    fn schema(&self) -> &Table {
+        self.reader.schema()
+    }
+
+    fn num_rows(&self) -> usize {
+        self.reader.num_rows()
+    }
+
+    fn layout(&self) -> &BlockLayout {
+        self.reader.layout()
+    }
+
+    fn catalog(&self) -> &Catalog {
+        self.reader.catalog()
+    }
+
+    fn seed(&self) -> u64 {
+        self.reader.seed()
+    }
+
+    fn bitmap_index(&self, column: &str) -> Option<&BlockBitmapIndex> {
+        self.reader.bitmap_index(column)
+    }
+
+    fn zone_map(&self, column: &str) -> Option<&ZoneMap> {
+        self.reader.zone_map(column)
+    }
+
+    fn read_block(&self, block: BlockId) -> StoreResult<BlockRef<'_>> {
+        self.reader.read_block(block)
+    }
+
+    fn read_block_projected(
+        &self,
+        block: BlockId,
+        projection: Option<&[usize]>,
+    ) -> StoreResult<BlockRef<'_>> {
+        self.reader.read_block_projected(block, projection)
+    }
+
+    fn scan_blocks(
+        &self,
+        blocks: &[BlockId],
+        projection: Option<&[usize]>,
+        visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
+    ) -> StoreResult<()> {
+        let list = (blocks.to_vec(), projection.map(<[usize]>::to_vec));
+        self.lists.lock().unwrap().push(list);
+        self.reader.scan_blocks(blocks, projection, visit)
+    }
+
+    fn group_universe_cache(&self) -> Option<&GroupUniverseCache> {
+        self.reader.group_universe_cache()
+    }
+}
+
+/// Runs `query` with `cfg` over `reader` twice (the first run builds any
+/// group universe, as a steady stream has it built) and replays the block
+/// lists the engine handed to `scan_blocks` in the second, one per
+/// partition, through `scan_steps`, `runs` times. Returns the partitions
+/// and blocks the query scanned and the steps of the median replay by
+/// total step time.
+fn partition_reads(
+    reader: &SegmentReader,
+    query: AggQuery,
+    cfg: EngineConfig,
+    runs: usize,
+) -> (usize, usize, ScanSteps) {
+    let recorder = PartitionLists {
+        reader,
+        lists: Mutex::new(Vec::new()),
+    };
+    let query = PreparedQuery::new(&recorder, query, cfg).expect("prepare");
+    query.execute().expect("query");
+    recorder.lists.lock().unwrap().clear();
+    query.execute().expect("query");
+    let lists = recorder.lists.into_inner().unwrap();
+    let mut replays: Vec<ScanSteps> = (0..runs)
+        .map(|_| {
+            let mut steps = ScanSteps::default();
+            for (blocks, projection) in &lists {
+                let list_steps = reader
+                    .scan_steps(blocks, projection.as_deref())
+                    .expect("scan_steps");
+                add_steps(&mut steps, &list_steps);
+            }
+            steps
+        })
+        .collect();
+    replays.sort_by_key(|s| s.io + s.crc + s.decode);
+    let blocks = lists.iter().map(|(blocks, _)| blocks.len()).sum();
+    (lists.len(), blocks, replays[runs / 2])
 }
 
 fn main() {
@@ -326,6 +516,102 @@ fn main() {
             format!("{whole:.0}"),
         ]);
     }
+    let flights_reader = SegmentReader::open(&flights_path).expect("reopen segment");
+    let origin_delay = flights_projection(&[fc::ORIGIN, fc::DEP_DELAY]);
+    println!();
+    println!(
+        "## sparse lists — Flights {{Origin, DepDelay}}, k of every m blocks, \
+         partitions of {PARTITION_BLOCKS} listed blocks, median of {runs}"
+    );
+    print_header(&[
+        "k of m",
+        "blocks",
+        "reads",
+        "bytes/block",
+        "hole bytes/block",
+        "ns/block",
+        "ms/pass",
+    ]);
+    let cells = [
+        (1, 1),
+        (1, 2),
+        (1, 4),
+        (1, 8),
+        (1, 16),
+        (1, 32),
+        (1, 64),
+        (1, 256),
+        (4, 16),
+        (4, 64),
+        (4, 256),
+    ];
+    for (keep, stride) in cells {
+        let (blocks, steps, ns) = sparse_scan(&flights_reader, &origin_delay, keep, stride, runs);
+        print_row(&[
+            format!("{keep} of {stride}"),
+            format!("{blocks}"),
+            format!("{}", steps.reads),
+            format!("{:.0}", steps.bytes as f64 / blocks as f64),
+            format!("{:.0}", steps.hole_bytes as f64 / blocks as f64),
+            format!("{ns:.0}"),
+            format!("{:.3}", ns * blocks as f64 / 1e6),
+        ]);
+    }
+
+    println!();
+    println!(
+        "## queries on the segment — the engine's partition lists replayed \
+         through scan_steps (ms per query, median of {runs})"
+    );
+    print_header(&[
+        "query",
+        "partitions",
+        "blocks",
+        "reads",
+        "KiB",
+        "hole KiB",
+        "I/O",
+        "CRC-32",
+        "unpack",
+    ]);
+    let ms = |d: Duration| format!("{:.2}", d.as_secs_f64() * 1e3);
+    let row = |id: &str, partitions: usize, blocks: usize, steps: &ScanSteps| {
+        print_row(&[
+            id.to_string(),
+            format!("{partitions}"),
+            format!("{blocks}"),
+            format!("{}", steps.reads),
+            format!("{}", steps.bytes / 1024),
+            format!("{}", steps.hole_bytes / 1024),
+            ms(steps.io),
+            ms(steps.crc),
+            ms(steps.decode),
+        ]);
+    };
+    // Each Table 5 template as perfbench issues it.
+    let (mut partitions, mut blocks, mut total) = (0, 0, ScanSteps::default());
+    for template in all_default_queries() {
+        let strategy = match template.query.is_grouped() {
+            true => SamplingStrategy::ActivePeek,
+            false => SamplingStrategy::Scan,
+        };
+        let cfg = EngineConfig::builder()
+            .bounder(BounderKind::BernsteinRangeTrim)
+            .strategy(strategy)
+            .delta(1e-15)
+            .start_block(0)
+            .threads(1)
+            .build();
+        let (p, b, steps) = partition_reads(&flights_reader, template.query, cfg, runs);
+        row(template.id, p, b, &steps);
+        (partitions, blocks) = (partitions + p, blocks + b);
+        add_steps(&mut total, &steps);
+    }
+    row("F-q1…F-q9", partitions, blocks, &total);
+    // The first table's full pass, whose bitmap skips leave one-block holes.
+    let synthetic = SegmentReader::open(&path).expect("reopen segment");
+    let (p, b, steps) = partition_reads(&synthetic, full_pass_query(), cfg, runs);
+    row("synthetic full pass", p, b, &steps);
     std::fs::remove_file(&flights_path).ok();
     std::fs::remove_file(&path).ok();
 }

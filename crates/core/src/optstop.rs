@@ -49,11 +49,6 @@ impl RunningInterval {
     pub fn current(&self) -> Option<Ci> {
         self.current
     }
-
-    /// Resets to the empty state.
-    pub fn reset(&mut self) {
-        *self = Self::new();
-    }
 }
 
 #[cfg(test)]
@@ -84,14 +79,6 @@ mod tests {
         let collapsed = r.update(Ci::new(5.0, 6.0));
         assert!(collapsed.width() == 0.0);
         assert!(collapsed.lo <= collapsed.hi);
-    }
-
-    #[test]
-    fn running_interval_reset() {
-        let mut r = RunningInterval::new();
-        r.update(Ci::new(0.0, 1.0));
-        r.reset();
-        assert!(r.current().is_none());
     }
 
     #[test]

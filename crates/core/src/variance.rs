@@ -275,11 +275,6 @@ impl RunningMoments {
     pub(crate) fn extremes(&self) -> (f64, f64) {
         (self.min, self.max)
     }
-
-    /// Resets the accumulator to its empty state.
-    pub fn reset(&mut self) {
-        *self = Self::new();
-    }
 }
 
 #[cfg(test)]
@@ -383,15 +378,6 @@ mod tests {
         let mut empty = RunningMoments::new();
         empty.merge(&snapshot);
         assert_eq!(empty, snapshot);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut m = RunningMoments::new();
-        m.push(5.0);
-        m.reset();
-        assert_eq!(m.count(), 0);
-        assert!(m.min().is_none());
     }
 
     #[test]

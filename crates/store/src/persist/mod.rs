@@ -50,15 +50,19 @@
 //! [`SegmentReader`] hands
 //! [`BlockSource::scan_blocks`](crate::source::BlockSource::scan_blocks)
 //! **runs** of consecutive blocks holding up to
-//! [`RUN_ROWS`](crate::source::RUN_ROWS) rows. A window of up to 128 KiB
-//! of whole consecutive runs is one positioned read per referenced column
-//! (and row group); per run, the referenced pieces' CRC-32s are checked
-//! four pieces at a time and each referenced column is decoded with one
-//! call per page, so the fixed cost of a checksum batch is paid per run, a
-//! decode call per page and a read per window and column. Blocks stay the
-//! unit of every checksum, and of planning, skipping and the "blocks
-//! fetched" count; a corrupt piece fails its whole run before any of the
-//! run's blocks is visited.
+//! [`RUN_ROWS`](crate::source::RUN_ROWS) rows. A window is whole runs in
+//! ascending block order, spanning up to 128 KiB, and reads through the
+//! short holes between them (at most 400 skipped rows each): it is one
+//! positioned read per referenced column (and row group) from its first
+//! block to its last. The wrap to block 0, a longer hole or the byte cap
+//! ends it. Per run, the referenced pieces' CRC-32s are checked four
+//! pieces at a time and each referenced column is decoded with one call
+//! per page, so the fixed cost of a checksum batch is paid per run, a
+//! decode call per page and a read per window and column. A hole's pieces
+//! are read with its window but never checked, decoded or visited. Blocks
+//! stay the unit of every checksum, and of planning, skipping and the
+//! "blocks fetched" count; a corrupt piece fails its whole run before any
+//! of the run's blocks is visited.
 //!
 //! The byte-level layout is specified in `docs/FORMAT.md` at the repository
 //! root.

@@ -14,14 +14,18 @@
 //! pays its fixed costs once per window of runs, once per run, and once
 //! per page of a run:
 //!
-//! 1. A **window** is as many whole runs as continue each other (a run
-//!    ended by the cap, not by a gap or the wrap, is continued by the next)
-//!    and whose referenced bytes fit in [`READ_BYTES`], and always at least
-//!    one run. The data section is column-major inside each row group, so
-//!    a window's pieces of one column lie in one byte range per row group:
-//!    the window is one positioned read per referenced column (per row
-//!    group it touches) into a buffer reused from window to window, and
-//!    unreferenced columns are never read.
+//! 1. A **window** is as many whole runs as follow each other in ascending
+//!    block order, each separated from the one before by a hole of at most
+//!    [`HOLE_ROWS`] rows (the blocks the list skips between them; none for
+//!    a run ended by the cap), while the window's whole byte span, holes
+//!    included, fits in [`READ_BYTES`], and always at least one run. The
+//!    wrap to block 0, a longer hole or the byte cap ends it. The data
+//!    section is column-major inside each row group, so a window's span of
+//!    one column lies in one byte range per row group: the window is one
+//!    positioned read per referenced column (per row group it touches) into
+//!    a buffer reused from window to window, and unreferenced columns are
+//!    never read. A hole's bytes are read with the window; its blocks are
+//!    never checked, decoded or visited.
 //! 2. Every referenced piece of a run is checked against its CRC-32,
 //!    column by column, four pieces at a time: the same column of four
 //!    consecutive blocks gives four independent table-lookup chains
@@ -44,10 +48,11 @@
 //! data corruption is caught on first touch, with the offending block and
 //! column in the error). A corrupt piece fails its whole run before any of
 //! the run's blocks is visited; when several are corrupt, the error names
-//! the first in block order, then column order. Pieces of skipped blocks,
-//! unreferenced columns and skipped parts of a page are neither read nor
-//! checked. Blocks remain the unit of every checksum: the file format
-//! knows nothing of runs.
+//! the first in block order, then column order. Pieces of skipped blocks
+//! may be read (when they lie in a window's hole), but are never checked or
+//! decoded; pieces of unreferenced columns are neither read nor checked.
+//! Blocks remain the unit of every checksum: the file format knows nothing
+//! of runs or windows.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -72,12 +77,20 @@ use super::format::{
 };
 
 /// The most bytes one window of a scan reads, over all its referenced
-/// columns, unless a single run needs more: windows of consecutive runs are
-/// grown up to this size. At 256 KiB, partitions of 1 600 blocks or more
-/// filled whole windows on the Table 5 stream over a 1M-row Flights
-/// segment, and the scan's peak RSS rose ≈ 0.3 MiB; at 128 KiB it did not,
-/// and the stream ran no slower.
+/// columns and holes included, unless a single run needs more: windows of
+/// runs are grown up to this size. At 256 KiB, partitions of 1 600 blocks
+/// or more filled whole windows on the Table 5 stream over a 1M-row
+/// Flights segment, and the scan's peak RSS rose ≈ 0.3 MiB; at 128 KiB it
+/// did not, and the stream ran no slower.
 const READ_BYTES: u64 = 128 * 1024;
+
+/// The longest hole, in rows, a window of a scan reads through: 16 blocks
+/// of 25 rows. Reading a short hole costs less than the positioned reads
+/// that skipping it would take (F-q3's partitions on a 1M-row Flights
+/// segment went from ≈ 15 500 reads per query to ≈ 570); with no limit, a
+/// list keeping 1 block in 256 read 3–4× slower, as every window then
+/// moved its whole byte span for a few blocks.
+const HOLE_ROWS: usize = 400;
 
 /// One entry of the page directory: where a page of one column starts,
 /// and its frame of reference.
@@ -89,10 +102,13 @@ struct PageEntry {
 
 /// The bytes one window of a scan reads: per referenced column (in
 /// projection order) and per row group the window touches, the file range
-/// of the window's pieces and where it lands in the read buffer.
+/// of the window's pieces, holes included, and where it lands in the read
+/// buffer.
 struct Window {
     /// Blocks of the scan's list the window covers.
     len: usize,
+    /// Bytes of the window's holes: pieces of blocks the list skips.
+    holes: u64,
     /// Row group of the window's first block.
     first_group: usize,
     /// Row groups the window touches.
@@ -440,10 +456,11 @@ impl SegmentReader {
     /// keeping their position, name, type and dictionary.
     ///
     /// Each window ([`Self::next_window`]) is one positioned read per
-    /// referenced column and row group into a byte buffer; each run is
-    /// then a CRC check of every referenced piece ([`Self::check_run`])
-    /// and one decode per column and page into the column buffers of
-    /// `decoded`. Both buffers are reused, so after the first window a
+    /// referenced column and row group into a byte buffer, through the
+    /// window's holes; each run is then a CRC check of every referenced
+    /// piece ([`Self::check_run`]) and one decode per column and page into
+    /// the column buffers of `decoded`. A hole's pieces are never checked
+    /// or decoded. Both buffers are reused, so after the first window a
     /// scan allocates only when a longer window or run needs more room.
     /// With `steps`, the time of each step is added to it.
     fn scan_into(
@@ -482,6 +499,7 @@ impl SegmentReader {
             if let Some((steps, _)) = &mut clock {
                 steps.reads += reads;
                 steps.bytes += bytes as u64;
+                steps.hole_bytes += window.holes;
             }
             // Where the `k`-th referenced column's piece of `block` starts in
             // the buffer.
@@ -541,8 +559,9 @@ impl SegmentReader {
     }
 
     /// The head of `blocks` that one window of a scan covers, and the byte
-    /// ranges of its `columns` pieces: whole runs (see [`runs`]), each
-    /// continuing the one before it, while their pieces fit in
+    /// ranges of its `columns` pieces from its first block to its last:
+    /// whole runs (see [`runs`]), each starting after the one before it
+    /// with a hole of at most [`HOLE_ROWS`] rows, while that span fits in
     /// [`READ_BYTES`], and always the first run. A run holding a block past
     /// the end of the segment ends the window before it, so it fails on its
     /// own window, after the runs before it are visited.
@@ -552,12 +571,25 @@ impl SegmentReader {
     /// [`StoreError::Corrupt`] for a block id past the end of the segment
     /// in the first run.
     fn next_window(&self, blocks: &[BlockId], columns: &[usize]) -> StoreResult<Window> {
-        let num_blocks = self.layout.num_blocks();
-        let mut len = 0;
-        let mut bytes = 0;
-        for run in runs(blocks, self.layout.block_size()) {
-            if len > 0 && run[0].index() != blocks[len - 1].index() + 1 {
-                break;
+        let (num_blocks, block_size) = (self.layout.num_blocks(), self.layout.block_size());
+        let first = blocks[0].index();
+        let bytes_of = |blocks: Range<usize>| -> u64 {
+            columns
+                .iter()
+                .flat_map(|&ci| self.slices(ci, blocks.clone()))
+                .map(|file| file.end - file.start)
+                .sum()
+        };
+        let (mut len, mut span, mut fetched) = (0, 0, 0);
+        for run in runs(blocks, block_size) {
+            if len > 0 {
+                // The wrap (or any step back) ends the window, and so does
+                // a longer hole.
+                let after = blocks[len - 1].index() + 1;
+                let hole = run[0].index().checked_sub(after);
+                if hole.map_or(true, |hole| hole * block_size > HOLE_ROWS) {
+                    break;
+                }
             }
             if let Some(&block) = run.iter().find(|block| block.index() >= num_blocks) {
                 if len > 0 {
@@ -568,19 +600,16 @@ impl SegmentReader {
                     format!("{block} out of range ({num_blocks} blocks)"),
                 ));
             }
-            let (first, end) = (run[0].index(), run[run.len() - 1].index() + 1);
-            let run_bytes: u64 = columns
-                .iter()
-                .flat_map(|&ci| self.slices(ci, first..end))
-                .map(|file| file.end - file.start)
-                .sum();
-            if len > 0 && bytes + run_bytes > READ_BYTES {
+            let end = run[run.len() - 1].index() + 1;
+            let grown = bytes_of(first..end);
+            if len > 0 && grown > READ_BYTES {
                 break;
             }
-            bytes += run_bytes;
+            span = grown;
+            fetched += bytes_of(run[0].index()..end);
             len += run.len();
         }
-        let (first, end) = (blocks[0].index(), blocks[len - 1].index() + 1);
+        let end = blocks[len - 1].index() + 1;
         let first_group = first / GROUP_BLOCKS;
         let mut slices = Vec::new();
         let mut at = 0;
@@ -593,6 +622,7 @@ impl SegmentReader {
         }
         Ok(Window {
             len,
+            holes: span - fetched,
             first_group,
             groups: (end - 1) / GROUP_BLOCKS + 1 - first_group,
             slices,
@@ -749,8 +779,12 @@ pub struct ScanSteps {
     pub decode: Duration,
     /// Number of positioned reads.
     pub reads: usize,
-    /// Bytes read: the referenced columns' pieces of the blocks scanned.
+    /// Bytes read: the referenced columns' pieces of the blocks scanned,
+    /// and of the holes between them that windows read through.
     pub bytes: u64,
+    /// The part of `bytes` read for skipped blocks in windows' holes: read,
+    /// never checked or decoded.
+    pub hole_bytes: u64,
 }
 
 /// With a clock, adds the time since its last lap to the step `step`
@@ -959,10 +993,43 @@ mod tests {
         let steps = reader.scan_steps(&every, Some(&[1])).unwrap();
         assert_eq!((steps.reads, steps.bytes), (4, 1_600 * 200));
 
-        // A gap or the wrap ends a window as it ends a run.
+        // A window reads through a short hole, but the wrap ends it: the
+        // 1-block hole at block 100 is read (200 bytes, never checked or
+        // decoded) with the 299 blocks around it.
         let gapped: Vec<BlockId> = (0..100).chain(101..300).chain(0..10).map(BlockId).collect();
-        let lens: Vec<usize> = windows(&gapped, &[0]).iter().map(|w| w.len).collect();
-        assert_eq!(lens, [100, 199, 10]);
+        let gapped_windows = windows(&gapped, &[0]);
+        let lens: Vec<usize> = gapped_windows.iter().map(|w| w.len).collect();
+        assert_eq!(lens, [299, 10]);
+        assert_eq!(gapped_windows[0].holes, 200);
+        assert_eq!(gapped_windows[0].bytes(), 300 * 200);
+        let steps = reader.scan_steps(&gapped, Some(&[0])).unwrap();
+        assert_eq!((steps.reads, steps.hole_bytes), (2, 200));
+        assert_eq!(steps.bytes, (300 + 10) * 200);
+
+        // A hole of HOLE_ROWS rows (16 blocks) is read through; one block
+        // more ends the window.
+        let hole_blocks = HOLE_ROWS / 25;
+        assert_eq!(hole_blocks, 16);
+        for (hole, reads, hole_bytes) in [(hole_blocks, 1, 16 * 200), (hole_blocks + 1, 2, 0)] {
+            let list: Vec<BlockId> = (0..100).chain(100 + hole..200).map(BlockId).collect();
+            let steps = reader.scan_steps(&list, Some(&[1])).unwrap();
+            assert_eq!(
+                (steps.reads, steps.hole_bytes),
+                (reads, hole_bytes),
+                "hole of {hole}"
+            );
+            assert_eq!(steps.bytes, (list.len() * 200) as u64 + hole_bytes);
+        }
+
+        // The byte cap counts the holes: every other block of all three
+        // columns spans 600 bytes per block, so a window covers at most
+        // 218 blocks of the file, 109 of the list.
+        let halves: Vec<BlockId> = (0..num_blocks).step_by(2).map(BlockId).collect();
+        let half_windows = windows(&halves, &[0, 1, 2]);
+        assert!(half_windows.iter().all(|w| w.bytes() as u64 <= READ_BYTES));
+        assert_eq!(half_windows[0].len, 109);
+        assert_eq!(half_windows[0].bytes(), 217 * 600);
+        assert_eq!(half_windows[0].holes, 108 * 600);
 
         // A block past the end ends the window before its run, so the runs
         // before it are read (and visited) first; read alone, it fails.

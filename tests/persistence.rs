@@ -13,6 +13,8 @@
 //!   in-memory scramble it was saved from, at `threads = 1` and
 //!   `threads = 4`, across sampling strategies and predicate shapes.
 
+use std::ops::ControlFlow;
+
 use proptest::prelude::*;
 
 use fastframe_core::bounder::BounderKind;
@@ -438,22 +440,115 @@ fn session_backing_rules_are_enforced() {
 }
 
 /// Writes `scramble` with one byte flipped in the middle of `block`'s chunk
-/// of `column`, and opens it in a session as `"t"`.
-fn session_with_flipped_chunk(
+/// of `column`.
+fn write_flipped_chunk(
     tag: &str,
     scramble: &Scramble,
     block: usize,
     column: usize,
-) -> (Session, std::path::PathBuf) {
+) -> std::path::PathBuf {
     let path = temp_path(tag);
     write_segment(scramble, &path).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     let range = piece_range(scramble, block, column);
     bytes[(range.start + range.end) / 2] ^= 0x10;
     std::fs::write(&path, &bytes).unwrap();
+    path
+}
+
+/// [`write_flipped_chunk`], opened in a session as `"t"`.
+fn session_with_flipped_chunk(
+    tag: &str,
+    scramble: &Scramble,
+    block: usize,
+    column: usize,
+) -> (Session, std::path::PathBuf) {
+    let path = write_flipped_chunk(tag, scramble, block, column);
     let mut session = Session::new();
     session.open_table("t", &path).unwrap();
     (session, path)
+}
+
+/// Every run `scan_blocks` hands out for `blocks`: its first block id and
+/// the bits of its decoded values (a float's bits, an int as a float's, a
+/// category's code), column after column; a column left out of
+/// `projection` adds none.
+fn scanned_bits(
+    reader: &SegmentReader,
+    blocks: &[BlockId],
+    projection: Option<&[usize]>,
+) -> Result<Vec<(BlockId, Vec<u64>)>, StoreError> {
+    let mut out = Vec::new();
+    reader.scan_blocks(blocks, projection, &mut |first, run| {
+        let bits = run
+            .table()
+            .columns()
+            .iter()
+            .flat_map(|column| {
+                (0..column.len()).map(move |row| match column.numeric_value(row) {
+                    Some(value) => value.to_bits(),
+                    None => u64::from(column.category_code(row).unwrap()),
+                })
+            })
+            .collect();
+        out.push((first, bits));
+        ControlFlow::Continue(())
+    })?;
+    Ok(out)
+}
+
+#[test]
+fn corruption_of_a_skipped_block_inside_a_window_is_never_reported() {
+    // Block 37 is a one-block hole of the list: a window reads its pieces
+    // with the blocks around it, but never checks, decodes or visits them,
+    // so the scan hands out the pristine file's rows.
+    let table = acceptance_table(4_000);
+    let scramble = Scramble::build_with(&table, 9, 25).unwrap();
+    let path = write_flipped_chunk("skipped_in_window", &scramble, 37, 0);
+    let pristine_path = temp_path("skipped_in_window_pristine");
+    write_segment(&scramble, &pristine_path).unwrap();
+    let (corrupt, pristine) = (
+        SegmentReader::open(&path).unwrap(),
+        SegmentReader::open(&pristine_path).unwrap(),
+    );
+    let list: Vec<BlockId> = (0..37).chain(38..100).map(BlockId).collect();
+    let hole = piece_range(&scramble, 37, 0).len() as u64;
+    for projection in [Some(&[0usize][..]), Some(&[0, 1][..]), None] {
+        // One window: the corrupt bytes were read.
+        let steps = corrupt.scan_steps(&list, projection).unwrap();
+        assert_eq!(steps.reads, projection.map_or(4, <[usize]>::len));
+        assert!(steps.hole_bytes >= hole, "{projection:?}: {steps:?}");
+        let expected = scanned_bits(&pristine, &list, projection).unwrap();
+        assert_eq!(expected.len(), 2, "two runs, around the hole");
+        assert_eq!(scanned_bits(&corrupt, &list, projection).unwrap(), expected);
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&pristine_path).ok();
+}
+
+#[test]
+fn corruption_of_a_fetched_block_right_after_a_hole_names_block_and_column() {
+    // Block 38 starts the second run of a window that reads through the
+    // hole at block 37; its corrupt piece still fails the scan.
+    let table = acceptance_table(4_000);
+    let scramble = Scramble::build_with(&table, 9, 25).unwrap();
+    let path = write_flipped_chunk("after_hole", &scramble, 38, 0);
+    let reader = SegmentReader::open(&path).unwrap();
+    let list: Vec<BlockId> = (0..37).chain(38..100).map(BlockId).collect();
+    for projection in [Some(&[0usize][..]), None] {
+        match scanned_bits(&reader, &list, projection) {
+            Err(StoreError::Corrupt { detail, .. }) => assert!(
+                detail.contains(&format!("{} column 0 (`v`)", BlockId(38))),
+                "{projection:?}: error must name the block and column: {detail}"
+            ),
+            other => panic!("{projection:?}: expected a Corrupt error, got {other:?}"),
+        }
+        assert!(matches!(
+            reader.scan_steps(&list, projection),
+            Err(StoreError::Corrupt { .. })
+        ));
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
