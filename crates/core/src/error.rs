@@ -36,14 +36,6 @@ pub enum CoreError {
         /// Offending fraction.
         value: f64,
     },
-    /// The derived-range optimization in [`crate::expr_bounds`] was asked to
-    /// enumerate too many box corners.
-    TooManyDimensions {
-        /// Number of dimensions requested.
-        dims: usize,
-        /// Maximum number of dimensions supported for corner enumeration.
-        max: usize,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -68,9 +60,6 @@ impl fmt::Display for CoreError {
             CoreError::EmptySample => write!(f, "operation requires a non-empty sample"),
             CoreError::InvalidFraction { value } => {
                 write!(f, "fraction {value} must lie strictly between 0 and 1")
-            }
-            CoreError::TooManyDimensions { dims, max } => {
-                write!(f, "corner enumeration over {dims} dimensions exceeds the supported maximum of {max}")
             }
         }
     }
@@ -100,10 +89,6 @@ mod tests {
             b: 1.0,
         };
         assert!(e.to_string().contains("7"));
-
-        let e = CoreError::TooManyDimensions { dims: 40, max: 20 };
-        assert!(e.to_string().contains("40"));
-        assert!(e.to_string().contains("20"));
     }
 
     #[test]

@@ -28,10 +28,12 @@
 //! * confidence intervals for `COUNT` (selectivity bounds, Lemma 5) and `SUM`
 //!   (§4.1), including the unknown-dataset-size bound `N⁺` of Theorem 3
 //!   ([`count`], [`sum`]);
-//! * derived range bounds for aggregates over arbitrary expressions
-//!   (Appendix B, [`expr_bounds`]);
 //! * programmatic PMA / PHOS pathology probes reproducing Table 2
 //!   ([`pathology`]).
+//!
+//! Every bounder takes its range `[a, b]` as given. For an aggregate over an
+//! expression of columns (Appendix B) the store derives it by interval
+//! arithmetic (`fastframe_store::expr::Expr::range_bounds`).
 //!
 //! ## Quick example
 //!
@@ -61,7 +63,6 @@ pub mod bounder;
 pub mod count;
 pub mod delta;
 pub mod error;
-pub mod expr_bounds;
 pub mod hoeffding;
 pub mod optstop;
 pub mod partial;

@@ -65,75 +65,37 @@ pub enum StoppingCondition {
 }
 
 impl StoppingCondition {
-    /// Whether the condition is satisfied by the given set of group
-    /// snapshots.
-    ///
-    /// An empty snapshot set is considered satisfied only for conditions that
-    /// do not require any group information (none of the current conditions),
-    /// so this returns `false` on empty input — except `SampleCount { m: 0 }`
-    /// which is vacuously satisfied.
-    pub fn is_satisfied(&self, groups: &[GroupSnapshot]) -> bool {
-        match self {
-            StoppingCondition::SampleCount { m } => {
-                if *m == 0 {
-                    return true;
-                }
-                !groups.is_empty() && groups.iter().all(|g| g.samples >= *m)
-            }
-            _ => !groups.is_empty() && self.active_groups(groups).is_empty(),
-        }
-    }
-
-    /// The verdict and the active groups of one round, with the active set
-    /// computed once: every condition but Ê is satisfied exactly when there
-    /// are groups and none of them is active. Ê keeps its own test, which
-    /// also holds vacuously for `m = 0`.
+    /// The verdict and the active groups of one round (§4.2, §4.3), with the
+    /// active set computed once. A condition is satisfied when there are
+    /// groups and none of them is active; Ê with `m = 0` also holds
+    /// vacuously on no groups.
     pub fn evaluate(&self, groups: &[GroupSnapshot]) -> (bool, Vec<usize>) {
         let active = self.active_groups(groups);
-        let satisfied = match self {
-            StoppingCondition::SampleCount { .. } => self.is_satisfied(groups),
-            _ => !groups.is_empty() && active.is_empty(),
-        };
+        let vacuous = matches!(self, StoppingCondition::SampleCount { m: 0 });
+        let satisfied = active.is_empty() && (vacuous || !groups.is_empty());
         (satisfied, active)
     }
 
-    /// Whether a particular group is *active*: further samples for it are
-    /// needed before this condition can be satisfied (§4.3).
-    pub fn group_is_active(&self, group: &GroupSnapshot, all: &[GroupSnapshot]) -> bool {
+    /// The groups that need further samples before this condition can be
+    /// satisfied (§4.3). The per-group conditions filter in input order; the
+    /// group-set conditions run single passes, so a round stays `O(G)` for Î
+    /// and `O(G log G)` for Ï even for queries with thousands of groups
+    /// (F-q6 has |DayOfWeek| × |Origin| of them). Î returns its active
+    /// groups in input order, Ï in order of their intervals' lower bounds.
+    fn active_groups(&self, all: &[GroupSnapshot]) -> Vec<usize> {
         match *self {
-            StoppingCondition::SampleCount { m } => group.samples < m,
-            StoppingCondition::AbsoluteWidth { epsilon } => group.ci.width() >= epsilon,
+            StoppingCondition::SampleCount { m } => active_where(all, |g| g.samples < m),
+            StoppingCondition::AbsoluteWidth { epsilon } => {
+                active_where(all, |g| g.ci.width() >= epsilon)
+            }
             StoppingCondition::RelativeError { epsilon } => {
-                group.ci.relative_error(group.estimate) >= epsilon
+                active_where(all, |g| g.ci.relative_error(g.estimate) >= epsilon)
             }
-            StoppingCondition::ThresholdSide { threshold } => group.ci.contains(threshold),
-            StoppingCondition::TopKSeparated { k, largest } => {
-                top_k_group_is_active(group, all, k, largest)
+            StoppingCondition::ThresholdSide { threshold } => {
+                active_where(all, |g| g.ci.contains(threshold))
             }
-            StoppingCondition::GroupsOrdered => all
-                .iter()
-                .any(|other| other.group != group.group && other.ci.intersects(&group.ci)),
-        }
-    }
-
-    /// The set of active groups under this condition.
-    ///
-    /// Semantically equivalent to filtering with [`Self::group_is_active`];
-    /// the group-set conditions use single-pass implementations so that
-    /// per-round active-set computation stays `O(G)` for Î and
-    /// `O(G log G)` for Ï even for queries with thousands of groups (F-q6
-    /// has |DayOfWeek| × |Origin| of them). Î returns its active groups in
-    /// input order, Ï in order of their intervals' lower bounds, the other
-    /// conditions in input order.
-    pub fn active_groups(&self, all: &[GroupSnapshot]) -> Vec<usize> {
-        match *self {
             StoppingCondition::TopKSeparated { k, largest } => top_k_active_groups(all, k, largest),
             StoppingCondition::GroupsOrdered => groups_ordered_active_groups(all),
-            _ => all
-                .iter()
-                .filter(|g| self.group_is_active(g, all))
-                .map(|g| g.group)
-                .collect(),
         }
     }
 
@@ -158,60 +120,20 @@ impl StoppingCondition {
     }
 }
 
-/// Active-group rule for condition Î (§4.3).
-///
-/// Sort groups by estimate. With `largest = true`, the top-K groups are those
-/// with the K largest estimates; the *separation midpoint* is the midpoint
-/// between the smallest estimate among the top-K and the largest estimate
-/// among the remaining groups. A top-K group is active if its lower
-/// confidence bound crosses the midpoint; a non-top-K group is active if its
-/// upper confidence bound crosses the midpoint. (Mirror-image definitions
-/// apply for bottom-K.)
-fn top_k_group_is_active(
-    group: &GroupSnapshot,
-    all: &[GroupSnapshot],
-    k: usize,
-    largest: bool,
-) -> bool {
-    if all.len() <= k {
-        // Every group is trivially in the selected set; nothing to separate.
-        return false;
-    }
-    if k == 0 {
-        return false;
-    }
-    let mut sorted: Vec<&GroupSnapshot> = all.iter().collect();
-    // Sort descending by estimate for top-K, ascending for bottom-K, so the
-    // "selected" set is always the first k entries.
-    if largest {
-        sorted.sort_by(|x, y| y.estimate.total_cmp(&x.estimate));
-    } else {
-        sorted.sort_by(|x, y| x.estimate.total_cmp(&y.estimate));
-    }
-    let selected_boundary = sorted[k - 1].estimate;
-    let rest_boundary = sorted[k].estimate;
-    let midpoint = 0.5 * (selected_boundary + rest_boundary);
-    let in_selected = sorted[..k].iter().any(|g| g.group == group.group);
-    if largest {
-        if in_selected {
-            // Selected (top) group: active while its lower bound dips below
-            // the midpoint.
-            group.ci.lo <= midpoint
-        } else {
-            // Rest: active while its upper bound rises above the midpoint.
-            group.ci.hi >= midpoint
-        }
-    } else if in_selected {
-        // Selected (bottom) group: active while its upper bound rises above
-        // the midpoint.
-        group.ci.hi >= midpoint
-    } else {
-        group.ci.lo <= midpoint
-    }
+/// The groups of `all` that `active` holds for, in input order.
+fn active_where(all: &[GroupSnapshot], active: impl Fn(&GroupSnapshot) -> bool) -> Vec<usize> {
+    all.iter().filter(|g| active(g)).map(|g| g.group).collect()
 }
 
-/// Active-group computation for condition Î in O(G): a selection instead of
-/// a sort. Only the k-th and (k+1)-th estimates in sort order fix the
+/// Active-group rule for condition Î (§4.3). With `largest = true`, the
+/// selected groups are the K with the largest estimates, and the
+/// *separation midpoint* lies between the smallest selected estimate and the
+/// largest remaining one. A selected group is active while its lower bound
+/// reaches the midpoint, a remaining group while its upper bound does
+/// (mirror-image for bottom-K). With at most K groups, or K = 0, nothing is
+/// active.
+///
+/// Computed in O(G): a selection instead of a sort. Only the k-th and (k+1)-th estimates in sort order fix the
 /// separation midpoint, and a group is selected exactly when it orders no
 /// later than the k-th, so one `select_nth_unstable_by` and one
 /// classification pass suffice. Groups order by estimate (descending for
@@ -295,24 +217,24 @@ mod tests {
     fn sample_count_condition() {
         let cond = StoppingCondition::SampleCount { m: 100 };
         let groups = vec![snap(0, 1.0, 0.0, 2.0, 150), snap(1, 1.0, 0.0, 2.0, 50)];
-        assert!(!cond.is_satisfied(&groups));
-        assert_eq!(cond.active_groups(&groups), vec![1]);
+        assert!(!cond.evaluate(&groups).0);
+        assert_eq!(cond.evaluate(&groups).1, vec![1]);
 
         let done = vec![snap(0, 1.0, 0.0, 2.0, 150), snap(1, 1.0, 0.0, 2.0, 100)];
-        assert!(cond.is_satisfied(&done));
+        assert!(cond.evaluate(&done).0);
 
-        assert!(StoppingCondition::SampleCount { m: 0 }.is_satisfied(&[]));
-        assert!(!cond.is_satisfied(&[]));
+        assert!(StoppingCondition::SampleCount { m: 0 }.evaluate(&[]).0);
+        assert!(!cond.evaluate(&[]).0);
     }
 
     #[test]
     fn absolute_width_condition() {
         let cond = StoppingCondition::AbsoluteWidth { epsilon: 1.0 };
         let groups = vec![snap(0, 5.0, 4.8, 5.2, 10), snap(1, 5.0, 3.0, 7.0, 10)];
-        assert!(!cond.is_satisfied(&groups));
-        assert_eq!(cond.active_groups(&groups), vec![1]);
+        assert!(!cond.evaluate(&groups).0);
+        assert_eq!(cond.evaluate(&groups).1, vec![1]);
         let tight = vec![snap(0, 5.0, 4.8, 5.2, 10)];
-        assert!(cond.is_satisfied(&tight));
+        assert!(cond.evaluate(&tight).0);
     }
 
     #[test]
@@ -323,9 +245,9 @@ mod tests {
         // CI [2, 30] around 10: relative error max((30-10)/30, (10-2)/2) = 4 → active.
         let bad = snap(1, 10.0, 2.0, 30.0, 10);
         let groups = vec![ok, bad];
-        assert!(!cond.is_satisfied(&groups));
-        assert_eq!(cond.active_groups(&groups), vec![1]);
-        assert!(cond.is_satisfied(&[ok]));
+        assert!(!cond.evaluate(&groups).0);
+        assert_eq!(cond.evaluate(&groups).1, vec![1]);
+        assert!(cond.evaluate(&[ok]).0);
     }
 
     #[test]
@@ -334,9 +256,9 @@ mod tests {
         let above = snap(0, 3.0, 1.0, 5.0, 10);
         let below = snap(1, -2.0, -4.0, -1.0, 10);
         let straddling = snap(2, 0.5, -0.5, 1.5, 10);
-        assert!(cond.is_satisfied(&[above, below]));
-        assert!(!cond.is_satisfied(&[above, below, straddling]));
-        assert_eq!(cond.active_groups(&[above, below, straddling]), vec![2]);
+        assert!(cond.evaluate(&[above, below]).0);
+        assert!(!cond.evaluate(&[above, below, straddling]).0);
+        assert_eq!(cond.evaluate(&[above, below, straddling]).1, vec![2]);
     }
 
     #[test]
@@ -347,15 +269,15 @@ mod tests {
             snap(1, 3.0, 2.5, 3.5, 10),
             snap(2, 5.0, 4.5, 5.5, 10),
         ];
-        assert!(cond.is_satisfied(&disjoint));
+        assert!(cond.evaluate(&disjoint).0);
 
         let overlapping = vec![
             snap(0, 1.0, 0.5, 2.6, 10),
             snap(1, 3.0, 2.5, 3.5, 10),
             snap(2, 5.0, 4.5, 5.5, 10),
         ];
-        assert!(!cond.is_satisfied(&overlapping));
-        let active = cond.active_groups(&overlapping);
+        assert!(!cond.evaluate(&overlapping).0);
+        let active = cond.evaluate(&overlapping).1;
         assert!(active.contains(&0) && active.contains(&1));
         assert!(!active.contains(&2));
     }
@@ -372,7 +294,7 @@ mod tests {
             snap(1, 2.0, 1.5, 2.5, 10),
             snap(2, 10.0, 9.0, 11.0, 10),
         ];
-        assert!(cond.is_satisfied(&separated));
+        assert!(cond.evaluate(&separated).0);
 
         // The top group's lower bound dips below the midpoint with group 1.
         // Midpoint between 10 (top) and 2 (next) is 6 → lower bound 5 < 6.
@@ -381,8 +303,8 @@ mod tests {
             snap(1, 2.0, 1.5, 2.5, 10),
             snap(2, 10.0, 5.0, 15.0, 10),
         ];
-        assert!(!cond.is_satisfied(&entangled));
-        assert_eq!(cond.active_groups(&entangled), vec![2]);
+        assert!(!cond.evaluate(&entangled).0);
+        assert_eq!(cond.evaluate(&entangled).1, vec![2]);
     }
 
     #[test]
@@ -399,7 +321,7 @@ mod tests {
             snap(2, 5.0, 4.5, 5.5, 10),
             snap(3, 9.0, 8.5, 9.5, 10),
         ];
-        assert!(cond.is_satisfied(&separated));
+        assert!(cond.evaluate(&separated).0);
 
         // Group 2's lower bound dips below 3.5 → active; bottom groups fine.
         let entangled = vec![
@@ -408,8 +330,8 @@ mod tests {
             snap(2, 5.0, 3.0, 7.0, 10),
             snap(3, 9.0, 8.5, 9.5, 10),
         ];
-        assert!(!cond.is_satisfied(&entangled));
-        assert_eq!(cond.active_groups(&entangled), vec![2]);
+        assert!(!cond.evaluate(&entangled).0);
+        assert_eq!(cond.evaluate(&entangled).1, vec![2]);
     }
 
     #[test]
@@ -419,8 +341,8 @@ mod tests {
             largest: true,
         };
         let groups = vec![snap(0, 1.0, 0.0, 2.0, 10), snap(1, 2.0, 1.0, 3.0, 10)];
-        assert!(cond.is_satisfied(&groups));
-        assert!(cond.active_groups(&groups).is_empty());
+        assert!(cond.evaluate(&groups).0);
+        assert!(cond.evaluate(&groups).1.is_empty());
     }
 
     #[test]
@@ -444,13 +366,19 @@ mod tests {
 
     #[test]
     fn empty_groups_not_satisfied_for_interval_conditions() {
-        assert!(!StoppingCondition::AbsoluteWidth { epsilon: 1.0 }.is_satisfied(&[]));
-        assert!(!StoppingCondition::GroupsOrdered.is_satisfied(&[]));
+        assert!(
+            !StoppingCondition::AbsoluteWidth { epsilon: 1.0 }
+                .evaluate(&[])
+                .0
+        );
+        assert!(!StoppingCondition::GroupsOrdered.evaluate(&[]).0);
     }
 
     /// The single-pass active-set computations for Î and Ï must agree exactly
-    /// with the per-group pairwise definitions across many pseudo-random
-    /// snapshot configurations.
+    /// with their definitions across many pseudo-random snapshot
+    /// configurations: a group is active under Ï when any other group's
+    /// interval intersects its own, and under Î as the sort-based reference
+    /// classifies it.
     #[test]
     fn fast_active_set_matches_pairwise_definition() {
         // Simple deterministic LCG so the test needs no RNG dependency.
@@ -490,12 +418,21 @@ mod tests {
                 },
             ];
             for cond in conditions {
-                let mut fast = cond.active_groups(&groups);
-                let mut pairwise: Vec<usize> = groups
-                    .iter()
-                    .filter(|g| cond.group_is_active(g, &groups))
-                    .map(|g| g.group)
-                    .collect();
+                let mut fast = cond.evaluate(&groups).1;
+                let mut pairwise = match cond {
+                    StoppingCondition::TopKSeparated { k, largest } => {
+                        top_k_active_by_sort(&groups, k, largest)
+                    }
+                    _ => groups
+                        .iter()
+                        .filter(|g| {
+                            groups
+                                .iter()
+                                .any(|o| o.group != g.group && o.ci.intersects(&g.ci))
+                        })
+                        .map(|g| g.group)
+                        .collect(),
+                };
                 fast.sort_unstable();
                 pairwise.sort_unstable();
                 assert_eq!(fast, pairwise, "mismatch for {cond:?} on trial {trial}");
@@ -622,17 +559,16 @@ mod tests {
         ];
         for largest in [true, false] {
             let cond = StoppingCondition::TopKSeparated { k: 1, largest };
-            let _ = cond.is_satisfied(&groups);
-            let _ = cond.group_is_active(&groups[0], &groups);
+            let _ = cond.evaluate(&groups);
         }
-        let _ = StoppingCondition::GroupsOrdered.active_groups(&groups);
+        let _ = StoppingCondition::GroupsOrdered.evaluate(&groups).1;
         // Among finite groups the separation is still decided correctly.
         let finite = &groups[..3];
         let top = StoppingCondition::TopKSeparated {
             k: 1,
             largest: true,
         };
-        assert!(top.is_satisfied(finite));
-        assert!(StoppingCondition::GroupsOrdered.is_satisfied(finite));
+        assert!(top.evaluate(finite).0);
+        assert!(StoppingCondition::GroupsOrdered.evaluate(finite).0);
     }
 }

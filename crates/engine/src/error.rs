@@ -40,6 +40,17 @@ pub enum EngineError {
         /// The first offending row, in the registered table's order.
         row: usize,
     },
+    /// The aggregate target's derived range `[a, b]` (Appendix B) is not
+    /// finite, say `x * x` over a column reaching 1e200, so no bounder can
+    /// bound it; the query is refused when it is built.
+    NonFiniteRange {
+        /// The target expression, rendered infix.
+        target: String,
+        /// The derived lower bound.
+        a: f64,
+        /// The derived upper bound.
+        b: f64,
+    },
     /// The scramble holds no rows.
     EmptyScramble,
     /// The query references a table that is not registered in the session.
@@ -99,6 +110,11 @@ impl std::fmt::Display for EngineError {
                 f,
                 "column `{column}` holds a non-finite value (NaN or infinity) at row {row}; \
                  the error bounders need finite data"
+            ),
+            EngineError::NonFiniteRange { target, a, b } => write!(
+                f,
+                "target `{target}` has the derived range [{a}, {b}], which is not finite; \
+                 the error bounders need a finite range"
             ),
             EngineError::EmptyScramble => write!(f, "cannot query an empty scramble"),
             EngineError::UnknownTable { name } => {
@@ -196,6 +212,12 @@ mod tests {
             e.to_string(),
             "invalid config: `round_rows` = 0, expected at least 1 row"
         );
+        let e = EngineError::NonFiniteRange {
+            target: "(x * x)".into(),
+            a: 0.0,
+            b: f64::INFINITY,
+        };
+        assert!(e.to_string().contains("`(x * x)`") && e.to_string().contains("inf"));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! 1. **Bind** the query against the scramble: resolve the target expression,
 //!    predicate and GROUP BY columns, derive the range bounds `[a, b]` of the
-//!    target expression from the catalog (Appendix B), and enumerate the
-//!    group universe (one [`AggregateView`] per group).
+//!    target expression from the catalog (Appendix B; a range that
+//!    overflows is refused here), and enumerate the group universe (one
+//!    [`AggregateView`] per group).
 //! 2. **Budget** the error probability: δ is split evenly across aggregate
 //!    views (union bound), and within each view decayed per OptStop round as
 //!    `(6/π²)·δ_view/k²` (Algorithm 5); each round's share is further split
@@ -133,6 +134,18 @@ pub(crate) fn bind_query(source: &dyn BlockSource, query: &AggQuery) -> EngineRe
         AggregateFunction::Count => (0.0, 1.0),
         _ => query.target.range_bounds(source.catalog())?,
     };
+    // Over finite data a non-finite derived range is an overflow, and
+    // rows would evaluate to ±∞ or NaN. (A table holding non-finite data is
+    // refused when it is registered; over a scramble built directly, Exact
+    // still answers from the finite rows a predicate selects.)
+    let finite_data = source.catalog().first_non_finite().is_none();
+    if finite_data && !(range.0.is_finite() && range.1.is_finite()) {
+        return Err(EngineError::NonFiniteRange {
+            target: query.target.to_string(),
+            a: range.0,
+            b: range.1,
+        });
+    }
 
     let predicate_eq = query.filter.categorical_equality().and_then(|(col, val)| {
         table

@@ -566,8 +566,9 @@ impl<'s> PreparedQuery<'s> {
     /// Whatever the executor's own binding step refuses, on catalog metadata
     /// only (no block is read): an unknown or mistyped column, a
     /// non-categorical GROUP BY column, a target whose range bounds the
-    /// catalog cannot derive, or an empty table. Then an invalid `config`:
-    /// `Core(InvalidDelta)` for δ outside (0, 1), and
+    /// catalog cannot derive or whose derived range overflows
+    /// ([`EngineError::NonFiniteRange`]), or an empty table. Then an
+    /// invalid `config`: `Core(InvalidDelta)` for δ outside (0, 1), and
     /// [`EngineError::InvalidConfig`] for a zero round size or an
     /// Anderson/DKW bounder.
     pub fn new(
@@ -886,6 +887,58 @@ mod tests {
                 "{message}"
             );
         }
+    }
+
+    /// Finite values up to 9.9e199 register, but `x * x` over them has the
+    /// derived range [0, ∞]. Every mode refuses the query when it is built,
+    /// with an error naming the target, before any block is read; no mode
+    /// returns a NaN estimate or panics. The column's own aggregates run.
+    #[test]
+    fn an_overflowing_derived_range_is_rejected_when_the_query_is_built() {
+        let t = Table::new(vec![Column::float(
+            "x",
+            (0..1_000).map(|i| f64::from(i) * 9.9e196).collect(),
+        )])
+        .unwrap();
+        let mut s = Session::new();
+        s.register("t", &t).unwrap();
+        let square = Expr::col("x").mul(Expr::col("x"));
+        let refused = |result: EngineResult<QueryResult>, how: &str| match result {
+            Err(EngineError::NonFiniteRange { target, a, b }) => {
+                assert_eq!(target, "(x * x)", "{how}");
+                assert_eq!((a, b), (0.0, f64::INFINITY), "{how}");
+            }
+            other => panic!("{how}: expected NonFiniteRange, got {other:?}"),
+        };
+        let query = s.query("t").avg(square.clone());
+        assert!(matches!(
+            query.clone().build(),
+            Err(EngineError::NonFiniteRange { .. })
+        ));
+        refused(query.clone().execute(), "execute");
+        refused(query.execute_exact(), "execute_exact");
+        refused(s.query("t").sum(square.clone()).execute(), "sum");
+        let prebuilt = AggQuery::avg("square", square.clone()).build();
+        assert!(matches!(
+            s.prepare("t", &prebuilt),
+            Err(EngineError::NonFiniteRange { .. })
+        ));
+        // 0 · ∞: a NaN range is refused the same way.
+        let nan = square.mul(Expr::lit(0.0));
+        assert!(matches!(
+            s.query("t").avg(nan).build(),
+            Err(EngineError::NonFiniteRange { a, b, .. }) if a.is_nan() && b.is_nan()
+        ));
+        let message = s
+            .query("t")
+            .avg(Expr::col("x").pow(2))
+            .build()
+            .unwrap_err()
+            .to_string();
+        assert!(message.contains("`(x^2)`"), "{message}");
+        let exact = s.query("t").avg(Expr::col("x")).execute_exact().unwrap();
+        assert!(exact.global().unwrap().estimate.unwrap().is_finite());
+        assert!(s.query("t").count().execute().is_ok());
     }
 
     #[test]

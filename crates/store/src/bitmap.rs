@@ -62,19 +62,6 @@ impl BitSet {
             .filter(|&i| i < self.len)
     }
 
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// In-place union with another bit set of the same length.
-    pub fn union_with(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len, "bitset length mismatch");
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a |= *b;
-        }
-    }
-
     /// The backing `u64` words (for serialization). Bit `i` lives at
     /// `words()[i / 64]`, position `i % 64`.
     pub fn words(&self) -> &[u64] {
@@ -191,18 +178,6 @@ impl BlockBitmapIndex {
     pub fn bitmap(&self, code: u32) -> Option<&BitSet> {
         self.per_value.get(code as usize)
     }
-
-    /// Union of the bitmaps of the given codes: blocks containing any of the
-    /// codes. Used by the lookahead batch scan to mark blocks for processing.
-    pub fn union_of(&self, codes: &[u32]) -> BitSet {
-        let mut out = BitSet::new(self.num_blocks);
-        for &c in codes {
-            if let Some(bs) = self.per_value.get(c as usize) {
-                out.union_with(bs);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -221,7 +196,7 @@ mod tests {
         bs.set(129);
         assert!(bs.get(0) && bs.get(64) && bs.get(129));
         assert!(!bs.get(1));
-        assert_eq!(bs.count_ones(), 3);
+        assert_eq!((0..130).filter(|&i| bs.get(i)).count(), 3);
     }
 
     #[test]
@@ -238,23 +213,30 @@ mod tests {
         assert_eq!(BitSet::from_words(vec![1 << 5], 4).first_set(), None);
     }
 
+    /// The planner unions bitmaps a word at a time, over `words`.
     #[test]
     fn bitset_union() {
-        let mut a = BitSet::new(10);
+        let mut a = BitSet::new(70);
         a.set(1);
-        let mut b = BitSet::new(10);
+        let mut b = BitSet::new(70);
         b.set(8);
-        a.union_with(&b);
-        assert!(a.get(1) && a.get(8));
-        assert_eq!(a.count_ones(), 2);
+        b.set(69);
+        let words = a.words().iter().zip(b.words()).map(|(x, y)| x | y);
+        let union = BitSet::from_words(words.collect(), 70);
+        assert_eq!(
+            (0..70).filter(|&i| union.get(i)).collect::<Vec<_>>(),
+            [1, 8, 69]
+        );
+        assert_eq!(union.first_set(), Some(1));
     }
 
+    /// Word-wise unions need every bitmap of an index to cover the same
+    /// blocks, so an index assembled from bitmaps of mismatched lengths is
+    /// refused.
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn bitset_union_length_mismatch_panics() {
-        let mut a = BitSet::new(10);
-        let b = BitSet::new(20);
-        a.union_with(&b);
+        BlockBitmapIndex::from_parts("c", vec![BitSet::new(10), BitSet::new(20)], 10);
     }
 
     fn airline_column() -> Column {
@@ -301,10 +283,15 @@ mod tests {
         let idx = BlockBitmapIndex::build(&col, &layout).unwrap();
         let ua = col.code_of("UA").unwrap();
         let dl = col.code_of("DL").unwrap();
-        let u = idx.union_of(&[ua, dl]);
-        assert!(u.get(0) && u.get(1));
-        let u = idx.union_of(&[col.code_of("AA").unwrap()]);
-        assert!(u.get(0) && !u.get(1));
+        let aa = col.code_of("AA").unwrap();
+        let union = |codes: &[u32]| {
+            (0..idx.num_blocks())
+                .filter(|&b| idx.block_contains_any(codes, BlockId(b)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(union(&[ua, dl]), [0, 1]);
+        assert_eq!(union(&[aa]), [0]);
+        assert!(union(&[]).is_empty());
     }
 
     #[test]
@@ -323,7 +310,9 @@ mod tests {
         let layout = BlockLayout::new(10, 5);
         let idx = BlockBitmapIndex::build(&col, &layout).unwrap();
         let ua = col.code_of("UA").unwrap();
-        assert_eq!(idx.bitmap(ua).unwrap().count_ones(), 1);
+        let bitmap = idx.bitmap(ua).unwrap();
+        assert_eq!(bitmap.first_set(), Some(0));
+        assert!(!bitmap.get(1));
         assert!(idx.bitmap(99).is_none());
     }
 }

@@ -74,11 +74,6 @@ impl BlockLayout {
         start..end
     }
 
-    /// The block containing `row`.
-    pub fn block_of(&self, row: usize) -> BlockId {
-        BlockId(row / self.block_size)
-    }
-
     /// Iterates over all block ids starting at `start_block` and wrapping
     /// around, visiting every block exactly once. Starting the scan at a
     /// position chosen independently of the data keeps the scramble's
@@ -117,11 +112,15 @@ mod tests {
 
     #[test]
     fn block_of_row() {
+        // Every row lies in exactly one block's range.
         let l = BlockLayout::new(60, 25);
-        assert_eq!(l.block_of(0), BlockId(0));
-        assert_eq!(l.block_of(24), BlockId(0));
-        assert_eq!(l.block_of(25), BlockId(1));
-        assert_eq!(l.block_of(59), BlockId(2));
+        let block_of = |row: usize| {
+            let mut holding = (0..l.num_blocks()).filter(|&b| l.rows_of(BlockId(b)).contains(&row));
+            let block = holding.next().expect("some block holds the row");
+            assert!(holding.next().is_none(), "row {row} in two blocks");
+            block
+        };
+        assert_eq!([0, 24, 25, 59].map(block_of), [0, 0, 1, 2]);
     }
 
     #[test]

@@ -1,15 +1,22 @@
-//! Scalar expressions over numeric columns, with conservative derived range
-//! bounds (Appendix B).
+//! Scalar expressions over numeric columns, with derived range bounds
+//! (Appendix B).
 //!
 //! Aggregates may target not just a raw column but an expression such as
 //! `AVG((2*c1 + 3*c2 - 1)^2)`. Range-based error bounders then need derived
 //! bounds `[a', b']` enclosing the expression's value over the per-column
-//! catalog ranges. `Expr::range_bounds` computes such bounds by
-//! interval arithmetic, which is always conservative (the interval result
-//! encloses the true image); for tighter bounds on convex/monotone
-//! expressions, the optimization-based routines in
-//! [`fastframe_core::expr_bounds`] can be applied to
-//! `BoundExpr::evaluate` directly.
+//! catalog ranges. [`Expr::range_bounds`] computes them by interval
+//! arithmetic and is the only method that does. It is sound: the interval
+//! result always encloses the expression's image over the box of column
+//! ranges. It is exact when each column occurs once in the expression
+//! (Moore, *Interval Analysis*, 1966), and conservative otherwise:
+//! `x - x` over `[0, 1]` gets `[-1, 1]`, not `[0, 0]`. A looser range only
+//! widens the intervals; it never costs the guarantee.
+//!
+//! Floating point can overflow the derived range (`x * x` over a column
+//! reaching 1e200 has the range `[0, ∞]`). The engine refuses such a target
+//! when the query is built (`EngineError::NonFiniteRange`). A finite range
+//! also keeps every row's value finite, because rounding is monotone: each
+//! row evaluates the same operations on values inside the box.
 
 use crate::catalog::Catalog;
 use crate::table::{StoreResult, Table};
@@ -128,10 +135,16 @@ impl Expr {
                 let (al, ah) = a.range_bounds(catalog)?;
                 let (bl, bh) = b.range_bounds(catalog)?;
                 let candidates = [al * bl, al * bh, ah * bl, ah * bh];
-                (
-                    candidates.iter().copied().fold(f64::INFINITY, f64::min),
-                    candidates.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-                )
+                if candidates.iter().any(|c| c.is_nan()) {
+                    // 0 · ∞: `f64::min` would drop the NaN and report a
+                    // finite range for rows that evaluate to NaN.
+                    (f64::NAN, f64::NAN)
+                } else {
+                    (
+                        candidates.iter().copied().fold(f64::INFINITY, f64::min),
+                        candidates.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+                    )
+                }
             }
             Expr::Neg(a) => {
                 let (al, ah) = a.range_bounds(catalog)?;
@@ -165,6 +178,22 @@ impl Expr {
                 }
             }
         })
+    }
+}
+
+/// Renders the expression infix, fully parenthesised: `((DepDelay - 10)^2)`.
+impl std::fmt::Display for Expr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Expr::Column(name) => write!(f, "{name}"),
+            Expr::Literal(v) => write!(f, "{v}"),
+            Expr::Add(a, b) => write!(f, "({a} + {b})"),
+            Expr::Sub(a, b) => write!(f, "({a} - {b})"),
+            Expr::Mul(a, b) => write!(f, "({a} * {b})"),
+            Expr::Neg(a) => write!(f, "(-{a})"),
+            Expr::Abs(a) => write!(f, "ABS({a})"),
+            Expr::Pow(a, e) => write!(f, "({a}^{e})"),
+        }
     }
 }
 
@@ -356,6 +385,18 @@ mod tests {
             Expr::col("c2").pow(2).range_bounds(&catalog).unwrap(),
             (0.0, 9.0)
         );
+    }
+
+    /// Over a column reaching 1e200, `x * x` overflows to [0, ∞], and `0`
+    /// times that range is NaN, as a row's `∞ · 0` is, not a finite [0, 0].
+    #[test]
+    fn an_overflowed_range_times_zero_is_nan() {
+        let t = Table::new(vec![Column::float("x", vec![0.0, 1e200])]).unwrap();
+        let catalog = Catalog::build(&t);
+        let square = Expr::col("x").mul(Expr::col("x"));
+        assert_eq!(square.range_bounds(&catalog).unwrap(), (0.0, f64::INFINITY));
+        let (lo, hi) = square.mul(Expr::lit(0.0)).range_bounds(&catalog).unwrap();
+        assert!(lo.is_nan() && hi.is_nan());
     }
 
     #[test]

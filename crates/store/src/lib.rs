@@ -16,8 +16,8 @@
 //! * block-level [`BlockBitmapIndex`]es over categorical columns, used by
 //!   active scanning to decide whether a block can contain rows for any
 //!   currently-active group without touching the block itself (§4.3);
-//! * [`Predicate`]s and scalar [`Expr`]essions with conservative derived
-//!   range bounds (Appendix B);
+//! * [`Predicate`]s and scalar [`Expr`]essions, whose derived range bounds
+//!   (Appendix B) come from interval arithmetic alone ([`expr`]);
 //! * [`ScanStats`] counters so that the evaluation can report *blocks
 //!   fetched*, the hardware-independent cost metric of §5.3;
 //! * the [`BlockSource`] scan abstraction ([`source`]) over which the engine

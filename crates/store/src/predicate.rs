@@ -324,28 +324,17 @@ impl BoundPredicate {
     /// the dense `0..n` seed before refining.
     pub fn filter_block(&self, table: &Table, rows: std::ops::Range<usize>) -> SelectionVector {
         let mut sel = SelectionVector::empty();
-        self.filter_block_into(table, rows, &mut sel);
+        self.filter_block_scratch(table, rows, &mut sel, &mut SelectionScratch::new());
         sel
     }
 
-    /// [`Self::filter_block`] writing into a caller-owned selection whose
-    /// allocation is reused — blocks are small (the paper scans 25-row
-    /// blocks), so the scan loop calls this tens of thousands of times per
-    /// query and a per-block allocation would dominate the kernels.
-    pub fn filter_block_into(
-        &self,
-        table: &Table,
-        rows: std::ops::Range<usize>,
-        sel: &mut SelectionVector,
-    ) {
-        let mut scratch = SelectionScratch::new();
-        self.filter_block_scratch(table, rows, sel, &mut scratch);
-    }
-
-    /// [`Self::filter_block_into`] with a caller-owned scratch pool for the
-    /// temporaries `Or` and `Not` need — the form the scan loop uses, so
-    /// nested boolean predicates reuse their buffers across blocks just
-    /// like the root selection.
+    /// [`Self::filter_block`] writing into a caller-owned selection, with a
+    /// caller-owned scratch pool for the temporaries `Or` and `Not` need —
+    /// the form the scan loop uses. Blocks are small (the paper scans
+    /// 25-row blocks), so the loop calls this tens of thousands of times per
+    /// query, and reusing the root selection and the nested boolean
+    /// predicates' buffers across blocks keeps allocation out of the
+    /// kernels.
     pub fn filter_block_scratch(
         &self,
         table: &Table,
@@ -408,20 +397,14 @@ impl BoundPredicate {
         }
     }
 
-    /// Narrows `sel` in place to the rows satisfying this predicate.
+    /// Narrows `sel` in place to the rows satisfying this predicate, drawing
+    /// `Or`/`Not` temporaries from a caller-owned scratch pool.
     ///
     /// Boolean structure composes as selection-set algebra: `And` refines
     /// the selection through each conjunct in turn (intersection, with an
     /// empty-selection early exit), `Or` unions the children's refinements
     /// of the candidate set, and `Not` subtracts the child's matches from
     /// the candidates.
-    pub fn refine(&self, table: &Table, sel: &mut SelectionVector) {
-        let mut scratch = SelectionScratch::new();
-        self.refine_scratch(table, sel, &mut scratch);
-    }
-
-    /// [`Self::refine`] drawing `Or`/`Not` temporaries from a caller-owned
-    /// scratch pool instead of allocating them.
     pub fn refine_scratch(
         &self,
         table: &Table,

@@ -143,16 +143,6 @@ impl Scramble {
         self.zones.get(column)
     }
 
-    /// All bitmap indexes, keyed by column name.
-    pub fn bitmap_indexes(&self) -> &HashMap<String, BlockBitmapIndex> {
-        &self.indexes
-    }
-
-    /// All zone maps, keyed by column name.
-    pub fn zone_maps(&self) -> &HashMap<String, ZoneMap> {
-        &self.zones
-    }
-
     /// The row range of one block.
     pub fn block_rows(&self, block: BlockId) -> std::ops::Range<usize> {
         self.layout.rows_of(block)

@@ -2,7 +2,7 @@
 //!
 //! A [`SelectionVector`] holds the row indexes of one block that survive a
 //! filter, in **strictly ascending** order. Columnar filter kernels
-//! ([`BoundPredicate::refine`](crate::predicate::BoundPredicate::refine))
+//! ([`BoundPredicate::refine_scratch`](crate::predicate::BoundPredicate::refine_scratch))
 //! narrow a selection in place, and the boolean combinators compose as set
 //! operations on sorted index lists: `And` intersects by refining the
 //! selection through each conjunct in turn ([`SelectionVector::retain`]),

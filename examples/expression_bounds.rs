@@ -1,8 +1,8 @@
 //! Aggregating an arbitrary expression of several columns (Appendix B):
 //! derived range bounds let the same guarantees apply to
-//! `AVG((DepDelay - 10)^2)`-style targets, and the example also shows the
-//! optimization-based bounds from `fastframe_core::expr_bounds` for convex
-//! expressions.
+//! `AVG((DepDelay - 10)^2)`-style targets. The engine derives them by
+//! interval arithmetic, which encloses the expression's image and is exact
+//! here, since `DepDelay` occurs once.
 //!
 //! Run with:
 //!
@@ -10,7 +10,6 @@
 //! cargo run --release -p fastframe-tests --example expression_bounds
 //! ```
 
-use fastframe_core::expr_bounds::{convex_bounds, DescentOptions, Interval};
 use fastframe_engine::prelude::*;
 use fastframe_store::catalog::Catalog;
 use fastframe_workloads::flights::{columns, FlightsConfig, FlightsDataset};
@@ -27,32 +26,29 @@ fn main() {
     // i.e. AVG((DepDelay - 10)^2), a dispersion-style aggregate.
     let target = Expr::col(columns::DEP_DELAY).sub(Expr::lit(10.0)).pow(2);
 
-    // 1. Conservative derived range bounds via interval arithmetic (what the
-    //    engine uses automatically).
+    // 1. Derived range bounds via interval arithmetic (what the engine uses
+    //    automatically). DepDelay occurs once, so they are the image's exact
+    //    extremes: 0 where the range straddles 10, else the nearer end's
+    //    square, and the farther end's square.
     let catalog = Catalog::build(&dataset.table);
     let (ia_lo, ia_hi) = target.range_bounds(&catalog).expect("bounds derive");
     println!("interval-arithmetic derived bounds: [{ia_lo:.1}, {ia_hi:.1}]");
-
-    // 2. Tighter bounds from the convex optimizer of Appendix B: the
-    //    expression is convex in DepDelay, so the maximum is at a corner of
-    //    the range box and the minimum is found by projected descent.
     let (a, b) = catalog
         .range_bounds(columns::DEP_DELAY)
         .expect("delay range");
-    let boxes = [Interval::new(a, b).expect("valid range")];
-    let (opt_lo, opt_hi) = convex_bounds(
-        |c: &[f64]| (c[0] - 10.0).powi(2),
-        &boxes,
-        &DescentOptions::default(),
-    )
-    .expect("optimization succeeds");
-    println!("optimization-based derived bounds:   [{opt_lo:.1}, {opt_hi:.1}]");
-    assert!(
-        opt_hi <= ia_hi + 1e-9,
-        "optimizer must not be looser than interval arithmetic"
+    let (da, db) = ((a - 10.0).powi(2), (b - 10.0).powi(2));
+    let image_lo = if a <= 10.0 && 10.0 <= b {
+        0.0
+    } else {
+        da.min(db)
+    };
+    assert_eq!(
+        (ia_lo, ia_hi),
+        (image_lo, da.max(db)),
+        "interval arithmetic is exact for a single-occurrence expression"
     );
 
-    // 3. Run the aggregate approximately and exactly, through the fluent
+    // 2. Run the aggregate approximately and exactly, through the fluent
     //    builder (which re-derives the same range bounds from the catalog).
     let query = session
         .query("flights")

@@ -4,9 +4,12 @@
 use proptest::prelude::*;
 
 use fastframe_core::bounder::{BoundContext, BounderKind, Ci};
-use fastframe_core::expr_bounds::{corner_extrema, Interval};
 use fastframe_core::sum::sum_interval;
 use fastframe_core::variance::RunningMoments;
+use fastframe_store::catalog::Catalog;
+use fastframe_store::column::Column;
+use fastframe_store::expr::Expr;
+use fastframe_store::table::Table;
 
 /// The kinds that wrap their bounder in RangeTrim.
 const RANGE_TRIM_KINDS: [BounderKind; 3] = [
@@ -14,6 +17,84 @@ const RANGE_TRIM_KINDS: [BounderKind; 3] = [
     BounderKind::BernsteinRangeTrim,
     BounderKind::AndersonDkwRangeTrim,
 ];
+
+/// Builds an expression tree over columns `c0..c{columns}` from a stream of
+/// random genes: Add, Sub, Mul, Neg, Abs and Pow (exponent up to 4) inside,
+/// columns and literals at the leaves. Columns may occur many times.
+fn random_expr(genes: &mut impl Iterator<Item = u32>, columns: usize, depth: u32) -> Expr {
+    let gene = genes.next().unwrap_or(0);
+    let leaf = depth == 0 || gene % 8 >= 6;
+    if leaf {
+        return if gene % 5 == 0 {
+            Expr::lit(f64::from(gene % 21) - 10.0)
+        } else {
+            Expr::col(format!("c{}", gene as usize % columns))
+        };
+    }
+    let mut child = || random_expr(genes, columns, depth - 1);
+    match gene % 8 {
+        0 => child().add(child()),
+        1 => child().sub(child()),
+        2 => child().mul(child()),
+        3 => Expr::Neg(Box::new(child())),
+        4 => Expr::Abs(Box::new(child())),
+        _ => child().pow(gene / 8 % 5),
+    }
+}
+
+/// Builds an Add/Sub/Mul/Neg tree in which each of `columns` occurs exactly
+/// once, splitting the columns between the children of each binary node.
+fn single_occurrence_expr(genes: &mut impl Iterator<Item = u32>, columns: &[String]) -> Expr {
+    let gene = genes.next().unwrap_or(0);
+    let node = if let [column] = columns {
+        Expr::col(column.clone())
+    } else {
+        let split = 1 + gene as usize % (columns.len() - 1);
+        let left = single_occurrence_expr(genes, &columns[..split]);
+        let right = single_occurrence_expr(genes, &columns[split..]);
+        match gene / 4 % 3 {
+            0 => left.add(right),
+            1 => left.sub(right),
+            _ => left.mul(right),
+        }
+    };
+    if gene % 4 == 0 {
+        Expr::Neg(Box::new(node))
+    } else {
+        node
+    }
+}
+
+/// A table whose first `2^k` rows are the corners of the box of `ranges` and
+/// whose remaining rows are the points `fractions` pick inside it, so the
+/// catalog's range of column `ci` is `ranges[i]`.
+fn box_table(ranges: &[(f64, f64)], fractions: &[f64]) -> Table {
+    let corners = 1usize << ranges.len();
+    let points = fractions.len() / ranges.len();
+    let columns = ranges
+        .iter()
+        .enumerate()
+        .map(|(i, &(lo, hi))| {
+            let corner_values = (0..corners).map(|c| if c >> i & 1 == 1 { hi } else { lo });
+            let interior = (0..points).map(|p| lo + fractions[p * ranges.len() + i] * (hi - lo));
+            Column::float(format!("c{i}"), corner_values.chain(interior).collect())
+        })
+        .collect();
+    Table::new(columns).unwrap()
+}
+
+/// Strategy: one to four column ranges inside [-100, 150], fractions for
+/// interior points and genes for a tree.
+fn box_and_genes() -> impl Strategy<Value = (Vec<(f64, f64)>, Vec<f64>, Vec<u32>)> {
+    (1usize..5).prop_flat_map(|columns| {
+        (
+            proptest::collection::vec((-100.0f64..100.0, 0.0f64..50.0), columns..columns + 1)
+                .prop_map(|r| r.into_iter().map(|(lo, w)| (lo, lo + w)).collect()),
+            proptest::collection::vec(0.0f64..1.0, columns * 8..columns * 8 + 1),
+            proptest::collection::vec(any::<u32>(), 1..40),
+        )
+    })
+}
 
 /// Strategy: a data range plus a non-empty batch of values inside it.
 fn range_and_values() -> impl Strategy<Value = (f64, f64, Vec<f64>)> {
@@ -151,23 +232,41 @@ proptest! {
         prop_assert!(sum.contains(c * a), "{sum:?} misses {c} * {a}");
     }
 
+    /// Interval arithmetic encloses every evaluation of a random expression
+    /// tree, at every corner of the box and at random interior points.
     #[test]
-    fn corner_extrema_bound_interior_evaluations(
-        lo1 in -100.0f64..100.0, w1 in 0.1f64..50.0,
-        lo2 in -100.0f64..100.0, w2 in 0.1f64..50.0,
-        t1 in 0.0f64..1.0, t2 in 0.0f64..1.0,
+    fn derived_range_encloses_every_evaluation((ranges, fractions, genes) in box_and_genes()) {
+        let expr = random_expr(&mut genes.into_iter(), ranges.len(), 4);
+        let table = box_table(&ranges, &fractions);
+        let (lo, hi) = expr.range_bounds(&Catalog::build(&table)).unwrap();
+        let bound = expr.bind(&table).unwrap();
+        for row in 0..table.num_rows() {
+            let v = bound.evaluate(&table, row).unwrap();
+            prop_assert!(lo <= v && v <= hi, "{expr}: {v} outside [{lo}, {hi}] at row {row}");
+        }
+    }
+
+    /// With each column occurring once in an Add/Sub/Mul/Neg tree, the
+    /// expression is linear in each column, so its extremes over the box lie
+    /// at corners, and interval arithmetic finds them exactly (Moore, 1966).
+    #[test]
+    fn derived_range_is_exact_for_single_occurrence_trees(
+        (ranges, fractions, genes) in box_and_genes()
     ) {
-        // For a multilinear function (linear in each coordinate), the box
-        // extrema are attained at corners, so every interior evaluation lies
-        // within the corner extrema.
-        let f = |c: &[f64]| 3.0 * c[0] - 2.0 * c[1] + 0.5 * c[0] * c[1];
-        let boxes = [
-            Interval::new(lo1, lo1 + w1).unwrap(),
-            Interval::new(lo2, lo2 + w2).unwrap(),
-        ];
-        let (min, max) = corner_extrema(f, &boxes).unwrap();
-        let point = [lo1 + t1 * w1, lo2 + t2 * w2];
-        let v = f(&point);
-        prop_assert!(v >= min - 1e-9 && v <= max + 1e-9);
+        let names: Vec<String> = (0..ranges.len()).map(|i| format!("c{i}")).collect();
+        let expr = single_occurrence_expr(&mut genes.into_iter(), &names);
+        let table = box_table(&ranges, &fractions);
+        let (lo, hi) = expr.range_bounds(&Catalog::build(&table)).unwrap();
+        let bound = expr.bind(&table).unwrap();
+        let corners: Vec<f64> = (0..1usize << ranges.len())
+            .map(|row| bound.evaluate(&table, row).unwrap())
+            .collect();
+        let min = corners.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = corners.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let tolerance = 1e-9 * min.abs().max(max.abs()).max(1.0);
+        prop_assert!(
+            (lo - min).abs() <= tolerance && (hi - max).abs() <= tolerance,
+            "{expr}: [{lo}, {hi}] against corner extremes [{min}, {max}]"
+        );
     }
 }
