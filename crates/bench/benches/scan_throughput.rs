@@ -43,6 +43,15 @@
 //! and the lists are then replayed through `scan_steps`: reads, bytes and
 //! the I/O, CRC-32 and unpack milliseconds of one query.
 //!
+//! A sixth isolates group routing plus estimator update, the layer that
+//! takes each selected row from its GROUP BY codes into its view's record:
+//! Exact full passes of `AVG(DepDelay)` over the in-memory Flights table,
+//! with no predicate, ungrouped and grouped by Airline (10 views), Origin
+//! (100), DayOfWeek × Origin (700) and DayOfWeek × Origin × Airline (the
+//! general router arm), in nanoseconds per selected row. Each pass is also
+//! run on the Flights segment, and the harness asserts every group's
+//! estimate, interval and sample count are bit-identical across backings.
+//!
 //! Results land in `EXPERIMENTS.md`.
 //!
 //! Run with `cargo bench -p fastframe-bench --bench scan_throughput`.
@@ -78,6 +87,7 @@ use fastframe_workloads::queries::all_default_queries;
 const MEM: &str = "mem";
 const DISK: &str = "disk";
 const FLIGHTS: &str = "flights";
+const FLIGHTS_DISK: &str = "flights_disk";
 
 /// Blocks per partition of the sparse-list table: the engine's smallest
 /// partition, the size every round of up to 16 384 blocks is cut into.
@@ -154,6 +164,25 @@ fn run(session: &Session, table: &str, cfg: &EngineConfig) -> (QueryResult, Dura
         .execute()
         .expect("scan_throughput query");
     (result, start.elapsed())
+}
+
+/// Asserts every group of `a` and `b` carries the same key, bit-identical
+/// estimate and interval, and the same sample count.
+fn assert_groups_identical(a: &QueryResult, b: &QueryResult, what: &str) {
+    let bits = |r: &QueryResult| -> Vec<_> {
+        r.groups
+            .iter()
+            .map(|g| {
+                (
+                    g.key.codes.clone(),
+                    g.estimate.map(f64::to_bits),
+                    (g.ci.lo.to_bits(), g.ci.hi.to_bits()),
+                    g.samples,
+                )
+            })
+            .collect()
+    };
+    assert_eq!(bits(a), bits(b), "{what}: groups must be bit-identical");
 }
 
 fn assert_identical(a: &QueryResult, b: &QueryResult, what: &str) {
@@ -465,6 +494,7 @@ fn main() {
         std::process::id()
     ));
     session.save_table(FLIGHTS, &flights_path).unwrap();
+    session.open_table(FLIGHTS_DISK, &flights_path).unwrap();
     let flights_projection = |names: &[&str]| -> Vec<usize> {
         let schema = session.source(FLIGHTS).unwrap().schema();
         let mut projection: Vec<usize> = names
@@ -516,6 +546,61 @@ fn main() {
             format!("{whole:.0}"),
         ]);
     }
+    println!();
+    println!(
+        "## routing and fold — Exact full passes of AVG(DepDelay) over Flights, \
+         no predicate, in memory, {threads} thread(s), median of {runs}"
+    );
+    print_header(&["GROUP BY", "views", "wall", "ns/selected row"]);
+    let groupings: [&[&str]; 5] = [
+        &[],
+        &[fc::AIRLINE],
+        &[fc::ORIGIN],
+        &[fc::DAY_OF_WEEK, fc::ORIGIN],
+        &[fc::DAY_OF_WEEK, fc::ORIGIN, fc::AIRLINE],
+    ];
+    let exact_cfg = EngineConfig::builder().threads(threads).build();
+    for groups in groupings {
+        let query = groups
+            .iter()
+            .fold(AggQuery::avg("fold", Expr::col(fc::DEP_DELAY)), |q, g| {
+                q.group_by(*g)
+            })
+            .build();
+        let exact = |table: &str| {
+            session
+                .prepare(table, &query)
+                .expect("routing query")
+                .with_config(exact_cfg.clone())
+                .execute_exact()
+                .expect("routing query")
+        };
+        let mut walls = Vec::with_capacity(runs);
+        let mut result = None;
+        for _ in 0..runs {
+            let start = Instant::now();
+            result = Some(exact(FLIGHTS));
+            walls.push(start.elapsed());
+        }
+        walls.sort();
+        let wall = walls[runs / 2];
+        let result = result.expect("at least one run");
+        let label = match groups {
+            [] => "none".to_string(),
+            _ => groups.join(" × "),
+        };
+        assert_groups_identical(&result, &exact(FLIGHTS_DISK), &label);
+        print_row(&[
+            label,
+            format!("{}", result.groups.len()),
+            format!("{:.2} ms", wall.as_secs_f64() * 1e3),
+            format!(
+                "{:.2}",
+                wall.as_secs_f64() * 1e9 / result.metrics.rows_selected() as f64
+            ),
+        ]);
+    }
+
     let flights_reader = SegmentReader::open(&flights_path).expect("reopen segment");
     let origin_delay = flights_projection(&[fc::ORIGIN, fc::DEP_DELAY]);
     println!();

@@ -213,9 +213,6 @@ fn enumerate_groups(
     Ok((keys, tuples, lookup))
 }
 
-/// `GroupLookup::view_ids` output for a row that belongs to no view.
-pub(crate) const NO_VIEW: u64 = u32::MAX as u64;
-
 /// Key spaces up to this many entries get a dense table: 256 KiB of `u32`
 /// view ids at most, built once per query. A key space no larger than one
 /// GROUP BY column's dictionary is dense too, so a single-column GROUP BY
@@ -225,22 +222,53 @@ const DENSE_KEYS: u64 = 1 << 16;
 /// Maps a row's GROUP BY codes to its aggregate-view id through one packed
 /// mixed-radix key, `key = Σ codeᵢ · strideᵢ`, where `strideᵢ` is the
 /// product of the earlier columns' dictionary sizes. An ungrouped query is
-/// the zero-column case: every row has key 0. Shared read-only with the
+/// the zero-column case: every row has key 0. A row in no view routes to
+/// the **sink**, the slot one past the last view. Shared read-only with the
 /// scan workers of `crate::parallel`.
 pub(crate) struct GroupLookup {
     /// `(column index, stride)` per GROUP BY column.
     columns: Vec<(usize, u64)>,
     views: KeyTable,
+    /// The slot of a row in no view: the number of views.
+    sink: usize,
 }
 
 /// Where a key's view id is stored: one storage choice behind the one key
 /// computation, fixed by the size of the key space.
 enum KeyTable {
-    /// `table[key]` is the view id, or `u32::MAX` for a key in no view.
+    /// `table[key]` is the view id, or the sink for a key in no view.
     Dense(Vec<u32>),
     /// Key spaces larger than both [`DENSE_KEYS`] and every GROUP BY
     /// column's dictionary: the keys of the universe.
     Sparse(HashMap<u64, u32>),
+}
+
+impl KeyTable {
+    /// The slot of `key`: its view, or `sink` for a key in no view.
+    #[inline]
+    fn slot(&self, key: u64, sink: usize) -> usize {
+        match self {
+            KeyTable::Dense(slots) => dense_slot(slots, key, sink),
+            KeyTable::Sparse(views) => views.get(&key).map_or(sink, |&v| v as usize),
+        }
+    }
+}
+
+/// `slots[key]`, or `sink` past the table's end.
+#[inline]
+fn dense_slot(slots: &[u32], key: u64, sink: usize) -> usize {
+    slots.get(key as usize).map_or(sink, |&v| v as usize)
+}
+
+/// A consumer of one run's router: a function from a row of the run's table
+/// to its slot, a view id or the sink. [`GroupLookup::route`] resolves the
+/// router once per run and hands it over as a concrete closure, so the
+/// consumer's row loop is compiled once per router arm.
+pub(crate) trait WithRouter {
+    /// What the consumer returns.
+    type Output;
+    /// Consumes the router.
+    fn apply(self, route: impl Fn(usize) -> usize) -> Self::Output;
 }
 
 impl GroupLookup {
@@ -273,8 +301,9 @@ impl GroupLookup {
                 }
             })?;
         }
+        let sink = tuples.len();
         let mut views = if space <= dense_cap {
-            KeyTable::Dense(vec![u32::MAX; space as usize])
+            KeyTable::Dense(vec![sink as u32; space as usize])
         } else {
             KeyTable::Sparse(HashMap::with_capacity(tuples.len()))
         };
@@ -298,37 +327,62 @@ impl GroupLookup {
                 }
             }
         }
-        Ok(Self { columns, views })
+        Ok(Self {
+            columns,
+            views,
+            sink,
+        })
     }
 
-    /// Writes the view id of each of `rows` of a block's `table` to `out`
-    /// (resized to `rows.len()`), or [`NO_VIEW`] for a row in no view. One
-    /// columnar pass per GROUP BY column builds the keys, one more maps them
-    /// to view ids in place.
-    pub(crate) fn view_ids(&self, table: &Table, rows: &[u32], out: &mut Vec<u64>) {
-        out.clear();
-        out.resize(rows.len(), 0);
-        for &(ci, stride) in &self.columns {
-            // Binding rejects non-categorical GROUP BY columns, so a column
-            // without codes is a defensive invariant: its rows join no view.
-            let Some(codes) = table.column_at(ci).category_codes() else {
-                out.fill(NO_VIEW);
-                return;
-            };
-            for (key, &row) in out.iter_mut().zip(rows) {
-                *key += u64::from(codes[row as usize]) * stride;
-            }
+    /// The slot of a row in no view, one past the last view.
+    pub(crate) fn sink(&self) -> usize {
+        self.sink
+    }
+
+    /// Hands `consumer` the router of a run's `table`, resolved once for the
+    /// run. Its arms: every row to view 0 (ungrouped); one or two columns
+    /// indexing the dense table; and a general arm, for three or more
+    /// columns or the sparse map, that packs each row's key column by
+    /// column.
+    #[inline]
+    pub(crate) fn route<W: WithRouter>(&self, table: &Table, consumer: W) -> W::Output {
+        let sink = self.sink;
+        // One closure type for both constant routers, so they share one
+        // compiled loop.
+        let constant = |slot: usize| move |_: usize| slot;
+        let codes = |ci: usize| table.column_at(ci).category_codes();
+        // Binding rejects non-categorical GROUP BY columns, so a column
+        // without codes is a defensive invariant: its rows join no view.
+        if self.columns.iter().any(|&(ci, _)| codes(ci).is_none()) {
+            return consumer.apply(constant(sink));
         }
-        match &self.views {
-            KeyTable::Dense(views) => {
-                for key in out.iter_mut() {
-                    *key = views.get(*key as usize).map_or(NO_VIEW, |&v| u64::from(v));
-                }
+        let codes = |ci: usize| codes(ci).unwrap_or_default();
+        match (self.columns.as_slice(), &self.views) {
+            ([], _) => consumer.apply(constant(0)),
+            (&[(c0, _)], KeyTable::Dense(slots)) => {
+                let c0 = codes(c0);
+                consumer.apply(|row| dense_slot(slots, u64::from(c0[row]), sink))
             }
-            KeyTable::Sparse(views) => {
-                for key in out.iter_mut() {
-                    *key = views.get(key).map_or(NO_VIEW, |&v| u64::from(v));
-                }
+            (&[(c0, _), (c1, stride)], KeyTable::Dense(slots)) => {
+                let (c0, c1) = (codes(c0), codes(c1));
+                consumer.apply(|row| {
+                    let key = u64::from(c0[row]) + u64::from(c1[row]) * stride;
+                    dense_slot(slots, key, sink)
+                })
+            }
+            (columns, views) => {
+                // The columns' code slices, gathered once per run.
+                let columns: Vec<(&[u32], u64)> = columns
+                    .iter()
+                    .map(|&(ci, stride)| (codes(ci), stride))
+                    .collect();
+                consumer.apply(|row| {
+                    let key = columns
+                        .iter()
+                        .map(|&(codes, stride)| u64::from(codes[row]) * stride)
+                        .sum();
+                    views.slot(key, sink)
+                })
             }
         }
     }
@@ -1513,11 +1567,19 @@ mod tests {
         );
         assert!(err.to_string().contains("`g`"), "{err}");
 
-        // In range, rows route to their tuple's view or to none.
+        // In range, rows route to their tuple's view or to no view: the
+        // sink, one slot past the last view.
+        struct Slots<'r>(&'r [usize]);
+        impl WithRouter for Slots<'_> {
+            type Output = Vec<usize>;
+            fn apply(self, route: impl Fn(usize) -> usize) -> Vec<usize> {
+                self.0.iter().map(|&row| route(row)).collect()
+            }
+        }
         let lookup = GroupLookup::build(&[0, 1], &t, &[vec![2, 1], vec![0, 0]]).unwrap();
-        let mut views = Vec::new();
-        lookup.view_ids(&t, &[0, 1, 2], &mut views);
-        assert_eq!(views, vec![1, NO_VIEW, NO_VIEW]);
+        let sink = lookup.sink();
+        assert_eq!(sink, 2);
+        assert_eq!(lookup.route(&t, Slots(&[0, 1, 2])), vec![1, sink, sink]);
     }
 
     /// An integer-valued Exact SUM is exactly integral under any partition

@@ -86,13 +86,17 @@
 //! ## Accumulation and merge
 //!
 //! Every scan thread owns a `WorkerScratch`, allocated once per query: a
-//! dense slab with one plain `Copy` [`FlatRecord`] per aggregate view, a
-//! view-id buffer for a run's selected rows, and the selection vectors. A
+//! dense slab with one plain `Copy` [`FlatRecord`] per aggregate view plus
+//! one **sink** record past the last view, and the selection vectors. A
 //! record holds count, sum, shifted sums, extremes and RangeTrim's four
 //! correction sums, one update per value for every bounder kind the engine
-//! runs (see [`fastframe_core::partial`]). A partition fills records and
-//! lists the views it touched; at its end the touched records move into
-//! the `PartitionPartial`'s buffer, in O(touched views).
+//! runs (see [`fastframe_core::partial`]). A row in no view folds into the
+//! sink, which is never handed on, so the row loop has no branch on a
+//! row's view. A partition fills records without listing them; at its end
+//! one sweep over the views moves every record that counted a value into
+//! the `PartitionPartial`'s buffer, in view order, and empties the sink.
+//! The sweep is O(views), the order of the per-round seed copy and of the
+//! round evaluation that already run per view.
 //!
 //! Before each round the coordinator writes every view's **seed** into one
 //! buffer shared with the helpers, reused across rounds
@@ -108,7 +112,9 @@
 //! That buffer and the job's block list are reused: each partition is
 //! queued with a spare set of buffers, which comes back with its partial
 //! and is kept, emptied, for later partitions and rounds. Once the buffers
-//! have grown to a round's size, a partition allocates nothing.
+//! have grown to a round's size, a partition allocates nothing, except the
+//! general router arm's list of its columns' code slices, one small
+//! allocation per run of up to 1 600 rows.
 //!
 //! The coordinator folds the partials into the master views **in partition
 //! order**, each as soon as it and every earlier partition are done, by
@@ -143,13 +149,19 @@
 //!    ([`BlockSource::scan_blocks`] decodes only the columns the query
 //!    references, and the segment backing fetches each run with one read).
 //! 2. The predicate runs as a columnar filter kernel producing a
-//!    [`SelectionVector`].
-//! 3. The group table gives every selected row its view id: one columnar
-//!    pass per GROUP BY column packs the codes into a key, one more looks
-//!    the keys up (`GroupLookup::view_ids`).
-//! 4. The target-value kernel is resolved once per run, and one loop over
-//!    the selected rows, specialised to it, updates each row's view record
-//!    in place.
+//!    [`SelectionVector`]. A query without a predicate skips this step:
+//!    its runs fold their whole row range, never materialised.
+//! 3. The router and the target-value kernel are resolved once per run
+//!    (`GroupLookup::route`, `ValueKernel::for_run`). The router arms are
+//!    ungrouped (view 0), one or two GROUP BY columns indexing the dense
+//!    group table, and a general arm that packs each row's key column by
+//!    column, for three or more columns or the sparse map.
+//! 4. One loop over the selected rows, compiled once per (rows, router
+//!    arm, value kernel), computes each row's view from its GROUP BY codes
+//!    and folds its target value straight into that view's record, or into
+//!    the sink for a row in no view. No view id is written to a buffer
+//!    between the two (the fused pipelines of Neumann, "Efficiently
+//!    Compiling Efficient Query Plans for Modern Hardware", VLDB 2011).
 //!
 //! Blocks stay the unit of planning, skipping and counting: a partition's
 //! `ExecMetrics::blocks_fetched` adds up the blocks of the runs it was
@@ -171,7 +183,7 @@
 //! [`FlatMaster::seed`]: fastframe_core::partial::FlatMaster::seed
 //! [`FlatMaster::absorb`]: fastframe_core::partial::FlatMaster::absorb
 
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::RwLock;
 
@@ -180,11 +192,12 @@ use fastframe_core::partial::FlatRecord;
 
 use fastframe_store::block::BlockId;
 use fastframe_store::expr::BoundExpr;
+use fastframe_store::predicate::BoundPredicate;
 use fastframe_store::selection::{SelectionScratch, SelectionVector};
 use fastframe_store::source::BlockSource;
 use fastframe_store::table::{StoreError, Table};
 
-use crate::executor::{BoundQuery, GroupLookup, NO_VIEW};
+use crate::executor::{BoundQuery, GroupLookup, WithRouter};
 use crate::metrics::ExecMetrics;
 use crate::query::AggregateFunction;
 
@@ -250,8 +263,8 @@ pub(crate) struct ScanContext<'a> {
 struct PartitionBuffers {
     /// The partition's blocks.
     blocks: Vec<BlockId>,
-    /// Touched views' records, in first-touch order (views are independent,
-    /// so the order only has to be deterministic).
+    /// Touched views' records, in view order (views are independent, so the
+    /// order only has to be deterministic).
     views: Vec<(u32, FlatRecord)>,
 }
 
@@ -272,99 +285,55 @@ pub(crate) struct PartitionPartial {
 }
 
 impl PartitionPartial {
-    /// Touched views' records, in first-touch order.
+    /// Touched views' records, in view order.
     pub(crate) fn views(&self) -> &[(u32, FlatRecord)] {
         &self.buffers.views
     }
 }
 
-/// One record per aggregate view for the partition being scanned, and the
-/// views touched so far. An untouched view's record is its seed for the
-/// round, which has counted nothing.
+/// One record per aggregate view for the partition being scanned, then the
+/// **sink**: one more record, past the last view, that folds the rows in no
+/// view and is never handed on. A view the partition has not touched holds
+/// its seed for the round, which has counted nothing.
 struct Slab {
     records: Vec<FlatRecord>,
     /// The round whose seeds the untouched records hold (0: none yet).
     round: u64,
-    /// Views the partition has touched, in first-touch order: the first
-    /// `num_touched` entries. Sized for every view up front, so listing a
-    /// view is a plain store. A `Vec::push` would put its growth call in the
-    /// row loop, and around that call the loop spilled registers on every
-    /// row: about 2 % of Exact's time at one thread, on a 2-vCPU x86-64
-    /// host.
-    touched: Box<[u32]>,
-    num_touched: usize,
 }
 
 impl Slab {
     fn new(num_views: usize) -> Self {
         Self {
-            records: vec![FlatRecord::EMPTY; num_views],
+            records: vec![FlatRecord::EMPTY; num_views + 1],
             round: 0,
-            touched: vec![0; num_views].into(),
-            num_touched: 0,
         }
     }
 
     /// Starts a partition of the round `seeds` belongs to: on the thread's
-    /// first partition of a round, every record becomes its view's seed.
+    /// first partition of a round, every view's record becomes its seed.
     fn begin(&mut self, seeds: &Seeds) {
         if self.round != seeds.round {
-            self.records.copy_from_slice(&seeds.records);
+            self.records[..seeds.records.len()].copy_from_slice(&seeds.records);
             self.round = seeds.round;
         }
     }
 
-    /// Folds a run's selected `rows` into their views' records in row
-    /// order: `views[i]` is the view of `rows[i]` (or [`NO_VIEW`]) and
-    /// `value` its target value. Returns the number of values folded.
-    #[inline]
-    fn fold_rows(
-        &mut self,
-        rows: &[u32],
-        views: &[u64],
-        value: impl Fn(usize) -> Option<f64>,
-    ) -> u64 {
-        let Slab {
-            records,
-            touched,
-            num_touched,
-            ..
-        } = self;
-        let mut folded = 0;
-        for (&row, &view) in rows.iter().zip(views) {
-            if view == NO_VIEW {
-                continue;
-            }
-            let Some(v) = value(row as usize) else {
-                continue;
-            };
-            let record = &mut records[view as usize];
-            if record.is_empty() {
-                touched[*num_touched] = view as u32;
-                *num_touched += 1;
-            }
-            record.observe(v);
-            folded += 1;
-        }
-        folded
-    }
-
-    /// Moves the touched records out into `out`, leaving each its view's
-    /// seed again, in O(touched).
+    /// Moves the records of the views the partition touched out into `out`,
+    /// in view order, leaving each its view's seed again, and empties the
+    /// sink: one sweep over the views.
     fn take_into(&mut self, out: &mut Vec<(u32, FlatRecord)>, seeds: &Seeds) {
-        let records = &mut self.records;
-        out.extend(self.touched[..self.num_touched].iter().map(|&view| {
-            let seed = seeds.records[view as usize];
-            let record = std::mem::replace(&mut records[view as usize], seed);
-            (view, record)
-        }));
-        self.num_touched = 0;
+        let (views, sink) = self.records.split_at_mut(seeds.records.len());
+        for (view, (record, seed)) in views.iter_mut().zip(&seeds.records).enumerate() {
+            if !record.is_empty() {
+                out.push((view as u32, std::mem::replace(record, *seed)));
+            }
+        }
+        sink.fill(FlatRecord::EMPTY);
     }
 }
 
 /// A scan thread's reusable state: allocated once per thread per query,
-/// reset after every partition in O(touched views) and on a new round in
-/// O(views).
+/// reset after every partition and on a new round in O(views).
 struct WorkerScratch {
     slab: Slab,
     /// One selection (plus a scratch pool for Or/Not temporaries) reused
@@ -372,17 +341,19 @@ struct WorkerScratch {
     /// size, so per-run allocation would be a visible share of the kernels.
     sel: SelectionVector,
     filter_scratch: SelectionScratch,
-    /// The view id of each selected row of the run being scanned.
-    views: Vec<u64>,
 }
 
 impl WorkerScratch {
     fn new(ctx: &ScanContext<'_>) -> Self {
+        debug_assert_eq!(
+            ctx.lookup.sink(),
+            ctx.num_views,
+            "the sink follows the views"
+        );
         Self {
             slab: Slab::new(ctx.num_views),
             sel: SelectionVector::empty(),
             filter_scratch: SelectionScratch::new(),
-            views: Vec::new(),
         }
     }
 }
@@ -395,9 +366,10 @@ struct Job {
 
 /// Scans one partition's blocks in block order, a run of consecutive
 /// blocks at a time, producing its partial: projected run reads, columnar
-/// predicate kernels into a [`SelectionVector`], the selected rows' view
-/// ids from the group table, and one in-place update of its view's record
-/// per selected row, each view's values in ascending row order.
+/// predicate kernels into a [`SelectionVector`] (none for a query without a
+/// predicate), and one loop per run that routes each selected row from its
+/// GROUP BY codes straight into its view's record, each view's values in
+/// ascending row order.
 ///
 /// Runs are obtained through one [`BlockSource::scan_blocks`] call: a
 /// zero-copy row range per run for in-memory scrambles, run reads decoding
@@ -416,12 +388,12 @@ fn scan_partition(
         slab,
         sel,
         filter_scratch,
-        views,
     } = scratch;
     slab.begin(seeds);
     let mut exec = ExecMetrics::default();
     let projection = Some(ctx.projection.as_slice());
     let block_size = ctx.source.layout().block_size();
+    let unfiltered = matches!(ctx.bound.predicate, BoundPredicate::True);
     let scanned = ctx
         .source
         .scan_blocks(&buffers.blocks, projection, &mut |_, run| {
@@ -433,14 +405,23 @@ fn scan_partition(
             // doubled block then shows as the two disagreeing.
             let rows = run.len();
             exec.record_run(rows.div_ceil(block_size) as u64, rows as u64);
-            ctx.bound
-                .predicate
-                .filter_block_scratch(table, run.rows(), sel, filter_scratch);
-            exec.record_selected(sel.len() as u64);
-            if !sel.is_empty() {
-                ctx.lookup.view_ids(table, sel.rows(), views);
-                let folded = ValueKernel::for_run(ctx, table).fold(table, slab, sel.rows(), views);
-                exec.record_matches(folded);
+            let rows = if unfiltered {
+                RunRows::All(run.rows())
+            } else {
+                ctx.bound
+                    .predicate
+                    .filter_block_scratch(table, run.rows(), sel, filter_scratch);
+                RunRows::Selected(sel.rows())
+            };
+            let selected = rows.len();
+            exec.record_selected(selected as u64);
+            if selected > 0 {
+                let fold = Fold {
+                    records: &mut slab.records,
+                    rows,
+                    kernel: ValueKernel::for_run(ctx, table),
+                };
+                exec.record_matches(ctx.lookup.route(table, fold));
             }
             ControlFlow::Continue(())
         });
@@ -456,6 +437,76 @@ fn scan_partition(
     }
 }
 
+/// The rows of a run to fold, in ascending order.
+enum RunRows<'s> {
+    /// A query without a predicate: the run's whole row range, never
+    /// materialised as a selection.
+    All(Range<usize>),
+    /// The rows the predicate selected.
+    Selected(&'s [u32]),
+}
+
+impl RunRows<'_> {
+    fn len(&self) -> usize {
+        match self {
+            RunRows::All(rows) => rows.len(),
+            RunRows::Selected(rows) => rows.len(),
+        }
+    }
+}
+
+/// One run's fold, handed the run's router by [`GroupLookup::route`]: the
+/// row loop is compiled once per (rows, router arm, value kernel).
+struct Fold<'s, 'a> {
+    /// The slab's records, the sink last.
+    records: &'s mut [FlatRecord],
+    rows: RunRows<'s>,
+    kernel: ValueKernel<'a>,
+}
+
+impl WithRouter for Fold<'_, '_> {
+    /// The number of values folded into views.
+    type Output = u64;
+
+    #[inline]
+    fn apply(self, route: impl Fn(usize) -> usize) -> u64 {
+        let Fold {
+            records,
+            rows,
+            kernel,
+        } = self;
+        match rows {
+            RunRows::All(rows) => kernel.fold(records, rows, route),
+            RunRows::Selected(rows) => {
+                kernel.fold(records, rows.iter().map(|&row| row as usize), route)
+            }
+        }
+    }
+}
+
+/// Folds each of `rows`, in order, into the record of its slot: `route`
+/// gives a row's view, or the sink (the last record) for a row in no view,
+/// and `value` its target value; a row without one is skipped. Returns the
+/// number of values folded into views, the sink's not counted.
+#[inline]
+fn fold_rows(
+    records: &mut [FlatRecord],
+    rows: impl Iterator<Item = usize>,
+    route: impl Fn(usize) -> usize,
+    value: impl Fn(usize) -> Option<f64>,
+) -> u64 {
+    let sink = records.len() - 1;
+    let mut folded = 0;
+    for row in rows {
+        if let Some(v) = value(row) {
+            let slot = route(row);
+            records[slot].observe(v);
+            folded += u64::from(slot != sink);
+        }
+    }
+    folded
+}
+
 /// Per-run gather strategy for the target expression's value of one
 /// selected row. Resolved once per run so the common cases — COUNT and a
 /// plain column target — read raw storage instead of re-walking the
@@ -468,8 +519,8 @@ enum ValueKernel<'a> {
     Floats(&'a [f64]),
     /// Target is a raw `Int64` column, widened per value.
     Ints(&'a [i64]),
-    /// Composite expression: evaluated per selected row.
-    Expr(&'a BoundExpr),
+    /// Composite expression: evaluated per selected row of the run's table.
+    Expr(&'a BoundExpr, &'a Table),
 }
 
 impl<'a> ValueKernel<'a> {
@@ -486,22 +537,28 @@ impl<'a> ValueKernel<'a> {
                 return ValueKernel::Ints(values);
             }
         }
-        ValueKernel::Expr(&ctx.bound.target)
+        ValueKernel::Expr(&ctx.bound.target, table)
     }
 
-    /// Folds the selected `rows` of `table` into `slab` (see
-    /// [`Slab::fold_rows`]), with the row loop specialised to this kernel.
-    /// A row where the expression has no value is skipped.
-    fn fold(&self, table: &Table, slab: &mut Slab, rows: &[u32], views: &[u64]) -> u64 {
+    /// [`fold_rows`] with the value gather specialised to this kernel.
+    #[inline]
+    fn fold(
+        &self,
+        records: &mut [FlatRecord],
+        rows: impl Iterator<Item = usize>,
+        route: impl Fn(usize) -> usize,
+    ) -> u64 {
         match *self {
-            ValueKernel::One => slab.fold_rows(rows, views, |_| Some(1.0)),
+            ValueKernel::One => fold_rows(records, rows, route, |_| Some(1.0)),
             ValueKernel::Floats(values) => {
-                slab.fold_rows(rows, views, |row| values.get(row).copied())
+                fold_rows(records, rows, route, |row| values.get(row).copied())
             }
-            ValueKernel::Ints(values) => {
-                slab.fold_rows(rows, views, |row| values.get(row).map(|&v| v as f64))
+            ValueKernel::Ints(values) => fold_rows(records, rows, route, |row| {
+                values.get(row).map(|&v| v as f64)
+            }),
+            ValueKernel::Expr(expr, table) => {
+                fold_rows(records, rows, route, |row| expr.evaluate(table, row))
             }
-            ValueKernel::Expr(expr) => slab.fold_rows(rows, views, |row| expr.evaluate(table, row)),
         }
     }
 }
@@ -719,6 +776,205 @@ pub(crate) fn with_round_executor<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::bind_query;
+    use crate::query::AggQuery;
+    use fastframe_core::partial::FlatMaster;
+    use fastframe_store::column::Column;
+    use fastframe_store::expr::Expr;
+    use fastframe_store::predicate::Predicate;
+    use fastframe_store::scramble::Scramble;
+    use fastframe_store::source::BlockRef;
+
+    /// A table with a shape for every router arm: three small categorical
+    /// columns (`a`, `b`, `c`: 3, 4 and 2 codes), two wide ones whose
+    /// 293 × 251 key space takes the sparse map, a float and an int.
+    fn router_table(n: usize) -> Table {
+        let labels = |prefix: &str, code: &dyn Fn(usize) -> usize| {
+            (0..n)
+                .map(|k| format!("{prefix}{}", code(k)))
+                .collect::<Vec<_>>()
+        };
+        Table::new(vec![
+            Column::categorical("a", &labels("a", &|k| k % 3)),
+            Column::categorical("b", &labels("b", &|k| (k / 3) % 4)),
+            Column::categorical("c", &labels("c", &|k| (k / 12) % 2)),
+            Column::categorical("wide1", &labels("w", &|k| k % 293)),
+            Column::categorical("wide2", &labels("x", &|k| k % 251)),
+            Column::float(
+                "x",
+                (0..n)
+                    .map(|k| ((k * 7_919) % 1_013) as f64 / 8.0 - 40.0)
+                    .collect(),
+            ),
+            Column::int("n", (0..n).map(|k| ((k * 31) % 97) as i64 - 20).collect()),
+        ])
+        .unwrap()
+    }
+
+    /// Every router arm (ungrouped; one, two and three dense columns; the
+    /// sparse map) crossed with every value kernel (COUNT, Float, Int,
+    /// Expr), with and without a predicate, over a universe that leaves
+    /// some tuples out: each handed-on record equals a value-by-value
+    /// `FlatRecord::observe` fold of its view's rows in ascending order,
+    /// the sink never reaches a partial, `rows_matched` counts only rows
+    /// with a view and a value, and the slab starts the next partition
+    /// from the seeds.
+    #[test]
+    fn fused_fold_matches_a_value_by_value_fold_on_every_arm_and_kernel() {
+        let source = Scramble::build_with(&router_table(3_000), 7, 10).unwrap();
+        let schema = source.schema();
+        let index = |name: &str| schema.column_index(name).unwrap();
+        let x = index("x");
+        let groupings: [&[&str]; 5] = [
+            &[],
+            &["a"],
+            &["a", "b"],
+            &["a", "b", "c"],
+            &["wide1", "wide2"],
+        ];
+        let kernels = ["count", "float", "int", "expr"];
+        let query = |kernel: &str| match kernel {
+            "count" => AggQuery::count(kernel),
+            "float" => AggQuery::avg(kernel, Expr::col("x")),
+            "int" => AggQuery::avg(kernel, Expr::col("n")),
+            _ => AggQuery::sum(
+                kernel,
+                Expr::col("x").mul(Expr::lit(2.0)).add(Expr::col("n")),
+            ),
+        };
+        // Two partitions scanned with one scratch; the first has holes, so
+        // its runs end early.
+        let blocks: Vec<BlockId> = (0..source.num_blocks()).map(BlockId).collect();
+        let (first, second) = blocks.split_at(blocks.len() / 2);
+        let first: Vec<BlockId> = first
+            .iter()
+            .copied()
+            .filter(|b| b.index() % 5 != 3)
+            .collect();
+        for groups in groupings {
+            let columns: Vec<usize> = groups.iter().map(|g| index(g)).collect();
+            let codes = |table: &Table, row: usize| -> Vec<u32> {
+                columns
+                    .iter()
+                    .map(|&ci| table.column_at(ci).category_code(row).unwrap())
+                    .collect()
+            };
+            // The universe in first-appearance order, every third tuple
+            // left out so that some rows belong to no view.
+            let mut tuples: Vec<Vec<u32>> = Vec::new();
+            let all = source.table();
+            for row in 0..all.num_rows() {
+                let tuple = codes(all, row);
+                if !tuples.contains(&tuple) {
+                    tuples.push(tuple);
+                }
+            }
+            if !groups.is_empty() {
+                tuples = tuples
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(i, _)| i % 3 != 1)
+                    .map(|(_, t)| t)
+                    .collect();
+            }
+            let lookup = GroupLookup::build(&columns, schema, &tuples).unwrap();
+            let num_views = tuples.len();
+            // Even views start from a seed holding a shift and extremes,
+            // odd views from the empty record.
+            let seeds = Seeds {
+                round: 1,
+                records: (0..num_views)
+                    .map(|view| {
+                        let mut master = FlatMaster::EMPTY;
+                        if view % 2 == 0 {
+                            master.seed();
+                            let mut record = FlatRecord::EMPTY;
+                            record.observe(view as f64 - 3.0);
+                            record.observe(view as f64 + 5.0);
+                            master.absorb(&record);
+                        }
+                        master.seed()
+                    })
+                    .collect(),
+            };
+            for kernel in kernels {
+                for filtered in [false, true] {
+                    let mut query = groups.iter().fold(query(kernel), |q, g| q.group_by(*g));
+                    if filtered {
+                        query = query.filter(Predicate::num_gt("x", 0.0));
+                    }
+                    let query = query.build();
+                    let bound = bind_query(&source, &query).unwrap();
+                    let ctx = ScanContext {
+                        source: &source,
+                        bound: &bound,
+                        aggregate: query.aggregate,
+                        lookup: &lookup,
+                        num_views,
+                        projection: (0..schema.num_columns()).collect(),
+                    };
+                    let case = format!("{groups:?} {} filtered={filtered}", query.name);
+                    let mut scratch = WorkerScratch::new(&ctx);
+                    let mut sunk = 0;
+                    for (index, blocks) in [&first, second].into_iter().enumerate() {
+                        // The reference: every row of the partition, one at
+                        // a time, in ascending order.
+                        let mut expected = seeds.records.clone();
+                        let mut folded = 0;
+                        let mut visit = |_, run: BlockRef<'_>| {
+                            let table = run.table();
+                            for row in run.rows() {
+                                let x = table.column_at(x).numeric_value(row).unwrap();
+                                if filtered && x <= 0.0 {
+                                    continue;
+                                }
+                                let value = match query.aggregate {
+                                    AggregateFunction::Count => 1.0,
+                                    _ => bound.target.evaluate(table, row).unwrap(),
+                                };
+                                let tuple = codes(table, row);
+                                match tuples.iter().position(|t| *t == tuple) {
+                                    Some(view) => {
+                                        expected[view].observe(value);
+                                        folded += 1;
+                                    }
+                                    None => sunk += 1,
+                                }
+                            }
+                            ControlFlow::Continue(())
+                        };
+                        source.scan_blocks(blocks, None, &mut visit).unwrap();
+
+                        let job = Job {
+                            index,
+                            buffers: PartitionBuffers {
+                                blocks: blocks.to_vec(),
+                                views: Vec::new(),
+                            },
+                        };
+                        let partial = scan_partition(&ctx, &seeds, &mut scratch, job);
+                        assert!(partial.error.is_none(), "{case}");
+                        assert_eq!(partial.exec.rows_matched, folded, "{case}");
+                        let handed: Vec<u32> = partial.views().iter().map(|&(v, _)| v).collect();
+                        let touched: Vec<u32> = (0..num_views as u32)
+                            .filter(|&v| !expected[v as usize].is_empty())
+                            .collect();
+                        assert_eq!(handed, touched, "{case}: the touched views, in view order");
+                        for (view, record) in partial.views() {
+                            assert_eq!(*record, expected[*view as usize], "{case} view {view}");
+                        }
+                        assert_eq!(
+                            scratch.slab.records[..num_views],
+                            seeds.records[..],
+                            "{case}"
+                        );
+                        assert_eq!(scratch.slab.records[num_views], FlatRecord::EMPTY, "{case}");
+                    }
+                    assert_eq!(sunk > 0, !groups.is_empty(), "{case}: rows in no view");
+                }
+            }
+        }
+    }
 
     #[test]
     fn partition_size_is_thread_count_independent() {
