@@ -14,7 +14,7 @@
 //!    `(6/π²)·δ_view/k²` (Algorithm 5); each round's share is further split
 //!    between the dataset-size bound `N⁺` and the mean CI (Theorem 3).
 //! 3. **Scan** blocks of the scramble starting from a random position,
-//!    skipping blocks according to the sampling strategy (predicate bitmap
+//!    skipping blocks according to the sampling strategy (the query's mask
 //!    for all strategies, active-group bitmaps for ActiveSync/ActivePeek).
 //!    One inline [`BlockPlanner`] decides a batch of blocks at a time on the
 //!    coordinating thread, for every strategy and pass.
@@ -104,7 +104,6 @@ pub(crate) struct BoundQuery {
     pub(crate) predicate: BoundPredicate,
     group_cols: Vec<usize>,
     range: (f64, f64),
-    predicate_eq: Option<(String, u32)>,
     /// Upper bound on the number of aggregate views, used to split δ.
     view_parts: usize,
 }
@@ -149,20 +148,11 @@ pub(crate) fn bind_query(source: &dyn BlockSource, query: &AggQuery) -> EngineRe
         });
     }
 
-    let predicate_eq = query.filter.categorical_equality().and_then(|(col, val)| {
-        table
-            .column(col)
-            .ok()
-            .and_then(|c| c.code_of(val))
-            .map(|code| (col.to_string(), code))
-    });
-
     Ok(BoundQuery {
         target,
         predicate,
         group_cols,
         range,
-        predicate_eq,
         view_parts: view_parts.max(1),
     })
 }
@@ -613,19 +603,13 @@ pub(crate) fn run(
         projection,
     };
 
-    // Numeric range conjuncts feed zone-map block skipping (all strategies).
-    // Exact has nothing to probe, so its planner fetches every block.
-    let mut planner = match pass {
-        Pass::Approximate => BlockPlanner::new(
-            source,
-            &query.group_by,
-            &tuples,
-            bound.predicate_eq.clone(),
-            &query.filter.range_filters(),
-            config.strategy,
-        ),
-        Pass::Exact => BlockPlanner::new(source, &[], &[], None, &[], SamplingStrategy::Scan),
+    // The predicate's mask prunes blocks under every strategy. Exact has
+    // nothing to probe, so its planner fetches every block.
+    let (group_by, predicate, strategy) = match pass {
+        Pass::Approximate => (&query.group_by[..], &bound.predicate, config.strategy),
+        Pass::Exact => (&[][..], &BoundPredicate::True, SamplingStrategy::Scan),
     };
+    let mut planner = BlockPlanner::new(source, group_by, &tuples, predicate, strategy);
     with_round_executor(&scan_ctx, threads, |rexec| {
         run_scan_loop(
             source,
@@ -781,11 +765,11 @@ fn run_scan_loop(
         let checks = planner.plan(&batch, &state.active);
         state.stats.record_index_checks(checks);
 
-        for (i, (&block, &fetch)) in batch.iter().zip(planner.decisions()).enumerate() {
+        for (&block, &fetch) in batch.iter().zip(planner.decisions()) {
             let rows = source.block_rows(block);
             let block_rows = (rows.end - rows.start) as u64;
             if !fetch {
-                state.record_skip(block_rows, planner.skip_reason(i));
+                state.record_skip(block_rows, planner.skip_reason(block));
                 continue;
             }
             if let Some(cap) = sink.budget.max_rows {

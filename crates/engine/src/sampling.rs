@@ -4,8 +4,8 @@
 //! random position), which preserves the without-replacement sampling
 //! semantics of the scramble; they differ in which blocks they *skip*:
 //!
-//! * [`SamplingStrategy::Scan`] skips only blocks that cannot satisfy a fixed
-//!   categorical equality predicate (when one exists and is indexed);
+//! * [`SamplingStrategy::Scan`] skips only blocks the query's predicate
+//!   rules out;
 //! * [`SamplingStrategy::ActiveSync`] additionally skips blocks containing no
 //!   rows of any *active* group, deciding each batch against the active set
 //!   current when the batch is planned;
@@ -19,12 +19,12 @@
 //! for every strategy and for the Exact pass (a planner with nothing to
 //! probe).
 //!
-//! Independently of the strategy, two predicate-level pruning mechanisms
-//! apply to every block: the categorical equality bitmap (as before) and
-//! per-block **zone maps** for numeric range conjuncts (`DepTime > $t`
-//! fetches no block whose `[min, max]` sits entirely at or below `$t`).
-//! Both work through the [`BlockSource`] metadata surface, so in-memory
-//! scrambles and on-disk segments plan identically.
+//! Which blocks the predicate rules out depends only on the query, so each
+//! planner computes it once: one **admitted-block mask** from the bitmap
+//! indexes of categorical equalities and the per-block **zone maps** of
+//! numeric comparisons (`DepTime > $t` admits no block whose `[min, max]`
+//! sits at or below `$t`). Both come through the [`BlockSource`] metadata
+//! surface, so in-memory scrambles and on-disk segments plan identically.
 //!
 //! Planning composes with the partitioned scan pipeline of
 //! `crate::parallel`: the planner decides *which* blocks a round fetches,
@@ -37,8 +37,9 @@ use std::sync::Arc;
 
 use fastframe_store::bitmap::BlockBitmapIndex;
 use fastframe_store::block::BlockId;
+use fastframe_store::predicate::BoundPredicate;
 use fastframe_store::source::BlockSource;
-use fastframe_store::zone::{RangeFilter, ZoneMap};
+use fastframe_store::zone::RangeFilter;
 
 use crate::config::SamplingStrategy;
 
@@ -53,8 +54,6 @@ pub(crate) struct ActiveSet {
     pub(crate) initialized: bool,
     /// Bit `id` is set iff group `id` is active (ids past the end are not).
     members: Vec<u64>,
-    /// Number of active groups.
-    len: usize,
 }
 
 impl ActiveSet {
@@ -69,25 +68,16 @@ impl ActiveSet {
     /// An initialized active set of the given group ids.
     pub(crate) fn of(ids: impl IntoIterator<Item = usize>) -> Self {
         let mut members = Vec::new();
-        let mut len = 0;
         for id in ids {
             if members.len() <= id / 64 {
                 members.resize(id / 64 + 1, 0);
             }
-            let bit = 1u64 << (id % 64);
-            len += usize::from(members[id / 64] & bit == 0);
-            members[id / 64] |= bit;
+            members[id / 64] |= 1u64 << (id % 64);
         }
         Self {
             initialized: true,
             members,
-            len,
         }
-    }
-
-    /// Whether no group is active (only meaningful once initialized).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.initialized && self.len == 0
     }
 
     /// Whether group `id` is active (every group is before initialization).
@@ -119,8 +109,8 @@ impl ActiveSet {
 /// the block's rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Skip {
-    /// The predicate's bitmap or a zone map rules out every row of the
-    /// block, so it holds none of any view's rows.
+    /// The query's admitted-block mask rules the block out: no row of it
+    /// matches the predicate, so it holds none of any view's rows.
     Pruned,
     /// No group of the set the batch was decided against has rows in the
     /// block (active scanning). It may hold other groups' rows.
@@ -130,18 +120,15 @@ pub(crate) enum Skip {
 /// The per-query block planner: decides, one batch of blocks at a time,
 /// which blocks to fetch.
 ///
-/// A batch is decided word-parallel. Each run of consecutive block ids in it
-/// (one, or two when the batch wraps past the last block) covers a range of
-/// 64-block bitmap words. Per word, the planner starts from the run's bits
-/// and ANDs in the predicate bitmap's word. With active skipping it then
-/// ORs, over the active groups, the AND of each group's GROUP BY code
-/// bitmaps, ANDed into what is still undecided, so a word stops costing
-/// probes once every candidate block in it is covered. Zone maps are
-/// tested last, once per surviving block. The fetched blocks are exactly
-/// those a per-block probe of every condition would fetch. A block no
-/// active group covers is skipped as [`Skip::Inactive`], whatever its zone
-/// map says; one the predicate bitmap or a zone map rules out otherwise as
-/// [`Skip::Pruned`].
+/// It computes the query's admitted-block mask once, when it is built
+/// ([`admitted_blocks`]). A batch is decided word-parallel. Each run of
+/// consecutive block ids in it (one, or two when the batch wraps past the
+/// last block) covers a range of 64-block words. Per word, the planner ANDs
+/// the run's bits with the mask's word. With active skipping it then ORs,
+/// over the active groups, the AND of each group's GROUP BY code bitmaps,
+/// ANDed into what is still undecided, so a word stops costing probes once
+/// every candidate block in it is covered. A skipped block outside the mask
+/// is [`Skip::Pruned`]; any other is [`Skip::Inactive`].
 pub(crate) struct BlockPlanner<'a> {
     /// Bitmap indexes of the GROUP BY columns, in query order (columns
     /// without an index are `None` and treated as "always present", which
@@ -150,13 +137,12 @@ pub(crate) struct BlockPlanner<'a> {
     /// Every group's dictionary codes over the GROUP BY columns, indexed by
     /// view id: the code table an [`ActiveSet`]'s ids refer to.
     tuples: &'a [Vec<u32>],
-    /// Bitmap index and code for a categorical equality predicate, if the
-    /// query has one on an indexed column.
-    predicate_index: Option<(&'a BlockBitmapIndex, u32)>,
-    /// Zone maps and range filters for the query's numeric range conjuncts,
-    /// in predicate extraction order (only conjuncts whose column has a zone
-    /// map; the rest cannot rule blocks out).
-    zone_filters: Vec<(&'a ZoneMap, RangeFilter)>,
+    /// The query's admitted-block mask, one bit per block; `None` when the
+    /// predicate rules no block out.
+    admitted: Option<Vec<u64>>,
+    /// Zone-map tests made building the mask, not yet reported by
+    /// [`plan`](Self::plan).
+    unreported_checks: u64,
     /// Whether group-level (active-scanning) skipping is enabled.
     use_active_skipping: bool,
     /// Whether a batch is decided against the active set handed in with the
@@ -168,9 +154,6 @@ pub(crate) struct BlockPlanner<'a> {
     planned_with: Arc<ActiveSet>,
     /// The latest batch's fetch decisions, one per block.
     decisions: Vec<bool>,
-    /// Bit `i` is set iff the latest batch's block `i` was skipped as
-    /// [`Skip::Inactive`].
-    inactive: Vec<u64>,
     /// Per word of the run being planned: its fetch mask so far, and the
     /// candidate blocks no active group has covered yet.
     mask: Vec<u64>,
@@ -180,45 +163,36 @@ pub(crate) struct BlockPlanner<'a> {
 }
 
 impl<'a> BlockPlanner<'a> {
-    /// Builds the planner of a query over `source`. Exact's planner has
-    /// nothing to probe (no columns, no predicate, `Scan`), so it fetches
+    /// Builds the planner of a query over `source`, computing the query's
+    /// admitted-block mask from `predicate`. Exact's planner has nothing to
+    /// probe (no columns, [`BoundPredicate::True`], `Scan`), so it fetches
     /// every block with zero index checks.
     ///
     /// `group_columns` are the GROUP BY column names and `tuples` the
-    /// groups' code tuples over them, indexed by view id; `predicate_eq` is
-    /// the `(column, code)` of a categorical equality predicate if one
-    /// exists; `range_filters` are the predicate's numeric range conjuncts
-    /// (see [`fastframe_store::predicate::Predicate::range_filters`]),
-    /// matched here against the source's zone maps.
+    /// groups' code tuples over them, indexed by view id.
     pub(crate) fn new(
         source: &'a dyn BlockSource,
         group_columns: &[String],
         tuples: &'a [Vec<u32>],
-        predicate_eq: Option<(String, u32)>,
-        range_filters: &[(String, RangeFilter)],
+        predicate: &BoundPredicate,
         strategy: SamplingStrategy,
     ) -> Self {
         let group_indexes = group_columns
             .iter()
             .map(|c| source.bitmap_index(c))
             .collect();
-        let predicate_index =
-            predicate_eq.and_then(|(col, code)| source.bitmap_index(&col).map(|idx| (idx, code)));
-        let zone_filters = range_filters
-            .iter()
-            .filter_map(|(col, filter)| source.zone_map(col).map(|z| (z, *filter)))
-            .collect();
+        let mut unreported_checks = 0;
+        let admitted = admitted_blocks(source, predicate, &mut unreported_checks);
         Self {
             group_indexes,
             tuples,
-            predicate_index,
-            zone_filters,
+            admitted,
+            unreported_checks,
             use_active_skipping: strategy != SamplingStrategy::Scan,
             one_batch_stale: strategy == SamplingStrategy::ActivePeek,
             previous: None,
             planned_with: Arc::new(ActiveSet::all_active()),
             decisions: Vec::new(),
-            inactive: Vec::new(),
             mask: Vec::new(),
             uncovered: Vec::new(),
             group_bitmaps: Vec::new(),
@@ -226,11 +200,12 @@ impl<'a> BlockPlanner<'a> {
     }
 
     /// Decides the next batch of `blocks` given the caller's current
-    /// `active` set, and returns the number of index checks made: bitmap
-    /// words examined plus zone-map tests. The decisions are then read
-    /// with [`decisions`](Self::decisions). ActivePeek decides against the
-    /// set handed in with the previous batch (its first batch against its
-    /// own); the other strategies against `active`.
+    /// `active` set, and returns the number of index checks made: mask
+    /// words ANDed plus group-bitmap words examined, and on the first call
+    /// also the zone-map tests made building the mask. The decisions are
+    /// then read with [`decisions`](Self::decisions). ActivePeek decides
+    /// against the set handed in with the previous batch (its first batch
+    /// against its own); the other strategies against `active`.
     pub(crate) fn plan(&mut self, blocks: &[BlockId], active: &Arc<ActiveSet>) -> u64 {
         let previous = if self.one_batch_stale {
             self.previous.replace(Arc::clone(active))
@@ -240,14 +215,7 @@ impl<'a> BlockPlanner<'a> {
         self.planned_with = previous.unwrap_or_else(|| Arc::clone(active));
         self.decisions.clear();
         self.decisions.resize(blocks.len(), false);
-        self.inactive.clear();
-        self.inactive.resize(blocks.len().div_ceil(64), 0);
-        if self.use_active_skipping && self.planned_with.is_empty() {
-            // Stopping condition met; no block needs fetching.
-            self.inactive.fill(u64::MAX);
-            return 0;
-        }
-        let mut checks = 0;
+        let mut checks = std::mem::take(&mut self.unreported_checks);
         let mut start = 0;
         while start < blocks.len() {
             let first = blocks[start].index();
@@ -268,12 +236,12 @@ impl<'a> BlockPlanner<'a> {
         &self.decisions
     }
 
-    /// Why the latest batch's block `i`, which is not fetched, was skipped.
-    pub(crate) fn skip_reason(&self, i: usize) -> Skip {
-        if self.inactive[i / 64] & (1u64 << (i % 64)) != 0 {
-            Skip::Inactive
-        } else {
-            Skip::Pruned
+    /// Why `block`, which the latest batch does not fetch, was skipped.
+    pub(crate) fn skip_reason(&self, block: BlockId) -> Skip {
+        let b = block.index();
+        match &self.admitted {
+            Some(words) if words[b / 64] & (1u64 << (b % 64)) == 0 => Skip::Pruned,
+            _ => Skip::Inactive,
         }
     }
 
@@ -294,51 +262,15 @@ impl<'a> BlockPlanner<'a> {
             let hi = ((w + 1) * 64).min(first + len) - w * 64;
             (u64::MAX >> (64 - (hi - lo))) << lo
         }));
-
-        // Predicate-level skipping applies to every strategy.
-        if let Some((idx, code)) = self.predicate_index {
-            let words = idx.bitmap(code).map(|bs| &bs.words()[w0..=w1]);
-            for (i, m) in self.mask.iter_mut().enumerate() {
+        if let Some(admitted) = &self.admitted {
+            for (m, &word) in self.mask.iter_mut().zip(&admitted[w0..=w1]) {
                 checks += 1;
-                *m &= words.map_or(0, |words| words[i]);
+                *m &= word;
             }
         }
-
         if self.use_active_skipping && self.planned_with.initialized {
             checks += self.cover_by_active_groups(w0, w1);
-            // The blocks no active group covers are skipped as inactive.
-            for (i, &word) in self.uncovered.iter().enumerate() {
-                let mut rest = word;
-                while rest != 0 {
-                    let bit = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    let position = at + (w0 + i) * 64 + bit - first;
-                    self.inactive[position / 64] |= 1u64 << (position % 64);
-                }
-            }
         }
-
-        // Zone-map skipping for numeric range conjuncts, likewise
-        // strategy-independent: a block whose [min, max] misses a conjunct's
-        // range contains no matching row.
-        if !self.zone_filters.is_empty() {
-            for (i, m) in self.mask.iter_mut().enumerate() {
-                let mut rest = *m;
-                while rest != 0 {
-                    let bit = rest.trailing_zeros();
-                    rest &= rest - 1;
-                    let block = BlockId((w0 + i) * 64 + bit as usize);
-                    for (zone, filter) in &self.zone_filters {
-                        checks += 1;
-                        if !zone.block_may_match(block, *filter) {
-                            *m &= !(1u64 << bit);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-
         for (j, decision) in self.decisions[at..at + len].iter_mut().enumerate() {
             let block = first + j;
             *decision = self.mask[block / 64 - w0] & (1u64 << (block % 64)) != 0;
@@ -349,8 +281,7 @@ impl<'a> BlockPlanner<'a> {
     /// Narrows the mask of words `w0..=w1` to the blocks some active group
     /// could have rows in: for every indexed GROUP BY column, the group's
     /// code appears in the block. Columns without an index cannot rule a
-    /// group out (all ones). The candidate blocks no group covers are left
-    /// in `uncovered`. Returns the bitmap words examined.
+    /// group out (all ones). Returns the bitmap words examined.
     fn cover_by_active_groups(&mut self, w0: usize, w1: usize) -> u64 {
         let mut checks = 0;
         self.uncovered.clear();
@@ -400,13 +331,66 @@ impl<'a> BlockPlanner<'a> {
     }
 }
 
+/// The query's admitted-block mask, one bit per block (`None` if the
+/// predicate rules no block out), by one arm per shape: `True` and `Not`
+/// rule nothing out; `CatEq` admits its code's bitmap; a numeric comparison
+/// admits the blocks its column's zone map may match
+/// ([`block_may_match`](fastframe_store::zone::ZoneMap::block_may_match)),
+/// adding each test to `checks`; `And` and `Or` AND and OR their children's
+/// masks. A column without an index or zone map rules nothing out.
+fn admitted_blocks(
+    source: &dyn BlockSource,
+    predicate: &BoundPredicate,
+    checks: &mut u64,
+) -> Option<Vec<u64>> {
+    let (n, words) = (source.num_blocks(), source.num_blocks().div_ceil(64));
+    let name = |column: usize| source.schema().column_at(column).name();
+    let mut zone = |column: usize, filter: RangeFilter| {
+        let map = source.zone_map(name(column))?;
+        *checks += n as u64;
+        let word = |w: usize| {
+            (w * 64..(w * 64 + 64).min(n)).fold(0u64, |word, b| {
+                word | u64::from(map.block_may_match(BlockId(b), filter)) << (b % 64)
+            })
+        };
+        Some((0..words).map(word).collect())
+    };
+    match predicate {
+        BoundPredicate::True | BoundPredicate::Not(_) => None,
+        BoundPredicate::CatEq { column, code } => source.bitmap_index(name(*column)).map(|index| {
+            (index.bitmap(*code)).map_or_else(|| vec![0; words], |bits| bits.words().to_vec())
+        }),
+        BoundPredicate::NumGt { column, threshold } => zone(*column, RangeFilter::Gt(*threshold)),
+        BoundPredicate::NumLt { column, threshold } => zone(*column, RangeFilter::Lt(*threshold)),
+        BoundPredicate::NumBetween { column, low, high } => {
+            zone(*column, RangeFilter::Between(*low, *high))
+        }
+        BoundPredicate::And(children) => children
+            .iter()
+            .filter_map(|c| admitted_blocks(source, c, checks))
+            .reduce(|mut all, mask| {
+                all.iter_mut().zip(&mask).for_each(|(a, m)| *a &= m);
+                all
+            }),
+        BoundPredicate::Or(children) => children
+            .iter()
+            .map(|c| admitted_blocks(source, c, checks))
+            .collect::<Option<Vec<_>>>()?
+            .into_iter()
+            .reduce(|mut any, mask| {
+                any.iter_mut().zip(&mask).for_each(|(a, m)| *a |= m);
+                any
+            }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use fastframe_store::column::Column;
+    use fastframe_store::predicate::Predicate;
     use fastframe_store::scramble::Scramble;
     use fastframe_store::table::Table;
-    use fastframe_store::zone::RangeFilter;
 
     /// 200 rows, block size 25 → 8 blocks. Group column `g` has value "hot"
     /// only in rows 0..25 of the *original* table; after scrambling it is
@@ -455,9 +439,8 @@ mod tests {
         let set = ActiveSet::of([130, 3, 64, 3]);
         assert_eq!(set.ids().collect::<Vec<_>>(), vec![3, 64, 130]);
         assert!(set.contains(64) && !set.contains(65) && !set.contains(10_000));
-        assert!(!set.is_empty());
         let all = ActiveSet::all_active();
-        assert!(all.contains(10_000) && !all.is_empty());
+        assert!(all.contains(10_000));
         assert_eq!(all.ids().count(), 0);
     }
 
@@ -468,8 +451,7 @@ mod tests {
             &s,
             &["g".to_string()],
             &[],
-            None,
-            &[],
+            &BoundPredicate::True,
             SamplingStrategy::Scan,
         );
         // Even with an "initialized" active set that excludes everything,
@@ -484,9 +466,9 @@ mod tests {
     fn predicate_skipping_applies_to_all_strategies() {
         let s = scramble();
         let p_code = s.table().column("p").unwrap().code_of("yes").unwrap();
+        let predicate = Predicate::cat_eq("p", "yes").bind(s.table()).unwrap();
         for strategy in SamplingStrategy::ALL {
-            let mut planner =
-                BlockPlanner::new(&s, &[], &[], Some(("p".to_string(), p_code)), &[], strategy);
+            let mut planner = BlockPlanner::new(&s, &[], &[], &predicate, strategy);
             let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
             let (decisions, checks) = plan(&mut planner, &blocks, ActiveSet::all_active());
             // "yes" appears in every block with overwhelming probability
@@ -496,7 +478,8 @@ mod tests {
             for (i, d) in decisions.iter().enumerate() {
                 assert_eq!(*d, idx.block_contains(p_code, BlockId(i)));
             }
-            // Eight blocks are one bitmap word.
+            // Eight blocks are one mask word; a bitmap costs no test to
+            // turn into the mask.
             assert_eq!(checks, 1);
         }
     }
@@ -510,8 +493,7 @@ mod tests {
             &s,
             &["g".to_string()],
             &tuples,
-            None,
-            &[],
+            &BoundPredicate::True,
             SamplingStrategy::ActiveSync,
         );
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
@@ -527,9 +509,8 @@ mod tests {
         let s = scramble();
         // The scramble's "x" column is 0..200 permuted; with 8 blocks, each
         // block's zone range is known from the data itself.
-        let filters = vec![("x".to_string(), RangeFilter::Gt(150.0))];
-        let mut planner = BlockPlanner::new(&s, &[], &[], None, &filters, SamplingStrategy::Scan);
-        assert_eq!(planner.zone_filters.len(), 1);
+        let gt = |threshold: f64| Predicate::num_gt("x", threshold).bind(s.table()).unwrap();
+        let mut planner = BlockPlanner::new(&s, &[], &[], &gt(150.0), SamplingStrategy::Scan);
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
         let (decisions, checks) = plan(&mut planner, &blocks, ActiveSet::all_active());
         let zone = s.zone_map("x").unwrap();
@@ -537,18 +518,24 @@ mod tests {
             let (_, max) = zone.block_range(BlockId(i)).unwrap();
             assert_eq!(*d, max > 150.0, "block {i}");
         }
-        assert_eq!(checks, blocks.len() as u64);
-        // A filter nothing satisfies skips every block; an unknown column
-        // has no zone map and cannot skip anything.
-        let filters = vec![("x".to_string(), RangeFilter::Gt(1e9))];
-        let mut planner = BlockPlanner::new(&s, &[], &[], None, &filters, SamplingStrategy::Scan);
+        // One zone-map test per block, made once when the mask is built,
+        // plus the batch's one mask word; a later batch pays the word only.
+        assert_eq!(checks, blocks.len() as u64 + 1);
+        assert_eq!(plan(&mut planner, &blocks, ActiveSet::all_active()).1, 1);
+        // A filter nothing satisfies skips every block; a column without a
+        // zone map (the categorical `g`) cannot skip anything or cost a
+        // check.
+        let mut planner = BlockPlanner::new(&s, &[], &[], &gt(1e9), SamplingStrategy::Scan);
         let (decisions, _) = plan(&mut planner, &blocks, ActiveSet::all_active());
         assert!(decisions.iter().all(|&d| !d));
-        let filters = vec![("missing".to_string(), RangeFilter::Gt(1e9))];
-        let mut planner = BlockPlanner::new(&s, &[], &[], None, &filters, SamplingStrategy::Scan);
-        assert!(planner.zone_filters.is_empty());
-        let (decisions, _) = plan(&mut planner, &blocks, ActiveSet::all_active());
+        let unmapped = BoundPredicate::NumGt {
+            column: s.table().column_index("g").unwrap(),
+            threshold: 1e9,
+        };
+        let mut planner = BlockPlanner::new(&s, &[], &[], &unmapped, SamplingStrategy::Scan);
+        let (decisions, checks) = plan(&mut planner, &blocks, ActiveSet::all_active());
         assert!(decisions.iter().all(|&d| d));
+        assert_eq!(checks, 0);
     }
 
     #[test]
@@ -558,8 +545,7 @@ mod tests {
             &s,
             &["g".to_string()],
             &[],
-            None,
-            &[],
+            &BoundPredicate::True,
             SamplingStrategy::ActivePeek,
         );
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
@@ -574,15 +560,16 @@ mod tests {
             &s,
             &["g".to_string()],
             &[],
-            None,
-            &[],
+            &BoundPredicate::True,
             SamplingStrategy::ActiveSync,
         );
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
         let (decisions, _) = plan(&mut planner, &blocks, ActiveSet::of([]));
         assert!(decisions.iter().all(|&d| !d));
-        assert!(ActiveSet::of([]).is_empty());
-        assert!(!ActiveSet::all_active().is_empty());
+        // Without a predicate, every skip is inactive.
+        assert!(blocks
+            .iter()
+            .all(|&b| planner.skip_reason(b) == Skip::Inactive));
     }
 
     #[test]
@@ -609,8 +596,7 @@ mod tests {
             &s,
             &["c1".to_string(), "c2".to_string()],
             &tuples,
-            None,
-            &[],
+            &BoundPredicate::True,
             SamplingStrategy::ActiveSync,
         );
         let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
@@ -645,8 +631,7 @@ mod tests {
                 &s,
                 &group_by,
                 &tuples,
-                None,
-                &[],
+                &BoundPredicate::True,
                 SamplingStrategy::ActiveSync,
             );
             plan(&mut planner, batch, set.clone())
@@ -656,8 +641,7 @@ mod tests {
             &s,
             &group_by,
             &tuples,
-            None,
-            &[],
+            &BoundPredicate::True,
             SamplingStrategy::ActivePeek,
         );
         let mut stale_differs = false;
@@ -676,7 +660,8 @@ mod tests {
 
         // Exact has nothing to probe: every block, zero checks, whatever the
         // active set.
-        let mut exact = BlockPlanner::new(&s, &[], &[], None, &[], SamplingStrategy::Scan);
+        let mut exact =
+            BlockPlanner::new(&s, &[], &[], &BoundPredicate::True, SamplingStrategy::Scan);
         for (batch, set) in batches.iter().zip(&sets) {
             assert_eq!(
                 plan(&mut exact, batch, set.clone()),
@@ -685,18 +670,17 @@ mod tests {
         }
     }
 
-    /// The per-block probe the word-parallel mask must agree with: the
-    /// predicate bitmap, then (with active skipping and an initialized set)
-    /// some active group whose code is in the block for every indexed
-    /// GROUP BY column, then every zone map. A block the predicate or a
-    /// zone map rules out is pruned; one no active group covers is skipped
-    /// as inactive.
+    /// The per-block probe the word-parallel mask must agree with. Pruning
+    /// is ruled on first: a block the predicate cannot match (evaluated
+    /// recursively per block, from the bitmap indexes and zone maps) is
+    /// pruned. Then, with active skipping and an initialized set, a block
+    /// is fetched only if some active group has its code in the block for
+    /// every indexed GROUP BY column; otherwise it is skipped as inactive.
     struct NaiveProbe<'a> {
         s: &'a Scramble,
         group_by: &'a [String],
         tuples: &'a [Vec<u32>],
-        predicate: Option<(&'a str, u32)>,
-        zones: &'a [(String, RangeFilter)],
+        predicate: &'a Predicate,
         strategy: SamplingStrategy,
     }
 
@@ -708,16 +692,10 @@ mod tests {
                 group_by,
                 tuples,
                 predicate,
-                zones,
                 strategy,
             } = *self;
-            if strategy != SamplingStrategy::Scan && planned.is_empty() {
-                return Some(Skip::Inactive);
-            }
-            if let Some((col, code)) = predicate {
-                if !s.bitmap_index(col).unwrap().block_contains(code, block) {
-                    return Some(Skip::Pruned);
-                }
+            if !self.may_match(predicate, block) {
+                return Some(Skip::Pruned);
             }
             let covered = strategy == SamplingStrategy::Scan
                 || !planned.initialized
@@ -727,25 +705,40 @@ mod tests {
                             .is_none_or(|idx| idx.block_contains(code, block))
                     })
                 });
-            if !covered {
-                return Some(Skip::Inactive);
-            }
-            for (col, filter) in zones {
-                if let Some(zone) = s.zone_map(col) {
-                    if !zone.block_may_match(block, *filter) {
-                        return Some(Skip::Pruned);
-                    }
+            (!covered).then_some(Skip::Inactive)
+        }
+
+        /// Whether `predicate` may match a row of `block`.
+        fn may_match(&self, predicate: &Predicate, block: BlockId) -> bool {
+            let zone = |column: &str, filter| {
+                self.s
+                    .zone_map(column)
+                    .is_none_or(|z| z.block_may_match(block, filter))
+            };
+            match predicate {
+                Predicate::True | Predicate::Not(_) => true,
+                Predicate::CatEq { column, value } => {
+                    let code = self.s.table().column(column).unwrap().code_of(value);
+                    self.s
+                        .bitmap_index(column)
+                        .is_none_or(|idx| idx.block_contains(code.unwrap(), block))
                 }
+                Predicate::NumGt { column, threshold } => zone(column, RangeFilter::Gt(*threshold)),
+                Predicate::NumLt { column, threshold } => zone(column, RangeFilter::Lt(*threshold)),
+                Predicate::NumBetween { column, low, high } => {
+                    zone(column, RangeFilter::Between(*low, *high))
+                }
+                Predicate::And(children) => children.iter().all(|c| self.may_match(c, block)),
+                Predicate::Or(children) => children.iter().any(|c| self.may_match(c, block)),
             }
-            None
         }
     }
 
-    /// The word-parallel decisions equal the per-block probe's for every
-    /// strategy, random active sets, one- and two-column GROUP BYs plus a
-    /// column without an index, a predicate bitmap and zone maps, on
-    /// batches that start mid-word and batches that wrap past the last
-    /// block.
+    /// The word-parallel decisions and skip reasons equal the per-block
+    /// probe's for every strategy, random active sets, one- and two-column
+    /// GROUP BYs plus a column without an index, categorical and range
+    /// predicates and their `And`, `Or` and `Not`, on batches that start
+    /// mid-word and batches that wrap past the last block.
     #[test]
     fn fetch_mask_equals_the_per_block_probe() {
         // 3 000 rows in blocks of 10: 300 blocks, the last word 44 bits.
@@ -774,9 +767,21 @@ mod tests {
             (state % bound as u64) as usize
         };
 
-        let p_code = s.table().column("p").unwrap().code_of("p1").unwrap();
         let group_bys: [&[&str]; 3] = [&["a"], &["a", "b"], &["b", "x"]];
-        let zone_sets = [vec![], vec![("x".to_string(), RangeFilter::Lt(300.0))]];
+        let (p1, a7, x_lt) = (
+            Predicate::cat_eq("p", "p1"),
+            Predicate::cat_eq("a", "a7"),
+            Predicate::num_lt("x", 300.0),
+        );
+        let predicates = [
+            Predicate::True,
+            p1.clone(),
+            x_lt.clone(),
+            Predicate::And(vec![p1.clone(), x_lt.clone()]),
+            Predicate::And(vec![p1.clone(), a7.clone()]),
+            Predicate::Or(vec![a7, x_lt]),
+            Predicate::Not(Box::new(p1)),
+        ];
         let (mut fetched, mut pruned, mut inactive) = (0usize, 0usize, 0usize);
         for group_by in group_bys {
             let group_by: Vec<String> = group_by.iter().map(|c| c.to_string()).collect();
@@ -801,70 +806,58 @@ mod tests {
                     .collect();
             }
             tuples.push(vec![99; group_by.len()]);
-            for predicate in [None, Some(("p", p_code))] {
-                for zones in &zone_sets {
-                    for strategy in SamplingStrategy::ALL {
-                        let mut planner = BlockPlanner::new(
-                            &s,
-                            &group_by,
-                            &tuples,
-                            predicate.map(|(c, code)| (c.to_string(), code)),
-                            zones,
-                            strategy,
-                        );
-                        let naive = NaiveProbe {
-                            s: &s,
-                            group_by: &group_by,
-                            tuples: &tuples,
-                            predicate,
-                            zones,
-                            strategy,
+            for predicate in &predicates {
+                let bound = predicate.bind(s.table()).unwrap();
+                for strategy in SamplingStrategy::ALL {
+                    let mut planner = BlockPlanner::new(&s, &group_by, &tuples, &bound, strategy);
+                    let naive = NaiveProbe {
+                        s: &s,
+                        group_by: &group_by,
+                        tuples: &tuples,
+                        predicate,
+                        strategy,
+                    };
+                    let mut handed: Option<ActiveSet> = None;
+                    for round in 0..12 {
+                        // Random sets, dense to sparse; the first
+                        // uninitialized, one empty.
+                        let active = match round {
+                            0 => ActiveSet::all_active(),
+                            5 => ActiveSet::of([]),
+                            _ if round % 2 == 0 => {
+                                let keep = 1 + next(tuples.len());
+                                ActiveSet::of(
+                                    (0..tuples.len()).filter(|_| next(tuples.len()) < keep),
+                                )
+                            }
+                            _ => ActiveSet::of((0..1 + next(4)).map(|_| next(tuples.len()))),
                         };
-                        let mut handed: Option<ActiveSet> = None;
-                        for round in 0..12 {
-                            // Random sets, dense to sparse; the first
-                            // uninitialized, one empty.
-                            let active = match round {
-                                0 => ActiveSet::all_active(),
-                                5 => ActiveSet::of([]),
-                                _ if round % 2 == 0 => {
-                                    let keep = 1 + next(tuples.len());
-                                    ActiveSet::of(
-                                        (0..tuples.len()).filter(|_| next(tuples.len()) < keep),
-                                    )
-                                }
-                                _ => ActiveSet::of((0..1 + next(4)).map(|_| next(tuples.len()))),
-                            };
-                            // Starts mid-word and lengths crossing words;
-                            // some batches wrap past block 299.
-                            let start = next(n);
-                            let len = 1 + next(2 * n / 3);
-                            let batch: Vec<BlockId> =
-                                (start..start + len).map(|b| BlockId(b % n)).collect();
-                            let stale = handed.replace(active.clone());
-                            let planned = match (strategy, stale) {
-                                (SamplingStrategy::ActivePeek, Some(previous)) => previous,
-                                _ => active.clone(),
-                            };
-                            planner.plan(&batch, &Arc::new(active));
-                            assert_eq!(planner.planned_with(), &planned);
-                            for (i, (&block, &fetch)) in
-                                batch.iter().zip(planner.decisions()).enumerate()
-                            {
-                                let decision = (!fetch).then(|| planner.skip_reason(i));
-                                let want = naive.decide(&planned, block);
-                                assert_eq!(
-                                    decision,
-                                    want,
-                                    "{group_by:?} {predicate:?} {zones:?} {strategy} \
-                                     round {round} block {}",
-                                    block.index()
-                                );
-                                match decision {
-                                    None => fetched += 1,
-                                    Some(Skip::Pruned) => pruned += 1,
-                                    Some(Skip::Inactive) => inactive += 1,
-                                }
+                        // Starts mid-word and lengths crossing words; some
+                        // batches wrap past block 299.
+                        let start = next(n);
+                        let len = 1 + next(2 * n / 3);
+                        let batch: Vec<BlockId> =
+                            (start..start + len).map(|b| BlockId(b % n)).collect();
+                        let stale = handed.replace(active.clone());
+                        let planned = match (strategy, stale) {
+                            (SamplingStrategy::ActivePeek, Some(previous)) => previous,
+                            _ => active.clone(),
+                        };
+                        planner.plan(&batch, &Arc::new(active));
+                        assert_eq!(planner.planned_with(), &planned);
+                        for (&block, &fetch) in batch.iter().zip(planner.decisions()) {
+                            let decision = (!fetch).then(|| planner.skip_reason(block));
+                            let want = naive.decide(&planned, block);
+                            assert_eq!(
+                                decision,
+                                want,
+                                "{group_by:?} {predicate:?} {strategy} round {round} block {}",
+                                block.index()
+                            );
+                            match decision {
+                                None => fetched += 1,
+                                Some(Skip::Pruned) => pruned += 1,
+                                Some(Skip::Inactive) => inactive += 1,
                             }
                         }
                     }

@@ -187,12 +187,7 @@ impl Session {
         if self.tables.contains_key(&name) {
             return Err(EngineError::DuplicateTable { name });
         }
-        if let Some((column, row)) = scramble.catalog().first_non_finite() {
-            return Err(EngineError::NonFiniteValue {
-                column: column.to_string(),
-                row,
-            });
-        }
+        refuse_non_finite(&scramble)?;
         self.tables.insert(name, TableEntry::Memory(scramble));
         Ok(())
     }
@@ -222,12 +217,7 @@ impl Session {
             return Err(EngineError::DuplicateTable { name });
         }
         let reader = SegmentReader::open(path)?;
-        if let Some((column, row)) = reader.catalog().first_non_finite() {
-            return Err(EngineError::NonFiniteValue {
-                column: column.to_string(),
-                row,
-            });
-        }
+        refuse_non_finite(&reader)?;
         self.tables.insert(name, TableEntry::Segment(reader));
         Ok(())
     }
@@ -331,6 +321,15 @@ impl Session {
     pub fn prepare(&self, table: &str, query: &AggQuery) -> EngineResult<PreparedQuery<'_>> {
         PreparedQuery::new(self.source(table)?, query.clone(), self.defaults.clone())
     }
+}
+
+/// Refuses a table whose catalog notes a non-finite float value.
+fn refuse_non_finite(source: &dyn BlockSource) -> EngineResult<()> {
+    if let Some((column, row)) = source.catalog().first_non_finite() {
+        let column = column.to_string();
+        return Err(EngineError::NonFiniteValue { column, row });
+    }
+    Ok(())
 }
 
 /// A fluent, catalog-checked builder for aggregate queries over one session

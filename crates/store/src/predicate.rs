@@ -135,9 +135,9 @@ impl Predicate {
         })
     }
 
-    /// If the predicate is (a conjunction containing) a single categorical
-    /// equality, returns `(column, value)` — used by the engine to leverage
-    /// the bitmap index for predicate-based block skipping as well.
+    /// If the predicate is (a conjunction containing) a categorical
+    /// equality, returns the first one's `(column, value)`. No engine code
+    /// calls it; perfbench's trace does, to replay bitmap probes.
     pub fn categorical_equality(&self) -> Option<(&str, &str)> {
         match self {
             Predicate::CatEq { column, value } => Some((column, value)),
@@ -147,7 +147,8 @@ impl Predicate {
     }
 
     /// The numeric range conjuncts of the predicate, as `(column, filter)`
-    /// pairs — used by the engine for zone-map block skipping.
+    /// pairs. No engine code calls it; perfbench's trace does, to replay
+    /// zone-map probes.
     ///
     /// Only conjuncts that every matching row *must* satisfy are extracted
     /// (the predicate itself, or children of a top-level `And`, recursively).

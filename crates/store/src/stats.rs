@@ -18,8 +18,8 @@ pub struct ScanStats {
     /// Rows that satisfied the query predicate (i.e. contributed to some
     /// aggregate view).
     pub rows_matched: u64,
-    /// Index work done by the block planner: 64-block bitmap words examined
-    /// (predicate and GROUP BY bitmaps) plus zone-map tests.
+    /// Index work done by the block planner: 64-block mask and GROUP BY
+    /// bitmap words examined plus the mask's one-time zone-map tests.
     pub index_checks: u64,
 }
 
@@ -48,7 +48,7 @@ impl ScanStats {
         self.rows_matched += rows;
     }
 
-    /// Records index work: bitmap words examined plus zone-map tests.
+    /// Records index work: bitmap and mask words plus zone-map tests.
     #[inline]
     pub fn record_index_checks(&mut self, checks: u64) {
         self.index_checks += checks;

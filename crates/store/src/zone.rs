@@ -123,6 +123,7 @@ impl ZoneMap {
     /// Whether `block` *may* contain a row satisfying `filter`. Conservative:
     /// `true` whenever the block's range overlaps the filter range (or the
     /// block id is out of range), `false` only when no row can match.
+    #[inline]
     pub fn block_may_match(&self, block: BlockId, filter: RangeFilter) -> bool {
         let Some((&min, &max)) = self
             .mins

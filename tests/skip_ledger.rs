@@ -2,11 +2,12 @@
 //! what the engine concludes from it.
 //!
 //! * **exactness** — after a full pass, a group is exact exactly when its
-//!   ledger is clean. A predicate-bitmap skip proves a block holds none of
-//!   any group's rows, so it cannot make a group inexact, whatever the
-//!   group does later (it may go inactive); hand-placed blocks check that
-//!   under every strategy, and a property test checks every group marked
-//!   exact against the Exact baseline on random tables;
+//!   ledger is clean. A block the predicate rules out (by its bitmap or a
+//!   zone map) holds none of any group's rows, so skipping it cannot make
+//!   a group inexact, whatever the group does later (it may go inactive);
+//!   hand-placed blocks check that under every strategy, and a property
+//!   test checks every group marked exact against the Exact baseline on
+//!   random tables;
 //! * **coverage** — at δ = 0.2, where a miss is possible, the per-group
 //!   miss rate of early-stopped AVG and COUNT runs stays within δ plus
 //!   binomial slack under every strategy, over hundreds of scramble seeds;
@@ -155,6 +156,57 @@ fn a_count_group_inactive_before_predicate_skips_is_exact_after_a_full_pass() {
     }
 }
 
+/// The zone-map counterpart of the test above, over 3 072 blocks of 5 rows
+/// so that ActiveSync and ActivePeek decide the third batch of 1 024
+/// blocks against a real active set. Group A has 3 rows with `t = 100` in
+/// each of blocks 0–20 (63 in all); group B has one such row in each of
+/// blocks 0–29 and its other rows there have `t = 0`. Blocks 30–3 071 hold
+/// only A's rows, all with `t = 0`, so the zone map of `t` rules them out
+/// for `t > 50`. A reaches 40 samples in round 2 (10 blocks a round) and
+/// goes inactive; B never does, so the scan makes a full pass. No active
+/// group has rows in A's later blocks, but the predicate matches none of
+/// their rows either: they are pruned, A has been counted whole, and it is
+/// exact with its true count of 63. Scan, which never skips a block for
+/// being inactive, is the control.
+#[test]
+fn a_group_inactive_before_zone_map_skips_is_exact_after_a_full_pass() {
+    let (mut g, mut t) = (Vec::new(), Vec::new());
+    for block in 0..3_072 {
+        for slot in 0..5 {
+            let in_a = block < 21 && slot < 3;
+            let in_b = block < 30 && slot == 3;
+            g.push(if block < 30 && !in_a { 1 } else { 0 });
+            t.push(if in_a || in_b { 100.0 } else { 0.0 });
+        }
+    }
+    let scramble =
+        scramble_in_storage_order(vec![cat("g", &["A", "B"], g), Column::float("t", t)], 5);
+    let query = AggQuery::count("count")
+        .filter(Predicate::num_gt("t", 50.0))
+        .group_by("g")
+        .sample_count(40)
+        .build();
+    for strategy in SamplingStrategy::ALL {
+        let result = run(&scramble, &query, config(strategy, 0.05, 50));
+        assert!(!result.converged, "{strategy}: B never reaches 40 samples");
+        assert_eq!(result.metrics.scan.blocks_skipped, 3_042, "{strategy}");
+        let a = result
+            .groups
+            .iter()
+            .find(|g| g.key.display() == "A")
+            .unwrap();
+        assert!(a.exact, "{strategy}: A was counted whole: {a:?}");
+        assert_eq!(a.samples, 63, "{strategy}");
+        assert_eq!(a.estimate, Some(63.0), "{strategy}");
+        for ci in [a.ci, a.count_ci] {
+            assert!(
+                (ci.lo - 63.0).abs() < 1e-6 && (ci.hi - 63.0).abs() < 1e-6,
+                "{strategy}: {ci:?}"
+            );
+        }
+    }
+}
+
 /// A random table for the exactness property: `rows` rows of two GROUP BY
 /// columns with skewed codes (so blocks lack some groups and active
 /// scanning skips them), a predicate column and a float target.
@@ -183,15 +235,16 @@ fn random_scramble(rows: usize, block_size: usize, seed: u64, draw: &[u32]) -> S
 /// Every group an approximate run marks exact was read whole: with samples
 /// it has Exact's sample count and estimate, without samples Exact omits
 /// it. Random tables of up to 3 000 blocks (so ActiveSync and ActivePeek
-/// decide later batches against real active sets), categorical predicates,
-/// one or two GROUP BY columns, AVG and COUNT, under every strategy.
+/// decide later batches against real active sets), categorical, range and
+/// `Or` predicates, one or two GROUP BY columns, AVG and COUNT, under every
+/// strategy.
 #[test]
 fn groups_marked_exact_match_the_exact_baseline() {
     const CASES: usize = 128;
     let cases = (
         (20usize..3_000, 1usize..6, 0u64..1_000),
         proptest::collection::vec(any::<u32>(), 64..128),
-        (0u32..4, any::<bool>(), any::<bool>()),
+        (0u32..6, any::<bool>(), any::<bool>()),
         (1u64..200, 1u64..6),
     );
     let mut rng = proptest::TestRng::deterministic("groups_marked_exact_match_the_exact_baseline");
@@ -209,9 +262,18 @@ fn groups_marked_exact_match_the_exact_baseline() {
         if two_columns {
             builder = builder.group_by("h");
         }
-        // 0–2 filter on that code of `f`; 3 is unfiltered.
-        if predicate < 3 {
-            builder = builder.filter(Predicate::cat_eq("f", format!("f{predicate}")));
+        // 0–2 filter on that code of `f`, 3 on a range of `v` (zone maps),
+        // 4 on either a rare code or a range; 5 is unfiltered.
+        match predicate {
+            0..3 => builder = builder.filter(Predicate::cat_eq("f", format!("f{predicate}"))),
+            3 => builder = builder.filter(Predicate::num_gt("v", 80.0)),
+            4 => {
+                builder = builder.filter(Predicate::Or(vec![
+                    Predicate::cat_eq("f", "f2"),
+                    Predicate::num_lt("v", 10.0),
+                ]))
+            }
+            _ => {}
         }
         let query = builder.sample_count(m).build();
         let exact = PreparedQuery::new(&scramble, query.clone(), EngineConfig::default())
