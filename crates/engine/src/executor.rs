@@ -17,7 +17,12 @@
 //!    skipping blocks according to the sampling strategy (the query's mask
 //!    for all strategies, active-group bitmaps for ActiveSync/ActivePeek).
 //!    One inline [`BlockPlanner`] decides a batch of blocks at a time on the
-//!    coordinating thread, for every strategy and pass.
+//!    coordinating thread, for every strategy and pass, as spans of
+//!    consecutive blocks with one decision. The coordinator grants and
+//!    counts whole spans: a skip span in one call, a fetch span appended to
+//!    the round's pending blocks. Fetch accounting is two-sided: `ScanStats`
+//!    comes from the granted spans, once per round, and `ExecMetrics` from
+//!    the runs the workers visited.
 //! 4. After each round of fetched blocks, recompute every view's confidence
 //!    intervals, fold them into the running intervals, and evaluate the
 //!    query's stopping condition; stop as soon as it is satisfied. A round
@@ -89,7 +94,7 @@ use crate::progressive::{
 };
 use crate::query::{AggQuery, AggregateFunction};
 use crate::result::{select_groups, GroupKey, QueryResult};
-use crate::sampling::{ActiveSet, BlockPlanner, Skip};
+use crate::sampling::{ActiveSet, BlockPlanner, Skip, Span};
 use crate::session::PreparedQuery;
 use crate::view::{AggregateView, RoundLogs};
 
@@ -403,11 +408,11 @@ struct ScanState {
 }
 
 impl ScanState {
-    /// Counts a skipped block. A pruned block's rows are known to every
-    /// view at once; an inactive block's wait for the next
-    /// [`Self::charge_skips`].
-    fn record_skip(&mut self, rows: u64, reason: Skip) {
-        self.stats.record_skip();
+    /// Counts a span of `blocks` skipped blocks holding `rows` rows. A
+    /// pruned span's rows are known to every view at once; an inactive
+    /// span's wait for the next [`Self::charge_skips`].
+    fn record_skips(&mut self, blocks: u64, rows: u64, reason: Skip) {
+        self.stats.record_skips(blocks);
         match reason {
             Skip::Pruned => self.rows_pruned += rows,
             Skip::Inactive => self.uncharged_skips += rows,
@@ -714,10 +719,12 @@ fn round_blocks(first: usize, views: usize, round: u64) -> usize {
 }
 
 /// The block-scan loop shared by all strategies and passes. `planner`
-/// decides one batch of [`DEFAULT_LOOKAHEAD_BATCH`] blocks at a time;
-/// fetch-granted blocks accumulate into the current round's pending list and
-/// are scanned by the partitioned pipeline (`rexec`) when the round fills
-/// up: after `first_round_blocks` fetched blocks, then after the sizes of
+/// decides one batch of [`DEFAULT_LOOKAHEAD_BATCH`] blocks at a time, as
+/// spans of one decision each. A skip span is charged whole; a fetch span is
+/// granted to the current round's pending list, split only where the round
+/// fills or the row cap cuts it. The pending blocks are scanned by the
+/// partitioned pipeline (`rexec`) when the round fills up: after
+/// `first_round_blocks` fetched blocks, then after the sizes of
 /// [`round_blocks`].
 #[allow(clippy::too_many_arguments)]
 fn run_scan_loop(
@@ -733,9 +740,7 @@ fn run_scan_loop(
     sink: &mut ProgressiveSink<'_, '_>,
     planner: &mut BlockPlanner<'_>,
 ) -> EngineResult<()> {
-    // Scan order: every block once, from `start_block` on, wrapping around
-    // (§5.2), taken one planner batch at a time.
-    let mut order = source.layout().blocks_from(start_block);
+    let layout = source.layout();
     let num_views = state.views.len();
     let mut round_len = round_blocks(first_round_blocks, num_views, state.rounds);
     // Blocks granted to the current round but not yet scanned.
@@ -744,49 +749,66 @@ fn run_scan_loop(
     // The row cap is enforced here, at grant time, before a worker ever sees
     // the block — so `max_rows` cannot be exceeded however many threads scan.
     let mut granted_rows: u64 = 0;
+    // Blocks of the scan order handed to the planner so far.
+    let mut batched = 0;
 
     if sink.budget.max_rounds == Some(0) {
         sink.cancellation = Some(CancellationReason::RoundBudget);
         return Ok(());
     }
 
-    let mut batch = Vec::new();
     'batches: loop {
-        batch.clear();
-        batch.extend(order.by_ref().take(DEFAULT_LOOKAHEAD_BATCH));
+        // Scan order: every block once, from `start_block` on, wrapping
+        // around (§5.2), one planner batch at a time.
+        let batch = layout.batch_ranges(start_block, batched, DEFAULT_LOOKAHEAD_BATCH);
+        let batch_len = batch[0].len() + batch[1].len();
         // On a deadline, pending blocks are dropped unscanned: the deadline
         // wants the fastest possible valid answer, and unscanned grants are
         // simply rows the estimate never saw.
-        if batch.is_empty() || sink.check_deadline() {
+        if batch_len == 0 || sink.check_deadline() {
             break;
         }
+        batched += batch_len;
 
         state.charge_skips(planner.planned_with());
         let checks = planner.plan(&batch, &state.active);
         state.stats.record_index_checks(checks);
 
-        for (&block, &fetch) in batch.iter().zip(planner.decisions()) {
-            let rows = source.block_rows(block);
-            let block_rows = (rows.end - rows.start) as u64;
-            if !fetch {
-                state.record_skip(block_rows, planner.skip_reason(block));
+        for &Span { first, len, skip } in planner.spans() {
+            if let Some(reason) = skip {
+                let rows = layout.span_rows(first, len) as u64;
+                state.record_skips(len as u64, rows, reason);
                 continue;
             }
-            if let Some(cap) = sink.budget.max_rows {
-                if granted_rows + block_rows > cap {
-                    sink.cancellation = Some(CancellationReason::RowBudget);
-                    // Blocks already granted fit under the cap; scan them so
-                    // the finalized answer uses every row the budget paid
-                    // for.
-                    merge_pending(source, rexec, &mut pending, state)?;
-                    break 'batches;
+            let (mut first, end) = (first, first + len);
+            while first < end {
+                let take = (end - first).min(round_len - pending.len());
+                let rows = layout.span_rows(first, take) as u64;
+                if let Some(cap) = sink.budget.max_rows {
+                    if granted_rows + rows > cap {
+                        // Grant the longest prefix that fits under the cap.
+                        // Only the table's last block can be short, and it
+                        // ends any span holding it; since the `take` blocks
+                        // do not fit, neither does any prefix reaching it,
+                        // so the prefix is the full blocks that fit. Scan
+                        // every granted block so the finalized answer uses
+                        // every row the budget paid for.
+                        let block_rows = layout.block_size() as u64;
+                        let fit = ((cap - granted_rows) / block_rows) as usize;
+                        pending.extend((first..first + fit).map(BlockId));
+                        granted_rows += fit as u64 * block_rows;
+                        sink.cancellation = Some(CancellationReason::RowBudget);
+                        merge_pending(rexec, &mut pending, granted_rows, state)?;
+                        break 'batches;
+                    }
                 }
-            }
-            granted_rows += block_rows;
-            pending.push(block);
-
-            if pending.len() >= round_len {
-                merge_pending(source, rexec, &mut pending, state)?;
+                granted_rows += rows;
+                pending.extend((first..first + take).map(BlockId));
+                first += take;
+                if pending.len() < round_len {
+                    continue;
+                }
+                merge_pending(rexec, &mut pending, granted_rows, state)?;
                 state.charge_skips(planner.planned_with());
                 let (satisfied, group_snapshots) =
                     evaluate_round(query, bounder, view_budget, scramble_rows, state)?;
@@ -826,23 +848,27 @@ fn run_scan_loop(
     // finalization sees every scanned row. (On cancellation the pending list
     // is either already merged — row budget — or intentionally dropped.)
     if sink.cancellation.is_none() {
-        merge_pending(source, rexec, &mut pending, state)?;
+        merge_pending(rexec, &mut pending, granted_rows, state)?;
     }
     Ok(())
 }
 
 /// Scans the pending blocks through the partitioned pipeline and merges the
 /// partials into the master state in partition (block-id) order.
+/// `granted_rows` counts every row granted so far, the pending blocks'
+/// among them.
 ///
 /// Fetch accounting is deliberately two-sided: the storage-level `ScanStats`
-/// are derived here, on the coordinator, from the granted block list itself,
-/// while `ExecMetrics` accumulates what the workers *report* having scanned.
-/// A lost, duplicated or miscounted partition therefore shows up as a
-/// divergence between the two — the invariant the end-to-end tests assert.
+/// are derived here, on the coordinator, from the granted spans — the
+/// pending blocks and the rows the grant loop summed for them, recorded once
+/// per round — while `ExecMetrics` accumulates what the workers *report*
+/// having scanned, counted from the runs they visited. A lost, duplicated
+/// or miscounted partition therefore shows up as a divergence between the
+/// two — the invariant the end-to-end tests assert.
 fn merge_pending(
-    source: &dyn BlockSource,
     rexec: &mut RoundExecutor<'_>,
     pending: &mut Vec<BlockId>,
+    granted_rows: u64,
     state: &mut ScanState,
 ) -> EngineResult<()> {
     if pending.is_empty() {
@@ -864,11 +890,8 @@ fn merge_pending(
             state.views[*view as usize].absorb_partial(record);
         }
     })?;
-    for &block in pending.iter() {
-        let rows = source.block_rows(block);
-        let block_rows = (rows.end - rows.start) as u64;
-        state.stats.record_fetch(block_rows);
-    }
+    let rows = granted_rows - state.stats.rows_scanned;
+    state.stats.record_fetch(pending.len() as u64, rows);
     pending.clear();
     Ok(())
 }
@@ -1334,23 +1357,45 @@ mod tests {
             .group_by("airline")
             .absolute_width(0.0)
             .build();
-        let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
-        let cap = 4_321u64;
-        let budget = Budget::unlimited().max_rows(cap);
-        let mut observer = |_: &Snapshot| RoundControl::Continue;
-        let p = run_progressive(&s, &q, &cfg, &budget, &mut observer).unwrap();
-        assert_eq!(p.cancellation, Some(CancellationReason::RowBudget));
-        assert!(!p.converged());
-        assert!(p.result.metrics.scan.rows_scanned <= cap);
-        for snap in &p.snapshots {
-            assert!(snap.rows_scanned <= cap);
-        }
+        // Runs `q` over `s` from `start_block` under a row cap of `cap`.
+        let capped = |s: &Scramble, start_block: usize, cap: u64| {
+            let mut cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
+            cfg.start_block = Some(start_block);
+            let budget = Budget::unlimited().max_rows(cap);
+            let observer = |_: &Snapshot| RoundControl::Continue;
+            let p = run_progressive(s, &q, &cfg, &budget, observer).unwrap();
+            assert_eq!(p.cancellation, Some(CancellationReason::RowBudget));
+            assert!(!p.converged());
+            let scan = p.result.metrics.scan;
+            assert!(scan.rows_scanned <= cap);
+            for snap in &p.snapshots {
+                assert!(snap.rows_scanned <= cap);
+            }
+            // Maximal: Scan without a predicate grants every block in scan
+            // order, and the next one would have crossed the cap.
+            let next = (start_block + scan.blocks_fetched as usize) % s.num_blocks();
+            let next_rows = s.layout().rows_of(BlockId(next)).len() as u64;
+            assert!(scan.rows_scanned + next_rows > cap, "{scan:?} under {cap}");
+            p
+        };
+        let p = capped(&s, 0, 4_321);
         // The cancelled result is still a valid approximation.
         assert_eq!(p.result.groups.len(), 3);
         for g in &p.result.groups {
             assert!(!g.exact);
             assert!(g.ci.lo <= g.ci.hi);
         }
+
+        // Blocks of 30 rows leave a ragged last block 666 of 20 rows. From
+        // block 660, six full blocks come before it: a cap one row short of
+        // it stops there, and a cap that takes it stops at block 0.
+        let ragged = Scramble::build_with(s.table(), 7, 30).unwrap();
+        assert_eq!(ragged.layout().rows_of(BlockId(666)).len(), 20);
+        assert_eq!(ragged.num_blocks(), 667);
+        let scan = capped(&ragged, 660, 199).result.metrics.scan;
+        assert_eq!((scan.blocks_fetched, scan.rows_scanned), (6, 180));
+        let scan = capped(&ragged, 660, 200).result.metrics.scan;
+        assert_eq!((scan.blocks_fetched, scan.rows_scanned), (7, 200));
     }
 
     #[test]
@@ -1671,11 +1716,11 @@ mod tests {
             converged: false,
         };
         let planned = ActiveSet::of([0, 2]);
-        state.record_skip(10, Skip::Inactive);
-        state.record_skip(15, Skip::Inactive);
+        state.record_skips(1, 10, Skip::Inactive);
+        state.record_skips(2, 15, Skip::Inactive);
         // A pruned block's rows are known to every view at once, through
         // the rows of known membership, and charge no ledger.
-        state.record_skip(7, Skip::Pruned);
+        state.record_skips(1, 7, Skip::Pruned);
         assert_eq!(state.rows_known(), 7);
         // Nothing is charged until the decision set is about to change.
         assert!(state.views.iter().all(|v| v.known_absent() == 0));
@@ -1687,7 +1732,7 @@ mod tests {
             assert_eq!(view.known_absent(), 0, "view {}", view.id);
             assert!(!view.denominator_clean(), "view {}", view.id);
         }
-        assert_eq!(state.stats.blocks_skipped, 3);
+        assert_eq!(state.stats.blocks_skipped, 4);
 
         // A charge with no skip since the last one changes no view.
         state.charge_skips(&ActiveSet::of([]));

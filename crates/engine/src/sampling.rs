@@ -17,7 +17,10 @@
 //!
 //! [`BlockPlanner`] makes every decision, inline on the coordinating thread,
 //! for every strategy and for the Exact pass (a planner with nothing to
-//! probe).
+//! probe). It hands a batch's decisions back as [`Span`]s, maximal
+//! stretches of consecutive blocks with one decision, so the coordinator
+//! grants and counts whole spans and touches a block id only to hand it to
+//! a scan partition.
 //!
 //! Which blocks the predicate rules out depends only on the query, so each
 //! planner computes it once: one **admitted-block mask** from the bitmap
@@ -33,10 +36,10 @@
 //! so the planned block sequence, and with it every result, is independent
 //! of the scan thread count.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use fastframe_store::bitmap::BlockBitmapIndex;
-use fastframe_store::block::BlockId;
 use fastframe_store::predicate::BoundPredicate;
 use fastframe_store::source::BlockSource;
 use fastframe_store::zone::RangeFilter;
@@ -117,18 +120,32 @@ pub(crate) enum Skip {
     Inactive,
 }
 
+/// A maximal stretch of consecutive blocks of one batch with one decision:
+/// fetch them all, or skip them all for one reason.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Span {
+    /// The first block id.
+    pub(crate) first: usize,
+    /// The number of blocks, at least one.
+    pub(crate) len: usize,
+    /// `None` if the blocks are fetched, else why they are skipped.
+    pub(crate) skip: Option<Skip>,
+}
+
 /// The per-query block planner: decides, one batch of blocks at a time,
 /// which blocks to fetch.
 ///
 /// It computes the query's admitted-block mask once, when it is built
-/// ([`admitted_blocks`]). A batch is decided word-parallel. Each run of
+/// ([`admitted_blocks`]). A batch is decided word-parallel. Each range of
 /// consecutive block ids in it (one, or two when the batch wraps past the
 /// last block) covers a range of 64-block words. Per word, the planner ANDs
-/// the run's bits with the mask's word. With active skipping it then ORs,
+/// the range's bits with the mask's word. With active skipping it then ORs,
 /// over the active groups, the AND of each group's GROUP BY code bitmaps,
 /// ANDed into what is still undecided, so a word stops costing probes once
 /// every candidate block in it is covered. A skipped block outside the mask
-/// is [`Skip::Pruned`]; any other is [`Skip::Inactive`].
+/// is [`Skip::Pruned`]; any other is [`Skip::Inactive`]. The decisions are
+/// read off the words as [`Span`]s, one `trailing_ones` per word a span
+/// touches; no block is decided on its own.
 pub(crate) struct BlockPlanner<'a> {
     /// Bitmap indexes of the GROUP BY columns, in query order (columns
     /// without an index are `None` and treated as "always present", which
@@ -152,9 +169,9 @@ pub(crate) struct BlockPlanner<'a> {
     previous: Option<Arc<ActiveSet>>,
     /// The active set the latest batch was decided against.
     planned_with: Arc<ActiveSet>,
-    /// The latest batch's fetch decisions, one per block.
-    decisions: Vec<bool>,
-    /// Per word of the run being planned: its fetch mask so far, and the
+    /// The latest batch's decisions, in scan order.
+    spans: Vec<Span>,
+    /// Per word of the range being planned: its fetch mask so far, and the
     /// candidate blocks no active group has covered yet.
     mask: Vec<u64>,
     uncovered: Vec<u64>,
@@ -192,57 +209,40 @@ impl<'a> BlockPlanner<'a> {
             one_batch_stale: strategy == SamplingStrategy::ActivePeek,
             previous: None,
             planned_with: Arc::new(ActiveSet::all_active()),
-            decisions: Vec::new(),
+            spans: Vec::new(),
             mask: Vec::new(),
             uncovered: Vec::new(),
             group_bitmaps: Vec::new(),
         }
     }
 
-    /// Decides the next batch of `blocks` given the caller's current
-    /// `active` set, and returns the number of index checks made: mask
-    /// words ANDed plus group-bitmap words examined, and on the first call
-    /// also the zone-map tests made building the mask. The decisions are
-    /// then read with [`decisions`](Self::decisions). ActivePeek decides
-    /// against the set handed in with the previous batch (its first batch
-    /// against its own); the other strategies against `active`.
-    pub(crate) fn plan(&mut self, blocks: &[BlockId], active: &Arc<ActiveSet>) -> u64 {
+    /// Decides the next batch, the block ids of `ranges` in order, given
+    /// the caller's current `active` set, and returns the number of index
+    /// checks made: mask words ANDed plus group-bitmap words examined, and
+    /// on the first call also the zone-map tests made building the mask.
+    /// The decisions are then read with [`spans`](Self::spans). ActivePeek
+    /// decides against the set handed in with the previous batch (its first
+    /// batch against its own); the other strategies against `active`.
+    pub(crate) fn plan(&mut self, ranges: &[Range<usize>], active: &Arc<ActiveSet>) -> u64 {
         let previous = if self.one_batch_stale {
             self.previous.replace(Arc::clone(active))
         } else {
             None
         };
         self.planned_with = previous.unwrap_or_else(|| Arc::clone(active));
-        self.decisions.clear();
-        self.decisions.resize(blocks.len(), false);
+        self.spans.clear();
         let mut checks = std::mem::take(&mut self.unreported_checks);
-        let mut start = 0;
-        while start < blocks.len() {
-            let first = blocks[start].index();
-            let len = blocks[start..]
-                .iter()
-                .enumerate()
-                .take_while(|&(j, b)| b.index() == first + j)
-                .count();
-            checks += self.plan_run(first, start, len);
-            start += len;
+        for range in ranges.iter().filter(|r| !r.is_empty()) {
+            checks += self.plan_range(range.start, range.end);
         }
         checks
     }
 
-    /// The fetch decision of every block of the latest batch, in batch
-    /// order.
-    pub(crate) fn decisions(&self) -> &[bool] {
-        &self.decisions
-    }
-
-    /// Why `block`, which the latest batch does not fetch, was skipped.
-    pub(crate) fn skip_reason(&self, block: BlockId) -> Skip {
-        let b = block.index();
-        match &self.admitted {
-            Some(words) if words[b / 64] & (1u64 << (b % 64)) == 0 => Skip::Pruned,
-            _ => Skip::Inactive,
-        }
+    /// The latest batch's decisions: spans covering its blocks in scan
+    /// order, adjacent ones differing in decision unless the batch wraps
+    /// between them.
+    pub(crate) fn spans(&self) -> &[Span] {
+        &self.spans
     }
 
     /// The active set the latest [`plan`](Self::plan) call decided its batch
@@ -251,17 +251,13 @@ impl<'a> BlockPlanner<'a> {
         &self.planned_with
     }
 
-    /// Decides the `len` consecutive blocks from block id `first`, which
-    /// sit at batch position `at`, and returns the index checks made.
-    fn plan_run(&mut self, first: usize, at: usize, len: usize) -> u64 {
-        let (w0, w1) = (first / 64, (first + len - 1) / 64);
+    /// Decides blocks `first..end` and returns the index checks made.
+    fn plan_range(&mut self, first: usize, end: usize) -> u64 {
+        let (w0, w1) = (first / 64, (end - 1) / 64);
         let mut checks = 0;
         self.mask.clear();
-        self.mask.extend((w0..=w1).map(|w| {
-            let lo = (w * 64).max(first) - w * 64;
-            let hi = ((w + 1) * 64).min(first + len) - w * 64;
-            (u64::MAX >> (64 - (hi - lo))) << lo
-        }));
+        self.mask
+            .extend((w0..=w1).map(|w| range_bits(w, first, end)));
         if let Some(admitted) = &self.admitted {
             for (m, &word) in self.mask.iter_mut().zip(&admitted[w0..=w1]) {
                 checks += 1;
@@ -271,11 +267,52 @@ impl<'a> BlockPlanner<'a> {
         if self.use_active_skipping && self.planned_with.initialized {
             checks += self.cover_by_active_groups(w0, w1);
         }
-        for (j, decision) in self.decisions[at..at + len].iter_mut().enumerate() {
-            let block = first + j;
-            *decision = self.mask[block / 64 - w0] & (1u64 << (block % 64)) != 0;
-        }
+        self.emit_spans(first, end);
         checks
+    }
+
+    /// Appends the spans of blocks `first..end`, whose fetch mask is
+    /// planned. A span grows by its decision's trailing ones, word by word
+    /// while they run on to the word's end. A word whose first bit has
+    /// another decision ends it: the step that found no block stops the
+    /// span rather than repeating, even when the decision changes exactly
+    /// on a word boundary.
+    fn emit_spans(&mut self, first: usize, end: usize) {
+        let w0 = first / 64;
+        let admitted = |w: usize| self.admitted.as_ref().map_or(u64::MAX, |a| a[w]);
+        // The blocks of word `w` with decision `skip`.
+        let bits = |skip: Option<Skip>, w: usize| {
+            let fetch = self.mask[w - w0];
+            match skip {
+                None => fetch,
+                Some(Skip::Pruned) => range_bits(w, first, end) & !admitted(w),
+                Some(Skip::Inactive) => range_bits(w, first, end) & admitted(w) & !fetch,
+            }
+        };
+        let mut at = first;
+        while at < end {
+            let (w, bit) = (at / 64, at % 64);
+            let skip = if self.mask[w - w0] >> bit & 1 == 1 {
+                None
+            } else if admitted(w) >> bit & 1 == 0 {
+                Some(Skip::Pruned)
+            } else {
+                Some(Skip::Inactive)
+            };
+            let start = at;
+            loop {
+                let ones = (bits(skip, at / 64) >> (at % 64)).trailing_ones() as usize;
+                at += ones;
+                if ones == 0 || at % 64 != 0 || at == end {
+                    break;
+                }
+            }
+            self.spans.push(Span {
+                first: start,
+                len: at - start,
+                skip,
+            });
+        }
     }
 
     /// Narrows the mask of words `w0..=w1` to the blocks some active group
@@ -331,13 +368,21 @@ impl<'a> BlockPlanner<'a> {
     }
 }
 
+/// The bits of blocks `first..end` in 64-block word `w`.
+fn range_bits(w: usize, first: usize, end: usize) -> u64 {
+    let lo = (w * 64).max(first) - w * 64;
+    let hi = ((w + 1) * 64).min(end) - w * 64;
+    (u64::MAX >> (64 - (hi - lo))) << lo
+}
+
 /// The query's admitted-block mask, one bit per block (`None` if the
 /// predicate rules no block out), by one arm per shape: `True` and `Not`
 /// rule nothing out; `CatEq` admits its code's bitmap; a numeric comparison
-/// admits the blocks its column's zone map may match
-/// ([`block_may_match`](fastframe_store::zone::ZoneMap::block_may_match)),
-/// adding each test to `checks`; `And` and `Or` AND and OR their children's
-/// masks. A column without an index or zone map rules nothing out.
+/// admits the blocks its column's zone map may match, filled a word at a
+/// time ([`may_match_words`](fastframe_store::zone::ZoneMap::may_match_words))
+/// and adding one test per block to `checks`; `And` and `Or` AND and OR
+/// their children's masks. A column without an index or zone map rules
+/// nothing out.
 fn admitted_blocks(
     source: &dyn BlockSource,
     predicate: &BoundPredicate,
@@ -348,12 +393,7 @@ fn admitted_blocks(
     let mut zone = |column: usize, filter: RangeFilter| {
         let map = source.zone_map(name(column))?;
         *checks += n as u64;
-        let word = |w: usize| {
-            (w * 64..(w * 64 + 64).min(n)).fold(0u64, |word, b| {
-                word | u64::from(map.block_may_match(BlockId(b), filter)) << (b % 64)
-            })
-        };
-        Some((0..words).map(word).collect())
+        Some(map.may_match_words(filter, n))
     };
     match predicate {
         BoundPredicate::True | BoundPredicate::Not(_) => None,
@@ -387,6 +427,7 @@ fn admitted_blocks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastframe_store::block::BlockId;
     use fastframe_store::column::Column;
     use fastframe_store::predicate::Predicate;
     use fastframe_store::scramble::Scramble;
@@ -424,14 +465,26 @@ mod tests {
         Scramble::build_with(&t, 99, 25).unwrap()
     }
 
-    /// Plans `blocks` and returns the decisions with the index checks made.
+    /// Plans the blocks of `blocks` and returns the fetch decision of each,
+    /// rebuilt from the spans, with the index checks made.
     fn plan(
         planner: &mut BlockPlanner<'_>,
-        blocks: &[BlockId],
+        blocks: Range<usize>,
         active: ActiveSet,
     ) -> (Vec<bool>, u64) {
-        let checks = planner.plan(blocks, &Arc::new(active));
-        (planner.decisions().to_vec(), checks)
+        let checks = planner.plan(&[blocks], &Arc::new(active));
+        let fetch = per_block(planner).map(|(_, skip)| skip.is_none());
+        (fetch.collect(), checks)
+    }
+
+    /// The latest batch's blocks in scan order, each with its decision.
+    fn per_block<'p>(
+        planner: &'p BlockPlanner<'_>,
+    ) -> impl Iterator<Item = (usize, Option<Skip>)> + 'p {
+        planner
+            .spans()
+            .iter()
+            .flat_map(|span| (span.first..span.first + span.len).map(move |b| (b, span.skip)))
     }
 
     #[test]
@@ -456,8 +509,8 @@ mod tests {
         );
         // Even with an "initialized" active set that excludes everything,
         // Scan fetches every block.
-        let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let (decisions, checks) = plan(&mut planner, &blocks, ActiveSet::of([]));
+        let blocks = 0..s.num_blocks();
+        let (decisions, checks) = plan(&mut planner, blocks.clone(), ActiveSet::of([]));
         assert!(decisions.iter().all(|&d| d));
         assert_eq!(checks, 0);
     }
@@ -469,8 +522,8 @@ mod tests {
         let predicate = Predicate::cat_eq("p", "yes").bind(s.table()).unwrap();
         for strategy in SamplingStrategy::ALL {
             let mut planner = BlockPlanner::new(&s, &[], &[], &predicate, strategy);
-            let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-            let (decisions, checks) = plan(&mut planner, &blocks, ActiveSet::all_active());
+            let blocks = 0..s.num_blocks();
+            let (decisions, checks) = plan(&mut planner, blocks.clone(), ActiveSet::all_active());
             // "yes" appears in every block with overwhelming probability
             // (100 rows spread over 8 blocks); verify agreement with the
             // index rather than assuming.
@@ -496,8 +549,8 @@ mod tests {
             &BoundPredicate::True,
             SamplingStrategy::ActiveSync,
         );
-        let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let (decisions, _) = plan(&mut planner, &blocks, ActiveSet::of([0]));
+        let blocks = 0..s.num_blocks();
+        let (decisions, _) = plan(&mut planner, blocks.clone(), ActiveSet::of([0]));
         let idx = s.bitmap_index("g").unwrap();
         for (i, d) in decisions.iter().enumerate() {
             assert_eq!(*d, idx.block_contains(hot, BlockId(i)));
@@ -511,8 +564,8 @@ mod tests {
         // block's zone range is known from the data itself.
         let gt = |threshold: f64| Predicate::num_gt("x", threshold).bind(s.table()).unwrap();
         let mut planner = BlockPlanner::new(&s, &[], &[], &gt(150.0), SamplingStrategy::Scan);
-        let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let (decisions, checks) = plan(&mut planner, &blocks, ActiveSet::all_active());
+        let blocks = 0..s.num_blocks();
+        let (decisions, checks) = plan(&mut planner, blocks.clone(), ActiveSet::all_active());
         let zone = s.zone_map("x").unwrap();
         for (i, d) in decisions.iter().enumerate() {
             let (_, max) = zone.block_range(BlockId(i)).unwrap();
@@ -521,19 +574,22 @@ mod tests {
         // One zone-map test per block, made once when the mask is built,
         // plus the batch's one mask word; a later batch pays the word only.
         assert_eq!(checks, blocks.len() as u64 + 1);
-        assert_eq!(plan(&mut planner, &blocks, ActiveSet::all_active()).1, 1);
+        assert_eq!(
+            plan(&mut planner, blocks.clone(), ActiveSet::all_active()).1,
+            1
+        );
         // A filter nothing satisfies skips every block; a column without a
         // zone map (the categorical `g`) cannot skip anything or cost a
         // check.
         let mut planner = BlockPlanner::new(&s, &[], &[], &gt(1e9), SamplingStrategy::Scan);
-        let (decisions, _) = plan(&mut planner, &blocks, ActiveSet::all_active());
+        let (decisions, _) = plan(&mut planner, blocks.clone(), ActiveSet::all_active());
         assert!(decisions.iter().all(|&d| !d));
         let unmapped = BoundPredicate::NumGt {
             column: s.table().column_index("g").unwrap(),
             threshold: 1e9,
         };
         let mut planner = BlockPlanner::new(&s, &[], &[], &unmapped, SamplingStrategy::Scan);
-        let (decisions, checks) = plan(&mut planner, &blocks, ActiveSet::all_active());
+        let (decisions, checks) = plan(&mut planner, blocks.clone(), ActiveSet::all_active());
         assert!(decisions.iter().all(|&d| d));
         assert_eq!(checks, 0);
     }
@@ -548,8 +604,8 @@ mod tests {
             &BoundPredicate::True,
             SamplingStrategy::ActivePeek,
         );
-        let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let (decisions, _) = plan(&mut planner, &blocks, ActiveSet::all_active());
+        let blocks = 0..s.num_blocks();
+        let (decisions, _) = plan(&mut planner, blocks.clone(), ActiveSet::all_active());
         assert!(decisions.iter().all(|&d| d));
     }
 
@@ -563,13 +619,18 @@ mod tests {
             &BoundPredicate::True,
             SamplingStrategy::ActiveSync,
         );
-        let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let (decisions, _) = plan(&mut planner, &blocks, ActiveSet::of([]));
+        let blocks = 0..s.num_blocks();
+        let (decisions, _) = plan(&mut planner, blocks.clone(), ActiveSet::of([]));
         assert!(decisions.iter().all(|&d| !d));
-        // Without a predicate, every skip is inactive.
-        assert!(blocks
-            .iter()
-            .all(|&b| planner.skip_reason(b) == Skip::Inactive));
+        // Without a predicate, every skip is inactive: one span.
+        assert_eq!(
+            planner.spans(),
+            [Span {
+                first: 0,
+                len: blocks.len(),
+                skip: Some(Skip::Inactive)
+            }]
+        );
     }
 
     #[test]
@@ -599,8 +660,8 @@ mod tests {
             &BoundPredicate::True,
             SamplingStrategy::ActiveSync,
         );
-        let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let (decisions, _) = plan(&mut planner, &blocks, ActiveSet::of([0]));
+        let blocks = 0..s.num_blocks();
+        let (decisions, _) = plan(&mut planner, blocks.clone(), ActiveSet::of([0]));
         let idx1 = s.bitmap_index("c1").unwrap();
         let idx2 = s.bitmap_index("c2").unwrap();
         for (i, d) in decisions.iter().enumerate() {
@@ -616,8 +677,7 @@ mod tests {
         let hot = s.table().column("g").unwrap().code_of("hot").unwrap();
         let group_by = ["g".to_string()];
         let tuples = [vec![hot]];
-        let blocks: Vec<BlockId> = (0..s.num_blocks()).map(BlockId).collect();
-        let batches: Vec<&[BlockId]> = blocks.chunks(2).collect();
+        let batches: Vec<Range<usize>> = (0..s.num_blocks()).step_by(2).map(|b| b..b + 2).collect();
         // The active set handed in with each batch, changing every batch.
         let sets = [
             ActiveSet::of([]),
@@ -626,7 +686,7 @@ mod tests {
             ActiveSet::of([0]),
         ];
         assert_eq!(batches.len(), sets.len());
-        let sync = |batch: &[BlockId], set: &ActiveSet| {
+        let sync = |batch: Range<usize>, set: &ActiveSet| {
             let mut planner = BlockPlanner::new(
                 &s,
                 &group_by,
@@ -649,10 +709,10 @@ mod tests {
             // Batch 0 is decided against its own set, batch k against the
             // set handed in at k - 1 — decisions and index checks alike.
             let decided_against = &sets[k.saturating_sub(1)];
-            let decisions = plan(&mut peek, batch, set.clone());
-            assert_eq!(decisions, sync(batch, decided_against), "batch {k}");
+            let decisions = plan(&mut peek, batch.clone(), set.clone());
+            assert_eq!(decisions, sync(batch.clone(), decided_against), "batch {k}");
             assert_eq!(peek.planned_with(), decided_against, "batch {k}");
-            stale_differs |= decisions.0 != sync(batch, set).0;
+            stale_differs |= decisions.0 != sync(batch.clone(), set).0;
         }
         // The sets differ enough that planning against the fresh set would
         // have decided differently.
@@ -664,7 +724,7 @@ mod tests {
             BlockPlanner::new(&s, &[], &[], &BoundPredicate::True, SamplingStrategy::Scan);
         for (batch, set) in batches.iter().zip(&sets) {
             assert_eq!(
-                plan(&mut exact, batch, set.clone()),
+                plan(&mut exact, batch.clone(), set.clone()),
                 (vec![true; batch.len()], 0)
             );
         }
@@ -738,7 +798,10 @@ mod tests {
     /// probe's for every strategy, random active sets, one- and two-column
     /// GROUP BYs plus a column without an index, categorical and range
     /// predicates and their `And`, `Or` and `Not`, on batches that start
-    /// mid-word and batches that wrap past the last block.
+    /// mid-word and batches that wrap past the last block. The spans cover
+    /// the batch exactly, in order, and are maximal: adjacent spans differ
+    /// in decision unless the wrap separates them, also where the decision
+    /// changes exactly on a 64-block word boundary.
     #[test]
     fn fetch_mask_equals_the_per_block_probe() {
         // 3 000 rows in blocks of 10: 300 blocks, the last word 44 bits.
@@ -783,6 +846,8 @@ mod tests {
             Predicate::Not(Box::new(p1)),
         ];
         let (mut fetched, mut pruned, mut inactive) = (0usize, 0usize, 0usize);
+        // Decision changes exactly on a word boundary.
+        let mut word_edges = 0usize;
         for group_by in group_bys {
             let group_by: Vec<String> = group_by.iter().map(|c| c.to_string()).collect();
             // Every code combination, plus one code outside `a`'s
@@ -818,7 +883,7 @@ mod tests {
                         strategy,
                     };
                     let mut handed: Option<ActiveSet> = None;
-                    for round in 0..12 {
+                    for round in 0..16 {
                         // Random sets, dense to sparse; the first
                         // uninitialized, one empty.
                         let active = match round {
@@ -833,11 +898,21 @@ mod tests {
                             _ => ActiveSet::of((0..1 + next(4)).map(|_| next(tuples.len()))),
                         };
                         // Starts mid-word and lengths crossing words; some
-                        // batches wrap past block 299.
-                        let start = next(n);
-                        let len = 1 + next(2 * n / 3);
-                        let batch: Vec<BlockId> =
-                            (start..start + len).map(|b| BlockId(b % n)).collect();
+                        // batches wrap past block 299. Then fixed shapes: a
+                        // wrapping batch, one across two word boundaries,
+                        // one ending mid-word in the ragged last word
+                        // (blocks 256..300), and the whole table.
+                        let (start, len) = match round {
+                            12 => (n - 20, 50),
+                            13 => (40, 100),
+                            14 => (250, 40),
+                            15 => (0, n),
+                            _ => (next(n), 1 + next(2 * n / 3)),
+                        };
+                        let batch = [
+                            start..(start + len).min(n),
+                            0..(start + len).saturating_sub(n),
+                        ];
                         let stale = handed.replace(active.clone());
                         let planned = match (strategy, stale) {
                             (SamplingStrategy::ActivePeek, Some(previous)) => previous,
@@ -845,15 +920,22 @@ mod tests {
                         };
                         planner.plan(&batch, &Arc::new(active));
                         assert_eq!(planner.planned_with(), &planned);
-                        for (&block, &fetch) in batch.iter().zip(planner.decisions()) {
-                            let decision = (!fetch).then(|| planner.skip_reason(block));
-                            let want = naive.decide(&planned, block);
-                            assert_eq!(
-                                decision,
-                                want,
-                                "{group_by:?} {predicate:?} {strategy} round {round} block {}",
-                                block.index()
-                            );
+                        let what = format!("{group_by:?} {predicate:?} {strategy} round {round}");
+                        let spans = planner.spans();
+                        assert!(spans.iter().all(|span| span.len > 0), "{what}");
+                        for pair in spans.windows(2) {
+                            let (a, b) = (pair[0], pair[1]);
+                            if a.first + a.len == b.first {
+                                assert_ne!(a.skip, b.skip, "{what}: {a:?} {b:?}");
+                                word_edges += usize::from(b.first % 64 == 0);
+                            }
+                        }
+                        let blocks: Vec<usize> = per_block(&planner).map(|(b, _)| b).collect();
+                        let want: Vec<usize> = batch.iter().cloned().flatten().collect();
+                        assert_eq!(blocks, want, "{what}");
+                        for (block, decision) in per_block(&planner) {
+                            let want = naive.decide(&planned, BlockId(block));
+                            assert_eq!(decision, want, "{what} block {block}");
                             match decision {
                                 None => fetched += 1,
                                 Some(Skip::Pruned) => pruned += 1,
@@ -870,6 +952,10 @@ mod tests {
         assert!(
             fetched > 5_000 && pruned > 500 && inactive > 5_000,
             "{fetched} / {pruned} / {inactive}"
+        );
+        assert!(
+            word_edges > 50,
+            "{word_edges} decision changes on a word boundary"
         );
     }
 }

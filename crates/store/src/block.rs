@@ -74,15 +74,34 @@ impl BlockLayout {
         start..end
     }
 
-    /// Iterates over all block ids starting at `start_block` and wrapping
-    /// around, visiting every block exactly once. Starting the scan at a
-    /// position chosen independently of the data keeps the scramble's
-    /// without-replacement sampling guarantee (§5.2: "each approximate query
-    /// was started from a random position in the shuffled data").
-    pub fn blocks_from(&self, start_block: usize) -> impl Iterator<Item = BlockId> + '_ {
+    /// The number of rows in blocks `first..first + len`, which must lie in
+    /// the layout: `len` full blocks, less what a short last block lacks.
+    pub fn span_rows(&self, first: usize, len: usize) -> usize {
+        ((first + len) * self.block_size).min(self.num_rows) - first * self.block_size
+    }
+
+    /// The block ids of one scan batch, in scan order. A scan visits every
+    /// block once, from `start_block` on, wrapping around; the batch is the
+    /// next at most `len` blocks after the first `batched` ones. It is at
+    /// most two ranges, the second non-empty only when the batch wraps
+    /// past the last block. Starting the scan at a position chosen
+    /// independently of the data keeps the scramble's without-replacement
+    /// sampling guarantee (§5.2: "each approximate query was started from a
+    /// random position in the shuffled data").
+    pub fn batch_ranges(
+        &self,
+        start_block: usize,
+        batched: usize,
+        len: usize,
+    ) -> [Range<usize>; 2] {
         let n = self.num_blocks();
-        let start = if n == 0 { 0 } else { start_block % n };
-        (0..n).map(move |i| BlockId((start + i) % n))
+        if n == 0 {
+            return [0..0, 0..0];
+        }
+        let take = len.min(n.saturating_sub(batched));
+        let first = (start_block % n + batched) % n;
+        let head = take.min(n - first);
+        [first..first + head, 0..take - head]
     }
 }
 
@@ -123,20 +142,52 @@ mod tests {
         assert_eq!([0, 24, 25, 59].map(block_of), [0, 0, 1, 2]);
     }
 
+    /// The blocks of every batch, concatenated in scan order.
+    fn scan_order(l: &BlockLayout, start_block: usize, batch: usize) -> Vec<usize> {
+        let mut order = Vec::new();
+        loop {
+            let ranges = l.batch_ranges(start_block, order.len(), batch);
+            if ranges.iter().all(Range::is_empty) {
+                return order;
+            }
+            order.extend(ranges.into_iter().flatten());
+        }
+    }
+
     #[test]
     fn blocks_from_wraps_and_covers_all() {
         let l = BlockLayout::new(100, 25);
-        let order: Vec<usize> = l.blocks_from(2).map(BlockId::index).collect();
-        assert_eq!(order, vec![2, 3, 0, 1]);
+        assert_eq!(l.batch_ranges(2, 0, 1024), [2..4, 0..2]);
         // Start beyond the block count wraps via modulo.
-        let order: Vec<usize> = l.blocks_from(7).map(BlockId::index).collect();
-        assert_eq!(order, vec![3, 0, 1, 2]);
+        assert_eq!(l.batch_ranges(7, 0, 1024), [3..4, 0..3]);
+        // Batches of any size visit every block once, in the same order.
+        for batch in 1..=5 {
+            assert_eq!(scan_order(&l, 2, batch), vec![2, 3, 0, 1]);
+            assert_eq!(scan_order(&l, 7, batch), vec![3, 0, 1, 2]);
+        }
+        // A batch that does not reach the last block is one range.
+        assert_eq!(l.batch_ranges(0, 1, 2), [1..3, 0..0]);
+        assert_eq!(l.batch_ranges(2, 2, 2), [0..2, 0..0]);
     }
 
     #[test]
     fn blocks_from_empty_layout() {
         let l = BlockLayout::new(0, 25);
-        assert_eq!(l.blocks_from(3).count(), 0);
+        assert_eq!(l.batch_ranges(3, 0, 1024), [0..0, 0..0]);
+        assert!(scan_order(&l, 3, 1024).is_empty());
+    }
+
+    #[test]
+    fn span_rows_include_the_partial_tail() {
+        let l = BlockLayout::new(60, 25);
+        assert_eq!(l.span_rows(0, 3), 60);
+        assert_eq!(l.span_rows(1, 2), 35);
+        assert_eq!(l.span_rows(2, 1), 10);
+        assert_eq!(l.span_rows(0, 2), 50);
+        assert_eq!(l.span_rows(1, 0), 0);
+        for b in 0..3 {
+            assert_eq!(l.span_rows(b, 1), l.rows_of(BlockId(b)).len());
+        }
     }
 
     #[test]

@@ -29,17 +29,18 @@ impl ScanStats {
         Self::default()
     }
 
-    /// Records that a block was fetched and `rows` of it were scanned.
+    /// Records that `blocks` blocks were fetched and their `rows` rows
+    /// scanned.
     #[inline]
-    pub fn record_fetch(&mut self, rows: u64) {
-        self.blocks_fetched += 1;
+    pub fn record_fetch(&mut self, blocks: u64, rows: u64) {
+        self.blocks_fetched += blocks;
         self.rows_scanned += rows;
     }
 
-    /// Records that a block was skipped without being read.
+    /// Records that `blocks` blocks were skipped without being read.
     #[inline]
-    pub fn record_skip(&mut self) {
-        self.blocks_skipped += 1;
+    pub fn record_skips(&mut self, blocks: u64) {
+        self.blocks_skipped += blocks;
     }
 
     /// Records predicate matches.
@@ -62,9 +63,8 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut s = ScanStats::new();
-        s.record_fetch(25);
-        s.record_fetch(25);
-        s.record_skip();
+        s.record_fetch(2, 50);
+        s.record_skips(1);
         s.record_matches(13);
         s.record_index_checks(3);
         assert_eq!(s.blocks_fetched, 2);
@@ -72,6 +72,14 @@ mod tests {
         assert_eq!(s.rows_scanned, 50);
         assert_eq!(s.rows_matched, 13);
         assert_eq!(s.index_checks, 3);
+        // Counts add; an empty span adds nothing.
+        s.record_fetch(3, 60);
+        s.record_skips(4);
+        s.record_fetch(0, 0);
+        s.record_skips(0);
+        assert_eq!(s.blocks_fetched, 5);
+        assert_eq!(s.blocks_skipped, 5);
+        assert_eq!(s.rows_scanned, 110);
     }
 
     #[test]

@@ -142,6 +142,40 @@ impl ZoneMap {
             RangeFilter::Between(lo, hi) => max >= lo && min <= hi,
         }
     }
+
+    /// [`block_may_match`](Self::block_may_match) for blocks
+    /// `0..num_blocks` at once, as a bitset of `⌈num_blocks / 64⌉` words:
+    /// bit `b` is set iff block `b` may match. Blocks past the zone map's
+    /// end are admitted; bits past `num_blocks` are clear.
+    pub fn may_match_words(&self, filter: RangeFilter, num_blocks: usize) -> Vec<u64> {
+        match filter {
+            RangeFilter::Gt(t) => self.words_where(num_blocks, |_, max| max > t),
+            RangeFilter::Lt(t) => self.words_where(num_blocks, |min, _| min < t),
+            RangeFilter::Between(lo, hi) => {
+                self.words_where(num_blocks, |min, max| max >= lo && min <= hi)
+            }
+        }
+    }
+
+    /// The bitset of blocks `0..num_blocks` that hold a non-NaN value and
+    /// whose `[min, max]` passes `test`, plus the unmapped ones.
+    fn words_where(&self, num_blocks: usize, test: impl Fn(f64, f64) -> bool) -> Vec<u64> {
+        let mapped = num_blocks.min(self.mins.len());
+        let mut words = vec![0u64; num_blocks.div_ceil(64)];
+        let extrema = self.mins[..mapped]
+            .chunks(64)
+            .zip(self.maxs[..mapped].chunks(64));
+        for (word, (mins, maxs)) in words.iter_mut().zip(extrema) {
+            for (bit, (&min, &max)) in mins.iter().zip(maxs).enumerate() {
+                let empty = min > max;
+                *word |= u64::from(!empty && test(min, max)) << bit;
+            }
+        }
+        for b in mapped..num_blocks {
+            words[b / 64] |= 1 << (b % 64);
+        }
+        words
+    }
 }
 
 #[cfg(test)]
@@ -206,6 +240,55 @@ mod tests {
             BlockId(1),
             RangeFilter::Between(f64::NEG_INFINITY, f64::INFINITY)
         ));
+    }
+
+    /// The word fill gives `block_may_match`'s verdict on every block:
+    /// strict and inclusive comparisons, ties on the bounds, NaN-only
+    /// blocks, ±∞ thresholds, a partial last word and blocks past the
+    /// zone map's end.
+    #[test]
+    fn may_match_words_equal_the_per_block_verdict() {
+        // 150 blocks of 2 rows: block b holds b and b + 0.5, every
+        // seventh block only NaN, and the last block one value.
+        let values: Vec<f64> = (0..299)
+            .map(|r| match r / 2 {
+                b if b % 7 == 3 => f64::NAN,
+                b => b as f64 + 0.5 * (r % 2) as f64,
+            })
+            .collect();
+        let z = ZoneMap::build(&Column::float("x", values), &layout(299, 2)).unwrap();
+        assert_eq!(z.num_blocks(), 150);
+        assert_eq!(z.block_range(BlockId(3)), None);
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let filters = [
+            RangeFilter::Gt(70.0),
+            RangeFilter::Gt(70.5),
+            RangeFilter::Gt(-inf),
+            RangeFilter::Gt(inf),
+            RangeFilter::Lt(70.0),
+            RangeFilter::Lt(-inf),
+            RangeFilter::Lt(inf),
+            RangeFilter::Lt(nan),
+            RangeFilter::Between(10.5, 100.0),
+            RangeFilter::Between(-inf, inf),
+            RangeFilter::Between(64.2, 64.4),
+            RangeFilter::Between(inf, -inf),
+        ];
+        // 150 blocks end mid-word; 200 reach past the zone map's end.
+        for num_blocks in [0, 64, 100, 150, 200] {
+            for filter in filters {
+                let words = z.may_match_words(filter, num_blocks);
+                assert_eq!(words.len(), num_blocks.div_ceil(64));
+                for b in 0..words.len() * 64 {
+                    let want = b < num_blocks && z.block_may_match(BlockId(b), filter);
+                    let got = words[b / 64] & (1 << (b % 64)) != 0;
+                    assert_eq!(got, want, "{filter:?} over {num_blocks} blocks, block {b}");
+                }
+            }
+        }
+        // The cases are not vacuous: some blocks match, some do not.
+        let some = z.may_match_words(RangeFilter::Gt(70.0), 150);
+        assert!(some.iter().any(|&w| w != 0) && some.iter().any(|&w| w != u64::MAX));
     }
 
     #[test]
