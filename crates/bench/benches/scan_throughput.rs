@@ -61,7 +61,7 @@
 //! runs), `FASTFRAME_THREADS` (pool size, default 1 so the comparison
 //! isolates the inner loop).
 
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -208,23 +208,24 @@ fn read_split_ns(
     projection: &[usize],
     runs: usize,
 ) -> ([f64; 3], usize, f64) {
-    let blocks: Vec<BlockId> = (0..reader.num_blocks()).map(BlockId).collect();
+    let blocks = reader.num_blocks();
+    let every = 0..blocks;
     let steps: Vec<ScanSteps> = (0..runs)
         .map(|_| {
             reader
-                .scan_steps(&blocks, Some(projection))
+                .scan_steps(std::slice::from_ref(&every), Some(projection))
                 .expect("scan_steps")
         })
         .collect();
     let median = |step: fn(&ScanSteps) -> Duration| {
         let mut walls: Vec<Duration> = steps.iter().map(step).collect();
         walls.sort();
-        walls[runs / 2].as_nanos() as f64 / blocks.len() as f64
+        walls[runs / 2].as_nanos() as f64 / blocks as f64
     };
     (
         [median(|s| s.io), median(|s| s.crc), median(|s| s.decode)],
         steps[0].reads,
-        steps[0].bytes as f64 / blocks.len() as f64,
+        steps[0].bytes as f64 / blocks as f64,
     )
 }
 
@@ -233,20 +234,25 @@ fn read_split_ns(
 /// over the whole list. Each block's row count is summed so the reads
 /// cannot be optimized away.
 fn block_read_ns(source: &dyn BlockSource, projection: &[usize], runs: usize, scan: bool) -> f64 {
-    let blocks: Vec<BlockId> = (0..source.num_blocks()).map(BlockId).collect();
+    let blocks = source.num_blocks();
+    let every = 0..blocks;
     let mut walls = Vec::with_capacity(runs);
     for _ in 0..runs {
         let mut rows = 0;
         let start = Instant::now();
         if scan {
             source
-                .scan_blocks(&blocks, Some(projection), &mut |_, block| {
-                    rows += block.len();
-                    ControlFlow::Continue(())
-                })
+                .scan_blocks(
+                    std::slice::from_ref(&every),
+                    Some(projection),
+                    &mut |_, block| {
+                        rows += block.len();
+                        ControlFlow::Continue(())
+                    },
+                )
                 .expect("scan_blocks");
         } else {
-            for &block in &blocks {
+            for block in (0..blocks).map(BlockId) {
                 rows += source
                     .read_block_projected(block, Some(projection))
                     .expect("read_block_projected")
@@ -257,7 +263,7 @@ fn block_read_ns(source: &dyn BlockSource, projection: &[usize], runs: usize, sc
         assert_eq!(rows, source.num_rows(), "every row read");
     }
     walls.sort();
-    walls[runs / 2].as_nanos() as f64 / blocks.len() as f64
+    walls[runs / 2].as_nanos() as f64 / blocks as f64
 }
 
 /// Adds one scan's steps to a running total.
@@ -268,6 +274,26 @@ fn add_steps(total: &mut ScanSteps, steps: &ScanSteps) {
     total.reads += steps.reads;
     total.bytes += steps.bytes;
     total.hole_bytes += steps.hole_bytes;
+}
+
+/// `blocks` cut every `size` listed blocks, as the engine cuts a round into
+/// partitions.
+fn partitions(blocks: &[Range<usize>], size: usize) -> Vec<Vec<Range<usize>>> {
+    let mut out: Vec<Vec<Range<usize>>> = Vec::new();
+    let mut room = 0;
+    for range in blocks {
+        let mut at = range.start;
+        while at < range.end {
+            if room == 0 {
+                out.push(Vec::new());
+                room = size;
+            }
+            let len = room.min(range.end - at);
+            out.last_mut().expect("a partition").push(at..at + len);
+            (at, room) = (at + len, room - len);
+        }
+    }
+    out
 }
 
 /// A list keeping the first `keep` of every `stride` blocks of `reader`,
@@ -282,12 +308,19 @@ fn sparse_scan(
     stride: usize,
     runs: usize,
 ) -> (usize, ScanSteps, f64) {
-    let blocks: Vec<BlockId> = (0..reader.num_blocks())
-        .filter(|b| b % stride < keep)
-        .map(BlockId)
-        .collect();
+    let n = reader.num_blocks();
+    // Ranges that continue each other are merged, so runs are maximal.
+    let mut list: Vec<Range<usize>> = Vec::new();
+    for range in (0..n).step_by(stride).map(|b| b..(b + keep).min(n)) {
+        match list.last_mut() {
+            Some(last) if last.end == range.start => last.end = range.end,
+            _ => list.push(range),
+        }
+    }
+    let blocks: usize = list.iter().map(|range| range.len()).sum();
+    let partitions = partitions(&list, PARTITION_BLOCKS);
     let mut steps = ScanSteps::default();
-    for partition in blocks.chunks(PARTITION_BLOCKS) {
+    for partition in &partitions {
         let partition_steps = reader
             .scan_steps(partition, Some(projection))
             .expect("scan_steps");
@@ -297,7 +330,7 @@ fn sparse_scan(
     for _ in 0..runs {
         let mut rows = 0;
         let start = Instant::now();
-        for partition in blocks.chunks(PARTITION_BLOCKS) {
+        for partition in &partitions {
             reader
                 .scan_blocks(partition, Some(projection), &mut |_, run| {
                     rows += run.len();
@@ -306,11 +339,11 @@ fn sparse_scan(
                 .expect("scan_blocks");
         }
         walls.push(start.elapsed());
-        assert!(rows >= blocks.len(), "every listed block read");
+        assert!(rows >= blocks, "every listed block read");
     }
     walls.sort();
-    let ns = walls[runs / 2].as_nanos() as f64 / blocks.len() as f64;
-    (blocks.len(), steps, ns)
+    let ns = walls[runs / 2].as_nanos() as f64 / blocks as f64;
+    (blocks, steps, ns)
 }
 
 /// A segment reader that keeps every block list the engine hands to
@@ -322,7 +355,7 @@ struct PartitionLists<'a> {
 }
 
 /// One `scan_blocks` call: its block list and projection.
-type ScanCall = (Vec<BlockId>, Option<Vec<usize>>);
+type ScanCall = (Vec<Range<usize>>, Option<Vec<usize>>);
 
 impl BlockSource for PartitionLists<'_> {
     fn schema(&self) -> &Table {
@@ -367,7 +400,7 @@ impl BlockSource for PartitionLists<'_> {
 
     fn scan_blocks(
         &self,
-        blocks: &[BlockId],
+        blocks: &[Range<usize>],
         projection: Option<&[usize]>,
         visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
     ) -> StoreResult<()> {
@@ -415,7 +448,11 @@ fn partition_reads(
         })
         .collect();
     replays.sort_by_key(|s| s.io + s.crc + s.decode);
-    let blocks = lists.iter().map(|(blocks, _)| blocks.len()).sum();
+    let blocks = lists
+        .iter()
+        .flat_map(|(blocks, _)| blocks)
+        .map(|range| range.len())
+        .sum();
     (lists.len(), blocks, replays[runs / 2])
 }
 

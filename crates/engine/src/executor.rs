@@ -72,13 +72,14 @@
 //! same kernels, merges and finalize.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use fastframe_core::delta::DeltaBudget;
 use fastframe_core::partial::FlatBounder;
 use fastframe_core::stopping::GroupSnapshot;
-use fastframe_store::block::{BlockId, DEFAULT_LOOKAHEAD_BATCH};
+use fastframe_store::block::DEFAULT_LOOKAHEAD_BATCH;
 use fastframe_store::expr::BoundExpr;
 use fastframe_store::predicate::BoundPredicate;
 use fastframe_store::source::{BlockSource, GroupUniverse};
@@ -742,9 +743,10 @@ fn run_scan_loop(
 ) -> EngineResult<()> {
     let layout = source.layout();
     let num_views = state.views.len();
-    let mut round_len = round_blocks(first_round_blocks, num_views, state.rounds);
-    // Blocks granted to the current round but not yet scanned.
-    let mut pending: Vec<BlockId> = Vec::with_capacity(round_len.min(source.num_blocks()));
+    // Blocks the current round still takes.
+    let mut room = round_blocks(first_round_blocks, num_views, state.rounds);
+    // Blocks granted to the current round but not yet scanned, in scan order.
+    let mut pending: Vec<Range<usize>> = Vec::new();
     // Rows granted so far: rows already scanned plus the rows of `pending`.
     // The row cap is enforced here, at grant time, before a worker ever sees
     // the block — so `max_rows` cannot be exceeded however many threads scan.
@@ -782,7 +784,7 @@ fn run_scan_loop(
             }
             let (mut first, end) = (first, first + len);
             while first < end {
-                let take = (end - first).min(round_len - pending.len());
+                let take = (end - first).min(room);
                 let rows = layout.span_rows(first, take) as u64;
                 if let Some(cap) = sink.budget.max_rows {
                     if granted_rows + rows > cap {
@@ -795,7 +797,7 @@ fn run_scan_loop(
                         // every row the budget paid for.
                         let block_rows = layout.block_size() as u64;
                         let fit = ((cap - granted_rows) / block_rows) as usize;
-                        pending.extend((first..first + fit).map(BlockId));
+                        grant(&mut pending, first..first + fit);
                         granted_rows += fit as u64 * block_rows;
                         sink.cancellation = Some(CancellationReason::RowBudget);
                         merge_pending(rexec, &mut pending, granted_rows, state)?;
@@ -803,16 +805,16 @@ fn run_scan_loop(
                     }
                 }
                 granted_rows += rows;
-                pending.extend((first..first + take).map(BlockId));
-                first += take;
-                if pending.len() < round_len {
+                grant(&mut pending, first..first + take);
+                (first, room) = (first + take, room - take);
+                if room > 0 {
                     continue;
                 }
                 merge_pending(rexec, &mut pending, granted_rows, state)?;
                 state.charge_skips(planner.planned_with());
                 let (satisfied, group_snapshots) =
                     evaluate_round(query, bounder, view_budget, scramble_rows, state)?;
-                round_len = round_blocks(first_round_blocks, num_views, state.rounds);
+                room = round_blocks(first_round_blocks, num_views, state.rounds);
                 let mut control = RoundControl::Continue;
                 if sink.observer.is_some() {
                     let snapshot =
@@ -853,6 +855,16 @@ fn run_scan_loop(
     Ok(())
 }
 
+/// Appends granted `blocks` to `pending`, extending its last range when they
+/// continue it, as a fetch span carried across a planner batch does: the
+/// partitions then cut the same runs as from one span.
+fn grant(pending: &mut Vec<Range<usize>>, blocks: Range<usize>) {
+    match pending.last_mut() {
+        Some(last) if last.end == blocks.start => last.end = blocks.end,
+        _ => pending.push(blocks),
+    }
+}
+
 /// Scans the pending blocks through the partitioned pipeline and merges the
 /// partials into the master state in partition (block-id) order.
 /// `granted_rows` counts every row granted so far, the pending blocks'
@@ -867,11 +879,12 @@ fn run_scan_loop(
 /// two — the invariant the end-to-end tests assert.
 fn merge_pending(
     rexec: &mut RoundExecutor<'_>,
-    pending: &mut Vec<BlockId>,
+    pending: &mut Vec<Range<usize>>,
     granted_rows: u64,
     state: &mut ScanState,
 ) -> EngineResult<()> {
-    if pending.is_empty() {
+    let blocks: usize = pending.iter().map(ExactSizeIterator::len).sum();
+    if blocks == 0 {
         return Ok(());
     }
     // Every partition of the round starts each view's record from the
@@ -891,7 +904,7 @@ fn merge_pending(
         }
     })?;
     let rows = granted_rows - state.stats.rows_scanned;
-    state.stats.record_fetch(pending.len() as u64, rows);
+    state.stats.record_fetch(blocks as u64, rows);
     pending.clear();
     Ok(())
 }
@@ -958,6 +971,7 @@ fn evaluate_round(
 mod tests {
     use super::*;
     use fastframe_core::bounder::BounderKind;
+    use fastframe_store::block::BlockId;
     use fastframe_store::column::Column;
     use fastframe_store::expr::Expr;
     use fastframe_store::predicate::Predicate;

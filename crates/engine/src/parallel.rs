@@ -5,10 +5,11 @@
 //!
 //! ## Partition layout
 //!
-//! Each OptStop round plans a list of blocks to fetch. That list is split
-//! into contiguous **partitions** of a fixed block count, as morsel-driven
-//! engines size their work units (Leis et al., "Morsel-Driven Parallelism",
-//! SIGMOD 2014): a work unit must be large next to its fixed cost. A
+//! Each OptStop round plans a list of blocks to fetch, written as ranges of
+//! block ids in scan order. That list is cut into contiguous **partitions**
+//! of a fixed block count, as morsel-driven engines size their work units
+//! (Leis et al., "Morsel-Driven Parallelism", SIGMOD 2014): a work unit
+//! must be large next to its fixed cost. A
 //! partition's fixed cost grows with the query's views: it hands on one
 //! record per view it touched, and the coordinator merges each. So
 //! [`partition_size`] is, for a round of `n` blocks, a query of `v` views
@@ -109,7 +110,7 @@
 //! values clip against the round-start extremes joined with its own
 //! prefix, and its sums share the master's shift.
 //!
-//! That buffer and the job's block list are reused: each partition is
+//! That buffer and the job's block ranges are reused: each partition is
 //! queued with a spare set of buffers, which comes back with its partial
 //! and is kept, emptied, for later partitions and rounds. Once the buffers
 //! have grown to a round's size, a partition allocates nothing, except the
@@ -139,7 +140,7 @@
 //! ## Batch execution
 //!
 //! Within a partition, each **run** goes through one loop. A run is a
-//! stretch of up to 64 consecutive blocks of the partition
+//! stretch of up to 64 consecutive blocks of one of the partition's ranges
 //! ([`BlockSource::scan_blocks`]); a skipped block ends it. Each step below
 //! is one call per run, so its fixed cost is paid once for up to 1 600
 //! rows instead of once per 25-row block (the vectorised execution of
@@ -190,7 +191,6 @@ use std::sync::RwLock;
 use crossbeam::channel::{Receiver, Sender};
 use fastframe_core::partial::FlatRecord;
 
-use fastframe_store::block::BlockId;
 use fastframe_store::expr::BoundExpr;
 use fastframe_store::predicate::BoundPredicate;
 use fastframe_store::selection::{SelectionScratch, SelectionVector};
@@ -261,8 +261,8 @@ pub(crate) struct ScanContext<'a> {
 /// coordinator with its partial and reused by later partitions and rounds.
 #[derive(Default)]
 struct PartitionBuffers {
-    /// The partition's blocks.
-    blocks: Vec<BlockId>,
+    /// The partition's blocks, as ranges in scan order.
+    blocks: Vec<Range<usize>>,
     /// Touched views' records, in view order (views are independent, so the
     /// order only has to be deterministic).
     views: Vec<(u32, FlatRecord)>,
@@ -613,6 +613,31 @@ fn help(
     }
 }
 
+/// The pieces of `blocks` that the partitions of `size` blocks each scan,
+/// as `(partition, range)` in list order: the list is cut every `size`
+/// blocks, where `chunks(size)` cuts the list of its block ids, so a range
+/// is split only at a cut, and empty ranges drop out.
+fn partition_pieces(
+    blocks: &[Range<usize>],
+    size: usize,
+) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+    // Blocks of the list before the range being cut.
+    let mut before = 0;
+    blocks.iter().flat_map(move |range| {
+        let (mut at, mut offset) = (range.start, before);
+        before += range.len();
+        std::iter::from_fn(move || {
+            (at < range.end).then(|| {
+                let len = (size - offset % size).min(range.end - at);
+                let piece = (offset / size, at..at + len);
+                at += len;
+                offset += len;
+                piece
+            })
+        })
+    })
+}
+
 /// Executes rounds of planned blocks on the coordinating thread and its
 /// helpers, with identical results at any thread count.
 pub(crate) struct RoundExecutor<'a> {
@@ -649,8 +674,9 @@ impl RoundExecutor<'_> {
         debug_assert_eq!(buffer.records.len(), self.ctx.num_views);
     }
 
-    /// Scans every partition of `blocks`, each view's record started from
-    /// the seed of the latest [`Self::seed_round`], and hands each partial to `merge`
+    /// Scans every partition of `blocks`, ranges of block ids in scan order
+    /// ([`partition_pieces`]), each view's record started from the seed of
+    /// the latest [`Self::seed_round`], and hands each partial to `merge`
     /// in partition (block-id) order, as soon as it and every earlier
     /// partition are done. At most `2 · threads` partitions (one without
     /// helpers) are unmerged at once, so a round's memory stays bounded
@@ -664,26 +690,29 @@ impl RoundExecutor<'_> {
     /// and some may still be queued.
     pub(crate) fn execute_round(
         &mut self,
-        blocks: &[BlockId],
+        blocks: &[Range<usize>],
         mut merge: impl FnMut(&PartitionPartial),
     ) -> Result<(), StoreError> {
+        let len = blocks.iter().map(ExactSizeIterator::len).sum();
         let size = partition_size(
-            blocks.len(),
+            len,
             self.ctx.num_views,
             self.ctx.source.layout().block_size(),
         );
-        let mut chunks = blocks.chunks(size).enumerate();
-        let total = chunks.len();
+        let mut pieces = partition_pieces(blocks, size).peekable();
+        let total = len.div_ceil(size);
         self.waiting.clear();
         self.waiting.resize_with(total, || None);
         let (mut queued, mut merged) = (0, 0);
         while merged < total {
             while queued < merged + self.max_unmerged {
-                let Some((index, chunk)) = chunks.next() else {
+                let Some(&(index, _)) = pieces.peek() else {
                     break;
                 };
                 let mut buffers = self.spare.pop().unwrap_or_default();
-                buffers.blocks.extend_from_slice(chunk);
+                while let Some((_, range)) = pieces.next_if(|(i, _)| *i == index) {
+                    buffers.blocks.push(range);
+                }
                 if self.jobs.send(Job { index, buffers }).is_err() {
                     unreachable!("the coordinator holds a receiver of its own queue");
                 }
@@ -842,15 +871,14 @@ mod tests {
                 Expr::col("x").mul(Expr::lit(2.0)).add(Expr::col("n")),
             ),
         };
-        // Two partitions scanned with one scratch; the first has holes, so
-        // its runs end early.
-        let blocks: Vec<BlockId> = (0..source.num_blocks()).map(BlockId).collect();
-        let (first, second) = blocks.split_at(blocks.len() / 2);
-        let first: Vec<BlockId> = first
-            .iter()
-            .copied()
-            .filter(|b| b.index() % 5 != 3)
+        // Two partitions scanned with one scratch; the first leaves out
+        // every fifth block, so its runs end early.
+        let half = source.num_blocks() / 2;
+        let first: Vec<Range<usize>> = (0..half)
+            .step_by(5)
+            .flat_map(|b| [b..(b + 3).min(half), (b + 4).min(half)..(b + 5).min(half)])
             .collect();
+        let second = half..source.num_blocks();
         for groups in groupings {
             let columns: Vec<usize> = groups.iter().map(|g| index(g)).collect();
             let codes = |table: &Table, row: usize| -> Vec<u32> {
@@ -916,7 +944,10 @@ mod tests {
                     let case = format!("{groups:?} {} filtered={filtered}", query.name);
                     let mut scratch = WorkerScratch::new(&ctx);
                     let mut sunk = 0;
-                    for (index, blocks) in [&first, second].into_iter().enumerate() {
+                    for (index, blocks) in [&first[..], std::slice::from_ref(&second)]
+                        .into_iter()
+                        .enumerate()
+                    {
                         // The reference: every row of the partition, one at
                         // a time, in ascending order.
                         let mut expected = seeds.records.clone();
@@ -972,6 +1003,53 @@ mod tests {
                     }
                     assert_eq!(sunk > 0, !groups.is_empty(), "{case}: rows in no view");
                 }
+            }
+        }
+    }
+
+    /// A round's range list is cut where `chunks(size)` cuts the list of its
+    /// block ids, and a range is split only at a cut.
+    #[test]
+    fn partition_pieces_cut_the_ranges_where_chunks_cut_their_ids() {
+        // A range split by cuts, an empty range, a range ending exactly on
+        // a cut and a list that wraps from the last block to block 0.
+        let list = [0..10, 12..12, 12..16, 20..22, 98..100, 0..1];
+        let pieces: Vec<(usize, Range<usize>)> = partition_pieces(&list, 4).collect();
+        assert_eq!(
+            pieces,
+            [
+                (0, 0..4),
+                (1, 4..8),
+                (2, 8..10),
+                (2, 12..14),
+                (3, 14..16),
+                (3, 20..22),
+                (4, 98..100),
+                (4, 0..1),
+            ]
+        );
+        let lists: [&[Range<usize>]; 5] = [
+            &list,
+            &[],
+            &[3..3, 7..7],
+            &[0..256, 256..512, 600..601],
+            &[990..1_000, 0..500, 500..500, 510..700, 0..0],
+        ];
+        for list in lists {
+            let ids: Vec<usize> = list.iter().cloned().flatten().collect();
+            for size in [1, 2, 3, 4, 7, 10, 256, 1_000] {
+                let mut partitions: Vec<Vec<usize>> = Vec::new();
+                for (index, range) in partition_pieces(list, size) {
+                    assert!(!range.is_empty(), "{list:?} / {size}");
+                    if index == partitions.len() {
+                        partitions.push(Vec::new());
+                    }
+                    assert_eq!(index + 1, partitions.len(), "{list:?} / {size}");
+                    partitions[index].extend(range);
+                }
+                let chunks: Vec<Vec<usize>> = ids.chunks(size).map(<[usize]>::to_vec).collect();
+                assert_eq!(partitions, chunks, "{list:?} / {size}");
+                assert_eq!(partitions.len(), ids.len().div_ceil(size));
             }
         }
     }

@@ -50,7 +50,9 @@ use crate::result::{GroupKey, QueryResult};
 ///     .max_rows(100_000)
 ///     .max_rounds(16)
 ///     .deadline(Duration::from_millis(250));
-/// assert!(!budget.is_unlimited());
+/// assert_eq!(budget.max_rows, Some(100_000));
+/// assert_eq!(budget.max_rounds, Some(16));
+/// assert_eq!(budget.deadline, Some(Duration::from_millis(250)));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Budget {
@@ -93,11 +95,6 @@ impl Budget {
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
-    }
-
-    /// Whether no cap is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_rows.is_none() && self.max_rounds.is_none() && self.deadline.is_none()
     }
 }
 
@@ -266,15 +263,20 @@ mod tests {
 
     #[test]
     fn budget_builder_and_unlimited() {
-        assert!(Budget::unlimited().is_unlimited());
+        let unlimited = Budget::unlimited();
+        assert_eq!(
+            (unlimited.max_rows, unlimited.max_rounds, unlimited.deadline),
+            (None, None, None)
+        );
         let b = Budget::unlimited().max_rows(10).max_rounds(2);
         assert_eq!(b.max_rows, Some(10));
         assert_eq!(b.max_rounds, Some(2));
         assert!(b.deadline.is_none());
-        assert!(!b.is_unlimited());
-        assert!(!Budget::unlimited()
-            .deadline(Duration::from_secs(1))
-            .is_unlimited());
+        assert_ne!(b, Budget::unlimited());
+        assert_ne!(
+            Budget::unlimited().deadline(Duration::from_secs(1)),
+            Budget::unlimited()
+        );
     }
 
     #[test]

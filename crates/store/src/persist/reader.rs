@@ -9,23 +9,23 @@
 //! interface.
 //!
 //! Every block read goes through one path, [`BlockSource::scan_blocks`],
-//! which hands out **runs**: stretches of consecutive block ids holding up
-//! to [`RUN_ROWS`](crate::source::RUN_ROWS) rows (see [`runs`]). The reader
-//! pays its fixed costs once per window of runs, once per run, and once
-//! per page of a run:
+//! which takes ranges of block ids and hands out **runs**: each range cut
+//! into stretches of up to [`RUN_ROWS`](crate::source::RUN_ROWS) rows (see
+//! [`runs`]). The reader pays its fixed costs once per window of runs, once
+//! per run, and once per page of a run:
 //!
 //! 1. A **window** is as many whole runs as follow each other in ascending
 //!    block order, each separated from the one before by a hole of at most
-//!    [`HOLE_ROWS`] rows (the blocks the list skips between them; none for
-//!    a run ended by the cap), while the window's whole byte span, holes
-//!    included, fits in [`READ_BYTES`], and always at least one run. The
-//!    wrap to block 0, a longer hole or the byte cap ends it. The data
-//!    section is column-major inside each row group, so a window's span of
-//!    one column lies in one byte range per row group: the window is one
-//!    positioned read per referenced column (per row group it touches) into
-//!    a buffer reused from window to window, and unreferenced columns are
-//!    never read. A hole's bytes are read with the window; its blocks are
-//!    never checked, decoded or visited.
+//!    [`HOLE_ROWS`] rows (the blocks between them; none for a run ended
+//!    by the cap), while the window's whole byte span, holes included,
+//!    fits in [`READ_BYTES`], and always at least one run. The wrap to
+//!    block 0, a longer hole or the byte cap ends it. The data section is
+//!    column-major inside each row group, so a window's span of one column
+//!    lies in one byte range per row group: the window is one positioned
+//!    read per referenced column (per row group it touches) into a buffer
+//!    reused from window to window, and unreferenced columns are never
+//!    read. A hole's bytes are read with the window; its blocks are never
+//!    checked, decoded or visited.
 //! 2. Every referenced piece of a run is checked against its CRC-32,
 //!    column by column, four pieces at a time: the same column of four
 //!    consecutive blocks gives four independent table-lookup chains
@@ -58,6 +58,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::ops::{ControlFlow, Range};
 use std::path::{Path, PathBuf};
+use std::slice;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -105,8 +106,8 @@ struct PageEntry {
 /// of the window's pieces, holes included, and where it lands in the read
 /// buffer.
 struct Window {
-    /// Blocks of the scan's list the window covers.
-    len: usize,
+    /// Runs of the scan the window covers.
+    runs: usize,
     /// Bytes of the window's holes: pieces of blocks the list skips.
     holes: u64,
     /// Row group of the window's first block.
@@ -404,9 +405,10 @@ impl SegmentReader {
     /// that will hammer a table small enough to keep resident.
     pub fn materialize(&self) -> StoreResult<Scramble> {
         let mut columns = self.schema.columns().to_vec();
-        let blocks: Vec<BlockId> = (0..self.layout.num_blocks()).map(BlockId).collect();
         let mut decoded = self.schema.clone();
-        self.scan_into(&blocks, None, &mut decoded, None, &mut |_, run| {
+        let all = 0..self.layout.num_blocks();
+        let blocks = slice::from_ref(&all);
+        self.scan_into(blocks, None, &mut decoded, None, &mut |_, run| {
             for (column, part) in columns.iter_mut().zip(run.columns()) {
                 append(column.data_mut(), part.data());
             }
@@ -433,7 +435,7 @@ impl SegmentReader {
     /// As [`BlockSource::scan_blocks`].
     pub fn scan_steps(
         &self,
-        blocks: &[BlockId],
+        blocks: &[Range<usize>],
         projection: Option<&[usize]>,
     ) -> StoreResult<ScanSteps> {
         let mut steps = ScanSteps::default();
@@ -447,9 +449,10 @@ impl SegmentReader {
         Ok(steps)
     }
 
-    /// Reads and decodes `blocks` in list order into `decoded`, a clone of
-    /// the schema, one run at a time (see [`runs`]), handing it to `visit`
-    /// with the run's first block id after each run until `visit` breaks.
+    /// Reads and decodes the block ranges `blocks` in list order into
+    /// `decoded`, a clone of the schema, one run at a time ([`runs`]),
+    /// handing it to `visit` with the run's first block id after each run
+    /// until `visit` breaks.
     /// `decoded` then holds the run's rows, block after block. Only the
     /// `projection` columns' pieces are read, checked and decoded (all of
     /// them for `None`); the other columns stay zero-row placeholders
@@ -465,7 +468,7 @@ impl SegmentReader {
     /// With `steps`, the time of each step is added to it.
     fn scan_into(
         &self,
-        blocks: &[BlockId],
+        blocks: &[Range<usize>],
         projection: Option<&[usize]>,
         decoded: &mut Table,
         steps: Option<&mut ScanSteps>,
@@ -477,12 +480,10 @@ impl SegmentReader {
         let block_size = self.layout.block_size();
         let mut clock = steps.map(|steps| (steps, Instant::now()));
         let mut buffer = Vec::new();
-        let mut rest = blocks;
-        while !rest.is_empty() {
+        let mut rest = runs(blocks, block_size).peekable();
+        while rest.peek().is_some() {
             lap(&mut clock, None);
-            let window = self.next_window(rest, &columns)?;
-            let (read, tail) = rest.split_at(window.len);
-            rest = tail;
+            let window = self.next_window(rest.clone(), &columns)?;
             // The slack past the window's bytes lets the decoder load whole
             // words at the end of the last piece.
             let bytes = window.bytes();
@@ -510,8 +511,7 @@ impl SegmentReader {
             };
             let (buffer, piece_at) = (&buffer[..], &piece_at);
             let last_block = self.layout.num_blocks() - 1;
-            for run in runs(read, block_size) {
-                let blocks = run[0].index()..run[run.len() - 1].index() + 1;
+            for blocks in rest.by_ref().take(window.runs) {
                 // The `k`-th referenced column's pieces of the run, page by
                 // page: a page's pieces lie `stride` bytes apart, and only
                 // the table's ragged last block is shorter.
@@ -558,21 +558,24 @@ impl SegmentReader {
         Ok(())
     }
 
-    /// The head of `blocks` that one window of a scan covers, and the byte
-    /// ranges of its `columns` pieces from its first block to its last:
-    /// whole runs (see [`runs`]), each starting after the one before it
-    /// with a hole of at most [`HOLE_ROWS`] rows, while that span fits in
-    /// [`READ_BYTES`], and always the first run. A run holding a block past
-    /// the end of the segment ends the window before it, so it fails on its
-    /// own window, after the runs before it are visited.
+    /// The head of a scan's `runs` (see [`runs`]) that one window covers,
+    /// and the byte ranges of its `columns` pieces from its first block to
+    /// its last: whole runs, each starting after the one before it with a
+    /// hole of at most [`HOLE_ROWS`] rows, while that span fits in
+    /// [`READ_BYTES`], and always the first run. A run reaching past the
+    /// end of the segment ends the window before it, so it fails on its own
+    /// window, after the runs before it are visited.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Corrupt`] for a block id past the end of the segment
-    /// in the first run.
-    fn next_window(&self, blocks: &[BlockId], columns: &[usize]) -> StoreResult<Window> {
+    /// [`StoreError::Corrupt`] when the first run reaches past the end of
+    /// the segment.
+    fn next_window(
+        &self,
+        runs: impl Iterator<Item = Range<usize>>,
+        columns: &[usize],
+    ) -> StoreResult<Window> {
         let (num_blocks, block_size) = (self.layout.num_blocks(), self.layout.block_size());
-        let first = blocks[0].index();
         let bytes_of = |blocks: Range<usize>| -> u64 {
             columns
                 .iter()
@@ -580,36 +583,38 @@ impl SegmentReader {
                 .map(|file| file.end - file.start)
                 .sum()
         };
-        let (mut len, mut span, mut fetched) = (0, 0, 0);
-        for run in runs(blocks, block_size) {
-            if len > 0 {
+        let (mut first, mut end) = (0, 0);
+        let (mut count, mut span, mut fetched) = (0, 0, 0);
+        for run in runs {
+            if count == 0 {
+                first = run.start;
+            } else {
                 // The wrap (or any step back) ends the window, and so does
                 // a longer hole.
-                let after = blocks[len - 1].index() + 1;
-                let hole = run[0].index().checked_sub(after);
+                let hole = run.start.checked_sub(end);
                 if hole.map_or(true, |hole| hole * block_size > HOLE_ROWS) {
                     break;
                 }
             }
-            if let Some(&block) = run.iter().find(|block| block.index() >= num_blocks) {
-                if len > 0 {
+            if run.end > num_blocks {
+                if count > 0 {
                     break;
                 }
+                let block = BlockId(run.start.max(num_blocks));
                 return Err(StoreError::corrupt(
                     &self.path,
                     format!("{block} out of range ({num_blocks} blocks)"),
                 ));
             }
-            let end = run[run.len() - 1].index() + 1;
-            let grown = bytes_of(first..end);
-            if len > 0 && grown > READ_BYTES {
+            let grown = bytes_of(first..run.end);
+            if count > 0 && grown > READ_BYTES {
                 break;
             }
             span = grown;
-            fetched += bytes_of(run[0].index()..end);
-            len += run.len();
+            fetched += bytes_of(run.clone());
+            end = run.end;
+            count += 1;
         }
-        let end = blocks[len - 1].index() + 1;
         let first_group = first / GROUP_BLOCKS;
         let mut slices = Vec::new();
         let mut at = 0;
@@ -621,7 +626,7 @@ impl SegmentReader {
             }
         }
         Ok(Window {
-            len,
+            runs: count,
             holes: span - fetched,
             first_group,
             groups: (end - 1) / GROUP_BLOCKS + 1 - first_group,
@@ -741,7 +746,9 @@ impl BlockSource for SegmentReader {
         projection: Option<&[usize]>,
     ) -> StoreResult<BlockRef<'_>> {
         let mut decoded = self.schema.clone();
-        self.scan_into(&[block], projection, &mut decoded, None, &mut |_, _| {
+        let block = block.index()..block.index() + 1;
+        let blocks = slice::from_ref(&block);
+        self.scan_into(blocks, projection, &mut decoded, None, &mut |_, _| {
             ControlFlow::Continue(())
         })?;
         Ok(BlockRef::owned(decoded))
@@ -749,7 +756,7 @@ impl BlockSource for SegmentReader {
 
     fn scan_blocks(
         &self,
-        blocks: &[BlockId],
+        blocks: &[Range<usize>],
         projection: Option<&[usize]>,
         visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
     ) -> StoreResult<()> {
@@ -894,16 +901,17 @@ mod tests {
         let (reader, path) = reader("runs");
         let num_blocks = reader.layout.num_blocks();
         assert_eq!(num_blocks, 1_600);
-        let every: Vec<BlockId> = (0..num_blocks).map(BlockId).collect();
+        let all = 0..num_blocks;
+        let every = slice::from_ref(&all);
         // 1 600 rows of 25-row blocks.
         const RUN_BLOCKS: usize = 64;
         assert_eq!(run_blocks(25), RUN_BLOCKS);
-        let lens = |blocks: &[BlockId]| -> Vec<usize> {
+        let lens = |blocks: &[Range<usize>]| -> Vec<usize> {
             runs(blocks, reader.layout.block_size())
-                .map(<[BlockId]>::len)
+                .map(|run| run.len())
                 .collect()
         };
-        assert_eq!(lens(&every), [RUN_BLOCKS; 25]);
+        assert_eq!(lens(every), [RUN_BLOCKS; 25]);
 
         // Inside a row group a column's pieces are contiguous, and the next
         // column's chunk follows the last of them.
@@ -927,22 +935,20 @@ mod tests {
             ]
         );
 
-        // A gap or a wrap ends a run, and so does the cap.
-        let gapped = [BlockId(0), BlockId(1), BlockId(5), BlockId(6), BlockId(0)];
+        // The end of a range ends a run, and so does the cap; an empty
+        // range adds none.
+        let gapped = [0..2, 5..7, 7..7, 0..1];
         assert_eq!(lens(&gapped), [2, 2, 1]);
-        let wrapped: Vec<BlockId> = (num_blocks - 3..num_blocks)
-            .chain(0..RUN_BLOCKS + 2)
-            .map(BlockId)
-            .collect();
+        let wrapped = [num_blocks - 3..num_blocks, 0..RUN_BLOCKS + 2];
         assert_eq!(lens(&wrapped), [3, RUN_BLOCKS, 2]);
 
         // An empty projection reads nothing; a block past the end fails its
         // window.
-        let window = reader.next_window(&every, &[]).unwrap();
-        assert_eq!((window.len, window.bytes()), (num_blocks, 0));
-        let past = [BlockId(num_blocks - 1), BlockId(num_blocks)];
+        let window = reader.next_window(runs(every, 25), &[]).unwrap();
+        assert_eq!((window.runs, window.bytes()), (25, 0));
+        let past = num_blocks - 1..num_blocks + 1;
         assert!(matches!(
-            reader.next_window(&past, &[0]),
+            reader.next_window(runs(slice::from_ref(&past), 25), &[0]),
             Err(StoreError::Corrupt { .. })
         ));
         std::fs::remove_file(&path).ok();
@@ -952,14 +958,16 @@ mod tests {
     fn a_read_covers_consecutive_whole_runs_up_to_the_byte_cap() {
         let (reader, path) = reader("reads");
         let num_blocks = reader.layout.num_blocks();
-        let every: Vec<BlockId> = (0..num_blocks).map(BlockId).collect();
-        let windows = |blocks: &[BlockId], columns: &[usize]| {
-            let mut rest = blocks;
+        let all = 0..num_blocks;
+        let every = slice::from_ref(&all);
+        // Each window of a scan, with the blocks it covers.
+        let windows = |blocks: &[Range<usize>], columns: &[usize]| {
+            let mut rest = runs(blocks, 25).peekable();
             let mut out = Vec::new();
-            while !rest.is_empty() {
-                let window = reader.next_window(rest, columns).unwrap();
-                rest = &rest[window.len..];
-                out.push(window);
+            while rest.peek().is_some() {
+                let window = reader.next_window(rest.clone(), columns).unwrap();
+                let len: usize = rest.by_ref().take(window.runs).map(|run| run.len()).sum();
+                out.push((len, window));
             }
             out
         };
@@ -969,39 +977,39 @@ mod tests {
         // take eight windows of three runs and one of one. Each reads one
         // range per column and row group; the sixth crosses into the
         // second row group.
-        let all = windows(&every, &[0, 1, 2]);
-        let lens: Vec<usize> = all.iter().map(|w| w.len).collect();
+        let all = windows(every, &[0, 1, 2]);
+        let lens: Vec<usize> = all.iter().map(|w| w.0).collect();
         assert_eq!(lens, [192, 192, 192, 192, 192, 192, 192, 192, 64]);
-        let reads: Vec<usize> = all.iter().map(|w| w.slices.len()).collect();
+        let reads: Vec<usize> = all.iter().map(|w| w.1.slices.len()).collect();
         assert_eq!(reads, [3, 3, 3, 3, 3, 6, 3, 3, 3]);
-        assert!(all.iter().all(|w| w.bytes() as u64 <= READ_BYTES));
+        assert!(all.iter().all(|w| w.1.bytes() as u64 <= READ_BYTES));
         assert_eq!(
-            all[5].slices[0].0,
+            all[5].1.slices[0].0,
             reader.piece(0, 960).start..reader.piece(0, 1_023).end
         );
         assert_eq!(
-            all[5].slices[1].0,
+            all[5].1.slices[1].0,
             reader.piece(0, 1_024).start..reader.piece(0, 1_151).end
         );
         // One column reads only its own bytes: ten runs fit.
-        let one: Vec<usize> = windows(&every, &[1]).iter().map(|w| w.len).collect();
+        let one: Vec<usize> = windows(every, &[1]).iter().map(|w| w.0).collect();
         assert_eq!(one, [640, 640, 320]);
         // The scan makes exactly those reads, of exactly those bytes.
-        let steps = reader.scan_steps(&every, None).unwrap();
+        let steps = reader.scan_steps(every, None).unwrap();
         assert_eq!(steps.reads, 30);
         assert_eq!(steps.bytes, 1_600 * 3 * 200);
-        let steps = reader.scan_steps(&every, Some(&[1])).unwrap();
+        let steps = reader.scan_steps(every, Some(&[1])).unwrap();
         assert_eq!((steps.reads, steps.bytes), (4, 1_600 * 200));
 
         // A window reads through a short hole, but the wrap ends it: the
         // 1-block hole at block 100 is read (200 bytes, never checked or
         // decoded) with the 299 blocks around it.
-        let gapped: Vec<BlockId> = (0..100).chain(101..300).chain(0..10).map(BlockId).collect();
+        let gapped = [0..100, 101..300, 0..10];
         let gapped_windows = windows(&gapped, &[0]);
-        let lens: Vec<usize> = gapped_windows.iter().map(|w| w.len).collect();
+        let lens: Vec<usize> = gapped_windows.iter().map(|w| w.0).collect();
         assert_eq!(lens, [299, 10]);
-        assert_eq!(gapped_windows[0].holes, 200);
-        assert_eq!(gapped_windows[0].bytes(), 300 * 200);
+        assert_eq!(gapped_windows[0].1.holes, 200);
+        assert_eq!(gapped_windows[0].1.bytes(), 300 * 200);
         let steps = reader.scan_steps(&gapped, Some(&[0])).unwrap();
         assert_eq!((steps.reads, steps.hole_bytes), (2, 200));
         assert_eq!(steps.bytes, (300 + 10) * 200);
@@ -1011,33 +1019,41 @@ mod tests {
         let hole_blocks = HOLE_ROWS / 25;
         assert_eq!(hole_blocks, 16);
         for (hole, reads, hole_bytes) in [(hole_blocks, 1, 16 * 200), (hole_blocks + 1, 2, 0)] {
-            let list: Vec<BlockId> = (0..100).chain(100 + hole..200).map(BlockId).collect();
+            let list = [0..100, 100 + hole..200];
             let steps = reader.scan_steps(&list, Some(&[1])).unwrap();
             assert_eq!(
                 (steps.reads, steps.hole_bytes),
                 (reads, hole_bytes),
                 "hole of {hole}"
             );
-            assert_eq!(steps.bytes, (list.len() * 200) as u64 + hole_bytes);
+            let listed = (200 - hole) as u64;
+            assert_eq!(steps.bytes, listed * 200 + hole_bytes);
         }
 
         // The byte cap counts the holes: every other block of all three
         // columns spans 600 bytes per block, so a window covers at most
         // 218 blocks of the file, 109 of the list.
-        let halves: Vec<BlockId> = (0..num_blocks).step_by(2).map(BlockId).collect();
+        let halves: Vec<Range<usize>> = (0..num_blocks).step_by(2).map(|b| b..b + 1).collect();
         let half_windows = windows(&halves, &[0, 1, 2]);
-        assert!(half_windows.iter().all(|w| w.bytes() as u64 <= READ_BYTES));
-        assert_eq!(half_windows[0].len, 109);
-        assert_eq!(half_windows[0].bytes(), 217 * 600);
-        assert_eq!(half_windows[0].holes, 108 * 600);
+        assert!(half_windows
+            .iter()
+            .all(|w| w.1.bytes() as u64 <= READ_BYTES));
+        assert_eq!(half_windows[0].0, 109);
+        assert_eq!(half_windows[0].1.bytes(), 217 * 600);
+        assert_eq!(half_windows[0].1.holes, 108 * 600);
 
         // A block past the end ends the window before its run, so the runs
         // before it are read (and visited) first; read alone, it fails.
-        let past: Vec<BlockId> = (num_blocks - 70..num_blocks + 1).map(BlockId).collect();
-        let window = reader.next_window(&past, &[0]).unwrap();
-        assert_eq!(window.len, run_blocks(25));
+        let past = num_blocks - 70..num_blocks + 1;
+        let mut rest = runs(slice::from_ref(&past), 25);
+        let window = reader.next_window(rest.clone(), &[0]).unwrap();
+        assert_eq!(window.runs, 1);
+        assert_eq!(
+            rest.next(),
+            Some(num_blocks - 70..num_blocks - 70 + run_blocks(25))
+        );
         assert!(matches!(
-            reader.next_window(&past[window.len..], &[0]),
+            reader.next_window(rest, &[0]),
             Err(StoreError::Corrupt { .. })
         ));
         std::fs::remove_file(&path).ok();

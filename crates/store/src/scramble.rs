@@ -13,7 +13,7 @@
 //! columns.
 
 use std::collections::HashMap;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -144,7 +144,7 @@ impl Scramble {
     }
 
     /// The row range of one block.
-    pub fn block_rows(&self, block: BlockId) -> std::ops::Range<usize> {
+    pub fn block_rows(&self, block: BlockId) -> Range<usize> {
         self.layout.rows_of(block)
     }
 }
@@ -186,14 +186,14 @@ impl BlockSource for Scramble {
     /// run's blocks are adjacent rows.
     fn scan_blocks(
         &self,
-        blocks: &[BlockId],
+        blocks: &[Range<usize>],
         _projection: Option<&[usize]>,
         visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
     ) -> StoreResult<()> {
-        for run in runs(blocks, self.layout.block_size()) {
-            let (first, last) = (run[0], run[run.len() - 1]);
-            let rows = self.layout.rows_of(first).start..self.layout.rows_of(last).end;
-            if visit(first, BlockRef::borrowed(&self.table, rows)).is_break() {
+        let block_size = self.layout.block_size();
+        for run in runs(blocks, block_size) {
+            let rows = run.start * block_size..(run.end * block_size).min(self.table.num_rows());
+            if visit(BlockId(run.start), BlockRef::borrowed(&self.table, rows)).is_break() {
                 break;
             }
         }

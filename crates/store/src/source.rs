@@ -12,9 +12,10 @@
 //!   decodes blocks on demand so working sets larger than memory can be
 //!   scanned a run of blocks at a time.
 //!
-//! Scans ([`BlockSource::scan_blocks`]) hand out **runs** of consecutive
-//! blocks holding up to [`RUN_ROWS`] rows, so per-call costs are paid per
-//! run; blocks remain the unit of planning, skipping and counting.
+//! Scans ([`BlockSource::scan_blocks`]) take ranges of block ids and hand
+//! out **runs** of consecutive blocks holding up to [`RUN_ROWS`] rows, so
+//! per-call costs are paid per run; blocks remain the unit of planning,
+//! skipping and counting.
 //!
 //! Both expose the same layout, catalog, bitmap indexes and zone maps, so
 //! the planner makes identical skip decisions and the executor produces
@@ -22,6 +23,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::ops::{ControlFlow, Range};
+use std::slice;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::bitmap::{BitSet, BlockBitmapIndex};
@@ -105,23 +107,21 @@ pub fn run_blocks(block_size: usize) -> usize {
     (RUN_ROWS / block_size.max(1)).max(1)
 }
 
-/// Splits `blocks` of a table with `block_size`-row blocks into the maximal
-/// runs [`BlockSource::scan_blocks`] hands out: stretches of consecutive
-/// ids, each at most [`run_blocks`]`(block_size)` long, in list order.
-pub fn runs(blocks: &[BlockId], block_size: usize) -> impl Iterator<Item = &[BlockId]> + '_ {
+/// Splits `blocks`, ranges of block ids of a table with `block_size`-row
+/// blocks, into the runs [`BlockSource::scan_blocks`] hands out, in list
+/// order: each range cut every [`run_blocks`]`(block_size)` blocks from its
+/// start. Empty ranges yield none.
+pub fn runs(
+    blocks: &[Range<usize>],
+    block_size: usize,
+) -> impl Iterator<Item = Range<usize>> + Clone + '_ {
     let cap = run_blocks(block_size);
-    let mut rest = blocks;
-    std::iter::from_fn(move || {
-        let first = rest.first()?.index();
-        let len = rest
-            .iter()
-            .take(cap)
-            .enumerate()
-            .take_while(|&(i, block)| block.index() == first + i)
-            .count();
-        let (run, tail) = rest.split_at(len);
-        rest = tail;
-        Some(run)
+    blocks.iter().flat_map(move |range| {
+        let end = range.end;
+        range
+            .clone()
+            .step_by(cap)
+            .map(move |start| start..end.min(start + cap))
     })
 }
 
@@ -201,27 +201,29 @@ pub trait BlockSource: Sync {
         self.read_block(block)
     }
 
-    /// Reads `blocks` in list order with [`Self::read_block_projected`]'s
-    /// projection semantics and hands them to `visit` one **run** at a time,
-    /// until it breaks. This is the scan path: the engine's partition scans
-    /// and the group-universe build read through it.
+    /// Reads `blocks`, ranges of block ids, in list order with
+    /// [`Self::read_block_projected`]'s projection semantics and hands them
+    /// to `visit` one **run** at a time, until it breaks. This is the scan
+    /// path: the engine's partition scans and the group-universe build read
+    /// through it.
     ///
-    /// A run is a stretch of consecutive block ids of the list, at most
+    /// A run is a stretch of consecutive blocks of one range, at most
     /// [`run_blocks`]`(block_size)` long, so at most [`RUN_ROWS`] rows
     /// unless one block alone is longer. `visit(first, run)` gets the run's first block id
     /// and one [`BlockRef`] whose rows are the run's blocks' rows, whole and
     /// in block order: row `first_row + i` of the run belongs to block
     /// `first + i / block_size`, where `first_row` is `run.rows().start`.
-    /// A run never crosses a gap in the list (a skipped block), the wrap
-    /// from the last block to block 0, or the cap. Blocks stay the unit of
-    /// planning, skipping and the "blocks fetched" count; a run is only
-    /// the unit of scanning, so that a visitor pays its per-call costs
-    /// (a filter call, a routing pass, a kernel dispatch; on the segment a
-    /// CRC batch and a decode call per column) once for up to [`RUN_ROWS`]
-    /// rows instead of once per block. The cap bounds every buffer sized by
-    /// a run at [`RUN_ROWS`] rows, whatever the block size.
+    /// A run never crosses the end of its range or the cap, so a caller
+    /// that wants runs as long as its blocks allow merges ranges that
+    /// continue each other. Blocks stay the unit of planning, skipping and
+    /// the "blocks fetched" count; a run is only the unit of scanning, so
+    /// that a visitor pays its per-call costs (a filter call, a routing
+    /// pass, a kernel dispatch; on the segment a CRC batch and a decode call
+    /// per column) once for up to [`RUN_ROWS`] rows instead of once per
+    /// block. The cap bounds every buffer sized by a run at [`RUN_ROWS`]
+    /// rows, whatever the block size.
     ///
-    /// Both built-in sources hand maximal runs ([`runs`]): the in-memory
+    /// Both built-in sources hand the runs of [`runs`]: the in-memory
     /// [`Scramble`](crate::scramble::Scramble) as a zero-copy row range of
     /// its table, the [`SegmentReader`](crate::persist::SegmentReader)
     /// decoded into buffers reused from run to run. The default reads each
@@ -236,11 +238,11 @@ pub trait BlockSource: Sync {
     /// the failing one may have been visited, but no block of its own run.
     fn scan_blocks(
         &self,
-        blocks: &[BlockId],
+        blocks: &[Range<usize>],
         projection: Option<&[usize]>,
         visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
     ) -> StoreResult<()> {
-        for &block in blocks {
+        for block in blocks.iter().cloned().flatten().map(BlockId) {
             if visit(block, self.read_block_projected(block, projection)?).is_break() {
                 break;
             }
@@ -251,11 +253,6 @@ pub trait BlockSource: Sync {
     /// Total number of blocks.
     fn num_blocks(&self) -> usize {
         self.layout().num_blocks()
-    }
-
-    /// The row range of one block.
-    fn block_rows(&self, block: BlockId) -> Range<usize> {
-        self.layout().rows_of(block)
     }
 
     /// This source's group-universe memo, if it keeps one. Sources that
@@ -391,10 +388,10 @@ pub fn build_group_universe<S: BlockSource + ?Sized>(
 
     let mut out = Vec::new();
     let mut tuple = Vec::with_capacity(columns.len());
-    let blocks: Vec<BlockId> = (0..source.num_blocks()).map(BlockId).collect();
     // Only the group-by columns are read, so lazy sources decode just those
     // chunks.
-    source.scan_blocks(&blocks, Some(columns), &mut |_, run| {
+    let every = 0..source.num_blocks();
+    source.scan_blocks(slice::from_ref(&every), Some(columns), &mut |_, run| {
         let table = run.table();
         for row in run.rows() {
             tuple.clear();
@@ -429,9 +426,14 @@ fn indexed_universe<S: BlockSource + ?Sized>(
         .iter()
         .map(BitSet::first_set)
         .collect();
-    let mut blocks: Vec<BlockId> = first_block.iter().flatten().map(|&b| BlockId(b)).collect();
-    blocks.sort_unstable();
-    blocks.dedup();
+    let mut firsts: Vec<usize> = first_block.iter().flatten().copied().collect();
+    firsts.sort_unstable();
+    firsts.dedup();
+    // Adjacent first blocks make one range, so runs span their stretches.
+    let blocks: Vec<Range<usize>> = firsts
+        .chunk_by(|a, b| a + 1 == *b)
+        .map(|stretch| stretch[0]..stretch[stretch.len() - 1] + 1)
+        .collect();
 
     let block_size = source.layout().block_size();
     let mut emitted = vec![false; first_block.len()];

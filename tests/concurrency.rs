@@ -17,7 +17,7 @@
 //!   caller with its original message, whichever scan thread hit it, and
 //!   never hangs the query.
 
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{mpsc, Condvar, Mutex};
 use std::thread::ThreadId;
@@ -665,7 +665,7 @@ trait ScanHook: Sync {
     fn scan(
         &self,
         inner: &Scramble,
-        blocks: &[BlockId],
+        blocks: &[Range<usize>],
         projection: Option<&[usize]>,
         visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
     ) -> StoreResult<()>;
@@ -721,7 +721,7 @@ impl<H: ScanHook> BlockSource for HookedSource<'_, H> {
 
     fn scan_blocks(
         &self,
-        blocks: &[BlockId],
+        blocks: &[Range<usize>],
         projection: Option<&[usize]>,
         visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
     ) -> StoreResult<()> {
@@ -746,14 +746,17 @@ impl ScanHook for PanicAt {
     fn scan(
         &self,
         inner: &Scramble,
-        blocks: &[BlockId],
+        blocks: &[Range<usize>],
         projection: Option<&[usize]>,
         visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
     ) -> StoreResult<()> {
-        match blocks.iter().position(|&b| b == self.0) {
+        let at = self.0.index();
+        match blocks.iter().position(|range| range.contains(&at)) {
             None => inner.scan_blocks(blocks, projection, visit),
             Some(cut) => {
-                inner.scan_blocks(&blocks[..cut], projection, visit)?;
+                let mut before = blocks[..cut].to_vec();
+                before.push(blocks[cut].start..at);
+                inner.scan_blocks(&before, projection, visit)?;
                 panic!("{}", self.message())
             }
         }
@@ -823,7 +826,7 @@ impl ScanHook for HoldCaller {
     fn scan(
         &self,
         inner: &Scramble,
-        blocks: &[BlockId],
+        blocks: &[Range<usize>],
         projection: Option<&[usize]>,
         visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
     ) -> StoreResult<()> {

@@ -13,7 +13,7 @@
 //!   in-memory scramble it was saved from, at `threads = 1` and
 //!   `threads = 4`, across sampling strategies and predicate shapes.
 
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 
 use proptest::prelude::*;
 
@@ -475,7 +475,7 @@ fn session_with_flipped_chunk(
 /// `projection` adds none.
 fn scanned_bits(
     reader: &SegmentReader,
-    blocks: &[BlockId],
+    blocks: &[Range<usize>],
     projection: Option<&[usize]>,
 ) -> Result<Vec<(BlockId, Vec<u64>)>, StoreError> {
     let mut out = Vec::new();
@@ -511,7 +511,7 @@ fn corruption_of_a_skipped_block_inside_a_window_is_never_reported() {
         SegmentReader::open(&path).unwrap(),
         SegmentReader::open(&pristine_path).unwrap(),
     );
-    let list: Vec<BlockId> = (0..37).chain(38..100).map(BlockId).collect();
+    let list = [0..37, 38..100];
     let hole = piece_range(&scramble, 37, 0).len() as u64;
     for projection in [Some(&[0usize][..]), Some(&[0, 1][..]), None] {
         // One window: the corrupt bytes were read.
@@ -534,7 +534,7 @@ fn corruption_of_a_fetched_block_right_after_a_hole_names_block_and_column() {
     let scramble = Scramble::build_with(&table, 9, 25).unwrap();
     let path = write_flipped_chunk("after_hole", &scramble, 38, 0);
     let reader = SegmentReader::open(&path).unwrap();
-    let list: Vec<BlockId> = (0..37).chain(38..100).map(BlockId).collect();
+    let list = [0..37, 38..100];
     for projection in [Some(&[0usize][..]), None] {
         match scanned_bits(&reader, &list, projection) {
             Err(StoreError::Corrupt { detail, .. }) => assert!(

@@ -11,6 +11,7 @@
 //! runs it is handed, is checked at the end under active scanning.
 
 use std::ops::{ControlFlow, Range};
+use std::sync::Mutex;
 
 use fastframe_core::bounder::BounderKind;
 use fastframe_engine::config::{EngineConfig, SamplingStrategy};
@@ -110,6 +111,19 @@ fn block_lists(num_blocks: usize) -> Vec<(&'static str, Vec<usize>)> {
     ]
 }
 
+/// `blocks` as the ranges `scan_blocks` takes: maximal stretches of
+/// consecutive ids, so that a range ends exactly where a run must.
+fn ranges(blocks: &[BlockId]) -> Vec<Range<usize>> {
+    let mut out: Vec<Range<usize>> = Vec::new();
+    for block in blocks.iter().map(|b| b.index()) {
+        match out.last_mut() {
+            Some(range) if range.end == block => range.end += 1,
+            _ => out.push(block..block + 1),
+        }
+    }
+    out
+}
+
 /// The runs a built-in source must hand out for `blocks` of 25 rows.
 fn expected_runs(blocks: &[BlockId]) -> Vec<Vec<BlockId>> {
     expected_runs_of(blocks, RUN_BLOCKS)
@@ -167,7 +181,7 @@ fn via_scan(
 ) -> Vec<RunBits> {
     let mut out = Vec::new();
     source
-        .scan_blocks(blocks, projection, &mut |first, run| {
+        .scan_blocks(&ranges(blocks), projection, &mut |first, run| {
             out.push((first, run.rows(), bits(run.table(), run.rows(), projection)));
             ControlFlow::Continue(())
         })
@@ -449,7 +463,7 @@ fn scan_blocks_stops_when_the_visitor_breaks() {
         for stop_after in 1..=3 {
             let mut seen = Vec::new();
             source
-                .scan_blocks(&blocks, Some(&[0]), &mut |first, run| {
+                .scan_blocks(&ranges(&blocks), Some(&[0]), &mut |first, run| {
                     let count = run.len().div_ceil(layout.block_size());
                     seen.push((first, count));
                     if seen.len() == stop_after {
@@ -487,7 +501,7 @@ fn scan_blocks_stops_when_the_visitor_breaks() {
         ),
     ] {
         let mut visited = 0;
-        let result = reader.scan_blocks(&list, None, &mut |_, _| {
+        let result = reader.scan_blocks(&ranges(&list), None, &mut |_, _| {
             visited += 1;
             ControlFlow::Continue(())
         });
@@ -518,7 +532,7 @@ fn a_corrupt_chunk_in_any_crc_lane_fails_its_run_naming_its_block_and_column() {
             std::fs::write(&path, &bytes).unwrap();
             let reader = SegmentReader::open(&path).unwrap();
             let mut visited = 0;
-            let result = reader.scan_blocks(&run, Some(&[column, 3]), &mut |_, _| {
+            let result = reader.scan_blocks(&ranges(&run), Some(&[column, 3]), &mut |_, _| {
                 visited += 1;
                 ControlFlow::Continue(())
             });
@@ -533,7 +547,9 @@ fn a_corrupt_chunk_in_any_crc_lane_fails_its_run_naming_its_block_and_column() {
             // Out of the projection, the same chunk goes unchecked.
             let other = (column + 1) % 3;
             assert!(reader
-                .scan_blocks(&run, Some(&[other]), &mut |_, _| ControlFlow::Continue(()))
+                .scan_blocks(&ranges(&run), Some(&[other]), &mut |_, _| {
+                    ControlFlow::Continue(())
+                })
                 .is_ok());
         }
     }
@@ -677,8 +693,8 @@ fn fetch_accounting_counts_the_blocks_of_each_run_under_active_scanning() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A source whose scans lose the last block of every list: the fault the
-/// two-sided fetch accounting exists to expose.
+/// A source whose scans lose the last block of every list, the last of its
+/// last range: the fault the two-sided fetch accounting exists to expose.
 struct LosesLastBlock<'a>(&'a dyn BlockSource);
 
 impl BlockSource for LosesLastBlock<'_> {
@@ -708,12 +724,15 @@ impl BlockSource for LosesLastBlock<'_> {
     }
     fn scan_blocks(
         &self,
-        blocks: &[BlockId],
+        blocks: &[Range<usize>],
         projection: Option<&[usize]>,
         visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
     ) -> StoreResult<()> {
-        let kept = &blocks[..blocks.len().saturating_sub(1)];
-        self.0.scan_blocks(kept, projection, visit)
+        let mut kept = blocks.to_vec();
+        if let Some(last) = kept.last_mut() {
+            last.end -= 1;
+        }
+        self.0.scan_blocks(&kept, projection, visit)
     }
     fn distinct_group_tuples(
         &self,
@@ -757,6 +776,92 @@ fn a_lost_block_shows_as_diverging_fetch_counts() {
             );
             assert!(m.exec.rows_scanned < m.scan.rows_scanned);
         }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A source that records the blocks of every run its scans visit.
+struct RecordsRuns<'a> {
+    inner: &'a dyn BlockSource,
+    runs: Mutex<Vec<Range<usize>>>,
+}
+
+impl BlockSource for RecordsRuns<'_> {
+    fn schema(&self) -> &Table {
+        self.inner.schema()
+    }
+    fn num_rows(&self) -> usize {
+        self.inner.num_rows()
+    }
+    fn layout(&self) -> &BlockLayout {
+        self.inner.layout()
+    }
+    fn catalog(&self) -> &Catalog {
+        self.inner.catalog()
+    }
+    fn seed(&self) -> u64 {
+        self.inner.seed()
+    }
+    fn bitmap_index(&self, column: &str) -> Option<&BlockBitmapIndex> {
+        self.inner.bitmap_index(column)
+    }
+    fn zone_map(&self, column: &str) -> Option<&ZoneMap> {
+        self.inner.zone_map(column)
+    }
+    fn read_block(&self, block: BlockId) -> StoreResult<BlockRef<'_>> {
+        self.inner.read_block(block)
+    }
+    fn scan_blocks(
+        &self,
+        blocks: &[Range<usize>],
+        projection: Option<&[usize]>,
+        visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
+    ) -> StoreResult<()> {
+        let block_size = self.inner.layout().block_size();
+        self.inner
+            .scan_blocks(blocks, projection, &mut |first, run| {
+                let blocks = first.index()..first.index() + run.len().div_ceil(block_size);
+                self.runs.lock().unwrap().push(blocks);
+                visit(first, run)
+            })
+    }
+}
+
+#[test]
+fn a_fetch_span_carried_across_a_planner_batch_is_scanned_as_one_run() {
+    // Rounds of 1 000 five-row blocks from block 0: the second round's
+    // fetches, blocks 1 000..2 000, come from two planner batches, split at
+    // block 1 024, and its first partition holds blocks 1 000..1 256, one
+    // run of at most 320 blocks, on both sides of that boundary.
+    let scramble = Scramble::build_with(&accounting_table(), 17, ACCOUNTING_BLOCK).unwrap();
+    assert_eq!(run_blocks(ACCOUNTING_BLOCK), 320);
+    let query = AggQuery::avg("avg_x", Expr::col("x"))
+        .absolute_width(0.0)
+        .build();
+    let config = EngineConfig::builder()
+        .strategy(SamplingStrategy::Scan)
+        .round_rows(1_000 * ACCOUNTING_BLOCK as u64)
+        .start_block(0)
+        .build();
+    let path = temp_path("batch_boundary");
+    write_segment(&scramble, &path).unwrap();
+    let reader = SegmentReader::open(&path).unwrap();
+    for (backing, inner) in [("mem", &scramble as &dyn BlockSource), ("seg", &reader)] {
+        let recorder = RecordsRuns {
+            inner,
+            runs: Mutex::new(Vec::new()),
+        };
+        let result = PreparedQuery::new(&recorder, query.clone(), config.clone())
+            .unwrap()
+            .execute()
+            .unwrap();
+        assert_accounting(&result, backing);
+        let runs = recorder.runs.into_inner().unwrap();
+        assert!(runs.contains(&(1_000..1_256)), "{backing}: {runs:?}");
+        assert!(
+            runs.iter().all(|run| run.start != 1_024),
+            "{backing}: a run starts at the batch boundary"
+        );
     }
     std::fs::remove_file(&path).ok();
 }
