@@ -1,7 +1,8 @@
 //! Thread-scaling harness for the partitioned scan/aggregation pipeline:
 //! round throughput (rows/s) of a full-pass grouped AVG at 1, 2, 4 and 8
-//! scan threads, plus a bitwise determinism cross-check between the
-//! single-threaded and pooled runs.
+//! scan threads, the same query's Exact baseline at each thread count, and
+//! a bitwise determinism cross-check between the single-threaded and pooled
+//! runs of both.
 //!
 //! The workload is a fixed full scramble pass (an unsatisfiable stopping
 //! condition), so every configuration scans exactly the same rows and the
@@ -60,22 +61,27 @@ fn config(threads: usize) -> EngineConfig {
         .build()
 }
 
-fn run(session: &Session, threads: usize) -> (Duration, QueryResult) {
+/// The fastest of `FASTFRAME_BENCH_RUNS` runs of the full pass at
+/// `threads` scan threads, approximate or as the Exact baseline.
+fn run(session: &Session, threads: usize, exact: bool) -> (Duration, QueryResult) {
     let runs = env_or("FASTFRAME_BENCH_RUNS", 1usize).max(1);
     let mut best = Duration::MAX;
     let mut last = None;
     for _ in 0..runs {
         let start = Instant::now();
-        let result = session
+        let query = session
             .query("scaling")
             .avg(Expr::col("v"))
             .group_by("g")
             .absolute_width(0.0) // unsatisfiable: a fixed full pass
-            .config(config(threads))
-            .execute()
-            .expect("query runs");
+            .config(config(threads));
+        let result = if exact {
+            query.execute_exact()
+        } else {
+            query.execute()
+        };
         best = best.min(start.elapsed());
-        last = Some(result);
+        last = Some(result.expect("query runs"));
     }
     (best, last.expect("at least one run"))
 }
@@ -97,7 +103,14 @@ fn main() {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
     println!();
-    print_header(&["Threads", "Wall (ms)", "Rows/s", "Speedup vs 1", "Rounds"]);
+    print_header(&[
+        "Threads",
+        "Wall (ms)",
+        "Rows/s",
+        "Speedup vs 1",
+        "Rounds",
+        "Exact (ms)",
+    ]);
 
     let mut session = Session::new();
     session
@@ -108,14 +121,15 @@ fn main() {
         )
         .expect("table registers");
 
-    let mut baseline: Option<(Duration, QueryResult)> = None;
+    let mut baseline: Option<(Duration, QueryResult, QueryResult)> = None;
     for &threads in &thread_list {
-        let (wall, result) = run(&session, threads);
+        let (wall, result) = run(&session, threads, false);
+        let (exact_wall, exact) = run(&session, threads, true);
         let scanned = result.metrics.scan.rows_scanned;
         let rows_per_s = scanned as f64 / wall.as_secs_f64();
         let speedup = baseline
             .as_ref()
-            .map(|(b, _)| b.as_secs_f64() / wall.as_secs_f64())
+            .map(|(b, _, _)| b.as_secs_f64() / wall.as_secs_f64())
             .unwrap_or(1.0);
         print_row(&[
             threads.to_string(),
@@ -123,11 +137,12 @@ fn main() {
             format!("{:.2e}", rows_per_s),
             format!("{speedup:.2}x"),
             result.metrics.rounds.to_string(),
+            format!("{:.1}", exact_wall.as_secs_f64() * 1e3),
         ]);
 
         // Determinism cross-check: every configuration's full-pass estimates
         // must be bitwise identical to the single-threaded baseline's.
-        if let Some((_, base)) = &baseline {
+        if let Some((_, base, base_exact)) = &baseline {
             assert_eq!(base.groups.len(), result.groups.len());
             for (a, b) in base.groups.iter().zip(&result.groups) {
                 assert_eq!(a.key, b.key, "group order must not depend on threads");
@@ -144,10 +159,21 @@ fn main() {
                 base.metrics.scan.rows_scanned,
                 result.metrics.scan.rows_scanned
             );
+            for (a, b) in base_exact.groups.iter().zip(&exact.groups) {
+                assert_eq!(
+                    a.estimate.map(f64::to_bits),
+                    b.estimate.map(f64::to_bits),
+                    "thread count changed the Exact estimate of {}",
+                    a.key.display()
+                );
+            }
         } else {
-            baseline = Some((wall, result));
+            baseline = Some((wall, result, exact));
         }
     }
     println!();
-    println!("(determinism cross-check passed: estimates and CI bounds bitwise identical)");
+    println!(
+        "(determinism cross-check passed: estimates and CI bounds bitwise identical, \
+         Exact estimates too)"
+    );
 }

@@ -1,5 +1,5 @@
 //! The query executor: OptStop rounds over a scramble scan with per-view
-//! error bounders and active scanning, and the Exact baseline as one full
+//! error bounders and active scanning, and the Exact baseline as a full
 //! pass of the same scan.
 //!
 //! High-level flow (§4):
@@ -66,10 +66,11 @@
 //! each row updates its view's record in place (see `crate::parallel`).
 //!
 //! The `Exact` baseline ([`PreparedQuery::execute_exact`]) is a mode of the
-//! same loop, not a second one: a planner that grants every block, a single
-//! round that never fills (so no interval is computed mid-scan), and the
-//! full-pass finalize. Approximate and exact answers therefore come from the
-//! same kernels, merges and finalize.
+//! same loop, not a second one: a planner that grants every block, a first
+//! round of the default `round_rows` that seeds every view, one round over
+//! every other block, no interval computed, and the full-pass finalize.
+//! Approximate and exact answers therefore come from the same kernels,
+//! merges and finalize.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -482,8 +483,9 @@ pub(crate) enum Pass {
     /// OptStop rounds over the blocks the sampling strategy grants, until
     /// the stopping condition holds.
     Approximate,
-    /// The `Exact` baseline of §5.2: every block in a single round, with no
-    /// interval work before the full-pass finalize.
+    /// The `Exact` baseline of §5.2: every block, in a first round of the
+    /// default size and one more round over the rest, with no interval
+    /// work before the full-pass finalize.
     Exact,
 }
 
@@ -494,15 +496,17 @@ pub(crate) enum Pass {
 /// blocking mode, which skips snapshot materialization entirely.
 ///
 /// A [`Pass::Exact`] run fetches every block (so its block count is
-/// comparable with an approximate run's) and finalizes the views as a full
-/// pass, so each result is marked exact with the interval
-/// `estimate ± 1e-9·(|estimate| + 1)`. GROUP BY groups without a matching
-/// row are omitted; an ungrouped query always answers its global group. Of
-/// the configuration only an explicit thread count applies: Exact ignores
-/// the strategy, start block, δ and the [`Budget`]. Left on auto (`0`), it
-/// scans on one thread, as the paper's baseline does, so its timings stay
-/// comparable with single-threaded approximate runs and it holds one
-/// partial at a time.
+/// comparable with an approximate run's) in two rounds: the default
+/// `round_rows`, whose merge seeds every view's master, then every other
+/// block, seeded from it, with no evaluation between the two. It counts as
+/// one round and finalizes the views as a full pass, so each result is
+/// marked exact with the interval `estimate ± 1e-9·(|estimate| + 1)`.
+/// GROUP BY groups without a matching row are omitted; an ungrouped query
+/// always answers its global group. Of the configuration only an explicit
+/// thread count applies: Exact ignores the strategy, start block, round
+/// size, δ and the [`Budget`]. Left on auto (`0`), it scans on one thread,
+/// as the paper's baseline does, so its timings stay comparable with
+/// single-threaded approximate runs and it holds one partial at a time.
 pub(crate) fn run(
     prepared: &PreparedQuery<'_>,
     observer: Option<&mut RoundObserver<'_>>,
@@ -554,12 +558,8 @@ pub(crate) fn run(
     });
 
     // The first round's size; a many-view query's later rounds grow from
-    // it (`round_blocks`). Exact's single round never fills, so the loop's
-    // tail merge scans it.
-    let first_round_blocks = match pass {
-        Pass::Approximate => (config.round_rows as usize).div_ceil(source.layout().block_size()),
-        Pass::Exact => usize::MAX,
-    };
+    // it (`round_blocks`). Exact's is the default `round_rows`.
+    let first_round_blocks = (config.round_rows as usize).div_ceil(source.layout().block_size());
 
     let num_views = views.len();
     let mut state = ScanState {
@@ -625,6 +625,7 @@ pub(crate) fn run(
             scramble_rows,
             start_block,
             first_round_blocks,
+            pass,
             rexec,
             &mut state,
             &mut sink,
@@ -700,7 +701,7 @@ const ROUND_GROWTH_VIEWS: usize = 100;
 /// its first answer is out. Algorithm 5 indexes δ_k by the evaluation
 /// count, so fewer evaluations spend less of Σδ_k ≤ δ and every interval
 /// stays valid. A pure function of its arguments, so determinism across
-/// thread counts and backings is kept; Exact's `usize::MAX` saturates.
+/// thread counts and backings is kept. Exact's second round takes the rest.
 ///
 /// Out of line: it runs once per round. Inlined twice, it grew
 /// `run_scan_loop` so that the code linked after it, the filter kernels
@@ -726,7 +727,8 @@ fn round_blocks(first: usize, views: usize, round: u64) -> usize {
 /// fills or the row cap cuts it. The pending blocks are scanned by the
 /// partitioned pipeline (`rexec`) when the round fills up: after
 /// `first_round_blocks` fetched blocks, then after the sizes of
-/// [`round_blocks`].
+/// [`round_blocks`]. A [`Pass::Exact`] scan evaluates no round: after its
+/// first, the rest of the scan is one more.
 #[allow(clippy::too_many_arguments)]
 fn run_scan_loop(
     source: &dyn BlockSource,
@@ -736,6 +738,7 @@ fn run_scan_loop(
     scramble_rows: u64,
     start_block: usize,
     first_round_blocks: usize,
+    pass: Pass,
     rexec: &mut RoundExecutor<'_>,
     state: &mut ScanState,
     sink: &mut ProgressiveSink<'_, '_>,
@@ -811,6 +814,12 @@ fn run_scan_loop(
                     continue;
                 }
                 merge_pending(rexec, &mut pending, granted_rows, state)?;
+                if pass == Pass::Exact {
+                    // Exact evaluates nothing: its first round only seeds
+                    // every view's master, and the rest is one more round.
+                    room = usize::MAX;
+                    continue;
+                }
                 state.charge_skips(planner.planned_with());
                 let (satisfied, group_snapshots) =
                     evaluate_round(query, bounder, view_budget, scramble_rows, state)?;
@@ -970,6 +979,8 @@ fn evaluate_round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::partition_size;
+    use crate::result::GroupResult;
     use fastframe_core::bounder::BounderKind;
     use fastframe_store::block::BlockId;
     use fastframe_store::column::Column;
@@ -1684,6 +1695,100 @@ mod tests {
             let sum = r.global().unwrap().estimate.unwrap();
             assert_eq!(sum, expected, "{partitions} partitions");
         }
+    }
+
+    /// Exact scans a first round of the default `round_rows`, whose merge
+    /// seeds every view, then every other block as one more round, and
+    /// still counts one round. Its answers match a naive fold, an extreme
+    /// placed after the first round included, and are bit-identical at any
+    /// thread count and on a saved segment.
+    #[test]
+    fn exact_scans_a_seeding_first_round_then_the_rest() {
+        // 2 400 blocks of 25 rows: a first round of 1 600, then 800.
+        const ROWS: usize = 60_000;
+        const SEED: u64 = 11;
+        // The permutation depends only on the row count and the seed, so a
+        // table of row ids shows where each row lands.
+        let ids = Table::new(vec![Column::int("id", (0..ROWS as i64).collect())]).unwrap();
+        let order = Scramble::build_with(&ids, SEED, 25).unwrap();
+        let first_rows = EngineConfig::default().round_rows as usize;
+        let late_row = first_rows + 1_234;
+        let late = order.table().column("id").unwrap().numeric_value(late_row);
+        let late = late.unwrap() as usize;
+
+        // Eighths near 1e9: every naive per-group sum below is exact.
+        let x: Vec<f64> = (0..ROWS)
+            .map(|i| 1e9 + ((i * 7_919) % 1_013) as f64 / 8.0 + if i == late { 1e6 } else { 0.0 })
+            .collect();
+        let n: Vec<i64> = (0..ROWS)
+            .map(|i| ((i * 104_729) % 9_973) as i64 - 4_000)
+            .collect();
+        let g: Vec<String> = (0..ROWS).map(|i| format!("g{}", i % 3)).collect();
+        let t = Table::new(vec![
+            Column::float("x", x.clone()),
+            Column::int("n", n.clone()),
+            Column::categorical("g", &g),
+        ])
+        .unwrap();
+        let s = Scramble::build_with(&t, SEED, 25).unwrap();
+        let at_late_row = s.table().column("x").unwrap().numeric_value(late_row);
+        assert_eq!(at_late_row, Some(x[late]), "the extreme lies after round 1");
+
+        let path = std::env::temp_dir().join(format!(
+            "fastframe_executor_exact_rounds_{}.ffseg",
+            std::process::id()
+        ));
+        fastframe_store::persist::write_segment(&s, &path).unwrap();
+        let segment = fastframe_store::persist::SegmentReader::open(&path).unwrap();
+
+        let first = first_rows / 25;
+        let parts = |blocks: usize| blocks.div_ceil(partition_size(blocks, 3, 25)) as u64;
+        let partitions = parts(first) + parts(s.num_blocks() - first);
+        assert_eq!(partitions, 7 + 4);
+
+        let avg = AggQuery::avg("avg", Expr::col("x")).group_by("g").build();
+        let sum = AggQuery::sum("sum", Expr::col("n")).group_by("g").build();
+        for q in [avg, sum] {
+            let run = |source: &dyn BlockSource, threads: usize| {
+                let config = EngineConfig::builder().threads(threads).build();
+                PreparedQuery::new(source, q.clone(), config)
+                    .unwrap()
+                    .execute_exact()
+                    .unwrap()
+            };
+            let reference = run(&s, 1);
+            assert_eq!(reference.metrics.rounds, 1, "{}", q.name);
+            assert_eq!(reference.metrics.exec.partitions, partitions, "{}", q.name);
+            assert_eq!(reference.groups.len(), 3);
+            for group in &reference.groups {
+                let label = &group.key.labels[0];
+                let rows = (0..ROWS).filter(|&i| g[i] == *label);
+                let estimate = group.estimate.unwrap();
+                if q.name == "avg" {
+                    let (total, count) = rows.fold((0.0, 0), |(s, c), i| (s + x[i], c + 1));
+                    let want = total / count as f64;
+                    assert!((estimate - want).abs() <= 1e-12 * want.abs(), "{label}");
+                } else {
+                    let want = rows.map(|i| n[i]).sum::<i64>() as f64;
+                    assert_eq!(estimate, want, "{label}: exactly integral");
+                }
+                assert_eq!(group.samples, (ROWS / 3) as u64, "{label}");
+            }
+            for (source, threads) in [
+                (&s as &dyn BlockSource, 2),
+                (&s, 4),
+                (&segment, 1),
+                (&segment, 2),
+            ] {
+                let result = run(source, threads);
+                assert_eq!(result.metrics.exec.partitions, partitions);
+                for (a, b) in reference.groups.iter().zip(&result.groups) {
+                    let bits = |r: &GroupResult| (r.estimate.map(f64::to_bits), r.samples);
+                    assert_eq!(bits(a), bits(b), "{} at {threads} threads", q.name);
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -75,8 +75,9 @@
 //! ```
 //!
 //! [`PreparedQuery::execute_exact`] runs the `Exact` baseline of §5.2
-//! through the same batch scan pipeline as approximate execution: one round
-//! over every block, finalized as a full pass. Rows are scanned in exactly
+//! through the same batch scan pipeline as approximate execution: a first
+//! round that seeds every view, then one round over every other block,
+//! finalized as a full pass. Rows are scanned in exactly
 //! one place, so approximate and exact answers see the same rows through
 //! the same kernels.
 

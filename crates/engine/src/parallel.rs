@@ -33,10 +33,12 @@
 //! scan thread, three seeds; EXPERIMENTS.md, "View-aware partitions") put
 //! the approximate stream's time 10 % lower at `c = 64` and 13–16 % lower
 //! at every `c ≥ 128`, within noise of each other. Exact's kept falling as
-//! `c` grew (9 % at 128, 13 % at 256, 17 % at 1 024), but on one thread
-//! only: each doubling of `c` halves the partitions a 100-view round
-//! (F-q5, F-q8) can spread over threads, 4 at `c = 128` and one from
-//! `c = 400` on. From `c = 200` on, a 3-view query on one-row blocks also
+//! `c` grew (9 % at 128, 13 % at 256, 17 % at 1 024), as it was one
+//! round: each partition found each view's extremes again, value by value
+//! (a first round now seeds them; EXPERIMENTS.md, "Exact scans seeded").
+//! Each doubling of `c` halves the partitions a 100-view round (F-q5,
+//! F-q8) can spread over threads, 4 at `c = 128` and one from `c = 400`
+//! on. From `c = 200` on, a 3-view query on one-row blocks also
 //! scans a 600-row round as one partition, and the merged-partition
 //! coverage test in `tests/skip_ledger.rs` finds no round length that both
 //! merges partitions and takes its runs past one round (770–1 000 rows
@@ -45,10 +47,11 @@
 //! At the default 40 000-row rounds of 25-row blocks (1 600 blocks), a
 //! query with up to 50 views keeps 7 partitions of 256 blocks per round,
 //! a 100-view query has 4 of 512 blocks (the last 64), and F-q6's 700
-//! views make each round one partition of 3 584 blocks. Exact's single
-//! round of every block has, at 1M rows (40 000 blocks), 64 partitions of
-//! 625 blocks for up to 122 views and 12 for F-q6; at 10M rows (400 000
-//! blocks), 64 partitions for up to 1 220 views, F-q6 included.
+//! views make each round one partition of 3 584 blocks. Exact scans such a
+//! first round, then every other block as one round: at 1M rows (40 000
+//! blocks) the 38 400 left are 64 partitions of 600 blocks for up to 117
+//! views and 11 for F-q6; at 10M rows (400 000 blocks), 64 partitions for
+//! up to 1 215 views, F-q6 included.
 //!
 //! The price is parallelism inside a round: a round scans on at most as
 //! many threads as it has partitions, so F-q6's approximate rounds run on
@@ -174,9 +177,9 @@
 //! interleaving of views within a run.
 //!
 //! This is the only code that scans rows. Approximate OptStop rounds and the
-//! Exact baseline (one round over every block) both run through it;
-//! `tests/reference.rs` checks both against a naive row-at-a-time
-//! evaluator.
+//! Exact baseline (a first round, then every other block as one more) both
+//! run through it; `tests/reference.rs` checks both against a naive
+//! row-at-a-time evaluator.
 //!
 //! [`BlockSource::scan_blocks`]:
 //!     fastframe_store::source::BlockSource::scan_blocks

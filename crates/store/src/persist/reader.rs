@@ -601,9 +601,8 @@ impl SegmentReader {
                     break;
                 }
                 let block = BlockId(run.start.max(num_blocks));
-                return Err(StoreError::corrupt(
-                    &self.path,
-                    format!("{block} out of range ({num_blocks} blocks)"),
+                return Err(StoreError::block_out_of_range(
+                    &self.path, block, num_blocks,
                 ));
             }
             let grown = bytes_of(first..run.end);

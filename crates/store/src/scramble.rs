@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 use std::ops::{ControlFlow, Range};
+use std::slice;
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -22,8 +23,12 @@ use crate::bitmap::BlockBitmapIndex;
 use crate::block::{BlockId, BlockLayout, DEFAULT_BLOCK_SIZE};
 use crate::catalog::Catalog;
 use crate::source::{runs, BlockRef, BlockSource, GroupUniverseCache};
-use crate::table::{StoreResult, Table};
+use crate::table::{StoreError, StoreResult, Table};
 use crate::zone::ZoneMap;
+
+/// The path a scramble's read errors name: it is held in memory, not in a
+/// file.
+const IN_MEMORY: &str = "<in-memory scramble>";
 
 /// A permuted copy of a table, organized in blocks, with bitmap indexes over
 /// its categorical columns and zone maps over its numeric columns.
@@ -179,22 +184,35 @@ impl BlockSource for Scramble {
     }
 
     fn read_block(&self, block: BlockId) -> StoreResult<BlockRef<'_>> {
+        let num_blocks = self.layout.num_blocks();
+        if block.index() >= num_blocks {
+            return Err(StoreError::block_out_of_range(IN_MEMORY, block, num_blocks));
+        }
         Ok(BlockRef::borrowed(&self.table, self.layout.rows_of(block)))
     }
 
     /// Hands out each run as a zero-copy row range of the table: the
-    /// run's blocks are adjacent rows.
+    /// run's blocks are adjacent rows. A range reaching past the last block
+    /// fails, as on the segment reader, after the runs of the ranges before
+    /// it are visited.
     fn scan_blocks(
         &self,
         blocks: &[Range<usize>],
         _projection: Option<&[usize]>,
         visit: &mut dyn FnMut(BlockId, BlockRef<'_>) -> ControlFlow<()>,
     ) -> StoreResult<()> {
-        let block_size = self.layout.block_size();
-        for run in runs(blocks, block_size) {
-            let rows = run.start * block_size..(run.end * block_size).min(self.table.num_rows());
-            if visit(BlockId(run.start), BlockRef::borrowed(&self.table, rows)).is_break() {
-                break;
+        let (block_size, num_blocks) = (self.layout.block_size(), self.layout.num_blocks());
+        for range in blocks {
+            if !range.is_empty() && range.end > num_blocks {
+                let block = BlockId(range.start.max(num_blocks));
+                return Err(StoreError::block_out_of_range(IN_MEMORY, block, num_blocks));
+            }
+            for run in runs(slice::from_ref(range), block_size) {
+                let rows =
+                    run.start * block_size..(run.end * block_size).min(self.table.num_rows());
+                if visit(BlockId(run.start), BlockRef::borrowed(&self.table, rows)).is_break() {
+                    return Ok(());
+                }
             }
         }
         Ok(())

@@ -165,8 +165,10 @@ pub trait BlockSource: Sync {
     ///
     /// # Errors
     ///
-    /// In-memory sources never fail; lazy sources report I/O errors and
-    /// chunk-level corruption detected on decode.
+    /// Every source fails on a block past the end
+    /// ([`StoreError::block_out_of_range`](crate::table::StoreError::block_out_of_range));
+    /// in-memory sources fail on nothing else, and lazy sources also report
+    /// I/O errors and chunk-level corruption detected on decode.
     fn read_block(&self, block: BlockId) -> StoreResult<BlockRef<'_>>;
 
     /// Reads one block, decoding only the given columns (projection

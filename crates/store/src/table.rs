@@ -4,6 +4,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use crate::block::BlockId;
 use crate::column::{Column, DataType, Value};
 
 /// Errors produced by the storage layer.
@@ -75,6 +76,15 @@ impl StoreError {
             path: path.into(),
             detail: detail.into(),
         }
+    }
+
+    /// The error for a read of `block` from the table at `path`, which has
+    /// only `num_blocks` blocks: both backings' wording for a range past
+    /// the end. Cold and out of line: the scan path only tests for it.
+    #[cold]
+    #[inline(never)]
+    pub fn block_out_of_range(path: impl Into<PathBuf>, block: BlockId, num_blocks: usize) -> Self {
+        Self::corrupt(path, format!("{block} out of range ({num_blocks} blocks)"))
     }
 }
 

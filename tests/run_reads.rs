@@ -511,6 +511,52 @@ fn scan_blocks_stops_when_the_visitor_breaks() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A range past the last block is an error on both backings, naming the
+/// first block past the end, after the runs of the ranges before it were
+/// visited; so is a single read past the end. Neither backing panics.
+#[test]
+fn a_range_past_the_end_fails_alike_on_both_backings() {
+    let scramble = Scramble::build_with(&table(), 5, 25).unwrap();
+    let path = temp_path("past_the_end");
+    write_segment(&scramble, &path).unwrap();
+    let reader = SegmentReader::open(&path).unwrap();
+    let n = scramble.num_blocks();
+    let named = |block: usize| format!("block#{block} out of range ({n} blocks)");
+    for (source, backing) in [
+        (&scramble as &dyn BlockSource, "memory"),
+        (&reader, "segment"),
+    ] {
+        for (list, runs_before, bad) in [
+            (vec![3..4, 0..1, 99_999..100_000], 2, 99_999),
+            (vec![7..8, n - 2..n + 1], 1, n),
+            (vec![0..RUN_BLOCKS + 1, n..n + 1], 2, n),
+            (vec![n..n + 1, 0..1], 0, n),
+        ] {
+            let mut visited = 0;
+            let result = source.scan_blocks(&list, Some(&[0]), &mut |_, _| {
+                visited += 1;
+                ControlFlow::Continue(())
+            });
+            match result {
+                Err(StoreError::Corrupt { detail, .. }) => {
+                    assert_eq!(detail, named(bad), "{backing}: {list:?}")
+                }
+                other => panic!("{backing}: {list:?} gave {other:?}"),
+            }
+            assert_eq!(visited, runs_before, "{backing}: {list:?}");
+        }
+        for block in [n, n + 5] {
+            match source.read_block_projected(BlockId(block), Some(&[0])) {
+                Err(StoreError::Corrupt { detail, .. }) => assert_eq!(detail, named(block)),
+                Err(other) => panic!("{backing}: {block} gave {other:?}"),
+                Ok(_) => panic!("{backing}: {block} read"),
+            }
+        }
+        assert!(source.read_block(BlockId(n - 1)).is_ok(), "{backing}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn a_corrupt_chunk_in_any_crc_lane_fails_its_run_naming_its_block_and_column() {
     // A run of 7 blocks is checked per column as one batch of four chunks
