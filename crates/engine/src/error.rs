@@ -74,9 +74,10 @@ pub enum EngineError {
     MissingAggregate,
     /// An `EngineConfig` setting is out of range; rejected when the query is
     /// prepared and again when it runs. (An invalid δ is reported as
-    /// `Core(InvalidDelta)`.)
+    /// `Core(InvalidDelta)`.) A `TableOptions` setting out of range is
+    /// rejected when the table is registered.
     InvalidConfig {
-        /// The offending `EngineConfig` field.
+        /// The offending `EngineConfig` or `TableOptions` field.
         field: &'static str,
         /// The rejected value, as written.
         value: String,

@@ -151,12 +151,18 @@ impl Session {
 
     /// Registers `table` under `name` with explicit scramble options.
     ///
+    /// Set-up holds the table once: the scramble is a copy of `table`
+    /// shuffled a column at a time in place ([`Scramble::build_with`]), with
+    /// no permutation array beside it, so registration peaks at `table`
+    /// plus its scramble.
+    ///
     /// # Errors
     ///
-    /// [`EngineError::DuplicateTable`] for a name already in use, and
-    /// [`EngineError::NonFiniteValue`] when a float column holds a NaN or
-    /// an infinity (found by the scramble's catalog pass, so the check
-    /// costs no extra pass over the data).
+    /// [`EngineError::DuplicateTable`] for a name already in use,
+    /// [`EngineError::InvalidConfig`] naming `block_size` for blocks of zero
+    /// rows, and [`EngineError::NonFiniteValue`] when a float column holds a
+    /// NaN or an infinity (found by the scramble's catalog pass, so the
+    /// check costs no extra pass over the data).
     pub fn register_with(
         &mut self,
         name: impl Into<String>,
@@ -164,9 +170,17 @@ impl Session {
         options: TableOptions,
     ) -> EngineResult<()> {
         let name = name.into();
-        // Reject duplicates before paying the O(n) scramble-build cost.
+        // Reject a duplicate or a bad option before paying the O(n)
+        // scramble-build cost.
         if self.tables.contains_key(&name) {
             return Err(EngineError::DuplicateTable { name });
+        }
+        if options.block_size == 0 {
+            return Err(EngineError::InvalidConfig {
+                field: "block_size",
+                value: "0".into(),
+                expected: "at least 1 row",
+            });
         }
         let scramble = Scramble::build_with(table, options.seed, options.block_size)?;
         self.register_scramble(name, scramble)
@@ -846,6 +860,33 @@ mod tests {
             s.scramble("nope"),
             Err(EngineError::UnknownTable { .. })
         ));
+    }
+
+    /// Blocks of zero rows are refused with an error naming `block_size`,
+    /// by `register_with` and by `Scramble::build_with`; nothing is
+    /// registered.
+    #[test]
+    fn a_zero_block_size_is_rejected_when_the_table_is_registered() {
+        let mut s = Session::new();
+        match s.register_with("t", &table(), TableOptions::default().block_size(0)) {
+            Err(
+                e @ EngineError::InvalidConfig {
+                    field: "block_size",
+                    ..
+                },
+            ) => assert_eq!(
+                e.to_string(),
+                "invalid config: `block_size` = 0, expected at least 1 row"
+            ),
+            other => panic!("expected InvalidConfig for block_size, got {other:?}"),
+        }
+        assert!(s.is_empty());
+        assert_eq!(
+            Scramble::build_with(&table(), 1, 0).unwrap_err(),
+            fastframe_store::StoreError::ZeroBlockSize
+        );
+        s.register_with("t", &table(), TableOptions::default().block_size(1))
+            .unwrap();
     }
 
     /// One NaN, +∞ or −∞ in a 10 000-row float column is refused at

@@ -9,6 +9,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+
 /// Logical data type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
@@ -290,6 +294,21 @@ impl Column {
         Column {
             name: self.name.clone(),
             data,
+        }
+    }
+
+    /// Shuffles this column's rows in place with
+    /// `StdRng::seed_from_u64(seed)`. The shuffle's draws depend only on the
+    /// row count, never on the element type, so every column shuffled with
+    /// one seed moves its rows alike: the same order
+    /// [`permuted`](Self::permuted) gives for the identity `0..len`
+    /// shuffled with that seed.
+    pub(crate) fn shuffle(&mut self, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        match &mut self.data {
+            ColumnData::Float64(v) => v.shuffle(&mut rng),
+            ColumnData::Int64(v) => v.shuffle(&mut rng),
+            ColumnData::Categorical { codes, .. } => codes.shuffle(&mut rng),
         }
     }
 

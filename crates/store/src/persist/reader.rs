@@ -568,8 +568,8 @@ impl SegmentReader {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Corrupt`] when the first run reaches past the end of
-    /// the segment.
+    /// [`StoreError::BlockOutOfRange`] when the first run reaches past the
+    /// end of the segment.
     fn next_window(
         &self,
         runs: impl Iterator<Item = Range<usize>>,
@@ -946,10 +946,16 @@ mod tests {
         let window = reader.next_window(runs(every, 25), &[]).unwrap();
         assert_eq!((window.runs, window.bytes()), (25, 0));
         let past = num_blocks - 1..num_blocks + 1;
-        assert!(matches!(
-            reader.next_window(runs(slice::from_ref(&past), 25), &[0]),
-            Err(StoreError::Corrupt { .. })
-        ));
+        assert_eq!(
+            reader
+                .next_window(runs(slice::from_ref(&past), 25), &[0])
+                .err(),
+            Some(StoreError::block_out_of_range(
+                &path,
+                BlockId(num_blocks),
+                num_blocks
+            ))
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1051,10 +1057,14 @@ mod tests {
             rest.next(),
             Some(num_blocks - 70..num_blocks - 70 + run_blocks(25))
         );
-        assert!(matches!(
-            reader.next_window(rest, &[0]),
-            Err(StoreError::Corrupt { .. })
-        ));
+        assert_eq!(
+            reader.next_window(rest, &[0]).err(),
+            Some(StoreError::block_out_of_range(
+                &path,
+                BlockId(num_blocks),
+                num_blocks
+            ))
+        );
         std::fs::remove_file(&path).ok();
     }
 }

@@ -9,15 +9,19 @@
 //!
 //! A [`Scramble`] owns the permuted copy of the table, its block layout, the
 //! catalog built from the *original* table (range bounds are permutation
-//! invariant), and lazily-built block bitmap indexes over categorical
-//! columns.
+//! invariant), block bitmap indexes over categorical columns and zone maps
+//! over numeric ones.
+//!
+//! Set-up holds the table once: the copy is made a column at a time and
+//! shuffled in place (Fisher–Yates, one generator per column from the
+//! scramble's seed). The draws do not depend on a column's type, so all
+//! columns move their rows alike, and no row permutation is ever
+//! materialised; the scramble equals [`Table::permuted`] by the identity
+//! shuffled with the same seed.
 
 use std::collections::HashMap;
 use std::ops::{ControlFlow, Range};
 use std::slice;
-
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 use crate::bitmap::BlockBitmapIndex;
 use crate::block::{BlockId, BlockLayout, DEFAULT_BLOCK_SIZE};
@@ -53,12 +57,29 @@ impl Scramble {
     }
 
     /// Builds a scramble with an explicit block size.
+    ///
+    /// The rows are shuffled column by column in a copy of `table`, so
+    /// set-up holds `table` and its scramble and no permutation array.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::ZeroBlockSize`] for a `block_size` of zero, before any
+    /// row is copied.
     pub fn build_with(table: &Table, seed: u64, block_size: usize) -> StoreResult<Self> {
-        let mut permutation: Vec<usize> = (0..table.num_rows()).collect();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        permutation.shuffle(&mut rng);
-
-        let permuted = table.permuted(&permutation);
+        if block_size == 0 {
+            return Err(StoreError::ZeroBlockSize);
+        }
+        let permuted = Table::new(
+            table
+                .columns()
+                .iter()
+                .map(|c| {
+                    let mut c = c.clone();
+                    c.shuffle(seed);
+                    c
+                })
+                .collect(),
+        )?;
         let layout = BlockLayout::new(permuted.num_rows(), block_size);
         let catalog = Catalog::build(table);
 
@@ -278,6 +299,18 @@ mod tests {
         assert_eq!(values(&a), values(&b));
         assert_ne!(values(&a), values(&c));
         assert_eq!(a.seed(), 7);
+    }
+
+    #[test]
+    fn a_zero_block_size_is_refused() {
+        assert_eq!(
+            Scramble::build_with(&table(10), 1, 0).unwrap_err(),
+            StoreError::ZeroBlockSize
+        );
+        assert_eq!(
+            Scramble::build_with(&table(10), 1, 1).unwrap().num_blocks(),
+            10
+        );
     }
 
     #[test]

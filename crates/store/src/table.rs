@@ -59,6 +59,18 @@ pub enum StoreError {
         /// What exactly failed to validate.
         detail: String,
     },
+    /// A read asked for a block past the end of the table.
+    BlockOutOfRange {
+        /// Path of the table read (`<in-memory scramble>` for a scramble
+        /// held in memory).
+        path: PathBuf,
+        /// The first block asked for past the end.
+        block: BlockId,
+        /// The table's number of blocks.
+        num_blocks: usize,
+    },
+    /// A scramble was asked for blocks of zero rows.
+    ZeroBlockSize,
 }
 
 impl StoreError {
@@ -79,12 +91,16 @@ impl StoreError {
     }
 
     /// The error for a read of `block` from the table at `path`, which has
-    /// only `num_blocks` blocks: both backings' wording for a range past
-    /// the end. Cold and out of line: the scan path only tests for it.
+    /// only `num_blocks` blocks: both backings' error for a range past the
+    /// end. Cold and out of line: the scan path only tests for it.
     #[cold]
     #[inline(never)]
     pub fn block_out_of_range(path: impl Into<PathBuf>, block: BlockId, num_blocks: usize) -> Self {
-        Self::corrupt(path, format!("{block} out of range ({num_blocks} blocks)"))
+        StoreError::BlockOutOfRange {
+            path: path.into(),
+            block,
+            num_blocks,
+        }
     }
 }
 
@@ -151,6 +167,19 @@ impl PartialEq for StoreError {
                     detail: bd,
                 },
             ) => a == b && ad == bd,
+            (
+                StoreError::BlockOutOfRange {
+                    path: a,
+                    block: ab,
+                    num_blocks: an,
+                },
+                StoreError::BlockOutOfRange {
+                    path: b,
+                    block: bb,
+                    num_blocks: bn,
+                },
+            ) => a == b && ab == bb && an == bn,
+            (StoreError::ZeroBlockSize, StoreError::ZeroBlockSize) => true,
             _ => false,
         }
     }
@@ -185,6 +214,18 @@ impl std::fmt::Display for StoreError {
             }
             StoreError::Corrupt { path, detail } => {
                 write!(f, "corrupt storage file `{}`: {detail}", path.display())
+            }
+            StoreError::BlockOutOfRange {
+                path,
+                block,
+                num_blocks,
+            } => write!(
+                f,
+                "{block} out of range ({num_blocks} blocks) in `{}`",
+                path.display()
+            ),
+            StoreError::ZeroBlockSize => {
+                write!(f, "invalid `block_size` = 0, expected at least 1 row")
             }
         }
     }
@@ -459,5 +500,22 @@ mod tests {
         assert_eq!(c, StoreError::corrupt("/tmp/x.seg", "bad magic"));
         assert_ne!(c, e);
         assert!(c.source().is_none());
+    }
+
+    #[test]
+    fn a_block_past_the_end_is_its_own_error() {
+        let e = StoreError::block_out_of_range("t.seg", BlockId(7), 5);
+        assert_eq!(e.to_string(), "block#7 out of range (5 blocks) in `t.seg`");
+        assert_eq!(e, StoreError::block_out_of_range("t.seg", BlockId(7), 5));
+        assert_ne!(e, StoreError::block_out_of_range("t.seg", BlockId(6), 5));
+        assert_ne!(e, StoreError::block_out_of_range("u.seg", BlockId(7), 5));
+        assert_ne!(
+            e,
+            StoreError::corrupt("t.seg", "block#7 out of range (5 blocks)")
+        );
+        assert_eq!(
+            StoreError::ZeroBlockSize.to_string(),
+            "invalid `block_size` = 0, expected at least 1 row"
+        );
     }
 }

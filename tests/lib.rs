@@ -4,13 +4,15 @@
 //! directory with its test files next to this stub rather than under a
 //! `tests/` subdirectory, so `Cargo.toml` declares every target explicitly:
 //!
-//! * fourteen `[[test]]` targets — `ci_correctness`, `concurrency`,
+//! * fifteen `[[test]]` targets — `ci_correctness`, `concurrency`,
 //!   `count_sum`, `end_to_end`, `group_universe`, `persistence`,
 //!   `progressive`, `property_bounders`, `reference`, `run_reads`,
-//!   `sampling_strategies`, `skip_ledger`, `stopping_conditions`, and
-//!   `workspace_smoke` — exercising the workspace crates end-to-end through
-//!   the `Session` / `QueryBuilder` / `PreparedQuery` API (`reference`
-//!   checks the scan pipeline against a naive row-at-a-time evaluator);
+//!   `sampling_strategies`, `scramble_build`, `skip_ledger`,
+//!   `stopping_conditions`, and `workspace_smoke` — exercising the
+//!   workspace crates end-to-end through the `Session` / `QueryBuilder` /
+//!   `PreparedQuery` API (`reference` checks the scan pipeline against a
+//!   naive row-at-a-time evaluator, `scramble_build` the scramble against
+//!   its permutation definition);
 //! * six `[[example]]` targets pointing at the repository-root `examples/`
 //!   directory (`quickstart`, `persistence`, `progressive`,
 //!   `expression_bounds`, `flights_having`, `top_airlines`), runnable via

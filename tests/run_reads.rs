@@ -11,6 +11,7 @@
 //! runs it is handed, is checked at the end under active scanning.
 
 use std::ops::{ControlFlow, Range};
+use std::path::Path;
 use std::sync::Mutex;
 
 use fastframe_core::bounder::BounderKind;
@@ -493,11 +494,12 @@ fn scan_blocks_stops_when_the_visitor_breaks() {
     // A block past the end fails the segment scan, after the runs before
     // its own were visited and before any block of its run.
     let n = scramble.num_blocks();
-    for (list, runs_before) in [
-        (vec![BlockId(3), BlockId(0), BlockId(99_999)], 2),
+    for (list, runs_before, bad) in [
+        (vec![BlockId(3), BlockId(0), BlockId(99_999)], 2, 99_999),
         (
             vec![BlockId(7), BlockId(n - 2), BlockId(n - 1), BlockId(n)],
             1,
+            n,
         ),
     ] {
         let mut visited = 0;
@@ -505,7 +507,11 @@ fn scan_blocks_stops_when_the_visitor_breaks() {
             visited += 1;
             ControlFlow::Continue(())
         });
-        assert!(matches!(result, Err(StoreError::Corrupt { .. })));
+        assert_eq!(
+            result,
+            Err(StoreError::block_out_of_range(&path, BlockId(bad), n)),
+            "{list:?}"
+        );
         assert_eq!(visited, runs_before, "{list:?}");
     }
     std::fs::remove_file(&path).ok();
@@ -521,11 +527,21 @@ fn a_range_past_the_end_fails_alike_on_both_backings() {
     write_segment(&scramble, &path).unwrap();
     let reader = SegmentReader::open(&path).unwrap();
     let n = scramble.num_blocks();
-    let named = |block: usize| format!("block#{block} out of range ({n} blocks)");
-    for (source, backing) in [
-        (&scramble as &dyn BlockSource, "memory"),
-        (&reader, "segment"),
+    for (source, backing, named_path) in [
+        (
+            &scramble as &dyn BlockSource,
+            "memory",
+            Path::new("<in-memory scramble>"),
+        ),
+        (&reader, "segment", path.as_path()),
     ] {
+        let named = |block: usize| {
+            Err(StoreError::block_out_of_range(
+                named_path,
+                BlockId(block),
+                n,
+            ))
+        };
         for (list, runs_before, bad) in [
             (vec![3..4, 0..1, 99_999..100_000], 2, 99_999),
             (vec![7..8, n - 2..n + 1], 1, n),
@@ -537,20 +553,12 @@ fn a_range_past_the_end_fails_alike_on_both_backings() {
                 visited += 1;
                 ControlFlow::Continue(())
             });
-            match result {
-                Err(StoreError::Corrupt { detail, .. }) => {
-                    assert_eq!(detail, named(bad), "{backing}: {list:?}")
-                }
-                other => panic!("{backing}: {list:?} gave {other:?}"),
-            }
+            assert_eq!(result, named(bad), "{backing}: {list:?}");
             assert_eq!(visited, runs_before, "{backing}: {list:?}");
         }
         for block in [n, n + 5] {
-            match source.read_block_projected(BlockId(block), Some(&[0])) {
-                Err(StoreError::Corrupt { detail, .. }) => assert_eq!(detail, named(block)),
-                Err(other) => panic!("{backing}: {block} gave {other:?}"),
-                Ok(_) => panic!("{backing}: {block} read"),
-            }
+            let result = source.read_block_projected(BlockId(block), Some(&[0]));
+            assert_eq!(result.map(|_| ()), named(block), "{backing}: {block}");
         }
         assert!(source.read_block(BlockId(n - 1)).is_ok(), "{backing}");
     }
